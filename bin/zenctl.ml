@@ -214,16 +214,6 @@ let simulate_cmd =
                    blocks) or 'pod:K' (fat-tree pod affinity).  Default: \
                    block.")
   in
-  let incremental_arg =
-    Arg.(value & flag
-         & info [ "incremental" ]
-             ~doc:"Incremental delta recompilation: repeated installs \
-                   (policy edits, topology events) uid-skip unchanged \
-                   switches and push minimal add/delete flow-mods instead \
-                   of full table re-pushes.  Applies to compiled and \
-                   routing modes.  Default: the ZEN_INCREMENTAL \
-                   environment knob.")
-  in
   let run_sharded topo spec pol_str flows rate duration seed mode shards
       partition json =
     let partition =
@@ -359,9 +349,7 @@ let simulate_cmd =
       done
     end
   in
-  let run spec pol_str flows rate duration seed mode shards partition
-      incremental json =
-    let incremental = incremental || Netkat.Delta.env_enabled () in
+  let run spec pol_str flows rate duration seed mode shards partition json =
     let topo = or_die (load_topo spec) in
     let sharded =
       match shards with
@@ -391,7 +379,7 @@ let simulate_cmd =
       match mode with
       | `Compiled ->
         let pol = or_die (load_policy topo pol_str) in
-        let n = Zen.install_policy ~incremental net pol in
+        let n = Zen.install_policy net pol in
         if not json then Format.printf "installed %d rules@." n;
         ("compiled", n)
       | `Learning ->
@@ -399,7 +387,7 @@ let simulate_cmd =
         ignore (Zen.with_controller net [ Controller.Learning.app app ]);
         ("learning", 0)
       | `Routing ->
-        let app = Controller.Routing.create ~incremental () in
+        let app = Controller.Routing.create () in
         ignore (Zen.with_controller net [ Controller.Routing.app app ]);
         ( "routing",
           List.fold_left
@@ -476,7 +464,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run random traffic through the network")
     Term.(const run $ topo_arg $ policy_arg $ flows_arg $ rate_arg
           $ duration_arg $ seed_arg $ mode_arg $ shards_arg $ partition_arg
-          $ incremental_arg $ json_arg)
+          $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos *)
@@ -696,20 +684,7 @@ let chaos_cmd =
       match replica with
       | Some r -> Controller.Replica.diverged r
       | None ->
-        (match live_rt with
-         | None -> []
-         | Some rt ->
-           List.filter
-             (fun (sw : Dataplane.Network.switch) ->
-               let key (r : Flow.Table.rule) =
-                 (r.priority, r.pattern, r.actions, r.cookie)
-               in
-               let keys rules = List.sort compare (List.map key rules) in
-               keys (Flow.Table.rules sw.table)
-               <> keys
-                    (Controller.Runtime.intended_rules rt ~switch_id:sw.sw_id))
-             (Dataplane.Network.switch_list net.network)
-           |> List.map (fun (sw : Dataplane.Network.switch) -> sw.sw_id))
+        Option.fold ~none:[] ~some:Controller.Runtime.diverged live_rt
     in
     (match diverged with
      | [] -> Format.printf "convergence: all tables equal intended state@."

@@ -114,6 +114,35 @@ let apply_delta ctx ~switch_id ?idle_timeout ?hard_timeout ?cookie
     in
     ctx.send_batch ~switch_id (msgs @ [ Openflow.Message.Barrier_request ])
 
+(** [push_delta ctx ?cookie ~previous result] pushes one
+    {!Netkat.Delta.compile} step compiled against [previous], one batch
+    per changed switch, all under [cookie]: an [Unchanged] switch gets
+    nothing; a switch absent from [previous] (first contact, or
+    rejoining after being compiled around) gets a cookie-scoped full
+    replacement ({!install_rules} [~replace:true]); every other changed
+    switch gets its minimal {!apply_delta}.  Returns [(full, delta)]:
+    the rules sent as replacements and the flow-mods sent as deltas. *)
+let push_delta ctx ?(cookie = 0) ~previous (result : Netkat.Delta.result) =
+  let known switch_id =
+    match previous with
+    | Some p -> Netkat.Delta.find p switch_id <> None
+    | None -> false
+  in
+  List.fold_left
+    (fun (full, delta) (switch_id, (change : Netkat.Delta.change)) ->
+      match change with
+      | Unchanged -> (full, delta)
+      | Changed { adds; deletes; _ } when known switch_id ->
+        apply_delta ctx ~switch_id ~cookie ~adds ~deletes ();
+        (full, delta + List.length adds + List.length deletes)
+      | Changed { rules; _ } ->
+        install_rules ctx ~switch_id ~cookie ~replace:true
+          (List.map
+             (fun (r : Netkat.Local.rule) -> (r.priority, r.pattern, r.actions))
+             rules);
+        (full + List.length rules, delta))
+    (0, 0) result.changes
+
 (** [uninstall ctx ~switch_id ?cookie pattern] deletes all rules subsumed
     by [pattern] (restricted to [cookie] when given). *)
 let uninstall ctx ~switch_id ?cookie pattern =

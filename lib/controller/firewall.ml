@@ -4,18 +4,17 @@
     cost of policy composition.
 
     ACLs churn (entries added/removed at runtime via {!set_entries});
-    with [incremental] on, each re-push runs through {!Netkat.Delta}:
-    switches whose table is unaffected by the edit are skipped entirely
-    and the rest get minimal add/strict-delete batches. *)
+    every push runs through {!Netkat.Delta}: the first full-replaces
+    each table, later ones skip the switches whose table is unaffected
+    by the edit and send the rest minimal add/strict-delete batches. *)
 
 type t = {
   app : Api.app;
   cookie : int;
-  incremental : bool;
   default_allow : bool;
   mutable entries : Netkat.Builder.acl_entry list;
   mutable rules_installed : int;
-  mutable delta_mods : int;     (* flow-mods issued on incremental pushes *)
+  mutable delta_mods : int;     (* flow-mods issued as in-place deltas *)
   mutable skipped : int;        (* switches skipped as unchanged *)
   mutable snap : Netkat.Delta.snapshot option;
 }
@@ -26,47 +25,24 @@ let push t ctx =
     Netkat.Builder.firewall ~default_allow:t.default_allow topo t.entries
   in
   let fdd = Netkat.Fdd.of_policy pol in
-  let previous = if t.incremental then t.snap else None in
-  (* compile on the domain pool (uid-skipping the unchanged switches),
-     then one batch per switch: full replacement on first contact, the
-     minimal delta afterwards *)
   let result =
-    Netkat.Delta.compile ~switches:(Topo.Topology.switch_ids topo) previous
-      fdd
+    Netkat.Delta.compile ~switches:(Topo.Topology.switch_ids topo) t.snap fdd
+  in
+  let full, delta =
+    Api.push_delta ctx ~cookie:t.cookie ~previous:t.snap result
   in
   t.snap <- Some result.snapshot;
   t.skipped <- t.skipped + result.skipped;
-  List.iter
-    (fun (switch_id, change) ->
-      match (change : Netkat.Delta.change) with
-      | Netkat.Delta.Unchanged -> ()
-      | Netkat.Delta.Changed { rules; adds; deletes } ->
-        (match previous with
-         | Some p when Netkat.Delta.find p switch_id <> None ->
-           t.delta_mods <- t.delta_mods + List.length adds + List.length deletes;
-           Api.apply_delta ctx ~switch_id ~cookie:t.cookie ~adds ~deletes ()
-         | _ ->
-           Api.install_rules ctx ~switch_id ~cookie:t.cookie ~replace:true
-             (List.map
-                (fun (r : Netkat.Local.rule) ->
-                  t.rules_installed <- t.rules_installed + 1;
-                  (r.priority, r.pattern, r.actions))
-                rules)))
-    result.changes
+  t.rules_installed <- t.rules_installed + full;
+  t.delta_mods <- t.delta_mods + delta
 
-(** [set_entries t ctx entries] replaces the ACL and re-pushes; with
-    [incremental] on, only the switches whose compiled table actually
-    changed are touched. *)
+(** [set_entries t ctx entries] replaces the ACL and re-pushes; only
+    the switches whose compiled table actually changed are touched. *)
 let set_entries t ctx entries =
   t.entries <- entries;
   push t ctx
 
-let create ?(default_allow = true) ?incremental ?(cookie = 0x0f) entries =
-  let incremental =
-    match incremental with
-    | Some b -> b
-    | None -> Netkat.Delta.env_enabled ()
-  in
+let create ?(default_allow = true) ?(cookie = 0x0f) entries =
   let t_ref = ref None in
   let installed = ref false in
   let switch_up ctx ~switch_id:_ ~ports:_ =
@@ -77,7 +53,7 @@ let create ?(default_allow = true) ?incremental ?(cookie = 0x0f) entries =
   in
   let app = { (Api.default_app "firewall") with switch_up } in
   let t =
-    { app; cookie; incremental; default_allow; entries; rules_installed = 0;
+    { app; cookie; default_allow; entries; rules_installed = 0;
       delta_mods = 0; skipped = 0; snap = None }
   in
   t_ref := Some t;

@@ -506,27 +506,12 @@ let stats t = t.rstats
 let failover_samples t = t.rstats.failover_samples
 
 (** Switches whose installed table differs from the current leader's
-    intended shadow (empty = zero divergence).  Rules are compared as
-    (priority, pattern, actions, cookie) sets. *)
+    intended shadow (see {!Runtime.diverged}); every switch when no
+    leader holds the lease. *)
 let diverged t =
   match leader_runtime t with
   | None -> t.switch_ids
-  | Some rt ->
-    List.filter
-      (fun sid ->
-        let key (r : Flow.Table.rule) =
-          (r.priority, r.pattern, r.actions, r.cookie)
-        in
-        let installed =
-          Flow.Table.rules (Network.switch t.net sid).table
-          |> List.map key |> List.sort compare
-        in
-        let intended =
-          Runtime.intended_rules rt ~switch_id:sid
-          |> List.map key |> List.sort compare
-        in
-        installed <> intended)
-      t.switch_ids
+  | Some rt -> Runtime.diverged rt
 
 (** Stops every member's loops and runtimes so the simulation can drain
     its event queue. *)

@@ -4,8 +4,9 @@
     On startup the app compiles the network-wide destination-based
     routing policy ({!Netkat.Builder.routing_policy}) and pushes every
     switch's table.  On a port-status change it recomputes the policy
-    over the surviving topology and replaces the tables, counting the
-    rule churn (E5 measures convergence from these numbers).
+    over the surviving topology and pushes each changed switch its
+    minimal delta ({!Api.push_delta}), counting the rule churn (E5
+    measures convergence from these numbers).
 
     A [switch_down] report (the resilient runtime's keepalive verdict)
     is treated as a topology event too: the dead switch's links are
@@ -17,7 +18,6 @@
 type t = {
   app : Api.app;
   cookie : int;
-  incremental : bool;            (* delta updates instead of full re-push *)
   mutable installs : int;        (* rules pushed over the lifetime *)
   mutable reinstalls : int;      (* recomputation rounds *)
   mutable last_churn : int;      (* flow-mods issued by the last round *)
@@ -61,57 +61,39 @@ let push_tables t ctx =
     else Netkat.Builder.routing_policy topo
   in
   let fdd = Netkat.Fdd.of_policy pol in
-  let churn = ref 0 in
-  let per_switch = ref [] in
   (* per-switch compilation (uid-certification + rederivation of the
      changed switches) fans out over the domain pool inside
      Delta.compile; the installs below stay on this domain (the control
-     channel is not thread-safe).  Dead switches get no push: they are
-     excluded from the compile, so their snapshot entry is dropped —
-     recovery re-enters them via a fresh recompute, which sees no entry
-     and full-replaces their table. *)
+     channel is not thread-safe).  The first push full-replaces every
+     table; later ones send each changed switch its minimal delta.  Dead
+     switches get no push: they are excluded from the compile, so their
+     snapshot entry is dropped — recovery re-enters them via a fresh
+     recompute, which sees no entry and full-replaces their table. *)
   let switches =
     List.filter
       (fun id -> not (Hashtbl.mem t.dead id))
       (Topo.Topology.switch_ids topo)
   in
-  let previous = if t.incremental then t.snap else None in
-  let result = Netkat.Delta.compile ~switches previous fdd in
+  let result = Netkat.Delta.compile ~switches t.snap fdd in
+  let full, delta =
+    Api.push_delta ctx ~cookie:t.cookie ~previous:t.snap result
+  in
+  let churn = full + delta in
   t.snap <- Some result.snapshot;
   t.skipped <- t.skipped + result.skipped;
-  List.iter
-    (fun (switch_id, change) ->
-      (match (change : Netkat.Delta.change) with
-       | Netkat.Delta.Unchanged -> ()
-       | Netkat.Delta.Changed { rules; adds; deletes } ->
-         (match previous with
-          | Some p when Netkat.Delta.find p switch_id <> None ->
-            (* the delta — adds then strict deletes — rides as one batch *)
-            churn := !churn + List.length adds + List.length deletes;
-            Api.apply_delta ctx ~switch_id ~cookie:t.cookie ~adds ~deletes ()
-          | _ ->
-            (* full mode, or a switch we never programmed (first contact,
-               or rejoining after a crash): full table replacement *)
-            Api.install_rules ctx ~switch_id ~cookie:t.cookie ~replace:true
-              (List.map
-                 (fun (r : Netkat.Local.rule) ->
-                   incr churn;
-                   (r.priority, r.pattern, r.actions))
-                 rules)));
-      let n =
-        match Netkat.Delta.find result.snapshot switch_id with
-        | Some rules -> List.length rules
-        | None -> 0
-      in
-      per_switch := (switch_id, n) :: !per_switch)
-    result.changes;
-  t.installs <- t.installs + !churn;
-  t.last_churn <- !churn;
+  t.installs <- t.installs + churn;
+  t.last_churn <- churn;
   t.reinstalls <- t.reinstalls + 1;
   t.last_recompute <- Api.time ctx;
-  t.rules_per_switch <- List.rev !per_switch
+  t.rules_per_switch <-
+    List.map
+      (fun (switch_id, _) ->
+        ( switch_id,
+          Option.fold ~none:0 ~some:List.length
+            (Netkat.Delta.find result.snapshot switch_id) ))
+      result.changes
 
-let create ?(use_ip = false) ?(incremental = false) ?(cookie = 0x0e) () =
+let create ?(use_ip = false) ?(cookie = 0x0e) () =
   let t_ref = ref None in
   let get () = Option.get !t_ref in
   let installed = ref false in
@@ -178,7 +160,7 @@ let create ?(use_ip = false) ?(incremental = false) ?(cookie = 0x0e) () =
     { (Api.default_app "routing") with switch_up; switch_down; port_status }
   in
   let t =
-    { app; cookie; incremental; installs = 0; reinstalls = 0; last_churn = 0;
+    { app; cookie; installs = 0; reinstalls = 0; last_churn = 0;
       last_recompute = 0.0; recompute_pending = false; repushes = 0;
       rules_per_switch = []; snap = None; skipped = 0;
       seen = Hashtbl.create 16; dead = Hashtbl.create 4; reroutes = 0;

@@ -204,6 +204,42 @@ let shadow_msg st (msg : Openflow.Message.t) =
     flow-mod ever sent, applied to a shadow table). *)
 let intended_rules t ~switch_id = Flow.Table.rules (state t switch_id).shadow
 
+(** [diverged t] — the switches of the runtime's network whose installed
+    table differs from the intended shadow; empty = zero divergence.
+    Rules are compared as (priority, pattern, actions, cookie) sets. *)
+let diverged t =
+  let keys rules =
+    List.sort compare
+      (List.map
+         (fun (r : Flow.Table.rule) -> (r.priority, r.pattern, r.actions, r.cookie))
+         rules)
+  in
+  List.filter_map
+    (fun (sw : Dataplane.Network.switch) ->
+      if keys (Flow.Table.rules sw.table)
+         <> keys (intended_rules t ~switch_id:sw.sw_id)
+      then Some sw.sw_id
+      else None)
+    (Dataplane.Network.switch_list t.ctx.Api.net)
+
+(** [settle t] advances the simulation in 10 ms steps until {!diverged}
+    is empty, for at most 2 s; returns the switches still diverged.
+    Under never-ending control loss a false switch-down can be
+    rerouting at any one instant, so convergence is a state a run must
+    reach, not a property of one sample time. *)
+let settle t =
+  let net = t.ctx.Api.net in
+  let limit = Dataplane.Network.now net +. 2.0 in
+  let rec go () =
+    match diverged t with
+    | d when d = [] || Dataplane.Network.now net >= limit -> d
+    | _ ->
+      ignore
+        (Dataplane.Network.run ~until:(Dataplane.Network.now net +. 0.01) net ());
+      go ()
+  in
+  go ()
+
 (* ------------------------------------------------------------------ *)
 (* Reliable batches (resilience only) *)
 

@@ -85,7 +85,6 @@ let internal_part topo pol ~version =
 
 type t = {
   drain : float;                 (** seconds before old rules are removed *)
-  incremental : bool;            (** delta-push repeated installs in place *)
   streams : (string, Delta.snapshot) Hashtbl.t;
       (** per install-path snapshots, keyed ["<path>:<version>"] so a
           version bump (whose base/tag transform differs) never reuses a
@@ -94,7 +93,9 @@ type t = {
       (** cookie → switches that actually received rules under it;
           {!delete_version} consults this to leave the rest alone *)
   mutable version : int;
-  mutable installs : int;        (** add/modify flow-mods issued over the lifetime *)
+  mutable installs : int;
+      (** add/modify flow-mods issued over the lifetime (a plain push's
+          in-place edits count in [delta_mods] instead) *)
   mutable peak_rules : int;      (** max total rules observed installed *)
   mutable updates_done : int;
   mutable skipped_switches : int;(** switches proven unchanged, never touched *)
@@ -102,16 +103,13 @@ type t = {
   mutable delete_msgs : int;     (** cookie-scoped deletes issued by {!delete_version} *)
 }
 
-(** [create ?drain ?incremental ()] — [incremental] (default: the
-    [ZEN_INCREMENTAL] env knob) makes repeated {!install},
-    {!global_install} and {!install_plain} calls delta-push against the
-    previous snapshot instead of re-pushing whole tables; see each
-    function for the consistency caveat. *)
-let create ?(drain = 0.5) ?incremental () =
-  let incremental =
-    match incremental with Some b -> b | None -> Delta.env_enabled ()
-  in
-  { drain; incremental; streams = Hashtbl.create 8; pushed = Hashtbl.create 8;
+(** [create ?drain ()] — an updater.  Every install path compiles
+    through {!Delta} against the previous snapshot of its stream, so
+    repeated {!install}, {!global_install} and {!install_plain} calls
+    push only the changed switches/rules; see each function for the
+    consistency caveat. *)
+let create ?(drain = 0.5) () =
+  { drain; streams = Hashtbl.create 8; pushed = Hashtbl.create 8;
     version = 0; installs = 0; peak_rules = 0; updates_done = 0;
     skipped_switches = 0; delta_mods = 0; delete_msgs = 0 }
 
@@ -135,7 +133,6 @@ let import_state t blob =
   | Some v when v > t.version -> t.version <- v
   | Some _ | None -> ()
 let updates_done t = t.updates_done
-let incremental t = t.incremental
 let skipped_switches t = t.skipped_switches
 let delta_mods t = t.delta_mods
 let delete_msgs t = t.delete_msgs
@@ -186,17 +183,15 @@ let push_change t ctx ~cookie switch_id = function
    rule, including drops, version-specific.
 
    The compile runs through {!Delta.compile} against the [stream]'s
-   previous snapshot (when [t.incremental]): switches whose restricted
-   diagram is uid-unchanged are skipped entirely, changed switches get
-   minimal add/strict-delete batches.  [base]/[only_vlan] feed the
+   previous snapshot: switches whose restricted diagram is uid-unchanged
+   are skipped entirely, changed switches get minimal add/strict-delete
+   batches.  [base]/[only_vlan] feed the
    transform, so the stream key must pin the version — it does
    (["<path>:<version>"]). *)
 let install_part t ctx ~stream part ~only_vlan ~cookie ~base =
   let topo = Api.topology ctx in
   let fdd = Fdd.restrict (Packet.Fields.Vlan, only_vlan) (Fdd.of_policy part) in
-  let previous =
-    if t.incremental then Hashtbl.find_opt t.streams stream else None
-  in
+  let previous = Hashtbl.find_opt t.streams stream in
   let transform (r : Local.rule) =
     { r with priority = base + r.priority;
       pattern = { r.pattern with vlan = Some only_vlan } }
@@ -237,16 +232,16 @@ let delete_version t ctx ~cookie =
   List.iter (Hashtbl.remove t.streams) (stream_keys cookie)
 
 (** [install t ctx pol] — installation of a versioned policy.  The first
-    call installs version 1.  With [incremental] on, later calls keep
-    the version (and its vlan tag, priority base and cookie) {e stable}
-    and delta-push only the changed switches/rules — the fast path for
-    small edits.  This in-place edit is {e not} per-packet consistent
-    (a packet in flight can mix pre- and post-edit rules); use
-    {!two_phase} when the edit needs the consistency guarantee.
+    call installs version 1.  Later calls keep the version (and its
+    vlan tag, priority base and cookie) {e stable} and delta-push only
+    the changed switches/rules — the fast path for small edits.  This
+    in-place edit is {e not} per-packet consistent (a packet in flight
+    can mix pre- and post-edit rules); use {!two_phase} when the edit
+    needs the consistency guarantee.
     @raise Policy_uses_vlan *)
 let install t ctx pol =
   if pol_uses_vlan pol then raise Policy_uses_vlan;
-  if not (t.incremental && t.version > 0) then t.version <- t.version + 1;
+  if t.version = 0 then t.version <- 1;
   let topo = Api.topology ctx in
   let v = t.version in
   let base = v * 10000 in
@@ -351,9 +346,7 @@ let split_global_all ctx fdd =
 (* Same partition expressed as Delta transform/keep: drop fall-through
    drops, bump untagged (ingress) rules above the internal ones. *)
 let install_global_rules t ctx ~stream ~cookie ~base ~ingress_bump fdd =
-  let previous =
-    if t.incremental then Hashtbl.find_opt t.streams stream else None
-  in
+  let previous = Hashtbl.find_opt t.streams stream in
   let transform (r : Local.rule) =
     let bump =
       if r.pattern.vlan = Some Packet.Fields.vlan_none then ingress_bump
@@ -374,11 +367,11 @@ let install_global_rules t ctx ~stream ~cookie ~base ~ingress_bump fdd =
 
 (** [global_install t ctx pol] — installation of a
     {!Netkat.Global.compile}d program (or any policy obeying the vlan
-    discipline above).  With [incremental] on, later calls with the same
-    tag space keep the version stable and delta-push (not per-packet
-    consistent; see {!global_two_phase} for the consistency path). *)
+    discipline above).  Later calls with the same tag space keep the
+    version stable and delta-push (not per-packet consistent; see
+    {!global_two_phase} for the consistency path). *)
 let global_install t ctx pol =
-  if not (t.incremental && t.version > 0) then t.version <- t.version + 1;
+  if t.version = 0 then t.version <- 1;
   install_global_rules t ctx ~stream:(Printf.sprintf "global:%d" t.version)
     ~cookie:t.version ~base:(t.version * 10000) ~ingress_bump:1000
     (Fdd.of_policy pol);
@@ -424,36 +417,18 @@ let global_two_phase t ctx pol =
       t.updates_done <- t.updates_done + 1))
 
 (** Plain (unversioned) install, for the naive baseline runs.  The
-    first call full-replaces each switch's cookie-0 rules; with
-    [incremental] on, later calls delta-push only the changed
-    switches/rules (unchanged switches get no message at all). *)
+    first call full-replaces each switch's cookie-0 rules; later calls
+    delta-push only the changed switches/rules (unchanged switches get
+    no message at all). *)
 let install_plain t ctx pol =
-  let fdd = Fdd.of_policy pol in
-  let previous =
-    if t.incremental then Hashtbl.find_opt t.streams "plain" else None
-  in
+  let previous = Hashtbl.find_opt t.streams "plain" in
   let result =
     Delta.compile ~switches:(Topo.Topology.switch_ids (Api.topology ctx))
-      previous fdd
+      previous (Fdd.of_policy pol)
   in
   Hashtbl.replace t.streams "plain" result.snapshot;
   t.skipped_switches <- t.skipped_switches + result.skipped;
-  List.iter
-    (fun (switch_id, change) ->
-      match (change : Delta.change) with
-      | Delta.Unchanged -> ()
-      | Delta.Changed { rules; adds; deletes } ->
-        (match previous with
-         | None ->
-           t.installs <- t.installs + List.length rules;
-           Api.install_rules ctx ~switch_id ~replace:true
-             (List.map
-                (fun (r : Local.rule) -> (r.priority, r.pattern, r.actions))
-                rules)
-         | Some _ ->
-           t.installs <- t.installs + List.length adds;
-           t.delta_mods <-
-             t.delta_mods + List.length adds + List.length deletes;
-           Api.apply_delta ctx ~switch_id ~adds ~deletes ()))
-    result.changes;
+  let full, delta = Api.push_delta ctx ~previous result in
+  t.installs <- t.installs + full;
+  t.delta_mods <- t.delta_mods + delta;
   Api.schedule ctx ~delay:0.05 (fun () -> observe_occupancy t ctx)

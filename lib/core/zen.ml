@@ -26,7 +26,7 @@ type net = {
   network : Dataplane.Network.t;
   mutable runtime : Controller.Runtime.t option;
   mutable delta_snap : Netkat.Delta.snapshot option;
-      (* last compile's per-switch certificates, for incremental installs *)
+      (* last compile's per-switch certificates, the next install's base *)
 }
 
 (** [create topo] instantiates the simulated network (empty tables).
@@ -46,22 +46,17 @@ let now t = Dataplane.Network.now t.network
     every switch's table directly (the "compiled, proactive, no
     controller" mode).  Returns total rules installed.
 
-    With [incremental] (default: the [ZEN_INCREMENTAL] environment
-    knob), the compile runs through {!Netkat.Delta} against the previous
-    install's snapshot: switches whose restricted diagram is
+    The compile runs through {!Netkat.Delta} against the previous
+    install's snapshot (the first install compiles against none and
+    loads every table): switches whose restricted diagram is
     uid-unchanged are not touched at all (their flow caches stay warm),
     and changed switches get in-place modify/remove edits instead of
     clear + reload.
     @raise Netkat.Local.Not_local on policies with links. *)
-let install_fdd ?incremental t fdd =
-  let incremental =
-    match incremental with
-    | Some b -> b
-    | None -> Netkat.Delta.env_enabled ()
-  in
+let install_fdd t fdd =
   (* per-switch compilation runs on the shared domain pool; the tables
      are loaded sequentially here (they belong to the simulator) *)
-  let previous = if incremental then t.delta_snap else None in
+  let previous = t.delta_snap in
   let result =
     Netkat.Delta.compile
       ~switches:(Topo.Topology.switch_ids (topology t)) previous fdd
@@ -97,8 +92,7 @@ let install_fdd ?incremental t fdd =
 (** [install_policy t pol] — {!install_fdd} from policy syntax.
     Returns total rules installed.
     @raise Netkat.Local.Not_local on policies with links. *)
-let install_policy ?incremental t pol =
-  install_fdd ?incremental t (Netkat.Fdd.of_policy pol)
+let install_policy t pol = install_fdd t (Netkat.Fdd.of_policy pol)
 
 (** [install_policy_string t s] — as {!install_policy}, from concrete
     syntax.  @raise Netkat.Parser.Parse_error on bad syntax. *)

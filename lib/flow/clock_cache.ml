@@ -10,9 +10,8 @@
     prefix.
 
     Compared to dropping the whole table on overflow (the policy this
-    replaces in {!Table}), a full cache keeps its hot entries instead of
-    relearning the entire working set after every reset — E2 measures
-    the hit-rate difference under overflow.
+    replaced in {!Table}), a full cache keeps its hot entries instead of
+    relearning the entire working set after every reset.
 
     Entries are never removed individually; consumers that need
     invalidation stamp values with a generation (as {!Table} does) or

@@ -17,10 +17,8 @@
     invalidate the cache in O(1) by bumping a generation counter; stale
     entries are skipped on probe and overwritten.  No-op deletes leave
     the cache warm.  The cache is bounded ([cache_entries], default
-    {!max_cache_entries}); at capacity the default [Clock] policy evicts
-    one cold entry per insert (second-chance, see {!Clock_cache}) while
-    the legacy [Reset] policy drops the whole cache — kept selectable
-    for the E2 overflow comparison.
+    {!max_cache_entries}); at capacity it evicts one cold entry per
+    insert (second-chance, see {!Clock_cache}).
 
     {b Cold path.}  A cache miss does not scan the rule list; it runs a
     tuple-space-search classifier: rules are grouped by pattern
@@ -80,28 +78,19 @@ type shape_entry = {
 (* Default bound on resident cache entries (live + stale). *)
 let max_cache_entries = 8192
 
-(** What to do when the exact-match cache is full: [Clock] evicts one
-    cold entry per insert (second-chance); [Reset] drops the whole
-    cache, OVS-wholesale style. *)
-type cache_policy = Clock | Reset
-
-type flow_cache =
-  | Clock_c of (int * rule option) Hcache.t
-  | Reset_c of int * (int * rule option) Cache.t  (* capacity, table *)
-
 type t = {
   mutable rules : rule list;  (* descending priority, stable within ties *)
   mutable n_rules : int;
   mutable capacity : int option;  (* max rules, None = unbounded *)
   mutable misses : int;
   mutable hits : int;
-  (* exact-match fast path: header tuple -> (generation, winning rule) *)
-  cache : flow_cache;
+  (* exact-match fast path: header tuple -> (generation, winning rule);
+     when full, the CLOCK hand evicts one cold entry per insert *)
+  cache : (int * rule option) Hcache.t;
   mutable generation : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable invalidations : int;
-  mutable cache_resets : int;  (* whole-cache drops (Reset policy only) *)
   (* tuple-space classifier: pattern shape -> per-shape hashtable *)
   shapes : (Pattern.shape, shape_entry) Hashtbl.t;
   (* the same entries sorted by descending [se_max_prio] — the probe
@@ -111,17 +100,11 @@ type t = {
   mutable next_seq : int;
 }
 
-let create ?capacity ?(cache_policy = Clock)
-    ?(cache_entries = max_cache_entries) () =
-  let cache =
-    match cache_policy with
-    | Clock -> Clock_c (Hcache.create ~cap:cache_entries)
-    | Reset -> Reset_c (cache_entries, Cache.create 256)
-  in
-  { rules = []; n_rules = 0; capacity; misses = 0; hits = 0; cache;
+let create ?capacity ?(cache_entries = max_cache_entries) () =
+  { rules = []; n_rules = 0; capacity; misses = 0; hits = 0;
+    cache = Hcache.create ~cap:cache_entries;
     generation = 0; cache_hits = 0; cache_misses = 0; invalidations = 0;
-    cache_resets = 0; shapes = Hashtbl.create 16; shape_order = [];
-    probes = 0; next_seq = 0 }
+    shapes = Hashtbl.create 16; shape_order = []; probes = 0; next_seq = 0 }
 
 let size t = t.n_rules
 let rules t = t.rules
@@ -132,17 +115,10 @@ let cache_misses t = t.cache_misses
 let invalidations t = t.invalidations
 let generation t = t.generation
 
-let cache_size t =
-  match t.cache with
-  | Clock_c c -> Hcache.length c
-  | Reset_c (_, c) -> Cache.length c
+let cache_size t = Hcache.length t.cache
 
-(** Entries displaced one at a time by the CLOCK hand (0 under [Reset]). *)
-let cache_evictions t =
-  match t.cache with Clock_c c -> Hcache.evictions c | Reset_c _ -> 0
-
-(** Whole-cache drops on overflow (0 under [Clock]). *)
-let cache_resets t = t.cache_resets
+(** Entries displaced one at a time by the CLOCK hand. *)
+let cache_evictions t = Hcache.evictions t.cache
 
 (** Number of distinct pattern shapes in the table — the probe count a
     single cold lookup pays. *)
@@ -386,26 +362,14 @@ let lookup_linear t (h : Headers.t) =
     exact-match cache first and falls back to the tuple-space
     classifier, caching the verdict (including "no match"). *)
 let lookup t (h : Headers.t) =
-  let cached =
-    match t.cache with
-    | Clock_c c -> Hcache.find_opt c h
-    | Reset_c (_, c) -> Cache.find_opt c h
-  in
-  match cached with
+  match Hcache.find_opt t.cache h with
   | Some (gen, res) when gen = t.generation ->
     t.cache_hits <- t.cache_hits + 1;
     res
   | Some _ | None ->
     t.cache_misses <- t.cache_misses + 1;
     let res = lookup_tuple t h in
-    (match t.cache with
-     | Clock_c c -> Hcache.replace c h (t.generation, res)
-     | Reset_c (cap, c) ->
-       if Cache.length c >= cap then begin
-         Cache.reset c;
-         t.cache_resets <- t.cache_resets + 1
-       end;
-       Cache.replace c h (t.generation, res));
+    Hcache.replace t.cache h (t.generation, res);
     res
 
 (** [apply t ~now ~size h] performs a dataplane lookup: updates hit/miss

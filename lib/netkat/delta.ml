@@ -87,13 +87,6 @@ let find snapshot switch =
 let total_rules snapshot =
   Hashtbl.fold (fun _ e acc -> acc + List.length e.rules) snapshot.entries 0
 
-(** [env_enabled ()] — the [ZEN_INCREMENTAL] environment knob (["1"] or
-    ["true"]); the default for the installers' [?incremental] flags. *)
-let env_enabled () =
-  match Sys.getenv_opt "ZEN_INCREMENTAL" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 (** [diff_rules old_rules new_rules] — the flow-mods needed to turn
     [old_rules] into [new_rules]: adds/modifies for new or changed
     [(priority, pattern)] keys, strict deletes for vanished ones.

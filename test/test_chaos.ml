@@ -12,22 +12,10 @@ let fast_resilience =
     retx_timeout = 0.01; retx_backoff = 2.0; retx_cap = 0.1;
     selective_resync = false }
 
-let rule_key (r : Flow.Table.rule) = (r.priority, r.pattern, r.actions, r.cookie)
-
-let keys rules = List.sort compare (List.map rule_key rules)
-
 (* every switch's installed table equals the runtime's intended state *)
-let diverged_switches net rt =
-  List.filter
-    (fun (sw : Network.switch) ->
-      keys (Flow.Table.rules sw.table)
-      <> keys (Controller.Runtime.intended_rules rt ~switch_id:sw.sw_id))
-    (Network.switch_list net)
-  |> List.map (fun (sw : Network.switch) -> sw.sw_id)
-
-let check_converged net rt =
+let check_converged rt =
   Alcotest.(check (list int)) "tables equal intended state" []
-    (diverged_switches net rt)
+    (Controller.Runtime.diverged rt)
 
 (* ------------------------------------------------------------------ *)
 (* Fault module *)
@@ -255,7 +243,7 @@ let test_selective_resync_warm_table () =
               ~actions:(Flow.Action.forward 1) ()))
     done;
     ignore (Network.run ~until:(Network.now net +. 0.5) net ());
-    check_converged net rt;
+    check_converged rt;
     (* partition s2's control channel: the switch stays alive, keeps its
        table, gets declared down, then heals and re-handshakes *)
     Network.inject net
@@ -263,7 +251,7 @@ let test_selective_resync_warm_table () =
     ignore (Network.run ~until:4.0 net ());
     let rs = Controller.Runtime.resilience_stats rt in
     Alcotest.(check bool) "outage was detected" true (rs.switch_downs >= 1);
-    check_converged net rt;
+    check_converged rt;
     rt
   in
   (* default path: full delete-all + re-push *)
@@ -295,7 +283,7 @@ let test_selective_resync_cold_table () =
       ~resilience:{ fast_resilience with selective_resync = true } net
       [ Controller.Routing.app routing ]
   in
-  check_converged net rt;
+  check_converged rt;
   Network.crash_switch net 2;
   ignore (Network.run ~until:(Network.now net +. 0.5) net ());
   Network.restart_switch net 2;
@@ -303,7 +291,7 @@ let test_selective_resync_cold_table () =
   let rs = Controller.Runtime.resilience_stats rt in
   Alcotest.(check bool) "selective resync ran" true
     (rs.selective_resyncs >= 1);
-  check_converged net rt;
+  check_converged rt;
   Traffic.install_responders net;
   let result = Traffic.ping net ~src:1 ~dst:3 ~count:3 ~interval:0.02 in
   ignore (Network.run ~until:(Network.now net +. 1.0) net ());
@@ -327,7 +315,7 @@ let test_crash_detection_and_resync () =
     Controller.Runtime.create_and_handshake ~resilience:fast_resilience net
       [ Controller.Routing.app routing; Controller.Monitor.app monitor; probe ]
   in
-  check_converged net rt;
+  check_converged rt;
   let rules_before = Flow.Table.size (Network.switch net 2).table in
   Alcotest.(check bool) "switch 2 has rules" true (rules_before > 0);
   (* crash switch 2 at 0.5 s; the keepalive loop must notice *)
@@ -352,7 +340,7 @@ let test_crash_detection_and_resync () =
   Alcotest.(check bool) "monitor observed the outage" true
     (Controller.Monitor.down_events monitor >= 1
      && Controller.Monitor.recoveries monitor <> []);
-  check_converged net rt;
+  check_converged rt;
   Alcotest.(check int) "rules restored" rules_before
     (Flow.Table.size (Network.switch net 2).table);
   (* connectivity is back through s2 *)
@@ -370,7 +358,8 @@ let test_retransmit_under_loss () =
   let net = Network.create ~fault topo in
   let routing = Controller.Routing.create () in
   let rt =
-    Controller.Runtime.create ~resilience:fast_resilience net
+    Controller.Runtime.create
+      ~resilience:{ fast_resilience with echo_miss_limit = 8 } net
       [ Controller.Routing.app routing ]
   in
   ignore (Network.run ~until:3.0 net ());
@@ -381,7 +370,8 @@ let test_retransmit_under_loss () =
   Alcotest.(check bool)
     (Printf.sprintf "batches retransmitted (%d)" rs.retransmits)
     true (rs.retransmits > 0);
-  check_converged net rt;
+  Alcotest.(check (list int)) "tables reach the intended state" []
+    (Controller.Runtime.settle rt);
   Traffic.install_responders net;
   let result = Traffic.ping net ~src:1 ~dst:4 ~count:3 ~interval:0.02 in
   ignore (Network.run ~until:(Network.now net +. 1.0) net ());
@@ -399,7 +389,7 @@ let test_duplicates_idempotent () =
   in
   ignore (Network.run ~until:2.0 net ());
   Alcotest.(check bool) "duplicates injected" true (Fault.dups fault > 0);
-  check_converged net rt
+  check_converged rt
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: loss + crash + flaps, deterministic per seed *)
@@ -444,9 +434,10 @@ let run_acceptance_scenario seed =
       [ (1, 4); (2, 5); (6, 3) ]
   in
   ignore (Network.run ~until:5.0 net ());
+  let diverged = Controller.Runtime.settle rt in
   let rs = Controller.Runtime.resilience_stats rt in
   { sr_trace = Fault.events fault;
-    sr_diverged = diverged_switches net rt;
+    sr_diverged = diverged;
     sr_sent = List.fold_left (fun acc s -> acc + !s) 0 senders;
     sr_delivered = (Network.stats net).delivered;
     sr_retransmits = rs.retransmits;

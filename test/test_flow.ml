@@ -601,12 +601,12 @@ let prop_tuple_space_consistent =
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* cache overflow policies *)
+(* cache overflow *)
 
 (* one hot header re-probed between a stream of cold ones — the access
    pattern where wholesale reset loses and per-entry eviction wins *)
-let churn_cache policy =
-  let t = Table.create ~cache_policy:policy ~cache_entries:8 () in
+let churn_cache () =
+  let t = Table.create ~cache_entries:8 () in
   Table.add t (mk Pattern.any (Action.forward 1));
   let h i = Headers.set hdr Fields.Tp_dst i in
   let hot = h 1 in
@@ -618,10 +618,9 @@ let churn_cache policy =
   t
 
 let test_clock_eviction_bounds () =
-  let t = churn_cache Table.Clock in
+  let t = churn_cache () in
   Alcotest.(check bool) "cache bounded" true (Table.cache_size t <= 8);
   Alcotest.(check bool) "evicts per entry" true (Table.cache_evictions t > 0);
-  Alcotest.(check int) "never resets" 0 (Table.cache_resets t);
   (* the hot entry must be resident after all that churn *)
   let hits = Table.cache_hits t in
   (match Table.lookup t (Headers.set hdr Fields.Tp_dst 1) with
@@ -629,19 +628,6 @@ let test_clock_eviction_bounds () =
    | None -> Alcotest.fail "hot header must match");
   Alcotest.(check int) "hot entry survives churn" (hits + 1)
     (Table.cache_hits t)
-
-let test_reset_policy_still_available () =
-  let t = churn_cache Table.Reset in
-  Alcotest.(check bool) "cache bounded" true (Table.cache_size t <= 8);
-  Alcotest.(check bool) "resets wholesale" true (Table.cache_resets t > 0);
-  Alcotest.(check int) "no per-entry evictions" 0 (Table.cache_evictions t)
-
-let test_clock_beats_reset_hit_rate () =
-  (* E2's overflow row in miniature: same access pattern, second-chance
-     keeps the hot entry where reset relearns it after every drop *)
-  let clock = churn_cache Table.Clock and reset = churn_cache Table.Reset in
-  Alcotest.(check bool) "clock hit rate > reset hit rate" true
-    (Table.cache_hits clock > Table.cache_hits reset)
 
 let test_clock_consistent_under_eviction () =
   (* a tiny cache forces constant eviction; verdicts must still agree
@@ -704,10 +690,6 @@ let suites =
         Alcotest.test_case "cache counters" `Quick test_cache_counters;
         Alcotest.test_case "clock eviction bounds cache" `Quick
           test_clock_eviction_bounds;
-        Alcotest.test_case "reset policy still available" `Quick
-          test_reset_policy_still_available;
-        Alcotest.test_case "clock beats reset hit rate" `Quick
-          test_clock_beats_reset_hit_rate;
         Alcotest.test_case "consistent under eviction" `Quick
           test_clock_consistent_under_eviction;
         QCheck_alcotest.to_alcotest prop_lookup_max_priority;

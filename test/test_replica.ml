@@ -252,6 +252,61 @@ let test_failover_mid_retransmit_no_duplicates () =
   Replica.shutdown r
 
 (* ------------------------------------------------------------------ *)
+(* A delta edit interrupted by a leader crash, resubmitted to the successor *)
+
+(* The leader crashes 0.5 ms after [install_plain] enqueued a policy edit;
+   the same edit is then resubmitted through the same updater to the
+   successor.  The updater's snapshot already holds the edit, so the
+   resubmission is an empty delta: the edit must survive through the
+   replicated shadow (shipped as the batches were enqueued) and the
+   successor's resync. *)
+let test_delta_edit_survives_failover () =
+  let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
+  let net = Zen.create topo in
+  let r =
+    Zen.with_replicas ~resilience:fast_resilience ~replicas:2 ~lease:0.15 net
+      (fun () -> [])
+  in
+  let updater = Controller.Update.create () in
+  let leader_ctx () =
+    match Replica.leader_runtime r with
+    | Some rt -> Controller.Runtime.ctx rt
+    | None -> Alcotest.fail "no leader"
+  in
+  let base = Netkat.Builder.routing_policy topo in
+  Controller.Update.install_plain updater (leader_ctx ()) base;
+  ignore (Zen.run ~until:0.5 net);
+  check_replica_converged r;
+  (* drop host 3's port-4242 traffic at switch 1 *)
+  let edited =
+    Netkat.Syntax.seq
+      (Netkat.Syntax.filter
+         (Netkat.Syntax.neg
+            (Netkat.Syntax.conj
+               (Netkat.Syntax.test Packet.Fields.Switch 1)
+               (Netkat.Syntax.conj
+                  (Netkat.Syntax.test Packet.Fields.Eth_dst
+                     (Packet.Mac.of_host_id 3))
+                  (Netkat.Syntax.test Packet.Fields.Tp_dst 4242)))))
+      base
+  in
+  Controller.Update.install_plain updater (leader_ctx ()) edited;
+  Network.inject (Zen.network net)
+    [ Fault.Controller_outage
+        { controller_id = 0; at = Zen.now net +. 0.5e-3; duration = 60.0 } ];
+  ignore (Zen.run ~until:(Zen.now net +. 1.0) net);
+  Alcotest.(check (option int)) "member 1 took over" (Some 1)
+    (Replica.leader r);
+  Controller.Update.install_plain updater (leader_ctx ()) edited;
+  ignore (Zen.run ~until:(Zen.now net +. 0.5) net);
+  check_replica_converged r;
+  Alcotest.(check bool) "the edit's rule is installed" true
+    (List.exists
+       (fun (ru : Flow.Table.rule) -> ru.pattern.tp_dst = Some 4242)
+       (Flow.Table.rules (Network.switch (Zen.network net) 1).table));
+  Replica.shutdown r
+
+(* ------------------------------------------------------------------ *)
 (* Split brain: both controllers alive, only the leaseholder's writes land *)
 
 let test_split_brain_fenced () =
@@ -470,6 +525,8 @@ let suites =
           test_crashed_leader_rejoins_as_standby;
         Alcotest.test_case "mid-retransmit failover: no duplicates" `Quick
           test_failover_mid_retransmit_no_duplicates;
+        Alcotest.test_case "delta edit survives failover" `Quick
+          test_delta_edit_survives_failover;
         Alcotest.test_case "split brain: stale writes fenced" `Quick
           test_split_brain_fenced;
         Alcotest.test_case "replicas=1 byte-identical to plain" `Quick
