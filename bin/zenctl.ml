@@ -38,11 +38,11 @@ let load_policy topo = function
     (try Ok (Netkat.Parser.pol_of_string s) with
      | Netkat.Parser.Parse_error m -> Error (`Msg ("policy: " ^ m)))
 
-let or_die = function
-  | Ok v -> v
-  | Error (`Msg m) ->
-    prerr_endline ("zenctl: " ^ m);
-    exit 1
+let die m =
+  prerr_endline ("zenctl: " ^ m);
+  exit 1
+
+let or_die = function Ok v -> v | Error (`Msg m) -> die m
 
 (* ------------------------------------------------------------------ *)
 (* topo *)
@@ -221,10 +221,7 @@ let simulate_cmd =
         (fun s ->
           match Dataplane.Shard.partition_of_string s with
           | Some p -> p
-          | None ->
-            prerr_endline
-              ("zenctl: unknown partition " ^ s ^ " (have: block, pod:K)");
-            exit 1)
+          | None -> die ("unknown partition " ^ s ^ " (have: block, pod:K)"))
         partition
     in
     let t = Zen.create_sharded ~shards ?partition topo in
@@ -249,17 +246,11 @@ let simulate_cmd =
             0
             (Topo.Topology.switch_ids topo) )
     in
-    let window_mode = Util.Shard_sync.window_mode_of_env () in
-    let steal = Util.Shard_sync.steal_enabled_of_env () in
     if not json then
-      Format.printf
-        "installed %d rules over %d shards (lookahead %.1f us, %s windows, \
-         steal %s)@."
+      Format.printf "installed %d rules over %d shards (lookahead %.1f us)@."
         n
         (Dataplane.Shard.shards t)
-        (Dataplane.Shard.lookahead t *. 1e6)
-        (Util.Shard_sync.window_mode_to_string window_mode)
-        (if steal then "on" else "off");
+        (Dataplane.Shard.lookahead t *. 1e6);
     let prng = Util.Prng.create seed in
     let host_ids = Array.of_list (Topo.Topology.host_ids topo) in
     let specs =
@@ -284,9 +275,6 @@ let simulate_cmd =
              ("shards", string_of_int (Dataplane.Shard.shards t));
              ("lookahead_us",
               json_float (Dataplane.Shard.lookahead t *. 1e6));
-             ("window_mode",
-              json_str (Util.Shard_sync.window_mode_to_string window_mode));
-             ("steal", string_of_bool steal);
              ("installed_rules", string_of_int n);
              ("flows", string_of_int flows);
              ("sent", string_of_int sent);
@@ -350,26 +338,20 @@ let simulate_cmd =
     end
   in
   let run spec pol_str flows rate duration seed mode shards partition json =
-    let topo = or_die (load_topo spec) in
-    let sharded =
+    let shards =
       match shards with
-      | Some n -> n > 1 || partition <> None
-      | None -> Dataplane.Shard.default_shards () > 1 || partition <> None
+      | Some n when n < 1 -> die "--shards must be >= 1"
+      | Some n -> n
+      | None -> Dataplane.Shard.default_shards ()
     in
-    if sharded then begin
+    let topo = or_die (load_topo spec) in
+    if shards > 1 || partition <> None then begin
       (match mode with
        | `Compiled | `Routing -> ()
        | `Learning ->
-         prerr_endline
-           "zenctl: --shards supports --mode compiled or routing (the \
-            learning app pokes switch state directly and cannot run \
-            sharded)";
-         exit 1);
-      let shards =
-        match shards with
-        | Some n -> n
-        | None -> Dataplane.Shard.default_shards ()
-      in
+         die
+           "--shards supports --mode compiled or routing (the learning app \
+            pokes switch state directly and cannot run sharded)");
       run_sharded topo spec pol_str flows rate duration seed mode shards
         partition json
     end
@@ -531,13 +513,15 @@ let chaos_cmd =
   let lease_arg =
     Arg.(value & opt float 150.0
          & info [ "lease" ] ~docv:"MS"
-             ~doc:"Leader lease in milliseconds (replicas > 1).")
+             ~doc:"Leader lease in milliseconds (replicas > 1); finite and \
+                   positive.")
   in
   let ctl_crash_arg =
     Arg.(value & opt (some int) None
          & info [ "ctl-crash" ] ~docv:"ID"
-             ~doc:"Crash controller ID mid-run (replicas > 1: a standby \
-                   detects the expired lease and takes over).")
+             ~doc:"Crash controller ID mid-run: a standby detects the \
+                   expired lease and takes over.  Needs --replicas >= 2 and \
+                   ID < replicas.")
   in
   let split_brain_arg =
     Arg.(value & flag
@@ -548,6 +532,15 @@ let chaos_cmd =
   in
   let run spec seed drop dup jitter link_drop link_corrupt link_reorder flaps
       crash flows rate duration trace replicas lease_ms ctl_crash split_brain =
+    if replicas < 1 then die "--replicas must be >= 1";
+    if not (Float.is_finite lease_ms && lease_ms > 0.0) then
+      die "--lease must be finite and > 0";
+    (match ctl_crash with
+     | Some _ when replicas < 2 -> die "--ctl-crash needs --replicas >= 2"
+     | Some id when id < 0 || id >= replicas ->
+       die (Printf.sprintf "--ctl-crash %d: no such controller (0..%d)" id
+              (replicas - 1))
+     | Some _ | None -> ());
     let topo = or_die (load_topo spec) in
     let fault =
       Dataplane.Fault.create ~seed ~drop ~dup ~jitter ~link_drop ~link_corrupt

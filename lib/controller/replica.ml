@@ -33,9 +33,8 @@
     dedup within its epoch.  On heal, the deposed leader sees a
     higher-epoch heartbeat and steps down to standby.
 
-    With [replicas = 1] no replication machinery is instantiated at all
-    — no fencing, no heartbeats, plain {!Runtime.create} — so the
-    single-controller path is byte-identical to a non-replicated run. *)
+    A single controller is a plain {!Runtime}, not a one-member replica
+    set: {!create} rejects [replicas < 2]. *)
 
 module Network = Dataplane.Network
 module Sim = Dataplane.Sim
@@ -111,18 +110,6 @@ type t = {
   rstats : stats;
   mutable stopped : bool;
 }
-
-let default_lease = 0.15
-
-let env_replicas () =
-  match Sys.getenv_opt "ZEN_REPLICAS" with
-  | None | Some "" -> None
-  | Some s -> int_of_string_opt s
-
-let env_lease () =
-  match Sys.getenv_opt "ZEN_LEASE_MS" with
-  | None | Some "" -> None
-  | Some s -> Option.map (fun ms -> ms /. 1000.0) (float_of_string_opt s)
 
 let now t = Network.now t.net
 let sim t = Network.sim t.net
@@ -526,33 +513,24 @@ let shutdown t =
 (* Creation *)
 
 (** [create net mk_apps] starts [replicas] controller members over [net]
-    (default: the [ZEN_REPLICAS] knob, else 2): member 0 as leader at
-    epoch 1, the rest as synced standbys.  [mk_apps] is called once per
+    (default 2): member 0 as leader at epoch 1, the rest as synced
+    standbys.  [mk_apps] is called once per
     leader incarnation — every promotion runs fresh app instances, with
     replicated state restored through [import_state].
 
-    [lease] (default: [ZEN_LEASE_MS], else 0.15 s) bounds failover
-    detection; heartbeats ride every [lease/3].  [repl_fault] attaches
-    chaos to the inter-controller channel; [resilience] defaults to
+    [lease] (default 0.15 s) bounds failover detection; heartbeats ride
+    every [lease/3].  [repl_fault] attaches chaos to the
+    inter-controller channel; [resilience] defaults to
     selective-resync-enabled {!Runtime.default_resilience} (replication
-    requires a resilient runtime — with [replicas = 1] it is passed
-    through unchanged, [None] meaning a classic non-resilient runtime).
+    requires a resilient runtime).
 
     {!Fault.Controller_outage} incidents injected into [net] crash and
-    restart members by id. *)
-let create ?(latency = 1e-3) ?resilience ?replicas ?lease
+    restart members by id.
+    @raise Invalid_argument when [replicas < 2] or [lease <= 0]. *)
+let create ?(latency = 1e-3) ?resilience ?(replicas = 2) ?(lease = 0.15)
     ?(repl_latency = 1e-3) ?repl_fault ?switch_ids net mk_apps =
-  let replicas =
-    match replicas with
-    | Some n -> n
-    | None -> (match env_replicas () with Some n -> n | None -> 2)
-  in
-  if replicas < 1 then invalid_arg "Replica.create: replicas < 1";
-  let lease =
-    match lease with
-    | Some l -> l
-    | None -> (match env_lease () with Some l -> l | None -> default_lease)
-  in
+  if replicas < 2 then
+    invalid_arg "Replica.create: replicas < 2 (one controller is a Runtime)";
   if lease <= 0.0 then invalid_arg "Replica.create: lease <= 0";
   let switch_ids =
     match switch_ids with
@@ -562,65 +540,34 @@ let create ?(latency = 1e-3) ?resilience ?replicas ?lease
         (fun (sw : Network.switch) -> sw.sw_id)
         (Network.switch_list net)
   in
-  let cfg = { replicas; lease; hb_period = lease /. 3.0; repl_latency } in
-  let member id role =
-    { m_id = id; role; runtime = None; apps = [];
-      m_shadows = Hashtbl.create 16; m_states = [];
-      m_epoch = 1; m_xid = 0; last_hb = Network.now net; synced = true;
-      partitioned = false; term = 0 }
+  let resilience =
+    match resilience with
+    | Some r -> r
+    | None -> { Runtime.default_resilience with selective_resync = true }
   in
-  if replicas = 1 then begin
-    (* degenerate case: plain single controller, byte-identical to
-       [Runtime.create] — no fencing, no adoption, no heartbeats *)
-    let m = member 0 Leader in
-    let t =
-      { net; cfg; latency;
-        resilience =
-          (match resilience with
-           | Some r -> r
-           | None -> Runtime.default_resilience);
-        mk_apps; switch_ids; members = [| m |]; repl_fault;
-        repl_arrival = Hashtbl.create 4;
-        rstats =
-          { failovers = 0; takeovers_completed = 0; step_downs = 0;
-            hb_sent = 0; deltas_sent = 0; repl_msgs = 0; repl_bytes = 0;
-            repl_drops = 0; syncs = 0; failover_samples = [] };
-        stopped = false }
-    in
-    let apps = mk_apps () in
-    let rt =
-      Runtime.create ~latency ?resilience ~switch_ids:t.switch_ids net apps
-    in
-    m.runtime <- Some rt;
-    m.apps <- apps;
-    t
-  end
-  else begin
-    let resilience =
-      match resilience with
-      | Some r -> r
-      | None -> { Runtime.default_resilience with selective_resync = true }
-    in
-    let members =
-      Array.init replicas (fun id ->
-        member id (if id = 0 then Leader else Standby))
-    in
-    let t =
-      { net; cfg; latency; resilience; mk_apps; switch_ids; members;
-        repl_fault; repl_arrival = Hashtbl.create 8;
-        rstats =
-          { failovers = 0; takeovers_completed = 0; step_downs = 0;
-            hb_sent = 0; deltas_sent = 0; repl_msgs = 0; repl_bytes = 0;
-            repl_drops = 0; syncs = 0; failover_samples = [] };
-        stopped = false }
-    in
-    Network.set_ctl_outage_handler net (fun ~controller_id ~up ->
-      if up then restart t ~controller_id else crash t ~controller_id);
-    ignore (start_leader t members.(0) ~shadows:[]);
-    Array.iter
-      (fun m -> if m.role = Standby then monitor_loop t m m.term)
-      members;
-    t
-  end
+  let members =
+    Array.init replicas (fun id ->
+      { m_id = id; role = (if id = 0 then Leader else Standby); runtime = None;
+        apps = []; m_shadows = Hashtbl.create 16; m_states = [];
+        m_epoch = 1; m_xid = 0; last_hb = Network.now net; synced = true;
+        partitioned = false; term = 0 })
+  in
+  let t =
+    { net; cfg = { replicas; lease; hb_period = lease /. 3.0; repl_latency };
+      latency; resilience; mk_apps; switch_ids; members;
+      repl_fault; repl_arrival = Hashtbl.create 8;
+      rstats =
+        { failovers = 0; takeovers_completed = 0; step_downs = 0;
+          hb_sent = 0; deltas_sent = 0; repl_msgs = 0; repl_bytes = 0;
+          repl_drops = 0; syncs = 0; failover_samples = [] };
+      stopped = false }
+  in
+  Network.set_ctl_outage_handler net (fun ~controller_id ~up ->
+    if up then restart t ~controller_id else crash t ~controller_id);
+  ignore (start_leader t members.(0) ~shadows:[]);
+  Array.iter
+    (fun m -> if m.role = Standby then monitor_loop t m m.term)
+    members;
+  t
 
 let config t = t.cfg

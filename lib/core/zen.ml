@@ -30,12 +30,11 @@ type net = {
 }
 
 (** [create topo] instantiates the simulated network (empty tables).
-    [sim_engine] selects the event-queue backend (see {!Dataplane.Sim});
-    both engines produce identical simulations.  [fault] attaches a
+    [fault] attaches a
     chaos layer to the control channel (see {!Dataplane.Fault}; defaults
     to the [ZEN_CHAOS_*] environment knobs, usually absent). *)
-let create ?queue_depth ?sim_engine ?fault topo =
-  { network = Dataplane.Network.create ?queue_depth ?sim_engine ?fault topo;
+let create ?queue_depth ?fault topo =
+  { network = Dataplane.Network.create ?queue_depth ?fault topo;
     runtime = None; delta_snap = None }
 
 let topology t = Dataplane.Network.topology t.network
@@ -111,13 +110,12 @@ let with_controller ?latency ?resilience t apps =
   rt
 
 (** [with_replicas t mk_apps] attaches a replicated controller:
-    [replicas] members (default: the [ZEN_REPLICAS] knob, else 2) over
-    one network under a leader lease of [lease] seconds (default: the
-    [ZEN_LEASE_MS] knob, else 0.15) — see {!Controller.Replica}.
+    [replicas >= 2] members (default 2) over one network under a leader
+    lease of [lease] seconds (default 0.15) — see {!Controller.Replica}.
     [mk_apps] is called once per leader incarnation.  [repl_fault]
     attaches chaos to the inter-controller channel.  The leader's
-    handshake is driven to completion before returning.  With
-    [replicas = 1] the run is byte-identical to {!with_controller}. *)
+    handshake is driven to completion before returning.  One controller
+    is {!with_controller}. *)
 let with_replicas ?(latency = 1e-3) ?resilience ?replicas ?lease
     ?repl_latency ?repl_fault t mk_apps =
   let r =
@@ -142,13 +140,11 @@ let run ?until ?max_events t =
     {!install_policy_sharded} (or directly per shard), or attach a
     controller with {!with_controller_sharded}.  Observable results are
     pinned equal to {!create} + {!run} on the same seed and workload. *)
-let create_sharded ?queue_depth ?sim_engine ?fault_config ?shards ?partition
-    topo =
+let create_sharded ?queue_depth ?fault_config ?shards ?partition topo =
   let shards =
     match shards with Some n -> n | None -> Dataplane.Shard.default_shards ()
   in
-  Dataplane.Shard.create ?queue_depth ?sim_engine ?fault_config ?partition
-    ~shards topo
+  Dataplane.Shard.create ?queue_depth ?fault_config ?partition ~shards topo
 
 (** [install_policy_sharded t pol] — {!install_policy} for a sharded
     network: one FDD compilation over the whole policy, each switch's

@@ -191,11 +191,11 @@ let default_ttl = 64
     topology nodes get switch/host state — a shard populates just the
     nodes it owns and reaches the rest through its {!remote_iface}. *)
 let create ?(queue_depth = default_queue_depth) ?(expiry_period = 1.0)
-    ?sim_engine ?fault ?only topo =
+    ?fault ?only topo =
   (* explicit [?fault] wins; otherwise the ZEN_CHAOS_* knobs apply *)
   let fault = match fault with Some _ -> fault | None -> Fault.from_env () in
   let t =
-    { sim = Sim.create ?engine:sim_engine (); topo;
+    { sim = Sim.create (); topo;
       switches = Hashtbl.create 16;
       host_tbl = Hashtbl.create 16;
       queue_depth;

@@ -215,7 +215,7 @@ let quotient_dist topo shard_of ~shards ?ctl () =
     (see {!Fault.shard_config}; defaults to the [ZEN_CHAOS_*] knobs).
     @raise Invalid_argument when a cross-shard link has zero delay (the
     conservative lookahead would vanish). *)
-let create ?queue_depth ?sim_engine ?fault_config
+let create ?queue_depth ?fault_config
     ?(partition = block_partition) ~shards topo =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
   let shard_of =
@@ -246,7 +246,7 @@ let create ?queue_depth ?sim_engine ?fault_config
               fault_config
           in
           let net =
-            Network.create ?queue_depth ?sim_engine ?fault
+            Network.create ?queue_depth ?fault
               ~only:(fun n -> shard_of n = i)
               clone
           in
@@ -401,12 +401,10 @@ let inject t incidents =
 (** [run ?until ?pool t] advances every shard under the conservative
     window loop, fanning windows over [pool] (default: the process-wide
     {!Util.Pool}).  Returns the total number of events executed.  Safe
-    to call repeatedly; like {!Sim.run}, [until] is inclusive.
-
-    [window]/[steal] select the window-sizing and work-stealing policy
-    (default: the [ZEN_SHARD_WINDOW]/[ZEN_SHARD_STEAL] knobs — see
-    {!Util.Shard_sync.drive}; neither changes observable results). *)
-let run ?until ?pool ?window ?steal t =
+    to call repeatedly; like {!Sim.run}, [until] is inclusive.  Windows
+    are sized adaptively and stolen by idle workers (see
+    {!Util.Shard_sync.drive}); neither changes observable results. *)
+let run ?until ?pool t =
   let pool = match pool with Some p -> p | None -> Util.Pool.get_default () in
   let before = Array.fold_left (fun a sh -> a + sh.sh_executed) 0 t.shards in
   let next_time i =
@@ -435,8 +433,8 @@ let run ?until ?pool ?window ?steal t =
     sh.sh_executed <-
       sh.sh_executed + Network.run ~until:stop ~strict sh.sh_net ()
   in
-  Util.Shard_sync.drive t.sync ~pool ~lookahead:t.lookahead ?until ?window
-    ?steal ~dist:t.dist ~load_hint ~next_time ~run_window ();
+  Util.Shard_sync.drive t.sync ~pool ~lookahead:t.lookahead ?until
+    ~dist:t.dist ~load_hint ~next_time ~run_window ();
   Array.fold_left (fun a sh -> a + sh.sh_executed) 0 t.shards - before
 
 (* ------------------------------------------------------------------ *)

@@ -4,51 +4,22 @@
     expressed as scheduled events.  Ties execute in scheduling order, so
     runs are deterministic.
 
-    Two interchangeable queue engines back the clock:
-
-    - [`Wheel] (the default): {!Util.Timing_wheel} — O(1) slot filing
-      for the dense near-future events every packet hop schedules, with
-      a heap fallback for far timers (retransmits, expiry sweeps).
-    - [`Heap]: the original {!Util.Heap} binary heap.
-
-    Both produce the exact same execution order (property-tested in
-    [test/util.wheel]; the [e3-smoke] bench gate checks full simulation
-    results are identical), so the engine is purely a performance
-    choice.  Select per-instance with [create ?engine] or globally with
-    [ZEN_SIM_ENGINE=heap|wheel]. *)
-
-type engine = [ `Heap | `Wheel ]
-
-type queue =
-  | Wheel of (unit -> unit) Util.Timing_wheel.t
-  | Heap of (unit -> unit) Util.Heap.t
+    The queue is a {!Util.Timing_wheel}: O(1) slot filing for the dense
+    near-future events every packet hop schedules, with a heap fallback
+    for far timers (retransmits, expiry sweeps).  Its execution order is
+    exactly a binary heap's on (time, scheduling order) — pinned against
+    {!Util.Heap} in [test/util.wheel] and [test/dataplane.sim]. *)
 
 type t = {
   mutable now : float;
-  queue : queue;
+  queue : (unit -> unit) Util.Timing_wheel.t;
   mutable executed : int;
   mutable running : bool;
 }
 
-let default_engine () : engine =
-  match Sys.getenv_opt "ZEN_SIM_ENGINE" with
-  | Some s ->
-    (match String.lowercase_ascii (String.trim s) with
-     | "heap" -> `Heap
-     | _ -> `Wheel)
-  | None -> `Wheel
-
-let create ?engine () =
-  let engine = match engine with Some e -> e | None -> default_engine () in
-  let queue =
-    match engine with
-    | `Wheel -> Wheel (Util.Timing_wheel.create ())
-    | `Heap -> Heap (Util.Heap.create ())
-  in
-  { now = 0.0; queue; executed = 0; running = false }
-
-let engine t : engine =
-  match t.queue with Wheel _ -> `Wheel | Heap _ -> `Heap
+let create () =
+  { now = 0.0; queue = Util.Timing_wheel.create (); executed = 0;
+    running = false }
 
 (** Current simulated time in seconds. *)
 let now t = t.now
@@ -56,10 +27,7 @@ let now t = t.now
 (** Number of events executed so far. *)
 let executed t = t.executed
 
-let push t time f =
-  match t.queue with
-  | Wheel w -> Util.Timing_wheel.push w time f
-  | Heap h -> Util.Heap.push h time f
+let push t time f = Util.Timing_wheel.push t.queue time f
 
 (** [schedule t ~delay f] runs [f] at [now + delay].
     @raise Invalid_argument on negative delay. *)
@@ -71,20 +39,9 @@ let schedule t ~delay f =
     the present if already past). *)
 let schedule_at t ~time f = push t (max time t.now) f
 
-let pending t =
-  match t.queue with
-  | Wheel w -> Util.Timing_wheel.length w
-  | Heap h -> Util.Heap.length h
-
-let peek t =
-  match t.queue with
-  | Wheel w -> Util.Timing_wheel.peek w
-  | Heap h -> Util.Heap.peek h
-
-let pop t =
-  match t.queue with
-  | Wheel w -> Util.Timing_wheel.pop w
-  | Heap h -> Util.Heap.pop h
+let pending t = Util.Timing_wheel.length t.queue
+let peek t = Util.Timing_wheel.peek t.queue
+let pop t = Util.Timing_wheel.pop t.queue
 
 let exec t time f =
   t.now <- (if time > t.now then time else t.now);
@@ -101,17 +58,8 @@ let step t =
 
 (* fused peek-and-pop against an absolute stop time; [strict] makes the
    bound exclusive (events at exactly [stop] stay queued) *)
-let pop_until ?(strict = false) t ~stop =
-  match t.queue with
-  | Wheel w -> Util.Timing_wheel.pop_until ~strict w ~stop
-  | Heap h ->
-    (match Util.Heap.peek h with
-     | None -> `Empty
-     | Some (time, _) when (if strict then time >= stop else time > stop) ->
-       `Beyond
-     | Some _ ->
-       let time, f = Util.Heap.pop h in
-       `Event (time, f))
+let pop_until ?strict t ~stop =
+  Util.Timing_wheel.pop_until ?strict t.queue ~stop
 
 (** [run ?until ?strict ?max_events t] drains the event queue.  [until]
     stops the clock at an absolute time (events beyond it stay queued;

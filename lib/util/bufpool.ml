@@ -13,9 +13,8 @@
 
     Pools are not thread-safe; share across domains via one pool per
     domain ([Domain.DLS]), as {!Openflow.Wire} does.  The free list
-    keeps at most [retain] buffers ([ZEN_BUFPOOL_RETAIN] or the
-    [create] argument, default 8); extra releases are dropped for the
-    GC, bounding idle memory. *)
+    keeps at most [retain] buffers (default 8); extra releases are
+    dropped for the GC, bounding idle memory. *)
 
 type t = {
   retain : int;             (* free-list capacity *)
@@ -23,19 +22,7 @@ type t = {
   mutable free_count : int;
 }
 
-(** Free-list capacity used when none is requested: [ZEN_BUFPOOL_RETAIN]
-    if set to a non-negative integer, else 8. *)
-let default_retain () =
-  match Sys.getenv_opt "ZEN_BUFPOOL_RETAIN" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 0 -> n
-     | Some _ | None -> 8)
-  | None -> 8
-
-let create ?retain () =
-  let retain = match retain with Some r -> r | None -> default_retain () in
-  { retain; free = []; free_count = 0 }
+let create ?(retain = 8) () = { retain; free = []; free_count = 0 }
 
 let retained t = t.free_count
 

@@ -33,9 +33,8 @@
       unobservable effect), so a sparse fabric fast-forwards from event
       cluster to event cluster instead of barrier-stepping empty
       [L]-wide windows.
-    - {b adaptive windows} ({!Adaptive}, the default): shard [i]'s
-      window may end beyond the global [m + L] bound, at its
-      {e distance-based} envelope bound
+    - {b adaptive windows}: shard [i]'s window may end beyond the
+      global [m + L] bound, at its {e distance-based} envelope bound
 
       {v  B_i = min over shards j of (pending_j + dist(j, i))  v}
 
@@ -49,22 +48,22 @@
       shard [j], and its causal chain must cross boundary links summing
       to at least [dist(j, i)] ([j = i] covers the echo of [i]'s own
       posts); barriers only delay it further.  So nothing can arrive
-      inside [\[m, B_i)], and [B_i >= m + L] always (the fixed window is
-      the uniform-distance special case).  A growth cap [m + g*L] keeps
-      one shard from racing unboundedly ahead of its consumers: [g]
+      inside [\[m, B_i)], and [B_i >= m + L] always (the plain
+      [m + L] window is the uniform-distance special case).  A growth
+      cap [m + g*L] keeps one shard from racing unboundedly ahead of
+      its consumers: [g]
       doubles each round the mailboxes stay inside capacity and halves
       when backpressure grew, so sustained cross-shard pressure shrinks
-      the window back toward the fixed [L] bound.  {!Fixed}
-      ([ZEN_SHARD_WINDOW=fixed]) restores the uniform [m + L] window.
-    - {b work stealing} ({!steal_enabled_of_env}, on by default): the
-      per-round windows are dealt to the pool's workers by shard index
-      (shard [i]'s {e home} is worker [i mod size]), each worker's deal
+      the window back toward the uniform [L] bound.
+    - {b work stealing}: the per-round windows are dealt to the pool's
+      workers by shard index (shard [i]'s {e home} is worker
+      [i mod size]), each worker's deal
       sorted heaviest-first by a load hint; a worker whose own deal
       drains steals the {e lightest} window from a loaded neighbor's
       tail.  Stealing moves whole windows — each shard's window is still
       executed by exactly one domain between two barriers — so it
       changes which core runs a window, never the events' order, and
-      results stay byte-equal with stealing on or off.
+      results stay byte-equal at any pool size.
     - determinism: envelopes carry [(time, source shard, per-source
       sequence)] and are filed in that order at every drain, so the
       result of a sharded run is a function of the inputs only, not of
@@ -172,33 +171,6 @@ let mailbox_min t shard =
   m
 
 (* ------------------------------------------------------------------ *)
-(* Window policy knobs *)
-
-(** How each round's safe windows are sized (see the module header). *)
-type window_mode = Fixed | Adaptive
-
-let window_mode_to_string = function
-  | Fixed -> "fixed"
-  | Adaptive -> "adaptive"
-
-(** [ZEN_SHARD_WINDOW]: ["fixed"] restores the uniform [m + L] window;
-    anything else (and unset) selects {!Adaptive}. *)
-let window_mode_of_env () =
-  match Sys.getenv_opt "ZEN_SHARD_WINDOW" with
-  | Some s when String.lowercase_ascii (String.trim s) = "fixed" -> Fixed
-  | Some _ | None -> Adaptive
-
-(** [ZEN_SHARD_STEAL]: ["0"/"off"/"false"/"no"] disables window
-    stealing; anything else (and unset) enables it. *)
-let steal_enabled_of_env () =
-  match Sys.getenv_opt "ZEN_SHARD_STEAL" with
-  | Some s ->
-    (match String.lowercase_ascii (String.trim s) with
-     | "0" | "off" | "false" | "no" -> false
-     | _ -> true)
-  | None -> true
-
-(* ------------------------------------------------------------------ *)
 (* Stats *)
 
 let rounds t = t.rounds
@@ -211,8 +183,8 @@ let steals_of t shard = t.steals.(shard)
 let windows_of t shard = t.windows.(shard)
 
 (** Mean executed-window width of [shard], in simulated seconds
-    (0 when it never ran a window).  Under {!Adaptive} this grows past
-    the lookahead whenever the other shards' pending bounds allow it. *)
+    (0 when it never ran a window).  This grows past the lookahead
+    whenever the other shards' pending bounds allow it. *)
 let avg_window_of t shard =
   if t.windows.(shard) = 0 then 0.0
   else t.win_sum.(shard) /. float_of_int t.windows.(shard)
@@ -222,24 +194,24 @@ let high_water t =
   Array.fold_left (fun acc b -> max acc b.mb_high_water) 0 t.boxes
 
 (* ------------------------------------------------------------------ *)
-(* Per-round window execution, with optional stealing *)
+(* Per-round window execution, with stealing *)
 
 (* Run this round's windows — [(shard, stop, strict)] tasks — over the
-   pool.  Without stealing each task is one pool job (FIFO order).  With
-   stealing, tasks are dealt to their home workers ([shard mod size]),
+   pool.  On a one-worker pool each task is one pool job (FIFO order).
+   Otherwise tasks are dealt to their home workers ([shard mod size]),
    each deal sorted heaviest-first by [load_hint]; a worker drains its
    own deal from the front, then steals the lightest task (the tail)
    from the first loaded neighbor.  Every task is popped exactly once
    under the queue mutex, so a shard's window still runs on exactly one
    domain and [steals] has one writer per cell per round. *)
-let exec_round t ~pool ~steal ~load_hint ~run_window tasks =
+let exec_round t ~pool ~load_hint ~run_window tasks =
   let run (i, stop, strict) = run_window i ~stop ~strict in
   match tasks with
   | [] -> ()
   | [ task ] -> run task
   | _ ->
     let w = Pool.size pool in
-    if (not steal) || w <= 1 then
+    if w <= 1 then
       ignore (Pool.map pool tasks ~f:run)
     else begin
       let deals = Array.make w [] in
@@ -315,13 +287,11 @@ let exec_round t ~pool ~steal ~load_hint ~run_window tasks =
     touch shard state without locks; [run_window] is fanned over [pool]
     and must only touch shard [i].
 
-    [window] (default [ZEN_SHARD_WINDOW], else {!Adaptive}) sizes the
-    per-shard windows; [steal] (default [ZEN_SHARD_STEAL], else on)
-    lets idle pool workers steal queued windows, guided by [load_hint i]
-    (any monotone proxy for shard [i]'s queued work; default constant).
-    Neither knob changes observable simulation results.
+    Idle pool workers steal queued windows, guided by [load_hint i]
+    (any monotone proxy for shard [i]'s queued work; default constant);
+    stealing never changes observable simulation results.
 
-    [dist] is the shard-quotient distance matrix for {!Adaptive} bounds:
+    [dist] is the shard-quotient distance matrix for the adaptive bounds:
     [dist.(j).(i)] lower-bounds the boundary-delay any causal chain
     accumulates getting from shard [j] to shard [i], with the diagonal
     [dist.(i).(i)] the minimum return cycle (how soon [i]'s own posts
@@ -329,14 +299,10 @@ let exec_round t ~pool ~steal ~load_hint ~run_window tasks =
     [>= 2 * lookahead]); [infinity] marks unreachable pairs.  Defaults
     to the uniform matrix ([lookahead] off-diagonal, twice that on the
     diagonal — no echo possible when there is a single shard). *)
-let drive t ~pool ~lookahead ?until ?window ?steal ?dist
+let drive t ~pool ~lookahead ?until ?dist
     ?(load_hint = fun (_ : int) -> 0) ~next_time ~run_window () =
   if lookahead <= 0.0 then
     invalid_arg "Shard_sync.drive: lookahead must be positive";
-  let mode = match window with Some m -> m | None -> window_mode_of_env () in
-  let steal =
-    match steal with Some b -> b | None -> steal_enabled_of_env ()
-  in
   let idx = List.init t.nshards Fun.id in
   let dist =
     match dist with
@@ -361,19 +327,16 @@ let drive t ~pool ~lookahead ?until ?window ?steal ?dist
     let live = match until with Some u -> m <= u | None -> m < infinity in
     if live then begin
       let cap = m +. (!growth *. lookahead) in
+      (* distance-based envelope bound: nothing can reach shard [i]
+         before B_i = min_j (pending_j + dist(j, i)) — see the module
+         header for the causal-chain argument *)
       let stop_of i =
-        match mode with
-        | Fixed -> m +. lookahead
-        | Adaptive ->
-          (* distance-based envelope bound: nothing can reach shard [i]
-             before B_i = min_j (pending_j + dist(j, i)) — see the
-             module header for the causal-chain argument *)
-          let b = ref infinity in
-          for j = 0 to t.nshards - 1 do
-            let v = pend.(j) +. dist.(j).(i) in
-            if v < !b then b := v
-          done;
-          Float.min !b cap
+        let b = ref infinity in
+        for j = 0 to t.nshards - 1 do
+          let v = pend.(j) +. dist.(j).(i) in
+          if v < !b then b := v
+        done;
+        Float.min !b cap
       in
       let tasks = ref [] in
       for i = t.nshards - 1 downto 0 do
@@ -398,14 +361,12 @@ let drive t ~pool ~lookahead ?until ?window ?steal ?dist
           tasks := (i, stop, strict) :: !tasks
         end
       done;
-      exec_round t ~pool ~steal ~load_hint ~run_window !tasks;
+      exec_round t ~pool ~load_hint ~run_window !tasks;
       t.rounds <- t.rounds + 1;
-      if mode = Adaptive then begin
-        if t.backpressure > !last_bp then
-          growth := Float.max 1.0 (!growth /. 2.0)
-        else growth := Float.min 1024.0 (!growth *. 2.0);
-        last_bp := t.backpressure
-      end;
+      if t.backpressure > !last_bp then
+        growth := Float.max 1.0 (!growth /. 2.0)
+      else growth := Float.min 1024.0 (!growth *. 2.0);
+      last_bp := t.backpressure;
       round ()
     end
   in

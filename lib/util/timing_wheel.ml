@@ -21,14 +21,13 @@
     monotone function of the key, entries carry their global insertion
     sequence through every migration, and each slot is drained through
     the [near] heap sorted by (key, seq).  The [test/util.wheel] suite
-    pins this equivalence property, including ties; the [e3-smoke] bench
-    gate pins it end-to-end against full simulations.
+    pins this equivalence property, including ties, and
+    [test/dataplane.sim] pins it through {!Dataplane.Sim}.
 
     Tick width and slot count trade memory against how much of the
     schedule stays O(1): the defaults (16 µs ticks, 1024 slots ≈ 16 ms
     horizon) cover link and control-channel delays of the simulated
-    networks; override with [ZEN_WHEEL_TICK_US] / [ZEN_WHEEL_SLOTS] or
-    the [create] arguments. *)
+    networks; the [create] arguments override them in tests. *)
 
 type 'a entry = { key : float; seq : int; value : 'a }
 
@@ -45,31 +44,14 @@ type 'a t = {
   mutable next_seq : int;     (* global tie-break counter *)
 }
 
-let default_tick () =
-  match Sys.getenv_opt "ZEN_WHEEL_TICK_US" with
-  | Some s ->
-    (match float_of_string_opt (String.trim s) with
-     | Some us when us > 0.0 -> us *. 1e-6
-     | Some _ | None -> 16e-6)
-  | None -> 16e-6
-
-let default_slots () =
-  match Sys.getenv_opt "ZEN_WHEEL_SLOTS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 2 -> n
-     | Some _ | None -> 1024)
-  | None -> 1024
-
 (* round up to a power of two for mask indexing *)
 let pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 2
 
-let create ?tick ?slots () =
-  let tick = match tick with Some t -> t | None -> default_tick () in
+let create ?(tick = 16e-6) ?(slots = 1024) () =
   if tick <= 0.0 then invalid_arg "Timing_wheel.create: tick must be positive";
-  let nslots = pow2 (match slots with Some s -> s | None -> default_slots ()) in
+  let nslots = pow2 slots in
   { tick; inv_tick = 1.0 /. tick; nslots; mask = nslots - 1;
     slots = Array.make nslots []; wheel_count = 0; base = 0;
     near = Heap.create (); overflow = Heap.create (); next_seq = 0 }

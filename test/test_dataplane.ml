@@ -68,30 +68,54 @@ let test_sim_max_events () =
   let executed = Sim.run ~max_events:10 s in
   Alcotest.(check int) "bounded" 10 executed
 
-(* wheel and heap engines must produce identical execution traces —
-   same handlers, same clock readings, ties in the same order — for a
-   schedule mixing near events, exact duplicates, and nested
-   rescheduling *)
-let test_sim_engine_equivalence () =
-  let trace engine =
-    let s = Sim.create ~engine () in
+(* the wheel-backed Sim must execute exactly as a plain binary heap
+   replaying the same schedule would — same handlers, same clock
+   readings, ties in the same order — for a schedule mixing near
+   events, exact duplicates, and nested rescheduling *)
+let test_sim_matches_heap_replay () =
+  let prng = Util.Prng.create 42 in
+  let delays = List.init 150 (fun _ -> Util.Prng.float prng 0.03) in
+  let play ~now ~schedule =
     let log = ref [] in
-    let prng = Util.Prng.create 42 in
-    let delays = List.init 150 (fun _ -> Util.Prng.float prng 0.03) in
     List.iteri
       (fun i d ->
-        Sim.schedule s ~delay:d (fun () ->
-          log := (i, Sim.now s) :: !log;
+        schedule d (fun () ->
+          log := (i, now ()) :: !log;
           if i mod 7 = 0 then
-            Sim.schedule s ~delay:(d /. 3.0) (fun () ->
-              log := (1000 + i, Sim.now s) :: !log)))
+            schedule (d /. 3.0) (fun () -> log := (1000 + i, now ()) :: !log)))
       (delays @ delays) (* duplicates force key ties *);
+    log
+  in
+  let sim_trace =
+    let s = Sim.create () in
+    let log =
+      play ~now:(fun () -> Sim.now s)
+        ~schedule:(fun delay f -> Sim.schedule s ~delay f)
+    in
     ignore (Sim.run s);
     List.rev !log
   in
-  let w = trace `Wheel and h = trace `Heap in
-  Alcotest.(check int) "same event count" (List.length h) (List.length w);
-  Alcotest.(check bool) "identical execution traces" true (w = h)
+  let heap_trace =
+    let h = Util.Heap.create () and clock = ref 0.0 in
+    let log =
+      play ~now:(fun () -> !clock)
+        ~schedule:(fun delay f -> Util.Heap.push h (!clock +. delay) f)
+    in
+    let rec drain () =
+      match Util.Heap.pop h with
+      | exception Not_found -> ()
+      | time, f ->
+        clock := time;
+        f ();
+        drain ()
+    in
+    drain ();
+    List.rev !log
+  in
+  Alcotest.(check int) "same event count" (List.length heap_trace)
+    (List.length sim_trace);
+  Alcotest.(check bool) "identical execution traces" true
+    (sim_trace = heap_trace)
 
 let test_sim_run_batch () =
   let s = Sim.create () in
@@ -351,7 +375,7 @@ let suites =
         Alcotest.test_case "periodic" `Quick test_sim_every;
         Alcotest.test_case "max events" `Quick test_sim_max_events;
         Alcotest.test_case "wheel == heap traces" `Quick
-          test_sim_engine_equivalence;
+          test_sim_matches_heap_replay;
         Alcotest.test_case "run_batch drains one instant" `Quick
           test_sim_run_batch ] );
     ( "dataplane.network",

@@ -373,44 +373,16 @@ let test_split_brain_fenced () =
   Replica.shutdown r
 
 (* ------------------------------------------------------------------ *)
-(* replicas=1 degenerate path is byte-identical to a plain controller *)
+(* one controller is a Runtime, not a one-member replica set *)
 
-let run_single_controller ~replicated () =
-  let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
-  let net = Zen.create topo in
-  let lines = ref [] in
-  Network.set_tracer (Zen.network net) (fun time s ->
-    lines := Printf.sprintf "%.6f %s" time s :: !lines);
-  if replicated then
-    ignore
-      (Zen.with_replicas ~resilience:fast_resilience ~replicas:1 net
-         mk_routing_apps)
-  else
-    ignore
-      (Zen.with_controller ~resilience:fast_resilience net (mk_routing_apps ()));
-  let rtts = Zen.ping ~count:3 net ~src:1 ~dst:3 in
-  ignore (Zen.run ~until:2.0 net);
-  ( List.rev !lines,
-    Format.asprintf "%a" Network.pp_stats
-      (Network.stats (Zen.network net)),
-    List.length rtts )
-
-let test_replicas_one_byte_identical () =
-  let trace_a, stats_a, pings_a = run_single_controller ~replicated:false () in
-  let trace_b, stats_b, pings_b = run_single_controller ~replicated:true () in
-  Alcotest.(check (list string)) "byte-identical trace" trace_a trace_b;
-  Alcotest.(check string) "identical counters" stats_a stats_b;
-  Alcotest.(check int) "same pings" pings_a pings_b;
-  Alcotest.(check bool) "no fence ever sent" false
-    (List.exists
-       (fun l ->
-         let has_sub s sub =
-           let n = String.length s and m = String.length sub in
-           let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-           go 0
-         in
-         has_sub l "fence")
-       trace_a)
+let test_replicas_one_rejected () =
+  let net = Zen.create (Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 ()) in
+  match
+    Replica.create ~resilience:fast_resilience ~replicas:1 (Zen.network net)
+      mk_routing_apps
+  with
+  | _ -> Alcotest.fail "replicas:1 accepted"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* App-state replication: the Update app's version counter *)
@@ -529,8 +501,8 @@ let suites =
           test_delta_edit_survives_failover;
         Alcotest.test_case "split brain: stale writes fenced" `Quick
           test_split_brain_fenced;
-        Alcotest.test_case "replicas=1 byte-identical to plain" `Quick
-          test_replicas_one_byte_identical;
+        Alcotest.test_case "replicas=1 rejected" `Quick
+          test_replicas_one_rejected;
         Alcotest.test_case "update version replicates" `Quick
           test_update_version_replicates ] );
     ( "replica.churn",
