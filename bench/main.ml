@@ -1833,14 +1833,11 @@ let e16_smoke () =
 (* E17 — delta recompilation under policy churn *)
 
 (* One churn edit: a switch-scoped deny guard (drop dst-host traffic to
-   one TCP port at one switch) composed in front of the current policy.
-   Composition happens at the FDD level (Fdd.seq on the cached diagram)
-   so both paths measure recompilation + push, not a re-walk of the
-   ~10K-clause base syntax tree — the diagrams are exactly those of
-   [of_policy (Seq (guard, base))].  The guard touches exactly one
-   switch: restricting the composed diagram to any other switch
-   hash-conses back to the unedited node, which is what the delta
-   layer's uid comparison detects. *)
+   one TCP port at one switch) composed in front of the current policy,
+   [Seq (guard, pol)].  The guard touches exactly one switch:
+   restricting the composed diagram to any other switch hash-conses
+   back to the unedited node, which is what the delta layer's uid
+   comparison detects. *)
 let e17_guard ~sw ~mac ~port =
   Netkat.Syntax.filter
     (Netkat.Syntax.Not
@@ -1860,8 +1857,19 @@ let e17_edits ~seed ~edits topo =
     let h = hosts.(Util.Prng.int prng (Array.length hosts)) in
     (sw, Packet.Mac.of_host_id h, 1024 + i))
 
-let e17_apply_edit fdd (sw, mac, port) =
-  Netkat.Fdd.seq (Netkat.Fdd.of_policy (e17_guard ~sw ~mac ~port)) fdd
+let e17_apply_edit pol (sw, mac, port) =
+  Netkat.Syntax.seq (e17_guard ~sw ~mac ~port) pol
+
+(* branch nodes the hash-cons table holds: an edit's compile cost as a
+   deterministic count *)
+let e17_branches () =
+  let _, branches, _, _ = Netkat.Fdd.cache_stats () in
+  branches
+
+(* e17-smoke's bound on new branch nodes per k=4 edit: a compile that
+   sequences the guard with the whole base measured 607, one that stops
+   at the guarded switch's case 54 *)
+let e17_branch_gate = 120
 
 let e17_batch_bytes msgs =
   Bytes.length
@@ -1934,8 +1942,9 @@ let e17_time_install net fdd =
   Gc.major ();
   snd (wall (fun () -> ignore (Zen.install_fdd net fdd)))
 
-(* drive [edits] churn edits through a live net, timing each delta
-   install against installing the same policy on a fresh network (the
+(* drive [edits] churn edits through a live net, timing each edit's
+   compile ([Fdd.of_policy] of the edited policy) and its delta install
+   against installing the same policy on a fresh network (the
    from-scratch path: compile every switch, load every table); returns
    whether the live tables equalled a from-scratch compile at every
    step *)
@@ -1943,44 +1952,50 @@ let e17_timed_run ~k ~seed ~edits =
   Netkat.Fdd.clear_cache ();
   let topo, _ = Topo.Gen.fat_tree ~k () in
   let switches = Topo.Topology.switch_ids topo in
-  let base = Netkat.Fdd.of_policy (Netkat.Builder.routing_policy topo) in
+  let base = Netkat.Builder.routing_policy topo in
   let net = Zen.create topo in
-  let initial = Zen.install_fdd net base in
-  let fdd = ref base and equal = ref true in
+  let initial = Zen.install_fdd net (Netkat.Fdd.of_policy base) in
+  let pol = ref base and equal = ref true in
   let lat =
     List.map
       (fun edit ->
-        let next = e17_apply_edit !fdd edit in
+        pol := e17_apply_edit !pol edit;
+        Gc.major ();
+        let next, compile = wall (fun () -> Netkat.Fdd.of_policy !pol) in
         let delta = e17_time_install net next in
         let fresh = e17_time_install (Zen.create topo) next in
         if e17_tables net switches <> e17_scratch_tables next switches then
           equal := false;
-        fdd := next;
-        (fresh, delta))
+        (compile, fresh, delta))
       (e17_edits ~seed ~edits topo)
   in
-  (initial, List.length switches, List.map fst lat, List.map snd lat, !equal)
+  ( initial, List.length switches,
+    List.map (fun (c, _, _) -> c) lat,
+    List.map (fun (_, f, _) -> f) lat,
+    List.map (fun (_, _, d) -> d) lat,
+    !equal )
 
 (* pure accounting pass: flow-mod bytes, mods and skip counts per edit *)
 let e17_accounting ~k ~seed ~edits =
   Netkat.Fdd.clear_cache ();
   let topo, _ = Topo.Gen.fat_tree ~k () in
   let switches = Topo.Topology.switch_ids topo in
-  let base = Netkat.Fdd.of_policy (Netkat.Builder.routing_policy topo) in
-  let r0 = Netkat.Delta.compile ~switches None base in
+  let base = Netkat.Builder.routing_policy topo in
+  let r0 = Netkat.Delta.compile ~switches None (Netkat.Fdd.of_policy base) in
   let snap = ref r0.snapshot in
-  let fdd = ref base in
+  let pol = ref base in
   let full_b = ref 0 and delta_b = ref 0 and mods = ref 0 and skipped = ref 0 in
   List.iter
     (fun edit ->
-      let next = e17_apply_edit !fdd edit in
-      let result = Netkat.Delta.compile ~switches (Some !snap) next in
+      pol := e17_apply_edit !pol edit;
+      let result =
+        Netkat.Delta.compile ~switches (Some !snap) (Netkat.Fdd.of_policy !pol)
+      in
       full_b := !full_b + e17_full_bytes result.snapshot switches;
       delta_b := !delta_b + e17_delta_bytes result;
       mods := !mods + result.n_adds + result.n_deletes;
       skipped := !skipped + result.skipped;
-      snap := result.snapshot;
-      fdd := next)
+      snap := result.snapshot)
     (e17_edits ~seed ~edits topo);
   (Netkat.Delta.total_rules !snap, !full_b, !delta_b, !mods, !skipped)
 
@@ -1993,10 +2008,13 @@ let e17_single ~k ~seed ~rounds =
   for _ = 1 to rounds do
     Netkat.Fdd.clear_cache ();
     let topo, _ = Topo.Gen.fat_tree ~k () in
-    let base = Netkat.Fdd.of_policy (Netkat.Builder.routing_policy topo) in
+    let base = Netkat.Builder.routing_policy topo in
     let net = Zen.create topo in
-    ignore (Zen.install_fdd net base);
-    let next = e17_apply_edit base (List.hd (e17_edits ~seed ~edits:1 topo)) in
+    ignore (Zen.install_fdd net (Netkat.Fdd.of_policy base));
+    let next =
+      Netkat.Fdd.of_policy
+        (e17_apply_edit base (List.hd (e17_edits ~seed ~edits:1 topo)))
+    in
     best_d := Float.min !best_d (e17_time_install net next);
     best_f := Float.min !best_f (e17_time_install (Zen.create topo) next)
   done;
@@ -2004,7 +2022,7 @@ let e17_single ~k ~seed ~rounds =
 
 let e17_scale ~k ~edits ~seed =
   let nick = Printf.sprintf "fattree-k%d" k in
-  let initial, n_switches, lat_f, lat_d, equal =
+  let initial, n_switches, lat_c, lat_f, lat_d, equal =
     e17_timed_run ~k ~seed ~edits
   in
   let total_rules, full_b, delta_b, mods, skipped =
@@ -2015,12 +2033,15 @@ let e17_scale ~k ~edits ~seed =
       Util.Stats.percentile lat 50.0,
       Util.Stats.percentile lat 99.0 )
   in
+  let _, p50_c, p99_c = stats lat_c in
   let tot_f, p50_f, p99_f = stats lat_f in
   let tot_d, p50_d, p99_d = stats lat_d in
   let single_f, single_d = e17_single ~k ~seed ~rounds:5 in
   let speedup = single_f /. single_d in
   pf "%-12s | %6d rules, %d switches, %d edits (%d switch-skips)@." nick
     initial n_switches edits skipped;
+  pf "  %-10s | p50 %8.3f ms  p99 %8.3f ms  (of_policy of the edited policy)@."
+    "compile" (ms p50_c) (ms p99_c);
   pf "  %-10s | p50 %8.3f ms  p99 %8.3f ms  %8.1f edits/s  %10d B@." "fresh"
     (ms p50_f) (ms p99_f)
     (float_of_int edits /. tot_f)
@@ -2037,6 +2058,7 @@ let e17_scale ~k ~edits ~seed =
     (float_of_int full_b /. float_of_int (max 1 delta_b))
     equal;
   record ~experiment:"e17" ~metric:(nick ^ "/rules") (float_of_int total_rules);
+  record ~experiment:"e17" ~metric:(nick ^ "/compile-p50-ms") (ms p50_c);
   record ~experiment:"e17" ~metric:(nick ^ "/fresh-p50-ms") (ms p50_f);
   record ~experiment:"e17" ~metric:(nick ^ "/fresh-p99-ms") (ms p99_f);
   record ~experiment:"e17" ~metric:(nick ^ "/delta-p50-ms") (ms p50_d);
@@ -2084,15 +2106,17 @@ let e17_smoke () =
   Netkat.Fdd.clear_cache ();
   let topo, _ = Topo.Gen.fat_tree ~k () in
   let switches = Topo.Topology.switch_ids topo in
-  let base = Netkat.Fdd.of_policy (Netkat.Builder.routing_policy topo) in
+  let base = Netkat.Builder.routing_policy topo in
   let net = Zen.create topo in
-  ignore (Zen.install_fdd net base);
-  let fdd = ref base in
+  ignore (Zen.install_fdd net (Netkat.Fdd.of_policy base));
+  let pol = ref base and new_branches = ref 0 in
   List.iteri
     (fun i edit ->
-      let next = e17_apply_edit !fdd edit in
+      pol := e17_apply_edit !pol edit;
+      let before = e17_branches () in
+      let next = Netkat.Fdd.of_policy !pol in
+      new_branches := !new_branches + e17_branches () - before;
       ignore (Zen.install_fdd net next);
-      fdd := next;
       if e17_tables net switches <> e17_scratch_tables next switches then begin
         pf "SMOKE FAILURE: tables diverge from a from-scratch compile after \
             edit %d@."
@@ -2103,6 +2127,19 @@ let e17_smoke () =
   pf "churn trace: %d edits on fattree-k%d, tables equal a from-scratch \
       compile at every step@."
     edits k;
+  (* gate 4: compile cost per edit as a deterministic count — branch
+     nodes the edit's of_policy adds to the hash-cons table.  A compile
+     that rebuilds the base diagram behind the guard adds hundreds *)
+  let per_edit = !new_branches / edits in
+  pf "compile cost (k=%d): %d new branch nodes per edit (gate <= %d)@." k
+    per_edit e17_branch_gate;
+  record ~experiment:"e17-smoke" ~metric:"k4-branches-per-edit"
+    (float_of_int per_edit);
+  if per_edit > e17_branch_gate then begin
+    pf "SMOKE FAILURE: an edit added %d branch nodes (> %d)@." per_edit
+      e17_branch_gate;
+    exit 1
+  end;
   (* gate 2: single-edit latency, best of 3 — a delta edit must not be
      slower than 1.25x installing on a fresh network (+2 ms scheduling
      noise allowance) *)
@@ -2139,9 +2176,11 @@ let e17_smoke () =
     exit 1
   end;
   pf "smoke ok: equality at every step, single-edit %.2fx of a fresh \
-      install (gate <= 1.25x + 2 ms), byte reduction %.0fx (gate >= 2x)@."
+      install (gate <= 1.25x + 2 ms), byte reduction %.0fx (gate >= 2x), \
+      %d new branch nodes per edit (gate <= %d)@."
     (delta_t /. fresh_t)
     (float_of_int full_b /. float_of_int (max 1 delta_b))
+    per_edit e17_branch_gate
 
 (* ------------------------------------------------------------------ *)
 (* E18 — adaptive window sizing vs the fixed min-lookahead barrier *)

@@ -5,56 +5,46 @@
 open Packet
 module Node = Topo.Topology.Node
 
+(* Shortest-path next hops to every host, as the union over
+   (destination, switch) pairs — destination-major — of
+   [at sw; filter (field = value_of dst); forward port].  One BFS per
+   switch yields its predecessor table; each host's first hop is a walk
+   back through it. *)
+let next_hop_policy topo ~field ~value_of =
+  let preds =
+    List.map
+      (fun sw_node -> (sw_node, Topo.Path.bfs topo ~src:sw_node))
+      (Topo.Topology.switches topo)
+  in
+  List.concat_map
+    (fun dst ->
+      let test = Syntax.filter (Syntax.test field (value_of dst)) in
+      List.filter_map
+        (fun (sw_node, pred) ->
+          match
+            Topo.Path.walk_back pred ~src:sw_node ~dst:(Node.Host dst)
+          with
+          | None | Some [] -> None
+          | Some (first_hop :: _) ->
+            Some
+              (Syntax.big_seq
+                 [ Syntax.at ~switch:(Node.id sw_node); test;
+                   Syntax.forward first_hop.Topo.Path.out_port ]))
+        preds)
+    (Topo.Topology.host_ids topo)
+  |> Syntax.big_union
+
 (** [routing_policy topo] — destination-based shortest-path L2/L3
     forwarding: for every host [h] and every switch [sw] that can reach
     it, match [Eth_dst = mac h] at [sw] and forward out the next-hop port
     of a shortest path.  The union over all pairs is the network-wide
     policy. *)
 let routing_policy topo =
-  let pols = ref [] in
-  List.iter
-    (fun dst ->
-      let dst_node = Node.Host dst in
-      let mac = Mac.of_host_id dst in
-      (* one BFS per destination gives every switch's next hop: run BFS
-         from the destination and follow predecessor hops backwards. *)
-      List.iter
-        (fun sw_node ->
-          match Topo.Path.shortest_path topo ~src:sw_node ~dst:dst_node with
-          | None | Some [] -> ()
-          | Some (first_hop :: _) ->
-            let sw = Node.id sw_node in
-            pols :=
-              Syntax.big_seq
-                [ Syntax.at ~switch:sw;
-                  Syntax.filter (Syntax.test Fields.Eth_dst mac);
-                  Syntax.forward first_hop.Topo.Path.out_port ]
-              :: !pols)
-        (Topo.Topology.switches topo))
-    (Topo.Topology.host_ids topo);
-  Syntax.big_union (List.rev !pols)
+  next_hop_policy topo ~field:Fields.Eth_dst ~value_of:Mac.of_host_id
 
 (** IP-destination variant of {!routing_policy} (matches [Ip4_dst]). *)
 let ip_routing_policy topo =
-  let pols = ref [] in
-  List.iter
-    (fun dst ->
-      let dst_node = Node.Host dst in
-      let ip = Ipv4.of_host_id dst in
-      List.iter
-        (fun sw_node ->
-          match Topo.Path.shortest_path topo ~src:sw_node ~dst:dst_node with
-          | None | Some [] -> ()
-          | Some (first_hop :: _) ->
-            pols :=
-              Syntax.big_seq
-                [ Syntax.at ~switch:(Node.id sw_node);
-                  Syntax.filter (Syntax.test Fields.Ip4_dst ip);
-                  Syntax.forward first_hop.Topo.Path.out_port ]
-              :: !pols)
-        (Topo.Topology.switches topo))
-    (Topo.Topology.host_ids topo);
-  Syntax.big_union (List.rev !pols)
+  next_hop_policy topo ~field:Fields.Ip4_dst ~value_of:Ipv4.of_host_id
 
 (** One entry of an access-control list. *)
 type acl_entry = {

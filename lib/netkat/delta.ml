@@ -72,8 +72,11 @@ type change =
 type result = {
   snapshot : snapshot;  (** certificate set for the next compile *)
   changes : (int * change) list;  (** per switch, in input order *)
-  skipped : int;  (** switches proven unchanged without re-derivation *)
-  rederived : int;  (** switches whose table was re-derived *)
+  skipped : int;  (** switches certified unchanged by uid, not re-derived *)
+  rederived : int;
+      (** switches whose re-derived table changed; a switch re-derived to
+          an identical table (a fresh uid after a cache clear) counts in
+          neither *)
   n_adds : int;
   n_deletes : int;
 }
@@ -203,22 +206,30 @@ let compile ?pool ?domains ?(transform = fun (r : Local.rule) -> r)
   let entries = Hashtbl.create (List.length results) in
   List.iter (fun (sw, e, _) -> Hashtbl.replace entries sw e) results;
   let changes = List.map (fun (sw, _, c) -> (sw, c)) results in
+  (* an unchanged switch kept its certificate iff its uid was reused *)
+  let certified sw (e : entry) =
+    match previous with
+    | Some p ->
+      (match Hashtbl.find_opt p.entries sw with
+       | Some old -> old.uid = e.uid
+       | None -> false)
+    | None -> false
+  in
   let skipped, rederived, n_adds, n_deletes =
     List.fold_left
-      (fun (s, r, a, d) (_, c) ->
+      (fun (s, r, a, d) (sw, e, c) ->
         match c with
-        | Unchanged -> (s + 1, r, a, d)
+        | Unchanged -> ((if certified sw e then s + 1 else s), r, a, d)
         | Changed { adds; deletes; _ } ->
           (s, r + 1, a + List.length adds, d + List.length deletes))
-      (0, 0, 0, 0) changes
+      (0, 0, 0, 0) results
   in
   { snapshot = { gen; fdd; entries }; changes; skipped; rederived; n_adds;
     n_deletes }
 
-(** [compile_policy ~switches previous pol] — {!compile} from syntax.
-    For edits over a large cached base, prefer composing diagrams
-    directly (e.g. [Fdd.seq guard base_fdd]) and calling {!compile}:
-    [of_policy] re-walks the whole syntax tree. *)
+(** [compile_policy ~switches previous pol] — {!compile} from syntax
+    ({!Fdd.of_policy}, which reuses the diagrams of subterms shared with
+    the previous policy). *)
 let compile_policy ?pool ?domains ?transform ?keep ~switches previous pol =
   compile ?pool ?domains ?transform ?keep ~switches previous
     (Fdd.of_policy pol)

@@ -16,12 +16,23 @@
     {b Fast path.}  Actions are {e interned}: structurally equal updates
     share one record carrying a unique id, so action equality and
     hashing are O(1) and leaf hash-consing never re-traverses action
-    structure.  Every node carries a precomputed hash.  The binary
-    operations ({!union}, {!gate}, {!seq}, [act_seq], {!restrict})
-    memoize through persistent global caches keyed on [(op, uid, uid)]
-    that survive across calls — repeated compilation of overlapping
-    policies (the common controller workload) hits warm entries —
-    and are reset by {!clear_cache}.
+    structure.  Every node carries a precomputed hash and the set of
+    fields its actions write.  The binary operations ({!union}, {!gate},
+    {!seq}, [act_seq], {!restrict}) memoize through persistent global
+    caches keyed on [(op, uid, uid)] that survive across calls —
+    repeated compilation of overlapping policies (the common controller
+    workload) hits warm entries — and are reset by {!clear_cache}.
+
+    An edit's cost follows the part of the diagram it touches, not the
+    diagram's size.  {!union} and {!gate} stop recursing as soon as one
+    operand is [drop], [ident] (gate) or both operands are one node, so
+    {!cond} on an untouched subtree costs the spine above the tested
+    field.  {!seq} sequences the true side of a test [f = v] with
+    [restrict (f, v) b] whenever that side writes no [f]: a guard in
+    front of a large base reaches only the base's case for the guarded
+    values.  {!of_policy} remembers the diagrams of the previous
+    top-level call's syntax nodes (per domain, by physical identity), so
+    [Seq (guard, base)] after [base] does not re-walk [base].
 
     {b Domain safety.}  The intern, hash-cons and memo tables are global
     mutable state, so multi-domain use (the parallel per-switch compiler
@@ -81,6 +92,7 @@ module Act = struct
     aid : int;  (* unique id: structural equality <=> id equality *)
     binds : (Fields.t * int) list;
     ikey : (int * int) list;  (* (field index, value), the intern key *)
+    amask : int;  (* bit [Fields.index f] set for every written field [f] *)
   }
 
   module Intern = Hashtbl.Make (struct
@@ -103,7 +115,8 @@ module Act = struct
       match Intern.find_opt intern_tbl ikey with
       | Some t -> t
       | None ->
-        let t = { aid = Atomic.fetch_and_add next_aid 1; binds; ikey } in
+        let amask = List.fold_left (fun m (fi, _) -> m lor (1 lsl fi)) 0 ikey in
+        let t = { aid = Atomic.fetch_and_add next_aid 1; binds; ikey; amask } in
         Intern.add intern_tbl ikey t;
         t)
 
@@ -175,7 +188,12 @@ module ActSet = Set.Make (Act)
 
 type test = Fields.t * int
 
-type t = { uid : int; hash : int; node : node }
+type t = {
+  uid : int;
+  hash : int;
+  mask : int;  (* fields written by any action below: bit [Fields.index f] *)
+  node : node;
+}
 
 and node =
   | Leaf of ActSet.t
@@ -186,6 +204,9 @@ let uid t = t.uid
 (** Precomputed structural hash (leaves hash their action-set ids,
     branches mix the test with the children's uids). *)
 let hash t = t.hash
+
+(** [writes d f]: some action in some leaf of [d] assigns field [f]. *)
+let writes d f = d.mask land (1 lsl Fields.index f) <> 0
 
 let test_compare (f, v) (g, u) =
   match Fields.compare f g with 0 -> compare v u | c -> c
@@ -210,8 +231,8 @@ let leaf_mutex = Mutex.create ()
 let branch_mutex = Mutex.create ()
 let next_uid = Atomic.make 0
 
-let fresh ~hash node =
-  { uid = Atomic.fetch_and_add next_uid 1; hash; node }
+let fresh ~hash ~mask node =
+  { uid = Atomic.fetch_and_add next_uid 1; hash; mask; node }
 
 (* Find-or-add under the table's mutex: hash-consing stays canonical
    when several domains build the same node. *)
@@ -220,7 +241,8 @@ let leaf acts =
     match Leaf_tbl.find_opt leaf_tbl acts with
     | Some t -> t
     | None ->
-      let t = fresh ~hash:(hash_acts acts) (Leaf acts) in
+      let mask = ActSet.fold (fun a m -> m lor a.Act.amask) acts 0 in
+      let t = fresh ~hash:(hash_acts acts) ~mask (Leaf acts) in
       Leaf_tbl.add leaf_tbl acts t;
       t)
 
@@ -233,7 +255,10 @@ let branch ((f, v) as test) tru fls =
       match Hashtbl.find_opt branch_tbl key with
       | Some t -> t
       | None ->
-        let t = fresh ~hash:(Hashtbl.hash key) (Branch (test, tru, fls)) in
+        let t =
+          fresh ~hash:(Hashtbl.hash key) ~mask:(tru.mask lor fls.mask)
+            (Branch (test, tru, fls))
+        in
         Hashtbl.add branch_tbl key t;
         t)
   end
@@ -300,6 +325,21 @@ let memo_fill tbl sel key v =
   if Shared.locking () then Hashtbl.replace (sel (domain_memo ())) key v
   else Hashtbl.replace tbl key v
 
+(* Syntax nodes keyed by physical identity, for {!of_policy}'s memo. *)
+module Pol_tbl = Hashtbl.Make (struct
+  type t = Syntax.pol
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Per domain: the generation and the diagram of every syntax node the
+   last top-level {!of_policy} call visited.  Strong, and replaced
+   wholesale at the end of each call, so it holds one policy's subterms
+   at a time. *)
+let last_policy : (int * t Pol_tbl.t) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
 (** Hash-cons generation: bumped by every {!clear_cache}.  Within one
     generation, structurally equal diagrams are physically equal, so
     equal uids certify equal diagrams {e and} unequal uids certify the
@@ -316,6 +356,14 @@ let cache_stats () =
   (Leaf_tbl.length leaf_tbl, Hashtbl.length branch_tbl,
    Hashtbl.length binop_cache, Hashtbl.length restrict_cache)
 
+(** Syntax nodes the last top-level {!of_policy} call on this domain
+    visited (and so remembers): a call that reuses a shared subterm
+    visits that subterm's root only. *)
+let last_policy_size () =
+  match !(Domain.DLS.get last_policy) with
+  | Some (gen, tbl) when gen = generation () -> Pol_tbl.length tbl
+  | Some _ | None -> 0
+
 (** Resets the hash-cons tables and the operation caches (used between
     benchmark runs to measure cold construction).  Existing diagrams
     remain usable but will no longer share with new ones; [drop] and
@@ -327,6 +375,7 @@ let clear_cache () =
   Hashtbl.reset branch_tbl;
   Hashtbl.reset binop_cache;
   Hashtbl.reset restrict_cache;
+  Domain.DLS.get last_policy := None;
   Atomic.incr memo_generation;
   Leaf_tbl.add leaf_tbl ActSet.empty drop;
   Leaf_tbl.add leaf_tbl (ActSet.singleton Act.id) ident
@@ -360,45 +409,49 @@ let min_root a b =
 
 (* Shannon-expansion apply of a leaf-level binary operation.  [op] must
    be deterministic; results are memoized in the global cache under
-   [tag], normalizing the operand order when [commutative]. *)
-let apply ~tag ~commutative op =
+   [tag], normalizing the operand order when [commutative].  [terminal]
+   answers the pairs whose result needs no expansion (e.g. a [drop]
+   operand); it is tried at every step of the recursion, so expansion
+   stops where the operands stop overlapping. *)
+let apply ~tag ~commutative ~terminal op =
   let rec go a b =
-    match (a.node, b.node) with
-    | Leaf x, Leaf y -> leaf (op x y)
-    | _ ->
-      let a, b = if commutative && a.uid > b.uid then (b, a) else (a, b) in
-      let key = (tag, a.uid, b.uid) in
-      (match memo_find binop_cache (fun dm -> dm.dm_binop) key with
-       | Some r -> r
-       | None ->
-         let test = min_root a b in
-         let r =
-           branch test (go (pos test a) (pos test b))
-             (go (neg test a) (neg test b))
-         in
-         memo_fill binop_cache (fun dm -> dm.dm_binop) key r;
-         r)
+    match terminal a b with
+    | Some r -> r
+    | None ->
+      (match (a.node, b.node) with
+       | Leaf x, Leaf y -> leaf (op x y)
+       | _ ->
+         let a, b = if commutative && a.uid > b.uid then (b, a) else (a, b) in
+         let key = (tag, a.uid, b.uid) in
+         (match memo_find binop_cache (fun dm -> dm.dm_binop) key with
+          | Some r -> r
+          | None ->
+            let test = min_root a b in
+            let r =
+              branch test (go (pos test a) (pos test b))
+                (go (neg test a) (neg test b))
+            in
+            memo_fill binop_cache (fun dm -> dm.dm_binop) key r;
+            r))
   in
   go
 
-let union_op = apply ~tag:op_union ~commutative:true ActSet.union
-
 (** Pointwise union of the two diagrams' action sets. *)
-let union a b =
-  if a == b then a
-  else if a == drop then b
-  else if b == drop then a
-  else union_op a b
-
-let gate_op =
-  apply ~tag:op_gate ~commutative:false (fun pass acts ->
-    if ActSet.is_empty pass then ActSet.empty else acts)
+let union =
+  apply ~tag:op_union ~commutative:true
+    ~terminal:(fun a b ->
+      if a == b || b == drop then Some a else if a == drop then Some b
+      else None)
+    ActSet.union
 
 (* Gate: where the predicate diagram [p] passes, behave as [d]. *)
-let gate p d =
-  if p == ident then d
-  else if p == drop || d == drop then drop
-  else gate_op p d
+let gate =
+  apply ~tag:op_gate ~commutative:false
+    ~terminal:(fun p d ->
+      if p == ident then Some d
+      else if p == drop || d == drop then Some drop
+      else None)
+    (fun pass acts -> if ActSet.is_empty pass then ActSet.empty else acts)
 
 (** [cond test t e]: if [test] then [t] else [e], restoring diagram order
     regardless of the orders of [t] and [e]. *)
@@ -409,6 +462,30 @@ let cond test t e =
     let p_neg = branch test drop ident in
     union (gate p_pos t) (gate p_neg e)
   end
+
+(** [restrict (f, v) d] specializes the diagram to packets known to
+    satisfy [f = v], removing every test on [f]. *)
+let restrict (f, v) d =
+  let fi = Fields.index f in
+  let rec go d =
+    match d.node with
+    | Leaf _ -> d
+    | Branch ((g, u), tru, fls) ->
+      if Fields.compare g f > 0 then d
+      else begin
+        let key = (fi, v, d.uid) in
+        match memo_find restrict_cache (fun dm -> dm.dm_restrict) key with
+        | Some r -> r
+        | None ->
+          let r =
+            if Fields.equal g f then if u = v then go tru else go fls
+            else branch (g, u) (go tru) (go fls)
+          in
+          memo_fill restrict_cache (fun dm -> dm.dm_restrict) key r;
+          r
+      end
+  in
+  go d
 
 (* ------------------------------------------------------------------ *)
 (* Sequencing *)
@@ -436,7 +513,12 @@ let rec act_seq act d =
       r
   end
 
-(** Kleisli sequencing: run [a], feed every output packet to [b]. *)
+(** Kleisli sequencing: run [a], feed every output packet to [b].
+
+    Packets leaving the true side of a test [f = v] in [a] still carry
+    [f = v] unless an action there writes [f], so that side is sequenced
+    with [restrict (f, v) b]: a guard in front of a large base builds
+    only the base's case for the guarded value. *)
 let rec seq a b =
   if b == ident then a
   else if a == ident then b
@@ -452,7 +534,9 @@ let rec seq a b =
           if ActSet.is_empty acts then drop
           else
             ActSet.fold (fun act acc -> union acc (act_seq act b)) acts drop
-        | Branch (test, tru, fls) -> cond test (seq tru b) (seq fls b)
+        | Branch (((f, _) as test), tru, fls) ->
+          let b_tru = if writes tru f then b else restrict test b in
+          cond test (seq tru b_tru) (seq fls b)
       in
       memo_fill binop_cache (fun dm -> dm.dm_binop) key r;
       r
@@ -503,13 +587,37 @@ let rec of_pred (p : Syntax.pred) =
         if ActSet.is_empty acts then ActSet.singleton Act.id else ActSet.empty)
       (of_pred a)
 
-let rec of_policy (p : Syntax.pol) =
-  match p with
-  | Filter pred -> of_pred pred
-  | Mod (f, v) -> leaf (ActSet.singleton (Act.single f v))
-  | Union (a, b) -> union (of_policy a) (of_policy b)
-  | Seq (a, b) -> seq (of_policy a) (of_policy b)
-  | Star a -> star (of_policy a)
+(** The diagram of a policy.  A syntax node the previous top-level call
+    on this domain visited (the same physical value, within one
+    {!generation}) is answered from that call without re-walking it;
+    the answer is the node recomputation would build. *)
+let of_policy (p : Syntax.pol) =
+  let cell = Domain.DLS.get last_policy in
+  let gen = generation () in
+  let last =
+    match !cell with
+    | Some (g, tbl) when g = gen -> tbl
+    | Some _ | None -> Pol_tbl.create 1
+  in
+  let seen = Pol_tbl.create 64 in
+  let rec go (p : Syntax.pol) =
+    let d =
+      match Pol_tbl.find_opt last p with
+      | Some d -> d
+      | None ->
+        (match p with
+         | Filter pred -> of_pred pred
+         | Mod (f, v) -> leaf (ActSet.singleton (Act.single f v))
+         | Union (a, b) -> union (go a) (go b)
+         | Seq (a, b) -> seq (go a) (go b)
+         | Star a -> star (go a))
+    in
+    Pol_tbl.replace seen p d;
+    d
+  in
+  let d = go p in
+  cell := Some (gen, seen);
+  d
 
 (* ------------------------------------------------------------------ *)
 (* Interpretation and inspection *)
@@ -521,30 +629,6 @@ let rec eval d (h : Headers.t) =
   | Leaf acts -> List.map (fun act -> Act.apply act h) (ActSet.elements acts)
   | Branch ((f, v), tru, fls) ->
     if Headers.get h f = v then eval tru h else eval fls h
-
-(** [restrict (f, v) d] specializes the diagram to packets known to
-    satisfy [f = v], removing every test on [f]. *)
-let restrict (f, v) d =
-  let fi = Fields.index f in
-  let rec go d =
-    match d.node with
-    | Leaf _ -> d
-    | Branch ((g, u), tru, fls) ->
-      if Fields.compare g f > 0 then d
-      else begin
-        let key = (fi, v, d.uid) in
-        match memo_find restrict_cache (fun dm -> dm.dm_restrict) key with
-        | Some r -> r
-        | None ->
-          let r =
-            if Fields.equal g f then if u = v then go tru else go fls
-            else branch (g, u) (go tru) (go fls)
-          in
-          memo_fill restrict_cache (fun dm -> dm.dm_restrict) key r;
-          r
-      end
-  in
-  go d
 
 (** Distinct nodes reachable from [d] — the diagram's size. *)
 let node_count d =

@@ -62,6 +62,7 @@ let test_clear_cache_structural_fallback () =
      unchanged and push nothing *)
   Fdd.clear_cache ();
   let r1 = Delta.compile ~switches (Some r0.snapshot) (Fdd.of_policy pol) in
+  Alcotest.(check int) "no uid certificate survives the clear" 0 r1.skipped;
   Alcotest.(check int) "no switch re-reported as changed" 0 r1.rederived;
   Alcotest.(check int) "no adds" 0 r1.n_adds;
   Alcotest.(check int) "no deletes" 0 r1.n_deletes;

@@ -198,6 +198,11 @@ let test_fdd_basics () =
       ("mod", modify Fields.Vlan 3);
       ("union", union (forward 1) (forward 2));
       ("seq", seq (modify Fields.Tp_dst 443) (filter (test Fields.Tp_dst 443)));
+      (* the true side of the test writes the tested field *)
+      ("seq-rewrites-test",
+       seq
+         (seq (filter (test Fields.Tp_dst 80)) (modify Fields.Tp_dst 443))
+         (filter (test Fields.Tp_dst 443)));
       ("mod-shadow", seq (modify Fields.Vlan 1) (modify Fields.Vlan 2));
       ("ite", ite (test Fields.Tp_dst 80) (forward 1) (forward 2)) ]
 
@@ -588,6 +593,189 @@ let test_fdd_multidomain_stress () =
         (Fdd.eval d h |> List.sort_uniq Headers.compare))
     pols reference
 
+(* ------------------------------------------------------------------ *)
+(* Edit compile cost: the seq specialisation and the of_policy memo *)
+
+(* Sequencing without the branch-test specialisation: both sides of
+   every test of [a] are sequenced with all of [b]. *)
+let rec seq_ref (a : Fdd.t) b =
+  if b == Fdd.ident then a
+  else if a == Fdd.ident then b
+  else if a == Fdd.drop || b == Fdd.drop then Fdd.drop
+  else
+    match a.node with
+    | Fdd.Leaf acts ->
+      Fdd.ActSet.fold
+        (fun act acc -> Fdd.union acc (Fdd.act_seq act b))
+        acts Fdd.drop
+    | Fdd.Branch (test, tru, fls) ->
+      Fdd.cond test (seq_ref tru b) (seq_ref fls b)
+
+(* policies whose true sides often write the field they test, so both
+   the restricted and the fallback side of [Fdd.seq] run *)
+let gen_pol_rewriting =
+  let open QCheck.Gen in
+  oneof
+    [ gen_pol;
+      map3
+        (fun f (v, v') p ->
+          Syntax.Union
+            (Syntax.Seq (Syntax.Filter (Syntax.Test (f, v)), Syntax.Mod (f, v')), p))
+        (oneofa fields_for_gen) (pair (int_bound 3) (int_bound 3)) gen_pol ]
+
+let prop_seq_matches_reference =
+  QCheck.Test.make ~name:"Fdd.seq evaluates like the unspecialised seq"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ((p, q), _) -> Syntax.pol_to_string (Syntax.Seq (p, q)))
+       QCheck.Gen.(
+         pair (pair gen_pol_rewriting gen_pol) (list_size (return 8) gen_headers)))
+    (fun ((p, q), hs) ->
+      let a = Fdd.of_policy p and b = Fdd.of_policy q in
+      let fast = Fdd.seq a b and slow = seq_ref a b in
+      List.for_all
+        (fun h ->
+          List.sort_uniq Headers.compare (Fdd.eval fast h)
+          = List.sort_uniq Headers.compare (Fdd.eval slow h))
+        hs)
+
+(* edit [i] on fat-tree k=4: deny (edge of dst, Eth_dst = dst,
+   Tp_dst = 1024 + i) *)
+let edit_guard topo i =
+  let hosts = Array.of_list (Topo.Topology.host_ids topo) in
+  let dst = hosts.(i * 7 mod Array.length hosts) in
+  let edge =
+    match Topo.Topology.attachment topo dst with
+    | Some (sw, _) -> sw
+    | None -> Alcotest.fail "host without an edge switch"
+  in
+  Syntax.filter
+    (Syntax.neg
+       (Syntax.conj
+          (Syntax.test Fields.Switch edge)
+          (Syntax.conj
+             (Syntax.test Fields.Eth_dst (Mac.of_host_id dst))
+             (Syntax.test Fields.Tp_dst (1024 + i)))))
+
+(* A guard in front of the base builds only the guarded switch's case:
+   sequencing the guard with the whole base measured 409 new branch
+   nodes per edit here, the specialised seq 35. *)
+let test_edit_compile_growth () =
+  Fdd.clear_cache ();
+  let topo, _ = Topo.Gen.fat_tree ~k:4 () in
+  let base = Builder.routing_policy topo in
+  ignore (Fdd.of_policy base);
+  let branches () =
+    let _, b, _, _ = Fdd.cache_stats () in
+    b
+  in
+  let before = branches () in
+  for i = 0 to 49 do
+    ignore (Fdd.of_policy (Syntax.seq (edit_guard topo i) base))
+  done;
+  let per_edit = (branches () - before) / 50 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d new branch nodes per edit <= 100" per_edit)
+    true (per_edit <= 100)
+
+let test_of_policy_memo () =
+  let topo = Topo.Gen.linear ~switches:4 ~hosts_per_switch:2 () in
+  let base = Builder.routing_policy topo in
+  let d = Fdd.of_policy base in
+  Alcotest.(check bool) "the first call remembers the base's nodes" true
+    (Fdd.last_policy_size () > 10);
+  (* a shared base is answered at its root *)
+  let guard = Syntax.filter (Syntax.neg (Syntax.test Fields.Tp_dst 22)) in
+  let edited = Fdd.of_policy (Syntax.seq guard base) in
+  Alcotest.(check int) "an edit visits the Seq, the guard and the base root"
+    3 (Fdd.last_policy_size ());
+  Alcotest.(check bool) "edit = composed diagrams" true
+    (edited == Fdd.seq (Fdd.of_policy guard) d);
+  (* equal syntax that is a different value misses the memo and still
+     hash-conses to the same node *)
+  let rebuilt = Builder.routing_policy topo in
+  Alcotest.(check bool) "rebuilt base is a fresh value" true
+    (rebuilt != base && rebuilt = base);
+  Alcotest.(check bool) "fresh equal syntax, same node" true
+    (Fdd.of_policy rebuilt == d);
+  (* alternating calls: each answer is the policy's own diagram *)
+  let other = Builder.ip_routing_policy topo in
+  let d_other = Fdd.of_policy other in
+  for _ = 1 to 3 do
+    Alcotest.(check bool) "base again" true (Fdd.of_policy base == d);
+    Alcotest.(check bool) "other again" true (Fdd.of_policy other == d_other);
+    let edited_other = Fdd.of_policy (Syntax.seq guard other) in
+    List.iter
+      (fun dst ->
+        let h =
+          Headers.tcp ~switch:1 ~in_port:1 ~src_host:1 ~dst_host:dst
+            ~tp_src:1 ~tp_dst:22
+        in
+        Alcotest.check headers_list "edited other = semantics"
+          (eval_pol (Syntax.seq guard other) h)
+          (Fdd.eval edited_other h |> List.sort_uniq Headers.compare))
+      [ 2; 5; 8 ]
+  done;
+  Fdd.clear_cache ();
+  Alcotest.(check int) "clear_cache forgets the last policy" 0
+    (Fdd.last_policy_size ())
+
+(* ------------------------------------------------------------------ *)
+(* Builders *)
+
+(* routing built pair by pair: one shortest-path search per
+   (destination, switch), destination-major *)
+let per_pair_routing topo ~field ~value_of =
+  List.concat_map
+    (fun dst ->
+      List.filter_map
+        (fun sw_node ->
+          match
+            Topo.Path.shortest_path topo ~src:sw_node
+              ~dst:(Topo.Topology.Node.Host dst)
+          with
+          | None | Some [] -> None
+          | Some (hop :: _) ->
+            Some
+              (Syntax.big_seq
+                 [ Syntax.at ~switch:(Topo.Topology.Node.id sw_node);
+                   Syntax.filter (Syntax.test field (value_of dst));
+                   Syntax.forward hop.Topo.Path.out_port ]))
+        (Topo.Topology.switches topo))
+    (Topo.Topology.host_ids topo)
+  |> Syntax.big_union
+
+let test_builder_matches_per_pair_oracle () =
+  let fat, _ = Topo.Gen.fat_tree ~k:4 () in
+  let cut = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
+  let s1 = Topo.Topology.Node.Switch 1 in
+  (match
+     List.find_opt
+       (fun (l : Topo.Topology.link) ->
+         Topo.Topology.Node.equal l.dst (Topo.Topology.Node.Switch 2))
+       (Topo.Topology.out_links cut s1)
+   with
+   | Some l -> Topo.Topology.fail_link cut (s1, l.src_port)
+   | None -> Alcotest.fail "linear:3 has no s1-s2 link");
+  List.iter
+    (fun (name, topo) ->
+      Alcotest.(check bool) (name ^ ": routing_policy") true
+        (Builder.routing_policy topo
+         = per_pair_routing topo ~field:Fields.Eth_dst
+             ~value_of:Mac.of_host_id);
+      Alcotest.(check bool) (name ^ ": ip_routing_policy") true
+        (Builder.ip_routing_policy topo
+         = per_pair_routing topo ~field:Fields.Ip4_dst
+             ~value_of:Ipv4.of_host_id))
+    [ ("fattree:4", fat); ("linear:3, s1-s2 down", cut) ];
+  (* s1 reaches only h1; s2 and s3 reach h2 and h3 *)
+  let rec clauses : Syntax.pol -> int = function
+    | Union (a, b) -> clauses a + clauses b
+    | _ -> 1
+  in
+  Alcotest.(check int) "unreachable pairs are skipped" 5
+    (clauses (Builder.routing_policy cut))
+
 let suites =
   [ ( "netkat.syntax",
       [ Alcotest.test_case "smart constructors" `Quick test_smart_constructors;
@@ -618,7 +806,14 @@ let suites =
         Alcotest.test_case "node sharing" `Quick test_fdd_node_count_sharing;
         Alcotest.test_case "restrict" `Quick test_fdd_restrict;
         Alcotest.test_case "action composition" `Quick test_act_compose;
-        QCheck_alcotest.to_alcotest prop_fdd_equals_semantics ] );
+        QCheck_alcotest.to_alcotest prop_fdd_equals_semantics;
+        QCheck_alcotest.to_alcotest prop_seq_matches_reference;
+        Alcotest.test_case "edit compile growth (fat-tree k=4)" `Quick
+          test_edit_compile_growth;
+        Alcotest.test_case "of_policy memo" `Quick test_of_policy_memo ] );
+    ( "netkat.builder",
+      [ Alcotest.test_case "routing = per-pair shortest paths" `Quick
+          test_builder_matches_per_pair_oracle ] );
     ( "netkat.local",
       [ Alcotest.test_case "routing rules" `Quick test_local_routing_rules;
         Alcotest.test_case "rejects links" `Quick test_local_rejects_links;
