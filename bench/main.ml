@@ -1,10 +1,11 @@
 (* The experiment harness: regenerates every table of the evaluation
    suite defined in DESIGN.md (E1..E8), plus Bechamel microbenchmarks of
-   the hot kernels.
+   the hot kernels and the CI wall-time gates.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- e1 e6   # selected experiments
      dune exec bench/main.exe -- micro   # microbenchmarks only
+     dune exec bench/main.exe -- gates   # wall-time bounds, exit 1 on a miss
 
    Expected shapes (paper-style claims being reproduced) are printed
    with each table; EXPERIMENTS.md records a reference run. *)
@@ -46,20 +47,42 @@ let wall f =
 
 let ms t = t *. 1e3
 
+(* run [f] [n] times and keep the fastest: [f] returns its result and
+   the seconds it measured, so untimed setup stays out of the figure.
+   One run is short enough that a GC pause or scheduler noise would
+   dominate a single-shot measurement. *)
+let best_of n f =
+  let best = ref (f ()) in
+  for _ = 2 to n do
+    let (_, t) as r = f () in
+    if t < snd !best then best := r
+  done;
+  !best
+
+(* seconds for [iters] calls of [f i], best of 3 *)
+let time_iters iters f =
+  snd
+    (best_of 3 (fun () ->
+       wall (fun () ->
+         for i = 0 to iters - 1 do
+           f i
+         done)))
+
 (* ------------------------------------------------------------------ *)
 (* E1 — policy compilation: FDD vs naive baseline *)
 
-let allowlist_policy topo k =
-  (* allowlist ACL (naive-compatible: no negation) over source IPs,
-     composed with IP routing *)
-  let acl =
-    Netkat.Syntax.big_union
-      (List.init k (fun i ->
-         Netkat.Syntax.filter
-           (Netkat.Syntax.test Packet.Fields.Ip4_src
-              (Packet.Ipv4.of_host_id (i + 1)))))
+(* [Local.compile_all] of [pol] on a [domains]-domain pool from a cold
+   FDD cache, best of 3: domain scheduling on oversubscribed hosts is
+   noisy *)
+let e1_compile_all ~domains ~switches pol =
+  let pool = Util.Pool.create ~domains () in
+  let r =
+    best_of 3 (fun () ->
+      Netkat.Fdd.clear_cache ();
+      wall (fun () -> Netkat.Local.compile_all ~pool ~switches pol))
   in
-  Netkat.Syntax.seq acl (Netkat.Builder.ip_routing_policy topo)
+  Util.Pool.shutdown pool;
+  r
 
 let denylist_policy topo k =
   let entries =
@@ -130,7 +153,7 @@ let e1 () =
   List.iter
     (fun (name, topo) ->
       row name topo "routing" (Netkat.Builder.routing_policy topo);
-      row name topo "acl8-allowlist" (allowlist_policy topo 8);
+      row name topo "acl8-allowlist" (Scenarios.allowlist_policy topo 8);
       row name topo "fw8-denylist" (denylist_policy topo 8))
     topos;
   (* multicore per-switch compilation: the FDD is built once, then
@@ -152,19 +175,7 @@ let e1 () =
       pf "%-16s |" pol_name;
       List.iter
         (fun domains ->
-          let pool = Util.Pool.create ~domains () in
-          (* best of 3: domain scheduling on oversubscribed hosts is noisy *)
-          let compiled = ref [] and t = ref infinity in
-          for _ = 1 to 3 do
-            Netkat.Fdd.clear_cache ();
-            let c, ti =
-              wall (fun () -> Netkat.Local.compile_all ~pool ~switches pol)
-            in
-            compiled := c;
-            if ti < !t then t := ti
-          done;
-          let compiled = !compiled and t = !t in
-          Util.Pool.shutdown pool;
+          let compiled, t = e1_compile_all ~domains ~switches pol in
           (match !baseline with
            | None ->
              baseline :=
@@ -191,51 +202,56 @@ let e1 () =
       pf " | %8d@."
         (match !baseline with Some (_, r) -> r | None -> 0))
     [ ("routing", Netkat.Builder.routing_policy topo);
-      ("acl8-allowlist", allowlist_policy topo 8);
+      ("acl8-allowlist", Scenarios.allowlist_policy topo 8);
       ("fw8-denylist", denylist_policy topo 8) ]
 
 (* ------------------------------------------------------------------ *)
 (* E2 — flow-table lookup cost vs table size *)
 
-let e2_sizes ?(smoke = false) sizes () =
+(* mean ns per [lookup] of [table] (holding [n] rules) over 64 headers
+   drawn from [mk] *)
+let time_lookups n table lookup mk =
+  let iters = 200_000 / (1 + (n / 100)) in
+  let hs = Array.init 64 (fun _ -> mk ()) in
+  let (), t =
+    wall (fun () ->
+      for i = 0 to iters - 1 do
+        ignore (lookup table hs.(i land 63))
+      done)
+  in
+  t /. float_of_int iters *. 1e9
+
+(* [n] exact eth_dst rules, host 1's at the top priority *)
+let e2_table n =
+  let table = Flow.Table.create () in
+  for i = 1 to n do
+    Flow.Table.add table
+      (Flow.Table.make_rule ~priority:(n - i)
+         ~pattern:
+           { Flow.Pattern.any with eth_dst = Some (Packet.Mac.of_host_id i) }
+         ~actions:(Flow.Action.forward 1) ())
+  done;
+  table
+
+(* a TCP probe toward host [dst] with a random source port *)
+let e2_probe prng dst =
+  Packet.Headers.tcp ~switch:1 ~in_port:1 ~src_host:1 ~dst_host:dst
+    ~tp_src:(Util.Prng.int prng 1000) ~tp_dst:80
+
+let e2_sizes sizes =
   header "E2 — flow-table lookup cost vs table size";
   pf "expected shape: linear search cost grows with table size (hits near@.";
   pf "the top are cheap, misses scan the whole table); the tuple-space@.";
   pf "classifier makes cold lookups O(shapes), and the exact-match flow@.";
   pf "cache makes repeated headers O(1), regardless of table size.@.@.";
   let prng = Util.Prng.create 5 in
-  (* tuple-miss at the largest size, vs the linear scan: the smoke mode
-     asserts the staged classifier keeps its advantage *)
-  let final_linear_miss = ref nan and final_tuple_miss = ref nan in
-  let time_lookups n table lookup mk =
-    let iters = 200_000 / (1 + (n / 100)) in
-    let hs = Array.init 64 (fun _ -> mk ()) in
-    let (), t =
-      wall (fun () ->
-        for i = 0 to iters - 1 do
-          ignore (lookup table hs.(i land 63))
-        done)
-    in
-    t /. float_of_int iters *. 1e9
-  in
   pf "%-10s | %12s %12s %12s | %11s %11s | %11s %11s@." "rules" "hit-hi(ns)"
     "hit-lo(ns)" "miss(ns)" "tuple-lo" "tuple-miss" "cached-lo" "cached-miss";
   pf "%s@." (String.make 104 '-');
   List.iter
     (fun n ->
-      let table = Flow.Table.create () in
-      for i = 1 to n do
-        Flow.Table.add table
-          (Flow.Table.make_rule ~priority:(n - i)
-             ~pattern:
-               { Flow.Pattern.any with
-                 eth_dst = Some (Packet.Mac.of_host_id i) }
-             ~actions:(Flow.Action.forward 1) ())
-      done;
-      let probe dst =
-        Packet.Headers.tcp ~switch:1 ~in_port:1 ~src_host:1 ~dst_host:dst
-          ~tp_src:(Util.Prng.int prng 1000) ~tp_dst:80
-      in
+      let table = e2_table n in
+      let probe = e2_probe prng in
       let linear = time_lookups n table Flow.Table.lookup_linear in
       let tuple = time_lookups n table Flow.Table.lookup_tuple in
       let cached = time_lookups n table Flow.Table.lookup in
@@ -259,8 +275,6 @@ let e2_sizes ?(smoke = false) sizes () =
       record ~experiment:"e2" ~metric:(m ^ "/tuple-miss-ns") t_miss;
       record ~experiment:"e2" ~metric:(m ^ "/cached-hit-lo-ns") c_lo;
       record ~experiment:"e2" ~metric:(m ^ "/cached-miss-ns") c_miss;
-      final_linear_miss := miss;
-      final_tuple_miss := t_miss;
       pf "%-10d | %12.0f %12.0f %12.0f | %11.0f %11.0f | %11.0f %11.0f@." n
         hit_hi hit_lo miss t_lo t_miss c_lo c_miss)
     sizes;
@@ -300,18 +314,7 @@ let e2_sizes ?(smoke = false) sizes () =
       record ~experiment:"e2" ~metric:(m ^ "/mixed-tuple-miss-ns") t_miss;
       pf "%-10d | %8d | %12.0f %12.0f@." n (Flow.Table.shape_count table) miss
         t_miss)
-    sizes;
-  if smoke then
-    if !final_tuple_miss *. 2.0 >= !final_linear_miss then begin
-      pf
-        "SMOKE FAILURE: tuple-space miss %.0f ns is not at least 2x faster \
-         than the linear scan's %.0f ns@."
-        !final_tuple_miss !final_linear_miss;
-      exit 1
-    end
-    else
-      pf "@.smoke ok: tuple-space miss %.0f ns vs linear %.0f ns@."
-        !final_tuple_miss !final_linear_miss
+    sizes
 
 (* cache overflow: once the working set exceeds the exact-match cache,
    CLOCK second-chance eviction should keep the hot headers resident *)
@@ -346,84 +349,11 @@ let e2_overflow () =
     (Flow.Table.cache_evictions table)
 
 let e2 () =
-  e2_sizes [ 10; 100; 1000; 4000 ] ();
+  e2_sizes [ 10; 100; 1000; 4000 ];
   e2_overflow ()
-
-(* small sizes + a hard pass/fail bound, cheap enough for CI *)
-let e2_smoke () = e2_sizes ~smoke:true [ 10; 100 ] ()
-
-(* CI gate for the parallel compiler: compile_all on 2 domains must
-   produce exactly the sequential output, and must not be slower than
-   sequential beyond a headroom that absorbs lock overhead and
-   single-CPU hosts (where two domains time-share one core) *)
-let e1_smoke () =
-  header "E1 smoke — parallel compile_all: equality + no-slower gate";
-  let topo = fst (Topo.Gen.fat_tree ~k:4 ()) in
-  let switches = Topo.Topology.switch_ids topo in
-  let pol = allowlist_policy topo 8 in
-  let time_with ~domains =
-    let pool = Util.Pool.create ~domains () in
-    let best = ref infinity in
-    let result = ref [] in
-    (* best of 3 so a GC pause or scheduler hiccup cannot fail CI *)
-    for _ = 1 to 3 do
-      Netkat.Fdd.clear_cache ();
-      let compiled, t =
-        wall (fun () -> Netkat.Local.compile_all ~pool ~switches pol)
-      in
-      result := compiled;
-      if t < !best then best := t
-    done;
-    Util.Pool.shutdown pool;
-    (!result, !best)
-  in
-  let seq, seq_t = time_with ~domains:1 in
-  let par, par_t = time_with ~domains:2 in
-  let count rs = List.fold_left (fun a (_, r) -> a + List.length r) 0 rs in
-  pf "sequential: %d rules in %.2f ms; 2 domains: %d rules in %.2f ms@."
-    (count seq) (ms seq_t) (count par) (ms par_t);
-  record ~experiment:"e1-smoke" ~metric:"fattree:4/acl8/sequential-ms"
-    (ms seq_t);
-  record ~experiment:"e1-smoke" ~metric:"fattree:4/acl8/domains-2-ms"
-    (ms par_t);
-  if par <> seq then begin
-    pf "SMOKE FAILURE: 2-domain compile_all diverges from sequential@.";
-    exit 1
-  end;
-  if par_t > (seq_t *. 1.25) +. 2e-3 then begin
-    pf "SMOKE FAILURE: 2 domains took %.2f ms vs sequential %.2f ms \
-        (> 1.25x + 2 ms)@."
-      (ms par_t) (ms seq_t);
-    exit 1
-  end
-  else
-    pf "smoke ok: identical rules; 2-domain time within the gate \
-        (<= 1.25x + 2 ms)@."
 
 (* ------------------------------------------------------------------ *)
 (* E3 — simulator throughput vs topology size *)
-
-(* one E3 run: route the topology, generate 32 long-lived flows, drain
-   the simulation, return the network and the run wall time *)
-let e3_run spec =
-  let topo = Topo.Gen.of_spec spec in
-  let net = Zen.create topo in
-  ignore (Zen.install_policy net (Netkat.Builder.routing_policy topo));
-  let prng = Util.Prng.create 9 in
-  let _ =
-    (* fixed per-flow ports: long-lived 5-tuples, so the exact-match
-       cache can do its job (one miss per flow per switch) *)
-    Dataplane.Traffic.random_pairs ~fixed_ports:true (Zen.network net) ~prng
-      ~flows:32 ~rate_pps:500.0 ~pkt_size:1000 ~stop:1.0
-  in
-  let events, t = wall (fun () -> Zen.run net) in
-  (net, events, t)
-
-(* everything observable about a finished E3 run *)
-let e3_signature net events =
-  let stats = Dataplane.Network.stats (Zen.network net) in
-  ( events, stats.delivered, stats.forwarded, stats.dropped_queue,
-    stats.dropped_ttl, stats.dropped_policy )
 
 let e3 () =
   header "E3 — simulator packet throughput vs topology size";
@@ -434,21 +364,14 @@ let e3 () =
   pf "%-12s %8s %8s | %10s %10s | %12s | %9s@." "topology" "switches" "hosts"
     "delivered" "events" "events/s" "cache-hit";
   pf "%s@." (String.make 80 '-');
-  (* best of 5: one simulation run is short enough that GC pauses and
-     scheduler noise dominate a single-shot measurement *)
-  let best_run spec =
-    let best = ref None in
-    for _ = 1 to 5 do
-      let (_, _, t) as r = e3_run spec in
-      match !best with
-      | Some (_, _, t') when t' <= t -> ()
-      | _ -> best := Some r
-    done;
-    Option.get !best
-  in
   List.iter
     (fun spec ->
-      let net, events, t = best_run spec in
+      let (net, events), t =
+        best_of 5 (fun () ->
+          let net = Scenarios.routed_flows spec in
+          let events, t = wall (fun () -> Zen.run net) in
+          ((net, events), t))
+      in
       let stats = Dataplane.Network.stats (Zen.network net) in
       (* flow-cache hit rate aggregated over every switch's table *)
       let hits, misses =
@@ -470,36 +393,6 @@ let e3 () =
         (Topo.Topology.host_count (Zen.topology net))
         stats.delivered events eps hit_pct)
     [ "ring:4"; "ring:16"; "ring:64"; "fattree:4"; "grid:6x6" ]
-
-(* CI determinism gate for the event loop: ring:16 must reproduce
-   across repeats and match the signature pinned when the wheel was
-   last checked against the heap engine (123000 events, 16000
-   delivered, no queue/TTL/policy drops) *)
-let e3_smoke () =
-  header "E3 smoke — event loop: reproducible + pinned ring:16 signature";
-  let spec = "ring:16" in
-  let best = ref infinity and sig_ = ref None in
-  for _ = 1 to 3 do
-    let net, events, t = e3_run spec in
-    let s = e3_signature net events in
-    (match !sig_ with
-     | None -> sig_ := Some s
-     | Some prev when prev <> s ->
-       pf "SMOKE FAILURE: %s not reproducible across repeats@." spec;
-       exit 1
-     | Some _ -> ());
-    if t < !best then best := t
-  done;
-  let events, delivered, forwarded, dq, dttl, dpol = Option.get !sig_ in
-  pf "%s: %d events, %d delivered, %d forwarded, drops %d/%d/%d; best %.2f ms@."
-    spec events delivered forwarded dq dttl dpol (ms !best);
-  record ~experiment:"e3-smoke" ~metric:(spec ^ "/wheel-ms") (ms !best);
-  if events <> 123000 || delivered <> 16000 || dq + dttl + dpol <> 0 then begin
-    pf "SMOKE FAILURE: %s signature moved (want 123000 events, 16000 \
-        delivered, zero drops)@." spec;
-    exit 1
-  end
-  else pf "smoke ok: reproducible across 3 repeats; pinned signature holds@."
 
 (* ------------------------------------------------------------------ *)
 (* E4 — reactive vs proactive control *)
@@ -727,13 +620,25 @@ let e7 () =
 (* ------------------------------------------------------------------ *)
 (* E8 — codec throughput *)
 
-(* the deterministic frame set shared by e8 and e8-smoke *)
+(* the deterministic frame set shared by e8 and the pooled-encode gate *)
 let e8_frames () =
   let mac i = Packet.Mac.of_host_id i and ip i = Packet.Ipv4.of_host_id i in
   Array.init 256 (fun i ->
     Packet.Frame.tcp_packet ~eth_src:(mac (i + 1)) ~eth_dst:(mac (i + 2))
       ~ip_src:(ip (i + 1)) ~ip_dst:(ip (i + 2)) ~tp_src:i ~tp_dst:80
       ~payload:(Bytes.make (64 + (i land 63)) 'x') ())
+
+(* seconds for [iters] encodes cycling over [frames], allocating each
+   result or writing into one reused scratch buffer *)
+let e8_encode_times frames iters =
+  let scratch =
+    Bytes.create
+      (Array.fold_left (fun a f -> max a (Packet.Frame.size f)) 0 frames)
+  in
+  ( time_iters iters (fun i ->
+      ignore (Packet.Codec.encode frames.(i land 255))),
+    time_iters iters (fun i ->
+      ignore (Packet.Codec.encode_into frames.(i land 255) scratch 0)) )
 
 let e8 () =
   header "E8 — wire codec throughput (packets and control messages)";
@@ -745,28 +650,10 @@ let e8 () =
   let frames = e8_frames () in
   let encoded = Array.map Packet.Codec.encode frames in
   let iters = 200_000 in
-  let (), enc_t =
-    wall (fun () ->
-      for i = 0 to iters - 1 do
-        ignore (Packet.Codec.encode frames.(i land 255))
-      done)
-  in
-  (* pooled variant: one scratch buffer reused across every frame *)
-  let scratch =
-    Bytes.create
-      (Array.fold_left (fun a f -> max a (Packet.Frame.size f)) 0 frames)
-  in
-  let (), encp_t =
-    wall (fun () ->
-      for i = 0 to iters - 1 do
-        ignore (Packet.Codec.encode_into frames.(i land 255) scratch 0)
-      done)
-  in
-  let (), dec_t =
-    wall (fun () ->
-      for i = 0 to iters - 1 do
-        ignore (Packet.Codec.decode encoded.(i land 255))
-      done)
+  let enc_t, encp_t = e8_encode_times frames iters in
+  let dec_t =
+    time_iters iters (fun i ->
+      ignore (Packet.Codec.decode encoded.(i land 255)))
   in
   let bytes =
     Array.fold_left (fun a b -> a + Bytes.length b) 0 encoded * (iters / 256)
@@ -790,25 +677,14 @@ let e8 () =
          ~actions:(Flow.Action.forward 2) ())
   in
   let fm_b = Openflow.Wire.encode ~xid:1 fm in
-  let (), ofe_t =
-    wall (fun () ->
-      for _ = 1 to iters do
-        ignore (Openflow.Wire.encode ~xid:1 fm)
-      done)
+  let ofe_t =
+    time_iters iters (fun _ -> ignore (Openflow.Wire.encode ~xid:1 fm))
   in
-  let (), ofd_t =
-    wall (fun () ->
-      for _ = 1 to iters do
-        ignore (Openflow.Wire.decode fm_b)
-      done)
-  in
+  let ofd_t = time_iters iters (fun _ -> ignore (Openflow.Wire.decode fm_b)) in
   (* a 16-message batch amortizes the wire writer's per-send cost *)
   let batch = List.init 16 (fun i -> (i + 1, fm)) in
-  let (), ofb_t =
-    wall (fun () ->
-      for _ = 1 to iters / 16 do
-        ignore (Openflow.Wire.encode_batch batch)
-      done)
+  let ofb_t =
+    time_iters (iters / 16) (fun _ -> ignore (Openflow.Wire.encode_batch batch))
   in
   let of_row name t iters_done len =
     let r = float_of_int iters_done /. t in
@@ -819,70 +695,6 @@ let e8 () =
   of_row "flow_mod encode" ofe_t iters (Bytes.length fm_b);
   of_row "flow_mod decode" ofd_t iters (Bytes.length fm_b);
   of_row "flow_mod batch16" ofb_t (iters / 16 * 16) (Bytes.length fm_b)
-
-(* CI gate for the pooled single-pass codecs: pooled output must be
-   byte-identical to the allocating path and no slower *)
-let e8_smoke () =
-  header "E8 smoke — pooled encode: byte-equality + no-slower gate";
-  let frames = e8_frames () in
-  let scratch =
-    Bytes.create
-      (Array.fold_left (fun a f -> max a (Packet.Frame.size f)) 0 frames)
-  in
-  Array.iter
-    (fun f ->
-      let reference = Packet.Codec.encode f in
-      let n = Packet.Codec.encode_into f scratch 0 in
-      if n <> Bytes.length reference
-         || not (Bytes.equal (Bytes.sub scratch 0 n) reference)
-      then begin
-        pf "SMOKE FAILURE: encode_into output differs from encode@.";
-        exit 1
-      end)
-    frames;
-  let fm =
-    Openflow.Message.Flow_mod
-      (Openflow.Message.add_flow ~priority:7 ~pattern:Flow.Pattern.any
-         ~actions:(Flow.Action.forward 1) ())
-  in
-  let single = Openflow.Wire.encode ~xid:42 fm in
-  if not (Bytes.equal (Openflow.Wire.encode_batch [ (42, fm) ]) single)
-  then begin
-    pf "SMOKE FAILURE: encode_batch singleton differs from encode@.";
-    exit 1
-  end;
-  pf "byte-equality ok: 256 frames + wire batch match the allocating path@.";
-  let iters = 100_000 in
-  let best f =
-    (* best of 3 so a GC pause cannot fail CI *)
-    let b = ref infinity in
-    for _ = 1 to 3 do
-      let (), t = wall f in
-      if t < !b then b := t
-    done;
-    !b
-  in
-  let alloc_t =
-    best (fun () ->
-      for i = 0 to iters - 1 do
-        ignore (Packet.Codec.encode frames.(i land 255))
-      done)
-  in
-  let pooled_t =
-    best (fun () ->
-      for i = 0 to iters - 1 do
-        ignore (Packet.Codec.encode_into frames.(i land 255) scratch 0)
-      done)
-  in
-  record ~experiment:"e8-smoke" ~metric:"alloc-ms" (ms alloc_t);
-  record ~experiment:"e8-smoke" ~metric:"pooled-ms" (ms pooled_t);
-  pf "allocating %.2f ms, pooled %.2f ms for %d encodes@." (ms alloc_t)
-    (ms pooled_t) iters;
-  if pooled_t > (alloc_t *. 1.25) +. 2e-3 then begin
-    pf "SMOKE FAILURE: pooled encode slower than allocating (> 1.25x + 2 ms)@.";
-    exit 1
-  end
-  else pf "smoke ok: pooled encode within the gate (<= 1.25x + 2 ms)@."
 
 (* ------------------------------------------------------------------ *)
 (* E9 — consistent updates: naive vs two-phase *)
@@ -1045,7 +857,8 @@ let e11 () =
   row "naive: 8x-duplicated ACL" (to_opt (Netkat.Naive.compile ~switch:1 dup_policy));
   let topo, _ = Topo.Gen.fat_tree ~k:4 () in
   row "naive: acl8 x routing (s9)"
-    (to_opt (Netkat.Naive.compile ~switch:9 (allowlist_policy topo 8)));
+    (to_opt
+       (Netkat.Naive.compile ~switch:9 (Scenarios.allowlist_policy topo 8)));
   row "fdd: routing fat-tree (s9)"
     (to_opt (Netkat.Local.compile ~switch:9 (Netkat.Builder.routing_policy topo)));
   row "fdd: fw8-denylist (s9)"
@@ -1308,63 +1121,6 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 (* E9-chaos — delivery and recovery under control-plane chaos *)
 
-(* tight keepalive/retransmit timers so outages are detected and
-   recovered within the 5 s scenario horizon *)
-let e9c_resilience =
-  { Controller.Runtime.echo_period = 0.05; echo_miss_limit = 3;
-    retx_timeout = 0.01; retx_backoff = 2.0; retx_cap = 0.1;
-    selective_resync = false }
-
-type e9c_result = {
-  c_trace : string list;
-  c_diverged : int list;
-  c_sent : int;
-  c_delivered : int;
-  c_retransmits : int;
-  c_resyncs : int;
-  c_recoveries : float list;
-}
-
-(* the ISSUE acceptance scenario: a 6-ring under configurable
-   control-channel chaos, one switch crash/restart and two link flaps,
-   with CBR cross-traffic throughout *)
-let e9c_run ~seed ~drop ~dup ~jitter () =
-  let topo = Topo.Gen.ring ~switches:6 ~hosts_per_switch:1 () in
-  let fault = Dataplane.Fault.create ~seed ~drop ~dup ~jitter () in
-  let net = Dataplane.Network.create ~fault topo in
-  let routing = Controller.Routing.create () in
-  let rt =
-    Controller.Runtime.create ~resilience:e9c_resilience net
-      [ Controller.Routing.app routing ]
-  in
-  Dataplane.Network.inject net
-    [ Dataplane.Fault.Switch_outage { switch_id = 3; at = 0.6; duration = 0.8 };
-      Dataplane.Fault.Link_flap
-        { node = Topo.Topology.Node.Switch 1; port = 1; at = 0.9;
-          duration = 0.5 };
-      Dataplane.Fault.Link_flap
-        { node = Topo.Topology.Node.Switch 4; port = 2; at = 1.2;
-          duration = 0.4 } ];
-  let senders =
-    List.map
-      (fun (src, dst) ->
-        Dataplane.Traffic.cbr net
-          { (Dataplane.Traffic.default_flow ~src ~dst) with
-            rate_pps = 200.0; pkt_size = 200; start = 0.1; stop = 2.5;
-            tp_src = Some 9000 })
-      [ (1, 4); (2, 5); (6, 3) ]
-  in
-  ignore (Dataplane.Network.run ~until:5.0 net ());
-  let diverged = Controller.Runtime.settle rt in
-  let rs = Controller.Runtime.resilience_stats rt in
-  { c_trace = Dataplane.Fault.events fault;
-    c_diverged = diverged;
-    c_sent = List.fold_left (fun acc s -> acc + !s) 0 senders;
-    c_delivered = (Dataplane.Network.stats net).delivered;
-    c_retransmits = rs.retransmits;
-    c_resyncs = rs.resyncs;
-    c_recoveries = Controller.Runtime.recovery_times rt }
-
 let e9_chaos () =
   header "E9-chaos — delivery and recovery under control-plane chaos";
   pf "expected shape: with a clean control channel the crash/flap scenario@.";
@@ -1377,11 +1133,11 @@ let e9_chaos () =
   pf "%s@." (String.make 86 '-');
   List.iter
     (fun (name, drop, dup, jitter) ->
-      let r = e9c_run ~seed:1005 ~drop ~dup ~jitter () in
-      let ratio =
-        if r.c_sent = 0 then 0.0
-        else float_of_int r.c_delivered /. float_of_int r.c_sent
+      let r =
+        Scenarios.chaos_ring ~flaps:true
+          (Dataplane.Fault.create ~seed:1005 ~drop ~dup ~jitter ())
       in
+      let ratio = Scenarios.delivery_ratio r in
       let p50 =
         match r.c_recoveries with
         | [] -> 0.0
@@ -1399,47 +1155,6 @@ let e9_chaos () =
     [ ("zero-chaos", 0.0, 0.0, 0.0);
       ("drop-10", 0.1, 0.0, 0.0);
       ("drop-20-dup-5-jit-1ms", 0.2, 0.05, 1e-3) ]
-
-let e9_smoke () =
-  header "E9 smoke — chaos determinism + reconvergence + delivery floor";
-  let run () = e9c_run ~seed:1005 ~drop:0.2 ~dup:0.05 ~jitter:1e-3 () in
-  let a = run () in
-  let b = run () in
-  let ratio =
-    if a.c_sent = 0 then 0.0
-    else float_of_int a.c_delivered /. float_of_int a.c_sent
-  in
-  pf "seed 1005: sent %d, delivered %d (%.1f%%), %d retx, %d resyncs, \
-      %d recoveries, trace %d events@."
-    a.c_sent a.c_delivered (100.0 *. ratio) a.c_retransmits a.c_resyncs
-    (List.length a.c_recoveries) (List.length a.c_trace);
-  record ~experiment:"e9-smoke" ~metric:"delivery-pct" (100.0 *. ratio);
-  record ~experiment:"e9-smoke" ~metric:"retransmits"
-    (float_of_int a.c_retransmits);
-  if
-    a.c_trace <> b.c_trace || a.c_sent <> b.c_sent
-    || a.c_delivered <> b.c_delivered || a.c_retransmits <> b.c_retransmits
-    || a.c_resyncs <> b.c_resyncs
-  then begin
-    pf "SMOKE FAILURE: same seed produced different runs@.";
-    exit 1
-  end;
-  if a.c_diverged <> [] then begin
-    pf "SMOKE FAILURE: switches %s diverged from intended state@."
-      (String.concat ", " (List.map string_of_int a.c_diverged));
-    exit 1
-  end;
-  if a.c_retransmits < 1 || a.c_resyncs < 1 || a.c_recoveries = [] then begin
-    pf "SMOKE FAILURE: chaos did not exercise the resilience path@.";
-    exit 1
-  end;
-  if ratio <= 0.5 then begin
-    pf "SMOKE FAILURE: delivery ratio %.2f below the 0.5 floor@." ratio;
-    exit 1
-  end;
-  pf "smoke ok: byte-identical trace across runs, reconverged, \
-      delivery %.1f%% above the floor@."
-    (100.0 *. ratio)
 
 (* ------------------------------------------------------------------ *)
 (* E15 — sharded parallel simulation: throughput + pinned equivalence *)
@@ -1492,7 +1207,7 @@ let e15_run_single spec ~flows ~rate_pps ~stop =
   let events, t =
     wall (fun () -> Dataplane.Network.run ~until:(e15_until stop) net ())
   in
-  (Dataplane.Shard.net_signature topo [ net ], events, t)
+  ((Dataplane.Shard.net_signature topo [ net ], events), t)
 
 let e15_run_sharded spec ~shards ~flows ~rate_pps ~stop =
   let topo = Topo.Gen.of_spec spec in
@@ -1508,7 +1223,7 @@ let e15_run_sharded spec ~shards ~flows ~rate_pps ~stop =
     wall (fun () -> Dataplane.Shard.run ~until:(e15_until stop) ~pool t)
   in
   Util.Pool.shutdown pool;
-  (Dataplane.Shard.signature t, events, wall_t, t)
+  ((Dataplane.Shard.signature t, events, t), wall_t)
 
 let e15 () =
   header "E15 — sharded parallel simulation: events/s vs shard count";
@@ -1532,8 +1247,8 @@ let e15 () =
   pf "%s@." (String.make 84 '-');
   List.iter
     (fun (spec, flows, rate_pps, stop, shard_counts) ->
-      let ref_sig, ref_events, ref_t =
-        e15_run_single spec ~flows ~rate_pps ~stop
+      let (ref_sig, ref_events), ref_t =
+        best_of 3 (fun () -> e15_run_single spec ~flows ~rate_pps ~stop)
       in
       pf "%-12s %8d %7s | %10d %12.0f %9s %8s %7s@." spec flows "-" ref_events
         (float_of_int ref_events /. ref_t) "-" "-" "-";
@@ -1541,8 +1256,9 @@ let e15 () =
         (float_of_int ref_events /. ref_t);
       List.iter
         (fun shards ->
-          let s, events, wall_t, t =
-            e15_run_sharded spec ~shards ~flows ~rate_pps ~stop
+          let (s, events, t), wall_t =
+            best_of 3 (fun () ->
+              e15_run_sharded spec ~shards ~flows ~rate_pps ~stop)
           in
           let equal = s = ref_sig in
           pf "%-12s %8d %7d | %10d %12.0f %9d %8d %7s@." spec flows shards
@@ -1562,119 +1278,8 @@ let e15 () =
         shard_counts)
     rows
 
-(* CI gate for the sharded simulator: a 2-shard run must produce the
-   byte-identical observable signature of the single-domain engine, and
-   the 1-shard sharded path must not be slower than the plain engine
-   beyond scheduling headroom (the acceptance bound is 1.1x on a quiet
-   multicore host; the gate allows 1.25x + 2 ms so CI noise and
-   single-CPU runners cannot flake it) *)
-let e15_smoke () =
-  header "E15 smoke — sharded simulation: equality + no-slower gate";
-  let spec = "fattree:4" and flows = 50 and rate_pps = 500.0 and stop = 0.2 in
-  let best_single () =
-    let best = ref None in
-    for _ = 1 to 3 do
-      let (_, _, t) as r = e15_run_single spec ~flows ~rate_pps ~stop in
-      match !best with
-      | Some (_, _, t') when t' <= t -> ()
-      | _ -> best := Some r
-    done;
-    Option.get !best
-  in
-  let best_sharded ~shards =
-    let best = ref None in
-    for _ = 1 to 3 do
-      let s, e, t, _ = e15_run_sharded spec ~shards ~flows ~rate_pps ~stop in
-      match !best with
-      | Some (_, _, t') when t' <= t -> ()
-      | _ -> best := Some (s, e, t)
-    done;
-    Option.get !best
-  in
-  let ref_sig, ref_events, single_t = best_single () in
-  let one_sig, _, one_t = best_sharded ~shards:1 in
-  let two_sig, two_events, two_t = best_sharded ~shards:2 in
-  pf "%s: single %d events in %.2f ms; 1-shard %.2f ms; 2-shard %d events \
-      in %.2f ms@."
-    spec ref_events (ms single_t) (ms one_t) two_events (ms two_t);
-  record ~experiment:"e15-smoke" ~metric:(spec ^ "/single-ms") (ms single_t);
-  record ~experiment:"e15-smoke" ~metric:(spec ^ "/shard-1-ms") (ms one_t);
-  record ~experiment:"e15-smoke" ~metric:(spec ^ "/shard-2-ms") (ms two_t);
-  record ~experiment:"e15-smoke" ~metric:(spec ^ "/shard-1-overhead-x")
-    (one_t /. single_t);
-  if two_sig <> ref_sig then begin
-    pf "SMOKE FAILURE: 2-shard signature diverges from single-domain@.";
-    exit 1
-  end;
-  if one_sig <> ref_sig then begin
-    pf "SMOKE FAILURE: 1-shard signature diverges from single-domain@.";
-    exit 1
-  end;
-  if one_t > (single_t *. 1.25) +. 2e-3 then begin
-    pf "SMOKE FAILURE: 1-shard path took %.2f ms vs single-domain %.2f ms \
-        (> 1.25x + 2 ms)@."
-      (ms one_t) (ms single_t);
-    exit 1
-  end
-  else
-    pf "smoke ok: byte-identical signatures at 1 and 2 shards; 1-shard \
-        overhead %.2fx within the gate (<= 1.25x + 2 ms)@."
-      (one_t /. single_t)
-
 (* ------------------------------------------------------------------ *)
 (* E16 — link-level data chaos: route-around-crash + selective resync *)
-
-(* tight control timers as in E9-chaos so the crash is detected and
-   routed around well inside the scenario horizon *)
-let e16_resilience ~selective =
-  { Controller.Runtime.echo_period = 0.05; echo_miss_limit = 3;
-    retx_timeout = 0.01; retx_backoff = 2.0; retx_cap = 0.1;
-    selective_resync = selective }
-
-type e16_result = {
-  l_trace : string list;
-  l_sent : int;
-  l_delivered : int;
-  l_chaos : int * int * int;  (* dropped, corrupted, reordered *)
-  l_reroutes : int;
-  l_diverged : int list;
-}
-
-(* a 6-ring under per-link data chaos with one switch crash mid-run:
-   keepalives declare the switch down, routing recomputes around the
-   dead node, and the restart re-handshakes and resyncs *)
-let e16_run ~seed ~link_drop ~link_corrupt ~link_reorder () =
-  let topo = Topo.Gen.ring ~switches:6 ~hosts_per_switch:1 () in
-  let fault =
-    Dataplane.Fault.create ~seed ~link_drop ~link_corrupt ~link_reorder ()
-  in
-  let net = Dataplane.Network.create ~fault topo in
-  let routing = Controller.Routing.create () in
-  let rt =
-    Controller.Runtime.create ~resilience:(e16_resilience ~selective:false)
-      net
-      [ Controller.Routing.app routing ]
-  in
-  Dataplane.Network.inject net
-    [ Dataplane.Fault.Switch_outage { switch_id = 3; at = 0.6; duration = 0.8 } ];
-  let senders =
-    List.map
-      (fun (src, dst) ->
-        Dataplane.Traffic.cbr net
-          { (Dataplane.Traffic.default_flow ~src ~dst) with
-            rate_pps = 200.0; pkt_size = 200; start = 0.1; stop = 2.5;
-            tp_src = Some 9000 })
-      [ (1, 4); (2, 5); (6, 3) ]
-  in
-  ignore (Dataplane.Network.run ~until:5.0 net ());
-  let s = Dataplane.Network.stats net in
-  let diverged = Controller.Runtime.diverged rt in
-  { l_trace = Dataplane.Fault.events fault;
-    l_sent = List.fold_left (fun acc se -> acc + !se) 0 senders;
-    l_delivered = s.delivered;
-    l_chaos = (s.dropped_chaos, s.corrupted, s.reordered);
-    l_reroutes = Controller.Routing.reroutes routing;
-    l_diverged = diverged }
 
 (* a control-channel partition of a live switch keeps its table warm:
    the selective path snapshots the table over the unreliable channel
@@ -1682,12 +1287,14 @@ let e16_run ~seed ~link_drop ~link_corrupt ~link_reorder () =
    Returns the resilience stats so callers can compare the measured
    selective bytes with the full-repush baseline priced on the same
    shadow table. *)
-let e16_resync_bytes ~rules ~selective =
+let e16_resync_bytes ~rules =
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
   let net = Dataplane.Network.create topo in
   let routing = Controller.Routing.create () in
   let rt =
-    Controller.Runtime.create ~resilience:(e16_resilience ~selective) net
+    Controller.Runtime.create
+      ~resilience:{ Scenarios.fast_resilience with selective_resync = true }
+      net
       [ Controller.Routing.app routing ]
   in
   let ctx = Controller.Runtime.ctx rt in
@@ -1716,19 +1323,20 @@ let e16 () =
   pf "%s@." (String.make 94 '-');
   List.iter
     (fun (name, link_drop, link_corrupt, link_reorder) ->
-      let r = e16_run ~seed:4242 ~link_drop ~link_corrupt ~link_reorder () in
-      let drops, corrupts, reorders = r.l_chaos in
-      let ratio =
-        if r.l_sent = 0 then 0.0
-        else float_of_int r.l_delivered /. float_of_int r.l_sent
+      let r =
+        Scenarios.chaos_ring ~flaps:false
+          (Dataplane.Fault.create ~seed:4242 ~link_drop ~link_corrupt
+             ~link_reorder ())
       in
-      pf "%-28s | %7d %9d %6.1f%% %7d %7d %7d %4d %5s@." name r.l_sent
-        r.l_delivered (100.0 *. ratio) drops corrupts reorders r.l_reroutes
-        (if r.l_diverged = [] then "yes" else "NO");
+      let drops, corrupts, reorders = r.c_link_chaos in
+      let ratio = Scenarios.delivery_ratio r in
+      pf "%-28s | %7d %9d %6.1f%% %7d %7d %7d %4d %5s@." name r.c_sent
+        r.c_delivered (100.0 *. ratio) drops corrupts reorders r.c_reroutes
+        (if r.c_diverged = [] then "yes" else "NO");
       record ~experiment:"e16" ~metric:(name ^ "/delivery-pct")
         (100.0 *. ratio);
       record ~experiment:"e16" ~metric:(name ^ "/reroutes")
-        (float_of_int r.l_reroutes))
+        (float_of_int r.c_reroutes))
     [ ("clean", 0.0, 0.0, 0.0);
       ("link-drop-5", 0.05, 0.0, 0.0);
       ("drop-10-corrupt-2-reorder-5", 0.1, 0.02, 0.05) ];
@@ -1739,7 +1347,7 @@ let e16 () =
   pf "%s@." (String.make 52 '-');
   List.iter
     (fun rules ->
-      let rs = e16_resync_bytes ~rules ~selective:true in
+      let rs = e16_resync_bytes ~rules in
       let saving =
         100.0
         *. (1.0
@@ -1753,187 +1361,8 @@ let e16 () =
         saving)
     [ 100; 1000 ]
 
-(* CI gate: the chaotic run must be byte-identical across same-seed
-   replays, the crash must be routed around with full reconvergence and
-   a delivery floor, and selective resync must beat the full-repush
-   baseline on a 1000-rule warm table *)
-let e16_smoke () =
-  header "E16 smoke — link-chaos determinism + route-around + resync saving";
-  (* rates are per link and compound across the ring's multi-hop paths:
-     7% drop+corrupt per link is ~30% end-to-end on a 5-link path,
-     leaving headroom above the 0.5 delivery floor *)
-  let run () =
-    e16_run ~seed:4242 ~link_drop:0.05 ~link_corrupt:0.02 ~link_reorder:0.05 ()
-  in
-  let a = run () in
-  let b = run () in
-  let drops, corrupts, reorders = a.l_chaos in
-  let ratio =
-    if a.l_sent = 0 then 0.0
-    else float_of_int a.l_delivered /. float_of_int a.l_sent
-  in
-  pf "seed 4242: sent %d, delivered %d (%.1f%%), %d/%d/%d \
-      drop/corrupt/reorder, %d reroutes, trace %d events@."
-    a.l_sent a.l_delivered (100.0 *. ratio) drops corrupts reorders
-    a.l_reroutes (List.length a.l_trace);
-  record ~experiment:"e16-smoke" ~metric:"delivery-pct" (100.0 *. ratio);
-  record ~experiment:"e16-smoke" ~metric:"reroutes"
-    (float_of_int a.l_reroutes);
-  if
-    a.l_trace <> b.l_trace || a.l_sent <> b.l_sent
-    || a.l_delivered <> b.l_delivered || a.l_chaos <> b.l_chaos
-    || a.l_reroutes <> b.l_reroutes
-  then begin
-    pf "SMOKE FAILURE: same seed produced different runs@.";
-    exit 1
-  end;
-  if drops = 0 || corrupts = 0 || reorders = 0 then begin
-    pf "SMOKE FAILURE: a link-chaos verdict kind never fired@.";
-    exit 1
-  end;
-  if a.l_reroutes < 1 then begin
-    pf "SMOKE FAILURE: the crash was never routed around@.";
-    exit 1
-  end;
-  if a.l_diverged <> [] then begin
-    pf "SMOKE FAILURE: switches %s diverged from intended state@."
-      (String.concat ", " (List.map string_of_int a.l_diverged));
-    exit 1
-  end;
-  if ratio <= 0.5 then begin
-    pf "SMOKE FAILURE: delivery ratio %.2f below the 0.5 floor@." ratio;
-    exit 1
-  end;
-  let rs = e16_resync_bytes ~rules:1000 ~selective:true in
-  record ~experiment:"e16-smoke" ~metric:"resync-selective-bytes"
-    (float_of_int rs.resync_bytes_selective);
-  record ~experiment:"e16-smoke" ~metric:"resync-full-bytes"
-    (float_of_int rs.resync_bytes_full);
-  if rs.selective_resyncs < 1 then begin
-    pf "SMOKE FAILURE: control partition never triggered a selective \
-        resync@.";
-    exit 1
-  end;
-  if
-    not
-      (rs.resync_bytes_selective > 0
-       && rs.resync_bytes_selective < rs.resync_bytes_full)
-  then begin
-    pf "SMOKE FAILURE: selective resync (%d B) did not beat the \
-        full-repush baseline (%d B)@."
-      rs.resync_bytes_selective rs.resync_bytes_full;
-    exit 1
-  end;
-  pf "smoke ok: byte-identical chaos trace, crash routed around, \
-      reconverged, delivery %.1f%% above the floor, selective resync \
-      %d B vs %d B full@."
-    (100.0 *. ratio) rs.resync_bytes_selective rs.resync_bytes_full
-
 (* ------------------------------------------------------------------ *)
 (* E17 — delta recompilation under policy churn *)
-
-(* One churn edit: a switch-scoped deny guard (drop dst-host traffic to
-   one TCP port at one switch) composed in front of the current policy,
-   [Seq (guard, pol)].  The guard touches exactly one switch:
-   restricting the composed diagram to any other switch hash-conses
-   back to the unedited node, which is what the delta layer's uid
-   comparison detects. *)
-let e17_guard ~sw ~mac ~port =
-  Netkat.Syntax.filter
-    (Netkat.Syntax.Not
-       (Netkat.Syntax.conj
-          (Netkat.Syntax.test Packet.Fields.Switch sw)
-          (Netkat.Syntax.conj
-             (Netkat.Syntax.test Packet.Fields.Eth_dst mac)
-             (Netkat.Syntax.test Packet.Fields.Tp_dst port))))
-
-(* seeded (switch, dst-mac, port) churn trace *)
-let e17_edits ~seed ~edits topo =
-  let prng = Util.Prng.create seed in
-  let switches = Array.of_list (Topo.Topology.switch_ids topo) in
-  let hosts = Array.of_list (Topo.Topology.host_ids topo) in
-  List.init edits (fun i ->
-    let sw = switches.(Util.Prng.int prng (Array.length switches)) in
-    let h = hosts.(Util.Prng.int prng (Array.length hosts)) in
-    (sw, Packet.Mac.of_host_id h, 1024 + i))
-
-let e17_apply_edit pol (sw, mac, port) =
-  Netkat.Syntax.seq (e17_guard ~sw ~mac ~port) pol
-
-(* branch nodes the hash-cons table holds: an edit's compile cost as a
-   deterministic count *)
-let e17_branches () =
-  let _, branches, _, _ = Netkat.Fdd.cache_stats () in
-  branches
-
-(* e17-smoke's bound on new branch nodes per k=4 edit: a compile that
-   sequences the guard with the whole base measured 607, one that stops
-   at the guarded switch's case 54 *)
-let e17_branch_gate = 120
-
-let e17_batch_bytes msgs =
-  Bytes.length
-    (Openflow.Wire.encode_batch (List.mapi (fun i m -> (i + 1, m)) msgs))
-
-(* wire bytes of a full re-push: per switch, delete-all + every rule +
-   barrier (what replacing every table would put on the channel) *)
-let e17_full_bytes snapshot switches =
-  List.fold_left
-    (fun acc sw ->
-      let rules =
-        Option.value ~default:[] (Netkat.Delta.find snapshot sw)
-      in
-      let msgs =
-        Openflow.Message.Flow_mod
-          (Openflow.Message.delete_flow ~pattern:Flow.Pattern.any ())
-        :: List.map
-             (fun (r : Netkat.Local.rule) ->
-               Openflow.Message.Flow_mod
-                 (Openflow.Message.add_flow ~priority:r.priority
-                    ~pattern:r.pattern ~actions:r.actions ()))
-             rules
-        @ [ Openflow.Message.Barrier_request ]
-      in
-      acc + e17_batch_bytes msgs)
-    0 switches
-
-(* wire bytes of the delta push: adds + strict deletes + barrier, only
-   to the switches that changed *)
-let e17_delta_bytes (result : Netkat.Delta.result) =
-  List.fold_left
-    (fun acc (_, change) ->
-      match (change : Netkat.Delta.change) with
-      | Netkat.Delta.Unchanged -> acc
-      | Netkat.Delta.Changed { adds; deletes; _ } ->
-        if adds = [] && deletes = [] then acc
-        else
-          acc
-          + e17_batch_bytes
-              (Controller.Api.delta_flow_mods ~adds ~deletes ()
-               @ [ Openflow.Message.Barrier_request ]))
-    0 result.changes
-
-(* per-switch (priority, pattern, actions) triples of the live tables *)
-let e17_tables net switches =
-  List.map
-    (fun sw ->
-      ( sw,
-        List.map
-          (fun (r : Flow.Table.rule) -> (r.priority, r.pattern, r.actions))
-          (Flow.Table.rules
-             (Dataplane.Network.switch (Zen.network net) sw).table) ))
-    switches
-
-(* the same triples from a from-scratch compile (no previous snapshot) *)
-let e17_scratch_tables fdd switches =
-  let snap = (Netkat.Delta.compile ~switches None fdd).snapshot in
-  List.map
-    (fun sw ->
-      ( sw,
-        List.map
-          (fun (r : Netkat.Local.rule) -> (r.priority, r.pattern, r.actions))
-          (Option.value ~default:[] (Netkat.Delta.find snap sw)) ))
-    switches
 
 (* one timed install of [fdd] into [net]; drains GC debt from the
    (untimed) FDD composition first so collector slices don't land inside
@@ -1959,15 +1388,17 @@ let e17_timed_run ~k ~seed ~edits =
   let lat =
     List.map
       (fun edit ->
-        pol := e17_apply_edit !pol edit;
+        pol := Scenarios.apply_edit !pol edit;
         Gc.major ();
         let next, compile = wall (fun () -> Netkat.Fdd.of_policy !pol) in
         let delta = e17_time_install net next in
         let fresh = e17_time_install (Zen.create topo) next in
-        if e17_tables net switches <> e17_scratch_tables next switches then
+        if Scenarios.live_tables net switches
+           <> Scenarios.scratch_tables next switches
+        then
           equal := false;
         (compile, fresh, delta))
-      (e17_edits ~seed ~edits topo)
+      (Scenarios.churn_edits ~seed ~edits topo)
   in
   ( initial, List.length switches,
     List.map (fun (c, _, _) -> c) lat,
@@ -1975,50 +1406,31 @@ let e17_timed_run ~k ~seed ~edits =
     List.map (fun (_, _, d) -> d) lat,
     !equal )
 
-(* pure accounting pass: flow-mod bytes, mods and skip counts per edit *)
-let e17_accounting ~k ~seed ~edits =
-  Netkat.Fdd.clear_cache ();
-  let topo, _ = Topo.Gen.fat_tree ~k () in
-  let switches = Topo.Topology.switch_ids topo in
-  let base = Netkat.Builder.routing_policy topo in
-  let r0 = Netkat.Delta.compile ~switches None (Netkat.Fdd.of_policy base) in
-  let snap = ref r0.snapshot in
-  let pol = ref base in
-  let full_b = ref 0 and delta_b = ref 0 and mods = ref 0 and skipped = ref 0 in
-  List.iter
-    (fun edit ->
-      pol := e17_apply_edit !pol edit;
-      let result =
-        Netkat.Delta.compile ~switches (Some !snap) (Netkat.Fdd.of_policy !pol)
-      in
-      full_b := !full_b + e17_full_bytes result.snapshot switches;
-      delta_b := !delta_b + e17_delta_bytes result;
-      mods := !mods + result.n_adds + result.n_deletes;
-      skipped := !skipped + result.skipped;
-      snap := result.snapshot)
-    (e17_edits ~seed ~edits topo);
-  (Netkat.Delta.total_rules !snap, !full_b, !delta_b, !mods, !skipped)
-
 (* the headline single-rule-edit latency: one seeded edit applied to a
    freshly-installed deployment, against installing the edited policy on
    a fresh network; best of [rounds] each (fresh state every round — a
-   repeated delta edit would be a no-op).  Returns (fresh, delta). *)
+   repeated delta edit would be a no-op — shared by both timings).
+   Returns (fresh, delta). *)
 let e17_single ~k ~seed ~rounds =
-  let best_f = ref infinity and best_d = ref infinity in
-  for _ = 1 to rounds do
-    Netkat.Fdd.clear_cache ();
-    let topo, _ = Topo.Gen.fat_tree ~k () in
-    let base = Netkat.Builder.routing_policy topo in
-    let net = Zen.create topo in
-    ignore (Zen.install_fdd net (Netkat.Fdd.of_policy base));
-    let next =
-      Netkat.Fdd.of_policy
-        (e17_apply_edit base (List.hd (e17_edits ~seed ~edits:1 topo)))
-    in
-    best_d := Float.min !best_d (e17_time_install net next);
-    best_f := Float.min !best_f (e17_time_install (Zen.create topo) next)
-  done;
-  (!best_f, !best_d)
+  let runs =
+    List.init rounds (fun _ ->
+      Netkat.Fdd.clear_cache ();
+      let topo, _ = Topo.Gen.fat_tree ~k () in
+      let base = Netkat.Builder.routing_policy topo in
+      let net = Zen.create topo in
+      ignore (Zen.install_fdd net (Netkat.Fdd.of_policy base));
+      let next =
+        Netkat.Fdd.of_policy
+          (Scenarios.apply_edit base
+             (List.hd (Scenarios.churn_edits ~seed ~edits:1 topo)))
+      in
+      let delta = e17_time_install net next in
+      (e17_time_install (Zen.create topo) next, delta))
+  in
+  let best pick =
+    List.fold_left (fun t r -> Float.min t (pick r)) infinity runs
+  in
+  (best fst, best snd)
 
 let e17_scale ~k ~edits ~seed =
   let nick = Printf.sprintf "fattree-k%d" k in
@@ -2026,7 +1438,7 @@ let e17_scale ~k ~edits ~seed =
     e17_timed_run ~k ~seed ~edits
   in
   let total_rules, full_b, delta_b, mods, skipped =
-    e17_accounting ~k ~seed ~edits
+    Scenarios.churn_accounting ~k ~seed ~edits
   in
   let stats lat =
     ( List.fold_left ( +. ) 0.0 lat,
@@ -2098,139 +1510,8 @@ let e17 () =
   in
   if not (ok8 && ok16) then pf "WARNING: table equivalence violated@."
 
-let e17_smoke () =
-  header "E17 smoke — delta ≡ scratch churn trace + latency/byte gates";
-  (* gate 1: k=4 seeded churn trace, delta-maintained tables equal a
-     from-scratch compile at every step *)
-  let k = 4 and edits = 8 and seed = 7 in
-  Netkat.Fdd.clear_cache ();
-  let topo, _ = Topo.Gen.fat_tree ~k () in
-  let switches = Topo.Topology.switch_ids topo in
-  let base = Netkat.Builder.routing_policy topo in
-  let net = Zen.create topo in
-  ignore (Zen.install_fdd net (Netkat.Fdd.of_policy base));
-  let pol = ref base and new_branches = ref 0 in
-  List.iteri
-    (fun i edit ->
-      pol := e17_apply_edit !pol edit;
-      let before = e17_branches () in
-      let next = Netkat.Fdd.of_policy !pol in
-      new_branches := !new_branches + e17_branches () - before;
-      ignore (Zen.install_fdd net next);
-      if e17_tables net switches <> e17_scratch_tables next switches then begin
-        pf "SMOKE FAILURE: tables diverge from a from-scratch compile after \
-            edit %d@."
-          (i + 1);
-        exit 1
-      end)
-    (e17_edits ~seed ~edits topo);
-  pf "churn trace: %d edits on fattree-k%d, tables equal a from-scratch \
-      compile at every step@."
-    edits k;
-  (* gate 4: compile cost per edit as a deterministic count — branch
-     nodes the edit's of_policy adds to the hash-cons table.  A compile
-     that rebuilds the base diagram behind the guard adds hundreds *)
-  let per_edit = !new_branches / edits in
-  pf "compile cost (k=%d): %d new branch nodes per edit (gate <= %d)@." k
-    per_edit e17_branch_gate;
-  record ~experiment:"e17-smoke" ~metric:"k4-branches-per-edit"
-    (float_of_int per_edit);
-  if per_edit > e17_branch_gate then begin
-    pf "SMOKE FAILURE: an edit added %d branch nodes (> %d)@." per_edit
-      e17_branch_gate;
-    exit 1
-  end;
-  (* gate 2: single-edit latency, best of 3 — a delta edit must not be
-     slower than 1.25x installing on a fresh network (+2 ms scheduling
-     noise allowance) *)
-  let fresh_t, delta_t = e17_single ~k ~seed ~rounds:3 in
-  pf "single edit (k=%d, best of 3): fresh install %.3f ms, delta %.3f ms@." k
-    (ms fresh_t) (ms delta_t);
-  record ~experiment:"e17-smoke" ~metric:"single-edit-fresh-ms" (ms fresh_t);
-  record ~experiment:"e17-smoke" ~metric:"single-edit-delta-ms" (ms delta_t);
-  if delta_t > (fresh_t *. 1.25) +. 2e-3 then begin
-    pf "SMOKE FAILURE: delta single edit took %.3f ms vs fresh install %.3f \
-        ms (> 1.25x + 2 ms)@."
-      (ms delta_t) (ms fresh_t);
-    exit 1
-  end;
-  (* gate 3: 1 edit on a >=4000-rule fat-tree k=8 deployment must move
-     >=2x fewer flow-mod bytes than the full re-push *)
-  let total_rules, full_b, delta_b, _, skipped =
-    e17_accounting ~k:8 ~seed:42 ~edits:1
-  in
-  pf "1-edit byte gate (k=8): %d rules deployed, full %d B vs delta %d B \
-      (%d switches skipped)@."
-    total_rules full_b delta_b skipped;
-  record ~experiment:"e17-smoke" ~metric:"k8-full-bytes" (float_of_int full_b);
-  record ~experiment:"e17-smoke" ~metric:"k8-delta-bytes"
-    (float_of_int delta_b);
-  if total_rules < 4000 then begin
-    pf "SMOKE FAILURE: k=8 deployment only has %d rules (< 4000)@."
-      total_rules;
-    exit 1
-  end;
-  if delta_b * 2 > full_b then begin
-    pf "SMOKE FAILURE: delta moved %d B vs full %d B (< 2x reduction)@."
-      delta_b full_b;
-    exit 1
-  end;
-  pf "smoke ok: equality at every step, single-edit %.2fx of a fresh \
-      install (gate <= 1.25x + 2 ms), byte reduction %.0fx (gate >= 2x), \
-      %d new branch nodes per edit (gate <= %d)@."
-    (delta_t /. fresh_t)
-    (float_of_int full_b /. float_of_int (max 1 delta_b))
-    per_edit e17_branch_gate
-
 (* ------------------------------------------------------------------ *)
 (* E18 — adaptive window sizing vs the fixed min-lookahead barrier *)
-
-(* [sites] 2-spine/2-leaf fat-tree cells (10 us links, 2 hosts per
-   leaf), spines joined site-to-site: sites 0-1 by a 20 us metro link,
-   every other pair long-haul at 1 ms.  Switch ids are contiguous per
-   site, so the block partition maps one site per shard and the shard
-   quotient distances are heterogeneous: the global min lookahead is
-   the idle metro pair's 20 us, while a loaded long-haul site can run
-   ~1 ms ahead before anything it posts can come back. *)
-let e18_topo ~sites () =
-  let topo = Topo.Topology.create () in
-  let sw s i = Topo.Topology.Node.Switch ((s * 4) + i + 1) in
-  for s = 0 to sites - 1 do
-    for spine = 0 to 1 do
-      for leaf = 2 to 3 do
-        Topo.Gen.connect topo (sw s spine) (sw s leaf)
-      done
-    done
-  done;
-  let next_host = ref 1 in
-  for s = 0 to sites - 1 do
-    for leaf = 2 to 3 do
-      for _ = 1 to 2 do
-        let h = Topo.Topology.Node.Host !next_host in
-        incr next_host;
-        Topo.Gen.connect topo (sw s leaf) h
-      done
-    done
-  done;
-  for a = 0 to sites - 1 do
-    for b = a + 1 to sites - 1 do
-      let delay = if a = 0 && b = 1 then 20e-6 else 1e-3 in
-      Topo.Gen.connect ~delay topo (sw a 0) (sw b 0)
-    done
-  done;
-  topo
-
-(* intra-site flow mix on the 37 us stagger lattice: no two chains ever
-   share a timestamp, the precondition for exact equivalence *)
-let e18_site_flows ~site ~flows ~rate_pps ~start ~stop =
-  let h i = (site * 4) + i + 1 in
-  let pairs = [| (0, 2); (1, 3); (2, 0); (3, 1); (0, 3); (1, 2) |] in
-  List.init flows (fun i ->
-    let a, b = pairs.(i mod Array.length pairs) in
-    { (Dataplane.Traffic.default_flow ~src:(h a) ~dst:(h b)) with
-      rate_pps; pkt_size = 200;
-      start = start +. (float_of_int i *. 37e-6);
-      stop })
 
 (* dense chains in the [dense] sites, a trickle in the [light] ones,
    silence elsewhere: a uniform barrier would step the whole fabric at
@@ -2239,12 +1520,12 @@ let e18_site_flows ~site ~flows ~rate_pps ~start ~stop =
 let e18_specs ~dense ~light ~stop =
   List.concat_map
     (fun site ->
-      e18_site_flows ~site ~flows:6 ~rate_pps:5000.0
+      Scenarios.site_flows ~site ~flows:6 ~rate_pps:5000.0
         ~start:(0.0107 +. (float_of_int site *. 13e-6)) ~stop)
     dense
   @ List.concat_map
       (fun site ->
-        e18_site_flows ~site ~flows:2 ~rate_pps:500.0
+        Scenarios.site_flows ~site ~flows:2 ~rate_pps:500.0
           ~start:(0.0131 +. (float_of_int site *. 13e-6)) ~stop)
       light
 
@@ -2263,7 +1544,7 @@ let e18_chaos seed =
     ~link_reorder:0.05 ()
 
 let e18_run ~sites ~dense ~light ~stop ~until ?chaos how =
-  let topo = e18_topo ~sites () in
+  let topo = Scenarios.multi_site_topo ~sites () in
   let specs = e18_specs ~dense ~light ~stop in
   match how with
   | `Single ->
@@ -2301,31 +1582,7 @@ let e18_run ~sites ~dense ~light ~stop ~until ?chaos how =
    flap, tables must converge to the controller's intended state *)
 let e18_ctl_run how =
   let topo = fst (Topo.Gen.fat_tree ~k:4 ()) in
-  let host_ids = Array.of_list (Topo.Topology.host_ids topo) in
-  let n = Array.length host_ids in
-  let specs =
-    List.init (n / 2) (fun i ->
-      { (Dataplane.Traffic.default_flow ~src:host_ids.(i)
-           ~dst:host_ids.(n - 1 - i))
-        with
-        rate_pps = 1000.0; pkt_size = 200;
-        start = 0.0307 +. (float_of_int i *. 37e-6);
-        stop = 0.15 })
-  in
-  let flap =
-    List.find_map
-      (fun (l : Topo.Topology.link) ->
-        if Topo.Topology.Node.is_switch l.src
-           && Topo.Topology.Node.is_switch l.dst
-        then
-          Some
-            (Dataplane.Fault.Link_flap
-               { node = l.src; port = l.src_port; at = 0.057;
-                 duration = 0.043 })
-        else None)
-      (Topo.Topology.links topo)
-    |> Option.to_list
-  in
+  let specs = Scenarios.ctl_specs topo and flap = Scenarios.ctl_flap topo in
   let until = 0.25 in
   let rule_key (r : Flow.Table.rule) = (r.priority, r.pattern, r.actions) in
   match how with
@@ -2442,157 +1699,8 @@ let e18 () =
       rounds@."
     del_p ctl_p ctl_s ctl_p rounds_p
 
-(* the 2-site bounds are the uniform [m + L] window's counts on this
-   fabric, measured before that window mode was deleted: 1574 rounds
-   and 1479 stalls.  Adaptive windows must stay within 0.6x of those
-   rounds (<= 944) and strictly below those stalls. *)
-let e18_smoke () =
-  header "E18 smoke — adaptive windows: equality + round/stall gate";
-  let sites = 2 and stop = 0.05 in
-  let until = 0.06 in
-  let e18_run ~sites ~stop ~until how =
-    e18_run ~sites ~dense:[ 0 ] ~light:[ 1 ] ~stop ~until how
-  in
-  let single = e18_run ~sites ~stop ~until `Single in
-  let adaptive = e18_run ~sites ~stop ~until (`Sharded 2) in
-  pf "2-site fabric: single %d events; adaptive %d rounds / %d stalls@."
-    single.e_events adaptive.e_rounds adaptive.e_stalls;
-  record ~experiment:"e18-smoke" ~metric:"adaptive-rounds"
-    (float_of_int adaptive.e_rounds);
-  record ~experiment:"e18-smoke" ~metric:"adaptive-stalls"
-    (float_of_int adaptive.e_stalls);
-  if adaptive.e_sig <> single.e_sig then begin
-    pf "SMOKE FAILURE: adaptive-window sharded run diverged@.";
-    exit 1
-  end;
-  if adaptive.e_rounds > 944 || adaptive.e_stalls >= 1479 then begin
-    pf "SMOKE FAILURE: adaptive took %d rounds / %d stalls (gate: rounds \
-        <= 944, stalls < 1479)@."
-      adaptive.e_rounds adaptive.e_stalls;
-    exit 1
-  end;
-  let sig_s, del_s, _, div_s, _ = e18_ctl_run `Single in
-  let sig_p, del_p, _, div_p, _ = e18_ctl_run (`Sharded 2) in
-  if sig_s <> sig_p || del_s <> del_p || del_p = 0 then begin
-    pf "SMOKE FAILURE: controller-attached sharded run diverged \
-        (delivered %d vs %d)@."
-      del_s del_p;
-    exit 1
-  end;
-  if div_s <> [] || div_p <> [] then begin
-    pf "SMOKE FAILURE: switches diverged from intended tables \
-        (single: %s; sharded: %s)@."
-      (String.concat "," (List.map string_of_int div_s))
-      (String.concat "," (List.map string_of_int div_p))
-  ;
-    exit 1
-  end;
-  pf "smoke ok: byte-equal at 2 shards, adaptive %d rounds / %d stalls \
-      (gate <= 944 / < 1479), controller-attached run byte-equal with \
-      tables == intended@."
-    adaptive.e_rounds adaptive.e_stalls
-
 (* ------------------------------------------------------------------ *)
 (* E19 — replicated controller: leader-lease failover and fencing *)
-
-let e19_resilience =
-  (* echo_miss_limit is high so control-channel loss cannot fake a
-     switch outage mid-measurement (the failover clock, not the switch
-     keepalive, is under test) *)
-  { Controller.Runtime.echo_period = 0.05; echo_miss_limit = 8;
-    retx_timeout = 0.01; retx_backoff = 2.0; retx_cap = 0.1;
-    selective_resync = true }
-
-let e19_routing_apps () =
-  [ Controller.Routing.app (Controller.Routing.create ()) ]
-
-type e19_result = {
-  f_trace : string list;
-  f_samples : float list;   (* failover detection -> all switches re-upped *)
-  f_diverged : int list;
-  f_counters : int * int * int;  (* control_msgs, control_bytes, delivered *)
-  f_repl : int * int * int * int;  (* failovers, completed, repl_msgs, drops *)
-  f_sent : int;
-}
-
-(* 6-ring under control-channel chaos with CBR crossing it; the leader
-   crashes at 0.6 s and stays down, the standby's lease expires and it
-   adopts every switch session, resyncing from its replicated shadow *)
-let e19_run ~seed ~drop ~dup ~jitter () =
-  let topo = Topo.Gen.ring ~switches:6 ~hosts_per_switch:1 () in
-  let fault = Dataplane.Fault.create ~seed ~drop ~dup ~jitter () in
-  let net = Dataplane.Network.create ~fault topo in
-  let r =
-    Controller.Replica.create ~resilience:e19_resilience ~replicas:2
-      ~lease:0.15 net e19_routing_apps
-  in
-  Dataplane.Network.inject net
-    [ Dataplane.Fault.Controller_outage
-        { controller_id = 0; at = 0.6; duration = 60.0 } ];
-  let senders =
-    List.map
-      (fun (src, dst) ->
-        Dataplane.Traffic.cbr net
-          { (Dataplane.Traffic.default_flow ~src ~dst) with
-            rate_pps = 200.0; pkt_size = 200; start = 0.1; stop = 2.5;
-            tp_src = Some 9000 })
-      [ (1, 4); (2, 5); (6, 3) ]
-  in
-  ignore (Dataplane.Network.run ~until:5.0 net ());
-  let s = Dataplane.Network.stats net in
-  let rs = Controller.Replica.stats r in
-  let result =
-    { f_trace = Dataplane.Fault.events fault;
-      f_samples = Controller.Replica.failover_samples r;
-      f_diverged = Controller.Replica.diverged r;
-      f_counters = (s.control_msgs, s.control_bytes, s.delivered);
-      f_repl = (rs.failovers, rs.takeovers_completed, rs.repl_msgs,
-                rs.repl_drops);
-      f_sent = List.fold_left (fun acc se -> acc + !se) 0 senders }
-  in
-  Controller.Replica.shutdown r;
-  result
-
-(* split brain, chaos-free and fully deterministic: the leader is cut
-   off the inter-controller channel only (its switch sessions keep
-   working), a confident keepalive keeps it writing, and each leader
-   incarnation schedules a distinct marker rule — the deposed leader's
-   must be fenced out *)
-let e19_split_brain () =
-  let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
-  let net = Dataplane.Network.create topo in
-  let incarnation = ref 0 in
-  let mk_apps () =
-    incr incarnation;
-    let cookie = if !incarnation = 1 then 0xdead else 0xbeef in
-    let marker =
-      { (Controller.Api.default_app "marker") with
-        switch_up =
-          (fun ctx ~switch_id ~ports:_ ->
-            if switch_id = 1 then
-              Controller.Api.schedule ctx ~delay:1.5 (fun () ->
-                Controller.Api.install ctx ~switch_id:1 ~priority:99 ~cookie
-                  Flow.Pattern.any [])) }
-    in
-    e19_routing_apps () @ [ marker ]
-  in
-  let r =
-    Controller.Replica.create
-      ~resilience:{ e19_resilience with echo_miss_limit = 10_000 }
-      ~replicas:2 ~lease:0.15 net mk_apps
-  in
-  Dataplane.Sim.schedule_at (Dataplane.Network.sim net) ~time:0.5 (fun () ->
-    Controller.Replica.partition r ~controller_id:0);
-  ignore (Dataplane.Network.run ~until:4.0 net ());
-  let cookies =
-    List.map
-      (fun (ru : Flow.Table.rule) -> ru.cookie)
-      (Flow.Table.rules (Dataplane.Network.switch net 1).table)
-  in
-  let fenced = (Dataplane.Network.stats net).fenced_writes in
-  let diverged = Controller.Replica.diverged r in
-  Controller.Replica.shutdown r;
-  (fenced, List.mem 0xdead cookies, List.mem 0xbeef cookies, diverged)
 
 let e19_chaos_levels =
   [ ("drop-10", 0.10, 0.0, 0.0);
@@ -2613,14 +1721,18 @@ let e19 () =
   List.iter
     (fun (name, drop, dup, jitter) ->
       let results =
-        List.map (fun seed -> e19_run ~seed ~drop ~dup ~jitter ()) e19_seeds
+        List.map
+          (fun seed -> Scenarios.failover_ring ~seed ~drop ~dup ~jitter ())
+          e19_seeds
       in
-      let samples = List.concat_map (fun r -> r.f_samples) results in
-      let diverged = List.concat_map (fun r -> r.f_diverged) results in
+      let samples = List.concat_map (fun r -> r.Scenarios.f_samples) results in
+      let diverged =
+        List.concat_map (fun r -> r.Scenarios.f_diverged) results
+      in
       let complete =
         List.for_all
           (fun r ->
-            let f, c, _, _ = r.f_repl in
+            let f, c, _, _ = r.Scenarios.f_repl in
             f = 1 && c = 1)
           results
       in
@@ -2638,7 +1750,17 @@ let e19 () =
       record ~experiment:"e19" ~metric:(name ^ "/diverged")
         (float_of_int (List.length diverged)))
     e19_chaos_levels;
-  let fenced, stale_landed, fresh_landed, sb_diverged = e19_split_brain () in
+  let net, r = Scenarios.split_brain () in
+  let cookies =
+    List.map
+      (fun (ru : Flow.Table.rule) -> ru.cookie)
+      (Flow.Table.rules (Dataplane.Network.switch net 1).table)
+  in
+  let fenced = (Dataplane.Network.stats net).fenced_writes in
+  let stale_landed = List.mem 0xdead cookies
+  and fresh_landed = List.mem 0xbeef cookies in
+  let sb_diverged = Controller.Replica.diverged r in
+  Controller.Replica.shutdown r;
   pf "@.split brain: %d fenced writes, stale marker %s, new leader's \
       marker %s, %s@."
     fenced
@@ -2650,75 +1772,56 @@ let e19 () =
   record ~experiment:"e19" ~metric:"split-brain/stale-installs"
     (if stale_landed then 1.0 else 0.0)
 
-(* CI gate: same seed twice -> byte-identical failover trace and
-   counters; post-failover tables == the surviving leader's intended
-   shadow; failover completes within a bounded number of heartbeat
-   intervals; the split-brain scenario installs zero stale-leader rules *)
-let e19_smoke () =
-  header "E19 smoke — failover determinism + convergence + fencing";
-  let run () =
-    e19_run ~seed:7007 ~drop:0.2 ~dup:0.05 ~jitter:1e-3 ()
+(* ------------------------------------------------------------------ *)
+(* gates — the CI wall-time bounds *)
+
+(* Every correctness check runs under [dune runtest]; these five bounds
+   compare two timings taken in one process, which a loaded test run
+   would flake.  The relative bounds allow 1.25x + 2 ms: the headroom
+   absorbs lock overhead, GC pauses and single-CPU runners (where two
+   domains time-share one core).  Exits 1 if any bound is missed. *)
+let gates () =
+  header "gates — wall-time bounds";
+  let failed = ref 0 in
+  let gate name ok detail =
+    pf "%-44s %-4s %s@." name (if ok then "ok" else "FAIL") detail;
+    record ~experiment:"gates" ~metric:name (if ok then 1.0 else 0.0);
+    if not ok then incr failed
   in
-  let a = run () in
-  let b = run () in
-  let failovers, completed, repl_msgs, repl_drops = a.f_repl in
-  pf "seed 7007: %d failovers (%d completed), %d repl msgs (%d dropped), \
-      %d trace events, samples %s@."
-    failovers completed repl_msgs repl_drops
-    (List.length a.f_trace)
-    (String.concat ", "
-       (List.map (Printf.sprintf "%.3fs") a.f_samples));
-  (match a.f_samples with
-   | s :: _ -> record ~experiment:"e19-smoke" ~metric:"failover-s" s
-   | [] -> ());
-  if
-    a.f_trace <> b.f_trace || a.f_counters <> b.f_counters
-    || a.f_samples <> b.f_samples || a.f_repl <> b.f_repl
-    || a.f_sent <> b.f_sent
-  then begin
-    pf "SMOKE FAILURE: same seed produced different failover runs@.";
+  let no_slower name ~base t =
+    gate name
+      (t <= (base *. 1.25) +. 2e-3)
+      (Printf.sprintf "%.2f ms vs %.2f ms (<= 1.25x + 2 ms)" (ms t) (ms base))
+  in
+  let topo = fst (Topo.Gen.fat_tree ~k:4 ()) in
+  let switches = Topo.Topology.switch_ids topo in
+  let acl8 = Scenarios.allowlist_policy topo 8 in
+  let _, seq_t = e1_compile_all ~domains:1 ~switches acl8 in
+  let _, par_t = e1_compile_all ~domains:2 ~switches acl8 in
+  no_slower "e1: compile_all, 2 domains vs 1" ~base:seq_t par_t;
+  let table = e2_table 100 and prng = Util.Prng.create 5 in
+  let nohit () = e2_probe prng (101 + Util.Prng.int prng 1000) in
+  let linear = time_lookups 100 table Flow.Table.lookup_linear nohit in
+  let tuple = time_lookups 100 table Flow.Table.lookup_tuple nohit in
+  gate "e2: tuple-space miss vs linear, 100 rules"
+    (tuple *. 2.0 < linear)
+    (Printf.sprintf "%.0f ns vs %.0f ns (>= 2x faster)" tuple linear);
+  let alloc_t, pooled_t = e8_encode_times (e8_frames ()) 100_000 in
+  no_slower "e8: pooled encode vs allocating" ~base:alloc_t pooled_t;
+  let spec = "fattree:4" and flows = 50 and rate_pps = 500.0 and stop = 0.2 in
+  let _, single_t =
+    best_of 3 (fun () -> e15_run_single spec ~flows ~rate_pps ~stop)
+  in
+  let _, one_t =
+    best_of 3 (fun () -> e15_run_sharded spec ~shards:1 ~flows ~rate_pps ~stop)
+  in
+  no_slower "e15: 1-shard vs single-domain" ~base:single_t one_t;
+  let fresh_t, delta_t = e17_single ~k:4 ~seed:7 ~rounds:3 in
+  no_slower "e17: delta edit vs fresh install (k=4)" ~base:fresh_t delta_t;
+  if !failed > 0 then begin
+    pf "%d gate(s) failed@." !failed;
     exit 1
-  end;
-  if failovers <> 1 || completed <> 1 then begin
-    pf "SMOKE FAILURE: expected exactly one completed failover, got %d/%d@."
-      failovers completed;
-    exit 1
-  end;
-  if a.f_diverged <> [] then begin
-    pf "SMOKE FAILURE: switches %s diverged from the surviving leader@."
-      (String.concat ", " (List.map string_of_int a.f_diverged));
-    exit 1
-  end;
-  let hb = 0.15 /. 3.0 in
-  let bound = 40.0 *. hb in
-  List.iter
-    (fun s ->
-      if s > bound then begin
-        pf "SMOKE FAILURE: failover took %.3fs (> %.1f heartbeat \
-            intervals)@."
-          s (bound /. hb);
-        exit 1
-      end)
-    a.f_samples;
-  let fenced, stale_landed, fresh_landed, sb_diverged = e19_split_brain () in
-  record ~experiment:"e19-smoke" ~metric:"split-brain-fenced"
-    (float_of_int fenced);
-  if fenced < 1 then begin
-    pf "SMOKE FAILURE: the partitioned stale leader was never fenced@.";
-    exit 1
-  end;
-  if stale_landed then begin
-    pf "SMOKE FAILURE: a stale-leader rule landed despite the fence@.";
-    exit 1
-  end;
-  if (not fresh_landed) || sb_diverged <> [] then begin
-    pf "SMOKE FAILURE: the new leader's writes did not converge@.";
-    exit 1
-  end;
-  pf "smoke ok: byte-identical failover runs, tables == intended, \
-      failover within %.0f heartbeats, %d stale writes fenced with zero \
-      installed@."
-    (bound /. hb) fenced
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -2727,11 +1830,7 @@ let experiments =
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
     ("e17", e17); ("e18", e18); ("e19", e19); ("e9-chaos", e9_chaos);
-    ("e1-smoke", e1_smoke); ("e2-smoke", e2_smoke); ("e3-smoke", e3_smoke);
-    ("e8-smoke", e8_smoke); ("e9-smoke", e9_smoke);
-    ("e15-shard-smoke", e15_smoke); ("e16-smoke", e16_smoke);
-    ("e17-smoke", e17_smoke); ("e18-smoke", e18_smoke);
-    ("e19-smoke", e19_smoke); ("micro", micro) ]
+    ("gates", gates); ("micro", micro) ]
 
 let () =
   (* pull out a --json FILE pair; remaining args name experiments *)

@@ -145,8 +145,11 @@ let json_escape s =
   Buffer.contents buf
 
 let json_str s = "\"" ^ json_escape s ^ "\""
+(* JSON has no inf or nan: a non-finite value (a 1-shard run's
+   lookahead) is null *)
 let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%.9g" f
 let json_obj fields =

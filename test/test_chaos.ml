@@ -7,11 +7,6 @@
 
 open Dataplane
 
-let fast_resilience =
-  { Controller.Runtime.echo_period = 0.05; echo_miss_limit = 3;
-    retx_timeout = 0.01; retx_backoff = 2.0; retx_cap = 0.1;
-    selective_resync = false }
-
 (* every switch's installed table equals the runtime's intended state *)
 let check_converged rt =
   Alcotest.(check (list int)) "tables equal intended state" []
@@ -122,7 +117,7 @@ let test_ctl_outage_deterministic () =
     let net = Network.create ~fault topo in
     let r =
       Controller.Replica.create
-        ~resilience:{ fast_resilience with echo_miss_limit = 8 }
+        ~resilience:{ Scenarios.fast_resilience with echo_miss_limit = 8 }
         ~replicas:2 ~lease:0.15 net
         (fun () -> [ Controller.Routing.app (Controller.Routing.create ()) ])
     in
@@ -230,7 +225,9 @@ let test_selective_resync_warm_table () =
     let routing = Controller.Routing.create () in
     let rt =
       Controller.Runtime.create_and_handshake
-        ~resilience:{ fast_resilience with selective_resync = selective } net
+        ~resilience:
+          { Scenarios.fast_resilience with selective_resync = selective }
+        net
         [ Controller.Routing.app routing ]
     in
     (* bulk up switch 2's table so the full-repush baseline is heavy *)
@@ -280,7 +277,7 @@ let test_selective_resync_cold_table () =
   let routing = Controller.Routing.create () in
   let rt =
     Controller.Runtime.create_and_handshake
-      ~resilience:{ fast_resilience with selective_resync = true } net
+      ~resilience:{ Scenarios.fast_resilience with selective_resync = true } net
       [ Controller.Routing.app routing ]
   in
   check_converged rt;
@@ -312,7 +309,8 @@ let test_crash_detection_and_resync () =
   let routing = Controller.Routing.create () in
   let monitor = Controller.Monitor.create ~period:0.1 () in
   let rt =
-    Controller.Runtime.create_and_handshake ~resilience:fast_resilience net
+    Controller.Runtime.create_and_handshake
+      ~resilience:Scenarios.fast_resilience net
       [ Controller.Routing.app routing; Controller.Monitor.app monitor; probe ]
   in
   check_converged rt;
@@ -359,7 +357,7 @@ let test_retransmit_under_loss () =
   let routing = Controller.Routing.create () in
   let rt =
     Controller.Runtime.create
-      ~resilience:{ fast_resilience with echo_miss_limit = 8 } net
+      ~resilience:{ Scenarios.fast_resilience with echo_miss_limit = 8 } net
       [ Controller.Routing.app routing ]
   in
   ignore (Network.run ~until:3.0 net ());
@@ -384,7 +382,7 @@ let test_duplicates_idempotent () =
   let net = Network.create ~fault topo in
   let routing = Controller.Routing.create () in
   let rt =
-    Controller.Runtime.create ~resilience:fast_resilience net
+    Controller.Runtime.create ~resilience:Scenarios.fast_resilience net
       [ Controller.Routing.app routing ]
   in
   ignore (Network.run ~until:2.0 net ());
@@ -394,63 +392,20 @@ let test_duplicates_idempotent () =
 (* ------------------------------------------------------------------ *)
 (* Acceptance: loss + crash + flaps, deterministic per seed *)
 
-type scenario_result = {
-  sr_trace : string list;
-  sr_diverged : int list;
-  sr_sent : int;
-  sr_delivered : int;
-  sr_retransmits : int;
-  sr_resyncs : int;
-  sr_recoveries : int;
-}
-
 (* ring of 6 switches, one host each; 20% control-channel loss with
    jitter, switch 3 crashes and restarts, two distinct links flap; CBR
    flows cross the ring throughout *)
 let run_acceptance_scenario seed =
-  let topo = Topo.Gen.ring ~switches:6 ~hosts_per_switch:1 () in
-  let fault = Fault.create ~seed ~drop:0.2 ~dup:0.05 ~jitter:1e-3 () in
-  let net = Network.create ~fault topo in
-  let routing = Controller.Routing.create () in
-  let rt =
-    Controller.Runtime.create ~resilience:fast_resilience net
-      [ Controller.Routing.app routing ]
-  in
-  Network.inject net
-    [ Fault.Switch_outage { switch_id = 3; at = 0.6; duration = 0.8 };
-      Fault.Link_flap
-        { node = Topo.Topology.Node.Switch 1; port = 1; at = 0.9;
-          duration = 0.5 };
-      Fault.Link_flap
-        { node = Topo.Topology.Node.Switch 4; port = 2; at = 1.2;
-          duration = 0.4 } ];
-  let senders =
-    List.map
-      (fun (src, dst) ->
-        Traffic.cbr net
-          { (Traffic.default_flow ~src ~dst) with
-            rate_pps = 200.0; pkt_size = 200; start = 0.1; stop = 2.5;
-            tp_src = Some 9000 })
-      [ (1, 4); (2, 5); (6, 3) ]
-  in
-  ignore (Network.run ~until:5.0 net ());
-  let diverged = Controller.Runtime.settle rt in
-  let rs = Controller.Runtime.resilience_stats rt in
-  { sr_trace = Fault.events fault;
-    sr_diverged = diverged;
-    sr_sent = List.fold_left (fun acc s -> acc + !s) 0 senders;
-    sr_delivered = (Network.stats net).delivered;
-    sr_retransmits = rs.retransmits;
-    sr_resyncs = rs.resyncs;
-    sr_recoveries = List.length (Controller.Runtime.recovery_times rt) }
+  Scenarios.chaos_ring ~flaps:true
+    (Fault.create ~seed ~drop:0.2 ~dup:0.05 ~jitter:1e-3 ())
 
 let test_acceptance_reconverges () =
   let r = run_acceptance_scenario 1005 in
   Alcotest.(check (list int)) "all tables equal intended state" []
-    r.sr_diverged;
+    r.c_diverged;
   Alcotest.(check bool) "chaos actually hit the run" true
-    (r.sr_retransmits > 0 && r.sr_resyncs >= 1 && r.sr_recoveries >= 1);
-  let ratio = float_of_int r.sr_delivered /. float_of_int r.sr_sent in
+    (r.c_retransmits > 0 && r.c_resyncs >= 1 && r.c_recoveries <> []);
+  let ratio = Scenarios.delivery_ratio r in
   Alcotest.(check bool)
     (Printf.sprintf "delivery ratio %.3f within (0.5, 1.0]" ratio)
     true
@@ -459,16 +414,49 @@ let test_acceptance_reconverges () =
 let test_acceptance_deterministic () =
   let a = run_acceptance_scenario 1005 in
   let b = run_acceptance_scenario 1005 in
-  Alcotest.(check (list string)) "identical chaos event traces" a.sr_trace
-    b.sr_trace;
-  Alcotest.(check bool) "trace non-trivial" true (List.length a.sr_trace > 10);
+  Alcotest.(check (list string)) "identical chaos event traces" a.c_trace
+    b.c_trace;
+  Alcotest.(check bool) "trace non-trivial" true (List.length a.c_trace > 10);
   Alcotest.(check (pair int int)) "identical delivery counts"
-    (a.sr_sent, a.sr_delivered) (b.sr_sent, b.sr_delivered);
+    (a.c_sent, a.c_delivered) (b.c_sent, b.c_delivered);
   Alcotest.(check (pair int int)) "identical protocol counters"
-    (a.sr_retransmits, a.sr_resyncs) (b.sr_retransmits, b.sr_resyncs);
+    (a.c_retransmits, a.c_resyncs) (b.c_retransmits, b.c_resyncs);
   let c = run_acceptance_scenario 1006 in
   Alcotest.(check bool) "different seed, different trace" false
-    (a.sr_trace = c.sr_trace)
+    (a.c_trace = c.c_trace)
+
+(* the same ring under per-link drop/corrupt/reorder and the switch
+   crash, without flaps: the chaos replays byte-identically, the crash
+   is routed around, and every table settles to intended state.  The
+   rates compound across the ring's multi-hop paths: 7% drop+corrupt
+   per link is ~30% end-to-end on a 5-link path, leaving headroom above
+   the 0.5 delivery floor. *)
+let test_link_chaos_crash_reconverges () =
+  let run () =
+    Scenarios.chaos_ring ~flaps:false
+      (Fault.create ~seed:4242 ~link_drop:0.05 ~link_corrupt:0.02
+         ~link_reorder:0.05 ())
+  in
+  let a = run () in
+  let b = run () in
+  Alcotest.(check (list string)) "identical chaos event traces" a.c_trace
+    b.c_trace;
+  Alcotest.(check (pair int int)) "identical delivery counts"
+    (a.c_sent, a.c_delivered) (b.c_sent, b.c_delivered);
+  Alcotest.(check (triple int int int)) "identical link-chaos counters"
+    a.c_link_chaos b.c_link_chaos;
+  Alcotest.(check int) "identical reroutes" a.c_reroutes b.c_reroutes;
+  let drops, corrupts, reorders = a.c_link_chaos in
+  Alcotest.(check bool) "every verdict kind fired" true
+    (drops > 0 && corrupts > 0 && reorders > 0);
+  Alcotest.(check bool) "the crash was routed around" true
+    (a.c_reroutes >= 1);
+  Alcotest.(check (list int)) "all tables equal intended state" []
+    a.c_diverged;
+  let ratio = Scenarios.delivery_ratio a in
+  Alcotest.(check bool)
+    (Printf.sprintf "delivery ratio %.3f above the 0.5 floor" ratio)
+    true (ratio > 0.5)
 
 (* zero-chaos sanity: attaching a fault record with all knobs at zero
    changes nothing observable vs no fault at all *)
@@ -513,7 +501,8 @@ let prop_fattree_routes_around_crash =
       let net = Network.create topo in
       let routing = Controller.Routing.create () in
       let rt =
-        Controller.Runtime.create_and_handshake ~resilience:fast_resilience net
+        Controller.Runtime.create_and_handshake
+          ~resilience:Scenarios.fast_resilience net
           [ Controller.Routing.app routing ]
       in
       ignore (Network.run ~until:0.3 net ());
@@ -596,4 +585,6 @@ let suites =
       [ Alcotest.test_case "loss+crash+flaps reconverges" `Quick
           test_acceptance_reconverges;
         Alcotest.test_case "same seed, same trace" `Quick
-          test_acceptance_deterministic ] ) ]
+          test_acceptance_deterministic;
+        Alcotest.test_case "link chaos + crash reconverges" `Quick
+          test_link_chaos_crash_reconverges ] ) ]

@@ -134,6 +134,26 @@ let test_sim_run_batch () =
   Alcotest.(check int) "second batch" 1 (Sim.run_batch s);
   Alcotest.(check int) "empty queue" 0 (Sim.run_batch s)
 
+(* the event loop end to end: routed ring:16 under 32 long-lived flows
+   must reproduce across runs and match the signature pinned when the
+   timing wheel was last checked against the heap engine *)
+let test_ring16_signature () =
+  let run () =
+    let net = Scenarios.routed_flows "ring:16" in
+    let events = Zen.run net in
+    let s = Network.stats (Zen.network net) in
+    ( events, s.delivered, s.forwarded,
+      (s.dropped_queue, s.dropped_ttl, s.dropped_policy) )
+  in
+  let a = run () in
+  Alcotest.(check bool) "reproducible across 3 runs" true
+    (a = run () && a = run ());
+  let events, delivered, _, drops = a in
+  Alcotest.(check (pair int int)) "events, delivered" (123000, 16000)
+    (events, delivered);
+  Alcotest.(check (triple int int int)) "no queue/TTL/policy drops"
+    (0, 0, 0) drops
+
 (* ------------------------------------------------------------------ *)
 (* Network forwarding *)
 
@@ -377,7 +397,9 @@ let suites =
         Alcotest.test_case "wheel == heap traces" `Quick
           test_sim_matches_heap_replay;
         Alcotest.test_case "run_batch drains one instant" `Quick
-          test_sim_run_batch ] );
+          test_sim_run_batch;
+        Alcotest.test_case "ring:16 pinned signature" `Quick
+          test_ring16_signature ] );
     ( "dataplane.network",
       [ Alcotest.test_case "direct delivery" `Quick test_direct_delivery;
         Alcotest.test_case "latency model" `Quick test_latency_model;

@@ -109,6 +109,60 @@ let test_diff_rules () =
   Alcotest.(check bool) "deletes = vanished keys" true
     (triples deletes = triples [ mk 1 3 [] ])
 
+(* a seeded trace of 8 stacked edits, Seq (guard, Seq (guard, ... base)),
+   installed on a live fat-tree k=4 through [Zen.install_fdd]'s in-place
+   table edits: after every edit each switch's table equals a
+   from-scratch compile, and each edit's compile adds at most 120 branch
+   nodes on average (one that sequences the guard with the whole base
+   measured 607 per edit) *)
+let test_zen_stacked_churn () =
+  Fdd.clear_cache ();
+  let topo, _ = Topo.Gen.fat_tree ~k:4 () in
+  let switches = Topo.Topology.switch_ids topo in
+  let base = Netkat.Builder.routing_policy topo in
+  let net = Zen.create topo in
+  ignore (Zen.install_fdd net (Fdd.of_policy base));
+  let branches () =
+    let _, b, _, _ = Fdd.cache_stats () in
+    b
+  in
+  let edits = Scenarios.churn_edits ~seed:7 ~edits:8 topo in
+  let pol = ref base and grown = ref 0 in
+  List.iteri
+    (fun i edit ->
+      pol := Scenarios.apply_edit !pol edit;
+      let before = branches () in
+      let next = Fdd.of_policy !pol in
+      grown := !grown + branches () - before;
+      ignore (Zen.install_fdd net next);
+      Alcotest.(check bool)
+        (Printf.sprintf "live tables = scratch compile after edit %d" (i + 1))
+        true
+        (Scenarios.live_tables net switches
+         = Scenarios.scratch_tables next switches))
+    edits;
+  let per_edit = !grown / List.length edits in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d new branch nodes per edit <= 120" per_edit)
+    true (per_edit <= 120)
+
+(* one seeded edit on a >= 4000-rule fat-tree k=8 deployment ships at
+   least 2x fewer flow-mod bytes as a delta than re-pushing every table
+   (delete-all + every rule + barrier per switch) *)
+let test_k8_edit_bytes () =
+  let total_rules, full_b, delta_b, _, _ =
+    Scenarios.churn_accounting ~k:8 ~seed:42 ~edits:1
+  in
+  (* drop the k=8 diagrams: later tests need not carry them in the heap *)
+  Fdd.clear_cache ();
+  Alcotest.(check bool)
+    (Printf.sprintf "%d rules deployed >= 4000" total_rules)
+    true (total_rules >= 4000);
+  Alcotest.(check bool)
+    (Printf.sprintf "delta %d B x 2 <= full %d B" delta_b full_b)
+    true
+    (delta_b * 2 <= full_b)
+
 (* ------------------------------------------------------------------ *)
 (* Property: a churn sequence maintained by deltas is byte-equal to a
    from-scratch compile at every step — at 1 and 4 domains, with and
@@ -198,6 +252,10 @@ let suites =
         Alcotest.test_case "new switch appears and leaves" `Quick
           test_new_switch_appears_and_leaves;
         Alcotest.test_case "diff_rules" `Quick test_diff_rules;
+        Alcotest.test_case "stacked churn through Zen.install_fdd" `Quick
+          test_zen_stacked_churn;
+        Alcotest.test_case "k=8 edit bytes vs full re-push" `Quick
+          test_k8_edit_bytes;
         QCheck_alcotest.to_alcotest
           (prop_churn ~domains:1 ~clears:false
              "churn ≡ scratch at every step (1 domain)");

@@ -525,17 +525,24 @@ let test_naive_unsupported () =
 
 (* compile_all must be bit-for-bit the sequential per-switch result —
    same switches in the same order, same rules, same priorities — for
-   every pool size, including the inline size-1 path *)
+   every pool size, including the inline size-1 path; inputs are 60
+   random 4-switch policies and an 8-entry allowlist over fat-tree k=4
+   routing *)
 let test_compile_all_equals_sequential () =
-  let switches = [ 1; 2; 3; 4 ] in
   let rand = Random.State.make [| 0xC0FFEE |] in
-  let pols = QCheck.Gen.generate ~n:60 ~rand local_pol_gen in
+  let fat_tree = fst (Topo.Gen.fat_tree ~k:4 ()) in
+  let inputs =
+    (Topo.Topology.switch_ids fat_tree, Scenarios.allowlist_policy fat_tree 8)
+    :: List.map
+         (fun pol -> ([ 1; 2; 3; 4 ], pol))
+         (QCheck.Gen.generate ~n:60 ~rand local_pol_gen)
+  in
   List.iter
     (fun domains ->
       let pool = Util.Pool.create ~domains () in
       Fun.protect ~finally:(fun () -> Util.Pool.shutdown pool) @@ fun () ->
       List.iter
-        (fun pol ->
+        (fun (switches, pol) ->
           let sequential =
             List.map (fun sw -> (sw, Local.compile ~switch:sw pol)) switches
           in
@@ -550,7 +557,7 @@ let test_compile_all_equals_sequential () =
           in
           Alcotest.(check int) "total_rules agrees" expected_total
             (Local.total_rules ~pool ~switches pol))
-        pols)
+        inputs)
     [ 1; 2; 4 ]
 
 (* hammer the shared intern / hash-cons / memo tables from four domains

@@ -6,17 +6,7 @@ open Dataplane
 module Replica = Controller.Replica
 
 let fast_resilience =
-  { Controller.Runtime.echo_period = 0.05; echo_miss_limit = 3;
-    retx_timeout = 0.01; retx_backoff = 2.0; retx_cap = 0.1;
-    selective_resync = true }
-
-(* for chaos runs: loss must not fake a switch outage (a spurious
-   keepalive verdict would make the routing app reroute and change
-   tables mid-measurement) *)
-let sturdy_resilience = { fast_resilience with echo_miss_limit = 8 }
-
-let mk_routing_apps () =
-  [ Controller.Routing.app (Controller.Routing.create ()) ]
+  { Scenarios.fast_resilience with selective_resync = true }
 
 let rule_key (r : Flow.Table.rule) = (r.priority, r.pattern, r.actions, r.cookie)
 let keys rules = List.sort compare (List.map rule_key rules)
@@ -41,7 +31,7 @@ let run_adoption_scenario ~adopt () =
   let switch_ids = Topo.Topology.switch_ids topo in
   let rt =
     Controller.Runtime.create ~resilience:fast_resilience ~switch_ids
-      ~attach:(not adopt) net (mk_routing_apps ())
+      ~attach:(not adopt) net (Scenarios.routing_apps ())
   in
   let adopt_all () =
     List.iter
@@ -151,7 +141,7 @@ let test_failover_reconverges () =
   let net = Zen.create topo in
   let r =
     Zen.with_replicas ~resilience:fast_resilience ~replicas:2 ~lease:0.15 net
-      mk_routing_apps
+      Scenarios.routing_apps
   in
   ignore (Zen.run ~until:0.5 net);
   Alcotest.(check (option int)) "member 0 leads" (Some 0) (Replica.leader r);
@@ -197,7 +187,7 @@ let test_crashed_leader_rejoins_as_standby () =
   let net = Zen.create topo in
   let r =
     Zen.with_replicas ~resilience:fast_resilience ~replicas:2 ~lease:0.12 net
-      mk_routing_apps
+      Scenarios.routing_apps
   in
   Network.inject (Zen.network net)
     [ Fault.Controller_outage { controller_id = 0; at = 0.4; duration = 1.0 } ];
@@ -218,8 +208,8 @@ let test_failover_mid_retransmit_no_duplicates () =
   let fault = Fault.create ~seed:42 ~drop:0.25 ~dup:0.2 ~jitter:1e-3 () in
   let net = Network.create ~fault topo in
   let r =
-    Replica.create ~resilience:sturdy_resilience ~replicas:2 ~lease:0.15 net
-      mk_routing_apps
+    Replica.create ~resilience:Scenarios.failover_resilience ~replicas:2
+      ~lease:0.15 net Scenarios.routing_apps
   in
   (* crash the leader early: initial rule pushes are still being
      retransmitted under 25% loss when member 1 adopts the sessions *)
@@ -309,41 +299,10 @@ let test_delta_edit_survives_failover () =
 (* ------------------------------------------------------------------ *)
 (* Split brain: both controllers alive, only the leaseholder's writes land *)
 
+(* the deposed leader stays alive and confident (see
+   {!Scenarios.split_brain}): only the fence stops its writes *)
 let test_split_brain_fenced () =
-  let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
-  let net = Network.create topo in
-  let incarnation = ref 0 in
-  let mk_apps () =
-    incr incarnation;
-    (* each leader incarnation schedules a distinct marker rule well
-       after the partition: the stale leader's must never land *)
-    let cookie = if !incarnation = 1 then 0xdead else 0xbeef in
-    let marker =
-      { (Controller.Api.default_app "marker") with
-        switch_up =
-          (fun ctx ~switch_id ~ports:_ ->
-            if switch_id = 1 then
-              Controller.Api.schedule ctx ~delay:1.5 (fun () ->
-                Controller.Api.install ctx ~switch_id:1 ~priority:99 ~cookie
-                  Flow.Pattern.any [])) }
-    in
-    [ Controller.Routing.app (Controller.Routing.create ()); marker ]
-  in
-  (* a huge echo-miss limit keeps the deposed leader fully confident:
-     without it, the silence of its adopted sessions (echo replies now
-     route to the new owner) would make it mark every switch down and
-     queue the marker write instead of transmitting it — the fence must
-     be what stops the write, not the keepalive *)
-  let r =
-    Replica.create
-      ~resilience:{ fast_resilience with echo_miss_limit = 10_000 }
-      ~replicas:2 ~lease:0.15 net mk_apps
-  in
-  (* cut the leader off the inter-controller channel only: it stays
-     alive, believes it holds the lease, and keeps writing *)
-  Sim.schedule_at (Network.sim net) ~time:0.5 (fun () ->
-    Replica.partition r ~controller_id:0);
-  ignore (Network.run ~until:4.0 net ());
+  let net, r = Scenarios.split_brain () in
   Alcotest.(check (option int)) "standby took over" (Some 1)
     (Replica.leader r);
   Alcotest.(check bool) "stale leader still believes it leads" true
@@ -372,6 +331,39 @@ let test_split_brain_fenced () =
     (Replica.leader r);
   Replica.shutdown r
 
+(* the leader of a 6-ring crashes for good under 20% control loss with
+   duplication and jitter: the run replays byte-identically, completes
+   exactly one failover within 40 heartbeat intervals, and the tables
+   equal the surviving leader's intended shadow *)
+let test_chaos_failover_deterministic () =
+  let run () =
+    Scenarios.failover_ring ~seed:7007 ~drop:0.2 ~dup:0.05 ~jitter:1e-3 ()
+  in
+  let a = run () in
+  let b = run () in
+  Alcotest.(check (list string)) "identical chaos traces" a.f_trace b.f_trace;
+  Alcotest.(check (triple int int int)) "identical counters" a.f_counters
+    b.f_counters;
+  Alcotest.(check (list (float 0.0))) "identical failover samples"
+    a.f_samples b.f_samples;
+  Alcotest.(check bool) "identical replication stats" true
+    (a.f_repl = b.f_repl);
+  Alcotest.(check int) "identical sent" a.f_sent b.f_sent;
+  let failovers, completed, _, _ = a.f_repl in
+  Alcotest.(check (pair int int)) "exactly one completed failover" (1, 1)
+    (failovers, completed);
+  Alcotest.(check (list int)) "tables equal surviving leader's intended" []
+    a.f_diverged;
+  (* the scenario's lease is 0.15 s; heartbeats run every lease / 3 *)
+  let hb = 0.15 /. 3.0 in
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "failover %.3fs within 40 heartbeats" d)
+        true
+        (d <= 40.0 *. hb))
+    a.f_samples
+
 (* ------------------------------------------------------------------ *)
 (* one controller is a Runtime, not a one-member replica set *)
 
@@ -379,7 +371,7 @@ let test_replicas_one_rejected () =
   let net = Zen.create (Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 ()) in
   match
     Replica.create ~resilience:fast_resilience ~replicas:1 (Zen.network net)
-      mk_routing_apps
+      Scenarios.routing_apps
   with
   | _ -> Alcotest.fail "replicas:1 accepted"
   | exception Invalid_argument _ -> ()
@@ -501,6 +493,8 @@ let suites =
           test_delta_edit_survives_failover;
         Alcotest.test_case "split brain: stale writes fenced" `Quick
           test_split_brain_fenced;
+        Alcotest.test_case "chaos failover deterministic" `Quick
+          test_chaos_failover_deterministic;
         Alcotest.test_case "replicas=1 rejected" `Quick
           test_replicas_one_rejected;
         Alcotest.test_case "update version replicates" `Quick

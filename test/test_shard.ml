@@ -188,12 +188,17 @@ let check_equiv ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards =
 (* ------------------------------------------------------------------ *)
 (* Deterministic unit tests *)
 
+(* the 1-shard run takes the sharded loop's code path with no
+   cross-shard traffic at all *)
 let test_two_shard_fattree () =
-  let delivered =
-    check_equiv ~topo_id:1 ~seed:42 ~flows:30 ~chaos:false
-      ~with_incidents:false ~shards:2
-  in
-  Alcotest.(check bool) "traffic actually flowed" true (delivered > 0)
+  List.iter
+    (fun shards ->
+      let delivered =
+        check_equiv ~topo_id:1 ~seed:42 ~flows:30 ~chaos:false
+          ~with_incidents:false ~shards
+      in
+      Alcotest.(check bool) "traffic actually flowed" true (delivered > 0))
+    [ 1; 2 ]
 
 let test_four_shard_fattree_chaos () =
   ignore
@@ -274,55 +279,8 @@ let test_pod_partition_no_intra_pod_crossing () =
 (* Adaptive windows: sparse fabrics fast-forward, heterogeneous
    distances widen windows, and observables never change *)
 
-(* [sites] 2-spine/2-leaf fat-tree cells (10 us links, 2 hosts per
-   leaf), spines joined site-to-site: sites 0-1 by a 20 us metro link,
-   every other pair long-haul at 1 ms.  Switch ids are contiguous per
-   site, so the block partition with [shards = sites] is one site per
-   shard and the shard quotient distances are heterogeneous — the
-   adaptive bound's home turf. *)
-let multi_site_topo ~sites () =
-  let topo = Topo.Topology.create () in
-  let sw s i = Topo.Topology.Node.Switch ((s * 4) + i + 1) in
-  for s = 0 to sites - 1 do
-    for spine = 0 to 1 do
-      for leaf = 2 to 3 do
-        Topo.Gen.connect topo (sw s spine) (sw s leaf)
-      done
-    done
-  done;
-  let next_host = ref 1 in
-  for s = 0 to sites - 1 do
-    for leaf = 2 to 3 do
-      for _ = 1 to 2 do
-        let h = Topo.Topology.Node.Host !next_host in
-        incr next_host;
-        Topo.Gen.connect topo (sw s leaf) h
-      done
-    done
-  done;
-  for a = 0 to sites - 1 do
-    for b = a + 1 to sites - 1 do
-      let delay = if a = 0 && b = 1 then 20e-6 else 1e-3 in
-      Topo.Gen.connect ~delay topo (sw a 0) (sw b 0)
-    done
-  done;
-  topo
-
-(* intra-site flow mix: [flows] pairs inside site [s] (hosts 4s+1..4s+4),
-   staggered by a 37 us lattice so no two flows' event chains ever share
-   a timestamp *)
-let site_flows ~site ~flows ~rate_pps ~start ~stop =
-  let h i = (site * 4) + i + 1 in
-  let pairs = [| (0, 2); (1, 3); (2, 0); (3, 1); (0, 3); (1, 2) |] in
-  List.init flows (fun i ->
-    let a, b = pairs.(i mod Array.length pairs) in
-    { (Traffic.default_flow ~src:(h a) ~dst:(h b)) with
-      rate_pps; pkt_size = 200;
-      start = start +. (float_of_int i *. 37e-6);
-      stop })
-
 let run_sites ~sites ~specs ~until how =
-  let topo = multi_site_topo ~sites () in
+  let topo = Scenarios.multi_site_topo ~sites () in
   match how with
   | `Single ->
     let net = Network.create topo in
@@ -374,11 +332,13 @@ let run_sites ~sites ~specs ~until how =
    at a time while shard 1 mostly stalls — 1574 rounds and 1498 stalls,
    as measured before the uniform window was deleted.  The adaptive echo
    bound packs twice the span per round (871 rounds, 795 stalls); the
-   bounds are 0.6x those uniform rounds and strictly fewer stalls. *)
+   bounds are 0.6x those uniform rounds and fewer than 1479 stalls. *)
 let test_adaptive_vs_fixed_two_sites () =
   let specs =
-    site_flows ~site:0 ~flows:6 ~rate_pps:5000.0 ~start:0.0107 ~stop:0.05
-    @ site_flows ~site:1 ~flows:2 ~rate_pps:500.0 ~start:0.0131 ~stop:0.05
+    Scenarios.site_flows ~site:0 ~flows:6 ~rate_pps:5000.0 ~start:0.0107
+      ~stop:0.05
+    @ Scenarios.site_flows ~site:1 ~flows:2 ~rate_pps:500.0 ~start:0.0131
+        ~stop:0.05
   in
   let run how = run_sites ~sites:2 ~specs ~until:0.06 how in
   let sig_single, _, _ = run `Single in
@@ -388,8 +348,8 @@ let test_adaptive_vs_fixed_two_sites () =
     (Printf.sprintf "adaptive rounds %d <= 944 (0.6 * uniform 1574)" rounds)
     true (rounds <= 944);
   Alcotest.(check bool)
-    (Printf.sprintf "adaptive stalls %d < 1498 (uniform)" stalls)
-    true (stalls < 1498);
+    (Printf.sprintf "adaptive stalls %d < 1479" stalls)
+    true (stalls < 1479);
   (* work stealing with a real multi-worker pool moves windows between
      domains without changing a byte *)
   let pool = Util.Pool.create ~domains:2 () in
@@ -402,8 +362,10 @@ let test_adaptive_vs_fixed_two_sites () =
    20 us lookahead window across the idle span *)
 let test_sparse_fast_forward () =
   let specs =
-    site_flows ~site:0 ~flows:1 ~rate_pps:50.0 ~start:0.0107 ~stop:0.4
-    @ site_flows ~site:1 ~flows:1 ~rate_pps:50.0 ~start:0.0131 ~stop:0.4
+    Scenarios.site_flows ~site:0 ~flows:1 ~rate_pps:50.0 ~start:0.0107
+      ~stop:0.4
+    @ Scenarios.site_flows ~site:1 ~flows:1 ~rate_pps:50.0 ~start:0.0131
+        ~stop:0.4
   in
   let until = 0.5 in
   let sig_single, _, _ = run_sites ~sites:2 ~specs ~until `Single in
@@ -423,28 +385,6 @@ let test_sparse_fast_forward () =
 
 let rule_key (r : Flow.Table.rule) = (r.priority, r.pattern, r.actions)
 
-let ctl_flap topo =
-  List.find_map
-    (fun (l : Topo.Topology.link) ->
-      if Topo.Topology.Node.is_switch l.src
-         && Topo.Topology.Node.is_switch l.dst
-      then
-        Some
-          (Fault.Link_flap
-             { node = l.src; port = l.src_port; at = 0.057; duration = 0.043 })
-      else None)
-    (Topo.Topology.links topo)
-  |> Option.to_list
-
-let ctl_specs topo =
-  let host_ids = Array.of_list (Topo.Topology.host_ids topo) in
-  let n = Array.length host_ids in
-  List.init (n / 2) (fun i ->
-    { (Traffic.default_flow ~src:host_ids.(i) ~dst:host_ids.(n - 1 - i)) with
-      rate_pps = 1000.0; pkt_size = 200;
-      start = 0.0307 +. (float_of_int i *. 37e-6);
-      stop = 0.15 })
-
 let ctl_until = 0.25
 
 (* single-domain reference: routing app over the control channel *)
@@ -459,8 +399,8 @@ let run_ctl_single () =
     Controller.Runtime.create_and_handshake net
       [ Controller.Routing.app routing ]
   in
-  List.iter (fun s -> ignore (Traffic.cbr net s)) (ctl_specs topo);
-  Network.inject net (ctl_flap topo);
+  List.iter (fun s -> ignore (Traffic.cbr net s)) (Scenarios.ctl_specs topo);
+  Network.inject net (Scenarios.ctl_flap topo);
   ignore (Network.run ~until:ctl_until net ());
   let intended sw_id =
     List.map rule_key (Controller.Runtime.intended_rules rt ~switch_id:sw_id)
@@ -490,8 +430,8 @@ let run_ctl_sharded ~shards () =
   List.iter
     (fun (s : Traffic.flow_spec) ->
       ignore (Traffic.cbr (Shard.net_of_host t s.src) s))
-    (ctl_specs topo);
-  Shard.inject t (ctl_flap topo);
+    (Scenarios.ctl_specs topo);
+  Shard.inject t (Scenarios.ctl_flap topo);
   ignore (Shard.run ~until:ctl_until t);
   let intended sw_id =
     List.map rule_key (Controller.Runtime.intended_rules rt ~switch_id:sw_id)
