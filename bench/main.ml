@@ -71,19 +71,6 @@ let time_iters iters f =
 (* ------------------------------------------------------------------ *)
 (* E1 — policy compilation: FDD vs naive baseline *)
 
-(* [Local.compile_all] of [pol] on a [domains]-domain pool from a cold
-   FDD cache, best of 3: domain scheduling on oversubscribed hosts is
-   noisy *)
-let e1_compile_all ~domains ~switches pol =
-  let pool = Util.Pool.create ~domains () in
-  let r =
-    best_of 3 (fun () ->
-      Netkat.Fdd.clear_cache ();
-      wall (fun () -> Netkat.Local.compile_all ~pool ~switches pol))
-  in
-  Util.Pool.shutdown pool;
-  r
-
 let denylist_policy topo k =
   let entries =
     List.init k (fun i ->
@@ -155,55 +142,7 @@ let e1 () =
       row name topo "routing" (Netkat.Builder.routing_policy topo);
       row name topo "acl8-allowlist" (Scenarios.allowlist_policy topo 8);
       row name topo "fw8-denylist" (denylist_policy topo 8))
-    topos;
-  (* multicore per-switch compilation: the FDD is built once, then
-     restrict + path extraction fan out over a domain pool.  Output is
-     asserted identical across pool sizes. *)
-  let n_rec = Domain.recommended_domain_count () in
-  pf "@.parallel compile_all on fattree:4 (%d recommended domains on this host):@.@."
-    n_rec;
-  let domain_counts = List.sort_uniq compare [ 1; 2; 4; n_rec ] in
-  pf "%-16s |" "policy";
-  List.iter (fun n -> pf " %9s" (Printf.sprintf "%dd-ms" n)) domain_counts;
-  pf " | %8s@." "rules";
-  pf "%s@." (String.make (29 + (10 * List.length domain_counts)) '-');
-  let topo = fst (Topo.Gen.fat_tree ~k:4 ()) in
-  let switches = Topo.Topology.switch_ids topo in
-  List.iter
-    (fun (pol_name, pol) ->
-      let baseline = ref None in
-      pf "%-16s |" pol_name;
-      List.iter
-        (fun domains ->
-          let compiled, t = e1_compile_all ~domains ~switches pol in
-          (match !baseline with
-           | None ->
-             baseline :=
-               Some
-                 ( compiled,
-                   List.fold_left
-                     (fun a (_, rs) -> a + List.length rs)
-                     0 compiled )
-           | Some (reference, _) ->
-             if compiled <> reference then begin
-               pf
-                 "@.E1 FAILURE: compile_all at %d domains diverges from 1 \
-                  domain@."
-                 domains;
-               exit 1
-             end);
-          record ~experiment:"e1"
-            ~metric:
-              (Printf.sprintf "fattree:4/%s/compile-all-ms/domains-%d"
-                 pol_name domains)
-            (ms t);
-          pf " %9.1f" (ms t))
-        domain_counts;
-      pf " | %8d@."
-        (match !baseline with Some (_, r) -> r | None -> 0))
-    [ ("routing", Netkat.Builder.routing_policy topo);
-      ("acl8-allowlist", Scenarios.allowlist_policy topo 8);
-      ("fw8-denylist", denylist_policy topo 8) ]
+    topos
 
 (* ------------------------------------------------------------------ *)
 (* E2 — flow-table lookup cost vs table size *)
@@ -1775,11 +1714,11 @@ let e19 () =
 (* ------------------------------------------------------------------ *)
 (* gates — the CI wall-time bounds *)
 
-(* Every correctness check runs under [dune runtest]; these five bounds
+(* Every correctness check runs under [dune runtest]; these four bounds
    compare two timings taken in one process, which a loaded test run
    would flake.  The relative bounds allow 1.25x + 2 ms: the headroom
-   absorbs lock overhead, GC pauses and single-CPU runners (where two
-   domains time-share one core).  Exits 1 if any bound is missed. *)
+   absorbs GC pauses and single-CPU runners (where two domains
+   time-share one core).  Exits 1 if any bound is missed. *)
 let gates () =
   header "gates — wall-time bounds";
   let failed = ref 0 in
@@ -1793,12 +1732,6 @@ let gates () =
       (t <= (base *. 1.25) +. 2e-3)
       (Printf.sprintf "%.2f ms vs %.2f ms (<= 1.25x + 2 ms)" (ms t) (ms base))
   in
-  let topo = fst (Topo.Gen.fat_tree ~k:4 ()) in
-  let switches = Topo.Topology.switch_ids topo in
-  let acl8 = Scenarios.allowlist_policy topo 8 in
-  let _, seq_t = e1_compile_all ~domains:1 ~switches acl8 in
-  let _, par_t = e1_compile_all ~domains:2 ~switches acl8 in
-  no_slower "e1: compile_all, 2 domains vs 1" ~base:seq_t par_t;
   let table = e2_table 100 and prng = Util.Prng.create 5 in
   let nohit () = e2_probe prng (101 + Util.Prng.int prng 1000) in
   let linear = time_lookups 100 table Flow.Table.lookup_linear nohit in

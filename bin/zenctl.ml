@@ -345,7 +345,8 @@ let simulate_cmd =
       match shards with
       | Some n when n < 1 -> die "--shards must be >= 1"
       | Some n -> n
-      | None -> Dataplane.Shard.default_shards ()
+      | None ->
+        (try Dataplane.Shard.default_shards () with Invalid_argument m -> die m)
     in
     let topo = or_die (load_topo spec) in
     if shards > 1 || partition <> None then begin

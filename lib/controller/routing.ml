@@ -61,14 +61,11 @@ let push_tables t ctx =
     else Netkat.Builder.routing_policy topo
   in
   let fdd = Netkat.Fdd.of_policy pol in
-  (* per-switch compilation (uid-certification + rederivation of the
-     changed switches) fans out over the domain pool inside
-     Delta.compile; the installs below stay on this domain (the control
-     channel is not thread-safe).  The first push full-replaces every
-     table; later ones send each changed switch its minimal delta.  Dead
-     switches get no push: they are excluded from the compile, so their
-     snapshot entry is dropped — recovery re-enters them via a fresh
-     recompute, which sees no entry and full-replaces their table. *)
+  (* The first push full-replaces every table; later ones send each
+     changed switch its minimal delta.  Dead switches get no push: they
+     are excluded from the compile, so their snapshot entry is dropped —
+     recovery re-enters them via a fresh recompute, which sees no entry
+     and full-replaces their table. *)
   let switches =
     List.filter
       (fun id -> not (Hashtbl.mem t.dead id))

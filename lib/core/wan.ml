@@ -191,7 +191,6 @@ let validate ?(subflows = 8) ?(pkt_size = 1000) ?(duration = 2.0) topo alloc =
   let flows = subflows_of_alloc topo alloc ~subflows in
   let pol = policy_of_subflows topo flows in
   let network = Dataplane.Network.create topo in
-  (* compile all switches on the domain pool, then load the tables *)
   Netkat.Local.compile_all ~switches:(Topo.Topology.switch_ids topo) pol
   |> List.iter (fun (switch_id, rules) ->
     let table = (Dataplane.Network.switch network switch_id).table in

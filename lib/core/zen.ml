@@ -53,8 +53,6 @@ let now t = Dataplane.Network.now t.network
     clear + reload.
     @raise Netkat.Local.Not_local on policies with links. *)
 let install_fdd t fdd =
-  (* per-switch compilation runs on the shared domain pool; the tables
-     are loaded sequentially here (they belong to the simulator) *)
   let previous = t.delta_snap in
   let result =
     Netkat.Delta.compile

@@ -265,23 +265,29 @@ let pp_stats fmt t =
 (* ------------------------------------------------------------------ *)
 (* Environment knobs *)
 
-let env_float name =
-  match Sys.getenv_opt name with
+(* [env name parse]: [None] when [name] is unset or empty, else the
+   parsed value.  A value [parse] rejects is harness misuse, not "unset".
+   @raise Invalid_argument naming the variable and its value. *)
+let env name parse =
+  match Option.map String.trim (Sys.getenv_opt name) with
   | None | Some "" -> None
-  | Some s -> float_of_string_opt s
+  | Some s ->
+    (match parse s with
+     | Some v -> Some v
+     | None -> invalid_arg (Printf.sprintf "%s=%S is not a valid value" name s))
 
-let env_int name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some s -> int_of_string_opt s
+let env_float name = env name float_of_string_opt
+let env_int name = env name int_of_string_opt
 
 (** Reads the [ZEN_CHAOS_*] family: [ZEN_CHAOS_DROP], [ZEN_CHAOS_DUP],
     [ZEN_CHAOS_JITTER], [ZEN_CHAOS_LINK_DROP], [ZEN_CHAOS_LINK_CORRUPT],
     [ZEN_CHAOS_LINK_REORDER] (floats) and [ZEN_CHAOS_SEED] (int).
-    Returns [None] only when no knob at all is set.  A seed alone yields
-    a zero-rate fault: per-transmission verdicts are all clean (and cost
-    no PRNG draws), but scenario generation via {!derive_prng} and
-    incident scheduling stay deterministic under that seed. *)
+    Returns [None] only when no knob at all is set (an empty value is
+    unset).  A seed alone yields a zero-rate fault: per-transmission
+    verdicts are all clean (and cost no PRNG draws), but scenario
+    generation via {!derive_prng} and incident scheduling stay
+    deterministic under that seed.
+    @raise Invalid_argument on a value that does not parse. *)
 let from_env () =
   let drop = env_float "ZEN_CHAOS_DROP" in
   let dup = env_float "ZEN_CHAOS_DUP" in
@@ -302,7 +308,8 @@ let from_env () =
     crash: [ZEN_CHAOS_CTL_CRASH] (replica id to crash; the knob that
     enables the incident), [ZEN_CHAOS_CTL_AT] (absolute sim time,
     default 1.0) and [ZEN_CHAOS_CTL_DURATION] (seconds until the member
-    rejoins as a standby, default 1.0). *)
+    rejoins as a standby, default 1.0).
+    @raise Invalid_argument on a value that does not parse. *)
 let ctl_incidents_from_env () =
   match env_int "ZEN_CHAOS_CTL_CRASH" with
   | None -> []

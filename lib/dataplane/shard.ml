@@ -140,15 +140,14 @@ let partition_of_string s =
      | Some _ | None -> None)
   | _ -> None
 
-(** Shard count used when none is requested: [ZEN_SIM_SHARDS] if set to
-    a positive integer, else 1. *)
+(** Shard count used when none is requested: [ZEN_SIM_SHARDS] if set,
+    else 1.
+    @raise Invalid_argument when it is set to anything but a positive
+    integer. *)
 let default_shards () =
-  match Sys.getenv_opt "ZEN_SIM_SHARDS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> n
-     | Some _ | None -> 1)
-  | None -> 1
+  Fault.env "ZEN_SIM_SHARDS" (fun s ->
+    match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
+  |> Option.value ~default:1
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)

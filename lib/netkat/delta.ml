@@ -23,18 +23,14 @@
        switches) and skips every switch whose case-subtree uid is
        unchanged — no restriction, no path extraction, no diffing, no
        flow-mods, warm flow caches stay warm;}
-    {- re-derives only the changed switches (restrict + extract, fanned
-       over the {!Util.Pool} domain pool inside an
-       {!Fdd.parallel_region}) and diffs old-vs-new rule lists into
+    {- re-derives only the changed switches (restrict + extract) and
+       diffs old-vs-new rule lists into
        minimal adds (new or modified [(priority, pattern)] keys) and
        strict deletes.}}
 
     {b Invalidation rules.}  Uids are drawn from a never-reset counter,
-    so uid {e equality} is sound forever — across {!Fdd.clear_cache},
-    across generations, across domains (the hash-cons tables are global
-    even inside a parallel region, so worker-domain construction stays
-    canonical; the per-domain DLS {e memo} caches of PR 6 only memoize,
-    they never affect which node is returned).  What a cache clear
+    so uid {e equality} is sound forever — across {!Fdd.clear_cache}
+    and across generations.  What a cache clear
     destroys is {e completeness}: re-deriving an unchanged policy after
     [clear_cache] yields fresh uids, so step 2's fast path misses and
     the switch falls through to step 3 — where a structural rule-list
@@ -115,13 +111,12 @@ let diff_rules old_rules new_rules =
   (adds, deletes)
 
 (* Per-switch work: certify by the spine-case subtree's uid, re-derive
-   (restrict + extract) and diff only on a changed certificate.  Runs on
-   pool domains inside a parallel region; everything it touches is the
-   domain-safe Fdd layer plus pure list code.  [case] is the subtree
-   packets with [Switch = sw] reach through the root spine (from
-   {!Fdd.switch_cases}); it fully determines the restriction, so its uid
-   is as sound a certificate as the restricted diagram's own — and free,
-   where a restrict walk costs O(spine) per switch. *)
+   (restrict + extract) and diff only on a changed certificate.  [case]
+   is the subtree packets with [Switch = sw] reach through the root
+   spine (from {!Fdd.switch_cases}); it fully determines the
+   restriction, so its uid is as sound a certificate as the restricted
+   diagram's own — and free, where a restrict walk costs O(spine) per
+   switch. *)
 let per_switch ~previous ~transform ~keep fdd ~case sw =
   let uid = Fdd.uid case in
   let prev =
@@ -148,61 +143,42 @@ let per_switch ~previous ~transform ~keep fdd ~case sw =
        (sw, entry, Changed { rules; adds; deletes })
      | None -> (sw, entry, Changed { rules; adds = rules; deletes = [] }))
 
-(** [compile ?pool ?domains ?transform ?keep ~switches previous fdd] —
-    one incremental recompilation step: certify every switch of
-    [switches] against [previous] (if any), re-derive and diff only the
-    changed ones, and return the new snapshot.
+(** [compile ?transform ?keep ~switches previous fdd] — one incremental
+    recompilation step: certify every switch of [switches] against
+    [previous] (if any), re-derive and diff only the changed ones, and
+    return the new snapshot.
 
     [transform] rewrites each derived rule before diffing and recording
     (e.g. stamping a version tag or a priority base); it must be pure
     and stable across calls or the uid fast path would certify stale
     transforms.  [keep] filters derived rules first (e.g. dropping
-    fall-through drop rules for global programs).  Per-switch work fans
-    out over [?pool] / [?domains] / the shared default pool exactly like
-    {!Local.rules_of_fdd_all}.  Switches absent from [switches] are
-    dropped from the snapshot — the caller no longer owns them.
+    fall-through drop rules for global programs).  Switches absent from
+    [switches] are dropped from the snapshot — the caller no longer owns
+    them.
     @raise Local.Not_local if the diagram moves packets between
     switches. *)
-let compile ?pool ?domains ?(transform = fun (r : Local.rule) -> r)
+let compile ?(transform = fun (r : Local.rule) -> r)
     ?(keep = fun (_ : Local.rule) -> true) ~switches previous fdd =
   let gen = Fdd.generation () in
-  let results =
-    match switches with
-    | [] -> []
-    | _ ->
-      (* whole-policy fast path: a physically equal diagram certifies
-         every previously-recorded switch at once *)
-      let unchanged_fdd =
-        match previous with Some p -> Fdd.equal p.fdd fdd | None -> false
-      in
-      (* one spine walk certifies every switch (read-only under the
-         parallel fan-out below) *)
-      let cases, default = Fdd.switch_cases fdd in
-      let case_of sw =
-        match Hashtbl.find_opt cases sw with Some t -> t | None -> default
-      in
-      let work sw =
-        let case = case_of sw in
-        match previous with
-        | Some p when unchanged_fdd ->
-          (match Hashtbl.find_opt p.entries sw with
-           | Some e -> (sw, e, Unchanged)
-           | None -> per_switch ~previous ~transform ~keep fdd ~case sw)
-        | _ -> per_switch ~previous ~transform ~keep fdd ~case sw
-      in
-      let pool, owned =
-        match (pool, domains) with
-        | Some p, _ -> (p, false)
-        | None, Some n -> (Util.Pool.create ~domains:n (), true)
-        | None, None -> (Util.Pool.get_default (), false)
-      in
-      let run () =
-        if Util.Pool.size pool <= 1 then List.map work switches
-        else Fdd.parallel_region (fun () -> Util.Pool.map pool switches ~f:work)
-      in
-      Fun.protect run
-        ~finally:(fun () -> if owned then Util.Pool.shutdown pool)
+  (* whole-policy fast path: a physically equal diagram certifies every
+     previously-recorded switch at once *)
+  let unchanged_fdd =
+    match previous with Some p -> Fdd.equal p.fdd fdd | None -> false
   in
+  (* one spine walk certifies every switch *)
+  let cases, default = Fdd.switch_cases fdd in
+  let work sw =
+    let case =
+      match Hashtbl.find_opt cases sw with Some t -> t | None -> default
+    in
+    match previous with
+    | Some p when unchanged_fdd ->
+      (match Hashtbl.find_opt p.entries sw with
+       | Some e -> (sw, e, Unchanged)
+       | None -> per_switch ~previous ~transform ~keep fdd ~case sw)
+    | _ -> per_switch ~previous ~transform ~keep fdd ~case sw
+  in
+  let results = List.map work switches in
   let entries = Hashtbl.create (List.length results) in
   List.iter (fun (sw, e, _) -> Hashtbl.replace entries sw e) results;
   let changes = List.map (fun (sw, _, c) -> (sw, c)) results in
@@ -230,6 +206,5 @@ let compile ?pool ?domains ?(transform = fun (r : Local.rule) -> r)
 (** [compile_policy ~switches previous pol] — {!compile} from syntax
     ({!Fdd.of_policy}, which reuses the diagrams of subterms shared with
     the previous policy). *)
-let compile_policy ?pool ?domains ?transform ?keep ~switches previous pol =
-  compile ?pool ?domains ?transform ?keep ~switches previous
-    (Fdd.of_policy pol)
+let compile_policy ?transform ?keep ~switches previous pol =
+  compile ?transform ?keep ~switches previous (Fdd.of_policy pol)

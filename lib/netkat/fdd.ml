@@ -31,54 +31,15 @@
     [restrict (f, v) b] whenever that side writes no [f]: a guard in
     front of a large base reaches only the base's case for the guarded
     values.  {!of_policy} remembers the diagrams of the previous
-    top-level call's syntax nodes (per domain, by physical identity), so
+    top-level call's syntax nodes (by physical identity), so
     [Seq (guard, base)] after [base] does not re-walk [base].
 
-    {b Domain safety.}  The intern, hash-cons and memo tables are global
-    mutable state, so multi-domain use (the parallel per-switch compiler
-    in {!Local}) must be wrapped in {!parallel_region}: inside a region
-    every table access takes that table's mutex, with uids drawn from
-    [Atomic] counters, so concurrent construction stays canonical
-    (physical equality still coincides with diagram equality).  Outside
-    any region the locks are skipped entirely — the single-domain fast
-    path pays one atomic load per table access — which is sound because
-    the region is entered {e before} worker domains touch the tables and
-    left {e after} they are joined.  Memo-cache fills race benignly: two
-    domains may compute the same entry, but hash-consing makes both
-    results the same physical node.  {!clear_cache} must not run
-    concurrently with a region. *)
+    The intern, hash-cons and memo tables are global mutable state
+    without locks, so FDD state must be used by one domain at a time:
+    compiles run on the caller's domain, and in a sharded simulation
+    only shard 0 hosts a controller. *)
 
 open Packet
-
-(* ------------------------------------------------------------------ *)
-(* Domain safety: per-table mutexes, engaged only inside a region *)
-
-module Shared = struct
-  (* count of live parallel regions; 0 = single-domain, locks skipped *)
-  let regions = Atomic.make 0
-
-  let locking () = Atomic.get regions > 0
-
-  (* [critical m f] runs [f] under [m] when a parallel region is open.
-     The critical sections below never nest on one mutex: memo lookups
-     and memo fills are separate sections, and recursive construction
-     happens between them. *)
-  let critical m f =
-    if locking () then begin
-      Mutex.lock m;
-      match f () with
-      | r -> Mutex.unlock m; r
-      | exception e -> Mutex.unlock m; raise e
-    end
-    else f ()
-end
-
-(** [parallel_region f] runs [f] with the global tables in locked mode;
-    any code that touches this module from more than one domain must do
-    so inside [f].  Regions nest and may overlap across domains. *)
-let parallel_region f =
-  Atomic.incr Shared.regions;
-  Fun.protect ~finally:(fun () -> Atomic.decr Shared.regions) f
 
 (** A single action: a partial header update, sorted by field, at most
     one binding per field.  Applying it to a packet yields one packet.
@@ -103,22 +64,19 @@ module Act = struct
   end)
 
   let intern_tbl : t Intern.t = Intern.create 256
-  let intern_mutex = Mutex.create ()
-  let next_aid = Atomic.make 0
+  let next_aid = ref 0
 
-  (* [binds] must be sorted by field with one binding per field.  The
-     find-or-add is one critical section, so concurrent interning of the
-     same update yields one record. *)
+  (* [binds] must be sorted by field with one binding per field. *)
   let intern binds =
     let ikey = List.map (fun (f, v) -> (Fields.index f, v)) binds in
-    Shared.critical intern_mutex (fun () ->
-      match Intern.find_opt intern_tbl ikey with
-      | Some t -> t
-      | None ->
-        let amask = List.fold_left (fun m (fi, _) -> m lor (1 lsl fi)) 0 ikey in
-        let t = { aid = Atomic.fetch_and_add next_aid 1; binds; ikey; amask } in
-        Intern.add intern_tbl ikey t;
-        t)
+    match Intern.find_opt intern_tbl ikey with
+    | Some t -> t
+    | None ->
+      let amask = List.fold_left (fun m (fi, _) -> m lor (1 lsl fi)) 0 ikey in
+      let t = { aid = !next_aid; binds; ikey; amask } in
+      incr next_aid;
+      Intern.add intern_tbl ikey t;
+      t
 
   (** The identity update. *)
   let id : t = intern []
@@ -227,40 +185,36 @@ module Leaf_tbl = Hashtbl.Make (Leaf_key)
 
 let leaf_tbl : t Leaf_tbl.t = Leaf_tbl.create 256
 let branch_tbl : (int * int * int * int, t) Hashtbl.t = Hashtbl.create 256
-let leaf_mutex = Mutex.create ()
-let branch_mutex = Mutex.create ()
-let next_uid = Atomic.make 0
+let next_uid = ref 0
 
 let fresh ~hash ~mask node =
-  { uid = Atomic.fetch_and_add next_uid 1; hash; mask; node }
+  let uid = !next_uid in
+  incr next_uid;
+  { uid; hash; mask; node }
 
-(* Find-or-add under the table's mutex: hash-consing stays canonical
-   when several domains build the same node. *)
 let leaf acts =
-  Shared.critical leaf_mutex (fun () ->
-    match Leaf_tbl.find_opt leaf_tbl acts with
-    | Some t -> t
-    | None ->
-      let mask = ActSet.fold (fun a m -> m lor a.Act.amask) acts 0 in
-      let t = fresh ~hash:(hash_acts acts) ~mask (Leaf acts) in
-      Leaf_tbl.add leaf_tbl acts t;
-      t)
+  match Leaf_tbl.find_opt leaf_tbl acts with
+  | Some t -> t
+  | None ->
+    let mask = ActSet.fold (fun a m -> m lor a.Act.amask) acts 0 in
+    let t = fresh ~hash:(hash_acts acts) ~mask (Leaf acts) in
+    Leaf_tbl.add leaf_tbl acts t;
+    t
 
 (** [branch test tru fls] hash-conses, collapsing redundant tests. *)
 let branch ((f, v) as test) tru fls =
   if tru == fls then tru
   else begin
     let key = (Fields.index f, v, tru.uid, fls.uid) in
-    Shared.critical branch_mutex (fun () ->
-      match Hashtbl.find_opt branch_tbl key with
-      | Some t -> t
-      | None ->
-        let t =
-          fresh ~hash:(Hashtbl.hash key) ~mask:(tru.mask lor fls.mask)
-            (Branch (test, tru, fls))
-        in
-        Hashtbl.add branch_tbl key t;
-        t)
+    match Hashtbl.find_opt branch_tbl key with
+    | Some t -> t
+    | None ->
+      let t =
+        fresh ~hash:(Hashtbl.hash key) ~mask:(tru.mask lor fls.mask)
+          (Branch (test, tru, fls))
+      in
+      Hashtbl.add branch_tbl key t;
+      t
   end
 
 let drop = leaf ActSet.empty
@@ -281,49 +235,8 @@ let op_act_seq = 3
 
 let binop_cache : (int * int * int, t) Hashtbl.t = Hashtbl.create 4096
 let restrict_cache : (int * int * int, t) Hashtbl.t = Hashtbl.create 256
-(* Memo probe/fill.  Sequentially these hit the global tables directly
-   (Shared.critical skips the mutex outside a region).  Inside a
-   {!parallel_region} every probe/fill would contend on one mutex per
-   operation — with the sharded simulator fanning per-switch
-   compilations over a domain pool, that pair of locks serializes the
-   whole compiler.  So in locked mode the {e memo} tables are per-domain
-   instead, in domain-local storage: misses recompute (results are
-   canonical via the hash-cons tables, which stay global — canonicity
-   cannot be sharded), and no lock is taken at all.  [clear_cache]
-   bumps a generation counter; stale domain tables are dropped lazily on
-   first use. *)
-let memo_generation = Atomic.make 0
 
-type domain_memo = {
-  dm_gen : int;
-  dm_binop : (int * int * int, t) Hashtbl.t;
-  dm_restrict : (int * int * int, t) Hashtbl.t;
-}
-
-let dls_memo : domain_memo option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let domain_memo () =
-  let cell = Domain.DLS.get dls_memo in
-  let gen = Atomic.get memo_generation in
-  match !cell with
-  | Some dm when dm.dm_gen = gen -> dm
-  | Some _ | None ->
-    let dm =
-      { dm_gen = gen; dm_binop = Hashtbl.create 1024;
-        dm_restrict = Hashtbl.create 64 }
-    in
-    cell := Some dm;
-    dm
-
-(* [sel] picks the per-domain counterpart of the global [tbl] *)
-let memo_find tbl sel key =
-  if Shared.locking () then Hashtbl.find_opt (sel (domain_memo ())) key
-  else Hashtbl.find_opt tbl key
-
-let memo_fill tbl sel key v =
-  if Shared.locking () then Hashtbl.replace (sel (domain_memo ())) key v
-  else Hashtbl.replace tbl key v
+let memo_generation = ref 0
 
 (* Syntax nodes keyed by physical identity, for {!of_policy}'s memo. *)
 module Pol_tbl = Hashtbl.Make (struct
@@ -333,12 +246,11 @@ module Pol_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* Per domain: the generation and the diagram of every syntax node the
-   last top-level {!of_policy} call visited.  Strong, and replaced
-   wholesale at the end of each call, so it holds one policy's subterms
-   at a time. *)
-let last_policy : (int * t Pol_tbl.t) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The generation and the diagram of every syntax node the last
+   top-level {!of_policy} call visited.  Strong, and replaced wholesale
+   at the end of each call, so it holds one policy's subterms at a
+   time. *)
+let last_policy : (int * t Pol_tbl.t) option ref = ref None
 
 (** Hash-cons generation: bumped by every {!clear_cache}.  Within one
     generation, structurally equal diagrams are physically equal, so
@@ -348,7 +260,7 @@ let last_policy : (int * t Pol_tbl.t) option ref Domain.DLS.key =
     a clear, sharing is lost: re-deriving the same policy yields fresh
     uids, so uid comparison stays {e sound} (uids are never reused) but
     loses its completeness — equal tables may carry different uids. *)
-let generation () = Atomic.get memo_generation
+let generation () = !memo_generation
 
 (** Sizes of the internal tables:
     [(leaves, branches, binop cache, restrict cache)]. *)
@@ -356,11 +268,11 @@ let cache_stats () =
   (Leaf_tbl.length leaf_tbl, Hashtbl.length branch_tbl,
    Hashtbl.length binop_cache, Hashtbl.length restrict_cache)
 
-(** Syntax nodes the last top-level {!of_policy} call on this domain
+(** Syntax nodes the last top-level {!of_policy} call
     visited (and so remembers): a call that reuses a shared subterm
     visits that subterm's root only. *)
 let last_policy_size () =
-  match !(Domain.DLS.get last_policy) with
+  match !last_policy with
   | Some (gen, tbl) when gen = generation () -> Pol_tbl.length tbl
   | Some _ | None -> 0
 
@@ -368,15 +280,14 @@ let last_policy_size () =
     benchmark runs to measure cold construction).  Existing diagrams
     remain usable but will no longer share with new ones; [drop] and
     [ident] stay canonical.  Interned actions are kept — their ids are
-    canonical for the whole process.  Must not run concurrently with a
-    {!parallel_region}. *)
+    canonical for the whole process. *)
 let clear_cache () =
   Leaf_tbl.reset leaf_tbl;
   Hashtbl.reset branch_tbl;
   Hashtbl.reset binop_cache;
   Hashtbl.reset restrict_cache;
-  Domain.DLS.get last_policy := None;
-  Atomic.incr memo_generation;
+  last_policy := None;
+  incr memo_generation;
   Leaf_tbl.add leaf_tbl ActSet.empty drop;
   Leaf_tbl.add leaf_tbl (ActSet.singleton Act.id) ident
 
@@ -423,7 +334,7 @@ let apply ~tag ~commutative ~terminal op =
        | _ ->
          let a, b = if commutative && a.uid > b.uid then (b, a) else (a, b) in
          let key = (tag, a.uid, b.uid) in
-         (match memo_find binop_cache (fun dm -> dm.dm_binop) key with
+         (match Hashtbl.find_opt binop_cache key with
           | Some r -> r
           | None ->
             let test = min_root a b in
@@ -431,7 +342,7 @@ let apply ~tag ~commutative ~terminal op =
               branch test (go (pos test a) (pos test b))
                 (go (neg test a) (neg test b))
             in
-            memo_fill binop_cache (fun dm -> dm.dm_binop) key r;
+            Hashtbl.replace binop_cache key r;
             r))
   in
   go
@@ -474,14 +385,14 @@ let restrict (f, v) d =
       if Fields.compare g f > 0 then d
       else begin
         let key = (fi, v, d.uid) in
-        match memo_find restrict_cache (fun dm -> dm.dm_restrict) key with
+        match Hashtbl.find_opt restrict_cache key with
         | Some r -> r
         | None ->
           let r =
             if Fields.equal g f then if u = v then go tru else go fls
             else branch (g, u) (go tru) (go fls)
           in
-          memo_fill restrict_cache (fun dm -> dm.dm_restrict) key r;
+          Hashtbl.replace restrict_cache key r;
           r
       end
   in
@@ -498,7 +409,7 @@ let rec act_seq act d =
   if Act.equal act Act.id then d
   else begin
     let key = (op_act_seq, Act.uid act, d.uid) in
-    match memo_find binop_cache (fun dm -> dm.dm_binop) key with
+    match Hashtbl.find_opt binop_cache key with
     | Some r -> r
     | None ->
       let r =
@@ -509,7 +420,7 @@ let rec act_seq act d =
            | Some v' -> if v' = v then act_seq act tru else act_seq act fls
            | None -> cond (f, v) (act_seq act tru) (act_seq act fls))
       in
-      memo_fill binop_cache (fun dm -> dm.dm_binop) key r;
+      Hashtbl.replace binop_cache key r;
       r
   end
 
@@ -525,7 +436,7 @@ let rec seq a b =
   else if a == drop || b == drop then drop
   else begin
     let key = (op_seq, a.uid, b.uid) in
-    match memo_find binop_cache (fun dm -> dm.dm_binop) key with
+    match Hashtbl.find_opt binop_cache key with
     | Some r -> r
     | None ->
       let r =
@@ -538,7 +449,7 @@ let rec seq a b =
           let b_tru = if writes tru f then b else restrict test b in
           cond test (seq tru b_tru) (seq fls b)
       in
-      memo_fill binop_cache (fun dm -> dm.dm_binop) key r;
+      Hashtbl.replace binop_cache key r;
       r
   end
 
@@ -588,14 +499,13 @@ let rec of_pred (p : Syntax.pred) =
       (of_pred a)
 
 (** The diagram of a policy.  A syntax node the previous top-level call
-    on this domain visited (the same physical value, within one
+    visited (the same physical value, within one
     {!generation}) is answered from that call without re-walking it;
     the answer is the node recomputation would build. *)
 let of_policy (p : Syntax.pol) =
-  let cell = Domain.DLS.get last_policy in
   let gen = generation () in
   let last =
-    match !cell with
+    match !last_policy with
     | Some (g, tbl) when g = gen -> tbl
     | Some _ | None -> Pol_tbl.create 1
   in
@@ -616,7 +526,7 @@ let of_policy (p : Syntax.pol) =
     d
   in
   let d = go p in
-  cell := Some (gen, seen);
+  last_policy := Some (gen, seen);
   d
 
 (* ------------------------------------------------------------------ *)

@@ -108,75 +108,15 @@ let table_of_rules ?capacity rules =
 let compile_table ?capacity ~switch pol =
   table_of_rules ?capacity (compile ~switch pol)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel per-switch compilation.
-
-   The FDD is built once (on the calling domain) and is immutable from
-   then on; specializing it to each switch — [restrict] plus path
-   extraction — is fully independent per switch, so it fans out over a
-   {!Util.Pool} of domains inside an {!Fdd.parallel_region}.  The output
-   is bit-for-bit the sequential result: same switches in the same
-   order, same rules, same priorities (pinned by a property test). *)
-
-(** [rules_of_fdd_all ~switches d] is
-    [List.map (fun sw -> (sw, rules_of_fdd ~switch:sw d)) switches] with
-    the per-switch work distributed over a domain pool: [?pool] if
-    given, else a transient pool of [?domains] domains, else the shared
-    {!Util.Pool.get_default} pool.  With one domain the work runs inline
-    and the FDD tables stay lock-free. *)
-let rules_of_fdd_all ?pool ?domains ~switches d =
-  match switches with
-  | [] -> []
-  | _ ->
-    let pool, owned =
-      match (pool, domains) with
-      | Some p, _ -> (p, false)
-      | None, Some n -> (Util.Pool.create ~domains:n (), true)
-      | None, None -> (Util.Pool.get_default (), false)
-    in
-    let per_switch sw = (sw, rules_of_fdd ~switch:sw d) in
-    let compile () =
-      if Util.Pool.size pool <= 1 then List.map per_switch switches
-      else Fdd.parallel_region (fun () -> Util.Pool.map pool switches ~f:per_switch)
-    in
-    Fun.protect compile
-      ~finally:(fun () -> if owned then Util.Pool.shutdown pool)
+(** [rules_of_fdd_all ~switches d] pairs each switch of [switches], in
+    order, with [rules_of_fdd ~switch d]. *)
+let rules_of_fdd_all ~switches d =
+  List.map (fun sw -> (sw, rules_of_fdd ~switch:sw d)) switches
 
 (** [compile_all ~switches pol] compiles a local policy for every switch
-    at once: the FDD is built once and the per-switch specialization
-    runs on a domain pool (see {!rules_of_fdd_all} for the pool knobs).
+    at once, building its FDD once.
     @raise Not_local on link policies. *)
-let compile_all ?pool ?domains ~switches pol =
-  rules_of_fdd_all ?pool ?domains ~switches (Fdd.of_policy pol)
-
-(** As {!compile_all}, but each switch's rules loaded into a fresh
-    {!Flow.Table.t} (built on the pool alongside the rules). *)
-let compile_all_tables ?capacity ?pool ?domains ~switches pol =
-  let d = Fdd.of_policy pol in
-  match switches with
-  | [] -> []
-  | _ ->
-    let pool, owned =
-      match (pool, domains) with
-      | Some p, _ -> (p, false)
-      | None, Some n -> (Util.Pool.create ~domains:n (), true)
-      | None, None -> (Util.Pool.get_default (), false)
-    in
-    let per_switch sw =
-      (sw, table_of_rules ?capacity (rules_of_fdd ~switch:sw d))
-    in
-    let compile () =
-      if Util.Pool.size pool <= 1 then List.map per_switch switches
-      else Fdd.parallel_region (fun () -> Util.Pool.map pool switches ~f:per_switch)
-    in
-    Fun.protect compile
-      ~finally:(fun () -> if owned then Util.Pool.shutdown pool)
-
-(** Total rules across all switches — the compiler's output size.
-    Compiled via {!compile_all}, so it parallelizes with the pool. *)
-let total_rules ?pool ?domains ~switches pol =
-  compile_all ?pool ?domains ~switches pol
-  |> List.fold_left (fun acc (_, rules) -> acc + List.length rules) 0
+let compile_all ~switches pol = rules_of_fdd_all ~switches (Fdd.of_policy pol)
 
 let pp_rule fmt r =
   Format.fprintf fmt "[%4d] %a -> %a" r.priority Flow.Pattern.pp r.pattern

@@ -7,19 +7,17 @@
     inline with no spawning, no locking and no queueing: sequential
     callers pay nothing for the parallel capability.
 
-    The default size is the [ZEN_DOMAINS] environment variable when set
-    to a positive integer, otherwise [Domain.recommended_domain_count].
+    The default size is [Domain.recommended_domain_count].
     {!get_default} returns a lazily-created process-wide pool of that
-    size, so independent subsystems share one set of worker domains
-    instead of oversubscribing the machine.
+    size, which the sharded simulator ({!Shard_sync}) runs its windows
+    on.
 
     Scheduling is a single mutex-protected FIFO of jobs; workers park on
     a condition variable when it is empty.  That is deliberately simple:
-    the intended grain is per-switch compilation and similar
-    millisecond-scale jobs, where queue overhead is noise.  Exceptions
-    raised by [f] are caught on the worker, and the first one is
-    re-raised (with its backtrace) on the caller after the whole batch
-    has settled. *)
+    the intended grain is one simulation window per shard, where queue
+    overhead is noise.  Exceptions raised by [f] are caught on the
+    worker, and the first one is re-raised (with its backtrace) on the
+    caller after the whole batch has settled. *)
 
 type t = {
   size : int;  (** total domains used by {!map}, including the caller *)
@@ -33,15 +31,8 @@ type t = {
 
 let size t = t.size
 
-(** Pool size used when none is requested: [ZEN_DOMAINS] if set to a
-    positive integer, else [Domain.recommended_domain_count]. *)
-let default_size () =
-  match Sys.getenv_opt "ZEN_DOMAINS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> n
-     | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+(** Pool size used when none is requested. *)
+let default_size () = Domain.recommended_domain_count ()
 
 let rec worker t =
   Mutex.lock t.mutex;

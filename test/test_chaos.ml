@@ -73,12 +73,23 @@ let test_fault_env_matrix () =
        Alcotest.(check (float 0.0)) "zero link reorder" 0.0 c.link_reorder);
     (* seed + rate compose *)
     Unix.putenv "ZEN_CHAOS_LINK_DROP" "0.1";
-    match Fault.from_env () with
-    | None -> Alcotest.fail "seed+rate did not activate chaos"
-    | Some f ->
-      let c = Fault.config f in
-      Alcotest.(check (pair int (float 0.0))) "seed and rate both honored"
-        (99, 0.1) (c.seed, c.link_drop))
+    (match Fault.from_env () with
+     | None -> Alcotest.fail "seed+rate did not activate chaos"
+     | Some f ->
+       let c = Fault.config f in
+       Alcotest.(check (pair int (float 0.0))) "seed and rate both honored"
+         (99, 0.1) (c.seed, c.link_drop));
+    (* a malformed value fails loudly instead of reading as unset *)
+    List.iter
+      (fun (knob, value) ->
+        clear ();
+        Unix.putenv knob value;
+        Alcotest.check_raises (knob ^ "=" ^ value ^ " rejected")
+          (Invalid_argument
+             (Printf.sprintf "%s=%S is not a valid value" knob value))
+          (fun () -> ignore (Fault.from_env ())))
+      [ ("ZEN_CHAOS_DROP", "5%"); ("ZEN_CHAOS_DROP", "abc");
+        ("ZEN_CHAOS_SEED", "0.5") ])
 
 (* the ZEN_CHAOS_CTL_* knobs: a scheduled controller outage, for the
    replicated control plane (see Controller.Replica) *)
@@ -100,12 +111,16 @@ let test_ctl_outage_env_knobs () =
      | _ -> Alcotest.fail "ZEN_CHAOS_CTL_CRASH alone did not schedule");
     Unix.putenv "ZEN_CHAOS_CTL_AT" "0.4";
     Unix.putenv "ZEN_CHAOS_CTL_DURATION" "2.5";
-    match Fault.ctl_incidents_from_env () with
-    | [ Fault.Controller_outage { controller_id; at; duration } ] ->
-      Alcotest.(check int) "controller id" 0 controller_id;
-      Alcotest.(check (float 0.0)) "at honored" 0.4 at;
-      Alcotest.(check (float 0.0)) "duration honored" 2.5 duration
-    | _ -> Alcotest.fail "knob combination did not schedule")
+    (match Fault.ctl_incidents_from_env () with
+     | [ Fault.Controller_outage { controller_id; at; duration } ] ->
+       Alcotest.(check int) "controller id" 0 controller_id;
+       Alcotest.(check (float 0.0)) "at honored" 0.4 at;
+       Alcotest.(check (float 0.0)) "duration honored" 2.5 duration
+     | _ -> Alcotest.fail "knob combination did not schedule");
+    Unix.putenv "ZEN_CHAOS_CTL_AT" "soon";
+    Alcotest.check_raises "malformed ZEN_CHAOS_CTL_AT rejected"
+      (Invalid_argument "ZEN_CHAOS_CTL_AT=\"soon\" is not a valid value")
+      (fun () -> ignore (Fault.ctl_incidents_from_env ())))
 
 (* a Controller_outage against a replicated control plane is part of the
    seeded fault stream: same seed, byte-identical chaos trace (crash,

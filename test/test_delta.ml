@@ -175,7 +175,7 @@ let apply_change old_rules = function
     let dead = List.map key deletes @ List.map key adds in
     adds @ List.filter (fun r -> not (List.mem (key r) dead)) old_rules
 
-let prop_churn ~domains ~clears name =
+let prop_churn ~clears name =
   QCheck.Test.make ~name ~count:25
     (QCheck.make
        ~print:(fun pols ->
@@ -184,64 +184,57 @@ let prop_churn ~domains ~clears name =
           Test_netkat.local_pol_gen))
     (fun pols ->
       let switches = [ 0; 1; 2; 3 ] in
-      let pool =
-        if domains <= 1 then None
-        else Some (Util.Pool.create ~domains ())
+      (* cumulative edits: step i's diagram shares structure with
+         step i-1's, like a real churn stream *)
+      let steps =
+        List.fold_left
+          (fun acc p ->
+            match acc with
+            | [] -> [ p ]
+            | prev :: _ -> Syntax.union prev p :: acc)
+          [] pols
+        |> List.rev
       in
-      Fun.protect
-        ~finally:(fun () -> Option.iter Util.Pool.shutdown pool)
-        (fun () ->
-          (* cumulative edits: step i's diagram shares structure with
-             step i-1's, like a real churn stream *)
-          let steps =
-            List.fold_left
-              (fun acc p ->
-                match acc with
-                | [] -> [ p ]
-                | prev :: _ -> Syntax.union prev p :: acc)
-              [] pols
-            |> List.rev
-          in
-          let tables = Hashtbl.create 8 in
-          let snap = ref None in
-          List.iteri
-            (fun i pol ->
-              if clears && i mod 2 = 1 then Fdd.clear_cache ();
-              let fdd = Fdd.of_policy pol in
-              let result = Delta.compile ?pool ~switches !snap fdd in
-              snap := Some result.snapshot;
-              List.iter
-                (fun (sw, change) ->
-                  let old_rules =
-                    Option.value ~default:[] (Hashtbl.find_opt tables sw)
-                  in
-                  (match (change : Delta.change) with
-                   | Delta.Unchanged -> ()
-                   | Delta.Changed { rules; _ } ->
-                     (* the emitted delta must reconstruct the full table *)
-                     let applied = apply_change old_rules change in
-                     if
-                       List.sort compare (triples applied)
-                       <> List.sort compare (triples rules)
-                     then
-                       QCheck.Test.fail_reportf
-                         "delta does not reconstruct table (step %d, switch %d)"
-                         i sw;
-                     Hashtbl.replace tables sw rules))
-                result.changes;
-              (* ...and every switch (including skipped ones) must equal
-                 a from-scratch compile of this step's policy *)
-              List.iter
-                (fun (sw, rules) ->
-                  let got =
-                    Option.value ~default:[] (Hashtbl.find_opt tables sw)
-                  in
-                  if got <> rules then
-                    QCheck.Test.fail_reportf
-                      "incremental <> scratch (step %d, switch %d)" i sw)
-                (Local.rules_of_fdd_all ~switches fdd))
-            steps;
-          true))
+      let tables = Hashtbl.create 8 in
+      let snap = ref None in
+      List.iteri
+        (fun i pol ->
+          if clears && i mod 2 = 1 then Fdd.clear_cache ();
+          let fdd = Fdd.of_policy pol in
+          let result = Delta.compile ~switches !snap fdd in
+          snap := Some result.snapshot;
+          List.iter
+            (fun (sw, change) ->
+              let old_rules =
+                Option.value ~default:[] (Hashtbl.find_opt tables sw)
+              in
+              (match (change : Delta.change) with
+               | Delta.Unchanged -> ()
+               | Delta.Changed { rules; _ } ->
+                 (* the emitted delta must reconstruct the full table *)
+                 let applied = apply_change old_rules change in
+                 if
+                   List.sort compare (triples applied)
+                   <> List.sort compare (triples rules)
+                 then
+                   QCheck.Test.fail_reportf
+                     "delta does not reconstruct table (step %d, switch %d)"
+                     i sw;
+                 Hashtbl.replace tables sw rules))
+            result.changes;
+          (* ...and every switch (including skipped ones) must equal
+             a from-scratch compile of this step's policy *)
+          List.iter
+            (fun (sw, rules) ->
+              let got =
+                Option.value ~default:[] (Hashtbl.find_opt tables sw)
+              in
+              if got <> rules then
+                QCheck.Test.fail_reportf
+                  "incremental <> scratch (step %d, switch %d)" i sw)
+            (Local.rules_of_fdd_all ~switches fdd))
+        steps;
+      true)
 
 let suites =
   [ ( "netkat.delta",
@@ -257,14 +250,7 @@ let suites =
         Alcotest.test_case "k=8 edit bytes vs full re-push" `Quick
           test_k8_edit_bytes;
         QCheck_alcotest.to_alcotest
-          (prop_churn ~domains:1 ~clears:false
-             "churn ≡ scratch at every step (1 domain)");
+          (prop_churn ~clears:false "churn ≡ scratch at every step");
         QCheck_alcotest.to_alcotest
-          (prop_churn ~domains:4 ~clears:false
-             "churn ≡ scratch at every step (4 domains)");
-        QCheck_alcotest.to_alcotest
-          (prop_churn ~domains:1 ~clears:true
-             "churn ≡ scratch across cache clears (1 domain)");
-        QCheck_alcotest.to_alcotest
-          (prop_churn ~domains:4 ~clears:true
-             "churn ≡ scratch across cache clears (4 domains)") ] ) ]
+          (prop_churn ~clears:true "churn ≡ scratch across cache clears") ] )
+  ]

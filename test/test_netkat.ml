@@ -521,12 +521,11 @@ let test_naive_unsupported () =
      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel compilation *)
+(* Whole-network compilation *)
 
-(* compile_all must be bit-for-bit the sequential per-switch result —
-   same switches in the same order, same rules, same priorities — for
-   every pool size, including the inline size-1 path; inputs are 60
-   random 4-switch policies and an 8-entry allowlist over fat-tree k=4
+(* compile_all must be the per-switch result — same switches in the
+   same order, same rules, same priorities; inputs are 60 random
+   4-switch policies and an 8-entry allowlist over fat-tree k=4
    routing *)
 let test_compile_all_equals_sequential () =
   let rand = Random.State.make [| 0xC0FFEE |] in
@@ -538,67 +537,13 @@ let test_compile_all_equals_sequential () =
          (QCheck.Gen.generate ~n:60 ~rand local_pol_gen)
   in
   List.iter
-    (fun domains ->
-      let pool = Util.Pool.create ~domains () in
-      Fun.protect ~finally:(fun () -> Util.Pool.shutdown pool) @@ fun () ->
-      List.iter
-        (fun (switches, pol) ->
-          let sequential =
-            List.map (fun sw -> (sw, Local.compile ~switch:sw pol)) switches
-          in
-          let parallel = Local.compile_all ~pool ~switches pol in
-          if parallel <> sequential then
-            Alcotest.failf "compile_all diverges at %d domains on %s" domains
-              (Syntax.pol_to_string pol);
-          let expected_total =
-            List.fold_left
-              (fun acc (_, rules) -> acc + List.length rules)
-              0 sequential
-          in
-          Alcotest.(check int) "total_rules agrees" expected_total
-            (Local.total_rules ~pool ~switches pol))
-        inputs)
-    [ 1; 2; 4 ]
-
-(* hammer the shared intern / hash-cons / memo tables from four domains
-   at once inside a parallel_region: every domain compiles the same
-   policies concurrently and must come back with the canonical
-   (physically equal) diagrams, and evaluation must match the
-   single-domain compile *)
-let test_fdd_multidomain_stress () =
-  let rand = Random.State.make [| 17 |] in
-  let pols = QCheck.Gen.generate ~n:30 ~rand local_pol_gen in
-  let preds = QCheck.Gen.generate ~n:30 ~rand gen_pred in
-  let work () =
-    List.map2
-      (fun pol pred ->
-        let d = Fdd.of_policy pol in
-        let p = Fdd.of_pred pred in
-        let combined = Fdd.seq p (Fdd.union d (Fdd.restrict (Fields.Switch, 1) d)) in
-        (d, combined))
-      pols preds
-  in
-  let results =
-    Fdd.parallel_region (fun () ->
-      List.init 4 (fun _ -> Domain.spawn work) |> List.map Domain.join)
-  in
-  let reference = work () in
-  List.iteri
-    (fun i per_domain ->
-      List.iter2
-        (fun (d, c) (d', c') ->
-          if not (d == d' && c == c') then
-            Alcotest.failf "domain %d produced a non-canonical FDD" i)
-        reference per_domain)
-    results;
-  (* spot-check semantics survived the concurrent construction *)
-  let h = Headers.default in
-  List.iter2
-    (fun pol (d, _) ->
-      Alcotest.check headers_list "eval matches semantics"
-        (hset_to_list (Semantics.eval pol h))
-        (Fdd.eval d h |> List.sort_uniq Headers.compare))
-    pols reference
+    (fun (switches, pol) ->
+      let sequential =
+        List.map (fun sw -> (sw, Local.compile ~switch:sw pol)) switches
+      in
+      if Local.compile_all ~switches pol <> sequential then
+        Alcotest.failf "compile_all diverges on %s" (Syntax.pol_to_string pol))
+    inputs
 
 (* ------------------------------------------------------------------ *)
 (* Edit compile cost: the seq specialisation and the of_policy memo *)
@@ -727,6 +672,25 @@ let test_of_policy_memo () =
   Alcotest.(check int) "clear_cache forgets the last policy" 0
     (Fdd.last_policy_size ())
 
+(* FDD state is used by one domain at a time, not owned by one: an edit
+   compiled on another domain (a sharded controller's window on a pool
+   worker) still answers the shared base from the last call's memo *)
+let test_of_policy_memo_across_domains () =
+  let topo = Topo.Gen.linear ~switches:4 ~hosts_per_switch:2 () in
+  let base = Builder.routing_policy topo in
+  let d = Fdd.of_policy base in
+  let guard = Syntax.filter (Syntax.neg (Syntax.test Fields.Tp_dst 22)) in
+  let visited, edited =
+    Domain.join
+      (Domain.spawn (fun () ->
+         let edited = Fdd.of_policy (Syntax.seq guard base) in
+         (Fdd.last_policy_size (), edited)))
+  in
+  Alcotest.(check int) "the edit visits the Seq, the guard and the base root"
+    3 visited;
+  Alcotest.(check bool) "edit = composed diagrams" true
+    (edited == Fdd.seq (Fdd.of_policy guard) d)
+
 (* ------------------------------------------------------------------ *)
 (* Builders *)
 
@@ -829,10 +793,10 @@ let suites =
         Alcotest.test_case "table loading" `Quick test_local_table_loading;
         QCheck_alcotest.to_alcotest prop_table_equals_semantics ] );
     ( "netkat.parallel",
-      [ Alcotest.test_case "compile_all = sequential (1/2/4 domains)" `Quick
-          test_compile_all_equals_sequential;
-        Alcotest.test_case "multi-domain fdd stress" `Quick
-          test_fdd_multidomain_stress ] );
+      [ Alcotest.test_case "compile_all = sequential per-switch compile"
+          `Quick test_compile_all_equals_sequential;
+        Alcotest.test_case "of_policy memo survives a domain handoff" `Quick
+          test_of_policy_memo_across_domains ] );
     ( "netkat.naive",
       [ Alcotest.test_case "agrees on routing" `Quick
           test_naive_agrees_on_routing;

@@ -402,77 +402,71 @@ let test_update_version_replicates () =
    table must equal the surviving leader's intended shadow.  Edits that
    fall into the leaderless window are dropped entirely — the property
    is installed ≡ intended, not edit durability. *)
-let prop_replica_churn ~domains name =
-  QCheck.Test.make ~name ~count:8
+let prop_replica_churn =
+  QCheck.Test.make ~name:"replica churn converges (leader crash)" ~count:8
     (QCheck.make
        ~print:(fun pols ->
          String.concat " ;; " (List.map Netkat.Syntax.pol_to_string pols))
        (QCheck.Gen.list_size (QCheck.Gen.int_range 2 4)
           Test_netkat.local_pol_gen))
     (fun pols ->
-      let pool =
-        if domains <= 1 then None else Some (Util.Pool.create ~domains ())
+      let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
+      let switches = Topo.Topology.switch_ids topo in
+      let net = Network.create topo in
+      let r =
+        Replica.create ~resilience:fast_resilience ~replicas:2 ~lease:0.1
+          net
+          (fun () -> [])
       in
-      Fun.protect
-        ~finally:(fun () -> Option.iter Util.Pool.shutdown pool)
-        (fun () ->
-          let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
-          let switches = Topo.Topology.switch_ids topo in
-          let net = Network.create topo in
-          let r =
-            Replica.create ~resilience:fast_resilience ~replicas:2 ~lease:0.1
-              net
-              (fun () -> [])
-          in
-          let steps =
-            List.fold_left
-              (fun acc p ->
-                match acc with
-                | [] -> [ p ]
-                | prev :: _ -> Netkat.Syntax.union prev p :: acc)
-              [] pols
-            |> List.rev
-          in
-          let snap = ref None in
-          List.iteri
-            (fun i pol ->
-              Sim.schedule_at (Network.sim net)
-                ~time:(0.3 +. (0.4 *. float_of_int i))
-                (fun () ->
-                  let fdd = Netkat.Fdd.of_policy pol in
-                  let result = Netkat.Delta.compile ?pool ~switches !snap fdd in
-                  snap := Some result.snapshot;
-                  match Replica.leader_runtime r with
-                  | None -> ()
-                  | Some rt ->
-                    let ctx = Controller.Runtime.ctx rt in
-                    List.iter
-                      (fun (sw, change) ->
-                        match (change : Netkat.Delta.change) with
-                        | Netkat.Delta.Unchanged -> ()
-                        | Netkat.Delta.Changed { rules; _ } ->
-                          Controller.Api.install_rules ctx ~switch_id:sw
-                            ~cookie:7 ~replace:true
-                            (List.map
-                               (fun (ru : Netkat.Local.rule) ->
-                                 (ru.priority, ru.pattern, ru.actions))
-                               rules))
-                      result.changes))
-            steps;
-          (* leader crashes mid-stream and later rejoins as a standby *)
-          Network.inject net
-            [ Fault.Controller_outage
-                { controller_id = 0; at = 0.45; duration = 1.0 } ];
-          let horizon = 0.3 +. (0.4 *. float_of_int (List.length steps)) +. 3.0 in
-          ignore (Network.run ~until:horizon net ());
-          if (Replica.stats r).failovers < 1 then
-            QCheck.Test.fail_report "no failover happened";
-          let diverged = Replica.diverged r in
-          Replica.shutdown r;
-          if diverged <> [] then
-            QCheck.Test.fail_reportf "diverged switches: %s"
-              (String.concat "," (List.map string_of_int diverged))
-          else true))
+      let steps =
+        List.fold_left
+          (fun acc p ->
+            match acc with
+            | [] -> [ p ]
+            | prev :: _ -> Netkat.Syntax.union prev p :: acc)
+          [] pols
+        |> List.rev
+      in
+      let snap = ref None in
+      List.iteri
+        (fun i pol ->
+          Sim.schedule_at (Network.sim net)
+            ~time:(0.3 +. (0.4 *. float_of_int i))
+            (fun () ->
+              let fdd = Netkat.Fdd.of_policy pol in
+              let result = Netkat.Delta.compile ~switches !snap fdd in
+              snap := Some result.snapshot;
+              match Replica.leader_runtime r with
+              | None -> ()
+              | Some rt ->
+                let ctx = Controller.Runtime.ctx rt in
+                List.iter
+                  (fun (sw, change) ->
+                    match (change : Netkat.Delta.change) with
+                    | Netkat.Delta.Unchanged -> ()
+                    | Netkat.Delta.Changed { rules; _ } ->
+                      Controller.Api.install_rules ctx ~switch_id:sw
+                        ~cookie:7 ~replace:true
+                        (List.map
+                           (fun (ru : Netkat.Local.rule) ->
+                             (ru.priority, ru.pattern, ru.actions))
+                           rules))
+                  result.changes))
+        steps;
+      (* leader crashes mid-stream and later rejoins as a standby *)
+      Network.inject net
+        [ Fault.Controller_outage
+            { controller_id = 0; at = 0.45; duration = 1.0 } ];
+      let horizon = 0.3 +. (0.4 *. float_of_int (List.length steps)) +. 3.0 in
+      ignore (Network.run ~until:horizon net ());
+      if (Replica.stats r).failovers < 1 then
+        QCheck.Test.fail_report "no failover happened";
+      let diverged = Replica.diverged r in
+      Replica.shutdown r;
+      if diverged <> [] then
+        QCheck.Test.fail_reportf "diverged switches: %s"
+          (String.concat "," (List.map string_of_int diverged))
+      else true)
 
 let suites =
   [ ( "replica.channel",
@@ -500,8 +494,4 @@ let suites =
         Alcotest.test_case "update version replicates" `Quick
           test_update_version_replicates ] );
     ( "replica.churn",
-      [ QCheck_alcotest.to_alcotest
-          (prop_replica_churn ~domains:1 "replica churn converges (1 domain)");
-        QCheck_alcotest.to_alcotest
-          (prop_replica_churn ~domains:2 "replica churn converges (2 domains)")
-      ] ) ]
+      [ QCheck_alcotest.to_alcotest prop_replica_churn ] ) ]
