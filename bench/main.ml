@@ -112,13 +112,7 @@ let e1 () =
         let shadowed =
           List.fold_left
             (fun acc rules ->
-              let tbl = Flow.Table.create () in
-              List.iter
-                (fun (r : Netkat.Local.rule) ->
-                  Flow.Table.add tbl
-                    (Flow.Table.make_rule ~priority:r.priority
-                       ~pattern:r.pattern ~actions:r.actions ()))
-                rules;
+              let tbl = Netkat.Local.table_of_rules rules in
               acc + List.length (Flow.Table.shadowed tbl))
             0 per_switch
         in
@@ -909,12 +903,7 @@ let e14 () =
     List.iter
       (fun sw ->
         let id = Topo.Topology.Node.id sw in
-        let table = (Dataplane.Network.switch net id).table in
-        List.iter
-          (fun (r : Netkat.Local.rule) ->
-            Flow.Table.add table
-              (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-                 ~actions:r.actions ()))
+        Netkat.Local.load_rules (Dataplane.Network.switch net id).table
           (Netkat.Local.rules_of_fdd ~switch:id fdd))
       (Topo.Topology.switches topo);
     let c =
@@ -1172,15 +1161,10 @@ let e15 () =
   pf "sharded event count exceeds the single-domain count by exactly the@.";
   pf "handoff overhead.  On a single-CPU host the shards time-share one core@.";
   pf "and events/s stays roughly flat — scaling rows need >= `shards` cores.@.@.";
-  let full = Sys.getenv_opt "ZEN_E15_FULL" = Some "1" in
   let rows =
     [ ("fattree:4", 200, 500.0, 0.2, [ 1; 2; 4 ]);
       ("fattree:8", 1000, 200.0, 0.2, [ 1; 2; 4 ]) ]
-    @ (if full then [ ("fattree:16", 1_000_000, 2.0, 0.5, [ 1; 2; 4; 8 ]) ]
-       else [])
   in
-  if not full then
-    pf "(set ZEN_E15_FULL=1 for the fattree:16 / 1M-flow row)@.@.";
   pf "%-12s %8s %7s | %10s %12s %9s %8s %7s@." "topology" "flows" "shards"
     "events" "events/s" "handoffs" "windows" "equal";
   pf "%s@." (String.make 84 '-');
@@ -1439,15 +1423,8 @@ let e17 () =
   pf "policy on a fresh network compiles and loads everything — >=10x@.";
   pf "lower edit latency and orders of magnitude fewer bytes than a full@.";
   pf "re-push, with tables equal to a from-scratch compile.@.@.";
-  let ok8 = e17_scale ~k:8 ~edits:32 ~seed:42 in
-  let ok16 =
-    match Sys.getenv_opt "ZEN_E17_FULL" with
-    | Some ("1" | "true") -> e17_scale ~k:16 ~edits:8 ~seed:42
-    | _ ->
-      pf "(set ZEN_E17_FULL=1 for the fat-tree k=16 row)@.";
-      true
-  in
-  if not (ok8 && ok16) then pf "WARNING: table equivalence violated@."
+  if not (e17_scale ~k:8 ~edits:32 ~seed:42) then
+    pf "WARNING: table equivalence violated@."
 
 (* ------------------------------------------------------------------ *)
 (* E18 — adaptive window sizing vs the fixed min-lookahead barrier *)

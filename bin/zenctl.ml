@@ -44,6 +44,12 @@ let die m =
 
 let or_die = function Ok v -> v | Error (`Msg m) -> die m
 
+(* a rate, duration or lease that is not a finite positive number would
+   run nothing, or never stop *)
+let require_positive flag v =
+  if not (Float.is_finite v && v > 0.0) then
+    die (flag ^ " must be finite and > 0")
+
 (* ------------------------------------------------------------------ *)
 (* topo *)
 
@@ -198,11 +204,10 @@ let simulate_cmd =
                    controller) or routing (proactive controller).")
   in
   let shards_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt int 1
          & info [ "shards" ] ~docv:"N"
              ~doc:"Partition the simulation over N domains (conservative \
-                   parallel DES; compiled and routing modes).  Default: \
-                   the ZEN_SIM_SHARDS environment knob, else 1.")
+                   parallel DES; compiled and routing modes).")
   in
   let json_arg =
     Arg.(value & flag
@@ -341,13 +346,9 @@ let simulate_cmd =
     end
   in
   let run spec pol_str flows rate duration seed mode shards partition json =
-    let shards =
-      match shards with
-      | Some n when n < 1 -> die "--shards must be >= 1"
-      | Some n -> n
-      | None ->
-        (try Dataplane.Shard.default_shards () with Invalid_argument m -> die m)
-    in
+    if shards < 1 then die "--shards must be >= 1";
+    require_positive "--rate" rate;
+    require_positive "--duration" duration;
     let topo = or_die (load_topo spec) in
     if shards > 1 || partition <> None then begin
       (match mode with
@@ -440,9 +441,6 @@ let simulate_cmd =
         "classifier: %d shape probes over %d shapes (%.1f probes/miss)@."
         cp cs
         (if cm = 0 then 0.0 else float_of_int cp /. float_of_int cm);
-      (match Dataplane.Network.fault net.network with
-       | Some f -> Format.printf "%a@." Dataplane.Fault.pp_stats f
-       | None -> ());
       Format.printf "events executed: %d@." executed
     end
   in
@@ -537,8 +535,9 @@ let chaos_cmd =
   let run spec seed drop dup jitter link_drop link_corrupt link_reorder flaps
       crash flows rate duration trace replicas lease_ms ctl_crash split_brain =
     if replicas < 1 then die "--replicas must be >= 1";
-    if not (Float.is_finite lease_ms && lease_ms > 0.0) then
-      die "--lease must be finite and > 0";
+    require_positive "--lease" lease_ms;
+    require_positive "--rate" rate;
+    require_positive "--duration" duration;
     (match ctl_crash with
      | Some _ when replicas < 2 -> die "--ctl-crash needs --replicas >= 2"
      | Some id when id < 0 || id >= replicas ->
@@ -547,8 +546,10 @@ let chaos_cmd =
      | Some _ | None -> ());
     let topo = or_die (load_topo spec) in
     let fault =
-      Dataplane.Fault.create ~seed ~drop ~dup ~jitter ~link_drop ~link_corrupt
-        ~link_reorder ()
+      try
+        Dataplane.Fault.create ~seed ~drop ~dup ~jitter ~link_drop
+          ~link_corrupt ~link_reorder ()
+      with Invalid_argument m -> die m
     in
     let net = Zen.create ~fault topo in
     let mk_apps () = [ Controller.Routing.app (Controller.Routing.create ()) ] in
@@ -602,7 +603,6 @@ let chaos_cmd =
            [ Dataplane.Fault.Controller_outage
                { controller_id; at = 0.3 *. duration;
                  duration = 0.4 *. duration } ])
-      @ Dataplane.Fault.ctl_incidents_from_env ()
     in
     Dataplane.Network.inject net.network incidents;
     (match (replica, split_brain) with

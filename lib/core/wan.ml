@@ -193,13 +193,8 @@ let validate ?(subflows = 8) ?(pkt_size = 1000) ?(duration = 2.0) topo alloc =
   let network = Dataplane.Network.create topo in
   Netkat.Local.compile_all ~switches:(Topo.Topology.switch_ids topo) pol
   |> List.iter (fun (switch_id, rules) ->
-    let table = (Dataplane.Network.switch network switch_id).table in
-    List.iter
-      (fun (r : Netkat.Local.rule) ->
-        Flow.Table.add table
-          (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-             ~actions:r.actions ()))
-      rules);
+    Netkat.Local.load_rules
+      (Dataplane.Network.switch network switch_id).table rules);
   drive network flows ~pkt_size ~duration
 
 (** Aggregate deviation: total measured / total allocated. *)

@@ -30,9 +30,8 @@ type net = {
 }
 
 (** [create topo] instantiates the simulated network (empty tables).
-    [fault] attaches a
-    chaos layer to the control channel (see {!Dataplane.Fault}; defaults
-    to the [ZEN_CHAOS_*] environment knobs, usually absent). *)
+    [fault] attaches a chaos layer to the control channel (see
+    {!Dataplane.Fault}); without it the network has no fault layer. *)
 let create ?queue_depth ?fault topo =
   { network = Dataplane.Network.create ?queue_depth ?fault topo;
     runtime = None; delta_snap = None }
@@ -65,16 +64,11 @@ let install_fdd t fdd =
       | Netkat.Delta.Unchanged -> ()
       | Netkat.Delta.Changed { rules; adds; deletes } ->
         let table = (Dataplane.Network.switch t.network switch_id).table in
-        let add (r : Netkat.Local.rule) =
-          Flow.Table.add table
-            (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-               ~actions:r.actions ())
-        in
         (match previous with
          | Some p when Netkat.Delta.find p switch_id <> None ->
            (* in-place edit: modify/insert the changed rules, then drop
               the vanished ones *)
-           List.iter add adds;
+           Netkat.Local.load_rules table adds;
            List.iter
              (fun (r : Netkat.Local.rule) ->
                Flow.Table.remove_strict table ~priority:r.priority
@@ -82,7 +76,7 @@ let install_fdd t fdd =
              deletes
          | _ ->
            Flow.Table.clear table;
-           List.iter add rules))
+           Netkat.Local.load_rules table rules))
     result.changes;
   Netkat.Delta.total_rules result.snapshot
 
@@ -132,16 +126,12 @@ let run ?until ?max_events t =
 (* ------------------------------------------------------------------ *)
 (* Sharded simulation (see {!Dataplane.Shard}) *)
 
-(** [create_sharded topo] partitions the network over [shards] OCaml
-    domains (default: the [ZEN_SIM_SHARDS] environment knob, else 1)
-    and runs them under conservative lookahead.  Install tables with
-    {!install_policy_sharded} (or directly per shard), or attach a
-    controller with {!with_controller_sharded}.  Observable results are
+(** [create_sharded ~shards topo] partitions the network over [shards]
+    OCaml domains and runs them under conservative lookahead.  Install
+    tables with {!install_policy_sharded} (or directly per shard), or
+    attach a controller with {!with_controller_sharded}.  Observable results are
     pinned equal to {!create} + {!run} on the same seed and workload. *)
-let create_sharded ?queue_depth ?fault_config ?shards ?partition topo =
-  let shards =
-    match shards with Some n -> n | None -> Dataplane.Shard.default_shards ()
-  in
+let create_sharded ?queue_depth ?fault_config ~shards ?partition topo =
   Dataplane.Shard.create ?queue_depth ?fault_config ?partition ~shards topo
 
 (** [install_policy_sharded t pol] — {!install_policy} for a sharded
@@ -155,12 +145,7 @@ let install_policy_sharded t pol =
          let net = Dataplane.Shard.net_of_switch t switch_id in
          let table = (Dataplane.Network.switch net switch_id).table in
          Flow.Table.clear table;
-         List.iter
-           (fun (r : Netkat.Local.rule) ->
-             Flow.Table.add table
-               (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-                  ~actions:r.actions ()))
-           rules;
+         Netkat.Local.load_rules table rules;
          acc + List.length rules)
        0
 

@@ -85,7 +85,7 @@ let make_config ?(seed = default_seed) ?(drop = 0.0) ?(dup = 0.0)
     ?(jitter = 0.0) ?(link_drop = 0.0) ?(link_corrupt = 0.0)
     ?(link_reorder = 0.0) ?link_seed () =
   let check name p =
-    if p < 0.0 || p > 1.0 then
+    if not (p >= 0.0 && p <= 1.0) then
       invalid_arg (Printf.sprintf "Fault.create: %s out of [0,1]" name)
   in
   check "drop" drop;
@@ -93,7 +93,8 @@ let make_config ?(seed = default_seed) ?(drop = 0.0) ?(dup = 0.0)
   check "link_drop" link_drop;
   check "link_corrupt" link_corrupt;
   check "link_reorder" link_reorder;
-  if jitter < 0.0 then invalid_arg "Fault.create: negative jitter";
+  if not (Float.is_finite jitter && jitter >= 0.0) then
+    invalid_arg "Fault.create: jitter not a finite value >= 0";
   let link_seed = match link_seed with Some s -> s | None -> seed in
   { seed; drop; dup; jitter; link_drop; link_corrupt; link_reorder; link_seed }
 
@@ -261,61 +262,3 @@ let pp_stats fmt t =
     Format.fprintf fmt
       " link(drop=%d corrupt=%d reorder=%d of %d packets)"
       t.link_drops t.link_corrupts t.link_reorders t.link_decisions
-
-(* ------------------------------------------------------------------ *)
-(* Environment knobs *)
-
-(* [env name parse]: [None] when [name] is unset or empty, else the
-   parsed value.  A value [parse] rejects is harness misuse, not "unset".
-   @raise Invalid_argument naming the variable and its value. *)
-let env name parse =
-  match Option.map String.trim (Sys.getenv_opt name) with
-  | None | Some "" -> None
-  | Some s ->
-    (match parse s with
-     | Some v -> Some v
-     | None -> invalid_arg (Printf.sprintf "%s=%S is not a valid value" name s))
-
-let env_float name = env name float_of_string_opt
-let env_int name = env name int_of_string_opt
-
-(** Reads the [ZEN_CHAOS_*] family: [ZEN_CHAOS_DROP], [ZEN_CHAOS_DUP],
-    [ZEN_CHAOS_JITTER], [ZEN_CHAOS_LINK_DROP], [ZEN_CHAOS_LINK_CORRUPT],
-    [ZEN_CHAOS_LINK_REORDER] (floats) and [ZEN_CHAOS_SEED] (int).
-    Returns [None] only when no knob at all is set (an empty value is
-    unset).  A seed alone yields a zero-rate fault: per-transmission
-    verdicts are all clean (and cost no PRNG draws), but scenario
-    generation via {!derive_prng} and incident scheduling stay
-    deterministic under that seed.
-    @raise Invalid_argument on a value that does not parse. *)
-let from_env () =
-  let drop = env_float "ZEN_CHAOS_DROP" in
-  let dup = env_float "ZEN_CHAOS_DUP" in
-  let jitter = env_float "ZEN_CHAOS_JITTER" in
-  let link_drop = env_float "ZEN_CHAOS_LINK_DROP" in
-  let link_corrupt = env_float "ZEN_CHAOS_LINK_CORRUPT" in
-  let link_reorder = env_float "ZEN_CHAOS_LINK_REORDER" in
-  let seed = env_int "ZEN_CHAOS_SEED" in
-  match (drop, dup, jitter, link_drop, link_corrupt, link_reorder, seed) with
-  | None, None, None, None, None, None, None -> None
-  | _ ->
-    let seed = match seed with Some s -> s | None -> default_seed in
-    Some
-      (create ~seed ?drop ?dup ?jitter ?link_drop ?link_corrupt ?link_reorder
-         ())
-
-(** Reads the [ZEN_CHAOS_CTL_*] family describing a scheduled controller
-    crash: [ZEN_CHAOS_CTL_CRASH] (replica id to crash; the knob that
-    enables the incident), [ZEN_CHAOS_CTL_AT] (absolute sim time,
-    default 1.0) and [ZEN_CHAOS_CTL_DURATION] (seconds until the member
-    rejoins as a standby, default 1.0).
-    @raise Invalid_argument on a value that does not parse. *)
-let ctl_incidents_from_env () =
-  match env_int "ZEN_CHAOS_CTL_CRASH" with
-  | None -> []
-  | Some controller_id ->
-    let at = Option.value (env_float "ZEN_CHAOS_CTL_AT") ~default:1.0 in
-    let duration =
-      Option.value (env_float "ZEN_CHAOS_CTL_DURATION") ~default:1.0
-    in
-    [ Controller_outage { controller_id; at; duration } ]

@@ -192,8 +192,6 @@ let default_ttl = 64
     nodes it owns and reaches the rest through its {!remote_iface}. *)
 let create ?(queue_depth = default_queue_depth) ?(expiry_period = 1.0)
     ?fault ?only topo =
-  (* explicit [?fault] wins; otherwise the ZEN_CHAOS_* knobs apply *)
-  let fault = match fault with Some _ -> fault | None -> Fault.from_env () in
   let t =
     { sim = Sim.create (); topo;
       switches = Hashtbl.create 16;
@@ -556,11 +554,6 @@ and transmit_host t h port pkt =
     end
     else enqueue t ls pkt
 
-and transmit t node port pkt =
-  match node with
-  | Node.Switch id -> transmit_switch t (switch t id) port pkt
-  | Node.Host id -> transmit_host t (host t id) port pkt
-
 and deliver_ls t ls pkt =
   match ls.ls_dst with
   | To_host h ->
@@ -572,18 +565,6 @@ and deliver_ls t ls pkt =
   | To_switch sw ->
     switch_process t sw ~in_port:ls.ls_dst_port ~rx:ls.ls_rx pkt
   | To_remote _ -> assert false (* remote hops never reach deliver_ls *)
-
-and deliver t node port pkt =
-  match node with
-  | Node.Host id ->
-    let h = host t id in
-    h.received <- h.received + 1;
-    h.rx_bytes <- h.rx_bytes + pkt.size;
-    t.stats.delivered <- t.stats.delivered + 1;
-    trace t "h%d rx tag=%d" id pkt.tag;
-    (match h.on_receive with Some f -> f pkt | None -> ())
-  | Node.Switch id ->
-    switch_process t (switch t id) ~in_port:port ~rx:None pkt
 
 and switch_process t sw ~in_port ~rx pkt =
   if not sw.alive then begin
@@ -1017,57 +998,35 @@ let notify_port_status t ~switch_id ~port ~up =
 (* ------------------------------------------------------------------ *)
 (* Failures *)
 
-(** Fails the link at [(node, port)] and notifies the controller with
-    port-status messages from both endpoints (switches only). *)
-let fail_link t node port =
-  (match Topo.Topology.link_via t.topo node port with
-   | None -> ()
-   | Some l ->
-     Topo.Topology.set_link_up t.topo (node, port) false;
-     trace t "link %s[%d] down" (Node.to_string node) port;
-     (match t.fault with
-      | Some f ->
-        Fault.note f ~time:(now t) "link-down %s[%d]" (Node.to_string node) port
-      | None -> ());
-     (* find_opt: in a sharded run the far endpoint may belong to
-        another shard (whose own clone flips at the same time) *)
-     let notify n p =
-       match n with
-       | Node.Switch id ->
-         (match Hashtbl.find_opt t.switches id with
-          | Some sw ->
-            control_send t sw
-              (Openflow.Message.Port_status
-                 { ps_port = p; ps_reason = Openflow.Message.Port_down })
-          | None -> ())
-       | Node.Host _ -> ()
-     in
-     notify node port;
-     notify l.dst l.dst_port)
-
-let restore_link t node port =
+(* flips the link at [(node, port)] and notifies the controller with
+   port-status messages from both endpoints (switches only) *)
+let set_link t node port ~up =
   match Topo.Topology.link_via t.topo node port with
   | None -> ()
   | Some l ->
-    Topo.Topology.set_link_up t.topo (node, port) true;
-    trace t "link %s[%d] up" (Node.to_string node) port;
+    let state = if up then "up" else "down" in
+    Topo.Topology.set_link_up t.topo (node, port) up;
+    trace t "link %s[%d] %s" (Node.to_string node) port state;
     (match t.fault with
      | Some f ->
-       Fault.note f ~time:(now t) "link-up %s[%d]" (Node.to_string node) port
+       Fault.note f ~time:(now t) "link-%s %s[%d]" state (Node.to_string node)
+         port
      | None -> ());
+    (* [notify_port_status] skips a far endpoint that belongs to another
+       shard (whose own clone flips at the same time) *)
     let notify n p =
       match n with
-      | Node.Switch id ->
-        (match Hashtbl.find_opt t.switches id with
-         | Some sw ->
-           control_send t sw
-             (Openflow.Message.Port_status
-                { ps_port = p; ps_reason = Openflow.Message.Port_up })
-         | None -> ())
+      | Node.Switch switch_id -> notify_port_status t ~switch_id ~port:p ~up
       | Node.Host _ -> ()
     in
     notify node port;
     notify l.dst l.dst_port
+
+(** Fails the link at [(node, port)] and notifies the controller with
+    port-status messages from both endpoints (switches only). *)
+let fail_link t node port = set_link t node port ~up:false
+
+let restore_link t node port = set_link t node port ~up:true
 
 (** [crash_switch t id] models a switch reboot's first half: forwarding
     stops, the flow table and its caches are wiped (a restarted switch

@@ -140,15 +140,6 @@ let partition_of_string s =
      | Some _ | None -> None)
   | _ -> None
 
-(** Shard count used when none is requested: [ZEN_SIM_SHARDS] if set,
-    else 1.
-    @raise Invalid_argument when it is set to anything but a positive
-    integer. *)
-let default_shards () =
-  Fault.env "ZEN_SIM_SHARDS" (fun s ->
-    match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
-  |> Option.value ~default:1
-
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
@@ -211,7 +202,8 @@ let quotient_dist topo shard_of ~shards ?ctl () =
 (** [create ~shards topo] partitions [topo] and instantiates one network
     per shard.  [partition] defaults to {!block_partition};
     [fault_config] attaches a chaos layer with per-shard derived seeds
-    (see {!Fault.shard_config}; defaults to the [ZEN_CHAOS_*] knobs).
+    (see {!Fault.shard_config}); without it the shards have no fault
+    layer.
     @raise Invalid_argument when a cross-shard link has zero delay (the
     conservative lookahead would vanish). *)
 let create ?queue_depth ?fault_config
@@ -228,11 +220,6 @@ let create ?queue_depth ?fault_config
   let lookahead = lookahead_of topo shard_of in
   if lookahead <= 0.0 then
     invalid_arg "Shard.create: cross-shard links must have positive delay";
-  let fault_config =
-    match fault_config with
-    | Some _ -> fault_config
-    | None -> Option.map Fault.config (Fault.from_env ())
-  in
   let sync = Util.Shard_sync.create ~shards () in
   let t =
     { topo; nshards = shards; shard_of;

@@ -94,14 +94,18 @@ let rules_of_fdd ~switch d =
 let compile ~switch pol =
   rules_of_fdd ~switch (Fdd.of_policy pol)
 
-let table_of_rules ?capacity rules =
-  let table = Flow.Table.create ?capacity () in
+(** [load_rules table rules] adds each rule to [table]. *)
+let load_rules table rules =
   List.iter
     (fun r ->
       Flow.Table.add table
         (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
            ~actions:r.actions ()))
-    rules;
+    rules
+
+let table_of_rules ?capacity rules =
+  let table = Flow.Table.create ?capacity () in
+  load_rules table rules;
   table
 
 (** As {!compile}, but loaded into a {!Flow.Table.t}. *)

@@ -27,100 +27,51 @@ let test_fault_deterministic () =
   Alcotest.(check bool) "different seed, different verdicts" false
     (verdicts 42 500 = verdicts 43 500)
 
-let test_fault_env () =
-  Alcotest.(check bool) "no knobs, no fault" true (Fault.from_env () = None)
-
-(* the ZEN_CHAOS_* matrix: any knob alone activates the fault — a bare
-   seed included (zero-rate, for deterministic scenario generation) *)
-let test_fault_env_matrix () =
-  let knobs =
-    [ "ZEN_CHAOS_DROP"; "ZEN_CHAOS_DUP"; "ZEN_CHAOS_JITTER";
-      "ZEN_CHAOS_LINK_DROP"; "ZEN_CHAOS_LINK_CORRUPT";
-      "ZEN_CHAOS_LINK_REORDER"; "ZEN_CHAOS_SEED" ]
+(* chaos comes only from arguments: a set ZEN_CHAOS_* variable changes
+   nothing *)
+let test_environment_ignored () =
+  let vars = [ ("ZEN_CHAOS_DROP", "0.5"); ("ZEN_CHAOS_SEED", "7") ] in
+  let saved = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) vars in
+  let restore () =
+    List.iter (fun (k, v) -> Unix.putenv k (Option.value v ~default:"")) saved
   in
-  let clear () = List.iter (fun k -> Unix.putenv k "") knobs in
-  Fun.protect ~finally:clear (fun () ->
-    clear ();
-    Alcotest.(check bool) "all empty -> no fault" true
-      (Fault.from_env () = None);
-    (* each rate knob alone activates exactly its own rate *)
-    List.iter
-      (fun (knob, rate_of) ->
-        clear ();
-        Unix.putenv knob "0.25";
-        (match Fault.from_env () with
-         | None -> Alcotest.failf "%s alone did not activate chaos" knob
-         | Some f ->
-           Alcotest.(check (float 0.0))
-             (knob ^ " rate honored") 0.25 (rate_of (Fault.config f))))
-      [ ("ZEN_CHAOS_DROP", fun (c : Fault.config) -> c.drop);
-        ("ZEN_CHAOS_DUP", fun c -> c.dup);
-        ("ZEN_CHAOS_JITTER", fun c -> c.jitter);
-        ("ZEN_CHAOS_LINK_DROP", fun c -> c.link_drop);
-        ("ZEN_CHAOS_LINK_CORRUPT", fun c -> c.link_corrupt);
-        ("ZEN_CHAOS_LINK_REORDER", fun c -> c.link_reorder) ];
-    (* a seed alone yields a zero-rate fault under that seed *)
-    clear ();
-    Unix.putenv "ZEN_CHAOS_SEED" "99";
-    (match Fault.from_env () with
-     | None -> Alcotest.fail "ZEN_CHAOS_SEED alone did not activate chaos"
-     | Some f ->
-       let c = Fault.config f in
-       Alcotest.(check int) "seed honored" 99 c.seed;
-       Alcotest.(check (float 0.0)) "zero drop" 0.0 c.drop;
-       Alcotest.(check (float 0.0)) "zero link drop" 0.0 c.link_drop;
-       Alcotest.(check (float 0.0)) "zero link corrupt" 0.0 c.link_corrupt;
-       Alcotest.(check (float 0.0)) "zero link reorder" 0.0 c.link_reorder);
-    (* seed + rate compose *)
-    Unix.putenv "ZEN_CHAOS_LINK_DROP" "0.1";
-    (match Fault.from_env () with
-     | None -> Alcotest.fail "seed+rate did not activate chaos"
-     | Some f ->
-       let c = Fault.config f in
-       Alcotest.(check (pair int (float 0.0))) "seed and rate both honored"
-         (99, 0.1) (c.seed, c.link_drop));
-    (* a malformed value fails loudly instead of reading as unset *)
-    List.iter
-      (fun (knob, value) ->
-        clear ();
-        Unix.putenv knob value;
-        Alcotest.check_raises (knob ^ "=" ^ value ^ " rejected")
-          (Invalid_argument
-             (Printf.sprintf "%s=%S is not a valid value" knob value))
-          (fun () -> ignore (Fault.from_env ())))
-      [ ("ZEN_CHAOS_DROP", "5%"); ("ZEN_CHAOS_DROP", "abc");
-        ("ZEN_CHAOS_SEED", "0.5") ])
+  Fun.protect ~finally:restore (fun () ->
+    List.iter (fun (k, v) -> Unix.putenv k v) vars;
+    let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
+    Alcotest.(check bool) "network has no fault" true
+      (Network.fault (Network.create topo) = None);
+    let t = Shard.create ~shards:2 topo in
+    for i = 0 to Shard.shards t - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d has no fault" i)
+        true
+        (Network.fault (Shard.net t i) = None)
+    done)
 
-(* the ZEN_CHAOS_CTL_* knobs: a scheduled controller outage, for the
-   replicated control plane (see Controller.Replica) *)
-let test_ctl_outage_env_knobs () =
-  let knobs =
-    [ "ZEN_CHAOS_CTL_CRASH"; "ZEN_CHAOS_CTL_AT"; "ZEN_CHAOS_CTL_DURATION" ]
+(* NaN fails every range check, as do out-of-range rates and a negative
+   or infinite jitter *)
+let test_make_config_rejects () =
+  let rejects name f =
+    match f () with
+    | (_ : Fault.config) -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
   in
-  let clear () = List.iter (fun k -> Unix.putenv k "") knobs in
-  Fun.protect ~finally:clear (fun () ->
-    clear ();
-    Alcotest.(check int) "all empty -> no incident" 0
-      (List.length (Fault.ctl_incidents_from_env ()));
-    Unix.putenv "ZEN_CHAOS_CTL_CRASH" "0";
-    (match Fault.ctl_incidents_from_env () with
-     | [ Fault.Controller_outage { controller_id; at; duration } ] ->
-       Alcotest.(check int) "controller id" 0 controller_id;
-       Alcotest.(check (float 0.0)) "default at" 1.0 at;
-       Alcotest.(check (float 0.0)) "default duration" 1.0 duration
-     | _ -> Alcotest.fail "ZEN_CHAOS_CTL_CRASH alone did not schedule");
-    Unix.putenv "ZEN_CHAOS_CTL_AT" "0.4";
-    Unix.putenv "ZEN_CHAOS_CTL_DURATION" "2.5";
-    (match Fault.ctl_incidents_from_env () with
-     | [ Fault.Controller_outage { controller_id; at; duration } ] ->
-       Alcotest.(check int) "controller id" 0 controller_id;
-       Alcotest.(check (float 0.0)) "at honored" 0.4 at;
-       Alcotest.(check (float 0.0)) "duration honored" 2.5 duration
-     | _ -> Alcotest.fail "knob combination did not schedule");
-    Unix.putenv "ZEN_CHAOS_CTL_AT" "soon";
-    Alcotest.check_raises "malformed ZEN_CHAOS_CTL_AT rejected"
-      (Invalid_argument "ZEN_CHAOS_CTL_AT=\"soon\" is not a valid value")
-      (fun () -> ignore (Fault.ctl_incidents_from_env ())))
+  List.iter
+    (fun p ->
+      let s = Printf.sprintf "%g" p in
+      rejects ("drop " ^ s) (fun () -> Fault.make_config ~drop:p ());
+      rejects ("dup " ^ s) (fun () -> Fault.make_config ~dup:p ());
+      rejects ("link_drop " ^ s) (fun () -> Fault.make_config ~link_drop:p ());
+      rejects ("link_corrupt " ^ s)
+        (fun () -> Fault.make_config ~link_corrupt:p ());
+      rejects ("link_reorder " ^ s)
+        (fun () -> Fault.make_config ~link_reorder:p ()))
+    [ Float.nan; 1.5 ];
+  List.iter
+    (fun j ->
+      rejects (Printf.sprintf "jitter %g" j)
+        (fun () -> Fault.make_config ~jitter:j ()))
+    [ Float.nan; Float.infinity; -1.0 ]
 
 (* a Controller_outage against a replicated control plane is part of the
    seeded fault stream: same seed, byte-identical chaos trace (crash,
@@ -571,11 +522,10 @@ let suites =
   [ ( "chaos.fault",
       [ Alcotest.test_case "seeded verdicts deterministic" `Quick
           test_fault_deterministic;
-        Alcotest.test_case "env knobs absent -> no fault" `Quick
-          test_fault_env;
-        Alcotest.test_case "env knob matrix" `Quick test_fault_env_matrix;
-        Alcotest.test_case "controller-outage env knobs" `Quick
-          test_ctl_outage_env_knobs;
+        Alcotest.test_case "environment is ignored" `Quick
+          test_environment_ignored;
+        Alcotest.test_case "make_config rejects bad rates" `Quick
+          test_make_config_rejects;
         Alcotest.test_case "controller outage deterministic per seed" `Quick
           test_ctl_outage_deterministic;
         Alcotest.test_case "zero chaos transparent" `Quick

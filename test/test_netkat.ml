@@ -473,20 +473,10 @@ let test_naive_redundancy () =
   Alcotest.(check int) "fdd collapses (match + fall-through drop)" 2
     (List.length fdd);
   (* load both into tables and count dead entries *)
-  let load rules =
-    let t = Flow.Table.create () in
-    List.iter
-      (fun (r : Local.rule) ->
-        Flow.Table.add t
-          (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-             ~actions:r.actions ()))
-      rules;
-    t
-  in
   Alcotest.(check int) "naive has shadowed rules" 3
-    (List.length (Flow.Table.shadowed (load naive)));
+    (List.length (Flow.Table.shadowed (Local.table_of_rules naive)));
   Alcotest.(check int) "fdd has none" 0
-    (List.length (Flow.Table.shadowed (load fdd)))
+    (List.length (Flow.Table.shadowed (Local.table_of_rules fdd)))
 
 let test_fdd_negation_linear () =
   (* a denylist firewall needs negation: the FDD compiles it to a linear

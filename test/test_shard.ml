@@ -89,13 +89,7 @@ let run_single ~topo_id ~seed ~flows ~chaos ~with_incidents =
   in
   List.iter
     (fun (switch_id, rs) ->
-      let table = (Network.switch net switch_id).table in
-      List.iter
-        (fun (r : Netkat.Local.rule) ->
-          Flow.Table.add table
-            (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-               ~actions:r.actions ()))
-        rs)
+      Netkat.Local.load_rules (Network.switch net switch_id).table rs)
     rules;
   List.iter
     (fun (s : Traffic.flow_spec) -> ignore (Traffic.cbr net s))
@@ -130,13 +124,7 @@ let run_sharded ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards =
   List.iter
     (fun (switch_id, rs) ->
       let net = Shard.net_of_switch t switch_id in
-      let table = (Network.switch net switch_id).table in
-      List.iter
-        (fun (r : Netkat.Local.rule) ->
-          Flow.Table.add table
-            (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-               ~actions:r.actions ()))
-        rs)
+      Netkat.Local.load_rules (Network.switch net switch_id).table rs)
     rules;
   List.iter
     (fun (s : Traffic.flow_spec) ->
@@ -222,13 +210,7 @@ let test_handoffs_counted () =
   List.iter
     (fun (switch_id, rs) ->
       let net = Shard.net_of_switch t switch_id in
-      let table = (Network.switch net switch_id).table in
-      List.iter
-        (fun (r : Netkat.Local.rule) ->
-          Flow.Table.add table
-            (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-               ~actions:r.actions ()))
-        rs)
+      Netkat.Local.load_rules (Network.switch net switch_id).table rs)
     rules;
   List.iter
     (fun (s : Traffic.flow_spec) ->
@@ -291,13 +273,7 @@ let run_sites ~sites ~specs ~until how =
     in
     List.iter
       (fun (switch_id, rs) ->
-        let table = (Network.switch net switch_id).table in
-        List.iter
-          (fun (r : Netkat.Local.rule) ->
-            Flow.Table.add table
-              (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-                 ~actions:r.actions ()))
-          rs)
+        Netkat.Local.load_rules (Network.switch net switch_id).table rs)
       rules;
     List.iter (fun s -> ignore (Traffic.cbr net s)) specs;
     ignore (Network.run ~until net ());
@@ -312,13 +288,7 @@ let run_sites ~sites ~specs ~until how =
     List.iter
       (fun (switch_id, rs) ->
         let net = Shard.net_of_switch t switch_id in
-        let table = (Network.switch net switch_id).table in
-        List.iter
-          (fun (r : Netkat.Local.rule) ->
-            Flow.Table.add table
-              (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-                 ~actions:r.actions ()))
-          rs)
+        Netkat.Local.load_rules (Network.switch net switch_id).table rs)
       rules;
     List.iter
       (fun (s : Traffic.flow_spec) ->

@@ -7,12 +7,7 @@ let routed_pair ?(queue_depth = 64) ?fault () =
   List.iter
     (fun sw ->
       let id = Topo.Topology.Node.id sw in
-      let table = (Dataplane.Network.switch net id).table in
-      List.iter
-        (fun (r : Netkat.Local.rule) ->
-          Flow.Table.add table
-            (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-               ~actions:r.actions ()))
+      Netkat.Local.load_rules (Dataplane.Network.switch net id).table
         (Netkat.Local.rules_of_fdd ~switch:id fdd))
     (Topo.Topology.switches topo);
   net

@@ -188,14 +188,8 @@ let snapshot_of topo pol : Reach.snapshot =
   List.iter
     (fun sw ->
       let id = Topo.Topology.Node.id sw in
-      let t = Flow.Table.create () in
-      List.iter
-        (fun (r : Netkat.Local.rule) ->
-          Flow.Table.add t
-            (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-               ~actions:r.actions ()))
-        (Netkat.Local.rules_of_fdd ~switch:id fdd);
-      Hashtbl.replace tables id t)
+      let rules = Netkat.Local.rules_of_fdd ~switch:id fdd in
+      Hashtbl.replace tables id (Netkat.Local.table_of_rules rules))
     (Topo.Topology.switches topo);
   { topo; tables = (fun id -> Flow.Table.rules (Hashtbl.find tables id)) }
 
