@@ -171,34 +171,12 @@ let state t switch_id =
 (* ------------------------------------------------------------------ *)
 (* Intended-state shadow *)
 
-(** [shadow_apply table fm] mirrors one flow-mod into an intended-state
-    table.  The notify bit rides in the cookie exactly as on the real
-    switch so deletes scoped by cookie hit the same rules.  Exposed so a
-    {!Controller.Replica} standby can maintain its replicated copy of the
-    leader's shadow from the delta stream. *)
-let shadow_apply table (fm : Openflow.Message.flow_mod) =
-  match fm.command with
-  | Add_flow | Modify_flow ->
-    let cookie =
-      if fm.notify_when_removed then fm.fm_cookie lor 0x40000000
-      else fm.fm_cookie
-    in
-    Flow.Table.add table
-      (Flow.Table.make_rule ~priority:fm.fm_priority ~pattern:fm.fm_pattern
-         ~actions:fm.fm_actions ~idle_timeout:fm.idle_timeout
-         ~hard_timeout:fm.hard_timeout ~cookie ())
-  | Delete_flow ->
-    let cookie = if fm.fm_cookie = -1 then None else Some fm.fm_cookie in
-    Flow.Table.remove ?cookie table ~pattern:fm.fm_pattern
-  | Delete_strict_flow ->
-    let cookie = if fm.fm_cookie = -1 then None else Some fm.fm_cookie in
-    Flow.Table.remove_strict ?cookie table ~priority:fm.fm_priority
-      ~pattern:fm.fm_pattern
-
-let shadow_flow_mod st fm = shadow_apply st.shadow fm
-
+(* the shadow applies a flow-mod exactly as the switch does, notify bit
+   included, so deletes scoped by cookie hit the same rules *)
 let shadow_msg st (msg : Openflow.Message.t) =
-  match msg with Flow_mod fm -> shadow_flow_mod st fm | _ -> ()
+  match msg with
+  | Flow_mod fm -> Openflow.Message.apply_to_table ~now:0.0 st.shadow fm
+  | _ -> ()
 
 (** The rules the runtime believes [switch_id] should hold (every
     flow-mod ever sent, applied to a shadow table). *)
@@ -364,8 +342,8 @@ let add_of_rule (ru : Flow.Table.rule) =
   Openflow.Message.Flow_mod
     (Openflow.Message.add_flow ~priority:ru.priority
        ~idle_timeout:ru.idle_timeout ~hard_timeout:ru.hard_timeout
-       ~cookie:(ru.cookie land lnot 0x40000000)
-       ~notify_when_removed:(ru.cookie land 0x40000000 <> 0)
+       ~cookie:(ru.cookie land lnot Openflow.Message.notify_bit)
+       ~notify_when_removed:(ru.cookie land Openflow.Message.notify_bit <> 0)
        ~pattern:ru.pattern ~actions:ru.actions ())
 
 (* the delete-all-plus-adds batch restoring the full intended table *)
@@ -519,7 +497,7 @@ let halt t =
     single-controller behavior byte-identical at their defaults:
     [attach:false] skips {!Dataplane.Network.attach_controller} — the
     caller adopts individual switch sessions instead
-    ({!Dataplane.Network.adopt} with {!handler}); [fence] stamps every
+    ({!Dataplane.Ctl_channel.adopt} with {!handler}); [fence] stamps every
     reliable batch with a lease-epoch {!Openflow.Message.Fence};
     [xid_base] continues a replicated xid sequence; [shadows] seeds
     per-switch intended-state from a replica (those switches resync on
@@ -732,7 +710,7 @@ let create ?(latency = 1e-3) ?resilience ?switch_ids ?(attach = true)
 let ctx t = t.ctx
 
 (** The control-channel receive handler — what
-    {!Dataplane.Network.adopt} re-homes a switch session to. *)
+    {!Dataplane.Ctl_channel.adopt} re-homes a switch session to. *)
 let handler t =
   match t.hfn with Some h -> h | None -> assert false (* set in create *)
 

@@ -150,17 +150,20 @@ let install_policy_sharded t pol =
        0
 
 (** [with_controller_sharded t apps] attaches a controller to a sharded
-    network — the sharded counterpart of {!with_controller}.  The
-    runtime lives on shard 0's simulator and reaches every switch in the
-    topology through the sharded control channel
-    (see {!Dataplane.Shard.wire_controller}); the handshake is driven to
-    completion before returning.  Observable results are pinned equal to
-    the single-domain controller run, except that {e control-channel}
-    chaos rates split the fault stream per shard (link chaos and
-    incidents stay byte-equal).  The learning app is not supported
-    sharded (it pokes switch state directly instead of using the
-    control channel).  As in the single-domain case, resilient runtimes
-    schedule keepalives forever — drive the simulation with
+    network — the sharded counterpart of {!with_controller}.  It wires
+    the control channel of every shard with one-way [latency]
+    ({!Dataplane.Shard.wire_controller}), creates the runtime on shard
+    0's simulator, from where it reaches every switch in the topology,
+    and drives the handshake to completion over [pool] before
+    returning.  Tables, counters and traces equal the single-domain
+    controller run on the same workload, with or without a [resilience]
+    policy, through link flaps and control partitions (the [shard]
+    tests pin both).  Control-channel chaos rates are the exception:
+    each shard draws its own control verdicts
+    ({!Dataplane.Fault.shard_config}).  The learning app is not
+    supported sharded (it pokes switch state directly instead of using
+    the control channel).  As in the single-domain case, resilient
+    runtimes schedule keepalives forever — drive the simulation with
     [run_sharded ~until]. *)
 let with_controller_sharded ?(latency = 1e-3) ?resilience ?pool t apps =
   Dataplane.Shard.wire_controller t ~latency;

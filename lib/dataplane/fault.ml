@@ -9,7 +9,8 @@
     order, so a given seed + configuration reproduces the exact same
     event trace — chaos runs are experiments, not flakes.
 
-    The module itself is pure bookkeeping; {!Network} owns the hooks
+    The module itself is pure bookkeeping.  {!Ctl_channel.transmit} draws
+    the per-transmission verdicts; {!Network} owns the other hooks
     (see [Network.create ?fault], [Network.crash_switch],
     [Network.inject]). *)
 
@@ -152,10 +153,11 @@ type verdict = {
   v_dup_delay : float;   (** extra latency for the duplicate, if any *)
 }
 
-(** One verdict per control-channel transmission.  Draws a fixed number
-    of samples per call (given the configuration), so the random stream
-    — and therefore the trace — is a deterministic function of the
-    sequence of transmissions. *)
+(** One verdict per control-channel transmission, drawn by
+    {!Ctl_channel.transmit}.  Draws a fixed number of samples per call
+    (given the configuration), so the random stream — and therefore the
+    trace — is a deterministic function of the sequence of
+    transmissions. *)
 let decide t =
   t.decisions <- t.decisions + 1;
   let c = t.config in

@@ -65,6 +65,33 @@ let delete_strict_flow ?(cookie = None) ~priority ~pattern () =
     fm_cookie = (match cookie with None -> -1 | Some c -> c);
     notify_when_removed = false }
 
+(** The bit of a table rule's cookie that records [notify_when_removed]:
+    the flag travels inside the installed rule, so an expiry can emit
+    [Flow_removed] with the controller's cookie (the bit cleared). *)
+let notify_bit = 0x40000000
+
+(** [apply_to_table ~now table fm] is the table half of a flow-mod: the
+    one mapping from [fm] to table operations, shared by the switch and
+    by every controller-side shadow of its table, so a shadow cannot
+    drift from what the switch installs.  [now] stamps added rules; a
+    cookie of [-1] scopes a delete to every cookie. *)
+let apply_to_table ~now table fm =
+  let scope = if fm.fm_cookie = -1 then None else Some fm.fm_cookie in
+  match fm.command with
+  | Add_flow | Modify_flow ->
+    let cookie =
+      if fm.notify_when_removed then fm.fm_cookie lor notify_bit
+      else fm.fm_cookie
+    in
+    Flow.Table.add table
+      (Flow.Table.make_rule ~priority:fm.fm_priority ~pattern:fm.fm_pattern
+         ~actions:fm.fm_actions ~idle_timeout:fm.idle_timeout
+         ~hard_timeout:fm.hard_timeout ~cookie ~now ())
+  | Delete_flow -> Flow.Table.remove ?cookie:scope table ~pattern:fm.fm_pattern
+  | Delete_strict_flow ->
+    Flow.Table.remove_strict ?cookie:scope table ~priority:fm.fm_priority
+      ~pattern:fm.fm_pattern
+
 type port_status_reason =
   | Port_up
   | Port_down

@@ -82,7 +82,7 @@ let test_fence_rejects_stale_writes () =
   send [ (0, Openflow.Message.Fence 1); (10, fm 10) ];
   run ();
   Alcotest.(check int) "epoch-1 write applied" 1 (Flow.Table.size table);
-  (* a replay of the same batch dedups on last_fm_xid *)
+  (* a replay of the same batch dedups on the session's xid watermark *)
   let gen = Flow.Table.generation table in
   send [ (0, Openflow.Message.Fence 1); (10, fm 10) ];
   run ();
@@ -107,7 +107,7 @@ let test_fence_rejects_stale_writes () =
   run ();
   Alcotest.(check int) "still rejected" 2 (Flow.Table.size table);
   Alcotest.(check int) "fence token survives at highest" 2
-    (Network.channel_fence_token (Network.ctl_channel net 1))
+    (Network.ctl_channel net 1).fence
 
 let test_fence_token_survives_reboot () =
   let topo = Topo.Gen.linear ~switches:1 ~hosts_per_switch:1 () in
@@ -120,7 +120,7 @@ let test_fence_token_survives_reboot () =
   Network.crash_switch net 1;
   Network.restart_switch net 1;
   Alcotest.(check int) "fence epoch is durable across reboot" 3
-    (Network.channel_fence_token (Network.ctl_channel net 1));
+    (Network.ctl_channel net 1).fence;
   (* ...so a deposed leader cannot launder stale writes through a
      freshly rebooted switch *)
   send
