@@ -293,17 +293,19 @@ let e3 () =
   pf "expected shape: events/sec roughly constant (queue-bound), so pkts/sec@.";
   pf "falls with path length; larger topologies cost more per delivered packet.@.";
   pf "Long-lived flows should drive the per-switch exact-match cache hit rate@.";
-  pf "toward 100%% (one miss per flow per switch).@.@.";
-  pf "%-12s %8s %8s | %10s %10s | %12s | %9s@." "topology" "switches" "hosts"
-    "delivered" "events" "events/s" "cache-hit";
-  pf "%s@." (String.make 80 '-');
+  pf "toward 100%% (one miss per flow per switch).  words/ev is minor-heap@.";
+  pf "allocation per executed event (deterministic for a given build).@.@.";
+  pf "%-12s %8s %8s | %10s %10s | %12s %8s | %9s@." "topology" "switches"
+    "hosts" "delivered" "events" "events/s" "words/ev" "cache-hit";
+  pf "%s@." (String.make 89 '-');
   List.iter
     (fun spec ->
-      let (net, events), t =
+      let (net, events, words), t =
         best_of 5 (fun () ->
           let net = Scenarios.routed_flows spec in
+          let w0 = Gc.minor_words () in
           let events, t = wall (fun () -> Zen.run net) in
-          ((net, events), t))
+          ((net, events, Gc.minor_words () -. w0), t))
       in
       let stats = Dataplane.Network.stats (Zen.network net) in
       (* flow-cache hit rate aggregated over every switch's table *)
@@ -319,12 +321,14 @@ let e3 () =
         100.0 *. float_of_int hits /. float_of_int (max 1 (hits + misses))
       in
       let eps = float_of_int events /. t in
+      let wpe = words /. float_of_int (max 1 events) in
       record ~experiment:"e3" ~metric:(spec ^ "/events-per-sec") eps;
+      record ~experiment:"e3" ~metric:(spec ^ "/words-per-event") wpe;
       record ~experiment:"e3" ~metric:(spec ^ "/cache-hit-pct") hit_pct;
-      pf "%-12s %8d %8d | %10d %10d | %12.0f | %8.1f%%@." spec
+      pf "%-12s %8d %8d | %10d %10d | %12.0f %8.1f | %8.1f%%@." spec
         (Topo.Topology.switch_count (Zen.topology net))
         (Topo.Topology.host_count (Zen.topology net))
-        stats.delivered events eps hit_pct)
+        stats.delivered events eps wpe hit_pct)
     [ "ring:4"; "ring:16"; "ring:64"; "fattree:4"; "grid:6x6" ]
 
 (* ------------------------------------------------------------------ *)

@@ -472,7 +472,9 @@ and deliver_ls t ls pkt =
     h.received <- h.received + 1;
     h.rx_bytes <- h.rx_bytes + pkt.size;
     t.stats.delivered <- t.stats.delivered + 1;
-    trace t "h%d rx tag=%d" h.host_id pkt.tag;
+    (* [trace] skips formatting without a tracer, but its format
+       closures would still be built on every delivery *)
+    if Option.is_some t.tracer then trace t "h%d rx tag=%d" h.host_id pkt.tag;
     (match h.on_receive with Some f -> f pkt | None -> ())
   | To_switch sw ->
     switch_process t sw ~in_port:ls.ls_dst_port ~rx:ls.ls_rx pkt
@@ -497,35 +499,36 @@ and switch_process_live t sw ~in_port ~rx pkt =
   ps.rx_bytes <- ps.rx_bytes + pkt.size;
   match Flow.Table.apply sw.table ~now:(now t) ~size:pkt.size hdr with
   | None -> packet_in t sw ~in_port ~reason:Openflow.Message.No_match pkt
+  | Some [] ->
+    t.stats.dropped_policy <- t.stats.dropped_policy + 1;
+    trace t "s%d drop(policy)" sw.sw_id
   | Some group ->
-    if group = Flow.Action.drop then begin
-      t.stats.dropped_policy <- t.stats.dropped_policy + 1;
-      trace t "s%d drop(policy)" sw.sw_id
-    end
-    else begin
-      t.stats.forwarded <- t.stats.forwarded + 1;
-      execute_outputs t sw ~in_port (Flow.Action.apply_group hdr group) pkt
-    end
+    t.stats.forwarded <- t.stats.forwarded + 1;
+    execute_group t sw ~in_port pkt group
 
-and execute_outputs t sw ~in_port outputs pkt =
-  List.iter
-    (fun ((hdr : Packet.Headers.t), (port : Flow.Action.port)) ->
-      let out = { pkt with hdr } in
-      match port with
-      | Physical p -> transmit_switch t sw p out
-      | In_port_out -> transmit_switch t sw in_port out
-      | Controller ->
-        packet_in t sw ~in_port ~reason:Openflow.Message.Explicit_send out
-      | Flood ->
-        let candidates =
-          match sw.flood_ports with
-          | Some ports -> ports
-          | None -> Topo.Topology.ports t.topo (Node.Switch sw.sw_id)
-        in
-        List.iter
-          (fun p -> if p <> in_port then transmit_switch t sw p out)
-          candidates)
-    outputs
+(* interpret [group] on [pkt] in place: a copy whose headers no
+   [Set_field] changed goes out as [pkt] itself *)
+and execute_group t sw ~in_port pkt group =
+  Flow.Action.iter_group
+    (fun hdr port ->
+      output t sw ~in_port (if hdr == pkt.hdr then pkt else { pkt with hdr })
+        port)
+    pkt.hdr group
+
+and output t sw ~in_port pkt (port : Flow.Action.port) =
+  match port with
+  | Physical p -> transmit_switch t sw p pkt
+  | In_port_out -> transmit_switch t sw in_port pkt
+  | Controller ->
+    packet_in t sw ~in_port ~reason:Openflow.Message.Explicit_send pkt
+  | Flood ->
+    let candidates =
+      match sw.flood_ports with
+      | Some ports -> ports
+      | None -> Topo.Topology.ports t.topo (Node.Switch sw.sw_id)
+    in
+    List.iter (fun p -> if p <> in_port then transmit_switch t sw p pkt)
+      candidates
 
 (* ------------------------------------------------------------------ *)
 (* Control channel *)
@@ -670,11 +673,9 @@ let handle_at_switch t sw ~xid (msg : Openflow.Message.t) =
       { hdr = po.out_packet.headers; size = po.out_packet.size;
         tag = po.out_packet.tag; ttl = default_ttl }
     in
-    let hdr = { pkt.hdr with switch = sw.sw_id } in
-    let outputs =
-      Flow.Action.apply_group hdr [ po.out_actions ]
-    in
-    execute_outputs t sw ~in_port:po.out_in_port outputs pkt
+    execute_group t sw ~in_port:po.out_in_port
+      { pkt with hdr = { pkt.hdr with switch = sw.sw_id } }
+      [ po.out_actions ]
   | Barrier_request ->
     (* the reply echoes the request xid so the controller can match the
        ack to the batch it terminates (retransmit tracking) *)

@@ -40,20 +40,31 @@ let apply_seq (h : Headers.t) (s : seq) =
   in
   go h [] s
 
-(** [apply_group h g] yields one [(headers, port)] pair per copy emitted
-    by the group (a sequence with several outputs emits several copies,
-    each carrying the header state at its output point). *)
+let rec iter_seq f h = function
+  | [] -> ()
+  | Set_field (fl, v) :: rest -> iter_seq f (Headers.set h fl v) rest
+  | Output p :: rest ->
+    f h p;
+    iter_seq f h rest
+
+(** [iter_group f h g] calls [f h' p] once per copy the group emits, in
+    order: each sequence replays from [h], and [h'] is the header state
+    at its [Output p].  A copy no [Set_field] touched gets [h] itself
+    (physically), so a caller can reuse whatever it built around [h].
+    This is the switch's forwarding interpreter: it builds no list. *)
+let rec iter_group f (h : Headers.t) (g : group) =
+  match g with
+  | [] -> ()
+  | s :: rest ->
+    iter_seq f h s;
+    iter_group f h rest
+
+(** [apply_group h g] lists the [(headers, port)] pairs {!iter_group}
+    visits: one per copy the group emits. *)
 let apply_group (h : Headers.t) (g : group) =
-  List.concat_map
-    (fun s ->
-      (* replay the sequence, recording headers at each output *)
-      let rec go h acc = function
-        | [] -> List.rev acc
-        | Set_field (f, v) :: rest -> go (Headers.set h f v) acc rest
-        | Output p :: rest -> go h ((h, p) :: acc) rest
-      in
-      go h [] s)
-    g
+  let outs = ref [] in
+  iter_group (fun h p -> outs := (h, p) :: !outs) h g;
+  List.rev !outs
 
 let pp_port fmt = function
   | Physical p -> Format.fprintf fmt "%d" p

@@ -44,7 +44,16 @@ let set t (f : Fields.t) v =
   | Tp_src -> { t with tp_src = v }
   | Tp_dst -> { t with tp_dst = v }
 
-let equal (a : t) (b : t) = a = b
+(* Field by field: this is the key equality of the flow cache and the
+   classifier buckets, where the polymorphic [=] would cost a C call
+   walking the record. *)
+let equal (a : t) (b : t) =
+  a == b
+  || a.switch = b.switch && a.in_port = b.in_port && a.eth_src = b.eth_src
+     && a.eth_dst = b.eth_dst && a.eth_type = b.eth_type && a.vlan = b.vlan
+     && a.ip_proto = b.ip_proto && a.ip4_src = b.ip4_src
+     && a.ip4_dst = b.ip4_dst && a.tp_src = b.tp_src && a.tp_dst = b.tp_dst
+
 let compare (a : t) (b : t) = compare a b
 
 (** Cheap deterministic hash over the full header tuple, suitable as an

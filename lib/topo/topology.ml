@@ -95,8 +95,15 @@ exception Port_in_use of Node.t * int
 (** [add_link t (a, pa) (b, pb) ~capacity ~delay] connects port [pa] of
     [a] to port [pb] of [b] with symmetric attributes.  Both endpoints are
     added to the graph if missing.
-    @raise Port_in_use if either port already carries a link. *)
+    @raise Port_in_use if either port already carries a link.
+    @raise Invalid_argument unless [capacity] (bits/s) is positive and
+    [delay] (seconds) finite and non-negative: a link with no capacity
+    would take forever to serialize a packet. *)
 let add_link t (a, pa) (b, pb) ~capacity ~delay =
+  if not (capacity > 0.0) then
+    invalid_arg "Topology.add_link: capacity must be positive";
+  if not (delay >= 0.0 && Float.is_finite delay) then
+    invalid_arg "Topology.add_link: delay must be finite and non-negative";
   add_node t a;
   add_node t b;
   if Hashtbl.mem t.port_tbl (a, pa) then raise (Port_in_use (a, pa));

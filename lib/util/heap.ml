@@ -1,6 +1,6 @@
-(** Imperative binary min-heap: the near and overflow stages of
-    {!Timing_wheel}, Dijkstra's priority queue, and the reference order
-    the wheel is tested against.
+(** Imperative binary min-heap: the overflow stage of {!Timing_wheel},
+    Dijkstra's priority queue, and the reference order the wheel is
+    tested against.
 
     Elements are ordered by a float key supplied at insertion; ties are
     broken by insertion order so that the simulator is deterministic.

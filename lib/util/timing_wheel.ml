@@ -10,7 +10,10 @@
 
     - events landing in the {e current} tick go to a small [near] heap
       (usually a handful of entries), which preserves the exact
-      (key, insertion-order) execution order of the reference heap;
+      (key, insertion-order) execution order of the reference heap.
+      It is a wheel-private array of the entry records {!push}
+      allocated, not a {!Heap}: filing, draining and popping an event
+      allocate nothing further;
     - events within the wheel horizon ([slots * tick] seconds ahead) are
       consed onto their slot's list in O(1);
     - far timers (retransmission timeouts, expiry sweeps, periodic
@@ -20,9 +23,14 @@
     Execution order is {e identical} to {!Heap}'s: slot assignment is a
     monotone function of the key, entries carry their global insertion
     sequence through every migration, and each slot is drained through
-    the [near] heap sorted by (key, seq).  The [test/util.wheel] suite
-    pins this equivalence property, including ties, and
+    the [near] heap, which orders by (key, seq).  The [test/util.wheel]
+    suite pins this equivalence property, including ties, and
     [test/dataplane.sim] pins it through {!Dataplane.Sim}.
+
+    A key too large for its tick to fit in an [int] (including
+    [infinity]) saturates to {!max_tick}: it waits in the overflow until
+    everything finite-ticked ahead of it has run, then the [near] heap
+    orders it by key like any other.
 
     Tick width and slot count trade memory against how much of the
     schedule stays O(1): the defaults (16 µs ticks, 1024 slots ≈ 16 ms
@@ -39,10 +47,19 @@ type 'a t = {
   slots : 'a entry list array;  (* unsorted; one pending tick per slot *)
   mutable wheel_count : int;  (* entries filed in [slots] *)
   mutable base : int;         (* tick number of the current slot *)
-  near : 'a Heap.t;           (* entries with tick <= base, exact order *)
+  mutable near : 'a entry array;
+      (* binary min-heap on (key, seq) of the entries with tick <= base;
+         slots at and above [near_size] hold [vacant] *)
+  mutable near_size : int;
   overflow : 'a Heap.t;       (* entries beyond the wheel horizon *)
   mutable next_seq : int;     (* global tie-break counter *)
 }
+
+(* Filler for [near] slots above [near_size], so a popped entry (and the
+   event closure it carries) is never retained by the array.  Its value
+   is never read: every read of [near] is below [near_size]. *)
+let vacant_unit = { key = infinity; seq = max_int; value = () }
+let vacant () : 'a entry = Obj.magic vacant_unit
 
 (* round up to a power of two for mask indexing *)
 let pow2 n =
@@ -54,19 +71,90 @@ let create ?(tick = 16e-6) ?(slots = 1024) () =
   let nslots = pow2 slots in
   { tick; inv_tick = 1.0 /. tick; nslots; mask = nslots - 1;
     slots = Array.make nslots []; wheel_count = 0; base = 0;
-    near = Heap.create (); overflow = Heap.create (); next_seq = 0 }
+    near = [||]; near_size = 0; overflow = Heap.create (); next_seq = 0 }
 
-let length t = Heap.length t.near + t.wheel_count + Heap.length t.overflow
+let length t = t.near_size + t.wheel_count + Heap.length t.overflow
 let is_empty t = length t = 0
 
-(* floor(key / tick): monotone in key, so inter-tick order is key order
-   and quantization can never reorder events *)
-let tick_of t key = int_of_float (key *. t.inv_tick)
+(* ------------------------------------------------------------------ *)
+(* The near heap *)
+
+let entry_lt a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+
+(* sift [e] up from the hole at [i] *)
+let rec sift_up a e i =
+  if i = 0 then a.(0) <- e
+  else
+    let p = (i - 1) / 2 in
+    let pe = a.(p) in
+    if entry_lt e pe then begin
+      a.(i) <- pe;
+      sift_up a e p
+    end
+    else a.(i) <- e
+
+(* sift [e] down from the hole at [i] in a heap of [n] entries *)
+let rec sift_down a n e i =
+  let l = (2 * i) + 1 in
+  if l >= n then a.(i) <- e
+  else
+    let c = if l + 1 < n && entry_lt a.(l + 1) a.(l) then l + 1 else l in
+    let ce = a.(c) in
+    if entry_lt ce e then begin
+      a.(i) <- ce;
+      sift_down a n e c
+    end
+    else a.(i) <- e
+
+(* append [e] at the end of [near] without restoring the heap order *)
+let near_append t e =
+  let cap = Array.length t.near in
+  if t.near_size = cap then begin
+    let ncap = max 16 (2 * cap) in
+    let a = Array.make ncap (vacant ()) in
+    Array.blit t.near 0 a 0 t.near_size;
+    t.near <- a
+  end;
+  t.near.(t.near_size) <- e;
+  t.near_size <- t.near_size + 1
+
+let near_push t e =
+  near_append t e;
+  sift_up t.near e (t.near_size - 1)
+
+(* remove and return the minimum; [near] must be nonempty *)
+let near_pop t =
+  let a = t.near in
+  let top = a.(0) in
+  let n = t.near_size - 1 in
+  t.near_size <- n;
+  let last = a.(n) in
+  a.(n) <- vacant ();
+  if n > 0 then sift_down a n last 0;
+  top
+
+(* ------------------------------------------------------------------ *)
+(* Filing and migration *)
+
+(** Ticks saturate here: large enough that no finite schedule of a
+    simulated network reaches it, small enough that [max_tick + nslots]
+    cannot overflow an [int]. *)
+let max_tick = 1 lsl 52
+
+let max_tick_f = float_of_int max_tick
+
+(* floor(key / tick), saturating at [max_tick]: monotone in key, so
+   inter-tick order is key order and quantization can never reorder
+   events.  Without the saturation [int_of_float] of a huge or infinite
+   key wraps to a tick in the past and jumps the whole schedule. *)
+let tick_of t key =
+  let x = key *. t.inv_tick in
+  if x < max_tick_f then int_of_float x else max_tick
 
 (* route an entry to the stage its tick calls for *)
 let file t e =
   let tk = tick_of t e.key in
-  if tk <= t.base then Heap.push_seq t.near e.key ~seq:e.seq e.value
+  if tk <= t.base then near_push t e
   else if tk - t.base < t.nslots then begin
     let i = tk land t.mask in
     t.slots.(i) <- e :: t.slots.(i);
@@ -75,7 +163,7 @@ let file t e =
   else Heap.push_seq t.overflow e.key ~seq:e.seq e.value
 
 (** [push t key value] schedules [value] at [key] (seconds, must be
-    finite and non-negative); ties execute in insertion order. *)
+    non-negative and not NaN); ties execute in insertion order. *)
 let push t key value =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -93,9 +181,9 @@ let push t key value =
    only pulls [tick - base < nslots], so the boundary entry migrates on
    the next base advance, never before.  Same-instant FIFO order across
    the migration is preserved because entries carry their global [seq]
-   through [pop_seq]/[push_seq] and slot drains sort by [(key, seq)].
-   Both properties are pinned by the [test/util.wheel] horizon-boundary
-   regression tests. *)
+   through [pop_seq]/[push_seq] and the [near] heap orders by
+   [(key, seq)].  Both properties are pinned by the [test/util.wheel]
+   horizon-boundary regression tests. *)
 let migrate_overflow t =
   let rec go () =
     match Heap.peek t.overflow with
@@ -107,19 +195,25 @@ let migrate_overflow t =
   in
   go ()
 
-(* entries of one slot share a tick; feed them to [near] in exact
-   (key, seq) order *)
-let entry_cmp a b =
-  match Float.compare a.key b.key with 0 -> compare a.seq b.seq | c -> c
+(* move a slot's entries (all of one tick) into [near]; the heap orders
+   them by (key, seq), so the slot list needs no sort *)
+let rec append_all t n = function
+  | [] -> n
+  | e :: rest ->
+    near_append t e;
+    append_all t (n + 1) rest
 
 let drain_slot t i =
   match t.slots.(i) with
   | [] -> false
   | l ->
     t.slots.(i) <- [];
-    t.wheel_count <- t.wheel_count - List.length l;
-    List.iter (fun e -> Heap.push_seq t.near e.key ~seq:e.seq e.value)
-      (List.sort entry_cmp l);
+    t.wheel_count <- t.wheel_count - append_all t 0 l;
+    (* Floyd's heapify: O(n), against O(n log n) for one push each *)
+    let a = t.near and n = t.near_size in
+    for i = (n / 2) - 1 downto 0 do
+      sift_down a n a.(i) i
+    done;
     true
 
 (* Advance [base] until [near] holds the next pending entries (or the
@@ -127,7 +221,7 @@ let drain_slot t i =
    slot is at most [nslots - 1] ticks ahead; with only far timers left
    we jump straight to the overflow's first tick. *)
 let rec ensure_near t =
-  if Heap.is_empty t.near then begin
+  if t.near_size = 0 then begin
     if t.wheel_count > 0 then begin
       let rec scan () =
         t.base <- t.base + 1;
@@ -146,37 +240,52 @@ let rec ensure_near t =
         ensure_near t
   end
 
+(* ------------------------------------------------------------------ *)
+(* Popping *)
+
 (** [peek t] returns [Some (key, value)] for the earliest entry without
     removing it, or [None] when the wheel is empty.  (Advances internal
     cursors; the logical contents are unchanged.) *)
 let peek t =
   ensure_near t;
-  Heap.peek t.near
+  if t.near_size = 0 then None
+  else
+    let e = t.near.(0) in
+    Some (e.key, e.value)
+
+(** [pop_due t ~strict ~stop] is the simulator's fused peek-and-pop: it
+    removes and returns the earliest entry when its key is <= [stop]
+    (< [stop] with [~strict:true] — the sharded simulator's conservative
+    windows are half-open intervals).  The entry is the record {!push}
+    allocated, so a pop allocates nothing.  Same-tick drains stay inside
+    the [near] heap — no wheel advance, no global re-peek per event.
+    @raise Not_found when no entry is due ({!is_empty} tells an empty
+    wheel from one whose earliest entry is past [stop]). *)
+let pop_due t ~strict ~stop =
+  ensure_near t;
+  if t.near_size = 0 then raise_notrace Not_found;
+  let key = t.near.(0).key in
+  if (if strict then key >= stop else key > stop) then raise_notrace Not_found;
+  near_pop t
 
 (** [pop t] removes and returns the earliest entry.
     @raise Not_found when the wheel is empty. *)
 let pop t =
-  ensure_near t;
-  Heap.pop t.near
+  let e = pop_due t ~strict:false ~stop:infinity in
+  (e.key, e.value)
 
-(** [pop_until t ~stop] is the simulator's fused peek-and-pop: [`Event]
-    with the earliest entry when its key is <= [stop], [`Beyond] when
-    entries remain but the earliest is past [stop], [`Empty] otherwise.
-    With [~strict:true] the bound is exclusive (entries at exactly
-    [stop] stay queued) — the sharded simulator's conservative windows
-    are half-open intervals.  Same-tick drains stay inside the [near]
-    heap — no wheel advance, no global re-peek per event. *)
+(** [pop_until t ~stop] is {!pop_due} with the outcome as a value:
+    [`Event] with the earliest entry when it is due, [`Beyond] when
+    entries remain but the earliest is past [stop], [`Empty]
+    otherwise. *)
 let pop_until ?(strict = false) t ~stop =
-  ensure_near t;
-  match Heap.peek t.near with
-  | None -> `Empty
-  | Some (key, _) when (if strict then key >= stop else key > stop) -> `Beyond
-  | Some _ ->
-    let key, value = Heap.pop t.near in
-    `Event (key, value)
+  match pop_due t ~strict ~stop with
+  | e -> `Event (e.key, e.value)
+  | exception Not_found -> if is_empty t then `Empty else `Beyond
 
 let clear t =
-  Heap.clear t.near;
+  Array.fill t.near 0 t.near_size (vacant ());
+  t.near_size <- 0;
   Heap.clear t.overflow;
   if t.wheel_count > 0 then Array.fill t.slots 0 t.nslots [];
   t.wheel_count <- 0

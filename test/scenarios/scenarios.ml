@@ -20,18 +20,19 @@ let allowlist_policy topo k =
 (* ------------------------------------------------------------------ *)
 (* Routed long-lived flows (E3) *)
 
-(* [spec] routed by the compiled routing policy, with 32 long-lived CBR
-   flows queued (seed 9, 500 pps, 1000 B, until 1 s); the caller runs
-   it.  Fixed per-flow ports give long-lived 5-tuples, so the
-   exact-match cache can do its job (one miss per flow per switch). *)
-let routed_flows spec =
+(* [spec] routed by the compiled routing policy, with long-lived CBR
+   flows queued (seed 9, 1000 B; by default 32 flows at 500 pps until
+   1 s); the caller runs it.  Fixed per-flow ports give long-lived
+   5-tuples, so the exact-match cache can do its job (one miss per flow
+   per switch). *)
+let routed_flows ?(flows = 32) ?(rate_pps = 500.0) ?(stop = 1.0) spec =
   let topo = Topo.Gen.of_spec spec in
   let net = Zen.create topo in
   ignore (Zen.install_policy net (Netkat.Builder.routing_policy topo));
   let prng = Util.Prng.create 9 in
   ignore
     (Dataplane.Traffic.random_pairs ~fixed_ports:true (Zen.network net) ~prng
-       ~flows:32 ~rate_pps:500.0 ~pkt_size:1000 ~stop:1.0);
+       ~flows ~rate_pps ~pkt_size:1000 ~stop);
   net
 
 (* ------------------------------------------------------------------ *)

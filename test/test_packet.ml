@@ -113,6 +113,38 @@ let test_headers_set_does_not_leak () =
   Alcotest.(check int) "other fields intact" h.tp_src h'.tp_src;
   Alcotest.(check int) "original unchanged" 6 h.tp_dst
 
+(* [Headers.equal] compares field by field; it must agree with the
+   structural [=] it replaced (it keys the flow cache and the classifier
+   buckets), including on equal headers that are distinct records, and
+   equal headers must hash alike.  Field values come from a tiny range
+   and [b] is [a] with at most two fields rewritten, so equal pairs are
+   common. *)
+let prop_headers_equal =
+  let gen_headers =
+    QCheck.Gen.(
+      map
+        (fun vs ->
+          List.fold_left2 (fun h f v -> Headers.set h f v) Headers.default
+            Fields.all vs)
+        (list_repeat (List.length Fields.all) (int_bound 2)))
+  in
+  let gen_edit = QCheck.Gen.(pair (oneofl Fields.all) (int_bound 2)) in
+  QCheck.Test.make
+    ~name:"Headers.equal = structural equality; equal headers hash alike"
+    ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_headers (list_size (0 -- 2) gen_edit)))
+    (fun (a, edits) ->
+      let b =
+        List.fold_left (fun h (f, v) -> Headers.set h f v)
+          { a with switch = a.switch } edits
+      in
+      let same = a = b in
+      a != b
+      && Headers.equal a b = same
+      && Headers.equal b a = same
+      && Headers.equal a a
+      && ((not same) || Headers.hash a = Headers.hash b))
+
 (* ------------------------------------------------------------------ *)
 (* Frames and codec *)
 
@@ -339,7 +371,8 @@ let suites =
         Alcotest.test_case "field name roundtrip" `Quick
           test_fields_string_roundtrip;
         Alcotest.test_case "set is functional" `Quick
-          test_headers_set_does_not_leak ] );
+          test_headers_set_does_not_leak;
+        QCheck_alcotest.to_alcotest prop_headers_equal ] );
     ( "packet.codec",
       [ Alcotest.test_case "tcp roundtrip" `Quick test_codec_tcp;
         Alcotest.test_case "udp roundtrip" `Quick test_codec_udp;

@@ -33,6 +33,26 @@ let test_port_in_use () =
      | exception Topology.Port_in_use (n, p) -> n = sw 1 && p = 1
      | () -> false)
 
+(* a zero-capacity link has an infinite serialization time, and a
+   non-finite delay an infinite arrival time: both are rejected before
+   the graph changes *)
+let test_bad_link_attributes () =
+  let rejected ~capacity ~delay =
+    let t = Topology.create () in
+    match Topology.add_link t (sw 1, 1) (sw 2, 1) ~capacity ~delay with
+    | exception Invalid_argument _ -> Topology.link_count t = 0
+    | () -> false
+  in
+  List.iter
+    (fun (name, capacity, delay) ->
+      Alcotest.(check bool) name true (rejected ~capacity ~delay))
+    [ ("zero capacity", 0.0, 1e-6); ("negative capacity", -1e9, 1e-6);
+      ("NaN capacity", Float.nan, 1e-6); ("negative delay", 1e9, -1e-6);
+      ("NaN delay", 1e9, Float.nan); ("infinite delay", 1e9, infinity) ];
+  let t = Topology.create () in
+  Topology.add_link t (sw 1, 1) (sw 2, 1) ~capacity:1e9 ~delay:0.0;
+  Alcotest.(check int) "zero delay accepted" 1 (Topology.link_count t)
+
 let test_link_failure () =
   let t = Gen.linear ~switches:2 ~hosts_per_switch:0 () in
   Alcotest.(check bool) "up" true (Topology.peer t (sw 1) 1 <> None);
@@ -314,6 +334,8 @@ let suites =
   [ ( "topo.graph",
       [ Alcotest.test_case "add and query" `Quick test_add_and_query;
         Alcotest.test_case "port in use" `Quick test_port_in_use;
+        Alcotest.test_case "bad link attributes rejected" `Quick
+          test_bad_link_attributes;
         Alcotest.test_case "link failure" `Quick test_link_failure;
         Alcotest.test_case "node failure" `Quick test_fail_node;
         Alcotest.test_case "host attachment" `Quick test_attachment ] );

@@ -234,6 +234,65 @@ let test_wheel_pop_until_strict () =
    | _ -> Alcotest.fail "inclusive: entry at stop pops");
   check "nothing left" 0 (Timing_wheel.length w)
 
+(* A key whose tick does not fit in an [int] (here [1e300] and
+   [infinity] at 1 ms ticks) saturates into the overflow and waits
+   behind every finite-ticked entry; an unchecked [int_of_float] would
+   wrap it to a tick in the past and pop it first. *)
+let test_wheel_huge_keys () =
+  let w = Timing_wheel.create ~tick:1e-3 ~slots:16 () in
+  Timing_wheel.push w infinity "inf";
+  Timing_wheel.push w 1e300 "huge";
+  Timing_wheel.push w 1.0 "t1";
+  Timing_wheel.push w 2.0 "t2";
+  Timing_wheel.push w 1e300 "huge2";
+  (match Timing_wheel.pop_until w ~stop:3.0 with
+   | `Event (_, "t1") -> ()
+   | _ -> Alcotest.fail "expected t1 first");
+  (match Timing_wheel.pop_until w ~stop:3.0 with
+   | `Event (_, "t2") -> ()
+   | _ -> Alcotest.fail "expected t2 second");
+  (match Timing_wheel.pop_until w ~stop:3.0 with
+   | `Beyond -> ()
+   | _ -> Alcotest.fail "expected the huge keys beyond t=3");
+  Alcotest.(check (list string)) "huge keys in key, then insertion, order"
+    [ "huge"; "huge2"; "inf" ]
+    (List.map snd (Timing_wheel.drain_to_list w))
+
+(* The heap's no-retention property ("releases popped payloads"),
+   applied to the wheel: a popped (or cleared) event closure is garbage
+   once the caller drops it, whichever stage held it — the near heap's
+   vacated array slots are overwritten, not left pointing at the
+   entry. *)
+let test_wheel_releases_popped () =
+  let w = Timing_wheel.create ~tick:1e-3 ~slots:16 () in
+  let live = Weak.create 6 in
+  (* keys 0 (near), 0.005 (a slot), 1.0 (overflow) *)
+  List.iteri
+    (fun i k ->
+      let payload = String.make 64 (Char.chr (65 + i)) in
+      let f () = ignore (Sys.opaque_identity payload) in
+      Weak.set live i (Some f);
+      Timing_wheel.push w k f)
+    [ 0.0; 0.0; 0.005; 0.005; 1.0; 1.0 ];
+  for _ = 1 to 4 do
+    match Timing_wheel.pop_until w ~stop:0.5 with
+    | `Event (_, f) -> f ()
+    | `Beyond | `Empty -> Alcotest.fail "expected an event"
+  done;
+  Gc.full_major ();
+  for i = 0 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "popped closure %d collected" i)
+      false (Weak.check live i)
+  done;
+  Timing_wheel.clear w;
+  Gc.full_major ();
+  for i = 4 to 5 do
+    Alcotest.(check bool)
+      (Printf.sprintf "cleared closure %d collected" i)
+      false (Weak.check live i)
+  done
+
 (* the tentpole property: wheel and heap agree on execution order for
    any push/pop interleaving — ties (identical keys) resolved by
    insertion order in both.  Keys mix sub-tick, in-horizon and
@@ -275,6 +334,57 @@ let prop_wheel_heap_equivalent =
       List.iter (fun e -> trace_w := e :: !trace_w) (Timing_wheel.drain_to_list w);
       List.iter (fun e -> trace_h := e :: !trace_h) (Heap.to_sorted_list h);
       !trace_w = !trace_h)
+
+(* The same equivalence driven the way the simulator drives the wheel:
+   pushes at or after the current instant (the last popped key),
+   including at exactly the current instant, interleaved with bounded
+   pops ([pop_until], inclusive and strict).  The heap answers the same
+   bounded pop by peeking first. *)
+let prop_wheel_heap_pop_until =
+  let gen =
+    QCheck.Gen.(
+      list_size (1 -- 150)
+        (oneof
+           [ map
+               (fun d -> `Push (float_of_int d *. 0.004))
+               (oneof [ return 0; int_bound 8; int_bound 64; int_bound 5000 ]);
+             map2
+               (fun strict d -> `Pop_until (strict, float_of_int d *. 0.004))
+               bool
+               (oneof [ return 0; int_bound 8; int_bound 64; int_bound 5000 ])
+           ]))
+  in
+  QCheck.Test.make
+    ~name:"timing wheel == heap under pop_until and same-instant pushes"
+    ~count:300 (QCheck.make gen)
+    (fun ops ->
+      let w = Timing_wheel.create ~tick:1e-3 ~slots:16 () in
+      let h = Heap.create () in
+      let now = ref 0.0 and id = ref 0 in
+      let heap_pop_until ~strict ~stop =
+        match Heap.peek h with
+        | None -> `Empty
+        | Some (k, _) when (if strict then k >= stop else k > stop) -> `Beyond
+        | Some _ ->
+          let k, v = Heap.pop h in
+          `Event (k, v)
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Push d ->
+            incr id;
+            Timing_wheel.push w (!now +. d) !id;
+            Heap.push h (!now +. d) !id;
+            true
+          | `Pop_until (strict, d) ->
+            let stop = !now +. d in
+            let rw = Timing_wheel.pop_until ~strict w ~stop in
+            let rh = heap_pop_until ~strict ~stop in
+            (match rh with `Event (k, _) -> now := k | `Beyond | `Empty -> ());
+            rw = rh)
+        ops
+      && Timing_wheel.drain_to_list w = Heap.to_sorted_list h)
 
 (* ------------------------------------------------------------------ *)
 (* Bufpool *)
@@ -535,7 +645,12 @@ let suites =
           test_wheel_horizon_boundary_fifo;
         Alcotest.test_case "pop_until strict bound" `Quick
           test_wheel_pop_until_strict;
-        QCheck_alcotest.to_alcotest prop_wheel_heap_equivalent ] );
+        Alcotest.test_case "huge and infinite keys wait their turn" `Quick
+          test_wheel_huge_keys;
+        Alcotest.test_case "releases popped closures" `Quick
+          test_wheel_releases_popped;
+        QCheck_alcotest.to_alcotest prop_wheel_heap_equivalent;
+        QCheck_alcotest.to_alcotest prop_wheel_heap_pop_until ] );
     ( "util.bufpool",
       [ Alcotest.test_case "acquire/release reuse" `Quick test_bufpool_reuse;
         Alcotest.test_case "retain bound" `Quick test_bufpool_retain_bound;
