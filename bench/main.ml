@@ -903,13 +903,10 @@ let e14 () =
   let run ?fault ~queue_depth ~window ~rto ~backoff ~total () =
     let topo = Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 () in
     let net = Dataplane.Network.create ~queue_depth ?fault topo in
-    let fdd = Netkat.Fdd.of_policy (Netkat.Builder.routing_policy topo) in
-    List.iter
-      (fun sw ->
-        let id = Topo.Topology.Node.id sw in
-        Netkat.Local.load_rules (Dataplane.Network.switch net id).table
-          (Netkat.Local.rules_of_fdd ~switch:id fdd))
-      (Topo.Topology.switches topo);
+    Controller.Api.load_delta ~previous:None
+      ~table_of:(fun id -> (Dataplane.Network.switch net id).table)
+      (Netkat.Delta.compile_policy ~switches:(Topo.Topology.switch_ids topo)
+         None (Netkat.Builder.routing_policy topo));
     let c =
       Dataplane.Transport.start net ~src:1 ~dst:2 ~total ~window ~rto ~backoff
         ~max_retx:20_000 ()

@@ -42,106 +42,88 @@ let install ctx ~switch_id ?(priority = 0) ?idle_timeout ?hard_timeout
        (Openflow.Message.add_flow ~priority ~idle_timeout ~hard_timeout
           ~cookie ~notify_when_removed ~pattern ~actions ()))
 
-(** [install_rules ctx ~switch_id ?cookie rules] installs all of
-    [rules] — [(priority, pattern, actions)] triples — as {e one}
-    batched transmission (see {!Openflow.Wire.encode_batch}) terminated
-    by a barrier request, so install cost on the control channel is
-    per-batch, not per-rule.  [replace] prepends a delete of every rule
-    the cookie owns, making the batch a full-table replacement.  A
-    no-op on an empty rule list with [replace] off. *)
-let install_rules ctx ~switch_id ?idle_timeout ?hard_timeout ?(cookie = 0)
-    ?(notify_when_removed = false) ?(replace = false) rules =
-  if rules <> [] || replace then begin
-    let adds =
-      List.map
-        (fun (priority, pattern, actions) ->
-          Openflow.Message.Flow_mod
-            (Openflow.Message.add_flow ~priority ~idle_timeout ~hard_timeout
-               ~cookie ~notify_when_removed ~pattern ~actions ()))
-        rules
-    in
-    let msgs =
-      if replace then
-        Openflow.Message.Flow_mod
-          (Openflow.Message.delete_flow ~cookie:(Some cookie)
-             ~pattern:Flow.Pattern.any ())
-        :: adds
-      else adds
-    in
-    ctx.send_batch ~switch_id (msgs @ [ Openflow.Message.Barrier_request ])
-  end
-
-(** [delta_flow_mods ?cookie ~adds ~deletes ()] — the flow-mod messages
-    for a minimal table edit: one add/modify per rule of [adds], one
-    strict delete per rule of [deletes].  No barrier; see
-    {!apply_delta}. *)
-let delta_flow_mods ?idle_timeout ?hard_timeout ?(cookie = 0)
-    ?(notify_when_removed = false) ~(adds : Netkat.Local.rule list)
-    ~(deletes : Netkat.Local.rule list) () =
-  let add_msgs =
-    List.map
-      (fun (r : Netkat.Local.rule) ->
-        Openflow.Message.Flow_mod
-          (Openflow.Message.add_flow ~priority:r.priority ~idle_timeout
-             ~hard_timeout ~cookie ~notify_when_removed ~pattern:r.pattern
-             ~actions:r.actions ()))
-      adds
+(** [change_flow_mods ?cookie ~known change] is the one mapping from a
+    {!Netkat.Delta.change} to flow-mods, shared by every table writer
+    (sent over the wire by {!push_delta}, applied offline by
+    {!load_delta}):
+    - [Unchanged] → nothing (the switch's flow cache stays warm);
+    - a switch the writer has not programmed before ([known = false])
+      → a delete of every rule under [cookie], then one add per rule
+      (a cookie-scoped full replacement);
+    - otherwise → one add/modify per rule of [adds] (an OpenFlow add
+      with an existing [(priority, pattern)] is a modify), then one
+      strict delete per rule of [deletes]. *)
+let change_flow_mods ?(cookie = 0) ~known (change : Netkat.Delta.change) =
+  let add (r : Netkat.Local.rule) =
+    Openflow.Message.add_flow ~priority:r.priority ~cookie ~pattern:r.pattern
+      ~actions:r.actions ()
   in
-  let delete_msgs =
-    List.map
-      (fun (r : Netkat.Local.rule) ->
-        Openflow.Message.Flow_mod
-          (Openflow.Message.delete_strict_flow ~cookie:(Some cookie)
-             ~priority:r.priority ~pattern:r.pattern ()))
-      deletes
-  in
-  add_msgs @ delete_msgs
+  match change with
+  | Unchanged -> []
+  | Changed { adds; deletes; _ } when known ->
+    List.map add adds
+    @ List.map
+        (fun (r : Netkat.Local.rule) ->
+          Openflow.Message.delete_strict_flow ~cookie:(Some cookie)
+            ~priority:r.priority ~pattern:r.pattern ())
+        deletes
+  | Changed { rules; _ } ->
+    Openflow.Message.delete_flow ~cookie:(Some cookie)
+      ~pattern:Flow.Pattern.any ()
+    :: List.map add rules
 
-(** [apply_delta ctx ~switch_id ?cookie ~adds ~deletes ()] pushes a
-    minimal table edit as one batched transmission terminated by a
-    barrier: adds/modifies first (an OpenFlow add with an existing
-    [(priority, pattern)] is a modify), then strict deletes of vanished
-    rules.  Sends nothing at all when both lists are empty — a no-op
-    edit must not touch the switch (its flow cache stays warm). *)
-let apply_delta ctx ~switch_id ?idle_timeout ?hard_timeout ?cookie
-    ?notify_when_removed ~adds ~deletes () =
-  match (adds, deletes) with
-  | [], [] -> ()
-  | _ ->
-    let msgs =
-      delta_flow_mods ?idle_timeout ?hard_timeout ?cookie
-        ?notify_when_removed ~adds ~deletes ()
-    in
-    ctx.send_batch ~switch_id (msgs @ [ Openflow.Message.Barrier_request ])
+(** [known_switch previous switch_id] — whether a writer whose last
+    compile was [previous] has programmed [switch_id] (the [known]
+    argument of {!change_flow_mods}). *)
+let known_switch previous switch_id =
+  match previous with
+  | Some p -> Netkat.Delta.find p switch_id <> None
+  | None -> false
+
+(** [send_flow_mods ctx ~switch_id fms] sends [fms] as one batched
+    transmission terminated by a barrier; nothing at all when [fms] is
+    empty. *)
+let send_flow_mods ctx ~switch_id = function
+  | [] -> ()
+  | fms ->
+    ctx.send_batch ~switch_id
+      (List.map (fun fm -> Openflow.Message.Flow_mod fm) fms
+       @ [ Openflow.Message.Barrier_request ])
 
 (** [push_delta ctx ?cookie ~previous result] pushes one
-    {!Netkat.Delta.compile} step compiled against [previous], one batch
-    per changed switch, all under [cookie]: an [Unchanged] switch gets
-    nothing; a switch absent from [previous] (first contact, or
-    rejoining after being compiled around) gets a cookie-scoped full
-    replacement ({!install_rules} [~replace:true]); every other changed
-    switch gets its minimal {!apply_delta}.  Returns [(full, delta)]:
-    the rules sent as replacements and the flow-mods sent as deltas. *)
+    {!Netkat.Delta.compile} step compiled against [previous]: each
+    switch's {!change_flow_mods}, as one batch per switch.  Returns
+    [(full, delta)]: the rules sent as replacements and the flow-mods
+    sent as deltas. *)
 let push_delta ctx ?(cookie = 0) ~previous (result : Netkat.Delta.result) =
-  let known switch_id =
-    match previous with
-    | Some p -> Netkat.Delta.find p switch_id <> None
-    | None -> false
-  in
   List.fold_left
     (fun (full, delta) (switch_id, (change : Netkat.Delta.change)) ->
+      let known = known_switch previous switch_id in
+      send_flow_mods ctx ~switch_id (change_flow_mods ~cookie ~known change);
       match change with
       | Unchanged -> (full, delta)
-      | Changed { adds; deletes; _ } when known switch_id ->
-        apply_delta ctx ~switch_id ~cookie ~adds ~deletes ();
+      | Changed { adds; deletes; _ } when known ->
         (full, delta + List.length adds + List.length deletes)
-      | Changed { rules; _ } ->
-        install_rules ctx ~switch_id ~cookie ~replace:true
-          (List.map
-             (fun (r : Netkat.Local.rule) -> (r.priority, r.pattern, r.actions))
-             rules);
-        (full + List.length rules, delta))
+      | Changed { rules; _ } -> (full + List.length rules, delta))
     (0, 0) result.changes
+
+(** [load_delta ~previous ~table_of result] is {!push_delta} (under
+    cookie 0) without a control channel: each switch's
+    {!change_flow_mods} is applied to [table_of switch_id] through
+    {!Openflow.Message.apply_to_table}, the mapping a switch applies to
+    the flow-mods it receives, so an offline table equals the one a
+    controller push converges to. *)
+let load_delta ~previous ~table_of (result : Netkat.Delta.result) =
+  List.iter
+    (fun (switch_id, change) ->
+      match
+        change_flow_mods ~known:(known_switch previous switch_id) change
+      with
+      | [] -> ()
+      | fms ->
+        let table = table_of switch_id in
+        List.iter (Openflow.Message.apply_to_table ~now:0.0 table) fms)
+    result.changes
 
 (** [uninstall ctx ~switch_id ?cookie pattern] deletes all rules subsumed
     by [pattern] (restricted to [cookie] when given). *)

@@ -193,15 +193,7 @@ and replicated_rules t m =
 and load_tables m tables =
   Hashtbl.reset m.m_shadows;
   List.iter
-    (fun (sid, rules) ->
-      let table = shadow_of m sid in
-      List.iter
-        (fun (ru : Flow.Table.rule) ->
-          Flow.Table.add table
-            (Flow.Table.make_rule ~priority:ru.priority ~pattern:ru.pattern
-               ~actions:ru.actions ~idle_timeout:ru.idle_timeout
-               ~hard_timeout:ru.hard_timeout ~cookie:ru.cookie ()))
-        rules)
+    (fun (sid, rules) -> Flow.Table.add_copies (shadow_of m sid) rules)
     tables
 
 (* ------------------------------------------------------------------ *)
@@ -507,7 +499,8 @@ let shutdown t =
 
     {!Fault.Controller_outage} incidents injected into [net] crash and
     restart members by id.
-    @raise Invalid_argument when [replicas < 2] or [lease <= 0]. *)
+    @raise Invalid_argument when [replicas < 2], [lease <= 0] or
+    [resilience] fails {!Runtime.check_resilience}. *)
 let create ?(latency = 1e-3) ?resilience ?(replicas = 2) ?(lease = 0.15)
     ?(repl_latency = 1e-3) ?repl_fault ?switch_ids net mk_apps =
   if replicas < 2 then
@@ -526,6 +519,7 @@ let create ?(latency = 1e-3) ?resilience ?(replicas = 2) ?(lease = 0.15)
     | Some r -> r
     | None -> { Runtime.default_resilience with selective_resync = true }
   in
+  Runtime.check_resilience "Replica.create" resilience;
   let members =
     Array.init replicas (fun id ->
       { m_id = id; role = (if id = 0 then Leader else Standby); runtime = None;

@@ -133,10 +133,9 @@ let create ?(use_ip = false) ?(cookie = 0x0e) () =
       | None -> ()  (* never compiled for it; the next recompute will *)
       | Some rules ->
         t.repushes <- t.repushes + 1;
-        Api.install_rules ctx ~switch_id ~cookie:t.cookie ~replace:true
-          (List.map
-             (fun (r : Netkat.Local.rule) -> (r.priority, r.pattern, r.actions))
-             rules)
+        Api.send_flow_mods ctx ~switch_id
+          (Api.change_flow_mods ~cookie:t.cookie ~known:false
+             (Netkat.Delta.Changed { rules; adds = rules; deletes = [] }))
   in
   let switch_down ctx ~switch_id =
     (* keepalive verdict from the resilient runtime: treat the switch as

@@ -57,6 +57,25 @@ let default_resilience =
     retx_timeout = 0.02; retx_backoff = 2.0; retx_cap = 0.5;
     selective_resync = false }
 
+(** [check_resilience who r] raises [Invalid_argument] (naming [who]
+    and the field) unless [r] can drive its timers forward: a zero or
+    non-finite period or timeout would schedule keepalives or
+    retransmissions at one simulated instant forever.  Requires
+    [echo_period] and [retx_timeout] finite and > 0, [echo_miss_limit]
+    >= 1, [retx_backoff] finite and >= 1, and [retx_cap] finite and
+    >= [retx_timeout] (the bounds {!Dataplane.Transport.start} puts on
+    its own timers). *)
+let check_resilience who r =
+  let bad field = invalid_arg (Printf.sprintf "%s: resilience.%s" who field) in
+  let positive x = Float.is_finite x && x > 0.0 in
+  if not (positive r.echo_period) then bad "echo_period";
+  if r.echo_miss_limit < 1 then bad "echo_miss_limit";
+  if not (positive r.retx_timeout) then bad "retx_timeout";
+  if not (Float.is_finite r.retx_backoff && r.retx_backoff >= 1.0) then
+    bad "retx_backoff";
+  if not (Float.is_finite r.retx_cap && r.retx_cap >= r.retx_timeout) then
+    bad "retx_cap"
+
 (* a reliable batch: pre-assigned xids so retransmissions are replays *)
 type batch = {
   frames : (int * Openflow.Message.t) list;
@@ -156,13 +175,7 @@ let state t switch_id =
           mark the switch as previously handshaked so the first features
           reply triggers a resync against it — with selective resync a
           warm table receives only the delta *)
-       List.iter
-         (fun (ru : Flow.Table.rule) ->
-           Flow.Table.add st.shadow
-             (Flow.Table.make_rule ~priority:ru.priority ~pattern:ru.pattern
-                ~actions:ru.actions ~idle_timeout:ru.idle_timeout
-                ~hard_timeout:ru.hard_timeout ~cookie:ru.cookie ()))
-         rules;
+       Flow.Table.add_copies st.shadow rules;
        st.handshaked <- true;
        Hashtbl.remove t.preset switch_id);
     Hashtbl.replace t.states switch_id st;
@@ -502,9 +515,12 @@ let halt t =
     [xid_base] continues a replicated xid sequence; [shadows] seeds
     per-switch intended-state from a replica (those switches resync on
     their first features reply); [on_shadow] observes every shadowed
-    flow-mod — the replication delta stream. *)
+    flow-mod — the replication delta stream.
+    @raise Invalid_argument on a [resilience] record that
+    {!check_resilience} rejects. *)
 let create ?(latency = 1e-3) ?resilience ?switch_ids ?(attach = true)
     ?(fence = 0) ?(xid_base = 0) ?(shadows = []) ?on_shadow net apps =
+  Option.iter (check_resilience "Runtime.create") resilience;
   let t_ref = ref None in
   let rec handler ~switch_id data =
     match !t_ref with

@@ -24,6 +24,14 @@
     {!naive} performs the inconsistent switch-by-switch replacement for
     comparison (experiment E9).
 
+    Every installer here is a {!Delta} stream: it compiles against the
+    stream's previous snapshot and writes only what
+    {!Api.change_flow_mods} maps the result to.  A version owns two
+    streams, [internal:v] and [ingress:v], under cookie [v] — for
+    {!install}/{!two_phase} and for the globally-compiled
+    {!global_install}/{!global_two_phase} alike; {!install_plain} and
+    {!naive} write cookie 0.
+
     Restriction: the managed policy must not itself use the [Vlan] field
     (it carries the version); {!Policy_uses_vlan} is raised otherwise. *)
 
@@ -106,8 +114,9 @@ type t = {
 (** [create ?drain ()] — an updater.  Every install path compiles
     through {!Delta} against the previous snapshot of its stream, so
     repeated {!install}, {!global_install} and {!install_plain} calls
-    push only the changed switches/rules; see each function for the
-    consistency caveat. *)
+    push only the changed switches/rules, and an in-place install after
+    a transition edits the transition's rules; see each function for
+    the consistency caveat. *)
 let create ?(drain = 0.5) () =
   { drain; streams = Hashtbl.create 8; pushed = Hashtbl.create 8;
     version = 0; installs = 0; peak_rules = 0; updates_done = 0;
@@ -158,47 +167,37 @@ let note_pushed t ~cookie ~switch_id =
   in
   Hashtbl.replace set switch_id ()
 
-(* Push one switch's delta under [cookie].  An unchanged switch gets no
-   message at all — its flow cache stays warm. *)
+(* Push one switch's change under [cookie] as adds and strict deletes
+   only ({!Api.change_flow_mods} with [~known:true]), even to a switch
+   the stream has never programmed.  Both streams of one version share
+   the version's cookie, so {!Api.push_delta}'s cookie-scoped
+   replacement would make the ingress push delete the internal rules
+   pushed just before it; a version's first push is under a fresh
+   cookie, so its adds alone are a full install.  An unchanged switch
+   gets no message at all — its flow cache stays warm. *)
 let push_change t ctx ~cookie switch_id = function
   | Delta.Unchanged -> ()
-  | Delta.Changed { adds; deletes; _ } ->
+  | Delta.Changed { adds; deletes; _ } as change ->
     if adds <> [] || deletes <> [] then begin
       t.installs <- t.installs + List.length adds;
       t.delta_mods <- t.delta_mods + List.length adds + List.length deletes;
       note_pushed t ~cookie ~switch_id;
-      Api.apply_delta ctx ~switch_id ~cookie ~adds ~deletes ()
+      Api.send_flow_mods ctx ~switch_id
+        (Api.change_flow_mods ~cookie ~known:true change)
     end
 
-(* Install the compiled rules of [part] on every switch.
-
-   Correctness requirement: while two versions coexist, no rule of one
-   version may catch the other version's packets.  The FDD encodes its
-   negative constraints (e.g. "vlan <> u" fall-through drops) through
-   intra-table shadowing, which breaks when two compiled tables are
-   interleaved at different priority bases.  We therefore specialize the
-   diagram to the vlan value its packets are known to carry ([only_vlan]:
-   the version tag for internal parts, untagged for ingress parts) and
-   stamp that value into every emitted pattern — making every single
-   rule, including drops, version-specific.
-
-   The compile runs through {!Delta.compile} against the [stream]'s
-   previous snapshot: switches whose restricted diagram is uid-unchanged
-   are skipped entirely, changed switches get minimal add/strict-delete
-   batches.  [base]/[only_vlan] feed the
-   transform, so the stream key must pin the version — it does
-   (["<path>:<version>"]). *)
-let install_part t ctx ~stream part ~only_vlan ~cookie ~base =
-  let topo = Api.topology ctx in
-  let fdd = Fdd.restrict (Packet.Fields.Vlan, only_vlan) (Fdd.of_policy part) in
+(* The one stream installer: compile [fdd] through {!Delta.compile}
+   (with its own [keep]/[transform]) against the [stream]'s previous
+   snapshot and push every switch's change under [cookie].  Switches
+   whose diagram is uid-unchanged are skipped entirely; changed ones get
+   minimal add/strict-delete batches.  The transform depends on the
+   version (priority base, tag), so the stream key pins the version:
+   ["<path>:<version>"]. *)
+let install_stream t ctx ~stream ~cookie ?keep ~transform fdd =
   let previous = Hashtbl.find_opt t.streams stream in
-  let transform (r : Local.rule) =
-    { r with priority = base + r.priority;
-      pattern = { r.pattern with vlan = Some only_vlan } }
-  in
   let result =
-    Delta.compile ~transform ~switches:(Topo.Topology.switch_ids topo)
-      previous fdd
+    Delta.compile ?keep ~transform
+      ~switches:(Topo.Topology.switch_ids (Api.topology ctx)) previous fdd
   in
   Hashtbl.replace t.streams stream result.snapshot;
   t.skipped_switches <- t.skipped_switches + result.skipped;
@@ -206,10 +205,7 @@ let install_part t ctx ~stream part ~only_vlan ~cookie ~base =
     (fun (switch_id, change) -> push_change t ctx ~cookie switch_id change)
     result.changes
 
-let stream_keys version =
-  [ Printf.sprintf "internal:%d" version;
-    Printf.sprintf "ingress:%d" version;
-    Printf.sprintf "global:%d" version ]
+let stream_key path version = Printf.sprintf "%s:%d" path version
 
 (* Garbage-collect one version: cookie-scoped delete to exactly the
    switches that received rules under that cookie (a switch that never
@@ -229,7 +225,64 @@ let delete_version t ctx ~cookie =
          end)
        (Topo.Topology.switches (Api.topology ctx));
      Hashtbl.remove t.pushed cookie);
-  List.iter (Hashtbl.remove t.streams) (stream_keys cookie)
+  List.iter
+    (fun path -> Hashtbl.remove t.streams (stream_key path cookie))
+    [ "internal"; "ingress" ]
+
+(* One version's two streams, [(internal, ingress)], each a thunk that
+   compiles and pushes its part when called; the version's priority
+   base is [version * 10000], ingress rules sit 1000 above internal
+   ones so a new version's ingress shadows the old one's.
+
+   Correctness requirement: while two versions coexist, no rule of one
+   version may catch the other version's packets.  The FDD encodes its
+   negative constraints (e.g. "vlan <> u" fall-through drops) through
+   intra-table shadowing, which breaks when two compiled tables are
+   interleaved at different priority bases.  We therefore specialize
+   each part's diagram to the vlan value its packets are known to carry
+   (the version tag for the internal part, untagged for the ingress
+   part) and stamp that value into every emitted pattern — making every
+   single rule, including drops, version-specific. *)
+let versioned_streams t ctx pol ~version =
+  let topo = Api.topology ctx in
+  let base = version * 10000 in
+  let part path mk_part ~vlan ~base () =
+    install_stream t ctx ~stream:(stream_key path version) ~cookie:version
+      ~transform:(fun (r : Local.rule) ->
+        { r with priority = base + r.priority;
+          pattern = { r.pattern with vlan = Some vlan } })
+      (Fdd.restrict (Packet.Fields.Vlan, vlan)
+         (Fdd.of_policy (mk_part topo pol ~version)))
+  in
+  ( part "internal" internal_part ~vlan:version ~base,
+    part "ingress" ingress_part ~vlan:Packet.Fields.vlan_none
+      ~base:(base + 1000) )
+
+(* Edit the current version's streams in place.  Not per-packet
+   consistent: a packet in flight can mix pre- and post-edit rules. *)
+let in_place t ctx (internal, ingress) =
+  internal ();
+  ingress ();
+  Api.schedule ctx ~delay:0.05 (fun () -> observe_occupancy t ctx)
+
+(* Per-packet-consistent transition to a fresh version's streams.  The
+   fresh version in the stream keys makes the compiles start from a
+   clean snapshot (cross-version rules are never byte-identical — the
+   tag differs — so there is nothing to reuse).
+   - phase 1: the internal rules, invisible to live traffic;
+   - phase 2: once phase 1 has certainly landed (one control latency
+     plus slack), flip ingress stamping — the new ingress rules shadow
+     the old ones by their higher priority base;
+   - phase 3: after [drain], garbage-collect [old_version]. *)
+let transition t ctx ~old_version (internal, ingress) =
+  internal ();
+  Api.schedule ctx ~delay:0.01 (fun () ->
+    ingress ();
+    (* sample occupancy at its peak: both versions fully installed *)
+    Api.schedule ctx ~delay:0.01 (fun () -> observe_occupancy t ctx);
+    Api.schedule ctx ~delay:t.drain (fun () ->
+      delete_version t ctx ~cookie:old_version;
+      t.updates_done <- t.updates_done + 1))
 
 (** [install t ctx pol] — installation of a versioned policy.  The first
     call installs version 1.  Later calls keep the version (and its
@@ -242,15 +295,7 @@ let delete_version t ctx ~cookie =
 let install t ctx pol =
   if pol_uses_vlan pol then raise Policy_uses_vlan;
   if t.version = 0 then t.version <- 1;
-  let topo = Api.topology ctx in
-  let v = t.version in
-  let base = v * 10000 in
-  install_part t ctx ~stream:(Printf.sprintf "internal:%d" v)
-    (internal_part topo pol ~version:v) ~only_vlan:v ~cookie:v ~base;
-  install_part t ctx ~stream:(Printf.sprintf "ingress:%d" v)
-    (ingress_part topo pol ~version:v) ~only_vlan:Packet.Fields.vlan_none
-    ~cookie:v ~base:(base + 1000);
-  Api.schedule ctx ~delay:0.05 (fun () -> observe_occupancy t ctx)
+  in_place t ctx (versioned_streams t ctx pol ~version:t.version)
 
 (** [two_phase t ctx pol] — per-packet-consistent transition to [pol].
     Phases are driven by simulated time; the transition completes (old
@@ -259,59 +304,31 @@ let install t ctx pol =
 let two_phase t ctx pol =
   if pol_uses_vlan pol then raise Policy_uses_vlan;
   let old_version = t.version in
-  let new_version = t.version + 1 in
-  t.version <- new_version;
-  let topo = Api.topology ctx in
-  let base = new_version * 10000 in
-  (* phase 1: internal rules of the new version (invisible to old
-     traffic); the fresh version in the stream key makes the compile
-     start from a clean snapshot — cross-version rules are never
-     byte-identical (the tag differs), so there is nothing to reuse *)
-  install_part t ctx ~stream:(Printf.sprintf "internal:%d" new_version)
-    (internal_part topo pol ~version:new_version)
-    ~only_vlan:new_version ~cookie:new_version ~base;
-  (* phase 2: once phase 1 has certainly landed (one control latency plus
-     slack), flip ingress stamping; new ingress rules shadow the old ones
-     by their higher priority base *)
-  Api.schedule ctx ~delay:0.01 (fun () ->
-    install_part t ctx ~stream:(Printf.sprintf "ingress:%d" new_version)
-      (ingress_part topo pol ~version:new_version)
-      ~only_vlan:Packet.Fields.vlan_none ~cookie:new_version
-      ~base:(base + 1000);
-    (* sample occupancy at its peak: both versions fully installed *)
-    Api.schedule ctx ~delay:0.01 (fun () -> observe_occupancy t ctx);
-    (* phase 3: drain, then garbage-collect the old version *)
-    Api.schedule ctx ~delay:t.drain (fun () ->
-      delete_version t ctx ~cookie:old_version;
-      t.updates_done <- t.updates_done + 1))
+  t.version <- old_version + 1;
+  transition t ctx ~old_version (versioned_streams t ctx pol ~version:t.version)
 
 (** [naive t ctx ~prng ~max_jitter pol] — the inconsistent baseline:
-    every switch's table is replaced independently (unversioned rules),
-    each after a random delay in [0, max_jitter], emulating the
+    every switch's cookie-0 table is replaced independently (unversioned
+    rules), each after a random delay in [0, max_jitter], emulating the
     asynchronous rollout of real deployments.  In-flight packets can see
     mixed old/new forwarding. *)
 let naive t ctx ~prng ~max_jitter pol =
-  let topo = Api.topology ctx in
-  let fdd = Fdd.of_policy pol in
+  let result =
+    Delta.compile ~switches:(Topo.Topology.switch_ids (Api.topology ctx))
+      None (Fdd.of_policy pol)
+  in
   t.updates_done <- t.updates_done + 1;
-  Local.rules_of_fdd_all ~switches:(Topo.Topology.switch_ids topo) fdd
-  |> List.iter (fun (switch_id, rules) ->
-    let delay = Util.Prng.float prng max_jitter in
-    Api.schedule ctx ~delay (fun () ->
-      (* unscoped delete + replacement rules, one batch per switch *)
-      let msgs =
-        Openflow.Message.Flow_mod
-          (Openflow.Message.delete_flow ~pattern:Flow.Pattern.any ())
-        :: List.map
-             (fun (r : Local.rule) ->
-               t.installs <- t.installs + 1;
-               Openflow.Message.Flow_mod
-                 (Openflow.Message.add_flow ~priority:r.priority
-                    ~pattern:r.pattern ~actions:r.actions ()))
-             rules
-        @ [ Openflow.Message.Barrier_request ]
-      in
-      ctx.Api.send_batch ~switch_id msgs))
+  List.iter
+    (fun (switch_id, change) ->
+      let delay = Util.Prng.float prng max_jitter in
+      Api.schedule ctx ~delay (fun () ->
+        (match change with
+         | Delta.Changed { rules; _ } ->
+           t.installs <- t.installs + List.length rules
+         | Delta.Unchanged -> ());
+        Api.send_flow_mods ctx ~switch_id
+          (Api.change_flow_mods ~known:false change)))
+    result.changes
 
 (* ------------------------------------------------------------------ *)
 (* Consistent updates of globally-compiled programs.
@@ -323,7 +340,9 @@ let naive t ctx ~prng ~max_jitter pol =
    are therefore self-versioning: installing the new program's tagged
    (internal) rules first cannot affect live traffic, flipping the
    untagged (ingress) rules by priority switches packets atomically to
-   the new program, and the old rules can be drained afterwards.
+   the new program, and the old rules can be drained afterwards.  They
+   run on the same two per-version streams as {!install}/{!two_phase},
+   split by [keep] on the untagged-vlan test instead of by restriction.
 
    Contract: the caller passes pre-compiled local policies whose tag
    spaces are disjoint (e.g. [Global.compile ~base_tag:3000] vs [4000]).
@@ -331,39 +350,20 @@ let naive t ctx ~prng ~max_jitter pol =
    drops), which is what makes interleaving the two programs' rule sets
    safe. *)
 
-let split_global_rules rules =
-  rules
-  |> List.filter (fun (r : Local.rule) -> r.actions <> [])
-  |> List.partition (fun (r : Local.rule) ->
-    r.pattern.vlan = Some Packet.Fields.vlan_none)
-
-(* (switch, (ingress, internal)) for every switch, compiled on the pool *)
-let split_global_all ctx fdd =
-  Local.rules_of_fdd_all
-    ~switches:(Topo.Topology.switch_ids (Api.topology ctx)) fdd
-  |> List.map (fun (switch_id, rules) -> (switch_id, split_global_rules rules))
-
-(* Same partition expressed as Delta transform/keep: drop fall-through
-   drops, bump untagged (ingress) rules above the internal ones. *)
-let install_global_rules t ctx ~stream ~cookie ~base ~ingress_bump fdd =
-  let previous = Hashtbl.find_opt t.streams stream in
-  let transform (r : Local.rule) =
-    let bump =
-      if r.pattern.vlan = Some Packet.Fields.vlan_none then ingress_bump
-      else 0
-    in
-    { r with priority = base + bump + r.priority }
+let global_streams t ctx pol ~version =
+  let fdd = Fdd.of_policy pol in
+  let base = version * 10000 in
+  let untagged (r : Local.rule) =
+    r.pattern.vlan = Some Packet.Fields.vlan_none
   in
-  let keep (r : Local.rule) = r.actions <> [] in
-  let result =
-    Delta.compile ~transform ~keep
-      ~switches:(Topo.Topology.switch_ids (Api.topology ctx)) previous fdd
+  let part path ~ingress ~base () =
+    install_stream t ctx ~stream:(stream_key path version) ~cookie:version
+      ~keep:(fun r -> r.actions <> [] && untagged r = ingress)
+      ~transform:(fun r -> { r with priority = base + r.priority })
+      fdd
   in
-  Hashtbl.replace t.streams stream result.snapshot;
-  t.skipped_switches <- t.skipped_switches + result.skipped;
-  List.iter
-    (fun (switch_id, change) -> push_change t ctx ~cookie switch_id change)
-    result.changes
+  ( part "internal" ~ingress:false ~base,
+    part "ingress" ~ingress:true ~base:(base + 1000) )
 
 (** [global_install t ctx pol] — installation of a
     {!Netkat.Global.compile}d program (or any policy obeying the vlan
@@ -372,49 +372,15 @@ let install_global_rules t ctx ~stream ~cookie ~base ~ingress_bump fdd =
     {!global_two_phase} for the consistency path). *)
 let global_install t ctx pol =
   if t.version = 0 then t.version <- 1;
-  install_global_rules t ctx ~stream:(Printf.sprintf "global:%d" t.version)
-    ~cookie:t.version ~base:(t.version * 10000) ~ingress_bump:1000
-    (Fdd.of_policy pol);
-  Api.schedule ctx ~delay:0.05 (fun () -> observe_occupancy t ctx)
+  in_place t ctx (global_streams t ctx pol ~version:t.version)
 
 (** [global_two_phase t ctx pol] — per-packet-consistent transition to a
     new globally-compiled program whose tag space is disjoint from the
     currently installed one. *)
 let global_two_phase t ctx pol =
   let old_version = t.version in
-  let new_version = t.version + 1 in
-  t.version <- new_version;
-  let fdd = Fdd.of_policy pol in
-  let base = new_version * 10000 in
-  (* compile every switch once, up front; both phases install from it *)
-  let per_switch = split_global_all ctx fdd in
-  (* phase 1: tagged (internal) rules only — invisible to live traffic *)
-  List.iter
-    (fun (switch_id, (_, internal)) ->
-      if internal <> [] then note_pushed t ~cookie:new_version ~switch_id;
-      Api.install_rules ctx ~switch_id ~cookie:new_version
-        (List.map
-           (fun (r : Local.rule) ->
-             t.installs <- t.installs + 1;
-             (base + r.priority, r.pattern, r.actions))
-           internal))
-    per_switch;
-  (* phase 2: flip ingress; phase 3: drain the old program *)
-  Api.schedule ctx ~delay:0.01 (fun () ->
-    List.iter
-      (fun (switch_id, (ingress, _)) ->
-        if ingress <> [] then note_pushed t ~cookie:new_version ~switch_id;
-        Api.install_rules ctx ~switch_id ~cookie:new_version
-          (List.map
-             (fun (r : Local.rule) ->
-               t.installs <- t.installs + 1;
-               (base + 1000 + r.priority, r.pattern, r.actions))
-             ingress))
-      per_switch;
-    Api.schedule ctx ~delay:0.01 (fun () -> observe_occupancy t ctx);
-    Api.schedule ctx ~delay:t.drain (fun () ->
-      delete_version t ctx ~cookie:old_version;
-      t.updates_done <- t.updates_done + 1))
+  t.version <- old_version + 1;
+  transition t ctx ~old_version (global_streams t ctx pol ~version:t.version)
 
 (** Plain (unversioned) install, for the naive baseline runs.  The
     first call full-replaces each switch's cookie-0 rules; later calls

@@ -191,10 +191,10 @@ let validate ?(subflows = 8) ?(pkt_size = 1000) ?(duration = 2.0) topo alloc =
   let flows = subflows_of_alloc topo alloc ~subflows in
   let pol = policy_of_subflows topo flows in
   let network = Dataplane.Network.create topo in
-  Netkat.Local.compile_all ~switches:(Topo.Topology.switch_ids topo) pol
-  |> List.iter (fun (switch_id, rules) ->
-    Netkat.Local.load_rules
-      (Dataplane.Network.switch network switch_id).table rules);
+  Controller.Api.load_delta ~previous:None
+    ~table_of:(fun id -> (Dataplane.Network.switch network id).table)
+    (Netkat.Delta.compile_policy ~switches:(Topo.Topology.switch_ids topo)
+       None pol);
   drive network flows ~pkt_size ~duration
 
 (** Aggregate deviation: total measured / total allocated. *)

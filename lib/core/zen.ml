@@ -45,11 +45,12 @@ let now t = Dataplane.Network.now t.network
     controller" mode).  Returns total rules installed.
 
     The compile runs through {!Netkat.Delta} against the previous
-    install's snapshot (the first install compiles against none and
-    loads every table): switches whose restricted diagram is
-    uid-unchanged are not touched at all (their flow caches stay warm),
-    and changed switches get in-place modify/remove edits instead of
-    clear + reload.
+    install's snapshot (the first install compiles against none), and
+    {!Controller.Api.load_delta} applies the result through the same
+    change → flow-mod mapping a controller push sends: switches whose
+    restricted diagram is uid-unchanged are not touched at all (their
+    flow caches stay warm), a switch new to the snapshot gets a cookie-0
+    replacement, and the rest get in-place add/strict-delete edits.
     @raise Netkat.Local.Not_local on policies with links. *)
 let install_fdd t fdd =
   let previous = t.delta_snap in
@@ -58,26 +59,9 @@ let install_fdd t fdd =
       ~switches:(Topo.Topology.switch_ids (topology t)) previous fdd
   in
   t.delta_snap <- Some result.snapshot;
-  List.iter
-    (fun (switch_id, change) ->
-      match (change : Netkat.Delta.change) with
-      | Netkat.Delta.Unchanged -> ()
-      | Netkat.Delta.Changed { rules; adds; deletes } ->
-        let table = (Dataplane.Network.switch t.network switch_id).table in
-        (match previous with
-         | Some p when Netkat.Delta.find p switch_id <> None ->
-           (* in-place edit: modify/insert the changed rules, then drop
-              the vanished ones *)
-           Netkat.Local.load_rules table adds;
-           List.iter
-             (fun (r : Netkat.Local.rule) ->
-               Flow.Table.remove_strict table ~priority:r.priority
-                 ~pattern:r.pattern)
-             deletes
-         | _ ->
-           Flow.Table.clear table;
-           Netkat.Local.load_rules table rules))
-    result.changes;
+  Controller.Api.load_delta ~previous
+    ~table_of:(fun id -> (Dataplane.Network.switch t.network id).table)
+    result;
   Netkat.Delta.total_rules result.snapshot
 
 (** [install_policy t pol] — {!install_fdd} from policy syntax.
@@ -135,19 +119,20 @@ let create_sharded ?queue_depth ?fault_config ~shards ?partition topo =
   Dataplane.Shard.create ?queue_depth ?fault_config ?partition ~shards topo
 
 (** [install_policy_sharded t pol] — {!install_policy} for a sharded
-    network: one FDD compilation over the whole policy, each switch's
-    table loaded into the shard that owns it. *)
+    network: one compile of the whole policy against no snapshot,
+    loaded by {!Controller.Api.load_delta} into each switch's table in
+    the shard that owns it.  Returns total rules installed. *)
 let install_policy_sharded t pol =
-  Netkat.Local.compile_all
-    ~switches:(Topo.Topology.switch_ids (Dataplane.Shard.topology t)) pol
-  |> List.fold_left
-       (fun acc (switch_id, rules) ->
-         let net = Dataplane.Shard.net_of_switch t switch_id in
-         let table = (Dataplane.Network.switch net switch_id).table in
-         Flow.Table.clear table;
-         Netkat.Local.load_rules table rules;
-         acc + List.length rules)
-       0
+  let result =
+    Netkat.Delta.compile_policy
+      ~switches:(Topo.Topology.switch_ids (Dataplane.Shard.topology t))
+      None pol
+  in
+  Controller.Api.load_delta ~previous:None
+    ~table_of:(fun id ->
+      (Dataplane.Network.switch (Dataplane.Shard.net_of_switch t id) id).table)
+    result;
+  Netkat.Delta.total_rules result.snapshot
 
 (** [with_controller_sharded t apps] attaches a controller to a sharded
     network — the sharded counterpart of {!with_controller}.  It wires

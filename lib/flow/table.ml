@@ -302,6 +302,19 @@ let add t rule =
      classifier_insert t rule);
   invalidate t
 
+(** [add_copies t rules] adds a fresh copy of each of [rules] —
+    priority, pattern, actions, timeouts and cookie kept, counters and
+    timestamps reset — e.g. to seed a shadow table from another table's
+    rule list. *)
+let add_copies t rules =
+  List.iter
+    (fun r ->
+      add t
+        (make_rule ~priority:r.priority ~pattern:r.pattern ~actions:r.actions
+           ~idle_timeout:r.idle_timeout ~hard_timeout:r.hard_timeout
+           ~cookie:r.cookie ()))
+    rules
+
 (* Shared delete plumbing: filter [t.rules] with [victim], unfile the
    removed rules, and only invalidate when something was actually
    deleted — a no-op delete must keep the flow cache warm. *)

@@ -340,20 +340,22 @@ let full_bytes snapshot switches =
       acc + batch_bytes msgs)
     0 switches
 
-(* wire bytes of the delta push: adds + strict deletes + barrier, only
-   to the switches that changed *)
-let delta_bytes (result : Netkat.Delta.result) =
+(* wire bytes of the delta push: each switch's
+   [Controller.Api.change_flow_mods] + barrier, only to the switches
+   that changed *)
+let delta_bytes ~previous (result : Netkat.Delta.result) =
   List.fold_left
-    (fun acc (_, change) ->
-      match (change : Netkat.Delta.change) with
-      | Netkat.Delta.Unchanged -> acc
-      | Netkat.Delta.Changed { adds; deletes; _ } ->
-        if adds = [] && deletes = [] then acc
-        else
-          acc
-          + batch_bytes
-              (Controller.Api.delta_flow_mods ~adds ~deletes ()
-               @ [ Openflow.Message.Barrier_request ]))
+    (fun acc (sw, change) ->
+      match
+        Controller.Api.change_flow_mods
+          ~known:(Controller.Api.known_switch previous sw) change
+      with
+      | [] -> acc
+      | fms ->
+        acc
+        + batch_bytes
+            (List.map (fun fm -> Openflow.Message.Flow_mod fm) fms
+             @ [ Openflow.Message.Barrier_request ]))
     0 result.changes
 
 (* per-switch (priority, pattern, actions) triples of [net]'s live
@@ -399,7 +401,7 @@ let churn_accounting ~k ~seed ~edits =
         Netkat.Delta.compile ~switches (Some !snap) (Netkat.Fdd.of_policy !pol)
       in
       full_b := !full_b + full_bytes result.snapshot switches;
-      delta_b := !delta_b + delta_bytes result;
+      delta_b := !delta_b + delta_bytes ~previous:(Some !snap) result;
       mods := !mods + result.n_adds + result.n_deletes;
       skipped := !skipped + result.skipped;
       snap := result.snapshot)

@@ -405,6 +405,46 @@ let test_monitor_observes_traffic () =
     true
     (u > 0.004 && u < 0.02)
 
+(* ------------------------------------------------------------------ *)
+(* A resilience record that cannot move simulated time forward (a zero
+   echo period kept the keepalive loop at one instant forever) is
+   rejected up front, naming the field *)
+
+let rejects field bad () =
+  let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
+  List.iter
+    (fun edit ->
+      let resilience = edit Controller.Runtime.default_resilience in
+      match Controller.Runtime.create ~resilience (Network.create topo) [] with
+      | _ -> Alcotest.failf "bad %s accepted" field
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) "message"
+          ("Runtime.create: resilience." ^ field) msg)
+    bad
+
+let resilience_cases =
+  let open Controller.Runtime in
+  [ ( "echo_period",
+      [ (fun r -> { r with echo_period = 0.0 });
+        (fun r -> { r with echo_period = -1.0 });
+        (fun r -> { r with echo_period = nan });
+        (fun r -> { r with echo_period = infinity }) ] );
+    ( "echo_miss_limit",
+      [ (fun r -> { r with echo_miss_limit = 0 });
+        (fun r -> { r with echo_miss_limit = -3 }) ] );
+    ( "retx_timeout",
+      [ (fun r -> { r with retx_timeout = 0.0 });
+        (fun r -> { r with retx_timeout = nan });
+        (fun r -> { r with retx_timeout = infinity }) ] );
+    ( "retx_backoff",
+      [ (fun r -> { r with retx_backoff = 0.5 });
+        (fun r -> { r with retx_backoff = nan });
+        (fun r -> { r with retx_backoff = infinity }) ] );
+    ( "retx_cap",
+      [ (fun r -> { r with retx_cap = r.retx_timeout /. 2.0 });
+        (fun r -> { r with retx_cap = nan });
+        (fun r -> { r with retx_cap = infinity }) ] ) ]
+
 let suites =
   [ ( "controller.runtime",
       [ Alcotest.test_case "handshake" `Quick test_handshake;
@@ -413,7 +453,12 @@ let suites =
         Alcotest.test_case "packet-out and stats" `Quick
           test_packet_out_and_stats;
         Alcotest.test_case "control channel counted" `Quick
-          test_control_channel_counted ] );
+          test_control_channel_counted ]
+      @ List.map
+          (fun (field, bad) ->
+            Alcotest.test_case ("bad " ^ field ^ " rejected") `Quick
+              (rejects field bad))
+          resilience_cases );
     ( "controller.learning",
       [ Alcotest.test_case "connectivity" `Quick test_learning_connectivity;
         Alcotest.test_case "warm path uses rules" `Quick

@@ -236,6 +236,76 @@ let prop_churn ~clears name =
         steps;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Offline loader ≡ controller push: both apply the same change →
+   flow-mod mapping, so their tables agree rule for rule *)
+
+let keyed rules =
+  List.map
+    (fun (r : Flow.Table.rule) -> (r.priority, r.pattern, r.actions, r.cookie))
+    rules
+
+let tables_of net switches =
+  List.map
+    (fun sw ->
+      (sw, keyed (Flow.Table.rules (Dataplane.Network.switch net sw).table)))
+    switches
+
+let prop_offline_equals_controller =
+  QCheck.Test.make ~name:"offline install_fdd ≡ controller install_plain"
+    ~count:4 (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 1 1000))
+    (fun seed ->
+      let topo, _ = Topo.Gen.fat_tree ~k:4 () in
+      let switches = Topo.Topology.switch_ids topo in
+      let offline = Zen.create topo in
+      let online = Zen.create topo in
+      let ctx = Controller.Runtime.ctx (Zen.with_controller online []) in
+      let upd = Controller.Update.create () in
+      let step i pol =
+        let fdd = Fdd.of_policy pol in
+        ignore (Zen.install_fdd offline fdd);
+        Controller.Update.install_plain upd ctx pol;
+        ignore (Zen.run ~until:(Zen.now online +. 0.05) online);
+        let off = tables_of (Zen.network offline) switches in
+        if off <> tables_of (Zen.network online) switches then
+          QCheck.Test.fail_reportf "offline <> controller after edit %d" i;
+        let triples =
+          List.map
+            (fun (sw, rs) -> (sw, List.map (fun (p, m, a, _) -> (p, m, a)) rs))
+            off
+        in
+        if triples <> Scenarios.scratch_tables fdd switches then
+          QCheck.Test.fail_reportf "offline <> scratch after edit %d" i
+      in
+      let base = Netkat.Builder.routing_policy topo in
+      step 0 base;
+      ignore
+        (List.fold_left
+           (fun (i, pol) edit ->
+             let pol = Scenarios.apply_edit pol edit in
+             step i pol;
+             (i + 1, pol))
+           (1, base)
+           (Scenarios.churn_edits ~seed ~edits:4 topo));
+      true)
+
+let test_sharded_install_equals_single () =
+  let topo, _ = Topo.Gen.fat_tree ~k:4 () in
+  let pol = Netkat.Builder.routing_policy topo in
+  let single = Zen.create topo in
+  let sharded = Zen.create_sharded ~shards:2 topo in
+  let n = Zen.install_policy single pol in
+  Alcotest.(check int) "same rule total" n
+    (Zen.install_policy_sharded sharded pol);
+  List.iter
+    (fun sw ->
+      let net = Dataplane.Shard.net_of_switch sharded sw in
+      Alcotest.(check bool)
+        (Printf.sprintf "s%d table" sw)
+        true
+        (tables_of net [ sw ] = tables_of (Zen.network single) [ sw ]))
+    (Topo.Topology.switch_ids topo)
+
 let suites =
   [ ( "netkat.delta",
       [ Alcotest.test_case "edit skips other switches" `Quick
@@ -252,5 +322,8 @@ let suites =
         QCheck_alcotest.to_alcotest
           (prop_churn ~clears:false "churn ≡ scratch at every step");
         QCheck_alcotest.to_alcotest
-          (prop_churn ~clears:true "churn ≡ scratch across cache clears") ] )
+          (prop_churn ~clears:true "churn ≡ scratch across cache clears");
+        QCheck_alcotest.to_alcotest prop_offline_equals_controller;
+        Alcotest.test_case "sharded install ≡ single install" `Quick
+          test_sharded_install_equals_single ] )
   ]

@@ -376,6 +376,21 @@ let test_replicas_one_rejected () =
   | _ -> Alcotest.fail "replicas:1 accepted"
   | exception Invalid_argument _ -> ()
 
+(* a resilience record the runtime would reject fails before any
+   member starts *)
+let test_bad_resilience_rejected () =
+  let net = Zen.create (Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 ()) in
+  match
+    Replica.create ~resilience:{ fast_resilience with echo_period = 0.0 }
+      (Zen.network net) Scenarios.routing_apps
+  with
+  | _ -> Alcotest.fail "echo_period = 0 accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "message" "Replica.create: resilience.echo_period"
+      msg;
+    Alcotest.(check int) "no control traffic" 0
+      (Dataplane.Network.stats (Zen.network net)).control_msgs
+
 (* ------------------------------------------------------------------ *)
 (* App-state replication: the Update app's version counter *)
 
@@ -440,17 +455,12 @@ let prop_replica_churn =
               | None -> ()
               | Some rt ->
                 let ctx = Controller.Runtime.ctx rt in
+                (* every changed switch gets a full cookie-7 replacement *)
                 List.iter
                   (fun (sw, change) ->
-                    match (change : Netkat.Delta.change) with
-                    | Netkat.Delta.Unchanged -> ()
-                    | Netkat.Delta.Changed { rules; _ } ->
-                      Controller.Api.install_rules ctx ~switch_id:sw
-                        ~cookie:7 ~replace:true
-                        (List.map
-                           (fun (ru : Netkat.Local.rule) ->
-                             (ru.priority, ru.pattern, ru.actions))
-                           rules))
+                    Controller.Api.send_flow_mods ctx ~switch_id:sw
+                      (Controller.Api.change_flow_mods ~cookie:7 ~known:false
+                         change))
                   result.changes))
         steps;
       (* leader crashes mid-stream and later rejoins as a standby *)
@@ -491,6 +501,8 @@ let suites =
           test_chaos_failover_deterministic;
         Alcotest.test_case "replicas=1 rejected" `Quick
           test_replicas_one_rejected;
+        Alcotest.test_case "bad resilience rejected" `Quick
+          test_bad_resilience_rejected;
         Alcotest.test_case "update version replicates" `Quick
           test_update_version_replicates ] );
     ( "replica.churn",

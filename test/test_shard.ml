@@ -19,6 +19,14 @@ let sort_trace lines =
   in
   List.sort compare (List.map key lines) |> List.map snd
 
+(* load [topo]'s routing tables into whichever network [net_of_switch]
+   says owns each switch *)
+let load_routing topo net_of_switch =
+  Controller.Api.load_delta ~previous:None
+    ~table_of:(fun id -> (Network.switch (net_of_switch id) id).table)
+    (Netkat.Delta.compile_policy ~switches:(Topo.Topology.switch_ids topo)
+       None (Netkat.Builder.routing_policy topo))
+
 type obs = {
   o_signature : string;
   o_trace : string list;    (* sorted dataplane trace *)
@@ -82,15 +90,7 @@ let run_single ~topo_id ~seed ~flows ~chaos ~with_incidents =
   let lines = ref [] in
   Network.set_tracer net (fun time s ->
     lines := Printf.sprintf "%.9f %s" time s :: !lines);
-  let rules =
-    Netkat.Local.compile_all
-      ~switches:(Topo.Topology.switch_ids topo)
-      (Netkat.Builder.routing_policy topo)
-  in
-  List.iter
-    (fun (switch_id, rs) ->
-      Netkat.Local.load_rules (Network.switch net switch_id).table rs)
-    rules;
+  load_routing topo (fun _ -> net);
   List.iter
     (fun (s : Traffic.flow_spec) -> ignore (Traffic.cbr net s))
     (specs_for topo ~seed ~flows);
@@ -116,16 +116,7 @@ let run_sharded ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards =
       Network.set_tracer net (fun time s ->
         r := Printf.sprintf "%.9f %s" time s :: !r))
     (Shard.nets t);
-  let rules =
-    Netkat.Local.compile_all
-      ~switches:(Topo.Topology.switch_ids topo)
-      (Netkat.Builder.routing_policy topo)
-  in
-  List.iter
-    (fun (switch_id, rs) ->
-      let net = Shard.net_of_switch t switch_id in
-      Netkat.Local.load_rules (Network.switch net switch_id).table rs)
-    rules;
+  load_routing topo (Shard.net_of_switch t);
   List.iter
     (fun (s : Traffic.flow_spec) ->
       ignore (Traffic.cbr (Shard.net_of_host t s.src) s))
@@ -202,16 +193,7 @@ let test_handoffs_counted () =
   let topo_id = 1 and seed = 42 and flows = 30 in
   let topo = mk_topo topo_id in
   let t = Shard.create ~shards:2 topo in
-  let rules =
-    Netkat.Local.compile_all
-      ~switches:(Topo.Topology.switch_ids topo)
-      (Netkat.Builder.routing_policy topo)
-  in
-  List.iter
-    (fun (switch_id, rs) ->
-      let net = Shard.net_of_switch t switch_id in
-      Netkat.Local.load_rules (Network.switch net switch_id).table rs)
-    rules;
+  load_routing topo (Shard.net_of_switch t);
   List.iter
     (fun (s : Traffic.flow_spec) ->
       ignore (Traffic.cbr (Shard.net_of_host t s.src) s))
@@ -266,30 +248,13 @@ let run_sites ~sites ~specs ~until how =
   match how with
   | `Single ->
     let net = Network.create topo in
-    let rules =
-      Netkat.Local.compile_all
-        ~switches:(Topo.Topology.switch_ids topo)
-        (Netkat.Builder.routing_policy topo)
-    in
-    List.iter
-      (fun (switch_id, rs) ->
-        Netkat.Local.load_rules (Network.switch net switch_id).table rs)
-      rules;
+    load_routing topo (fun _ -> net);
     List.iter (fun s -> ignore (Traffic.cbr net s)) specs;
     ignore (Network.run ~until net ());
     (Shard.net_signature topo [ net ], 0, 0)
   | `Sharded pool ->
     let t = Shard.create ~shards:sites topo in
-    let rules =
-      Netkat.Local.compile_all
-        ~switches:(Topo.Topology.switch_ids topo)
-        (Netkat.Builder.routing_policy topo)
-    in
-    List.iter
-      (fun (switch_id, rs) ->
-        let net = Shard.net_of_switch t switch_id in
-        Netkat.Local.load_rules (Network.switch net switch_id).table rs)
-      rules;
+    load_routing topo (Shard.net_of_switch t);
     List.iter
       (fun (s : Traffic.flow_spec) ->
         ignore (Traffic.cbr (Shard.net_of_host t s.src) s))
