@@ -1203,41 +1203,10 @@ let e15 () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* E16 — link-level data chaos: route-around-crash + selective resync *)
-
-(* a control-channel partition of a live switch keeps its table warm:
-   the selective path snapshots the table over the unreliable channel
-   and ships only the diff, instead of delete-all + a full re-add.
-   Returns the resilience stats so callers can compare the measured
-   selective bytes with the full-repush baseline priced on the same
-   shadow table. *)
-let e16_resync_bytes ~rules =
-  let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
-  let net = Dataplane.Network.create topo in
-  let routing = Controller.Routing.create () in
-  let rt =
-    Controller.Runtime.create
-      ~resilience:{ Scenarios.fast_resilience with selective_resync = true }
-      net
-      [ Controller.Routing.app routing ]
-  in
-  let ctx = Controller.Runtime.ctx rt in
-  (* bulk up switch 2's table once routing has converged *)
-  Dataplane.Sim.schedule (Dataplane.Network.sim net) ~delay:0.3 (fun () ->
-    for i = 0 to rules - 1 do
-      ctx.Controller.Api.send ~switch_id:2
-        (Openflow.Message.Flow_mod
-           (Openflow.Message.add_flow ~priority:(10 + i)
-              ~pattern:(Flow.Pattern.of_field Packet.Fields.Tp_dst (1024 + i))
-              ~actions:(Flow.Action.forward 1) ()))
-    done);
-  Dataplane.Network.inject net
-    [ Dataplane.Fault.Ctl_outage { switch_id = 2; at = 1.0; duration = 0.8 } ];
-  ignore (Dataplane.Network.run ~until:4.0 net ());
-  Controller.Runtime.resilience_stats rt
+(* E16 — link-level data chaos: route-around-crash + crash resync *)
 
 let e16 () =
-  header "E16 — link-level chaos: delivery, route-around-crash, resync cost";
+  header "E16 — link-level chaos: delivery, route-around-crash, reconvergence";
   pf "expected shape: per-link drop/corrupt/reorder verdicts thin delivery@.";
   pf "but every corrupted frame is counted and discarded (never mis-parsed),@.";
   pf "the mid-run switch crash is detected by keepalives and routed around@.";
@@ -1263,27 +1232,7 @@ let e16 () =
         (float_of_int r.c_reroutes))
     [ ("clean", 0.0, 0.0, 0.0);
       ("link-drop-5", 0.05, 0.0, 0.0);
-      ("drop-10-corrupt-2-reorder-5", 0.1, 0.02, 0.05) ];
-  pf "@.selective resync on a warm table (control partition, switch alive):@.";
-  pf "stats-snapshot + empty diff vs the delete-all + full re-add baseline.@.@.";
-  pf "%-8s | %14s %16s %8s@." "rules" "selective(B)" "full-repush(B)"
-    "saving";
-  pf "%s@." (String.make 52 '-');
-  List.iter
-    (fun rules ->
-      let rs = e16_resync_bytes ~rules in
-      let saving =
-        100.0
-        *. (1.0
-            -. (float_of_int rs.resync_bytes_selective
-                /. float_of_int rs.resync_bytes_full))
-      in
-      pf "%-8d | %14d %16d %7.1f%%@." rules rs.resync_bytes_selective
-        rs.resync_bytes_full saving;
-      record ~experiment:"e16"
-        ~metric:(Printf.sprintf "resync-%d-rules/saving-pct" rules)
-        saving)
-    [ 100; 1000 ]
+      ("drop-10-corrupt-2-reorder-5", 0.1, 0.02, 0.05) ]
 
 (* ------------------------------------------------------------------ *)
 (* E17 — delta recompilation under policy churn *)
@@ -1629,9 +1578,9 @@ let e19 () =
   header "E19 — replicated controller: failover time, divergence, fencing";
   pf "expected shape: the standby detects the expired lease within the@.";
   pf "stagger bound and re-adopts every switch in a handful of heartbeat@.";
-  pf "intervals (selective resync makes warm tables nearly free); chaos@.";
-  pf "stretches the tail but never yields divergence; a partitioned stale@.";
-  pf "leader keeps writing and every such write is fenced out.@.@.";
+  pf "intervals (the new leader re-pushes every table from its replica);@.";
+  pf "chaos stretches the tail but never yields divergence; a partitioned@.";
+  pf "stale leader keeps writing and every such write is fenced out.@.@.";
   pf "%-22s | %5s %8s %8s %8s %5s@." "chaos" "runs" "p50(s)" "p95(s)"
     "p99(s)" "conv";
   pf "%s@." (String.make 66 '-');

@@ -16,9 +16,10 @@
     fresh runtime {e seeded from its replica} ([~shadows]), adopts every
     switch session — frames already in flight re-home with the session —
     and re-handshakes.  Because the seeded shadow marks every switch as
-    previously handshaked, the first features reply triggers the PR 7
-    selective-resync diff: warm tables receive only the delta between
-    what the switch holds and what the replica says it should hold.
+    previously handshaked, the first features reply triggers the
+    runtime's resync: every switch is re-pushed, in full, the table the
+    replica says it should hold.  A warm converged table reloads the
+    same rules, so its installed keys do not change.
 
     {b Split brain.}  The lease alone is only a failure detector: a
     deposed leader that is merely partitioned from its peers still
@@ -224,7 +225,7 @@ and recv_repl t m msg =
         if d_xid > m.m_xid then m.m_xid <- d_xid;
         match d_msg with
         | Openflow.Message.Flow_mod fm ->
-          Openflow.Message.apply_to_table ~now:0.0 (shadow_of m d_sw) fm
+          Runtime.shadow_flow_mod (shadow_of m d_sw) fm
         | _ -> ()
       end
     | Sync_req { sr_from } ->
@@ -293,10 +294,10 @@ and mk_on_shadow t m ~switch_id msg =
 (* hand every switch session to [rt] — in-flight frames re-home at
    delivery, dedup state and FIFO clamps stay in the session.  The new
    epoch is asserted on each switch immediately: fencing tokens normally
-   ride only on flow-mod batches, so after a {e clean} handoff (warm
-   converged tables, selective resync sends nothing) the switch would
-   otherwise still hold the old epoch — and a deposed leader's
-   equal-fenced writes would land *)
+   ride only on flow-mod batches, and the resync batch (with the fence
+   it carries) lands only one features round trip after adoption —
+   until then the switch would still hold the old epoch, and a deposed
+   leader's equal-fenced writes would land *)
 and adopt_all t rt ~epoch =
   let h = Runtime.handler rt in
   List.iter
@@ -494,15 +495,16 @@ let shutdown t =
     [lease] (default 0.15 s) bounds failover detection; heartbeats ride
     every [lease/3].  [repl_fault] attaches chaos to the
     inter-controller channel; [resilience] defaults to
-    selective-resync-enabled {!Runtime.default_resilience} (replication
-    requires a resilient runtime).
+    {!Runtime.default_resilience} (replication requires a resilient
+    runtime).
 
     {!Fault.Controller_outage} incidents injected into [net] crash and
     restart members by id.
     @raise Invalid_argument when [replicas < 2], [lease <= 0] or
     [resilience] fails {!Runtime.check_resilience}. *)
-let create ?(latency = 1e-3) ?resilience ?(replicas = 2) ?(lease = 0.15)
-    ?(repl_latency = 1e-3) ?repl_fault ?switch_ids net mk_apps =
+let create ?(latency = 1e-3) ?(resilience = Runtime.default_resilience)
+    ?(replicas = 2) ?(lease = 0.15) ?(repl_latency = 1e-3) ?repl_fault
+    ?switch_ids net mk_apps =
   if replicas < 2 then
     invalid_arg "Replica.create: replicas < 2 (one controller is a Runtime)";
   if lease <= 0.0 then invalid_arg "Replica.create: lease <= 0";
@@ -513,11 +515,6 @@ let create ?(latency = 1e-3) ?resilience ?(replicas = 2) ?(lease = 0.15)
       List.map
         (fun (sw : Network.switch) -> sw.sw_id)
         (Network.switch_list net)
-  in
-  let resilience =
-    match resilience with
-    | Some r -> r
-    | None -> { Runtime.default_resilience with selective_resync = true }
   in
   Runtime.check_resilience "Replica.create" resilience;
   let members =

@@ -7,9 +7,12 @@
     end-to-end in every simulation.
 
     The runtime also keeps a per-switch {e intended-state} shadow table:
-    every flow-mod it sends is applied to the shadow as well, so the
-    rules each switch {e should} hold are always known — introspection
-    ({!intended_rules}) and crash resync both read it.
+    every flow-mod it sends is applied to the shadow as well (see
+    {!shadow_flow_mod}), so the permanent rules each switch {e should}
+    hold are always known — introspection ({!intended_rules}), {!diverged}
+    and crash resync all read it.  Rules with an idle or hard timeout are
+    soft state: the switch expires them on its own, so the shadow never
+    records them.
 
     With [?resilience] the runtime additionally survives a lossy control
     channel and switch crashes (see {!Dataplane.Fault}):
@@ -23,16 +26,13 @@
       arrives.  Batches to one switch go stop-and-wait (at most one
       unacked batch in flight), which together with the switch-side
       last-seen-xid dedup makes replays idempotent and order-safe;
-    - a switch that re-handshakes after a crash (its restart [Hello], or
+    - a switch that re-handshakes (after a crash, a control-channel
+      partition, or adoption by a new leader — its restart [Hello], or
       the probe loop, triggers a fresh features exchange) is resynced:
-      by default the runtime re-pushes the full intended table as one
-      delete-all-plus-adds batch; with [selective_resync] it instead
-      snapshots the switch's surviving table (a flow-stats request),
-      diffs it against the intended-state shadow and pushes only the
-      delta — a warm table (e.g. after a control-channel partition,
-      {!Dataplane.Fault.Ctl_outage}) costs almost nothing to reconcile.
-      A generation counter voids stale snapshots, and an unanswered
-      snapshot falls back to the full re-push after a timeout.
+      the runtime re-pushes the full intended table from the shadow as
+      one reliable delete-all-plus-adds batch.  The resync reads nothing
+      from the switch, so it is the same whether the table survived or
+      was wiped.
 
     Resilience is off by default: without it the runtime's observable
     behavior (message sequence, timing, counters) is exactly the
@@ -47,15 +47,11 @@ type resilience = {
   retx_timeout : float;    (** initial retransmission timeout (RTO) *)
   retx_backoff : float;    (** RTO multiplier per retransmission *)
   retx_cap : float;        (** RTO ceiling *)
-  selective_resync : bool;
-      (** diff a table-stats snapshot against the shadow on re-handshake
-          and push only the delta (default: delete-all + full re-push) *)
 }
 
 let default_resilience =
   { echo_period = 0.25; echo_miss_limit = 3;
-    retx_timeout = 0.02; retx_backoff = 2.0; retx_cap = 0.5;
-    selective_resync = false }
+    retx_timeout = 0.02; retx_backoff = 2.0; retx_cap = 0.5 }
 
 (** [check_resilience who r] raises [Invalid_argument] (naming [who]
     and the field) unless [r] can drive its timers forward: a zero or
@@ -95,9 +91,6 @@ type sw_state = {
   mutable echo_outstanding : int;  (* keepalives sent and not yet answered *)
   mutable down_since : float;
   mutable handshaked : bool;  (* completed at least one features exchange *)
-  mutable resync_gen : int;
-      (* voids in-flight selective-resync snapshots: bumped by every
-         resync attempt and by mark_down, checked by the continuation *)
 }
 
 (** Resilience counters (all zero when resilience is off). *)
@@ -106,17 +99,8 @@ type resilience_stats = {
   mutable echo_misses : int;      (** keepalive ticks with an unanswered echo *)
   mutable switch_downs : int;     (** switch-down declarations *)
   mutable resyncs : int;          (** full-table re-pushes after re-handshake *)
-  mutable selective_resyncs : int;
-      (** snapshot-diff resyncs initiated (a timed-out one also counts a
-          full resync when it falls back) *)
   mutable acked_batches : int;    (** reliable batches confirmed by barrier *)
   mutable dropped_batches : int;  (** un-acked batches discarded at switch-down *)
-  mutable resync_bytes_selective : int;
-      (** control bytes a selective resync actually cost: stats request +
-          snapshot reply + delta batch (first transmission) *)
-  mutable resync_bytes_full : int;
-      (** what the same resyncs would have cost as delete-all + full
-          re-push (encoded for length, not sent) — the savings baseline *)
   mutable recovery_samples : float list;
       (** down → re-handshake durations, newest first *)
 }
@@ -150,10 +134,6 @@ type t = {
          adoption (see {!handler}) *)
 }
 
-let send_raw net ~switch_id ~xid msg =
-  Dataplane.Network.controller_send net ~switch_id
-    (Openflow.Wire.encode ~xid msg)
-
 let state t switch_id =
   match Hashtbl.find_opt t.states switch_id with
   | Some st -> st
@@ -166,15 +146,14 @@ let state t switch_id =
            | Some r -> r.retx_timeout
            | None -> 0.0);
         status = Handshaking; echo_outstanding = 0; down_since = 0.0;
-        handshaked = false; resync_gen = 0 }
+        handshaked = false }
     in
     (match Hashtbl.find_opt t.preset switch_id with
      | None -> ()
      | Some rules ->
        (* seed the intended-state shadow from the replicated copy, and
           mark the switch as previously handshaked so the first features
-          reply triggers a resync against it — with selective resync a
-          warm table receives only the delta *)
+          reply re-pushes it *)
        Flow.Table.add_copies st.shadow rules;
        st.handshaked <- true;
        Hashtbl.remove t.preset switch_id);
@@ -184,25 +163,40 @@ let state t switch_id =
 (* ------------------------------------------------------------------ *)
 (* Intended-state shadow *)
 
-(* the shadow applies a flow-mod exactly as the switch does, notify bit
-   included, so deletes scoped by cookie hit the same rules *)
-let shadow_msg st (msg : Openflow.Message.t) =
-  match msg with
-  | Flow_mod fm -> Openflow.Message.apply_to_table ~now:0.0 st.shadow fm
-  | _ -> ()
+let timed (r : Flow.Table.rule) =
+  Option.is_some r.idle_timeout || Option.is_some r.hard_timeout
 
-(** The rules the runtime believes [switch_id] should hold (every
-    flow-mod ever sent, applied to a shadow table). *)
+(** [shadow_flow_mod table fm] applies [fm] to an intended-state shadow:
+    exactly as the switch does (notify bit included, so deletes scoped
+    by cookie hit the same rules), except that an add or modify with an
+    idle or hard timeout only clears its (priority, pattern) key — the
+    switch expires such a rule on its own, so the shadow holds exactly
+    the switch's permanent rules.  The runtime and every replica of its
+    shadow ({!Controller.Replica}) write through this one function. *)
+let shadow_flow_mod table (fm : Openflow.Message.flow_mod) =
+  match fm.command with
+  | (Add_flow | Modify_flow)
+    when Option.is_some fm.idle_timeout || Option.is_some fm.hard_timeout ->
+    Flow.Table.remove_strict table ~priority:fm.fm_priority
+      ~pattern:fm.fm_pattern
+  | _ -> Openflow.Message.apply_to_table ~now:0.0 table fm
+
+(** The permanent rules the runtime believes [switch_id] should hold
+    (every flow-mod ever sent, applied to a shadow table with
+    {!shadow_flow_mod}). *)
 let intended_rules t ~switch_id = Flow.Table.rules (state t switch_id).shadow
 
-(** [diverged t] — the switches of the runtime's network whose installed
-    table differs from the intended shadow; empty = zero divergence.
-    Rules are compared as (priority, pattern, actions, cookie) sets. *)
+(** [diverged t] — the switches of the runtime's network whose permanent
+    rules differ from the intended shadow; empty = zero divergence.
+    Rules are compared as (priority, pattern, actions, cookie) sets;
+    timed rules on the switch are soft state and not compared. *)
 let diverged t =
   let keys rules =
     List.sort compare
-      (List.map
-         (fun (r : Flow.Table.rule) -> (r.priority, r.pattern, r.actions, r.cookie))
+      (List.filter_map
+         (fun (r : Flow.Table.rule) ->
+           if timed r then None
+           else Some (r.priority, r.pattern, r.actions, r.cookie))
          rules)
   in
   List.filter_map
@@ -301,6 +295,37 @@ let contains_flow_mod msgs =
       match m with Flow_mod _ -> true | _ -> false)
     msgs
 
+(* the one controller send path ([ctx.send] is a batch of one, which
+   {!Openflow.Wire.encode_batch} frames byte-identically to [encode]):
+   shadow and replicate every flow-mod, then either join the reliable
+   stream (resilience on and the batch carries a flow-mod, so the
+   switch-side xid dedup sees one ordered sequence) or go out at once
+   as one transmission *)
+let send_batch t ~switch_id msgs =
+  if msgs <> [] && not t.halted then begin
+    let st = state t switch_id in
+    List.iter
+      (fun (msg : Openflow.Message.t) ->
+        match msg with
+        | Flow_mod fm ->
+          shadow_flow_mod st.shadow fm;
+          (match t.on_shadow with Some f -> f ~switch_id msg | None -> ())
+        | _ -> ())
+      msgs;
+    match t.resilience with
+    | Some r when contains_flow_mod msgs -> enqueue_reliable t st r msgs
+    | _ ->
+      let framed =
+        List.map
+          (fun msg ->
+            t.next_xid <- t.next_xid + 1;
+            (t.next_xid, msg))
+          msgs
+      in
+      Dataplane.Network.controller_send t.ctx.Api.net ~switch_id
+        (Openflow.Wire.encode_batch framed)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Liveness (resilience only) *)
 
@@ -319,9 +344,6 @@ let mark_down t st =
     t.rstats.dropped_batches <- t.rstats.dropped_batches + dropped;
     st.inflight <- None;
     Queue.clear st.pending;
-    (* a table snapshot requested before this down is now meaningless:
-       the table it described may be gone by the next re-handshake *)
-    st.resync_gen <- st.resync_gen + 1;
     List.iter
       (fun (app : Api.app) -> app.switch_down t.ctx ~switch_id:st.st_id)
       t.apps
@@ -349,130 +371,25 @@ let rec keepalive_tick t st r =
     Api.schedule t.ctx ~delay:r.echo_period (fun () -> keepalive_tick t st r)
   end
 
-(* a flow-mod add reconstructing one intended (shadow) rule; the notify
-   bit rides in the shadow cookie and must be split back out *)
+(* a flow-mod add reconstructing one intended (shadow) rule — permanent
+   by construction (see shadow_flow_mod); the notify bit rides in the
+   shadow cookie and must be split back out *)
 let add_of_rule (ru : Flow.Table.rule) =
   Openflow.Message.Flow_mod
     (Openflow.Message.add_flow ~priority:ru.priority
-       ~idle_timeout:ru.idle_timeout ~hard_timeout:ru.hard_timeout
        ~cookie:(ru.cookie land lnot Openflow.Message.notify_bit)
        ~notify_when_removed:(ru.cookie land Openflow.Message.notify_bit <> 0)
        ~pattern:ru.pattern ~actions:ru.actions ())
 
-(* the delete-all-plus-adds batch restoring the full intended table *)
-let full_resync_msgs st =
-  Openflow.Message.Flow_mod
-    (Openflow.Message.delete_flow ~pattern:Flow.Pattern.any ())
-  :: List.map add_of_rule (Flow.Table.rules st.shadow)
-
-(* full-table re-push after a re-handshake, as a single reliable batch.
-   The batch is NOT shadowed: it reconstructs the shadow, it does not
-   extend it. *)
+(* full-table re-push after a re-handshake, as a single reliable
+   delete-all-plus-adds batch.  The batch is NOT shadowed: it
+   reconstructs the shadow, it does not extend it. *)
 let full_resync t st r =
   t.rstats.resyncs <- t.rstats.resyncs + 1;
-  enqueue_reliable t st r (full_resync_msgs st)
-
-(* wire size of [msgs] as one batch — the unit both resync byte counters
-   are measured in (xids do not affect encoded length) *)
-let encoded_len msgs =
-  Bytes.length
-    (Openflow.Wire.encode_batch (List.map (fun m -> (0, m)) msgs))
-
-(* diff the snapshot the switch just reported against the intended
-   shadow and push only the delta: adds/modifies for missing or changed
-   (priority, pattern) keys, strict deletes for rules the switch holds
-   but the shadow does not.  Cookies are compared directly — the shadow
-   and the switch both store the notify bit inside the cookie. *)
-let apply_selective t st r snapshot =
-  t.rstats.resync_bytes_selective <-
-    t.rstats.resync_bytes_selective
-    + encoded_len
-        [ Openflow.Message.Stats_reply
-            (Openflow.Message.Flow_stats_reply snapshot) ];
-  let have = Hashtbl.create 32 in
-  List.iter
-    (fun (fs : Openflow.Message.flow_stat) ->
-      Hashtbl.replace have (fs.fs_priority, fs.fs_pattern) fs)
-    snapshot;
-  let wanted = Flow.Table.rules st.shadow in
-  let adds =
-    List.filter_map
-      (fun (ru : Flow.Table.rule) ->
-        let intact =
-          match Hashtbl.find_opt have (ru.priority, ru.pattern) with
-          | Some fs -> fs.fs_actions = ru.actions && fs.fs_cookie = ru.cookie
-          | None -> false
-        in
-        if intact then None else Some (add_of_rule ru))
-      wanted
-  in
-  let want_keys = Hashtbl.create 32 in
-  List.iter
-    (fun (ru : Flow.Table.rule) ->
-      Hashtbl.replace want_keys (ru.priority, ru.pattern) ())
-    wanted;
-  let deletes =
-    List.filter_map
-      (fun (fs : Openflow.Message.flow_stat) ->
-        if Hashtbl.mem want_keys (fs.fs_priority, fs.fs_pattern) then None
-        else
-          Some
-            (Openflow.Message.Flow_mod
-               (Openflow.Message.delete_strict_flow ~priority:fs.fs_priority
-                  ~pattern:fs.fs_pattern ())))
-      snapshot
-  in
-  let delta = adds @ deletes in
-  (* the savings baseline: what a delete-all + full re-push of this
-     resync would have cost on the wire (encoded for length, not sent) *)
-  t.rstats.resync_bytes_full <-
-    t.rstats.resync_bytes_full
-    + encoded_len (full_resync_msgs st @ [ Openflow.Message.Barrier_request ]);
-  if delta <> [] then begin
-    t.rstats.resync_bytes_selective <-
-      t.rstats.resync_bytes_selective
-      + encoded_len (delta @ [ Openflow.Message.Barrier_request ]);
-    enqueue_reliable t st r delta
-  end
-
-(* selective resync: snapshot the surviving table, then diff.  The
-   stats request rides unreliably — if it or its reply is lost, the
-   timeout falls back to the full re-push (which is itself reliable).
-   A generation check voids the continuation if the switch went down
-   again (mark_down bumps the generation) or a newer resync started. *)
-let selective_resync t st r =
-  t.rstats.selective_resyncs <- t.rstats.selective_resyncs + 1;
-  st.resync_gen <- st.resync_gen + 1;
-  let gen = st.resync_gen in
-  let req =
-    Openflow.Message.Stats_request
-      (Openflow.Message.Flow_stats_request Flow.Pattern.any)
-  in
-  t.rstats.resync_bytes_selective <-
-    t.rstats.resync_bytes_selective + encoded_len [ req ];
-  let done_ = ref false in
-  let live () = (not !done_) && gen = st.resync_gen && not t.stopped in
-  t.ctx.Api.await_stats ~switch_id:st.st_id (fun reply ->
-    if live () then begin
-      done_ := true;
-      match reply with
-      | Openflow.Message.Flow_stats_reply snapshot ->
-        apply_selective t st r snapshot
-      | _ ->
-        (* a concurrent stats consumer stole our slot in the per-switch
-           FIFO; reconcile conservatively *)
-        full_resync t st r
-    end);
-  t.ctx.Api.send ~switch_id:st.st_id req;
-  Api.schedule t.ctx ~delay:(Float.max r.retx_cap (4.0 *. r.retx_timeout))
-    (fun () ->
-      if live () && st.status = Sw_up then begin
-        done_ := true;
-        full_resync t st r
-      end)
-
-let resync_switch t st r =
-  if r.selective_resync then selective_resync t st r else full_resync t st r
+  enqueue_reliable t st r
+    (Openflow.Message.Flow_mod
+       (Openflow.Message.delete_flow ~pattern:Flow.Pattern.any ())
+    :: List.map add_of_rule (Flow.Table.rules st.shadow))
 
 (** Resilience counters (zeros when resilience is off). *)
 let resilience_stats t = t.rstats
@@ -596,7 +513,7 @@ let create ?(latency = 1e-3) ?resilience ?switch_ids ?(attach = true)
             st.handshaked <- true;
             (* re-handshake after a crash: restore intended state before
                apps react, then let their switch_up pushes layer on top *)
-            if resync then resync_switch t st r;
+            if resync then full_resync t st r;
             fire_up ();
             pump t st r))
     | Packet_in pi ->
@@ -620,53 +537,18 @@ let create ?(latency = 1e-3) ?resilience ?switch_ids ?(attach = true)
        | Some q when not (Queue.is_empty q) -> (Queue.pop q) reply
        | Some _ | None -> ())
     | Echo_request s ->
-      send_raw t.ctx.net ~switch_id ~xid:0 (Openflow.Message.Echo_reply s)
+      Dataplane.Network.controller_send t.ctx.net ~switch_id
+        (Openflow.Wire.encode ~xid:0 (Openflow.Message.Echo_reply s))
     | Features_request | Packet_out _ | Flow_mod _ | Stats_request _
     | Barrier_request | Fence _ ->
       ()  (* switch-bound message types never arrive at the controller *)
   in
   (* tie the knot: the ctx closes over the runtime record *)
-  let shadow_and_replicate t st msg =
-    shadow_msg st msg;
-    match (t.on_shadow, (msg : Openflow.Message.t)) with
-    | Some f, Flow_mod _ -> f ~switch_id:st.st_id msg
-    | _ -> ()
-  in
   let rec t =
     { ctx =
         { net;
-          send =
-            (fun ~switch_id msg ->
-              if not t.halted then begin
-                shadow_and_replicate t (state t switch_id) msg;
-                match (t.resilience, msg) with
-                | Some r, Openflow.Message.Flow_mod _ ->
-                  (* single flow-mods join the reliable stream so the
-                     switch-side xid dedup sees one ordered sequence *)
-                  enqueue_reliable t (state t switch_id) r [ msg ]
-                | _ ->
-                  t.next_xid <- t.next_xid + 1;
-                  send_raw net ~switch_id ~xid:t.next_xid msg
-              end);
-          send_batch =
-            (fun ~switch_id msgs ->
-              if msgs <> [] && not t.halted then begin
-                let st = state t switch_id in
-                List.iter (shadow_and_replicate t st) msgs;
-                match t.resilience with
-                | Some r when contains_flow_mod msgs ->
-                  enqueue_reliable t st r msgs
-                | _ ->
-                  let framed =
-                    List.map
-                      (fun msg ->
-                        t.next_xid <- t.next_xid + 1;
-                        (t.next_xid, msg))
-                      msgs
-                  in
-                  Dataplane.Network.controller_send net ~switch_id
-                    (Openflow.Wire.encode_batch framed)
-              end);
+          send = (fun ~switch_id msg -> send_batch t ~switch_id [ msg ]);
+          send_batch = (fun ~switch_id msgs -> send_batch t ~switch_id msgs);
           await_stats =
             (fun ~switch_id k ->
               let q =
@@ -686,9 +568,7 @@ let create ?(latency = 1e-3) ?resilience ?switch_ids ?(attach = true)
       states = Hashtbl.create 16;
       rstats =
         { retransmits = 0; echo_misses = 0; switch_downs = 0; resyncs = 0;
-          selective_resyncs = 0; acked_batches = 0; dropped_batches = 0;
-          resync_bytes_selective = 0; resync_bytes_full = 0;
-          recovery_samples = [] };
+          acked_batches = 0; dropped_batches = 0; recovery_samples = [] };
       stopped = false; halted = false;
       fence;
       preset =

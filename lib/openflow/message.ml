@@ -128,8 +128,7 @@ type flow_stat = {
   fs_cookie : int;
   fs_actions : Flow.Action.group;
       (** the rule's installed actions — a stats snapshot must let the
-          controller detect action drift, not just missing/extra rules
-          (selective resync diffs on it) *)
+          controller detect action drift, not just missing/extra rules *)
   fs_packets : int;
   fs_bytes : int;
 }

@@ -42,8 +42,7 @@ let routed_flows ?(flows = 32) ?(rate_pps = 500.0) ?(stop = 1.0) spec =
    recovered within the 5 s scenario horizon *)
 let fast_resilience =
   { Controller.Runtime.echo_period = 0.05; echo_miss_limit = 3;
-    retx_timeout = 0.01; retx_backoff = 2.0; retx_cap = 0.1;
-    selective_resync = false }
+    retx_timeout = 0.01; retx_backoff = 2.0; retx_cap = 0.1 }
 
 type ring_result = {
   c_trace : string list;
@@ -113,8 +112,7 @@ let delivery_ratio r =
    outage mid-measurement (a spurious keepalive verdict would make the
    routing app reroute and change tables; the failover clock, not the
    switch keepalive, is under test) *)
-let failover_resilience =
-  { fast_resilience with echo_miss_limit = 8; selective_resync = true }
+let failover_resilience = { fast_resilience with echo_miss_limit = 8 }
 
 let routing_apps () =
   [ Controller.Routing.app (Controller.Routing.create ()) ]

@@ -182,83 +182,66 @@ let test_link_chaos_zero_rate_transparent () =
   Alcotest.(check bool) "traffic flowed" true (delivered > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Selective resync (control-channel partition keeps the table warm) *)
+(* Resync after a control-channel partition (the table stays warm) *)
 
-let test_selective_resync_warm_table () =
-  let run selective =
-    let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
-    let net = Network.create topo in
-    let routing = Controller.Routing.create () in
-    let rt =
-      Controller.Runtime.create_and_handshake
-        ~resilience:
-          { Scenarios.fast_resilience with selective_resync = selective }
-        net
-        [ Controller.Routing.app routing ]
-    in
-    (* bulk up switch 2's table so the full-repush baseline is heavy *)
-    let ctx = Controller.Runtime.ctx rt in
-    for i = 0 to 199 do
-      ctx.Controller.Api.send ~switch_id:2
-        (Openflow.Message.Flow_mod
-           (Openflow.Message.add_flow ~priority:(10 + i)
-              ~pattern:(Flow.Pattern.of_field Packet.Fields.Tp_dst (1000 + i))
-              ~actions:(Flow.Action.forward 1) ()))
-    done;
-    ignore (Network.run ~until:(Network.now net +. 0.5) net ());
-    check_converged rt;
-    (* partition s2's control channel: the switch stays alive, keeps its
-       table, gets declared down, then heals and re-handshakes *)
-    Network.inject net
-      [ Fault.Ctl_outage { switch_id = 2; at = 1.0; duration = 0.8 } ];
-    ignore (Network.run ~until:4.0 net ());
-    let rs = Controller.Runtime.resilience_stats rt in
-    Alcotest.(check bool) "outage was detected" true (rs.switch_downs >= 1);
-    check_converged rt;
-    rt
-  in
-  (* default path: full delete-all + re-push *)
-  let rt_full = run false in
-  let full = Controller.Runtime.resilience_stats rt_full in
-  Alcotest.(check bool) "full resync ran" true (full.resyncs >= 1);
-  Alcotest.(check int) "no selective resync by default" 0
-    full.selective_resyncs;
-  (* selective path: snapshot-diff finds the warm table intact *)
-  let rt_sel = run true in
-  let sel = Controller.Runtime.resilience_stats rt_sel in
-  Alcotest.(check bool) "selective resync ran" true
-    (sel.selective_resyncs >= 1);
-  Alcotest.(check bool)
-    (Printf.sprintf "selective bytes (%d) < full-repush baseline (%d)"
-       sel.resync_bytes_selective sel.resync_bytes_full)
-    true
-    (sel.resync_bytes_selective > 0
-     && sel.resync_bytes_selective < sel.resync_bytes_full)
-
-(* a cold table (crash wipes it) must still reconverge under selective
-   resync: the diff degenerates to the full add set *)
-let test_selective_resync_cold_table () =
+let test_resync_after_ctl_partition () =
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
   let net = Network.create topo in
-  let routing = Controller.Routing.create () in
   let rt =
     Controller.Runtime.create_and_handshake
-      ~resilience:{ Scenarios.fast_resilience with selective_resync = true } net
-      [ Controller.Routing.app routing ]
+      ~resilience:Scenarios.fast_resilience net
+      [ Controller.Routing.app (Controller.Routing.create ()) ]
   in
-  check_converged rt;
-  Network.crash_switch net 2;
+  (* bulk up switch 2's table so the re-push is a large batch *)
+  let ctx = Controller.Runtime.ctx rt in
+  for i = 0 to 199 do
+    ctx.Controller.Api.send ~switch_id:2
+      (Openflow.Message.Flow_mod
+         (Openflow.Message.add_flow ~priority:(10 + i)
+            ~pattern:(Flow.Pattern.of_field Packet.Fields.Tp_dst (1000 + i))
+            ~actions:(Flow.Action.forward 1) ()))
+  done;
   ignore (Network.run ~until:(Network.now net +. 0.5) net ());
-  Network.restart_switch net 2;
-  ignore (Network.run ~until:(Network.now net +. 2.0) net ());
-  let rs = Controller.Runtime.resilience_stats rt in
-  Alcotest.(check bool) "selective resync ran" true
-    (rs.selective_resyncs >= 1);
   check_converged rt;
+  (* partition s2's control channel: the switch stays alive, keeps its
+     table, gets declared down, then heals, re-handshakes and is
+     re-pushed its full intended table *)
+  Network.inject net
+    [ Fault.Ctl_outage { switch_id = 2; at = 1.0; duration = 0.8 } ];
+  ignore (Network.run ~until:4.0 net ());
+  let rs = Controller.Runtime.resilience_stats rt in
+  Alcotest.(check bool) "outage was detected" true (rs.switch_downs >= 1);
+  Alcotest.(check bool) "full resync ran" true (rs.resyncs >= 1);
+  check_converged rt
+
+(* Rules with a timeout are soft state: the switch expires them on its
+   own, so the intended-state shadow must not keep them — an expired
+   rule is not a divergence, and a crash resync must not put it back *)
+let test_timed_rules_not_shadowed () =
+  let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
+  let net = Network.create topo in
+  let learning = Controller.Learning.create ~idle_timeout:(Some 0.3) () in
+  let rt =
+    Controller.Runtime.create_and_handshake
+      ~resilience:Scenarios.fast_resilience net
+      [ Controller.Learning.app learning ]
+  in
   Traffic.install_responders net;
   let result = Traffic.ping net ~src:1 ~dst:3 ~count:3 ~interval:0.02 in
-  ignore (Network.run ~until:(Network.now net +. 1.0) net ());
-  Alcotest.(check int) "pings answered" 3 (List.length !(result.rtts))
+  ignore (Network.run ~until:3.0 net ());
+  Alcotest.(check int) "pings answered" 3 (List.length !(result.rtts));
+  Alcotest.(check bool) "learned rules installed" true
+    (Controller.Learning.installs learning > 0);
+  (* every learned rule has idled out at the switches by now *)
+  check_converged rt;
+  Network.crash_switch net 2;
+  ignore (Network.run ~until:3.2 net ());
+  Network.restart_switch net 2;
+  ignore (Network.run ~until:3.4 net ());
+  Alcotest.(check bool) "s2 resynced" true
+    ((Controller.Runtime.resilience_stats rt).resyncs >= 1);
+  Alcotest.(check int) "no expired rule resynced" 0
+    (Flow.Table.size (Network.switch net 2).table)
 
 (* ------------------------------------------------------------------ *)
 (* Liveness: crash detection and recovery *)
@@ -528,7 +511,7 @@ let test_realization_pinned () =
     "c035b024c31255c3d052f4f5fe44ca9f"
     (realization_digest ());
   Alcotest.(check string) "inter-controller channel realization"
-    "5274b68f6f5b6ffcb03c5f6ca48c7ea9"
+    "a61dc7da3ab838df29bcc9c60721a6e6"
     (replica_realization_digest ())
 
 (* ------------------------------------------------------------------ *)
@@ -624,10 +607,10 @@ let suites =
           test_retransmit_under_loss;
         Alcotest.test_case "duplicates idempotent" `Quick
           test_duplicates_idempotent;
-        Alcotest.test_case "selective resync on a warm table" `Quick
-          test_selective_resync_warm_table;
-        Alcotest.test_case "selective resync on a cold table" `Quick
-          test_selective_resync_cold_table;
+        Alcotest.test_case "resync after a control partition" `Quick
+          test_resync_after_ctl_partition;
+        Alcotest.test_case "timed rules stay out of the shadow" `Quick
+          test_timed_rules_not_shadowed;
         QCheck_alcotest.to_alcotest prop_fattree_routes_around_crash ] );
     ( "chaos.acceptance",
       [ Alcotest.test_case "loss+crash+flaps reconverges" `Quick

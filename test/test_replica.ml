@@ -5,9 +5,6 @@
 open Dataplane
 module Replica = Controller.Replica
 
-let fast_resilience =
-  { Scenarios.fast_resilience with selective_resync = true }
-
 let rule_key (r : Flow.Table.rule) = (r.priority, r.pattern, r.actions, r.cookie)
 let keys rules = List.sort compare (List.map rule_key rules)
 
@@ -30,7 +27,7 @@ let run_adoption_scenario ~adopt () =
     lines := Printf.sprintf "%.6f %s" time s :: !lines);
   let switch_ids = Topo.Topology.switch_ids topo in
   let rt =
-    Controller.Runtime.create ~resilience:fast_resilience ~switch_ids
+    Controller.Runtime.create ~resilience:Scenarios.fast_resilience ~switch_ids
       ~attach:(not adopt) net (Scenarios.routing_apps ())
   in
   let adopt_all () =
@@ -140,8 +137,8 @@ let test_failover_reconverges () =
   let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
   let net = Zen.create topo in
   let r =
-    Zen.with_replicas ~resilience:fast_resilience ~replicas:2 ~lease:0.15 net
-      Scenarios.routing_apps
+    Zen.with_replicas ~resilience:Scenarios.fast_resilience
+      ~replicas:2 ~lease:0.15 net Scenarios.routing_apps
   in
   ignore (Zen.run ~until:0.5 net);
   Alcotest.(check (option int)) "member 0 leads" (Some 0) (Replica.leader r);
@@ -172,8 +169,8 @@ let test_failover_reconverges () =
        (d > 0.0 && d <= 10.0 *. (Replica.config r).hb_period)
    | l ->
      Alcotest.failf "expected one failover sample, got %d" (List.length l));
-  (* a warm switch resyncs by diff, not clear+reload: the new leader's
-     selective resync touched nothing on converged tables *)
+  (* the new leader's full re-push reloads a warm converged table with
+     the same rules, so its installed keys are unchanged *)
   Alcotest.(check bool) "warm tables preserved across handoff" true
     (installed_before
     = keys (Flow.Table.rules (Network.switch (Zen.network net) 2).table));
@@ -186,8 +183,8 @@ let test_crashed_leader_rejoins_as_standby () =
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
   let net = Zen.create topo in
   let r =
-    Zen.with_replicas ~resilience:fast_resilience ~replicas:2 ~lease:0.12 net
-      Scenarios.routing_apps
+    Zen.with_replicas ~resilience:Scenarios.fast_resilience
+      ~replicas:2 ~lease:0.12 net Scenarios.routing_apps
   in
   Network.inject (Zen.network net)
     [ Fault.Controller_outage { controller_id = 0; at = 0.4; duration = 1.0 } ];
@@ -254,8 +251,8 @@ let test_delta_edit_survives_failover () =
   let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
   let net = Zen.create topo in
   let r =
-    Zen.with_replicas ~resilience:fast_resilience ~replicas:2 ~lease:0.15 net
-      (fun () -> [])
+    Zen.with_replicas ~resilience:Scenarios.fast_resilience
+      ~replicas:2 ~lease:0.15 net (fun () -> [])
   in
   let updater = Controller.Update.create () in
   let leader_ctx () =
@@ -370,8 +367,8 @@ let test_chaos_failover_deterministic () =
 let test_replicas_one_rejected () =
   let net = Zen.create (Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 ()) in
   match
-    Replica.create ~resilience:fast_resilience ~replicas:1 (Zen.network net)
-      Scenarios.routing_apps
+    Replica.create ~resilience:Scenarios.fast_resilience
+      ~replicas:1 (Zen.network net) Scenarios.routing_apps
   with
   | _ -> Alcotest.fail "replicas:1 accepted"
   | exception Invalid_argument _ -> ()
@@ -381,7 +378,8 @@ let test_replicas_one_rejected () =
 let test_bad_resilience_rejected () =
   let net = Zen.create (Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 ()) in
   match
-    Replica.create ~resilience:{ fast_resilience with echo_period = 0.0 }
+    Replica.create
+      ~resilience:{ Scenarios.fast_resilience with echo_period = 0.0 }
       (Zen.network net) Scenarios.routing_apps
   with
   | _ -> Alcotest.fail "echo_period = 0 accepted"
@@ -429,9 +427,8 @@ let prop_replica_churn =
       let switches = Topo.Topology.switch_ids topo in
       let net = Network.create topo in
       let r =
-        Replica.create ~resilience:fast_resilience ~replicas:2 ~lease:0.1
-          net
-          (fun () -> [])
+        Replica.create ~resilience:Scenarios.fast_resilience
+          ~replicas:2 ~lease:0.1 net (fun () -> [])
       in
       let steps =
         List.fold_left
