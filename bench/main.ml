@@ -1443,70 +1443,6 @@ let e18_run ~sites ~dense ~light ~stop ~until ?chaos how =
       e_steals = Dataplane.Shard.steals t;
       e_wall = wall_t }
 
-(* controller-attached sharded run vs the single-domain reference:
-   reactive routing app over the control channel, one mid-run link
-   flap, tables must converge to the controller's intended state *)
-let e18_ctl_run how =
-  let topo = fst (Topo.Gen.fat_tree ~k:4 ()) in
-  let specs = Scenarios.ctl_specs topo and flap = Scenarios.ctl_flap topo in
-  let until = 0.25 in
-  let rule_key (r : Flow.Table.rule) = (r.priority, r.pattern, r.actions) in
-  match how with
-  | `Single ->
-    let net = Dataplane.Network.create topo in
-    let routing = Controller.Routing.create () in
-    let rt =
-      Controller.Runtime.create_and_handshake net
-        [ Controller.Routing.app routing ]
-    in
-    List.iter (fun s -> ignore (Dataplane.Traffic.cbr net s)) specs;
-    Dataplane.Network.inject net flap;
-    ignore (Dataplane.Network.run ~until net ());
-    let diverged =
-      List.filter
-        (fun sw ->
-          List.sort compare
-            (List.map rule_key
-               (Flow.Table.rules (Dataplane.Network.switch net sw).table))
-          <> List.sort compare
-               (List.map rule_key
-                  (Controller.Runtime.intended_rules rt ~switch_id:sw)))
-        (Topo.Topology.switch_ids topo)
-    in
-    ( Dataplane.Shard.net_signature topo [ net ],
-      (Dataplane.Network.stats net).delivered,
-      (Dataplane.Network.stats net).control_msgs,
-      diverged, 0 )
-  | `Sharded shards ->
-    let t = Dataplane.Shard.create ~shards topo in
-    let routing = Controller.Routing.create () in
-    let rt = Zen.with_controller_sharded t [ Controller.Routing.app routing ] in
-    List.iter
-      (fun (s : Dataplane.Traffic.flow_spec) ->
-        ignore (Dataplane.Traffic.cbr (Dataplane.Shard.net_of_host t s.src) s))
-      specs;
-    Dataplane.Shard.inject t flap;
-    ignore (Dataplane.Shard.run ~until t);
-    let diverged =
-      List.filter
-        (fun sw ->
-          List.sort compare
-            (List.map rule_key
-               (Flow.Table.rules
-                  (Dataplane.Network.switch
-                     (Dataplane.Shard.net_of_switch t sw) sw)
-                    .table))
-          <> List.sort compare
-               (List.map rule_key
-                  (Controller.Runtime.intended_rules rt ~switch_id:sw)))
-        (Topo.Topology.switch_ids topo)
-    in
-    ( Dataplane.Shard.signature t,
-      (Dataplane.Shard.stats t).delivered,
-      (Dataplane.Shard.stats t).control_msgs,
-      diverged,
-      Dataplane.Shard.rounds t )
-
 let e18 () =
   header "E18 — adaptive windows + stealing on a heterogeneous-delay fabric";
   let sites = 4 and stop = 0.05 in
@@ -1547,23 +1483,7 @@ let e18 () =
         exit 1
       end)
     [ 1; 2; 4 ];
-  pf "link chaos (drop/corrupt/reorder) byte-identical at 1/2/4 shards@.";
-  (* reactive controller over the sharded control channel *)
-  let sig_s, _, ctl_s, div_s, _ = e18_ctl_run `Single in
-  let sig_p, del_p, ctl_p, div_p, rounds_p = e18_ctl_run (`Sharded 2) in
-  if sig_s <> sig_p || div_s <> [] || div_p <> [] then begin
-    pf "FAILURE: controller-attached sharded run diverged (sig %b, \
-        diverged single %d, sharded %d)@."
-      (sig_s = sig_p) (List.length div_s) (List.length div_p);
-    exit 1
-  end;
-  record ~experiment:"e18" ~metric:"ctl/delivered" (float_of_int del_p);
-  record ~experiment:"e18" ~metric:"ctl/control-msgs" (float_of_int ctl_p);
-  record ~experiment:"e18" ~metric:"ctl/rounds" (float_of_int rounds_p);
-  pf "controller-attached 2-shard run == single-domain: %d delivered, %d \
-      control msgs (%d/%d), tables == intended on every switch, %d \
-      rounds@."
-    del_p ctl_p ctl_s ctl_p rounds_p
+  pf "link chaos (drop/corrupt/reorder) byte-identical at 1/2/4 shards@."
 
 (* ------------------------------------------------------------------ *)
 (* E19 — replicated controller: leader-lease failover and fencing *)

@@ -207,7 +207,7 @@ let simulate_cmd =
     Arg.(value & opt int 1
          & info [ "shards" ] ~docv:"N"
              ~doc:"Partition the simulation over N domains (conservative \
-                   parallel DES; compiled and routing modes).")
+                   parallel DES; compiled mode only).")
   in
   let json_arg =
     Arg.(value & flag
@@ -219,41 +219,25 @@ let simulate_cmd =
     Arg.(value & opt (some string) None
          & info [ "partition" ] ~docv:"SCHEME"
              ~doc:"Shard partition scheme: 'block' (contiguous switch-id \
-                   blocks) or 'pod:K' (fat-tree pod affinity).  Default: \
-                   block.")
+                   blocks) or 'pod:K' (fat-tree pod affinity; K is the \
+                   fat-tree's even k).  Default: block.")
   in
-  let run_sharded topo spec pol_str flows rate duration seed mode shards
-      partition json =
+  let run_sharded topo spec pol_str flows rate duration seed shards partition
+      json =
     let partition =
       Option.map
         (fun s ->
           match Dataplane.Shard.partition_of_string s with
           | Some p -> p
-          | None -> die ("unknown partition " ^ s ^ " (have: block, pod:K)"))
+          | None ->
+            die ("unknown partition " ^ s ^ " (have: block, pod:K, K even)"))
         partition
     in
-    let t = Zen.create_sharded ~shards ?partition topo in
-    let mode_name, n =
-      match mode with
-      | `Learning -> assert false (* rejected before dispatching here *)
-      | `Compiled ->
-        let pol = or_die (load_policy topo pol_str) in
-        ("compiled", Zen.install_policy_sharded t pol)
-      | `Routing ->
-        let app = Controller.Routing.create () in
-        ignore
-          (Zen.with_controller_sharded t [ Controller.Routing.app app ]);
-        ( "routing",
-          List.fold_left
-            (fun acc id ->
-              acc
-              + Flow.Table.size
-                  (Dataplane.Network.switch
-                     (Dataplane.Shard.net_of_switch t id) id)
-                    .table)
-            0
-            (Topo.Topology.switch_ids topo) )
+    let t =
+      try Zen.create_sharded ~shards ?partition topo
+      with Invalid_argument m -> die m
     in
+    let n = Zen.install_policy_sharded t (or_die (load_policy topo pol_str)) in
     if not json then
       Format.printf "installed %d rules over %d shards (lookahead %.1f us)@."
         n
@@ -278,7 +262,7 @@ let simulate_cmd =
     if json then
       print_endline
         (json_obj
-           [ ("mode", json_str mode_name);
+           [ ("mode", json_str "compiled");
              ("topo", json_str spec);
              ("shards", string_of_int (Dataplane.Shard.shards t));
              ("lookahead_us",
@@ -352,13 +336,13 @@ let simulate_cmd =
     let topo = or_die (load_topo spec) in
     if shards > 1 || partition <> None then begin
       (match mode with
-       | `Compiled | `Routing -> ()
-       | `Learning ->
+       | `Compiled -> ()
+       | `Learning | `Routing ->
          die
-           "--shards supports --mode compiled or routing (the learning app \
-            pokes switch state directly and cannot run sharded)");
-      run_sharded topo spec pol_str flows rate duration seed mode shards
-        partition json
+           "--shards and --partition support --mode compiled only (a \
+            controller attaches only to a single-domain network)");
+      run_sharded topo spec pol_str flows rate duration seed shards partition
+        json
     end
     else
     let net = Zen.create topo in

@@ -312,10 +312,9 @@ and start_leader t m ~shadows =
   m.term <- m.term + 1;
   let apps = t.mk_apps () in
   let rt =
-    Runtime.create ~latency:t.latency ~resilience:t.resilience
-      ~switch_ids:t.switch_ids ~attach:false ~fence:m.m_epoch
-      ~xid_base:(m.m_xid + 1) ~shadows ~on_shadow:(mk_on_shadow t m) t.net
-      apps
+    Runtime.create ~latency:t.latency ~resilience:t.resilience ~attach:false
+      ~fence:m.m_epoch ~xid_base:(m.m_xid + 1) ~shadows
+      ~on_shadow:(mk_on_shadow t m) t.net apps
   in
   m.runtime <- Some rt;
   m.apps <- apps;
@@ -504,17 +503,12 @@ let shutdown t =
     [resilience] fails {!Runtime.check_resilience}. *)
 let create ?(latency = 1e-3) ?(resilience = Runtime.default_resilience)
     ?(replicas = 2) ?(lease = 0.15) ?(repl_latency = 1e-3) ?repl_fault
-    ?switch_ids net mk_apps =
+    net mk_apps =
   if replicas < 2 then
     invalid_arg "Replica.create: replicas < 2 (one controller is a Runtime)";
   if lease <= 0.0 then invalid_arg "Replica.create: lease <= 0";
   let switch_ids =
-    match switch_ids with
-    | Some ids -> List.sort_uniq compare ids
-    | None ->
-      List.map
-        (fun (sw : Network.switch) -> sw.sw_id)
-        (Network.switch_list net)
+    List.map (fun (sw : Network.switch) -> sw.sw_id) (Network.switch_list net)
   in
   Runtime.check_resilience "Replica.create" resilience;
   let members =

@@ -415,13 +415,10 @@ let halt t =
     speaking the wire protocol to [net] and registers [apps]
     (dispatched in list order).  The handshake (hello + features
     request) with every switch is scheduled immediately; apps receive
-    [switch_up] once the features reply returns.
-
-    [switch_ids] overrides the handshake set (default: the switches
-    [net] owns).  A sharded run passes the whole topology's switch ids:
-    the runtime attaches to the controller shard's network, which
-    reaches the other shards' switches through the sharded control
-    channel (see {!Dataplane.Shard.wire_controller}).
+    [switch_up] once the features reply returns.  [net] is a
+    single-domain network: the runtime handshakes with every switch it
+    holds, and a sharded simulation ({!Dataplane.Shard}) takes no
+    controller.
 
     The remaining knobs exist for {!Controller.Replica} and leave the
     single-controller behavior byte-identical at their defaults:
@@ -435,7 +432,7 @@ let halt t =
     flow-mod — the replication delta stream.
     @raise Invalid_argument on a [resilience] record that
     {!check_resilience} rejects. *)
-let create ?(latency = 1e-3) ?resilience ?switch_ids ?(attach = true)
+let create ?(latency = 1e-3) ?resilience ?(attach = true)
     ?(fence = 0) ?(xid_base = 0) ?(shadows = []) ?on_shadow net apps =
   Option.iter (check_resilience "Runtime.create") resilience;
   let t_ref = ref None in
@@ -582,16 +579,9 @@ let create ?(latency = 1e-3) ?resilience ?switch_ids ?(attach = true)
   if attach then Dataplane.Network.attach_controller net ~latency handler;
   (* handshake with every switch: hello + features request ride in one
      batched transmission per switch *)
-  let ids =
-    match switch_ids with
-    | Some ids -> List.sort_uniq compare ids
-    | None ->
-      List.map
-        (fun (sw : Dataplane.Network.switch) -> sw.sw_id)
-        (Dataplane.Network.switch_list net)
-  in
   List.iter
-    (fun switch_id ->
+    (fun (sw : Dataplane.Network.switch) ->
+      let switch_id = sw.sw_id in
       ignore (state t switch_id);
       t.ctx.send_batch ~switch_id
         [ Openflow.Message.Hello; Openflow.Message.Features_request ];
@@ -600,7 +590,7 @@ let create ?(latency = 1e-3) ?resilience ?switch_ids ?(attach = true)
         Api.schedule t.ctx ~delay:r.echo_period (fun () ->
           keepalive_tick t (state t switch_id) r)
       | None -> ())
-    ids;
+    (Dataplane.Network.switch_list net);
   t
 
 let ctx t = t.ctx
@@ -629,8 +619,8 @@ let switch_up t ~switch_id =
     enough (10 control RTTs) for the handshake and any proactive rule
     pushes to land.  Apps with periodic loops (e.g. {!Monitor}) schedule
     beyond this horizon and are unaffected. *)
-let create_and_handshake ?(latency = 1e-3) ?resilience ?switch_ids net apps =
-  let t = create ~latency ?resilience ?switch_ids net apps in
+let create_and_handshake ?(latency = 1e-3) ?resilience net apps =
+  let t = create ~latency ?resilience net apps in
   let horizon = Dataplane.Network.now net +. (20.0 *. latency) in
   ignore (Dataplane.Network.run ~until:horizon net ());
   t

@@ -111,10 +111,12 @@ let run ?until ?max_events t =
 (* Sharded simulation (see {!Dataplane.Shard}) *)
 
 (** [create_sharded ~shards topo] partitions the network over [shards]
-    OCaml domains and runs them under conservative lookahead.  Install
-    tables with {!install_policy_sharded} (or directly per shard), or
-    attach a controller with {!with_controller_sharded}.  Observable results are
-    pinned equal to {!create} + {!run} on the same seed and workload. *)
+    OCaml domains and runs them under conservative lookahead.  The
+    sharded simulator is data-plane only: install tables with
+    {!install_policy_sharded} (or directly per shard); a controller
+    attaches only to a single-domain network ({!with_controller},
+    {!with_replicas}).  Observable results are pinned equal to
+    {!create} + {!run} on the same seed and workload. *)
 let create_sharded ?queue_depth ?fault_config ~shards ?partition topo =
   Dataplane.Shard.create ?queue_depth ?fault_config ?partition ~shards topo
 
@@ -134,38 +136,9 @@ let install_policy_sharded t pol =
     result;
   Netkat.Delta.total_rules result.snapshot
 
-(** [with_controller_sharded t apps] attaches a controller to a sharded
-    network — the sharded counterpart of {!with_controller}.  It wires
-    the control channel of every shard with one-way [latency]
-    ({!Dataplane.Shard.wire_controller}), creates the runtime on shard
-    0's simulator, from where it reaches every switch in the topology,
-    and drives the handshake to completion over [pool] before
-    returning.  Tables, counters and traces equal the single-domain
-    controller run on the same workload, with or without a [resilience]
-    policy, through link flaps and control partitions (the [shard]
-    tests pin both).  Control-channel chaos rates are the exception:
-    each shard draws its own control verdicts
-    ({!Dataplane.Fault.shard_config}).  The learning app is not
-    supported sharded (it pokes switch state directly instead of using
-    the control channel).  As in the single-domain case, resilient
-    runtimes schedule keepalives forever — drive the simulation with
-    [run_sharded ~until]. *)
-let with_controller_sharded ?(latency = 1e-3) ?resilience ?pool t apps =
-  Dataplane.Shard.wire_controller t ~latency;
-  let net0 = Dataplane.Shard.net t 0 in
-  let switch_ids =
-    Topo.Topology.switch_ids (Dataplane.Shard.topology t)
-  in
-  let rt =
-    Controller.Runtime.create ~latency ?resilience ~switch_ids net0 apps
-  in
-  let horizon = Dataplane.Network.now net0 +. (20.0 *. latency) in
-  ignore (Dataplane.Shard.run ?pool ~until:horizon t);
-  rt
-
 (** [run_sharded t ~until] advances all shards in parallel; returns
     events executed (including cross-shard queue-release events). *)
-let run_sharded ?until ?pool t = Dataplane.Shard.run ?until ?pool t
+let run_sharded ?until t = Dataplane.Shard.run ?until t
 
 (** [snapshot t] captures topology + installed tables for verification. *)
 let snapshot t : Verify.Reach.snapshot =

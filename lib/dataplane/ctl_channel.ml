@@ -6,10 +6,9 @@
     one transmission on a lane.  It checks the partition flag, draws the
     chaos verdict ({!Fault.decide}: drop, duplicate, jitter), clamps the
     arrival so that jitter never reorders the lane (the channel models
-    TCP) and hands each arrival time to the caller's [emit].  Three
-    channels use it: a switch's control session in both directions,
-    including the cross-shard posts of a sharded run, and the
-    inter-controller channel of {!Controller.Replica}.
+    TCP) and hands each arrival time to the caller's [emit].  Two
+    channels use it: a switch's control session in both directions, and
+    the inter-controller channel of {!Controller.Replica}.
 
     A {!session} is the switch's half of the OpenFlow channel.  It holds
     both lanes, the partition flag, the adopted owner of up-direction
@@ -18,7 +17,9 @@
     transmission: fence frames and replayed or fenced flow-mods stop
     here, and everything else goes on to the switch.  A network's
     {!wiring} says where its sessions' frames go: the attached
-    controller, or in a sharded run an envelope post to another shard.
+    controller.  A controller attaches only to a single-domain network,
+    so a session's frames never leave the network that owns the
+    switch.
 
     The module keeps no clock and no counters.  Callers pass the current
     time and account for the {!fate} that {!transmit} returns. *)
@@ -127,48 +128,22 @@ let reconnect s = s.last_xid <- 0
 (* ------------------------------------------------------------------ *)
 (* A network's end of the channel *)
 
-type post = switch_id:int -> time:float -> bytes -> unit
-
 type wiring = {
   mutable controller : (switch_id:int -> bytes -> unit) option;
       (** the attached controller: receives the up-direction frames of
           every session nobody adopted *)
   mutable latency : float;  (** one-way latency, both directions *)
-  mutable post_up : post option;
-      (** sharded runs, on the shards without the controller: posts a
-          switch→controller frame as an envelope timestamped with its
-          arrival *)
-  mutable post_down : post option;
-      (** sharded runs, on the controller's shard: posts a
-          controller→switch frame toward the switch's owner shard *)
-  remote : (int, session) Hashtbl.t;
-      (** this shard's half of the sessions of switches that other
-          shards own: on the controller's shard, the down lane's clamp
-          and the partition flag *)
 }
 
-let wiring () =
-  { controller = None; latency = 1e-3; post_up = None; post_down = None;
-    remote = Hashtbl.create 8 }
+let wiring () = { controller = None; latency = 1e-3 }
 
 (** Whether the up-direction frames of [s] have somewhere to go: an
-    adopted owner, or a controller attached here or on another shard. *)
-let connected w s =
-  s.owner <> None || w.controller <> None || w.post_up <> None
-
-(** This shard's half of the session of [switch_id], a switch that
-    another shard owns (created on first use). *)
-let remote_session w switch_id =
-  match Hashtbl.find_opt w.remote switch_id with
-  | Some s -> s
-  | None ->
-    let s = create switch_id in
-    Hashtbl.replace w.remote switch_id s;
-    s
+    adopted owner or the attached controller. *)
+let connected w s = s.owner <> None || w.controller <> None
 
 (** [deliver_up w s data] hands an arrived switch→controller frame to
     the session's owner, or to the attached controller when no owner
-    adopted it.  Local and cross-shard arrivals both resolve here. *)
+    adopted it. *)
 let deliver_up w s data =
   match s.owner, w.controller with
   | Some handler, _ | None, Some handler -> handler ~switch_id:s.sw_id data

@@ -23,11 +23,10 @@ type config = {
   link_corrupt : float;  (** per-packet corruption (CRC-fail) probability *)
   link_reorder : float;  (** per-packet reorder probability, [0, 1] *)
   link_seed : int;
-  (** seed of the per-link verdict streams.  Unlike [seed] it is NOT
-      perturbed by {!shard_config}: each link's stream is keyed on
-      [(link_seed, egress node, port)] and consumed only by the shard
-      owning that egress, so sharded runs replay the single-domain
-      verdicts byte-identically at any shard count. *)
+  (** seed of the per-link verdict streams.  Each link's stream is keyed
+      on [(link_seed, egress node, port)] and consumed only by the
+      network that owns that egress, so a sharded run replays the
+      single-domain verdicts byte-identically at any shard count. *)
 }
 
 (** A scheduled substrate incident (interpreted by [Network.inject]). *)
@@ -98,14 +97,6 @@ let make_config ?(seed = default_seed) ?(drop = 0.0) ?(dup = 0.0)
     invalid_arg "Fault.create: jitter not a finite value >= 0";
   let link_seed = match link_seed with Some s -> s | None -> seed in
   { seed; drop; dup; jitter; link_drop; link_corrupt; link_reorder; link_seed }
-
-(** [shard_config c ~shard] derives shard [shard]'s chaos configuration
-    in a sharded run: shard 0 keeps the base seed (so a 1-shard run is
-    byte-identical to single-domain), other shards mix the shard index
-    into the seed so their verdict streams are independent instead of
-    accidentally correlated. *)
-let shard_config c ~shard =
-  if shard = 0 then c else { c with seed = c.seed + (0x9E3779B9 * shard) }
 
 let of_config config =
   { config; prng = Util.Prng.create config.seed;
@@ -208,8 +199,9 @@ let link_stream_seed t ~(node : Topo.Topology.Node.t) ~port =
   lxor (port * 0xC2B2AE3D)
 
 (** A fresh verdict stream for the link leaving [node] via [port].
-    Keyed on [link_seed] (not the shard-perturbed [seed]), so the same
-    link replays the same stream at any shard count. *)
+    Keyed on [link_seed] and the link, not drawn from the shared [seed]
+    stream, so the same link replays the same stream at any shard
+    count. *)
 let link_prng t ~node ~port =
   Util.Prng.create (link_stream_seed t ~node ~port)
 

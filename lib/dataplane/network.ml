@@ -215,7 +215,6 @@ let topology t = t.topo
 let stats t = t.stats
 let now t = Sim.now t.sim
 let fault t = t.fault
-let channel t = t.channel
 let remote_reorders t = t.remote_reorders
 
 let switch t id =
@@ -533,22 +532,15 @@ and output t sw ~in_port pkt (port : Flow.Action.port) =
 (* ------------------------------------------------------------------ *)
 (* Control channel *)
 
-(* switch → controller.  With the controller on another shard the frame
-   becomes an envelope timestamped with its arrival, drawn here where
-   the switch and its per-shard fault stream live. *)
+(* switch → controller *)
 and control_send t ?(xid = 0) sw msg =
   let s = sw.ctl and w = t.channel in
   if Ctl_channel.connected w s then begin
     let data = Openflow.Wire.encode ~xid msg in
     t.stats.control_msgs <- t.stats.control_msgs + 1;
     t.stats.control_bytes <- t.stats.control_bytes + Bytes.length data;
-    ctl_transmit t s s.up
-      (match w.post_up with
-       | Some post when s.owner = None && w.controller = None -> fun time ->
-         post ~switch_id:sw.sw_id ~time data
-       | Some _ | None -> fun time ->
-         Sim.schedule_at t.sim ~time (fun () ->
-           Ctl_channel.deliver_up w s data))
+    ctl_transmit t s s.up (fun time ->
+      Sim.schedule_at t.sim ~time (fun () -> Ctl_channel.deliver_up w s data))
   end
 
 and packet_in t sw ~in_port ~reason pkt =
@@ -732,50 +724,18 @@ let deliver_down t sw data =
     after the control-channel latency.  [data] may carry one message or
     a whole batch (concatenated frames, see {!Openflow.Wire.encode_batch});
     stats count the logical messages, and a batch is decoded and applied
-    in frame order as one delivery event.  In a sharded run a switch
-    owned by another shard is reached through the channel's [post_down];
-    its arrival time is decided here on the controller's shard, on this
-    shard's half of the switch's session.
+    in frame order as one delivery event.  The controller and the switch
+    live on this one network: a controller never attaches to a sharded
+    simulation.
+    @raise Invalid_argument for a switch this network does not own.
     @raise Openflow.Wire.Wire_error on undecodable bytes (at delivery). *)
 let controller_send t ~switch_id data =
+  let sw = switch t switch_id in
   t.stats.control_msgs <-
     t.stats.control_msgs + Openflow.Wire.frame_count data;
   t.stats.control_bytes <- t.stats.control_bytes + Bytes.length data;
-  match Hashtbl.find_opt t.switches switch_id, t.channel.post_down with
-  | Some sw, _ ->
-    ctl_transmit t sw.ctl sw.ctl.down (fun time ->
-      Sim.schedule_at t.sim ~time (fun () -> deliver_down t sw data))
-  | None, Some post ->
-    let s = Ctl_channel.remote_session t.channel switch_id in
-    ctl_transmit t s s.down (fun time -> post ~switch_id ~time data)
-  | None, None ->
-    invalid_arg (Printf.sprintf "Network.switch: no switch %d" switch_id)
-
-(** Completes a cross-shard control hop (simulated time must already be
-    the arrival time).  A controller→switch frame is applied on the
-    switch's owner shard; a switch→controller frame goes, on the
-    controller's shard, through the same owner/controller resolution as
-    a local delivery ({!Ctl_channel.deliver_up}). *)
-let receive_ctl t ~to_switch ~switch_id data =
-  if to_switch then deliver_down t (switch t switch_id) data
-  else
-    Ctl_channel.deliver_up t.channel
-      (Ctl_channel.remote_session t.channel switch_id) data
-
-(** Emits a [Port_status] toward the controller from [switch_id] (used
-    by {!Shard.inject} when a cross-shard link incident's far endpoint
-    lives here; the owner endpoint notifies through {!fail_link}).
-    No-op without a reachable controller or for unknown switches. *)
-let notify_port_status t ~switch_id ~port ~up =
-  match Hashtbl.find_opt t.switches switch_id with
-  | None -> ()
-  | Some sw ->
-    control_send t sw
-      (Openflow.Message.Port_status
-         { ps_port = port;
-           ps_reason =
-             (if up then Openflow.Message.Port_up
-              else Openflow.Message.Port_down) })
+  ctl_transmit t sw.ctl sw.ctl.down (fun time ->
+    Sim.schedule_at t.sim ~time (fun () -> deliver_down t sw data))
 
 (* ------------------------------------------------------------------ *)
 (* Failures *)
@@ -794,11 +754,20 @@ let set_link t node port ~up =
        Fault.note f ~time:(now t) "link-%s %s[%d]" state (Node.to_string node)
          port
      | None -> ());
-    (* [notify_port_status] skips a far endpoint that belongs to another
-       shard (whose own clone flips at the same time) *)
+    (* a far endpoint on another shard has no switch record here; its
+       own clone flips at the same time (see {!Shard.inject}) *)
     let notify n p =
       match n with
-      | Node.Switch switch_id -> notify_port_status t ~switch_id ~port:p ~up
+      | Node.Switch id ->
+        (match Hashtbl.find_opt t.switches id with
+         | Some sw ->
+           control_send t sw
+             (Openflow.Message.Port_status
+                { ps_port = p;
+                  ps_reason =
+                    (if up then Openflow.Message.Port_up
+                     else Openflow.Message.Port_down) })
+         | None -> ())
       | Node.Host _ -> ()
     in
     notify node port;

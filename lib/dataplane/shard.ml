@@ -1,14 +1,20 @@
 (** Sharded parallel simulation driver: one {!Network} per shard, run
     under conservative lookahead (see {!Util.Shard_sync}).
 
+    The sharded simulator is a data-plane-only engine: tables are
+    installed offline ([Zen.install_policy_sharded], or directly per
+    shard), and no controller attaches to it.  A controller
+    ({!Controller.Runtime}, {!Controller.Replica}) runs only on a
+    single-domain {!Network}, so no control frame ever crosses a shard.
+
     The topology is partitioned by a pluggable function mapping every
     node to a shard.  Each shard owns the switch/host state of its
     nodes, a {e clone} of the topology (so the mutable link [up] flags
     are never shared across domains), its own {!Sim} clock + timing
-    wheel, and — when chaos is configured — its own {!Fault} stream
-    seeded per shard.  Packets crossing a shard boundary become
-    timestamped envelopes posted through {!Util.Shard_sync}; the minimum
-    delay over boundary-crossing links is the lookahead that makes the
+    wheel, and — when chaos is configured — its own {!Fault} layer.
+    Packets crossing a shard boundary become timestamped envelopes
+    posted through {!Util.Shard_sync}; the minimum delay over
+    boundary-crossing links is the lookahead that makes the
     conservative window non-trivial.
 
     Determinism: a sharded run is a pure function of its inputs and its
@@ -21,33 +27,18 @@
     simultaneous packets contending for one queue may serialize in a
     different — still deterministic — order.  Tie-free workloads (e.g.
     {!Traffic.random_pair_specs} with [~stagger]) give byte-equal
-    delivery traces, tables, counters and port stats for any shard
-    count.  Raw executed-event counts always differ: a cross-shard hop
-    costs one extra local event (the source-side queue release), so
-    [logical events = executed - handoffs].
-
-    Tables can be installed directly ([Zen.install_policy_sharded]), or
-    a {!Controller.Runtime} can attach to shard 0's network after
-    {!wire_controller}.  Each switch's control session ({!Ctl_channel})
-    lives on the switch's owner shard; the controller's shard keeps only
-    its half of each remote session: the down lane's FIFO clamp and a
-    replica of the partition flag.  A control frame crosses as a
-    {!Util.Shard_sync} envelope timestamped with its arrival, which
-    {!Ctl_channel.transmit} decides on the sending shard, so the
-    lookahead is lowered to [min link_lookahead latency].  Link chaos,
-    link flaps, switch outages and control partitions stay byte-equal to
-    single-domain.  Control-channel chaos rates do not: each shard draws
-    its control verdicts from its own stream ({!Fault.shard_config}), so
-    the realization depends on the shard count. *)
+    delivery traces, tables, counters, port stats and chaos traces for
+    any shard count: link verdicts come from per-link streams keyed on
+    [Fault.config.link_seed], and every incident runs on the shard that
+    owns its node ({!inject}).  Raw executed-event counts always differ:
+    a cross-shard hop costs one extra local event (the source-side queue
+    release), so [logical events = executed - handoffs]. *)
 
 module Node = Topo.Topology.Node
 
 (* a cross-shard envelope payload: a data packet identified by the link
-   (sending endpoint) it left through, or a control-channel frame in
-   either direction (see [wire_controller]) *)
-type load =
-  | Ld_pkt of { ld_src : Node.t; ld_src_port : int; ld_pkt : Network.pkt }
-  | Ld_ctl of { lc_to_switch : bool; lc_switch : int; lc_data : bytes }
+   (sending endpoint) it left through *)
+type load = { ld_src : Node.t; ld_src_port : int; ld_pkt : Network.pkt }
 
 type shard = {
   sh_index : int;
@@ -61,13 +52,10 @@ type t = {
   shard_of : Node.t -> int;
   shards : shard array;
   sync : load Util.Shard_sync.t;
-  mutable lookahead : float;
-      (* min delay over cross-shard links (+inf if none); lowered to the
-         control latency when a controller attaches *)
-  mutable dist : float array array;
+  lookahead : float;  (* min delay over cross-shard links (+inf if none) *)
+  dist : float array array;
       (* shard-quotient distance matrix for the adaptive window bound
-         (see Shard_sync.drive); rebuilt when a controller attaches *)
-  mutable ctl_shard : int;  (* controller's shard, -1 when none *)
+         (see Shard_sync.drive) *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -105,9 +93,18 @@ let block_partition : partition =
 (** Fat-tree pod partition (for topologies built by {!Topo.Gen.fat_tree}
     with the same [k]): pods map to contiguous shard blocks, the pod's
     hosts follow their edge switch, and the core layer is spread evenly.
-    Pod-local traffic then never crosses a shard boundary. *)
+    Pod-local traffic then never crosses a shard boundary.
+    @raise Invalid_argument unless [k] is even and the topology has the
+    [5k²/4] switches of a k-ary fat-tree. *)
 let pod_partition ~k : partition =
  fun topo ~shards ->
+  let switches = List.length (Topo.Topology.switch_ids topo) in
+  if k < 2 || k mod 2 <> 0 || switches <> 5 * k * k / 4 then
+    invalid_arg
+      (Printf.sprintf
+         "Shard.pod_partition: pod:%d needs a fat-tree with even k = %d \
+          (5k^2/4 switches); the topology has %d switches"
+         k k switches);
   let half = k / 2 in
   let n_core = half * half in
   let tbl = Hashtbl.create 64 in
@@ -133,14 +130,14 @@ let pod_partition ~k : partition =
     (Topo.Topology.host_ids topo);
   fun node -> match Hashtbl.find_opt tbl node with Some s -> s | None -> 0
 
-(** Parses a partition name: ["block"], or ["pod:K"] for the fat-tree
-    pod partition.  Returns [None] on anything else. *)
+(** Parses a partition name: ["block"], or ["pod:K"] (even [K >= 2])
+    for the fat-tree pod partition.  Returns [None] on anything else. *)
 let partition_of_string s =
   match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
   | [ "block" ] -> Some block_partition
   | [ "pod"; k ] ->
     (match int_of_string_opt k with
-     | Some k when k >= 2 -> Some (pod_partition ~k)
+     | Some k when k >= 2 && k mod 2 = 0 -> Some (pod_partition ~k)
      | Some _ | None -> None)
   | _ -> None
 
@@ -155,11 +152,10 @@ let lookahead_of topo shard_of =
 
 (* Shard-quotient distance matrix: d.(j).(i) lower-bounds the boundary
    delay any causal chain accumulates getting from shard [j] to shard
-   [i] (edge weight = min delay over the pair's boundary links, plus a
-   [latency]-weight star around the controller shard when one is
-   wired); the diagonal holds the minimum return cycle.  Feeds the
-   adaptive window bound in {!Util.Shard_sync.drive}. *)
-let quotient_dist topo shard_of ~shards ?ctl () =
+   [i] (edge weight = min delay over the pair's boundary links); the
+   diagonal holds the minimum return cycle.  Feeds the adaptive window
+   bound in {!Util.Shard_sync.drive}. *)
+let quotient_dist topo shard_of ~shards =
   let d =
     Array.init shards (fun j ->
       Array.init shards (fun i -> if i = j then 0.0 else infinity))
@@ -174,12 +170,6 @@ let quotient_dist topo shard_of ~shards ?ctl () =
     (fun (l : Topo.Topology.link) ->
       edge (shard_of l.src) (shard_of l.dst) l.delay)
     (Topo.Topology.links topo);
-  (match ctl with
-   | Some (ctl_shard, latency) ->
-     for k = 0 to shards - 1 do
-       edge ctl_shard k latency
-     done
-   | None -> ());
   (* Floyd–Warshall over the quotient graph (diagonal 0 while relaxing) *)
   for k = 0 to shards - 1 do
     for i = 0 to shards - 1 do
@@ -205,9 +195,8 @@ let quotient_dist topo shard_of ~shards ?ctl () =
 
 (** [create ~shards topo] partitions [topo] and instantiates one network
     per shard.  [partition] defaults to {!block_partition};
-    [fault_config] attaches a chaos layer with per-shard derived seeds
-    (see {!Fault.shard_config}); without it the shards have no fault
-    layer.
+    [fault_config] attaches a chaos layer ({!Fault.of_config}) to every
+    shard; without it the shards have no fault layer.
     @raise Invalid_argument when a cross-shard link has zero delay (the
     conservative lookahead would vanish). *)
 let create ?queue_depth ?fault_config
@@ -230,20 +219,14 @@ let create ?queue_depth ?fault_config
       shards =
         Array.init shards (fun i ->
           let clone = Topo.Topology.copy topo in
-          let fault =
-            Option.map
-              (fun c -> Fault.of_config (Fault.shard_config c ~shard:i))
-              fault_config
-          in
+          let fault = Option.map Fault.of_config fault_config in
           let net =
             Network.create ?queue_depth ?fault
               ~only:(fun n -> shard_of n = i)
               clone
           in
           { sh_index = i; sh_net = net; sh_executed = 0 });
-      sync; lookahead;
-      dist = quotient_dist topo shard_of ~shards ();
-      ctl_shard = -1 }
+      sync; lookahead; dist = quotient_dist topo shard_of ~shards }
   in
   Array.iter
     (fun sh ->
@@ -253,7 +236,7 @@ let create ?queue_depth ?fault_config
             (fun ~rem_shard ~time ~src ~src_port pkt ->
               Util.Shard_sync.post t.sync ~src:sh.sh_index ~dst:rem_shard
                 ~time
-                (Ld_pkt { ld_src = src; ld_src_port = src_port; ld_pkt = pkt })) })
+                { ld_src = src; ld_src_port = src_port; ld_pkt = pkt }) })
     t.shards;
   t
 
@@ -270,131 +253,37 @@ let net_of_switch t id = t.shards.(t.shard_of (Node.Switch id)).sh_net
 let net_of_host t id = t.shards.(t.shard_of (Node.Host id)).sh_net
 
 (* ------------------------------------------------------------------ *)
-(* Sharded control channel *)
-
-(** [wire_controller t ~latency] prepares the sharded control channel
-    before a {!Controller.Runtime} attaches to shard 0's network: every
-    other shard posts switch→controller frames as timestamped envelopes,
-    and shard 0 posts controller→switch frames back toward each
-    switch's owner.  Arrival times (chaos verdicts and the per-lane FIFO
-    clamps of {!Ctl_channel.transmit}) are decided on the {e sending}
-    shard, so a control transmission is an envelope at
-    [>= now + latency] and the conservative invariant holds with the
-    lookahead lowered to [min lookahead latency].
-
-    The runtime's own timers (keepalives, retransmissions, stats polls)
-    live on shard 0's simulator; apps must only touch switch state
-    through the control channel ({!Controller.Api.ctx} sends —
-    [Api.set_flood_ports], and thus the learning app, would race across
-    domains and raises for remote switches). *)
-let wire_controller t ~latency =
-  if latency <= 0.0 then
-    invalid_arg "Shard.wire_controller: latency must be positive";
-  t.lookahead <- Float.min t.lookahead latency;
-  t.ctl_shard <- 0;
-  t.dist <-
-    quotient_dist t.topo t.shard_of ~shards:t.nshards
-      ~ctl:(t.ctl_shard, latency) ();
-  Array.iter
-    (fun sh ->
-      let w = Network.channel sh.sh_net in
-      w.latency <- latency;
-      if sh.sh_index <> t.ctl_shard then
-        w.post_up <-
-          Some
-            (fun ~switch_id ~time data ->
-              Util.Shard_sync.post t.sync ~src:sh.sh_index ~dst:t.ctl_shard
-                ~time
-                (Ld_ctl
-                   { lc_to_switch = false; lc_switch = switch_id;
-                     lc_data = data })))
-    t.shards;
-  (Network.channel t.shards.(t.ctl_shard).sh_net).post_down <-
-    Some
-      (fun ~switch_id ~time data ->
-        Util.Shard_sync.post t.sync ~src:t.ctl_shard
-          ~dst:(t.shard_of (Node.Switch switch_id))
-          ~time
-          (Ld_ctl
-             { lc_to_switch = true; lc_switch = switch_id; lc_data = data }))
-
-(* ------------------------------------------------------------------ *)
 (* Incidents *)
 
 (** [inject t incidents] broadcasts a chaos scenario to every shard: the
-    shard owning the incident's node runs the full failure path (trace,
-    fault note, controller notification if any); every {e other} shard
+    shard owning the incident's node runs it through {!Network.inject}
+    (trace, fault note), and on a link flap every {e other} shard
     silently flips its own topology clone at the same instants, so the
     in-flight link-down verdicts every shard makes match the
-    single-domain run exactly.  Switch outages only touch the owner.
-
-    With a controller attached ({!wire_controller}) two incidents grow
-    controller-visible far ends: a {e cross-shard} link flap's far
-    endpoint emits its own [Port_status] from its owner shard (the
-    owner-side {!Network.fail_link} can only notify locally), and a
-    control partition's flag is replicated onto every other shard's half
-    of the switch's session, so the controller's shard drops down-frames
-    at send time exactly as the single-domain engine does. *)
+    single-domain run exactly.  A [Controller_outage] goes to shard 0,
+    which notes it; no controller runs sharded to act on it. *)
 let inject t incidents =
   Array.iter
     (fun sh ->
-      let sim = Network.sim sh.sh_net in
-      let clone = Network.topology sh.sh_net in
+      let owns node = t.shard_of node = sh.sh_index in
       List.iter
         (fun (i : Fault.incident) ->
           match i with
           | Fault.Link_flap { node; port; at; duration } ->
-            if t.shard_of node = sh.sh_index then
-              Network.inject sh.sh_net [ i ]
+            if owns node then Network.inject sh.sh_net [ i ]
             else begin
-              (* does the link's far endpoint live here?  Then this
-                 shard owns the far-end port-status notification. *)
-              let far =
-                match Topo.Topology.link_via clone node port with
-                | Some l
-                  when t.shard_of l.dst = sh.sh_index
-                       && t.shard_of l.dst <> t.shard_of node ->
-                  (match l.dst with
-                   | Node.Switch id -> Some (id, l.dst_port)
-                   | Node.Host _ -> None)
-                | Some _ | None -> None
-              in
-              let notify up =
-                match far with
-                | Some (id, p) ->
-                  Network.notify_port_status sh.sh_net ~switch_id:id ~port:p
-                    ~up
-                | None -> ()
-              in
+              let sim = Network.sim sh.sh_net in
+              let clone = Network.topology sh.sh_net in
               Sim.schedule_at sim ~time:at (fun () ->
-                Topo.Topology.set_link_up clone (node, port) false;
-                notify false);
+                Topo.Topology.set_link_up clone (node, port) false);
               Sim.schedule_at sim ~time:(at +. duration) (fun () ->
-                Topo.Topology.set_link_up clone (node, port) true;
-                notify true)
+                Topo.Topology.set_link_up clone (node, port) true)
             end
-          | Fault.Switch_outage { switch_id; _ } ->
-            if t.shard_of (Node.Switch switch_id) = sh.sh_index then
-              Network.inject sh.sh_net [ i ]
+          | Fault.Switch_outage { switch_id; _ }
+          | Fault.Ctl_outage { switch_id; _ } ->
+            if owns (Node.Switch switch_id) then Network.inject sh.sh_net [ i ]
           | Fault.Controller_outage _ ->
-            (* replicated controllers are a single-domain feature; the
-               incident is interpreted (or ignored) by shard 0, where a
-               controller would live *)
-            if sh.sh_index = 0 then Network.inject sh.sh_net [ i ]
-          | Fault.Ctl_outage { switch_id; at; duration } ->
-            if t.shard_of (Node.Switch switch_id) = sh.sh_index then
-              Network.inject sh.sh_net [ i ]
-            else begin
-              (* replicated so the controller's shard drops down-frames
-                 at send time, as the single-domain engine does *)
-              let s =
-                Ctl_channel.remote_session (Network.channel sh.sh_net)
-                  switch_id
-              in
-              Sim.schedule_at sim ~time:at (fun () -> s.cut <- true);
-              Sim.schedule_at sim ~time:(at +. duration) (fun () ->
-                s.cut <- false)
-            end)
+            if sh.sh_index = 0 then Network.inject sh.sh_net [ i ])
         incidents)
     t.shards
 
@@ -421,15 +310,10 @@ let run ?until ?pool t =
     let sim = Network.sim sh.sh_net in
     List.iter
       (fun (e : load Util.Shard_sync.envelope) ->
-        match e.env_load with
-        | Ld_pkt { ld_src; ld_src_port; ld_pkt } ->
-          Sim.schedule_at sim ~time:e.env_time (fun () ->
-            Network.receive_remote sh.sh_net ~src:ld_src
-              ~src_port:ld_src_port ld_pkt)
-        | Ld_ctl { lc_to_switch; lc_switch; lc_data } ->
-          Sim.schedule_at sim ~time:e.env_time (fun () ->
-            Network.receive_ctl sh.sh_net ~to_switch:lc_to_switch
-              ~switch_id:lc_switch lc_data))
+        let { ld_src; ld_src_port; ld_pkt } = e.env_load in
+        Sim.schedule_at sim ~time:e.env_time (fun () ->
+          Network.receive_remote sh.sh_net ~src:ld_src ~src_port:ld_src_port
+            ld_pkt))
       (Util.Shard_sync.drain t.sync i);
     sh.sh_executed <-
       sh.sh_executed + Network.run ~until:stop ~strict sh.sh_net ()

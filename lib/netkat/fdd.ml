@@ -36,8 +36,8 @@
 
     The intern, hash-cons and memo tables are global mutable state
     without locks, so FDD state must be used by one domain at a time:
-    compiles run on the caller's domain, and in a sharded simulation
-    only shard 0 hosts a controller. *)
+    compiles run on the caller's domain, and a sharded simulation hosts
+    no controller. *)
 
 open Packet
 

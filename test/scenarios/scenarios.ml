@@ -258,8 +258,7 @@ let site_flows ~site ~flows ~rate_pps ~start ~stop =
       stop })
 
 (* the controller-attached fat-tree run: half the hosts send to the
-   mirror-image other half on the 37 us lattice, and the first
-   switch-switch link flaps mid-run *)
+   mirror-image other half on the 37 us lattice *)
 let ctl_specs topo =
   let host_ids = Array.of_list (Topo.Topology.host_ids topo) in
   let n = Array.length host_ids in
@@ -270,19 +269,6 @@ let ctl_specs topo =
       rate_pps = 1000.0; pkt_size = 200;
       start = 0.0307 +. (float_of_int i *. 37e-6);
       stop = 0.15 })
-
-let ctl_flap topo =
-  List.find_map
-    (fun (l : Topo.Topology.link) ->
-      if Topo.Topology.Node.is_switch l.src
-         && Topo.Topology.Node.is_switch l.dst
-      then
-        Some
-          (Dataplane.Fault.Link_flap
-             { node = l.src; port = l.src_port; at = 0.057; duration = 0.043 })
-      else None)
-    (Topo.Topology.links topo)
-  |> Option.to_list
 
 (* ------------------------------------------------------------------ *)
 (* Policy churn and flow-mod bytes (E17) *)

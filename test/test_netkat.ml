@@ -663,8 +663,8 @@ let test_of_policy_memo () =
     (Fdd.last_policy_size ())
 
 (* FDD state is used by one domain at a time, not owned by one: an edit
-   compiled on another domain (a sharded controller's window on a pool
-   worker) still answers the shared base from the last call's memo *)
+   compiled on another domain (a pool worker) still answers the shared
+   base from the last call's memo *)
 let test_of_policy_memo_across_domains () =
   let topo = Topo.Gen.linear ~switches:4 ~hosts_per_switch:2 () in
   let base = Builder.routing_policy topo in

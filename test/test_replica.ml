@@ -27,7 +27,7 @@ let run_adoption_scenario ~adopt () =
     lines := Printf.sprintf "%.6f %s" time s :: !lines);
   let switch_ids = Topo.Topology.switch_ids topo in
   let rt =
-    Controller.Runtime.create ~resilience:Scenarios.fast_resilience ~switch_ids
+    Controller.Runtime.create ~resilience:Scenarios.fast_resilience
       ~attach:(not adopt) net (Scenarios.routing_apps ())
   in
   let adopt_all () =
