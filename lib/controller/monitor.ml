@@ -100,16 +100,6 @@ let down_events t = t.down_events
 (** Observed down → re-handshake durations, newest first. *)
 let recoveries t = t.recoveries
 
-(** Recovery-time percentiles [(p50, p95, p99)] over every observed
-    switch outage; [None] before the first recovery. *)
-let recovery_percentiles t =
-  match t.recoveries with
-  | [] -> None
-  | rs ->
-    Some
-      (Util.Stats.percentile rs 50.0, Util.Stats.percentile rs 95.0,
-       Util.Stats.percentile rs 99.0)
-
 (** Latest table statistics seen for [switch_id], if any poll completed. *)
 let table_stat t ~switch_id = Hashtbl.find_opt t.tables switch_id
 
@@ -120,15 +110,6 @@ let cache_summary t =
     (fun _ (ts : Openflow.Message.table_stat) (h, m, i) ->
       (h + ts.cache_hits, m + ts.cache_misses, i + ts.cache_invalidations))
     t.tables (0, 0, 0)
-
-(** Network-wide tuple-space classifier totals across every polled
-    switch: [(shape-table probes, distinct shapes)].  Probes per cache
-    miss ≈ probes / cache misses; shapes bound that cost per switch. *)
-let classifier_summary t =
-  Hashtbl.fold
-    (fun _ (ts : Openflow.Message.table_stat) (p, s) ->
-      (p + ts.classifier_probes, s + ts.classifier_shapes))
-    t.tables (0, 0)
 
 (** Average transmit rate (bytes/s) observed on a port over the whole
     monitoring window; 0 when unobserved. *)

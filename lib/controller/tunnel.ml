@@ -26,16 +26,10 @@ type t = {
   app : Api.app;
   mutable lsps : lsp list;
   mutable rules_installed : int;
-  per_switch_rules : (int, int) Hashtbl.t;
 }
-
-let bump t sw =
-  Hashtbl.replace t.per_switch_rules sw
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.per_switch_rules sw))
 
 let install t ctx ~switch_id pattern actions =
   t.rules_installed <- t.rules_installed + 1;
-  bump t switch_id;
   Api.install ctx ~switch_id ~priority:50 ~cookie:0x70 pattern actions
 
 (* local delivery: each edge switch forwards its own hosts' traffic *)
@@ -124,17 +118,10 @@ let create () =
     end
   in
   let app = { (Api.default_app "tunnels") with switch_up } in
-  let t =
-    { app; lsps = []; rules_installed = 0;
-      per_switch_rules = Hashtbl.create 16 }
-  in
+  let t = { app; lsps = []; rules_installed = 0 } in
   t_ref := Some t;
   t
 
 let app t = t.app
 let lsps t = t.lsps
 let rules_installed t = t.rules_installed
-
-(** Rules this app installed on [sw]. *)
-let rules_on t sw =
-  Option.value ~default:0 (Hashtbl.find_opt t.per_switch_rules sw)

@@ -16,18 +16,6 @@ let make ~name ~hosts =
   if hosts = [] then invalid_arg "Slice.make: empty slice";
   { name; hosts }
 
-(** Membership predicate on one direction (source or destination IP). *)
-let member_pred ~src slice =
-  Netkat.Syntax.big_union
-    (List.map
-       (fun h ->
-         Netkat.Syntax.filter
-           (Netkat.Syntax.test
-              (if src then Packet.Fields.Ip4_src else Packet.Fields.Ip4_dst)
-              (Packet.Ipv4.of_host_id h)))
-       slice.hosts)
-  |> fun pol -> pol
-
 (** [policy topo slices] — the sliced network policy: traffic is routed
     iff both endpoints are in the same slice. *)
 let policy topo slices =

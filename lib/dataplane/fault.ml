@@ -16,17 +16,17 @@
 
 type config = {
   seed : int;
+  (** seeds the control-verdict stream and keys the per-link verdict
+      streams: each link's stream is keyed on [(seed, egress node,
+      port)] and consumed only by the network that owns that egress, so
+      a sharded run replays the single-domain verdicts byte-identically
+      at any shard count. *)
   drop : float;    (** per-transmission drop probability, [0, 1] *)
   dup : float;     (** per-transmission duplicate probability, [0, 1] *)
   jitter : float;  (** max extra one-way latency, uniform in [0, jitter) s *)
   link_drop : float;     (** per-packet data-link drop probability, [0, 1] *)
   link_corrupt : float;  (** per-packet corruption (CRC-fail) probability *)
   link_reorder : float;  (** per-packet reorder probability, [0, 1] *)
-  link_seed : int;
-  (** seed of the per-link verdict streams.  Each link's stream is keyed
-      on [(link_seed, egress node, port)] and consumed only by the
-      network that owns that egress, so a sharded run replays the
-      single-domain verdicts byte-identically at any shard count. *)
 }
 
 (** A scheduled substrate incident (interpreted by [Network.inject]). *)
@@ -83,7 +83,7 @@ let default_seed = 0xC4A05
 
 let make_config ?(seed = default_seed) ?(drop = 0.0) ?(dup = 0.0)
     ?(jitter = 0.0) ?(link_drop = 0.0) ?(link_corrupt = 0.0)
-    ?(link_reorder = 0.0) ?link_seed () =
+    ?(link_reorder = 0.0) () =
   let check name p =
     if not (p >= 0.0 && p <= 1.0) then
       invalid_arg (Printf.sprintf "Fault.create: %s out of [0,1]" name)
@@ -95,8 +95,7 @@ let make_config ?(seed = default_seed) ?(drop = 0.0) ?(dup = 0.0)
   check "link_reorder" link_reorder;
   if not (Float.is_finite jitter && jitter >= 0.0) then
     invalid_arg "Fault.create: jitter not a finite value >= 0";
-  let link_seed = match link_seed with Some s -> s | None -> seed in
-  { seed; drop; dup; jitter; link_drop; link_corrupt; link_reorder; link_seed }
+  { seed; drop; dup; jitter; link_drop; link_corrupt; link_reorder }
 
 let of_config config =
   { config; prng = Util.Prng.create config.seed;
@@ -105,10 +104,10 @@ let of_config config =
     trace_rev = []; trace_len = 0 }
 
 let create ?seed ?drop ?dup ?jitter ?link_drop ?link_corrupt ?link_reorder
-    ?link_seed () =
+    () =
   of_config
     (make_config ?seed ?drop ?dup ?jitter ?link_drop ?link_corrupt
-       ?link_reorder ?link_seed ())
+       ?link_reorder ())
 
 let config t = t.config
 
@@ -194,13 +193,13 @@ let link_stream_seed t ~(node : Topo.Topology.Node.t) ~port =
     | Topo.Topology.Node.Switch i -> (2 * i) + 1
     | Topo.Topology.Node.Host i -> 2 * i
   in
-  (t.config.link_seed * 0x9E3779B9)
+  (t.config.seed * 0x9E3779B9)
   lxor (node_key * 0x85EBCA6B)
   lxor (port * 0xC2B2AE3D)
 
 (** A fresh verdict stream for the link leaving [node] via [port].
-    Keyed on [link_seed] and the link, not drawn from the shared [seed]
-    stream, so the same link replays the same stream at any shard
+    Keyed on [seed] and the link, not drawn from the shared control
+    verdict stream, so the same link replays the same stream at any shard
     count. *)
 let link_prng t ~node ~port =
   Util.Prng.create (link_stream_seed t ~node ~port)

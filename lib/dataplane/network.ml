@@ -79,7 +79,7 @@ and link_state = {
   mutable tx_drops : int;
   mutable ls_chaos : Util.Prng.t option;
       (* this link's chaos verdict stream, created on first use; keyed
-         on the fault's [link_seed] and the egress (node, port), so it
+         on the fault's [seed] and the egress (node, port), so it
          replays identically at any shard count *)
 }
 
@@ -812,8 +812,6 @@ let restart_switch t id =
      | None -> ());
     control_send t sw Openflow.Message.Hello
   end
-
-let switch_alive t id = (switch t id).alive
 
 (** [cut_control t id] partitions the control channel of a live switch:
     every control transmission in either direction is dropped (counted in

@@ -29,7 +29,7 @@
     {!Traffic.random_pair_specs} with [~stagger]) give byte-equal
     delivery traces, tables, counters, port stats and chaos traces for
     any shard count: link verdicts come from per-link streams keyed on
-    [Fault.config.link_seed], and every incident runs on the shard that
+    [Fault.config.seed], and every incident runs on the shard that
     owns its node ({!inject}).  Raw executed-event counts always differ:
     a cross-shard hop costs one extra local event (the source-side queue
     release), so [logical events = executed - handoffs]. *)

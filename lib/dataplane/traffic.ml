@@ -172,9 +172,3 @@ let random_pairs ?fixed_ports net ~prng ~flows ~rate_pps ~pkt_size ~stop =
   random_pair_specs ?fixed_ports ~prng ~host_ids:ids ~flows ~rate_pps
     ~pkt_size ~stop ()
   |> List.map (cbr net)
-
-(** Total packets received across all hosts. *)
-let total_received net =
-  List.fold_left
-    (fun acc (h : Network.host) -> acc + h.received)
-    0 (Network.host_list net)

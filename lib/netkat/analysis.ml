@@ -15,10 +15,6 @@
 
 open Packet
 
-(** Fast, sound, incomplete check: equal compiled diagrams.  Useful as a
-    cheap pre-test; [true] is definitive, [false] is not. *)
-let equal_fast p q = Fdd.equal (Fdd.of_policy p) (Fdd.of_policy q)
-
 (* per-field knowledge along a product-walk path *)
 type constraint_ = Forced of int | Excluded of int list
 

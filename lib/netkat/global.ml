@@ -50,9 +50,6 @@ let gunion a b = GUnion (a, b)
 let big_gseq = function
   | [] -> Local Syntax.id
   | x :: xs -> List.fold_left gseq x xs
-let big_gunion = function
-  | [] -> Local Syntax.drop
-  | x :: xs -> List.fold_left gunion x xs
 
 (** The teleporting denotational reading: links move packets without a
     physical network.  The specification compiled code must meet. *)

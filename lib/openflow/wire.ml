@@ -6,9 +6,9 @@
     every control message through this codec so that the protocol layer is
     genuinely exercised, not just modeled.
 
-    Encoding writes single-pass into a pooled scratch buffer (one
-    {!Util.Bufpool} writer per domain): the 8-byte header is reserved,
-    the body written, the header patched with the measured length, and
+    Encoding writes single-pass into a growable scratch buffer (one
+    writer per domain): the 8-byte header is reserved, the body
+    written, the header patched with the measured length, and
     the exact frame copied out — no intermediate [Buffer], no per-field
     allocation.  {!encode_batch} extends this to several messages in one
     transmission: frames are simply concatenated, and {!decode_all}
@@ -43,11 +43,10 @@ let type_code = function
   | Fence _ -> 20
 
 (* ------------------------------------------------------------------ *)
-(* Encoding: single-pass writes into a pooled scratch buffer *)
+(* Encoding: single-pass writes into a growable scratch buffer *)
 
 type writer = {
-  pool : Bufpool.t;
-  mutable buf : bytes;   (* pooled scratch; dirty on acquisition *)
+  mutable buf : bytes;   (* scratch; dirty past [pos] *)
   mutable pos : int;
 }
 
@@ -55,13 +54,18 @@ type writer = {
    persist across calls and steady-state encoding never allocates
    beyond the final exact-size copy *)
 let writer_key =
-  Domain.DLS.new_key (fun () ->
-    let pool = Bufpool.create () in
-    { pool; buf = Bufpool.acquire pool 256; pos = 0 })
+  Domain.DLS.new_key (fun () -> { buf = Bytes.create 256; pos = 0 })
 
+(* grow to the next power of two that is at least double the old size
+   and fits [pos + n], keeping the written prefix *)
 let ensure w n =
-  if w.pos + n > Bytes.length w.buf then
-    w.buf <- Bufpool.grow w.pool w.buf (w.pos + n)
+  let need = w.pos + n in
+  if need > Bytes.length w.buf then begin
+    let rec size s = if s >= need then s else size (2 * s) in
+    let nbuf = Bytes.create (size (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 nbuf 0 w.pos;
+    w.buf <- nbuf
+  end
 
 let w_u8 w v =
   ensure w 1;

@@ -7,9 +7,8 @@
     ({!Frame.size}) and every layer writes directly into its slice of
     one output buffer — no per-layer allocation or blitting.
     {!encode_into} exposes the same path for callers that reuse a
-    buffer (e.g. one acquired from {!Util.Bufpool}); it writes every
-    byte of the frame explicitly, checksum and reserved fields
-    included, so dirty pooled buffers are safe.  Lengths that must fit
+    buffer; it writes every byte of the frame explicitly, checksum and
+    reserved fields included, so dirty reused buffers are safe.  Lengths that must fit
     a wire field (IPv4 total length, TCP/UDP payload sizes) are
     range-checked and raise {!Parse_error} instead of truncating. *)
 

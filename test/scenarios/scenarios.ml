@@ -367,7 +367,7 @@ let scratch_tables fdd switches =
 
 (* [edits] seeded churn edits on fat-tree [k] routing, compiled by
    deltas with no network attached: (rules deployed after the last
-   edit, full re-push bytes, delta bytes, flow-mods, switch skips),
+   edit, full re-push bytes, delta bytes, switch skips),
    summed over the edits *)
 let churn_accounting ~k ~seed ~edits =
   Netkat.Fdd.clear_cache ();
@@ -377,7 +377,7 @@ let churn_accounting ~k ~seed ~edits =
   let r0 = Netkat.Delta.compile ~switches None (Netkat.Fdd.of_policy base) in
   let snap = ref r0.snapshot in
   let pol = ref base in
-  let full_b = ref 0 and delta_b = ref 0 and mods = ref 0 and skipped = ref 0 in
+  let full_b = ref 0 and delta_b = ref 0 and skipped = ref 0 in
   List.iter
     (fun edit ->
       pol := apply_edit !pol edit;
@@ -386,8 +386,7 @@ let churn_accounting ~k ~seed ~edits =
       in
       full_b := !full_b + full_bytes result.snapshot switches;
       delta_b := !delta_b + delta_bytes ~previous:(Some !snap) result;
-      mods := !mods + result.n_adds + result.n_deletes;
       skipped := !skipped + result.skipped;
       snap := result.snapshot)
     (churn_edits ~seed ~edits topo);
-  (Netkat.Delta.total_rules !snap, !full_b, !delta_b, !mods, !skipped)
+  (Netkat.Delta.total_rules !snap, !full_b, !delta_b, !skipped)

@@ -150,7 +150,7 @@ let test_zen_stacked_churn () =
    least 2x fewer flow-mod bytes as a delta than re-pushing every table
    (delete-all + every rule + barrier per switch) *)
 let test_k8_edit_bytes () =
-  let total_rules, full_b, delta_b, _, _ =
+  let total_rules, full_b, delta_b, _ =
     Scenarios.churn_accounting ~k:8 ~seed:42 ~edits:1
   in
   (* drop the k=8 diagrams: later tests need not carry them in the heap *)

@@ -73,7 +73,7 @@ let incidents_for topo =
 
 (* control-channel loss + jitter, plus link-level data chaos.  With no
    controller attached no control verdict is ever drawn; the per-link
-   verdict streams are keyed on [link_seed] and the link, so
+   verdict streams are keyed on the seed and the link, so
    drops/corruptions/reorders must replay byte-identically at any shard
    count *)
 let chaos_cfg seed =

@@ -387,46 +387,6 @@ let prop_wheel_heap_pop_until =
       && Timing_wheel.drain_to_list w = Heap.to_sorted_list h)
 
 (* ------------------------------------------------------------------ *)
-(* Bufpool *)
-
-let test_bufpool_reuse () =
-  let p = Bufpool.create ~retain:4 () in
-  let b = Bufpool.acquire p 100 in
-  Alcotest.(check bool) "rounded up" true (Bytes.length b >= 100);
-  Bufpool.release p b;
-  check "retained" 1 (Bufpool.retained p);
-  let b' = Bufpool.acquire p 50 in
-  Alcotest.(check bool) "same storage reused" true (b == b');
-  check "free list drained" 0 (Bufpool.retained p)
-
-let test_bufpool_retain_bound () =
-  let p = Bufpool.create ~retain:2 () in
-  List.iter (fun b -> Bufpool.release p b)
-    [ Bytes.create 64; Bytes.create 64; Bytes.create 64 ];
-  check "drops past retain" 2 (Bufpool.retained p)
-
-let test_bufpool_grow_preserves () =
-  let p = Bufpool.create ~retain:4 () in
-  let b = Bufpool.acquire p 64 in
-  Bytes.fill b 0 (Bytes.length b) 'x';
-  let g = Bufpool.grow p b 1000 in
-  Alcotest.(check bool) "grew" true (Bytes.length g >= 1000);
-  Alcotest.(check string) "prefix preserved" (String.make 64 'x')
-    (Bytes.sub_string g 0 64);
-  Alcotest.(check bool) "old buffer pooled" true (Bufpool.retained p >= 1);
-  let same = Bufpool.grow p g 10 in
-  Alcotest.(check bool) "no-op when big enough" true (same == g)
-
-let test_bufpool_with_buf_releases () =
-  let p = Bufpool.create ~retain:4 () in
-  ignore (Bufpool.with_buf p 32 (fun _ -> 42));
-  check "released on return" 1 (Bufpool.retained p);
-  (try Bufpool.with_buf p 32 (fun _ -> failwith "boom")
-   with Failure _ -> ());
-  (* the exceptional call reacquired and re-released the same buffer *)
-  check "released on exception" 1 (Bufpool.retained p)
-
-(* ------------------------------------------------------------------ *)
 (* Prng *)
 
 let test_prng_deterministic () =
@@ -651,13 +611,6 @@ let suites =
           test_wheel_releases_popped;
         QCheck_alcotest.to_alcotest prop_wheel_heap_equivalent;
         QCheck_alcotest.to_alcotest prop_wheel_heap_pop_until ] );
-    ( "util.bufpool",
-      [ Alcotest.test_case "acquire/release reuse" `Quick test_bufpool_reuse;
-        Alcotest.test_case "retain bound" `Quick test_bufpool_retain_bound;
-        Alcotest.test_case "grow preserves prefix" `Quick
-          test_bufpool_grow_preserves;
-        Alcotest.test_case "with_buf releases" `Quick
-          test_bufpool_with_buf_releases ] );
     ( "util.prng",
       [ Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
         Alcotest.test_case "int bounds" `Quick test_prng_bounds;
