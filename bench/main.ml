@@ -708,7 +708,7 @@ let e9 () =
     pf "%-12s | %8d %8d %8d | %10d %10d@." name !sent (!sent - received)
       stats.dropped_ttl
       (Controller.Update.peak_rules updater)
-      updater.Controller.Update.installs
+      (Controller.Update.installs updater)
   in
   run "naive" (fun ctx updater old_pol _new ->
     Controller.Update.install_plain updater ctx old_pol);

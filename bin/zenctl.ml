@@ -50,6 +50,8 @@ let require_positive flag v =
   if not (Float.is_finite v && v > 0.0) then
     die (flag ^ " must be finite and > 0")
 
+let require_non_negative flag n = if n < 0 then die (flag ^ " must be >= 0")
+
 (* ------------------------------------------------------------------ *)
 (* topo *)
 
@@ -259,6 +261,7 @@ let simulate_cmd =
     let executed = Zen.run_sharded ~until:(duration +. 1.0) t in
     let wall = Unix.gettimeofday () -. t0 in
     let sent = List.fold_left (fun acc s -> acc + !s) 0 senders in
+    let ss = Dataplane.Shard.sync_stats t in
     if json then
       print_endline
         (json_obj
@@ -278,8 +281,8 @@ let simulate_cmd =
              ("stalls", string_of_int (Dataplane.Shard.stalls t));
              ("steals", string_of_int (Dataplane.Shard.steals t));
              ("backpressure",
-              string_of_int (Dataplane.Shard.backpressure t));
-             ("high_water", string_of_int (Dataplane.Shard.high_water t));
+              string_of_int ss.backpressure);
+             ("high_water", string_of_int ss.high_water);
              ("stats", json_of_counters (Dataplane.Shard.stats t));
              ("per_shard",
               json_arr
@@ -289,15 +292,15 @@ let simulate_cmd =
                        ("events",
                         string_of_int (Dataplane.Shard.executed_of t i));
                        ("handoffs_in",
-                        string_of_int (Dataplane.Shard.handoffs_of t i));
+                        string_of_int ss.handoffs.(i));
                        ("stalls",
-                        string_of_int (Dataplane.Shard.stalls_of t i));
+                        string_of_int ss.stalls.(i));
                        ("steals",
-                        string_of_int (Dataplane.Shard.steals_of t i));
+                        string_of_int ss.steals.(i));
                        ("windows",
-                        string_of_int (Dataplane.Shard.windows_of t i));
+                        string_of_int ss.windows.(i));
                        ("avg_window_us",
-                        json_float (Dataplane.Shard.avg_window_of t i *. 1e6))
+                        json_float (ss.avg_window.(i) *. 1e6))
                      ]))) ])
     else begin
       Format.printf "sent %d packets over %d flows in %.1fs of simulated time@."
@@ -312,8 +315,7 @@ let simulate_cmd =
         (Dataplane.Shard.rounds t)
         (Dataplane.Shard.handoffs t)
         (Dataplane.Shard.steals t)
-        (Dataplane.Shard.backpressure t)
-        (Dataplane.Shard.high_water t);
+        ss.backpressure ss.high_water;
       for i = 0 to Dataplane.Shard.shards t - 1 do
         let ev = Dataplane.Shard.executed_of t i in
         Format.printf
@@ -321,16 +323,14 @@ let simulate_cmd =
            horizon stalls, %d steals, %d windows (avg %.1f us)@."
           i ev
           (if wall > 0.0 then float_of_int ev /. wall else 0.0)
-          (Dataplane.Shard.handoffs_of t i)
-          (Dataplane.Shard.stalls_of t i)
-          (Dataplane.Shard.steals_of t i)
-          (Dataplane.Shard.windows_of t i)
-          (Dataplane.Shard.avg_window_of t i *. 1e6)
+          ss.handoffs.(i) ss.stalls.(i) ss.steals.(i) ss.windows.(i)
+          (ss.avg_window.(i) *. 1e6)
       done
     end
   in
   let run spec pol_str flows rate duration seed mode shards partition json =
     if shards < 1 then die "--shards must be >= 1";
+    require_non_negative "--flows" flows;
     require_positive "--rate" rate;
     require_positive "--duration" duration;
     let topo = or_die (load_topo spec) in
@@ -346,6 +346,7 @@ let simulate_cmd =
     end
     else
     let net = Zen.create topo in
+    let network = Zen.network net in
     let mode_name, installed =
       match mode with
       | `Compiled ->
@@ -365,12 +366,12 @@ let simulate_cmd =
             (fun acc (sw : Dataplane.Network.switch) ->
               acc + Flow.Table.size sw.table)
             0
-            (Dataplane.Network.switch_list net.network) )
+            (Dataplane.Network.switch_list network) )
     in
     let prng = Util.Prng.create seed in
     let t0 = Unix.gettimeofday () in
     let senders =
-      Dataplane.Traffic.random_pairs net.network ~prng ~flows ~rate_pps:rate
+      Dataplane.Traffic.random_pairs network ~prng ~flows ~rate_pps:rate
         ~pkt_size:1000 ~stop:duration
     in
     ignore (Zen.run ~until:(duration +. 1.0) net);
@@ -385,9 +386,9 @@ let simulate_cmd =
            p + Flow.Table.classifier_probes sw.table,
            s + Flow.Table.shape_count sw.table))
         (0, 0, 0, 0, 0)
-        (Dataplane.Network.switch_list net.network)
+        (Dataplane.Network.switch_list network)
     in
-    let executed = Dataplane.Sim.executed (Dataplane.Network.sim net.network) in
+    let executed = Dataplane.Sim.executed (Dataplane.Network.sim network) in
     if json then
       print_endline
         (json_obj
@@ -401,7 +402,7 @@ let simulate_cmd =
              ("wall_s", json_float wall);
              ("events", string_of_int executed);
              ("stats",
-              json_of_counters (Dataplane.Network.stats net.network));
+              json_of_counters (Dataplane.Network.stats network));
              ("flow_cache",
               json_obj
                 [ ("hits", string_of_int ch);
@@ -413,7 +414,7 @@ let simulate_cmd =
       Format.printf "sent %d packets over %d flows in %.1fs of simulated time@."
         sent flows duration;
       Format.printf "%a@." Dataplane.Network.pp_stats
-        (Dataplane.Network.stats net.network);
+        (Dataplane.Network.stats network);
       let probes = ch + cm in
       Format.printf
         "flow cache: %d hits, %d misses (%.1f%% hit rate), %d invalidations@."
@@ -522,6 +523,8 @@ let chaos_cmd =
     require_positive "--lease" lease_ms;
     require_positive "--rate" rate;
     require_positive "--duration" duration;
+    require_non_negative "--flaps" flaps;
+    require_non_negative "--flows" flows;
     (match ctl_crash with
      | Some _ when replicas < 2 -> die "--ctl-crash needs --replicas >= 2"
      | Some id when id < 0 || id >= replicas ->
@@ -529,6 +532,10 @@ let chaos_cmd =
               (replicas - 1))
      | Some _ | None -> ());
     let topo = or_die (load_topo spec) in
+    (match crash with
+     | Some id when not (List.mem id (Topo.Topology.switch_ids topo)) ->
+       die (Printf.sprintf "--crash %d: no such switch in %s" id spec)
+     | Some _ | None -> ());
     let fault =
       try
         Dataplane.Fault.create ~seed ~drop ~dup ~jitter ~link_drop
@@ -536,6 +543,7 @@ let chaos_cmd =
       with Invalid_argument m -> die m
     in
     let net = Zen.create ~fault topo in
+    let network = Zen.network net in
     let mk_apps () = [ Controller.Routing.app (Controller.Routing.create ()) ] in
     let replica =
       if replicas > 1 then
@@ -588,12 +596,12 @@ let chaos_cmd =
                { controller_id; at = 0.3 *. duration;
                  duration = 0.4 *. duration } ])
     in
-    Dataplane.Network.inject net.network incidents;
+    Dataplane.Network.inject network incidents;
     (match (replica, split_brain) with
      | Some r, true ->
        (* cut the current leader off the replication channel mid-run;
           heal near the end so the deposed leader steps down on record *)
-       let sim = Dataplane.Network.sim net.network in
+       let sim = Dataplane.Network.sim network in
        Dataplane.Sim.schedule_at sim ~time:(0.3 *. duration) (fun () ->
          match Controller.Replica.leader r with
          | Some id -> Controller.Replica.partition r ~controller_id:id
@@ -605,12 +613,12 @@ let chaos_cmd =
            (List.init replicas Fun.id))
      | _ -> ());
     let senders =
-      Dataplane.Traffic.random_pairs net.network ~prng:scenario ~flows
+      Dataplane.Traffic.random_pairs network ~prng:scenario ~flows
         ~rate_pps:rate ~pkt_size:500 ~stop:duration
     in
     ignore (Zen.run ~until:(duration +. 2.0) net);
     let sent = List.fold_left (fun acc s -> acc + !s) 0 senders in
-    let delivered = (Dataplane.Network.stats net.network).delivered in
+    let delivered = (Dataplane.Network.stats network).delivered in
     Format.printf "sent %d, delivered %d (%.1f%% delivery) over %d flows@."
       sent delivered
       (if sent = 0 then 0.0
@@ -652,7 +660,7 @@ let chaos_cmd =
          (Controller.Replica.epoch r)
          s.failovers s.takeovers_completed s.step_downs s.hb_sent
          s.deltas_sent s.syncs s.repl_msgs s.repl_drops
-         (Dataplane.Network.stats net.network).fenced_writes;
+         (Dataplane.Network.stats network).fenced_writes;
        match Controller.Replica.failover_samples r with
        | [] -> Format.printf "failovers: none@."
        | ts ->

@@ -1,16 +1,3 @@
-(** Reactive L4 load balancer.
-
-    A virtual IP (VIP) fronts a pool of destination hosts (DIPs).  The
-    first packet of each client flow to the VIP reaches the controller,
-    which picks a backend by hashing the client 5-tuple, installs a
-    forward rule (rewrite [ip4_dst]/[eth_dst] to the DIP and forward
-    toward it) and a reverse rule (rewrite the DIP's replies back to the
-    VIP) at the same switch, then re-injects the packet.
-
-    Assumption (documented): replies traverse the switch that rewrote
-    the forward direction — true when the LB app is deployed on the
-    backends' common edge/hub switch, as in the examples. *)
-
 open Packet
 
 type t = {
@@ -128,7 +115,6 @@ let create ~vip ?(vip_mac = Mac.of_string "02:de:ad:be:ef:01")
 let app t = t.app
 let flows t = t.flows
 
-(** Flows assigned per backend host id. *)
 let distribution t =
   Array.to_list t.backends
   |> List.map (fun b -> (b, Option.value ~default:0 (Hashtbl.find_opt t.picks b)))

@@ -1,17 +1,9 @@
-(** The classic L2 learning switch — the canonical {e reactive} app.
-
-    Every switch floods along spanning-tree ports until it has learned
-    where a MAC lives (from the source address of a packet-in); known
-    destinations get an exact-match rule with an idle timeout, so the
-    table adapts to workload and forgets stale entries. *)
-
 open Packet
 
 type t = {
   app : Api.app;
   (* (switch, mac) -> port *)
   locations : (int * Mac.t, int) Hashtbl.t;
-  mutable floods : int;
   mutable installs : int;
   idle_timeout : float option;
 }
@@ -50,19 +42,17 @@ let create ?(idle_timeout = Some 60.0) () =
         [ Flow.Action.Output (Physical out_port) ]
         payload
     | None ->
-      t.floods <- t.floods + 1;
       Api.flood ctx ~switch_id ~in_port:port payload
   in
   let app =
     { (Api.default_app "learning") with switch_up; packet_in }
   in
   let t =
-    { app; locations = Hashtbl.create 64; floods = 0; installs = 0;
+    { app; locations = Hashtbl.create 64; installs = 0;
       idle_timeout }
   in
   t_ref := Some t;
   t
 
 let app t = t.app
-let floods t = t.floods
 let installs t = t.installs

@@ -1,9 +1,3 @@
-(** Monitoring app: periodically polls port and table counters from
-    every switch, maintaining per-port time series (from which link
-    utilization and loss are derived) and the latest table statistics —
-    including the dataplane flow-cache hit/miss/invalidation counters.
-    The poll loop runs on simulated time via the controller context. *)
-
 type port_key = { m_switch : int; m_port : int }
 
 type t = {
@@ -93,18 +87,10 @@ let create ?(period = 0.5) () =
 let app t = t.app
 let polls t = t.polls
 
-(** Switch-down declarations observed (via the runtime's keepalive
-    loop; always 0 without resilience). *)
 let down_events t = t.down_events
 
-(** Observed down → re-handshake durations, newest first. *)
 let recoveries t = t.recoveries
 
-(** Latest table statistics seen for [switch_id], if any poll completed. *)
-let table_stat t ~switch_id = Hashtbl.find_opt t.tables switch_id
-
-(** Network-wide flow-cache totals across every polled switch:
-    [(cache hits, cache misses, invalidations)]. *)
 let cache_summary t =
   Hashtbl.fold
     (fun _ (ts : Openflow.Message.table_stat) (h, m, i) ->
@@ -118,8 +104,6 @@ let tx_rate t ~switch_id ~port =
   | None -> 0.0
   | Some s -> Util.Stats.Series.rate s
 
-(** Utilization in [0, 1] of the link leaving [switch_id] via [port],
-    relative to its capacity in the topology. *)
 let utilization t net ~switch_id ~port =
   match
     Topo.Topology.link_via
@@ -129,7 +113,6 @@ let utilization t net ~switch_id ~port =
   | None -> 0.0
   | Some l -> tx_rate t ~switch_id ~port *. 8.0 /. l.capacity
 
-(** Most-utilized links first: [(switch, port, utilization)]. *)
 let hot_links t net =
   Hashtbl.fold
     (fun key _ acc ->

@@ -1,42 +1,3 @@
-(** Replicated controller: 2+ {!Runtime} instances over one
-    {!Dataplane.Network} under a leader-lease protocol.
-
-    One member holds the lease and owns every switch control session
-    (adopted via {!Dataplane.Ctl_channel.adopt}); it is the only writer.
-    The leader streams its intended state to the standbys over a
-    seeded-chaos-capable inter-controller channel: heartbeats every
-    [lease/3] carry the lease epoch, the xid high-water mark and the
-    apps' exported state blobs, and every flow-mod it shadows is
-    forwarded as a delta, so each standby maintains a replica of
-    {!Runtime.intended_rules} for every switch.
-
-    {b Failover.}  A standby that misses heartbeats for a full lease
-    (staggered per member so two standbys never take over in the same
-    instant) declares the lease expired, bumps the epoch, creates a
-    fresh runtime {e seeded from its replica} ([~shadows]), adopts every
-    switch session — frames already in flight re-home with the session —
-    and re-handshakes.  Because the seeded shadow marks every switch as
-    previously handshaked, the first features reply triggers the
-    runtime's resync: every switch is re-pushed, in full, the table the
-    replica says it should hold.  A warm converged table reloads the
-    same rules, so its installed keys do not change.
-
-    {b Split brain.}  The lease alone is only a failure detector: a
-    deposed leader that is merely partitioned from its peers still
-    believes it holds the lease and keeps (re)transmitting.  Safety
-    comes from fencing: every reliable batch opens with a
-    {!Openflow.Message.Fence} carrying the sender's epoch, switches
-    remember the highest epoch seen and reject flow-mods fenced with a
-    lower one ([fenced_writes] counts them).  A strictly higher fence
-    also resets the switch's flow-mod xid dedup, so the new leader's
-    (replicated, possibly lagging) xid sequence is never wrongly deduped
-    against the old leader's, while each leader's own retransmits still
-    dedup within its epoch.  On heal, the deposed leader sees a
-    higher-epoch heartbeat and steps down to standby.
-
-    A single controller is a plain {!Runtime}, not a one-member replica
-    set: {!create} rejects [replicas < 2]. *)
-
 module Network = Dataplane.Network
 module Sim = Dataplane.Sim
 module Fault = Dataplane.Fault
@@ -46,9 +7,9 @@ type role = Leader | Standby | Down
 
 type config = {
   replicas : int;
-  lease : float;       (** lease duration, seconds *)
-  hb_period : float;   (** heartbeat period, [lease / 3] *)
-  repl_latency : float;(** one-way inter-controller latency *)
+  lease : float;         (* lease duration, seconds *)
+  hb_period : float;     (* heartbeat period, [lease / 3] *)
+  repl_latency : float;  (* one-way inter-controller latency *)
 }
 
 (* one inter-controller message; deltas carry the decoded message (the
@@ -82,17 +43,16 @@ type member = {
 }
 
 type stats = {
-  mutable failovers : int;        (** lease expiries acted on (takeovers begun) *)
+  mutable failovers : int;
   mutable takeovers_completed : int;
-  mutable step_downs : int;       (** deposed leaders demoted on heal *)
+  mutable step_downs : int;
   mutable hb_sent : int;
   mutable deltas_sent : int;
-  mutable repl_msgs : int;        (** inter-controller messages sent *)
-  mutable repl_bytes : int;       (** at modeled wire size *)
-  mutable repl_drops : int;       (** lost to chaos or partition *)
-  mutable syncs : int;            (** full-state transfers to rejoining standbys *)
+  mutable repl_msgs : int;
+  mutable repl_bytes : int;
+  mutable repl_drops : int;
+  mutable syncs : int;
   mutable failover_samples : float list;
-      (** lease-expiry detection → every switch re-upped, newest first *)
 }
 
 type t = {
@@ -423,9 +383,6 @@ let restart t ~controller_id =
     end
   end
 
-(** Cuts member [controller_id] off the inter-controller channel (its
-    switch sessions are untouched): the canonical split-brain lever — a
-    partitioned leader keeps writing while its standbys' leases expire. *)
 let partition t ~controller_id =
   let m = t.members.(controller_id) in
   if not m.partitioned then begin
@@ -465,16 +422,11 @@ let stats t = t.rstats
 
 let failover_samples t = t.rstats.failover_samples
 
-(** Switches whose installed table differs from the current leader's
-    intended shadow (see {!Runtime.diverged}); every switch when no
-    leader holds the lease. *)
 let diverged t =
   match leader_runtime t with
   | None -> t.switch_ids
   | Some rt -> Runtime.diverged rt
 
-(** Stops every member's loops and runtimes so the simulation can drain
-    its event queue. *)
 let shutdown t =
   t.stopped <- true;
   Array.iter
@@ -485,22 +437,6 @@ let shutdown t =
 (* ------------------------------------------------------------------ *)
 (* Creation *)
 
-(** [create net mk_apps] starts [replicas] controller members over [net]
-    (default 2): member 0 as leader at epoch 1, the rest as synced
-    standbys.  [mk_apps] is called once per
-    leader incarnation — every promotion runs fresh app instances, with
-    replicated state restored through [import_state].
-
-    [lease] (default 0.15 s) bounds failover detection; heartbeats ride
-    every [lease/3].  [repl_fault] attaches chaos to the
-    inter-controller channel; [resilience] defaults to
-    {!Runtime.default_resilience} (replication requires a resilient
-    runtime).
-
-    {!Fault.Controller_outage} incidents injected into [net] crash and
-    restart members by id.
-    @raise Invalid_argument when [replicas < 2], [lease <= 0] or
-    [resilience] fails {!Runtime.check_resilience}. *)
 let create ?(latency = 1e-3) ?(resilience = Runtime.default_resilience)
     ?(replicas = 2) ?(lease = 0.15) ?(repl_latency = 1e-3) ?repl_fault
     net mk_apps =
@@ -538,5 +474,3 @@ let create ?(latency = 1e-3) ?(resilience = Runtime.default_resilience)
     (fun m -> if m.role = Standby then monitor_loop t m m.term)
     members;
   t
-
-let config t = t.cfg

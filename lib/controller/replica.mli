@@ -1,0 +1,113 @@
+(** Replicated controller: 2+ {!Runtime} instances over one
+    {!Dataplane.Network} under a leader-lease protocol.
+
+    One member holds the lease and owns every switch control session
+    (adopted via {!Dataplane.Ctl_channel.adopt}); it is the only writer.
+    The leader streams its intended state to the standbys over a
+    seeded-chaos-capable inter-controller channel: heartbeats every
+    [lease/3] carry the lease epoch, the xid high-water mark and the
+    apps' exported state blobs, and every flow-mod it shadows is
+    forwarded as a delta, so each standby maintains a replica of
+    {!Runtime.intended_rules} for every switch.
+
+    {b Failover.}  A standby that misses heartbeats for a full lease
+    (staggered per member so two standbys never take over in the same
+    instant) declares the lease expired, bumps the epoch, creates a
+    fresh runtime {e seeded from its replica} ([~shadows]), adopts every
+    switch session — frames already in flight re-home with the session —
+    and re-handshakes.  Because the seeded shadow marks every switch as
+    previously handshaked, the first features reply triggers the
+    runtime's resync: every switch is re-pushed, in full, the table the
+    replica says it should hold.  A warm converged table reloads the
+    same rules, so its installed keys do not change.
+
+    {b Split brain.}  The lease alone is only a failure detector: a
+    deposed leader that is merely partitioned from its peers still
+    believes it holds the lease and keeps (re)transmitting.  Safety
+    comes from fencing: every reliable batch opens with a
+    {!Openflow.Message.Fence} carrying the sender's epoch, switches
+    remember the highest epoch seen and reject flow-mods fenced with a
+    lower one ([fenced_writes] counts them).  A strictly higher fence
+    also resets the switch's flow-mod xid dedup, so the new leader's
+    (replicated, possibly lagging) xid sequence is never wrongly deduped
+    against the old leader's, while each leader's own retransmits still
+    dedup within its epoch.  On heal, the deposed leader sees a
+    higher-epoch heartbeat and steps down to standby.
+
+    A single controller is a plain {!Runtime}, not a one-member replica
+    set: {!create} rejects [replicas < 2]. *)
+
+type role = Leader | Standby | Down
+
+type stats = {
+  mutable failovers : int;        (** lease expiries acted on (takeovers begun) *)
+  mutable takeovers_completed : int;
+  mutable step_downs : int;       (** deposed leaders demoted on heal *)
+  mutable hb_sent : int;
+  mutable deltas_sent : int;
+  mutable repl_msgs : int;        (** inter-controller messages sent *)
+  mutable repl_bytes : int;       (** at modeled wire size *)
+  mutable repl_drops : int;       (** lost to chaos or partition *)
+  mutable syncs : int;            (** full-state transfers to rejoining standbys *)
+  mutable failover_samples : float list;
+      (** lease-expiry detection → every switch re-upped, newest first *)
+}
+
+type t
+
+(** Cuts member [controller_id] off the inter-controller channel (its
+    switch sessions are untouched): the canonical split-brain lever — a
+    partitioned leader keeps writing while its standbys' leases expire. *)
+val partition : t -> controller_id:int -> unit
+
+val heal : t -> controller_id:int -> unit
+
+val leader : t -> int option
+
+val epoch : t -> int
+
+val leader_runtime : t -> Runtime.t option
+
+(** Test-only. *)
+val runtime_of : t -> controller_id:int -> Runtime.t option
+
+(** Test-only. *)
+val role_of : t -> controller_id:int -> role
+
+val stats : t -> stats
+
+val failover_samples : t -> float list
+
+(** Switches whose installed table differs from the current leader's
+    intended shadow (see {!Runtime.diverged}); every switch when no
+    leader holds the lease. *)
+val diverged : t -> int list
+
+(** Stops every member's loops and runtimes so the simulation can drain
+    its event queue. *)
+val shutdown : t -> unit
+
+(** [create net mk_apps] starts [replicas] controller members over [net]
+    (default 2): member 0 as leader at epoch 1, the rest as synced
+    standbys.  [mk_apps] is called once per
+    leader incarnation — every promotion runs fresh app instances, with
+    replicated state restored through [import_state].
+
+    [lease] (default 0.15 s) bounds failover detection; heartbeats ride
+    every [lease/3].  [repl_fault] attaches chaos to the
+    inter-controller channel; [resilience] defaults to
+    {!Runtime.default_resilience} (replication requires a resilient
+    runtime).
+
+    {!Dataplane.Fault.Controller_outage} incidents injected into [net] crash and
+    restart members by id.
+    @raise Invalid_argument when [replicas < 2], [lease <= 0] or
+    [resilience] fails {!Runtime.check_resilience}. *)
+val create :
+  ?latency:float ->
+  ?resilience:Runtime.resilience ->
+  ?replicas:int ->
+  ?lease:float ->
+  ?repl_latency:float ->
+  ?repl_fault:Dataplane.Fault.t ->
+  Dataplane.Network.t -> (unit -> Api.app list) -> t

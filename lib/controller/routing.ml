@@ -1,20 +1,3 @@
-(** Proactive shortest-path routing with failover — the canonical
-    {e proactive} app.
-
-    On startup the app compiles the network-wide destination-based
-    routing policy ({!Netkat.Builder.routing_policy}) and pushes every
-    switch's table.  On a port-status change it recomputes the policy
-    over the surviving topology and pushes each changed switch its
-    minimal delta ({!Api.push_delta}), counting the rule churn (E5
-    measures convergence from these numbers).
-
-    A [switch_down] report (the resilient runtime's keepalive verdict)
-    is treated as a topology event too: the dead switch's links are
-    excluded from the next compile, so traffic reroutes around the
-    crash instead of blackholing until an unrelated link flap forces a
-    recompute.  When the switch re-handshakes it rejoins the topology
-    and a fresh recompute restores its table. *)
-
 type t = {
   app : Api.app;
   cookie : int;
@@ -25,12 +8,10 @@ type t = {
   mutable recompute_pending : bool;  (* a coalesced recompute is scheduled *)
   mutable repushes : int;            (* single-switch re-pushes on repeat
                                         switch_up (post-crash re-handshake) *)
-  mutable rules_per_switch : (int * int) list;
   (* what we believe each live switch's table holds: per-switch uid
      certificates + rule lists from the last compile (for uid-skipping,
      diffing, and crash re-pushes) *)
   mutable snap : Netkat.Delta.snapshot option;
-  mutable skipped : int;  (* switches skipped as unchanged over the lifetime *)
   (* switches that have announced themselves at least once — a second
      announcement is a re-handshake *)
   seen : (int, unit) Hashtbl.t;
@@ -77,18 +58,10 @@ let push_tables t ctx =
   in
   let churn = full + delta in
   t.snap <- Some result.snapshot;
-  t.skipped <- t.skipped + result.skipped;
   t.installs <- t.installs + churn;
   t.last_churn <- churn;
   t.reinstalls <- t.reinstalls + 1;
-  t.last_recompute <- Api.time ctx;
-  t.rules_per_switch <-
-    List.map
-      (fun (switch_id, _) ->
-        ( switch_id,
-          Option.fold ~none:0 ~some:List.length
-            (Netkat.Delta.find result.snapshot switch_id) ))
-      result.changes
+  t.last_recompute <- Api.time ctx
 
 let create ?(use_ip = false) ?(cookie = 0x0e) () =
   let t_ref = ref None in
@@ -158,7 +131,7 @@ let create ?(use_ip = false) ?(cookie = 0x0e) () =
   let t =
     { app; cookie; installs = 0; reinstalls = 0; last_churn = 0;
       last_recompute = 0.0; recompute_pending = false; repushes = 0;
-      rules_per_switch = []; snap = None; skipped = 0;
+      snap = None;
       seen = Hashtbl.create 16; dead = Hashtbl.create 4; reroutes = 0;
       use_ip }
   in
@@ -172,5 +145,3 @@ let repushes t = t.repushes
 let reroutes t = t.reroutes
 let dead_switches t = Hashtbl.fold (fun id () acc -> id :: acc) t.dead []
 let last_churn t = t.last_churn
-let rules_per_switch t = t.rules_per_switch
-let skipped_switches t = t.skipped

@@ -1,66 +1,15 @@
-(** The controller runtime: owns the controller end of the control
-    channel, performs the feature handshake with every switch, decodes
-    incoming wire messages and dispatches them to the registered apps.
-
-    Every outgoing operation is wire-encoded before entering the channel
-    and decoded at the switch, so the protocol layer is exercised
-    end-to-end in every simulation.
-
-    The runtime also keeps a per-switch {e intended-state} shadow table:
-    every flow-mod it sends is applied to the shadow as well (see
-    {!shadow_flow_mod}), so the permanent rules each switch {e should}
-    hold are always known — introspection ({!intended_rules}), {!diverged}
-    and crash resync all read it.  Rules with an idle or hard timeout are
-    soft state: the switch expires them on its own, so the shadow never
-    records them.
-
-    With [?resilience] the runtime additionally survives a lossy control
-    channel and switch crashes (see {!Dataplane.Fault}):
-
-    - a per-switch Echo keepalive loop declares the switch down after a
-      configurable number of consecutive misses and fires the apps'
-      [switch_down] callback;
-    - flow-mod batches become reliable: each batch is terminated by a
-      [Barrier_request], tracked by the barrier's xid, and retransmitted
-      with capped exponential backoff until the matching [Barrier_reply]
-      arrives.  Batches to one switch go stop-and-wait (at most one
-      unacked batch in flight), which together with the switch-side
-      last-seen-xid dedup makes replays idempotent and order-safe;
-    - a switch that re-handshakes (after a crash, a control-channel
-      partition, or adoption by a new leader — its restart [Hello], or
-      the probe loop, triggers a fresh features exchange) is resynced:
-      the runtime re-pushes the full intended table from the shadow as
-      one reliable delete-all-plus-adds batch.  The resync reads nothing
-      from the switch, so it is the same whether the table survived or
-      was wiped.
-
-    Resilience is off by default: without it the runtime's observable
-    behavior (message sequence, timing, counters) is exactly the
-    classic lossless-channel behavior, and simulations that drain the
-    event queue terminate (the keepalive loop schedules forever — run
-    resilient simulations with [~until], or call {!shutdown}). *)
-
-(** Knobs for the keepalive / retransmission machinery. *)
 type resilience = {
-  echo_period : float;     (** seconds between keepalive ticks per switch *)
-  echo_miss_limit : int;   (** consecutive unanswered echos ⇒ switch down *)
-  retx_timeout : float;    (** initial retransmission timeout (RTO) *)
-  retx_backoff : float;    (** RTO multiplier per retransmission *)
-  retx_cap : float;        (** RTO ceiling *)
+  echo_period : float;
+  echo_miss_limit : int;
+  retx_timeout : float;
+  retx_backoff : float;
+  retx_cap : float;
 }
 
 let default_resilience =
   { echo_period = 0.25; echo_miss_limit = 3;
     retx_timeout = 0.02; retx_backoff = 2.0; retx_cap = 0.5 }
 
-(** [check_resilience who r] raises [Invalid_argument] (naming [who]
-    and the field) unless [r] can drive its timers forward: a zero or
-    non-finite period or timeout would schedule keepalives or
-    retransmissions at one simulated instant forever.  Requires
-    [echo_period] and [retx_timeout] finite and > 0, [echo_miss_limit]
-    >= 1, [retx_backoff] finite and >= 1, and [retx_cap] finite and
-    >= [retx_timeout] (the bounds {!Dataplane.Transport.start} puts on
-    its own timers). *)
 let check_resilience who r =
   let bad field = invalid_arg (Printf.sprintf "%s: resilience.%s" who field) in
   let positive x = Float.is_finite x && x > 0.0 in
@@ -93,16 +42,14 @@ type sw_state = {
   mutable handshaked : bool;  (* completed at least one features exchange *)
 }
 
-(** Resilience counters (all zero when resilience is off). *)
 type resilience_stats = {
-  mutable retransmits : int;      (** batch retransmissions *)
-  mutable echo_misses : int;      (** keepalive ticks with an unanswered echo *)
-  mutable switch_downs : int;     (** switch-down declarations *)
-  mutable resyncs : int;          (** full-table re-pushes after re-handshake *)
-  mutable acked_batches : int;    (** reliable batches confirmed by barrier *)
-  mutable dropped_batches : int;  (** un-acked batches discarded at switch-down *)
+  mutable retransmits : int;
+  mutable echo_misses : int;
+  mutable switch_downs : int;
+  mutable resyncs : int;
+  mutable acked_batches : int;
+  mutable dropped_batches : int;
   mutable recovery_samples : float list;
-      (** down → re-handshake durations, newest first *)
 }
 
 type t = {
@@ -166,13 +113,6 @@ let state t switch_id =
 let timed (r : Flow.Table.rule) =
   Option.is_some r.idle_timeout || Option.is_some r.hard_timeout
 
-(** [shadow_flow_mod table fm] applies [fm] to an intended-state shadow:
-    exactly as the switch does (notify bit included, so deletes scoped
-    by cookie hit the same rules), except that an add or modify with an
-    idle or hard timeout only clears its (priority, pattern) key — the
-    switch expires such a rule on its own, so the shadow holds exactly
-    the switch's permanent rules.  The runtime and every replica of its
-    shadow ({!Controller.Replica}) write through this one function. *)
 let shadow_flow_mod table (fm : Openflow.Message.flow_mod) =
   match fm.command with
   | (Add_flow | Modify_flow)
@@ -181,15 +121,8 @@ let shadow_flow_mod table (fm : Openflow.Message.flow_mod) =
       ~pattern:fm.fm_pattern
   | _ -> Openflow.Message.apply_to_table ~now:0.0 table fm
 
-(** The permanent rules the runtime believes [switch_id] should hold
-    (every flow-mod ever sent, applied to a shadow table with
-    {!shadow_flow_mod}). *)
 let intended_rules t ~switch_id = Flow.Table.rules (state t switch_id).shadow
 
-(** [diverged t] — the switches of the runtime's network whose permanent
-    rules differ from the intended shadow; empty = zero divergence.
-    Rules are compared as (priority, pattern, actions, cookie) sets;
-    timed rules on the switch are soft state and not compared. *)
 let diverged t =
   let keys rules =
     List.sort compare
@@ -207,11 +140,6 @@ let diverged t =
       else None)
     (Dataplane.Network.switch_list t.ctx.Api.net)
 
-(** [settle t] advances the simulation in 10 ms steps until {!diverged}
-    is empty, for at most 2 s; returns the switches still diverged.
-    Under never-ending control loss a false switch-down can be
-    rerouting at any one instant, so convergence is a state a run must
-    reach, not a property of one sample time. *)
 let settle t =
   let net = t.ctx.Api.net in
   let limit = Dataplane.Network.now net +. 2.0 in
@@ -391,47 +319,16 @@ let full_resync t st r =
        (Openflow.Message.delete_flow ~pattern:Flow.Pattern.any ())
     :: List.map add_of_rule (Flow.Table.rules st.shadow))
 
-(** Resilience counters (zeros when resilience is off). *)
 let resilience_stats t = t.rstats
 
-(** Down → re-handshake durations observed so far, in seconds (newest
-    first); feeds the recovery-time percentiles in E9. *)
 let recovery_times t = t.rstats.recovery_samples
 
-(** Stops the keepalive loops and disarms retransmission timers, so a
-    resilient simulation can drain its event queue. *)
 let shutdown t = t.stopped <- true
 
-(** Crashes the runtime: {!shutdown}, plus incoming frames are ignored
-    and outgoing sends refused — a dead controller process neither reads
-    nor writes.  Used by {!Controller.Replica} for controller-outage
-    incidents (a {e deposed} leader is NOT halted: it keeps writing, and
-    only the fencing tokens protect the switches). *)
 let halt t =
   t.stopped <- true;
   t.halted <- true
 
-(** [create ?latency ?resilience net apps] attaches a controller
-    speaking the wire protocol to [net] and registers [apps]
-    (dispatched in list order).  The handshake (hello + features
-    request) with every switch is scheduled immediately; apps receive
-    [switch_up] once the features reply returns.  [net] is a
-    single-domain network: the runtime handshakes with every switch it
-    holds, and a sharded simulation ({!Dataplane.Shard}) takes no
-    controller.
-
-    The remaining knobs exist for {!Controller.Replica} and leave the
-    single-controller behavior byte-identical at their defaults:
-    [attach:false] skips {!Dataplane.Network.attach_controller} — the
-    caller adopts individual switch sessions instead
-    ({!Dataplane.Ctl_channel.adopt} with {!handler}); [fence] stamps every
-    reliable batch with a lease-epoch {!Openflow.Message.Fence};
-    [xid_base] continues a replicated xid sequence; [shadows] seeds
-    per-switch intended-state from a replica (those switches resync on
-    their first features reply); [on_shadow] observes every shadowed
-    flow-mod — the replication delta stream.
-    @raise Invalid_argument on a [resilience] record that
-    {!check_resilience} rejects. *)
 let create ?(latency = 1e-3) ?resilience ?(attach = true)
     ?(fence = 0) ?(xid_base = 0) ?(shadows = []) ?on_shadow net apps =
   Option.iter (check_resilience "Runtime.create") resilience;
@@ -595,30 +492,18 @@ let create ?(latency = 1e-3) ?resilience ?(attach = true)
 
 let ctx t = t.ctx
 
-(** The control-channel receive handler — what
-    {!Dataplane.Ctl_channel.adopt} re-homes a switch session to. *)
 let handler t =
   match t.hfn with Some h -> h | None -> assert false (* set in create *)
 
-(** The next xid the runtime would assign (monotone); replicated so a
-    successor can continue the sequence. *)
 let next_xid t = t.next_xid
 
-(** Switches that have completed the feature handshake (with resilience,
-    re-handshakes after a crash count again). *)
 let ready_switches t = t.handshakes
 
-(** Whether [switch_id] is currently believed up (always true without
-    resilience, where liveness is not tracked). *)
 let switch_up t ~switch_id =
   match t.resilience with
   | None -> true
   | Some _ -> (state t switch_id).status = Sw_up
 
-(** Convenience: create the runtime and run the simulation just long
-    enough (10 control RTTs) for the handshake and any proactive rule
-    pushes to land.  Apps with periodic loops (e.g. {!Monitor}) schedule
-    beyond this horizon and are unaffected. *)
 let create_and_handshake ?(latency = 1e-3) ?resilience net apps =
   let t = create ~latency ?resilience net apps in
   let horizon = Dataplane.Network.now net +. (20.0 *. latency) in

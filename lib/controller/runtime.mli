@@ -1,0 +1,181 @@
+(** The controller runtime: owns the controller end of the control
+    channel, performs the feature handshake with every switch, decodes
+    incoming wire messages and dispatches them to the registered apps.
+
+    Every outgoing operation is wire-encoded before entering the channel
+    and decoded at the switch, so the protocol layer is exercised
+    end-to-end in every simulation.
+
+    The runtime also keeps a per-switch {e intended-state} shadow table:
+    every flow-mod it sends is applied to the shadow as well (see
+    {!shadow_flow_mod}), so the permanent rules each switch {e should}
+    hold are always known — introspection ({!intended_rules}), {!diverged}
+    and crash resync all read it.  Rules with an idle or hard timeout are
+    soft state: the switch expires them on its own, so the shadow never
+    records them.
+
+    With [?resilience] the runtime additionally survives a lossy control
+    channel and switch crashes (see {!Dataplane.Fault}):
+
+    - a per-switch Echo keepalive loop declares the switch down after a
+      configurable number of consecutive misses and fires the apps'
+      [switch_down] callback;
+    - flow-mod batches become reliable: each batch is terminated by a
+      [Barrier_request], tracked by the barrier's xid, and retransmitted
+      with capped exponential backoff until the matching [Barrier_reply]
+      arrives.  Batches to one switch go stop-and-wait (at most one
+      unacked batch in flight), which together with the switch-side
+      last-seen-xid dedup makes replays idempotent and order-safe;
+    - a switch that re-handshakes (after a crash, a control-channel
+      partition, or adoption by a new leader — its restart [Hello], or
+      the probe loop, triggers a fresh features exchange) is resynced:
+      the runtime re-pushes the full intended table from the shadow as
+      one reliable delete-all-plus-adds batch.  The resync reads nothing
+      from the switch, so it is the same whether the table survived or
+      was wiped.
+
+    Resilience is off by default: without it the runtime's observable
+    behavior (message sequence, timing, counters) is exactly the
+    classic lossless-channel behavior, and simulations that drain the
+    event queue terminate (the keepalive loop schedules forever — run
+    resilient simulations with [~until], or call {!shutdown}). *)
+
+(** Knobs for the keepalive / retransmission machinery. *)
+type resilience = {
+  echo_period : float;     (** seconds between keepalive ticks per switch *)
+  echo_miss_limit : int;   (** consecutive unanswered echos ⇒ switch down *)
+  retx_timeout : float;    (** initial retransmission timeout (RTO) *)
+  retx_backoff : float;    (** RTO multiplier per retransmission *)
+  retx_cap : float;        (** RTO ceiling *)
+}
+
+val default_resilience : resilience
+
+(** [check_resilience who r] raises [Invalid_argument] (naming [who]
+    and the field) unless [r] can drive its timers forward: a zero or
+    non-finite period or timeout would schedule keepalives or
+    retransmissions at one simulated instant forever.  Requires
+    [echo_period] and [retx_timeout] finite and > 0, [echo_miss_limit]
+    >= 1, [retx_backoff] finite and >= 1, and [retx_cap] finite and
+    >= [retx_timeout] (the bounds {!Dataplane.Transport.start} puts on
+    its own timers). *)
+val check_resilience : string -> resilience -> unit
+
+
+(** Resilience counters (all zero when resilience is off). *)
+type resilience_stats = {
+  mutable retransmits : int;      (** batch retransmissions *)
+  mutable echo_misses : int;      (** keepalive ticks with an unanswered echo *)
+  mutable switch_downs : int;     (** switch-down declarations *)
+  mutable resyncs : int;          (** full-table re-pushes after re-handshake *)
+  mutable acked_batches : int;    (** reliable batches confirmed by barrier *)
+  mutable dropped_batches : int;  (** un-acked batches discarded at switch-down *)
+  mutable recovery_samples : float list;
+      (** down → re-handshake durations, newest first *)
+}
+
+type t
+
+(** [shadow_flow_mod table fm] applies [fm] to an intended-state shadow:
+    exactly as the switch does (notify bit included, so deletes scoped
+    by cookie hit the same rules), except that an add or modify with an
+    idle or hard timeout only clears its (priority, pattern) key — the
+    switch expires such a rule on its own, so the shadow holds exactly
+    the switch's permanent rules.  The runtime and every replica of its
+    shadow ({!Controller.Replica}) write through this one function. *)
+val shadow_flow_mod : Flow.Table.t -> Openflow.Message.flow_mod -> unit
+
+(** The permanent rules the runtime believes [switch_id] should hold
+    (every flow-mod ever sent, applied to a shadow table with
+    {!shadow_flow_mod}). *)
+val intended_rules : t -> switch_id:int -> Flow.Table.rule list
+
+(** [diverged t] — the switches of the runtime's network whose permanent
+    rules differ from the intended shadow; empty = zero divergence.
+    Rules are compared as (priority, pattern, actions, cookie) sets;
+    timed rules on the switch are soft state and not compared. *)
+val diverged : t -> int list
+
+(** [settle t] advances the simulation in 10 ms steps until {!diverged}
+    is empty, for at most 2 s; returns the switches still diverged.
+    Under never-ending control loss a false switch-down can be
+    rerouting at any one instant, so convergence is a state a run must
+    reach, not a property of one sample time. *)
+val settle : t -> int list
+
+(** Resilience counters (zeros when resilience is off). *)
+val resilience_stats : t -> resilience_stats
+
+(** Down → re-handshake durations observed so far, in seconds (newest
+    first); feeds the recovery-time percentiles in E9. *)
+val recovery_times : t -> float list
+
+(** Stops the keepalive loops and disarms retransmission timers, so a
+    resilient simulation can drain its event queue. *)
+val shutdown : t -> unit
+
+(** Crashes the runtime: {!shutdown}, plus incoming frames are ignored
+    and outgoing sends refused — a dead controller process neither reads
+    nor writes.  Used by {!Controller.Replica} for controller-outage
+    incidents (a {e deposed} leader is NOT halted: it keeps writing, and
+    only the fencing tokens protect the switches). *)
+val halt : t -> unit
+
+(** [create ?latency ?resilience net apps] attaches a controller
+    speaking the wire protocol to [net] and registers [apps]
+    (dispatched in list order).  The handshake (hello + features
+    request) with every switch is scheduled immediately; apps receive
+    [switch_up] once the features reply returns.  [net] is a
+    single-domain network: the runtime handshakes with every switch it
+    holds, and a sharded simulation ({!Dataplane.Shard}) takes no
+    controller.
+
+    The remaining knobs exist for {!Controller.Replica} and leave the
+    single-controller behavior byte-identical at their defaults:
+    [attach:false] skips {!Dataplane.Network.attach_controller} — the
+    caller adopts individual switch sessions instead
+    ({!Dataplane.Ctl_channel.adopt} with {!handler}); [fence] stamps every
+    reliable batch with a lease-epoch {!Openflow.Message.Fence};
+    [xid_base] continues a replicated xid sequence; [shadows] seeds
+    per-switch intended-state from a replica (those switches resync on
+    their first features reply); [on_shadow] observes every shadowed
+    flow-mod — the replication delta stream.
+    @raise Invalid_argument on a [resilience] record that
+    {!check_resilience} rejects. *)
+val create :
+  ?latency:float ->
+  ?resilience:resilience ->
+  ?attach:bool ->
+  ?fence:int ->
+  ?xid_base:int ->
+  ?shadows:(int * Flow.Table.rule list) list ->
+  ?on_shadow:(switch_id:int -> Openflow.Message.t -> unit) ->
+  Dataplane.Network.t -> Api.app list -> t
+
+val ctx : t -> Api.ctx
+
+(** The control-channel receive handler — what
+    {!Dataplane.Ctl_channel.adopt} re-homes a switch session to. *)
+val handler : t -> switch_id:int -> bytes -> unit
+
+(** The next xid the runtime would assign (monotone); replicated so a
+    successor can continue the sequence. *)
+val next_xid : t -> int
+
+(** Switches that have completed the feature handshake (with resilience,
+    re-handshakes after a crash count again).
+    Test-only. *)
+val ready_switches : t -> int
+
+(** Whether [switch_id] is currently believed up (always true without
+    resilience, where liveness is not tracked). *)
+val switch_up : t -> switch_id:int -> bool
+
+(** Convenience: create the runtime and run the simulation just long
+    enough (10 control RTTs) for the handshake and any proactive rule
+    pushes to land.  Apps with periodic loops (e.g. {!Monitor}) schedule
+    beyond this horizon and are unaffected. *)
+val create_and_handshake :
+  ?latency:float ->
+  ?resilience:resilience ->
+  Dataplane.Network.t -> Api.app list -> t

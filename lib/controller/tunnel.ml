@@ -1,18 +1,3 @@
-(** Label-switched edge-to-edge tunnels (MPLS/segment-routing flavor,
-    label carried in the VLAN field).
-
-    Destination-based routing installs one rule {e per destination host}
-    at {e every} switch on a path.  Label switching aggregates: an
-    ingress edge switch classifies packets by destination onto the tunnel
-    toward that destination's edge switch and pushes the tunnel label;
-    {e core} switches forward on the label alone (one rule per tunnel
-    through them, independent of host count); the egress edge pops the
-    label and delivers.  Experiment E13 measures the resulting core-table
-    compression.
-
-    Tunnels are provisioned proactively between every pair of
-    host-bearing switches along current shortest paths. *)
-
 open Packet
 
 type lsp = {
@@ -25,25 +10,23 @@ type lsp = {
 type t = {
   app : Api.app;
   mutable lsps : lsp list;
-  mutable rules_installed : int;
 }
 
-let install t ctx ~switch_id pattern actions =
-  t.rules_installed <- t.rules_installed + 1;
+let install ctx ~switch_id pattern actions =
   Api.install ctx ~switch_id ~priority:50 ~cookie:0x70 pattern actions
 
 (* local delivery: each edge switch forwards its own hosts' traffic *)
-let install_local_delivery t ctx topo sw =
+let install_local_delivery ctx topo sw =
   List.iter
     (fun (h, port) ->
-      install t ctx ~switch_id:sw
+      install ctx ~switch_id:sw
         { Flow.Pattern.any with
           vlan = Some Fields.vlan_none;
           eth_dst = Some (Mac.of_host_id h) }
         (Flow.Action.forward port))
     (Topo.Topology.hosts_of_switch topo sw)
 
-let install_lsp t ctx topo (l : lsp) =
+let install_lsp ctx topo (l : lsp) =
   let dst_hosts = Topo.Topology.hosts_of_switch topo l.dst_sw in
   match l.path with
   | [] -> ()
@@ -51,7 +34,7 @@ let install_lsp t ctx topo (l : lsp) =
     (* ingress: classify per destination host, push the tunnel label *)
     List.iter
       (fun (h, _) ->
-        install t ctx ~switch_id:l.src_sw
+        install ctx ~switch_id:l.src_sw
           { Flow.Pattern.any with
             vlan = Some Fields.vlan_none;
             eth_dst = Some (Mac.of_host_id h) }
@@ -62,7 +45,7 @@ let install_lsp t ctx topo (l : lsp) =
     List.iteri
       (fun i (h : Topo.Path.hop) ->
         if i > 0 then
-          install t ctx
+          install ctx
             ~switch_id:(Topo.Topology.Node.id h.node)
             { Flow.Pattern.any with vlan = Some l.label }
             (Flow.Action.forward h.out_port))
@@ -70,7 +53,7 @@ let install_lsp t ctx topo (l : lsp) =
     (* egress: pop and deliver per host *)
     List.iter
       (fun (h, port) ->
-        install t ctx ~switch_id:l.dst_sw
+        install ctx ~switch_id:l.dst_sw
           { Flow.Pattern.any with
             vlan = Some l.label;
             eth_dst = Some (Mac.of_host_id h) }
@@ -85,7 +68,7 @@ let provision t ctx =
     |> List.filter (fun sw -> Topo.Topology.hosts_of_switch topo sw <> [])
   in
   let next_label = ref 100 in
-  List.iter (install_local_delivery t ctx topo) edges;
+  List.iter (install_local_delivery ctx topo) edges;
   t.lsps <-
     List.concat_map
       (fun src_sw ->
@@ -106,7 +89,7 @@ let provision t ctx =
             end)
           edges)
       edges;
-  List.iter (install_lsp t ctx topo) t.lsps
+  List.iter (install_lsp ctx topo) t.lsps
 
 let create () =
   let t_ref = ref None in
@@ -118,10 +101,9 @@ let create () =
     end
   in
   let app = { (Api.default_app "tunnels") with switch_up } in
-  let t = { app; lsps = []; rules_installed = 0 } in
+  let t = { app; lsps = [] } in
   t_ref := Some t;
   t
 
 let app t = t.app
 let lsps t = t.lsps
-let rules_installed t = t.rules_installed

@@ -1,40 +1,3 @@
-(** Consistent network updates (Reitblatt et al.'s per-packet consistency,
-    the mechanism behind congestion-free/loss-free update systems like
-    zUpdate).
-
-    The problem: replacing the rules of many switches is not atomic, so a
-    packet in flight can be forwarded by a {e mix} of the old and new
-    policy — transient loops, black holes or security violations that
-    neither policy alone would produce.
-
-    The classic fix implemented here is {e two-phase update with version
-    stamping}: the VLAN id carries a configuration version.  Packets are
-    stamped with the current version at their ingress switch, internal
-    rules match only their own version, and the stamp is popped at the
-    egress (host-facing) port.
-
-    - {b phase 1}: install the new version's {e internal} rules everywhere
-      (they match only the new tag, so live traffic is untouched);
-    - {b phase 2}: after the installs have landed, flip the {e ingress}
-      rules to stamp the new version — each packet is handled entirely by
-      one version;
-    - {b phase 3}: after a drain interval, delete the old version's rules.
-
-    The cost is transient double table occupancy; {!peak_rules} reports it.
-    {!naive} performs the inconsistent switch-by-switch replacement for
-    comparison (experiment E9).
-
-    Every installer here is a {!Delta} stream: it compiles against the
-    stream's previous snapshot and writes only what
-    {!Api.change_flow_mods} maps the result to.  A version owns two
-    streams, [internal:v] and [ingress:v], under cookie [v] — for
-    {!install}/{!two_phase} and for the globally-compiled
-    {!global_install}/{!global_two_phase} alike; {!install_plain} and
-    {!naive} write cookie 0.
-
-    Restriction: the managed policy must not itself use the [Vlan] field
-    (it carries the version); {!Policy_uses_vlan} is raised otherwise. *)
-
 open Netkat
 
 exception Policy_uses_vlan
@@ -92,51 +55,34 @@ let internal_part topo pol ~version =
         Syntax.id ]
 
 type t = {
-  drain : float;                 (** seconds before old rules are removed *)
+  drain : float;  (* seconds before old rules are removed *)
   streams : (string, Delta.snapshot) Hashtbl.t;
-      (** per install-path snapshots, keyed ["<path>:<version>"] so a
-          version bump (whose base/tag transform differs) never reuses a
-          stale certificate *)
+      (* per install-path snapshots, keyed ["<path>:<version>"] so a
+         version bump (whose base/tag transform differs) never reuses a
+         stale certificate *)
   pushed : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-      (** cookie → switches that actually received rules under it;
-          {!delete_version} consults this to leave the rest alone *)
+      (* cookie → switches that actually received rules under it;
+         [delete_version] consults this to leave the rest alone *)
   mutable version : int;
   mutable installs : int;
-      (** add/modify flow-mods issued over the lifetime (a plain push's
-          in-place edits count in [delta_mods] instead) *)
-  mutable peak_rules : int;      (** max total rules observed installed *)
+  mutable peak_rules : int;
   mutable updates_done : int;
-  mutable skipped_switches : int;(** switches proven unchanged, never touched *)
-  mutable delta_mods : int;      (** flow-mods (adds + strict deletes) on delta pushes *)
-  mutable delete_msgs : int;     (** cookie-scoped deletes issued by {!delete_version} *)
+  mutable skipped_switches : int;
+  mutable delta_mods : int;
+  mutable delete_msgs : int;
 }
 
-(** [create ?drain ()] — an updater.  Every install path compiles
-    through {!Delta} against the previous snapshot of its stream, so
-    repeated {!install}, {!global_install} and {!install_plain} calls
-    push only the changed switches/rules, and an in-place install after
-    a transition edits the transition's rules; see each function for
-    the consistency caveat. *)
 let create ?(drain = 0.5) () =
   { drain; streams = Hashtbl.create 8; pushed = Hashtbl.create 8;
     version = 0; installs = 0; peak_rules = 0; updates_done = 0;
     skipped_switches = 0; delta_mods = 0; delete_msgs = 0 }
 
 let version t = t.version
+let installs t = t.installs
 let peak_rules t = t.peak_rules
 
-(** Replication of the updater's durable state (see {!Api.app}'s
-    [export_state]/[import_state] and {!Controller.Replica}).  Only the
-    version counter is carried: version numbers become VLAN tags on
-    in-flight packets and cookies on installed rules, so a new leader
-    restarting from 0 could collide with tags the old leader's rules
-    still match on.  Everything else in [t] (snapshots, pushed sets,
-    lifetime counters) is per-process bookkeeping a successor safely
-    rebuilds. *)
 let export_state t = string_of_int t.version
 
-(** Adopts a replicated version counter, never moving backwards (a late
-    or duplicated blob must not rewind the sequence). *)
 let import_state t blob =
   match int_of_string_opt (String.trim blob) with
   | Some v when v > t.version -> t.version <- v
@@ -284,34 +230,17 @@ let transition t ctx ~old_version (internal, ingress) =
       delete_version t ctx ~cookie:old_version;
       t.updates_done <- t.updates_done + 1))
 
-(** [install t ctx pol] — installation of a versioned policy.  The first
-    call installs version 1.  Later calls keep the version (and its
-    vlan tag, priority base and cookie) {e stable} and delta-push only
-    the changed switches/rules — the fast path for small edits.  This
-    in-place edit is {e not} per-packet consistent (a packet in flight
-    can mix pre- and post-edit rules); use {!two_phase} when the edit
-    needs the consistency guarantee.
-    @raise Policy_uses_vlan *)
 let install t ctx pol =
   if pol_uses_vlan pol then raise Policy_uses_vlan;
   if t.version = 0 then t.version <- 1;
   in_place t ctx (versioned_streams t ctx pol ~version:t.version)
 
-(** [two_phase t ctx pol] — per-packet-consistent transition to [pol].
-    Phases are driven by simulated time; the transition completes (old
-    rules gone) after roughly [2 * control latency + drain] seconds.
-    @raise Policy_uses_vlan *)
 let two_phase t ctx pol =
   if pol_uses_vlan pol then raise Policy_uses_vlan;
   let old_version = t.version in
   t.version <- old_version + 1;
   transition t ctx ~old_version (versioned_streams t ctx pol ~version:t.version)
 
-(** [naive t ctx ~prng ~max_jitter pol] — the inconsistent baseline:
-    every switch's cookie-0 table is replaced independently (unversioned
-    rules), each after a random delay in [0, max_jitter], emulating the
-    asynchronous rollout of real deployments.  In-flight packets can see
-    mixed old/new forwarding. *)
 let naive t ctx ~prng ~max_jitter pol =
   let result =
     Delta.compile ~switches:(Topo.Topology.switch_ids (Api.topology ctx))
@@ -365,27 +294,15 @@ let global_streams t ctx pol ~version =
   ( part "internal" ~ingress:false ~base,
     part "ingress" ~ingress:true ~base:(base + 1000) )
 
-(** [global_install t ctx pol] — installation of a
-    {!Netkat.Global.compile}d program (or any policy obeying the vlan
-    discipline above).  Later calls with the same tag space keep the
-    version stable and delta-push (not per-packet consistent; see
-    {!global_two_phase} for the consistency path). *)
 let global_install t ctx pol =
   if t.version = 0 then t.version <- 1;
   in_place t ctx (global_streams t ctx pol ~version:t.version)
 
-(** [global_two_phase t ctx pol] — per-packet-consistent transition to a
-    new globally-compiled program whose tag space is disjoint from the
-    currently installed one. *)
 let global_two_phase t ctx pol =
   let old_version = t.version in
   t.version <- old_version + 1;
   transition t ctx ~old_version (global_streams t ctx pol ~version:t.version)
 
-(** Plain (unversioned) install, for the naive baseline runs.  The
-    first call full-replaces each switch's cookie-0 rules; later calls
-    delta-push only the changed switches/rules (unchanged switches get
-    no message at all). *)
 let install_plain t ctx pol =
   let previous = Hashtbl.find_opt t.streams "plain" in
   let result =

@@ -1,13 +1,3 @@
-(** From TE allocation to forwarding state: realizes a {!Te.Alloc.t} as
-    compilable policy and drives packet traffic along it, closing the
-    loop between the analytic allocation and the simulated dataplane.
-
-    A demand's allocation may split across several paths; since exact-match
-    rules cannot express ratios, each demand is realized as [subflows]
-    micro-flows (distinct [tp_src] ports) apportioned to paths by largest
-    remainder — the standard flow-level approximation of weighted
-    multipath (WCMP). *)
-
 module Node = Topo.Topology.Node
 
 type subflow = {
@@ -15,8 +5,8 @@ type subflow = {
   src_host : int;
   dst_host : int;
   tp_src : int;
-  rate : float;           (** bits per second assigned to this subflow *)
-  path : Topo.Path.t;     (** switch-level path from the demand's source *)
+  rate : float;
+  path : Topo.Path.t;
 }
 
 let host_of_switch topo sw =
@@ -46,8 +36,6 @@ let apportion ~total weights =
       floors
   end
 
-(** [subflows_of_alloc topo alloc ~subflows] — the micro-flows realizing
-    the allocation.  Demands with no usable share are skipped. *)
 let subflows_of_alloc topo (alloc : Te.Alloc.t) ~subflows =
   List.concat
     (List.mapi
@@ -130,8 +118,8 @@ let policy_of_subflows topo flows =
 
 type measurement = {
   m_demand : Te.Demand.t;
-  allocated : float;  (** bits/s the TE scheme granted *)
-  measured : float;   (** bits/s observed at the destination host *)
+  allocated : float;
+  measured : float;
 }
 
 (** [drive network flows ~pkt_size ~duration] — sends CBR traffic for
@@ -185,8 +173,6 @@ let drive network flows ~pkt_size ~duration =
     received []
   |> List.sort (fun a b -> compare (key a.m_demand) (key b.m_demand))
 
-(** One call: realize [alloc] on a fresh network over [topo], drive it,
-    and report.  [subflows] micro-flows per demand (default 8). *)
 let validate ?(subflows = 8) ?(pkt_size = 1000) ?(duration = 2.0) topo alloc =
   let flows = subflows_of_alloc topo alloc ~subflows in
   let pol = policy_of_subflows topo flows in
@@ -197,7 +183,6 @@ let validate ?(subflows = 8) ?(pkt_size = 1000) ?(duration = 2.0) topo alloc =
        None pol);
   drive network flows ~pkt_size ~duration
 
-(** Aggregate deviation: total measured / total allocated. *)
 let accuracy measurements =
   let alloc = List.fold_left (fun a m -> a +. m.allocated) 0.0 measurements in
   let meas = List.fold_left (fun a m -> a +. m.measured) 0.0 measurements in

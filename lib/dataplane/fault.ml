@@ -1,19 +1,3 @@
-(** Deterministic fault injection for the control channel and the
-    substrate.
-
-    A [Fault.t] is a seeded source of adversity: every control-channel
-    transmission consults it once and may be dropped, duplicated or
-    delayed (latency jitter); scheduled {!incident}s flap links and
-    crash/restart switches through the failure API of {!Network}.  All
-    randomness flows from one {!Util.Prng} stream drawn in simulation
-    order, so a given seed + configuration reproduces the exact same
-    event trace — chaos runs are experiments, not flakes.
-
-    The module itself is pure bookkeeping.  {!Ctl_channel.transmit} draws
-    the per-transmission verdicts; {!Network} owns the other hooks
-    (see [Network.create ?fault], [Network.crash_switch],
-    [Network.inject]). *)
-
 type config = {
   seed : int;
   (** seeds the control-verdict stream and keys the per-link verdict
@@ -29,37 +13,27 @@ type config = {
   link_reorder : float;  (** per-packet reorder probability, [0, 1] *)
 }
 
-(** A scheduled substrate incident (interpreted by [Network.inject]). *)
 type incident =
   | Link_flap of {
       node : Topo.Topology.Node.t;
       port : int;
-      at : float;        (** absolute sim time of the failure *)
-      duration : float;  (** seconds until [restore_link] *)
+      at : float;
+      duration : float;
     }
   | Switch_outage of {
       switch_id : int;
       at : float;
-      duration : float;  (** seconds until restart (fresh handshake) *)
+      duration : float;
     }
   | Ctl_outage of {
       switch_id : int;
       at : float;
       duration : float;
-      (** seconds of control-channel partition: the switch stays alive
-          and keeps its (warm) table, but every control frame in either
-          direction is dropped — the resilient runtime declares it down
-          and must reconcile the surviving state on re-handshake. *)
     }
   | Controller_outage of {
       controller_id : int;
       at : float;
       duration : float;
-      (** crash/restart of a controller {e replica} (see
-          {!Controller.Replica}): the member stops sending and receiving
-          at [at] and rejoins as a standby at [at + duration].  Routed
-          through [Network.set_ctl_outage_handler]; a network without a
-          replicated controller ignores it. *)
     }
 
 type t = {
@@ -109,11 +83,6 @@ let create ?seed ?drop ?dup ?jitter ?link_drop ?link_corrupt ?link_reorder
     (make_config ?seed ?drop ?dup ?jitter ?link_drop ?link_corrupt
        ?link_reorder ())
 
-let config t = t.config
-
-(** An independent chaos PRNG derived from the fault's stream — use it
-    for scenario generation (random flap targets, crash times) so the
-    whole run stays a function of one seed. *)
 let derive_prng t = Util.Prng.split t.prng
 
 (* ------------------------------------------------------------------ *)
@@ -128,9 +97,6 @@ let note t ~time fmt =
       end)
     fmt
 
-(** The chaos event trace, oldest first ("<time> <event>" lines; capped
-    at an internal bound).  Byte-equal across runs with the same seed,
-    configuration and workload — the determinism tests diff this. *)
 let events t = List.rev t.trace_rev
 
 (* ------------------------------------------------------------------ *)
@@ -139,15 +105,10 @@ let events t = List.rev t.trace_rev
 type verdict = {
   v_drop : bool;
   v_dup : bool;
-  v_delay : float;       (** extra latency for the first copy *)
-  v_dup_delay : float;   (** extra latency for the duplicate, if any *)
+  v_delay : float;
+  v_dup_delay : float;
 }
 
-(** One verdict per control-channel transmission, drawn by
-    {!Ctl_channel.transmit}.  Draws a fixed number of samples per call
-    (given the configuration), so the random stream — and therefore the
-    trace — is a deterministic function of the sequence of
-    transmissions. *)
 let decide t =
   t.decisions <- t.decisions + 1;
   let c = t.config in
@@ -169,17 +130,14 @@ let decide t =
 (* ------------------------------------------------------------------ *)
 (* Per-link data-packet verdicts *)
 
-(** [has_link_chaos t] — does any link-level rate fire?  [Network]
-    caches this so the zero-rate transmit path stays byte-identical to
-    a run with no fault attached. *)
 let has_link_chaos t =
   let c = t.config in
   c.link_drop > 0.0 || c.link_corrupt > 0.0 || c.link_reorder > 0.0
 
 type link_verdict = {
-  lv_drop : bool;     (** packet vanishes on the wire *)
-  lv_corrupt : bool;  (** payload mangled: receiver fails the CRC *)
-  lv_extra : float;   (** extra delivery latency (reorder), >= 0 *)
+  lv_drop : bool;
+  lv_corrupt : bool;
+  lv_extra : float;
 }
 
 let clean_verdict = { lv_drop = false; lv_corrupt = false; lv_extra = 0.0 }
@@ -197,18 +155,9 @@ let link_stream_seed t ~(node : Topo.Topology.Node.t) ~port =
   lxor (node_key * 0x85EBCA6B)
   lxor (port * 0xC2B2AE3D)
 
-(** A fresh verdict stream for the link leaving [node] via [port].
-    Keyed on [seed] and the link, not drawn from the shared control
-    verdict stream, so the same link replays the same stream at any shard
-    count. *)
 let link_prng t ~node ~port =
   Util.Prng.create (link_stream_seed t ~node ~port)
 
-(** One verdict per data-packet transmission on a link, drawn from that
-    link's own stream.  Fixed number of samples per call given the
-    configuration; precedence drop > corrupt > reorder.  The reorder
-    delay is uniform in [0, 4x the link's propagation [delay]) so a
-    reordered packet genuinely lands behind its successors. *)
 let decide_link t prng ~delay =
   t.link_decisions <- t.link_decisions + 1;
   let c = t.config in
@@ -241,11 +190,6 @@ let decide_link t prng ~delay =
 
 let drops t = t.drops
 let dups t = t.dups
-let jitters t = t.jitters
-let decisions t = t.decisions
-let link_drops t = t.link_drops
-let link_corrupts t = t.link_corrupts
-let link_reorders t = t.link_reorders
 let link_decisions t = t.link_decisions
 
 let pp_stats fmt t =

@@ -1,51 +1,23 @@
-(** The simulated network: switches, hosts and links instantiated from a
-    {!Topo.Topology.t} and driven by a {!Sim.t}.
-
-    Switches forward with {!Flow.Table} match-action semantics; a table
-    miss (or an explicit controller output) produces a packet-in on the
-    control channel.  The control channel speaks wire-encoded
-    {!Openflow} messages with a configurable one-way latency, so the
-    protocol codec is on the hot path exactly as in a real deployment.
-    Its timing (latency, chaos verdicts, FIFO clamps, partitions) and
-    each switch's control session (owner, fencing, xid dedup) live in
-    {!Ctl_channel}; this module encodes, routes and applies what that
-    session admits.
-
-    Links model serialization (size / capacity), propagation delay and a
-    drop-tail queue of configurable depth per direction.  A packet in
-    flight is a flat header record plus size and an opaque tag.
-
-    Per-hop forwarding is allocation- and lookup-light: the per-direction
-    {!link_state} caches the resolved topology link, the egress port's
-    tx counters and the {e destination} object (switch or host record),
-    so a hop touches no hashtable — switch egress states live in a
-    per-switch array indexed by port, hosts cache their access link.
-    The topology's [up] flag is mutated in place by the failure API, so
-    the cached link record always reflects live link status. *)
-
 module Node = Topo.Topology.Node
 
 type pkt = {
-  hdr : Packet.Headers.t;  (** [switch]/[in_port] = current location *)
-  size : int;              (** bytes *)
-  tag : int;               (** correlation tag for host applications *)
-  ttl : int;               (** hop budget; decremented per switch, packets
-                               expire at zero (bounds transient loops) *)
+  hdr : Packet.Headers.t;
+  size : int;
+  tag : int;
+  ttl : int;
 }
 
 type switch = {
   sw_id : int;
   table : Flow.Table.t;
   mutable flood_ports : int list option;
-      (** spanning-tree restriction for [Flood]; [None] = all ports *)
   port_stats : (int, Openflow.Message.port_stat) Hashtbl.t;
   mutable packet_ins : int;
   mutable has_timeouts : bool;  (* whether an expiry sweep is scheduled *)
   mutable out_ports : link_state option array;
       (* lazily resolved egress state, indexed by port *)
   mutable alive : bool;
-      (** false while crashed: drops packets and control messages *)
-  ctl : Ctl_channel.session;  (** the switch's control session *)
+  ctl : Ctl_channel.session;
 }
 
 and host = {
@@ -83,12 +55,8 @@ and link_state = {
          replays identically at any shard count *)
 }
 
-(** How a shard-local network reaches the rest of a sharded simulation
-    (see {!Shard}).  [ri_shard_of] is the partition function;
-    [ri_post] hands a packet crossing a shard boundary to the
-    destination shard as a timestamped envelope. *)
 type remote_iface = {
-  ri_self : int;  (** this network's shard index *)
+  ri_self : int;
   ri_shard_of : Node.t -> int;
   ri_post :
     rem_shard:int -> time:float -> src:Node.t -> src_port:int -> pkt -> unit;
@@ -145,9 +113,6 @@ type t = {
   ingress_tbl : (Node.t * int, link_state) Hashtbl.t;
 }
 
-(** Counters summed over [cs] (all zero for [[]]).  Each event of a
-    sharded run is counted by exactly one shard, so the sum over the
-    shards matches a single-domain run. *)
 let sum_counters cs =
   let sum f = List.fold_left (fun acc c -> acc + f c) 0 cs in
   { delivered = sum (fun c -> c.delivered);
@@ -170,9 +135,6 @@ let default_queue_depth = 64
 (** Default hop budget of injected packets. *)
 let default_ttl = 64
 
-(** [create ?only topo] instantiates the network.  [only] restricts which
-    topology nodes get switch/host state — a shard populates just the
-    nodes it owns and reaches the rest through its {!remote_iface}. *)
 let create ?(queue_depth = default_queue_depth) ?(expiry_period = 1.0)
     ?fault ?only topo =
   let t =
@@ -207,7 +169,6 @@ let create ?(queue_depth = default_queue_depth) ?(expiry_period = 1.0)
     (Topo.Topology.nodes topo);
   t
 
-(** Attaches the cross-shard interface (before any traffic flows). *)
 let set_remote t ri = t.remote <- Some ri
 
 let sim t = t.sim
@@ -577,12 +538,6 @@ let remote_ingress t src src_port =
        Hashtbl.replace t.ingress_tbl (src, src_port) ls;
        Some ls)
 
-(** [receive_remote t ~src ~src_port pkt] completes a cross-shard hop:
-    the packet left the remote shard through link [(src, src_port)] and
-    arrives here (simulated time must already be the arrival time).  The
-    in-flight link-down check runs against {e this} shard's topology
-    clone — incidents are broadcast to every shard's clone at identical
-    times, so the verdict matches the single-domain run exactly. *)
 let receive_remote t ~src ~src_port pkt =
   match remote_ingress t src src_port with
   | None ->
@@ -590,22 +545,14 @@ let receive_remote t ~src ~src_port pkt =
     trace t "drop(no-link) %s port %d" (Node.to_string src) src_port
   | Some ls -> arrive t ls pkt
 
-(** Registers the controller side of the control channel.  [handler]
-    receives wire-encoded messages from switches; {!controller_send}
-    carries messages the other way.  Both directions incur [latency]. *)
 let attach_controller t ?(latency = 1e-3) handler =
   t.channel.latency <- latency;
   t.channel.controller <- Some handler
 
-(** The control session of [switch_id].  @raise Invalid_argument for
-    switches this network does not own. *)
 let ctl_channel t switch_id = (switch t switch_id).ctl
 
-(** {!Ctl_channel.adopt}: re-homes a session's up-direction frames. *)
 let adopt = Ctl_channel.adopt
 
-(** Registers the interpreter for {!Fault.Controller_outage} incidents
-    (see {!Controller.Replica}); without one they are ignored. *)
 let set_ctl_outage_handler t h = t.ctl_outage <- Some h
 
 (* Periodic sweep evicting timed-out rules; started lazily when the
@@ -720,15 +667,6 @@ let deliver_down t sw data =
     trace t "s%d drop(ctl, switch-down) %d frame(s)" sw.sw_id n
   end
 
-(** Controller → switch: delivers wire-encoded [data] to [switch_id]
-    after the control-channel latency.  [data] may carry one message or
-    a whole batch (concatenated frames, see {!Openflow.Wire.encode_batch});
-    stats count the logical messages, and a batch is decoded and applied
-    in frame order as one delivery event.  The controller and the switch
-    live on this one network: a controller never attaches to a sharded
-    simulation.
-    @raise Invalid_argument for a switch this network does not own.
-    @raise Openflow.Wire.Wire_error on undecodable bytes (at delivery). *)
 let controller_send t ~switch_id data =
   let sw = switch t switch_id in
   t.stats.control_msgs <-
@@ -773,17 +711,10 @@ let set_link t node port ~up =
     notify node port;
     notify l.dst l.dst_port
 
-(** Fails the link at [(node, port)] and notifies the controller with
-    port-status messages from both endpoints (switches only). *)
 let fail_link t node port = set_link t node port ~up:false
 
 let restore_link t node port = set_link t node port ~up:true
 
-(** [crash_switch t id] models a switch reboot's first half: forwarding
-    stops, the flow table and its caches are wiped (a restarted switch
-    has an empty table), flood configuration and the control-connection
-    xid memory are reset.  Packets and control frames addressed to the
-    switch are counted in [dropped_down] until {!restart_switch}. *)
 let crash_switch t id =
   let sw = switch t id in
   if sw.alive then begin
@@ -798,10 +729,6 @@ let crash_switch t id =
     | None -> ()
   end
 
-(** [restart_switch t id] brings a crashed switch back with an empty
-    table and announces it to the controller with a [Hello] — the
-    runtime answers with a fresh feature handshake (and, with resilience
-    enabled, resyncs the intended rules). *)
 let restart_switch t id =
   let sw = switch t id in
   if not sw.alive then begin
@@ -842,12 +769,6 @@ let heal_control t id =
     control_send t sw Openflow.Message.Hello
   end
 
-(** [inject t incidents] schedules a chaos scenario: each incident's
-    failure and recovery ride the simulator at their configured absolute
-    times, through {!fail_link}/{!restore_link}/{!crash_switch}/
-    {!restart_switch} — so port-status notifications, controller
-    reaction and the fault trace all happen exactly as for a manual
-    failure. *)
 let inject t incidents =
   List.iter
     (fun (i : Fault.incident) ->
@@ -882,12 +803,8 @@ let inject t incidents =
 (* ------------------------------------------------------------------ *)
 (* Host sending *)
 
-(** [send_from t ~host pkt] puts [pkt] on the host's access link at the
-    current simulated time (headers should carry the intended addressing;
-    location fields are set by the receiving switch). *)
 let send_from t ~host:id pkt = transmit_host t (host t id) 1 pkt
 
-(** Builds a TCP-shaped packet from one synthesized host to another. *)
 let make_pkt ?(size = 1000) ?(tag = 0) ?(tp_src = 10000) ?(tp_dst = 80)
     ?(ttl = default_ttl) ~src ~dst () =
   { hdr =
@@ -895,7 +812,6 @@ let make_pkt ?(size = 1000) ?(tag = 0) ?(tp_src = 10000) ?(tp_dst = 80)
         ~tp_src ~tp_dst;
     size; tag; ttl }
 
-(** [run t ?until ()] advances the simulation (see {!Sim.run}). *)
 let run ?until ?strict ?max_events t () =
   Sim.run ?until ?strict ?max_events t.sim
 

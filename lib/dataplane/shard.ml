@@ -1,39 +1,3 @@
-(** Sharded parallel simulation driver: one {!Network} per shard, run
-    under conservative lookahead (see {!Util.Shard_sync}).
-
-    The sharded simulator is a data-plane-only engine: tables are
-    installed offline ([Zen.install_policy_sharded], or directly per
-    shard), and no controller attaches to it.  A controller
-    ({!Controller.Runtime}, {!Controller.Replica}) runs only on a
-    single-domain {!Network}, so no control frame ever crosses a shard.
-
-    The topology is partitioned by a pluggable function mapping every
-    node to a shard.  Each shard owns the switch/host state of its
-    nodes, a {e clone} of the topology (so the mutable link [up] flags
-    are never shared across domains), its own {!Sim} clock + timing
-    wheel, and — when chaos is configured — its own {!Fault} layer.
-    Packets crossing a shard boundary become timestamped envelopes
-    posted through {!Util.Shard_sync}; the minimum delay over
-    boundary-crossing links is the lookahead that makes the
-    conservative window non-trivial.
-
-    Determinism: a sharded run is a pure function of its inputs and its
-    shard count; the {!Util.Pool} size never changes results (envelopes
-    carry a (time, source shard, sequence) total order).  Against the
-    {e single-domain} engine the equivalence is exact whenever no two
-    causally-independent events share a timestamp: the sequential engine
-    breaks such ties by global scheduling order, which no partitioned
-    execution can reproduce (the classic conservative-PDES caveat), so
-    simultaneous packets contending for one queue may serialize in a
-    different — still deterministic — order.  Tie-free workloads (e.g.
-    {!Traffic.random_pair_specs} with [~stagger]) give byte-equal
-    delivery traces, tables, counters, port stats and chaos traces for
-    any shard count: link verdicts come from per-link streams keyed on
-    [Fault.config.seed], and every incident runs on the shard that
-    owns its node ({!inject}).  Raw executed-event counts always differ:
-    a cross-shard hop costs one extra local event (the source-side queue
-    release), so [logical events = executed - handoffs]. *)
-
 module Node = Topo.Topology.Node
 
 (* a cross-shard envelope payload: a data packet identified by the link
@@ -61,7 +25,6 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Partition functions *)
 
-(** A partition maps every topology node to a shard in [0, shards). *)
 type partition = Topo.Topology.t -> shards:int -> Node.t -> int
 
 (** Contiguous switch-id blocks; hosts follow their uplink switch.  The
@@ -90,12 +53,6 @@ let block_partition : partition =
     (Topo.Topology.host_ids topo);
   fun node -> match Hashtbl.find_opt tbl node with Some s -> s | None -> 0
 
-(** Fat-tree pod partition (for topologies built by {!Topo.Gen.fat_tree}
-    with the same [k]): pods map to contiguous shard blocks, the pod's
-    hosts follow their edge switch, and the core layer is spread evenly.
-    Pod-local traffic then never crosses a shard boundary.
-    @raise Invalid_argument unless [k] is even and the topology has the
-    [5k²/4] switches of a k-ary fat-tree. *)
 let pod_partition ~k : partition =
  fun topo ~shards ->
   let switches = List.length (Topo.Topology.switch_ids topo) in
@@ -130,8 +87,6 @@ let pod_partition ~k : partition =
     (Topo.Topology.host_ids topo);
   fun node -> match Hashtbl.find_opt tbl node with Some s -> s | None -> 0
 
-(** Parses a partition name: ["block"], or ["pod:K"] (even [K >= 2])
-    for the fat-tree pod partition.  Returns [None] on anything else. *)
 let partition_of_string s =
   match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
   | [ "block" ] -> Some block_partition
@@ -193,12 +148,6 @@ let quotient_dist topo shard_of ~shards =
   done;
   d
 
-(** [create ~shards topo] partitions [topo] and instantiates one network
-    per shard.  [partition] defaults to {!block_partition};
-    [fault_config] attaches a chaos layer ({!Fault.of_config}) to every
-    shard; without it the shards have no fault layer.
-    @raise Invalid_argument when a cross-shard link has zero delay (the
-    conservative lookahead would vanish). *)
 let create ?queue_depth ?fault_config
     ?(partition = block_partition) ~shards topo =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
@@ -245,7 +194,6 @@ let topology t = t.topo
 let lookahead t = t.lookahead
 let shard_of t node = t.shard_of node
 
-(** The shard-local networks, indexed by shard. *)
 let nets t = Array.map (fun sh -> sh.sh_net) t.shards
 
 let net t i = t.shards.(i).sh_net
@@ -255,13 +203,6 @@ let net_of_host t id = t.shards.(t.shard_of (Node.Host id)).sh_net
 (* ------------------------------------------------------------------ *)
 (* Incidents *)
 
-(** [inject t incidents] broadcasts a chaos scenario to every shard: the
-    shard owning the incident's node runs it through {!Network.inject}
-    (trace, fault note), and on a link flap every {e other} shard
-    silently flips its own topology clone at the same instants, so the
-    in-flight link-down verdicts every shard makes match the
-    single-domain run exactly.  A [Controller_outage] goes to shard 0,
-    which notes it; no controller runs sharded to act on it. *)
 let inject t incidents =
   Array.iter
     (fun sh ->
@@ -290,12 +231,6 @@ let inject t incidents =
 (* ------------------------------------------------------------------ *)
 (* Running *)
 
-(** [run ?until ?pool t] advances every shard under the conservative
-    window loop, fanning windows over [pool] (default: the process-wide
-    {!Util.Pool}).  Returns the total number of events executed.  Safe
-    to call repeatedly; like {!Sim.run}, [until] is inclusive.  Windows
-    are sized adaptively and stolen by idle workers (see
-    {!Util.Shard_sync.drive}); neither changes observable results. *)
 let run ?until ?pool t =
   let pool = match pool with Some p -> p | None -> Util.Pool.get_default () in
   let before = Array.fold_left (fun a sh -> a + sh.sh_executed) 0 t.shards in
@@ -325,25 +260,17 @@ let run ?until ?pool t =
 (* ------------------------------------------------------------------ *)
 (* Merged observables *)
 
-let executed t = Array.fold_left (fun a sh -> a + sh.sh_executed) 0 t.shards
 let executed_of t i = t.shards.(i).sh_executed
-let rounds t = Util.Shard_sync.rounds t.sync
-let handoffs t = Util.Shard_sync.handoffs t.sync
-let handoffs_of t i = Util.Shard_sync.handoffs_of t.sync i
-let stalls t = Util.Shard_sync.stalls t.sync
-let stalls_of t i = Util.Shard_sync.stalls_of t.sync i
-let steals t = Util.Shard_sync.steals t.sync
-let steals_of t i = Util.Shard_sync.steals_of t.sync i
-let windows_of t i = Util.Shard_sync.windows_of t.sync i
-let avg_window_of t i = Util.Shard_sync.avg_window_of t.sync i
-let backpressure t = Util.Shard_sync.backpressure t.sync
-let high_water t = Util.Shard_sync.high_water t.sync
+let sync_stats t = Util.Shard_sync.stats t.sync
+let rounds t = (sync_stats t).rounds
+let total a = Array.fold_left ( + ) 0 a
+let handoffs t = total (sync_stats t).handoffs
+let stalls t = total (sync_stats t).stalls
+let steals t = total (sync_stats t).steals
 
-(** Merged counters, summed across shards (see {!Network.sum_counters}). *)
 let stats t =
   Network.sum_counters (List.map Network.stats (Array.to_list (nets t)))
 
-(** Merged chaos event traces of all shards, sorted by (time, text). *)
 let chaos_events t =
   let key line =
     match String.index_opt line ' ' with
@@ -414,8 +341,5 @@ let net_signature topo nets =
     switches;
   Buffer.contents buf
 
-(** The sharded run's observable signature — byte-equal to
-    [net_signature topo [single_domain_net]] on the same seed/workload
-    for any shard count. *)
 let signature t =
   net_signature t.topo (Array.to_list (nets t))

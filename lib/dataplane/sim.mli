@@ -1,0 +1,66 @@
+(** The discrete-event engine: a clock and a priority queue of thunks.
+    Everything in the simulated network — packet transmission, link
+    propagation, controller latency, traffic generation, timeouts — is
+    expressed as scheduled events.  Ties execute in scheduling order, so
+    runs are deterministic.
+
+    The queue is a {!Util.Timing_wheel}: O(1) slot filing for the dense
+    near-future events every packet hop schedules, an array-backed near
+    heap for the current tick, and a heap fallback for far timers
+    (retransmits, expiry sweeps).  Its execution order is exactly a
+    binary heap's on (time, scheduling order) — pinned against
+    {!Util.Heap} in [test/util.wheel] and [test/dataplane.sim].
+
+    One executed event allocates its closure, the wheel's entry record
+    (plus a list cell while it waits in a slot) and its boxed time;
+    {!run} pops through {!Util.Timing_wheel.pop_due}, which adds
+    nothing to that.  [test/dataplane.sim] "allocation budget" pins the
+    per-event figure of a forwarding workload. *)
+
+type t
+
+val create : unit -> t
+
+(** Current simulated time in seconds. *)
+val now : t -> float
+
+(** Number of events executed so far. *)
+val executed : t -> int
+
+(** [schedule t ~delay f] runs [f] at [now + delay].
+    @raise Invalid_argument on a negative delay or a non-finite time (a
+    time never reached would sit in the queue forever, and a NaN
+    compares false with every other time). *)
+val schedule : t -> delay:float -> (unit -> unit) -> unit
+
+(** [schedule_at t ~time f] runs [f] at the absolute [time] (clamped to
+    the present if already past).
+    @raise Invalid_argument on a non-finite [time]. *)
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
+
+val pending : t -> int
+
+val peek : t -> (float * (unit -> unit)) option
+
+(** [run ?until ?strict ?max_events t] drains the event queue.  [until]
+    stops the clock at an absolute time (events beyond it stay queued;
+    with [~strict:true] events at exactly [until] stay queued too — the
+    sharded simulator's conservative windows are half-open intervals);
+    [max_events] bounds work as a runaway guard.  Returns the number of
+    events executed by this call. *)
+val run : ?until:float -> ?strict:bool -> ?max_events:int -> t -> int
+
+(** [run_batch t] executes the next pending event and then drains every
+    event sharing its timestamp — including ones scheduled by the batch
+    itself at that same instant — without re-peeking the full queue
+    between events (same-tick drains stay inside the wheel's near heap).
+    Returns the number of events executed; [0] means the queue was
+    empty.  Equivalent to popping one event at a time while the head
+    timestamp is unchanged.
+    Test-only. *)
+val run_batch : t -> int
+
+(** Periodic task: runs [f] every [every] seconds starting after [every],
+    until [f] returns [false] or the optional [stop] time passes.
+    Test-only. *)
+val every : t -> every:float -> ?stop:float -> (unit -> bool) -> unit

@@ -1,24 +1,18 @@
-(** Workload generators and simple host applications layered on the
-    simulated network: constant-bit-rate and Poisson flows, ping-style
-    request/response with RTT measurement, and random traffic mixes. *)
-
 type flow_spec = {
-  src : int;           (** source host id *)
-  dst : int;           (** destination host id *)
-  rate_pps : float;    (** packets per second *)
-  pkt_size : int;      (** bytes *)
+  src : int;
+  dst : int;
+  rate_pps : float;
+  pkt_size : int;
   start : float;
   stop : float;
   tp_dst : int;
-  tp_src : int option; (** fixed source port, or [None] to vary per packet *)
+  tp_src : int option;
 }
 
 let default_flow ~src ~dst =
   { src; dst; rate_pps = 100.0; pkt_size = 1000; start = 0.0; stop = 1.0;
     tp_dst = 80; tp_src = None }
 
-(** [cbr net spec] schedules a constant-bit-rate packet train.  Returns a
-    counter cell incremented per packet sent. *)
 let cbr net (spec : flow_spec) =
   let sent = ref 0 in
   let interval = 1.0 /. spec.rate_pps in
@@ -42,8 +36,6 @@ let cbr net (spec : flow_spec) =
   send_at spec.start;
   sent
 
-(** [poisson net ~prng spec] — as {!cbr} with exponential inter-arrivals
-    of mean [1 / rate_pps]. *)
 let poisson net ~prng (spec : flow_spec) =
   let sent = ref 0 in
   let sim = Network.sim net in
@@ -98,9 +90,6 @@ let install_responders net =
 
 type ping_result = { rtts : (int * float) list ref; lost : unit -> int }
 
-(** [ping net ~src ~dst ~count ~interval] sends [count] echo requests and
-    records (sequence, RTT) pairs as replies arrive.  Call after
-    {!install_responders}. *)
 let ping net ~src ~dst ~count ~interval =
   let rtts = ref [] in
   let sent_at : (int, float) Hashtbl.t = Hashtbl.create 16 in
@@ -127,19 +116,6 @@ let ping net ~src ~dst ~count ~interval =
   done;
   { rtts; lost = (fun () -> Hashtbl.length sent_at) }
 
-(** [random_pair_specs ~prng ~host_ids ...] draws [flows] CBR flow specs
-    between uniformly chosen distinct host pairs — the spec-drawing half
-    of {!random_pairs}, split out so a sharded run can draw the exact
-    same PRNG stream and then install each flow on the shard owning its
-    source host.
-
-    [stagger] draws each flow's start uniformly from [0, stagger)
-    instead of starting every flow at 0.  Synchronized starts make
-    causally-independent packets contend for the same link at the {e same
-    instant}; the sequential engine breaks such ties by global scheduling
-    order, which a sharded run cannot reproduce (see {!Shard}).  A
-    staggered workload has no cross-flow timestamp ties, so sharded and
-    single-domain traces stay byte-equal. *)
 let random_pair_specs ?(fixed_ports = false) ?stagger ~prng ~host_ids ~flows
     ~rate_pps ~pkt_size ~stop () =
   if Array.length host_ids < 2 then
@@ -159,12 +135,6 @@ let random_pair_specs ?(fixed_ports = false) ?stagger ~prng ~host_ids ~flows
     in
     { (default_flow ~src ~dst) with rate_pps; pkt_size; start; stop; tp_src })
 
-(** [random_pairs net ~prng ~flows ~rate_pps ~stop] starts [flows] CBR
-    flows between uniformly chosen distinct host pairs; returns the
-    per-flow sent counters.  By default every packet carries a fresh
-    [tp_src] (an adversarial workload for exact-match caches);
-    [~fixed_ports:true] pins one [tp_src] per flow instead, modelling
-    long-lived 5-tuple flows. *)
 let random_pairs ?fixed_ports net ~prng ~flows ~rate_pps ~pkt_size ~stop =
   let ids = Array.of_list (List.map (fun (h : Network.host) -> h.host_id)
                              (Network.host_list net)) in

@@ -1,28 +1,10 @@
-(** A reliable transport on top of the lossy dataplane: sliding-window
-    ARQ with cumulative ACKs and timeout retransmission — the protocol
-    stack run as a host application, in the x-kernel tradition of
-    composing protocols above a bare forwarding substrate.
-
-    Sequence numbers and ACKs ride in the packet's [tag] field (data:
-    [seq], ACK: [ack_bit lor highest_in_order]).  The receiver delivers
-    in order and acknowledges cumulatively; the sender keeps up to
-    [window] packets in flight and retransmits on timeout, with capped
-    exponential backoff: each expiry multiplies the RTO by [backoff] up
-    to [max_rto], and any base-advancing ACK resets it to the initial
-    value.  (A fixed RTO hammers a lossy or congested path with
-    back-to-back window retransmissions — exactly the collapse the
-    backoff avoids.)  Loss comes from the network itself (drop-tail
-    queues, failures, link chaos), so the transfer exercises exactly the
-    queueing behavior the simulator models.  Used by experiment E14
-    (goodput vs window vs queue depth). *)
-
 let ack_bit = 0x400000
 
 type stats = {
-  mutable sent : int;            (** data transmissions incl. retransmits *)
+  mutable sent : int;
   mutable retransmissions : int;
   mutable acks_received : int;
-  mutable completed_at : float;  (** simulated completion time; nan if not *)
+  mutable completed_at : float;
 }
 
 type t = {
@@ -112,8 +94,10 @@ and arm_timer t =
     else if (not t.done_) && (not t.aborted) && gen = t.timer_gen then
       arm_timer t)
 
+(* an aborted sender is stopped: late ACKs neither advance [base] nor
+   pump new data, so a transfer ends either complete or aborted *)
 let on_sender_receive t (pkt : Network.pkt) =
-  if pkt.tag land ack_bit <> 0 then begin
+  if (not t.aborted) && pkt.tag land ack_bit <> 0 then begin
     let upto = pkt.tag land lnot ack_bit in
     t.stats.acks_received <- t.stats.acks_received + 1;
     if upto + 1 > t.base then begin
@@ -153,20 +137,20 @@ let on_receiver_receive t (pkt : Network.pkt) =
     send_ack t (t.expected - 1)
   end
 
-(** [start net ~src ~dst ~total ()] — begins a reliable transfer of
-    [total] packets; composes with existing host receive handlers.  Run
-    the simulation, then inspect {!stats} / {!is_complete}.  [backoff]
-    multiplies the RTO on every timer expiry (capped at [max_rto],
-    default [8 *. rto]; pass [~backoff:1.0] for the legacy fixed RTO);
-    a loss-free path never fires the timer, so the defaults change
-    nothing there. *)
 let start net ~src ~dst ~total ?(window = 8) ?(rto = 0.05)
     ?(backoff = 2.0) ?max_rto ?(max_retx = 50) ?(pkt_size = 1000)
     ?(tp_dst = 9000) () =
-  if total <= 0 then invalid_arg "Transport.start: total";
-  if window <= 0 then invalid_arg "Transport.start: window";
-  if backoff < 1.0 then invalid_arg "Transport.start: backoff";
+  let bad what = invalid_arg ("Transport.start: " ^ what) in
+  if total <= 0 then bad "total must be >= 1";
+  if window <= 0 then bad "window must be >= 1";
+  if not (Float.is_finite rto && rto > 0.0) then
+    bad "rto must be finite and > 0";
+  if not (Float.is_finite backoff && backoff >= 1.0) then
+    bad "backoff must be finite and >= 1";
   let max_rto = Option.value max_rto ~default:(8.0 *. rto) in
+  if not (Float.is_finite max_rto && max_rto >= rto) then
+    bad "max_rto must be finite and >= rto";
+  if max_retx < 0 then bad "max_retx must be >= 0";
   let t =
     { net; src; dst; total; window; rto; backoff; max_rto; cur_rto = rto;
       max_retx; pkt_size; tp_dst;
@@ -192,8 +176,6 @@ let start net ~src ~dst ~total ?(window = 8) ?(rto = 0.05)
   arm_timer t;
   t
 
-(** Application-level goodput in bits/s (delivered payload over the
-    completed transfer), or [nan] when incomplete. *)
 let goodput t =
   if not t.done_ then nan
   else

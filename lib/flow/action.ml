@@ -1,19 +1,10 @@
-(** Flow-rule actions.
-
-    An {!atom} is a single primitive; a {!seq} applies atoms left to
-    right to one copy of the packet; a {!group} is a multiset of
-    sequences, each applied to its own copy (multicast).  The empty group
-    drops the packet; the group containing one empty sequence would
-    forward nowhere — sequences are only meaningful when they end in an
-    [Output]. *)
-
 open Packet
 
 type port =
-  | Physical of int      (** a concrete port number *)
-  | In_port_out          (** send back through the ingress port *)
-  | Flood                (** all ports except ingress (spanning-tree filtered by the switch) *)
-  | Controller           (** punt to the controller as a packet-in *)
+  | Physical of int
+  | In_port_out
+  | Flood
+  | Controller
 
 type atom =
   | Set_field of Fields.t * int
@@ -24,14 +15,11 @@ type group = seq list
 
 let drop : group = []
 
-(** Forward unchanged through one physical port. *)
 let forward p : group = [ [ Output (Physical p) ] ]
 
 let to_controller : group = [ [ Output Controller ] ]
 let flood : group = [ [ Output Flood ] ]
 
-(** [apply_seq h seq] threads headers through the sequence, returning the
-    final headers and the output ports hit along the way (in order). *)
 let apply_seq (h : Headers.t) (s : seq) =
   let rec go h outs = function
     | [] -> (h, List.rev outs)
@@ -47,11 +35,6 @@ let rec iter_seq f h = function
     f h p;
     iter_seq f h rest
 
-(** [iter_group f h g] calls [f h' p] once per copy the group emits, in
-    order: each sequence replays from [h], and [h'] is the header state
-    at its [Output p].  A copy no [Set_field] touched gets [h] itself
-    (physically), so a caller can reuse whatever it built around [h].
-    This is the switch's forwarding interpreter: it builds no list. *)
 let rec iter_group f (h : Headers.t) (g : group) =
   match g with
   | [] -> ()
@@ -59,8 +42,6 @@ let rec iter_group f (h : Headers.t) (g : group) =
     iter_seq f h s;
     iter_group f h rest
 
-(** [apply_group h g] lists the [(headers, port)] pairs {!iter_group}
-    visits: one per copy the group emits. *)
 let apply_group (h : Headers.t) (g : group) =
   let outs = ref [] in
   iter_group (fun h p -> outs := (h, p) :: !outs) h g;

@@ -1,19 +1,3 @@
-(** Flow-table minimization: semantics-preserving shrinking of a rule
-    list, applied after compilation and before installation (switch TCAM
-    is the scarce resource).
-
-    Two passes, both conservative (they only remove a rule when a purely
-    syntactic argument shows lookups cannot change):
-
-    - {b shadow elimination}: a rule is dead when an earlier
-      (higher-precedence) rule's pattern subsumes its own;
-    - {b redundancy elimination}: a rule is redundant when some later rule
-      with {e identical actions} subsumes its pattern and no rule between
-      them overlaps it with different actions — every packet the rule
-      would catch falls through to the same treatment.
-
-    Passes iterate to a fixpoint (removing one rule can expose another). *)
-
 type rule = {
   priority : int;
   pattern : Pattern.t;
@@ -68,8 +52,6 @@ let redundancy_pass rules =
   done;
   List.filteri (fun i _ -> not redundant.(i)) (Array.to_list arr)
 
-(** [minimize rules] returns an equivalent, usually smaller rule list
-    (same relative order among survivors; priorities unchanged). *)
 let minimize rules =
   let rec fix rules =
     let next = redundancy_pass (shadow_pass rules) in
@@ -77,16 +59,11 @@ let minimize rules =
   in
   fix (sort_rules rules)
 
-(** Lookup semantics of a rule list (the reference the optimizer must
-    preserve): action group of the first matching rule in precedence
-    order, [None] on miss. *)
 let lookup rules (h : Packet.Headers.t) =
   List.find_map
     (fun r -> if Pattern.matches r.pattern h then Some r.actions else None)
     (sort_rules rules)
 
-(** Convenience: minimize the contents of a {!Table.t} in place,
-    returning (before, after) sizes. *)
 let minimize_table (table : Table.t) =
   let before = Table.rules table in
   let shrunk =

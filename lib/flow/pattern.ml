@@ -1,8 +1,3 @@
-(** Wildcard match patterns: the left-hand side of a flow-table rule.
-    A pattern constrains a subset of header fields; unconstrained fields
-    match anything.  IPv4 source/destination support CIDR prefixes
-    (longest-prefix matching emerges from rule priorities). *)
-
 open Packet
 
 type t = {
@@ -18,7 +13,6 @@ type t = {
   tp_dst : int option;
 }
 
-(** Matches every packet. *)
 let any =
   { in_port = None; eth_src = None; eth_dst = None; eth_type = None;
     vlan = None; ip_proto = None; ip4_src = None; ip4_dst = None;
@@ -26,9 +20,6 @@ let any =
 
 let is_any t = t = any
 
-(** [of_field f v] constrains exactly field [f] to [v] (addresses become
-    host prefixes).  @raise Invalid_argument for [Fields.Switch], which is
-    a policy-level meta-field that never appears in a table. *)
 let of_field (f : Fields.t) v =
   match f with
   | Switch -> invalid_arg "Pattern.of_field: Switch is not matchable"
@@ -43,7 +34,6 @@ let of_field (f : Fields.t) v =
   | Tp_src -> { any with tp_src = Some v }
   | Tp_dst -> { any with tp_dst = Some v }
 
-(** [matches t h] tests headers [h] against the pattern. *)
 let matches t (h : Headers.t) =
   let exact field value =
     match field with None -> true | Some v -> v = value
@@ -78,8 +68,6 @@ let meet_prefix a b =
     else if Ipv4.Prefix.subset ~of_:q p then Some p
     else raise Contradiction
 
-(** [conj a b] is the pattern matching exactly the packets matched by
-    both, or [None] when the conjunction is unsatisfiable. *)
 let conj a b =
   match
     { in_port = meet_exact a.in_port b.in_port;
@@ -96,8 +84,6 @@ let conj a b =
   | p -> Some p
   | exception Contradiction -> None
 
-(** [subsumes ~general t] holds when every packet matching [t] also
-    matches [general]. *)
 let subsumes ~general t =
   let exact g s =
     match (g, s) with
@@ -122,7 +108,6 @@ let subsumes ~general t =
   && exact general.tp_src t.tp_src
   && exact general.tp_dst t.tp_dst
 
-(** Two patterns overlap when some packet matches both. *)
 let overlap a b = conj a b <> None
 
 (* ------------------------------------------------------------------ *)
@@ -135,10 +120,6 @@ let overlap a b = conj a b <> None
    lookup with one probe per distinct shape instead of one comparison
    per rule (tuple-space search, as in Open vSwitch). *)
 
-(** A shape packed into an int: bits 0-7 flag the exact-match fields
-    (in_port, eth_src, eth_dst, eth_type, vlan, ip_proto, tp_src,
-    tp_dst); bits 8-13 and 14-19 hold [prefix length + 1] for ip4_src
-    and ip4_dst, or 0 when the field is unconstrained. *)
 type shape = int
 
 let shape_src_shift = 8
@@ -164,10 +145,6 @@ let shape_prefix_mask shape shift =
   | 0 -> 0
   | n -> Ipv4.Prefix.mask_of_length (n - 1)
 
-(** [shape_project shape h] masks headers down to the fields [shape]
-    constrains (everything else, including [switch], becomes 0).  A
-    pattern [p] matches [h] iff
-    [shape_project (shape_of p) h = shape_key p]. *)
 let shape_project (shape : shape) (h : Headers.t) : Headers.t =
   let f b v = if shape land (1 lsl b) <> 0 then v else 0 in
   { switch = 0;
@@ -182,8 +159,6 @@ let shape_project (shape : shape) (h : Headers.t) : Headers.t =
     tp_src = f 6 h.tp_src;
     tp_dst = f 7 h.tp_dst }
 
-(** [shape_key t] is the masked-tuple key under which a rule with this
-    pattern lives in its shape's hashtable. *)
 let shape_key t : Headers.t =
   let v o = Option.value o ~default:0 in
   let net o = match o with None -> 0 | Some p -> Ipv4.Prefix.network p in
@@ -199,7 +174,6 @@ let shape_key t : Headers.t =
     tp_src = v t.tp_src;
     tp_dst = v t.tp_dst }
 
-(** Number of constrained fields — a rough specificity measure. *)
 let weight t =
   let count o = match o with None -> 0 | Some _ -> 1 in
   count t.in_port + count t.eth_src + count t.eth_dst + count t.eth_type

@@ -1,37 +1,3 @@
-(** Priority flow tables: the forwarding state of one switch.
-
-    Lookup returns the action group of the highest-priority matching
-    rule; among equal priorities the earliest-installed rule wins (as in
-    OpenFlow, equal-priority overlaps are discouraged — {!overlaps}
-    detects them).  Rules carry packet/byte counters and optional idle
-    and hard timeouts evicted by {!expire}.  Re-adding a rule with the
-    same priority and pattern replaces its actions and timeouts but
-    preserves its counters and install time (OpenFlow modify semantics).
-
-    {b Fast path.}  Lookup is staged.  In front sits an OVS-style
-    exact-match flow cache: a hashtable keyed on the full header tuple
-    that remembers the winning rule (or the absence of one) for every
-    header value seen since the last table mutation.  Mutations that
-    actually change the rule list — {!add}, a deleting {!remove} /
-    {!remove_strict} / {!clear}, and any eviction by {!expire} —
-    invalidate the cache in O(1) by bumping a generation counter; stale
-    entries are skipped on probe and overwritten.  No-op deletes leave
-    the cache warm.  The cache is bounded ([cache_entries], default
-    {!max_cache_entries}); at capacity it evicts one cold entry per
-    insert (second-chance, see {!Clock_cache}).
-
-    {b Cold path.}  A cache miss does not scan the rule list; it runs a
-    tuple-space-search classifier: rules are grouped by pattern
-    {!Pattern.shape} (the set of constrained fields, CIDR prefixes
-    bucketed per length), one hashtable per shape keyed on the masked
-    header tuple.  Shapes are probed in descending max-priority order,
-    and probing stops early once the best match so far strictly beats
-    the next shape's ceiling, so a lookup costs at most one probe per
-    distinct shape and often just one probe total.  The shape tables and
-    their probe order are maintained incrementally on add/remove/expire,
-    never rebuilt.  Cache hit/miss/invalidation and classifier
-    probe/shape counters are exposed for monitoring. *)
-
 open Packet
 
 type rule = {
@@ -42,12 +8,10 @@ type rule = {
   mutable bytes : int;
   installed_at : float;
   mutable last_hit : float;
-  idle_timeout : float option;  (** seconds of inactivity before eviction *)
-  hard_timeout : float option;  (** absolute lifetime in seconds *)
-  cookie : int;                 (** opaque tag chosen by the controller *)
+  idle_timeout : float option;
+  hard_timeout : float option;
+  cookie : int;
   mutable seq : int;
-      (** installation order, the equal-priority tie-breaker; assigned by
-          {!add} (a modify keeps the replaced rule's slot) *)
 }
 
 module Header_key = struct
@@ -117,14 +81,10 @@ let generation t = t.generation
 
 let cache_size t = Hcache.length t.cache
 
-(** Entries displaced one at a time by the CLOCK hand. *)
 let cache_evictions t = Hcache.evictions t.cache
 
-(** Number of distinct pattern shapes in the table — the probe count a
-    single cold lookup pays. *)
 let shape_count t = Hashtbl.length t.shapes
 
-(** Cumulative shape-table probes performed by the classifier. *)
 let classifier_probes t = t.probes
 
 (* O(1) invalidation: entries stamped with an older generation are dead. *)
@@ -221,13 +181,6 @@ let classifier_remove t r =
          end
        end)
 
-(** [lookup_tuple t h] is the cold path: shapes are probed in descending
-    max-priority (ceiling) order, and probing stops as soon as the best
-    match so far strictly beats the next shape's ceiling — equal
-    ceilings are still probed, because an equal-priority rule installed
-    earlier wins the tie.  At most one probe per distinct pattern shape;
-    agrees with {!lookup_linear} on every header; bypasses (and does not
-    populate) the flow cache. *)
 let lookup_tuple t (h : Headers.t) =
   let rec go best = function
     | [] -> best
@@ -259,11 +212,6 @@ let make_rule ?(priority = 0) ?(idle_timeout = None) ?(hard_timeout = None)
   { priority; pattern; actions; packets = 0; bytes = 0; installed_at = now;
     last_hit = now; idle_timeout; hard_timeout; cookie; seq = 0 }
 
-(** [add t rule] inserts keeping the descending-priority order; a rule
-    with the same priority and pattern as an existing one replaces it
-    (OpenFlow modify semantics: new actions, timeouts and cookie, but
-    the old rule's counters and timestamps are preserved).
-    @raise Table_full when the table is at capacity. *)
 let add t rule =
   let replaced = ref None in
   let rules =
@@ -302,10 +250,6 @@ let add t rule =
      classifier_insert t rule);
   invalidate t
 
-(** [add_copies t rules] adds a fresh copy of each of [rules] —
-    priority, pattern, actions, timeouts and cookie kept, counters and
-    timestamps reset — e.g. to seed a shadow table from another table's
-    rule list. *)
 let add_copies t rules =
   List.iter
     (fun r ->
@@ -338,8 +282,6 @@ let delete_matching t victim =
     List.iter (classifier_remove t) gone;
     invalidate t
 
-(** Removes every rule whose pattern is subsumed by [pattern] (OpenFlow
-    delete semantics); [cookie] restricts deletion to matching cookies. *)
 let remove ?cookie t ~pattern =
   delete_matching t (fun r ->
     let cookie_match =
@@ -347,8 +289,6 @@ let remove ?cookie t ~pattern =
     in
     cookie_match && Pattern.subsumes ~general:pattern r.pattern)
 
-(** [remove_strict t ~priority ~pattern] removes exactly the rule with
-    this priority and pattern, if present (OpenFlow strict-delete). *)
 let remove_strict ?cookie t ~priority ~pattern =
   delete_matching t (fun r ->
     let cookie_match =
@@ -365,15 +305,9 @@ let clear t =
     invalidate t
   end
 
-(** [lookup_linear t h] is the reference path: a linear scan over the
-    rule list, bypassing (and not populating) both fast paths. *)
 let lookup_linear t (h : Headers.t) =
   List.find_opt (fun r -> Pattern.matches r.pattern h) t.rules
 
-(** [lookup t h] returns the winning rule for headers [h], if any,
-    without touching hit/miss or per-rule counters.  Consults the
-    exact-match cache first and falls back to the tuple-space
-    classifier, caching the verdict (including "no match"). *)
 let lookup t (h : Headers.t) =
   match Hcache.find_opt t.cache h with
   | Some (gen, res) when gen = t.generation ->
@@ -385,9 +319,6 @@ let lookup t (h : Headers.t) =
     Hcache.replace t.cache h (t.generation, res);
     res
 
-(** [apply t ~now ~size h] performs a dataplane lookup: updates hit/miss
-    and per-rule counters and returns the winning rule's action group, or
-    [None] on a table miss. *)
 let apply t ~now ~size (h : Headers.t) =
   match lookup t h with
   | None ->
@@ -400,8 +331,6 @@ let apply t ~now ~size (h : Headers.t) =
     r.last_hit <- now;
     Some r.actions
 
-(** [expire t ~now] evicts rules whose idle or hard timeout has passed,
-    returning the evicted rules (for flow-removed notifications). *)
 let expire t ~now =
   let expired r =
     let idle =
@@ -425,8 +354,6 @@ let expire t ~now =
   end;
   gone
 
-(** Pairs of distinct same-priority rules whose patterns overlap — the
-    situations where lookup results depend on insertion order. *)
 let overlaps t =
   let rec go acc = function
     | [] -> List.rev acc
@@ -443,8 +370,6 @@ let overlaps t =
   in
   go [] t.rules
 
-(** Rules that can never match because a higher-priority rule subsumes
-    them — dead table entries. *)
 let shadowed t =
   let rec go seen acc = function
     | [] -> List.rev acc
@@ -470,5 +395,3 @@ let pp fmt t =
       Format.fprintf fmt "  [%4d] %a -> %a (pkts=%d)@." r.priority Pattern.pp
         r.pattern Action.pp_group r.actions r.packets)
     t.rules
-
-let to_string t = Format.asprintf "%a" pp t

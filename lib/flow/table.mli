@@ -1,0 +1,159 @@
+(** Priority flow tables: the forwarding state of one switch.
+
+    Lookup returns the action group of the highest-priority matching
+    rule; among equal priorities the earliest-installed rule wins (as in
+    OpenFlow, equal-priority overlaps are discouraged — {!overlaps}
+    detects them).  Rules carry packet/byte counters and optional idle
+    and hard timeouts evicted by {!expire}.  Re-adding a rule with the
+    same priority and pattern replaces its actions and timeouts but
+    preserves its counters and install time (OpenFlow modify semantics).
+
+    {b Fast path.}  Lookup is staged.  In front sits an OVS-style
+    exact-match flow cache: a hashtable keyed on the full header tuple
+    that remembers the winning rule (or the absence of one) for every
+    header value seen since the last table mutation.  Mutations that
+    actually change the rule list — {!add}, a deleting {!remove} /
+    {!remove_strict} / {!clear}, and any eviction by {!expire} —
+    invalidate the cache in O(1) by bumping a generation counter; stale
+    entries are skipped on probe and overwritten.  No-op deletes leave
+    the cache warm.  The cache is bounded ([cache_entries], default
+    8192); at capacity it evicts one cold entry per
+    insert (second-chance, see {!Clock_cache}).
+
+    {b Cold path.}  A cache miss does not scan the rule list; it runs a
+    tuple-space-search classifier: rules are grouped by pattern
+    {!Pattern.shape} (the set of constrained fields, CIDR prefixes
+    bucketed per length), one hashtable per shape keyed on the masked
+    header tuple.  Shapes are probed in descending max-priority order,
+    and probing stops early once the best match so far strictly beats
+    the next shape's ceiling, so a lookup costs at most one probe per
+    distinct shape and often just one probe total.  The shape tables and
+    their probe order are maintained incrementally on add/remove/expire,
+    never rebuilt.  Cache hit/miss/invalidation and classifier
+    probe/shape counters are exposed for monitoring. *)
+
+open Packet
+
+type rule = {
+  priority : int;
+  pattern : Pattern.t;
+  actions : Action.group;
+  mutable packets : int;
+  mutable bytes : int;
+  installed_at : float;
+  mutable last_hit : float;
+  idle_timeout : float option;  (** seconds of inactivity before eviction *)
+  hard_timeout : float option;  (** absolute lifetime in seconds *)
+  cookie : int;                 (** opaque tag chosen by the controller *)
+  mutable seq : int;
+      (** installation order, the equal-priority tie-breaker; assigned by
+          {!add} (a modify keeps the replaced rule's slot) *)
+}
+
+type t
+
+val create : ?capacity:int -> ?cache_entries:int -> unit -> t
+
+val size : t -> int
+
+val rules : t -> rule list
+
+val hits : t -> int
+
+val misses : t -> int
+
+val cache_hits : t -> int
+
+val cache_misses : t -> int
+
+val invalidations : t -> int
+
+(** Test-only. *)
+val generation : t -> int
+
+(** Test-only. *)
+val cache_size : t -> int
+
+(** Entries displaced one at a time by the CLOCK hand. *)
+val cache_evictions : t -> int
+
+(** Number of distinct pattern shapes in the table — the probe count a
+    single cold lookup pays. *)
+val shape_count : t -> int
+
+(** Cumulative shape-table probes performed by the classifier. *)
+val classifier_probes : t -> int
+
+(** [lookup_tuple t h] is the cold path: shapes are probed in descending
+    max-priority (ceiling) order, and probing stops as soon as the best
+    match so far strictly beats the next shape's ceiling — equal
+    ceilings are still probed, because an equal-priority rule installed
+    earlier wins the tie.  At most one probe per distinct pattern shape;
+    agrees with {!lookup_linear} on every header; bypasses (and does not
+    populate) the flow cache. *)
+val lookup_tuple : t -> Headers.t -> rule option
+
+exception Table_full
+
+val make_rule :
+  ?priority:int ->
+  ?idle_timeout:float option ->
+  ?hard_timeout:float option ->
+  ?cookie:int ->
+  ?now:float ->
+  pattern:Pattern.t -> actions:Action.group -> unit -> rule
+
+(** [add t rule] inserts keeping the descending-priority order; a rule
+    with the same priority and pattern as an existing one replaces it
+    (OpenFlow modify semantics: new actions, timeouts and cookie, but
+    the old rule's counters and timestamps are preserved).
+    @raise Table_full when the table is at capacity. *)
+val add : t -> rule -> unit
+
+(** [add_copies t rules] adds a fresh copy of each of [rules] —
+    priority, pattern, actions, timeouts and cookie kept, counters and
+    timestamps reset — e.g. to seed a shadow table from another table's
+    rule list. *)
+val add_copies : t -> rule list -> unit
+
+(** Removes every rule whose pattern is subsumed by [pattern] (OpenFlow
+    delete semantics); [cookie] restricts deletion to matching cookies. *)
+val remove : ?cookie:int -> t -> pattern:Pattern.t -> unit
+
+(** [remove_strict t ~priority ~pattern] removes exactly the rule with
+    this priority and pattern, if present (OpenFlow strict-delete). *)
+val remove_strict :
+  ?cookie:int -> t -> priority:int -> pattern:Pattern.t -> unit
+
+val clear : t -> unit
+
+(** [lookup_linear t h] is the reference path: a linear scan over the
+    rule list, bypassing (and not populating) both fast paths. *)
+val lookup_linear : t -> Headers.t -> rule option
+
+(** [lookup t h] returns the winning rule for headers [h], if any,
+    without touching hit/miss or per-rule counters.  Consults the
+    exact-match cache first and falls back to the tuple-space
+    classifier, caching the verdict (including "no match"). *)
+val lookup : t -> Headers.t -> rule option
+
+(** [apply t ~now ~size h] performs a dataplane lookup: updates hit/miss
+    and per-rule counters and returns the winning rule's action group, or
+    [None] on a table miss. *)
+val apply :
+  t -> now:float -> size:int -> Headers.t -> Action.group option
+
+(** [expire t ~now] evicts rules whose idle or hard timeout has passed,
+    returning the evicted rules (for flow-removed notifications). *)
+val expire : t -> now:float -> rule list
+
+(** Pairs of distinct same-priority rules whose patterns overlap — the
+    situations where lookup results depend on insertion order.
+    Test-only. *)
+val overlaps : t -> (rule * rule) list
+
+(** Rules that can never match because a higher-priority rule subsumes
+    them — dead table entries. *)
+val shadowed : t -> rule list
+
+val pp : Format.formatter -> t -> unit

@@ -1,18 +1,3 @@
-(** Policy analysis built on the FDD representation.
-
-    Physical equality of hash-consed diagrams is a {e sound} equivalence
-    check (equal pointers ⇒ equal policies) but not complete: a write
-    that re-stores a value guaranteed by an enclosing positive test (as
-    in [filter tpDst = 80; tpDst := 80]) leaves a structural difference
-    with no semantic one.  {!counterexample} therefore walks the two
-    diagrams in lockstep and, at structurally different leaves, decides
-    {e semantic} difference on the path's packet cube by evaluating both
-    action sets on a carefully chosen witness (fresh field values that no
-    action writes, so distinct updates give distinct outputs, and updates
-    that differ only by writes of path-forced values coincide — exactly
-    the semantic quotient).  This makes {!equivalent} sound {e and}
-    complete. *)
-
 open Packet
 
 (* per-field knowledge along a product-walk path *)
@@ -54,8 +39,6 @@ let outputs_of_leaf (s : Fdd.ActSet.t) h =
   |> List.map (fun act -> Fdd.Act.apply act h)
   |> List.sort_uniq Headers.compare
 
-(** [counterexample p q] — [None] iff the policies are equivalent;
-    otherwise a packet on which their output sets differ. *)
 let counterexample p q =
   let dp = Fdd.of_policy p and dq = Fdd.of_policy q in
   let exception Found of Headers.t in
@@ -85,24 +68,15 @@ let counterexample p q =
   | () -> None
   | exception Found h -> Some h
 
-(** [equivalent p q] — do [p] and [q] denote the same packet function?
-    Sound and complete. *)
 let equivalent p q = counterexample p q = None
 
-(** [is_drop p] — does [p] drop every packet? *)
 let is_drop p = equivalent p Syntax.drop
 
-(** [is_id p] — does [p] pass every packet through unchanged (and only
-    that)? *)
 let is_id p = equivalent p Syntax.id
 
-(** [deciding_fields p] — the header fields the policy's behavior
-    actually depends on (tested somewhere in its diagram). *)
 let deciding_fields p =
   let d = Fdd.of_policy p in
   List.filter (fun f -> Fdd.values_of_field d f <> []) Fields.all
 
-(** [table_size ~switch p] — rules the policy compiles to at a switch,
-    without materializing the table. *)
 let table_size ~switch p =
   List.length (Local.rules_of_fdd ~switch (Fdd.of_policy p))

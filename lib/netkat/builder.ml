@@ -1,7 +1,3 @@
-(** Policy builders: canonical network-wide policies synthesized from a
-    topology.  These are the workloads of the compiler experiments and
-    the proactive controller app. *)
-
 open Packet
 module Node = Topo.Topology.Node
 
@@ -34,19 +30,12 @@ let next_hop_policy topo ~field ~value_of =
     (Topo.Topology.host_ids topo)
   |> Syntax.big_union
 
-(** [routing_policy topo] — destination-based shortest-path L2/L3
-    forwarding: for every host [h] and every switch [sw] that can reach
-    it, match [Eth_dst = mac h] at [sw] and forward out the next-hop port
-    of a shortest path.  The union over all pairs is the network-wide
-    policy. *)
 let routing_policy topo =
   next_hop_policy topo ~field:Fields.Eth_dst ~value_of:Mac.of_host_id
 
-(** IP-destination variant of {!routing_policy} (matches [Ip4_dst]). *)
 let ip_routing_policy topo =
   next_hop_policy topo ~field:Fields.Ip4_dst ~value_of:Ipv4.of_host_id
 
-(** One entry of an access-control list. *)
 type acl_entry = {
   allow : bool;
   src_ip : Ipv4.t option;
@@ -79,13 +68,9 @@ let acl_policy entries ~default_allow =
   in
   build entries
 
-(** [firewall topo entries] — routing restricted by the ACL. *)
 let firewall ?(default_allow = true) topo entries =
   Syntax.seq (acl_policy entries ~default_allow) (ip_routing_policy topo)
 
-(** [isolation_policy topo ~groups] — slices hosts into groups and only
-    routes traffic whose source and destination IP belong to the same
-    group (a PlanetLab-style coexistence policy). *)
 let isolation_policy topo ~groups =
   let same_group =
     List.map
@@ -104,8 +89,6 @@ let isolation_policy topo ~groups =
   in
   Syntax.seq (Syntax.big_union same_group) (ip_routing_policy topo)
 
-(** Random exact-match ACL entries for benchmarks: [n] entries over the
-    given host-id universe. *)
 let random_acl prng ~n ~hosts =
   List.init n (fun _ ->
     { allow = Util.Prng.bool prng;

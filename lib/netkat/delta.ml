@@ -1,44 +1,3 @@
-(** Incremental delta recompilation: policy/topology churn without full
-    recompiles.
-
-    A full compile ({!Local.compile_all}) re-derives every switch's
-    table and the installer re-pushes every rule, even when an edit
-    touched one clause of a million-rule deployment.  At scale, churn is
-    continuous — the headline cost is update latency, not one-shot
-    compile time.
-
-    This layer exploits the hash-consed {!Fdd}: within one hash-cons
-    generation, structurally equal diagrams are physically equal, so the
-    {e uid} of the subtree switch [sw] reaches through the diagram's
-    top-level [Switch] spine ({!Fdd.switch_cases}) — which fully
-    determines [restrict (Switch, sw) fdd] — is a certificate for switch
-    [sw]'s entire table.  A {!snapshot} records, per switch, that uid
-    and the derived rule list.  {!compile} then:
-
-    {ol
-    {- compares the whole-policy diagram against the snapshot's — a
-       physically-equal diagram means {e no} switch changed (no per-
-       switch work at all);}
-    {- otherwise unzips the [Switch] spine once (O(spine) for all
-       switches) and skips every switch whose case-subtree uid is
-       unchanged — no restriction, no path extraction, no diffing, no
-       flow-mods, warm flow caches stay warm;}
-    {- re-derives only the changed switches (restrict + extract) and
-       diffs old-vs-new rule lists into
-       minimal adds (new or modified [(priority, pattern)] keys) and
-       strict deletes.}}
-
-    {b Invalidation rules.}  Uids are drawn from a never-reset counter,
-    so uid {e equality} is sound forever — across {!Fdd.clear_cache}
-    and across generations.  What a cache clear
-    destroys is {e completeness}: re-deriving an unchanged policy after
-    [clear_cache] yields fresh uids, so step 2's fast path misses and
-    the switch falls through to step 3 — where a structural rule-list
-    comparison still recognizes the no-op and reports {!Unchanged}.
-    Incremental results therefore stay exactly equal to a from-scratch
-    compile no matter where a [clear_cache] lands (pinned by the
-    [netkat.delta] property tests). *)
-
 open Packet
 
 type entry = {
@@ -52,45 +11,29 @@ type snapshot = {
   entries : (int, entry) Hashtbl.t;  (** per-switch certificates *)
 }
 
-(** What happened to one switch's table. *)
 type change =
   | Unchanged
-      (** table proven identical (by uid, or by structural rule
-          comparison after a cache clear) — nothing to push *)
   | Changed of {
-      rules : Local.rule list;  (** the full new table *)
+      rules : Local.rule list;
       adds : Local.rule list;
-          (** rules to add or modify: new [(priority, pattern)] keys and
-              keys whose actions changed *)
-      deletes : Local.rule list;  (** keys that vanished *)
+      deletes : Local.rule list;
     }
 
 type result = {
-  snapshot : snapshot;  (** certificate set for the next compile *)
-  changes : (int * change) list;  (** per switch, in input order *)
-  skipped : int;  (** switches certified unchanged by uid, not re-derived *)
+  snapshot : snapshot;
+  changes : (int * change) list;
+  skipped : int;
   rederived : int;
-      (** switches whose re-derived table changed; a switch re-derived to
-          an identical table (a fresh uid after a cache clear) counts in
-          neither *)
   n_adds : int;
   n_deletes : int;
 }
 
-(** [find snapshot switch] is the table recorded for [switch], if any
-    (e.g. for re-pushing a crashed switch from the shadow). *)
 let find snapshot switch =
   Option.map (fun e -> e.rules) (Hashtbl.find_opt snapshot.entries switch)
 
-(** Rules across all recorded switches — the deployment's size. *)
 let total_rules snapshot =
   Hashtbl.fold (fun _ e acc -> acc + List.length e.rules) snapshot.entries 0
 
-(** [diff_rules old_rules new_rules] — the flow-mods needed to turn
-    [old_rules] into [new_rules]: adds/modifies for new or changed
-    [(priority, pattern)] keys, strict deletes for vanished ones.
-    Order-insensitive and purely structural, so it is correct even when
-    uid-based detection is unavailable (after a cache clear). *)
 let diff_rules old_rules new_rules =
   let key (r : Local.rule) = (r.priority, r.pattern) in
   let old_tbl = Hashtbl.create 32 in
@@ -143,20 +86,6 @@ let per_switch ~previous ~transform ~keep fdd ~case sw =
        (sw, entry, Changed { rules; adds; deletes })
      | None -> (sw, entry, Changed { rules; adds = rules; deletes = [] }))
 
-(** [compile ?transform ?keep ~switches previous fdd] — one incremental
-    recompilation step: certify every switch of [switches] against
-    [previous] (if any), re-derive and diff only the changed ones, and
-    return the new snapshot.
-
-    [transform] rewrites each derived rule before diffing and recording
-    (e.g. stamping a version tag or a priority base); it must be pure
-    and stable across calls or the uid fast path would certify stale
-    transforms.  [keep] filters derived rules first (e.g. dropping
-    fall-through drop rules for global programs).  Switches absent from
-    [switches] are dropped from the snapshot — the caller no longer owns
-    them.
-    @raise Local.Not_local if the diagram moves packets between
-    switches. *)
 let compile ?(transform = fun (r : Local.rule) -> r)
     ?(keep = fun (_ : Local.rule) -> true) ~switches previous fdd =
   let gen = Fdd.generation () in
@@ -203,8 +132,5 @@ let compile ?(transform = fun (r : Local.rule) -> r)
   { snapshot = { gen; fdd; entries }; changes; skipped; rederived; n_adds;
     n_deletes }
 
-(** [compile_policy ~switches previous pol] — {!compile} from syntax
-    ({!Fdd.of_policy}, which reuses the diagrams of subterms shared with
-    the previous policy). *)
 let compile_policy ?transform ?keep ~switches previous pol =
   compile ?transform ?keep ~switches previous (Fdd.of_policy pol)

@@ -1,0 +1,111 @@
+(** Incremental delta recompilation: policy/topology churn without full
+    recompiles.
+
+    A full compile ({!Local.compile_all}) re-derives every switch's
+    table and the installer re-pushes every rule, even when an edit
+    touched one clause of a million-rule deployment.  At scale, churn is
+    continuous — the headline cost is update latency, not one-shot
+    compile time.
+
+    This layer exploits the hash-consed {!Fdd}: within one hash-cons
+    generation, structurally equal diagrams are physically equal, so the
+    {e uid} of the subtree switch [sw] reaches through the diagram's
+    top-level [Switch] spine ({!Fdd.switch_cases}) — which fully
+    determines [restrict (Switch, sw) fdd] — is a certificate for switch
+    [sw]'s entire table.  A {!snapshot} records, per switch, that uid
+    and the derived rule list.  {!compile} then:
+
+    {ol
+    {- compares the whole-policy diagram against the snapshot's — a
+       physically-equal diagram means {e no} switch changed (no per-
+       switch work at all);}
+    {- otherwise unzips the [Switch] spine once (O(spine) for all
+       switches) and skips every switch whose case-subtree uid is
+       unchanged — no restriction, no path extraction, no diffing, no
+       flow-mods, warm flow caches stay warm;}
+    {- re-derives only the changed switches (restrict + extract) and
+       diffs old-vs-new rule lists into
+       minimal adds (new or modified [(priority, pattern)] keys) and
+       strict deletes.}}
+
+    {b Invalidation rules.}  Uids are drawn from a never-reset counter,
+    so uid {e equality} is sound forever — across {!Fdd.clear_cache}
+    and across generations.  What a cache clear
+    destroys is {e completeness}: re-deriving an unchanged policy after
+    [clear_cache] yields fresh uids, so step 2's fast path misses and
+    the switch falls through to step 3 — where a structural rule-list
+    comparison still recognizes the no-op and reports {!Unchanged}.
+    Incremental results therefore stay exactly equal to a from-scratch
+    compile no matter where a [clear_cache] lands (pinned by the
+    [netkat.delta] property tests). *)
+
+type snapshot
+
+(** What happened to one switch's table. *)
+type change =
+  | Unchanged
+      (** table proven identical (by uid, or by structural rule
+          comparison after a cache clear) — nothing to push *)
+  | Changed of {
+      rules : Local.rule list;  (** the full new table *)
+      adds : Local.rule list;
+          (** rules to add or modify: new [(priority, pattern)] keys and
+              keys whose actions changed *)
+      deletes : Local.rule list;  (** keys that vanished *)
+    }
+
+type result = {
+  snapshot : snapshot;  (** certificate set for the next compile *)
+  changes : (int * change) list;  (** per switch, in input order *)
+  skipped : int;  (** switches certified unchanged by uid, not re-derived *)
+  rederived : int;
+      (** switches whose re-derived table changed; a switch re-derived to
+          an identical table (a fresh uid after a cache clear) counts in
+          neither *)
+  n_adds : int;
+  n_deletes : int;
+}
+
+(** [find snapshot switch] is the table recorded for [switch], if any
+    (e.g. for re-pushing a crashed switch from the shadow). *)
+val find : snapshot -> int -> Local.rule list option
+
+(** Rules across all recorded switches — the deployment's size. *)
+val total_rules : snapshot -> int
+
+(** [diff_rules old_rules new_rules] — the flow-mods needed to turn
+    [old_rules] into [new_rules]: adds/modifies for new or changed
+    [(priority, pattern)] keys, strict deletes for vanished ones.
+    Order-insensitive and purely structural, so it is correct even when
+    uid-based detection is unavailable (after a cache clear).
+    Test-only. *)
+val diff_rules :
+  Local.rule list ->
+  Local.rule list -> Local.rule list * Local.rule list
+
+(** [compile ?transform ?keep ~switches previous fdd] — one incremental
+    recompilation step: certify every switch of [switches] against
+    [previous] (if any), re-derive and diff only the changed ones, and
+    return the new snapshot.
+
+    [transform] rewrites each derived rule before diffing and recording
+    (e.g. stamping a version tag or a priority base); it must be pure
+    and stable across calls or the uid fast path would certify stale
+    transforms.  [keep] filters derived rules first (e.g. dropping
+    fall-through drop rules for global programs).  Switches absent from
+    [switches] are dropped from the snapshot — the caller no longer owns
+    them.
+    @raise Local.Not_local if the diagram moves packets between
+    switches. *)
+val compile :
+  ?transform:(Local.rule -> Local.rule) ->
+  ?keep:(Local.rule -> bool) ->
+  switches:int list -> snapshot option -> Fdd.t -> result
+
+(** [compile_policy ~switches previous pol] — {!compile} from syntax
+    ({!Fdd.of_policy}, which reuses the diagrams of subterms shared with
+    the previous policy). *)
+val compile_policy :
+  ?transform:(Local.rule -> Local.rule) ->
+  ?keep:(Local.rule -> bool) ->
+  switches:int list -> snapshot option -> Syntax.pol -> result

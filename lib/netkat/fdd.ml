@@ -1,53 +1,5 @@
-(** Forwarding decision diagrams (FDDs) — the compiler's intermediate
-    representation, after Smolka et al.'s "A fast compiler for NetKAT".
-
-    An FDD is a binary decision diagram whose internal nodes test
-    [field = value] and whose leaves are {e action sets}: sets of partial
-    header updates, each update producing one output packet (the empty
-    set is drop, the singleton empty update is the identity).
-
-    Diagrams are ordered — along any root-to-leaf path, tests appear in
-    nondecreasing field order, a field is never tested again after a
-    true-branch, and equal fields appear with increasing values along
-    false-branches — and hash-consed, so semantic construction is
-    maximally shared and physical equality [==] coincides with diagram
-    equality.  All construction goes through {!leaf} and {!branch}.
-
-    {b Fast path.}  Actions are {e interned}: structurally equal updates
-    share one record carrying a unique id, so action equality and
-    hashing are O(1) and leaf hash-consing never re-traverses action
-    structure.  Every node carries a precomputed hash and the set of
-    fields its actions write.  The binary operations ({!union}, {!gate},
-    {!seq}, [act_seq], {!restrict}) memoize through persistent global
-    caches keyed on [(op, uid, uid)] that survive across calls —
-    repeated compilation of overlapping policies (the common controller
-    workload) hits warm entries — and are reset by {!clear_cache}.
-
-    An edit's cost follows the part of the diagram it touches, not the
-    diagram's size.  {!union} and {!gate} stop recursing as soon as one
-    operand is [drop], [ident] (gate) or both operands are one node, so
-    {!cond} on an untouched subtree costs the spine above the tested
-    field.  {!seq} sequences the true side of a test [f = v] with
-    [restrict (f, v) b] whenever that side writes no [f]: a guard in
-    front of a large base reaches only the base's case for the guarded
-    values.  {!of_policy} remembers the diagrams of the previous
-    top-level call's syntax nodes (by physical identity), so
-    [Seq (guard, base)] after [base] does not re-walk [base].
-
-    The intern, hash-cons and memo tables are global mutable state
-    without locks, so FDD state must be used by one domain at a time:
-    compiles run on the caller's domain, and a sharded simulation hosts
-    no controller. *)
-
 open Packet
 
-(** A single action: a partial header update, sorted by field, at most
-    one binding per field.  Applying it to a packet yields one packet.
-
-    Values are interned: [of_list] (and every operation producing an
-    action) returns the unique record for the update, so [equal] is an
-    id comparison and [hash] a field read.  The intern table is never
-    reset — ids stay canonical for the lifetime of the process. *)
 module Act = struct
   type t = {
     aid : int;  (* unique id: structural equality <=> id equality *)
@@ -78,13 +30,11 @@ module Act = struct
       Intern.add intern_tbl ikey t;
       t
 
-  (** The identity update. *)
   let id : t = intern []
 
-  (** Unique id of the interned update. *)
+  (* unique id of the interned update *)
   let uid (t : t) = t.aid
 
-  (** The update as an association list, sorted by field. *)
   let bindings (t : t) = t.binds
 
   let field_cmp (f, _) (g, _) = Fields.compare f g
@@ -103,14 +53,12 @@ module Act = struct
     check sorted;
     intern sorted
 
-  (** [single f v] is the one-binding update [f := v]. *)
   let single f v = intern [ (f, v) ]
 
   let get (t : t) f =
     List.find_map (fun (g, v) -> if Fields.equal f g then Some v else None)
       t.binds
 
-  (** [compose a b] is the update "do [a], then [b]" ([b] wins). *)
   let compose (a : t) (b : t) : t =
     if a.aid = id.aid then b
     else if b.aid = id.aid then a
@@ -129,17 +77,6 @@ module Act = struct
     if a.aid = b.aid then 0 else compare a.ikey b.ikey
 
   let equal (a : t) (b : t) = a.aid = b.aid
-  let hash (t : t) = t.aid
-
-  let pp fmt (t : t) =
-    match t.binds with
-    | [] -> Format.pp_print_string fmt "id"
-    | binds ->
-      Format.pp_print_list
-        ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
-        (fun fmt (f, v) ->
-          Format.fprintf fmt "%a:=%a" Fields.pp f Fields.pp_value (f, v))
-        fmt binds
 end
 
 module ActSet = Set.Make (Act)
@@ -155,13 +92,9 @@ type t = {
 
 and node =
   | Leaf of ActSet.t
-  | Branch of test * t * t  (** test, true-branch, false-branch *)
+  | Branch of test * t * t
 
 let uid t = t.uid
-
-(** Precomputed structural hash (leaves hash their action-set ids,
-    branches mix the test with the children's uids). *)
-let hash t = t.hash
 
 (** [writes d f]: some action in some leaf of [d] assigns field [f]. *)
 let writes d f = d.mask land (1 lsl Fields.index f) <> 0
@@ -252,35 +185,17 @@ end)
    time. *)
 let last_policy : (int * t Pol_tbl.t) option ref = ref None
 
-(** Hash-cons generation: bumped by every {!clear_cache}.  Within one
-    generation, structurally equal diagrams are physically equal, so
-    equal uids certify equal diagrams {e and} unequal uids certify the
-    diagrams were not built from shared construction — the property the
-    incremental recompiler ({!Delta}) uses for change detection.  Across
-    a clear, sharing is lost: re-deriving the same policy yields fresh
-    uids, so uid comparison stays {e sound} (uids are never reused) but
-    loses its completeness — equal tables may carry different uids. *)
 let generation () = !memo_generation
 
-(** Sizes of the internal tables:
-    [(leaves, branches, binop cache, restrict cache)]. *)
 let cache_stats () =
   (Leaf_tbl.length leaf_tbl, Hashtbl.length branch_tbl,
    Hashtbl.length binop_cache, Hashtbl.length restrict_cache)
 
-(** Syntax nodes the last top-level {!of_policy} call
-    visited (and so remembers): a call that reuses a shared subterm
-    visits that subterm's root only. *)
 let last_policy_size () =
   match !last_policy with
   | Some (gen, tbl) when gen = generation () -> Pol_tbl.length tbl
   | Some _ | None -> 0
 
-(** Resets the hash-cons tables and the operation caches (used between
-    benchmark runs to measure cold construction).  Existing diagrams
-    remain usable but will no longer share with new ones; [drop] and
-    [ident] stay canonical.  Interned actions are kept — their ids are
-    canonical for the whole process. *)
 let clear_cache () =
   Leaf_tbl.reset leaf_tbl;
   Hashtbl.reset branch_tbl;
@@ -296,15 +211,12 @@ let equal a b = a == b
 (* ------------------------------------------------------------------ *)
 (* Cofactors and generic binary apply *)
 
-(* [pos test d]: specialize [d] under the assumption [test] holds.
-   Precondition: [d]'s root test is >= [test] in diagram order. *)
 let rec pos ((f, v) as t) d =
   match d.node with
   | Leaf _ -> d
   | Branch ((g, u), tru, fls) ->
     if Fields.equal g f then if u = v then tru else pos t fls else d
 
-(* [neg test d]: specialize [d] under the assumption [test] fails. *)
 let neg test d =
   match d.node with
   | Branch (root, _, fls) when test_compare root test = 0 -> fls
@@ -347,7 +259,6 @@ let apply ~tag ~commutative ~terminal op =
   in
   go
 
-(** Pointwise union of the two diagrams' action sets. *)
 let union =
   apply ~tag:op_union ~commutative:true
     ~terminal:(fun a b ->
@@ -364,8 +275,6 @@ let gate =
       else None)
     (fun pass acts -> if ActSet.is_empty pass then ActSet.empty else acts)
 
-(** [cond test t e]: if [test] then [t] else [e], restoring diagram order
-    regardless of the orders of [t] and [e]. *)
 let cond test t e =
   if t == e then t
   else begin
@@ -374,8 +283,6 @@ let cond test t e =
     union (gate p_pos t) (gate p_neg e)
   end
 
-(** [restrict (f, v) d] specializes the diagram to packets known to
-    satisfy [f = v], removing every test on [f]. *)
 let restrict (f, v) d =
   let fi = Fields.index f in
   let rec go d =
@@ -424,12 +331,6 @@ let rec act_seq act d =
       r
   end
 
-(** Kleisli sequencing: run [a], feed every output packet to [b].
-
-    Packets leaving the true side of a test [f = v] in [a] still carry
-    [f = v] unless an action there writes [f], so that side is sequenced
-    with [restrict (f, v) b]: a guard in front of a large base builds
-    only the base's case for the guarded value. *)
 let rec seq a b =
   if b == ident then a
   else if a == ident then b
@@ -498,10 +399,6 @@ let rec of_pred (p : Syntax.pred) =
         if ActSet.is_empty acts then ActSet.singleton Act.id else ActSet.empty)
       (of_pred a)
 
-(** The diagram of a policy.  A syntax node the previous top-level call
-    visited (the same physical value, within one
-    {!generation}) is answered from that call without re-walking it;
-    the answer is the node recomputation would build. *)
 let of_policy (p : Syntax.pol) =
   let gen = generation () in
   let last =
@@ -532,15 +429,12 @@ let of_policy (p : Syntax.pol) =
 (* ------------------------------------------------------------------ *)
 (* Interpretation and inspection *)
 
-(** [eval d h] runs the diagram on headers [h], returning the output
-    packets (one per action in the reached leaf). *)
 let rec eval d (h : Headers.t) =
   match d.node with
   | Leaf acts -> List.map (fun act -> Act.apply act h) (ActSet.elements acts)
   | Branch ((f, v), tru, fls) ->
     if Headers.get h f = v then eval tru h else eval fls h
 
-(** Distinct nodes reachable from [d] — the diagram's size. *)
 let node_count d =
   let seen = Hashtbl.create 64 in
   let rec go d =
@@ -554,16 +448,6 @@ let node_count d =
   go d;
   Hashtbl.length seen
 
-(** [switch_cases d] — the diagram's top-level [Switch] spine unzipped
-    in one walk: [(cases, default)], where [cases] maps each
-    spine-tested switch value to the subtree packets carrying that value
-    reach, and [default] is the fall-through subtree for every value the
-    spine never tests.  Because [Switch] is the first field in the
-    diagram order, [restrict (Switch, sw) d] is a pure function of the
-    reached subtree — so that subtree's uid is a per-switch change
-    certificate costing O(spine) for {e all} switches, where a
-    per-switch [restrict] walk would cost O(spine) {e each} (the
-    incremental recompiler's fast path). *)
 let switch_cases d =
   let cases = Hashtbl.create 64 in
   let rec go d =
@@ -576,10 +460,6 @@ let switch_cases d =
   let default = go d in
   (cases, default)
 
-(** [fold_paths d ~init ~f] visits every root-to-leaf path, true-branches
-    first (the order in which rules must be emitted for priorities to
-    encode the false-branch constraints).  [f] receives the positive
-    tests along the path, the leaf's action set, and the accumulator. *)
 let fold_paths d ~init ~f =
   let rec go d tests acc =
     match d.node with
@@ -590,7 +470,6 @@ let fold_paths d ~init ~f =
   in
   go d [] init
 
-(** Values appearing in tests of field [f] anywhere in the diagram. *)
 let values_of_field d f =
   let seen = Hashtbl.create 16 in
   let vals = Hashtbl.create 16 in
@@ -607,19 +486,3 @@ let values_of_field d f =
   in
   go d;
   Hashtbl.fold (fun v () acc -> v :: acc) vals [] |> List.sort compare
-
-let rec pp fmt d =
-  match d.node with
-  | Leaf acts ->
-    if ActSet.is_empty acts then Format.pp_print_string fmt "drop"
-    else
-      Format.fprintf fmt "{%a}"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " | ")
-           Act.pp)
-        (ActSet.elements acts)
-  | Branch ((f, v), tru, fls) ->
-    Format.fprintf fmt "@[<hv 2>(%a=%a ?@ %a :@ %a)@]" Fields.pp f
-      Fields.pp_value (f, v) pp tru pp fls
-
-let to_string d = Format.asprintf "%a" pp d

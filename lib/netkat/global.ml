@@ -1,58 +1,26 @@
-(** The global compiler: network-wide programs with explicit link hops,
-    compiled to ordinary (single-switch) local policies by threading a
-    {e program counter} through the VLAN field.
-
-    A {!gpol} alternates {e processing stages} (ordinary local policies,
-    each denoting one match-action step at whatever switch the packet
-    occupies) with {e link hops} (the packet physically crossing a named
-    topology link).  This is the NetKAT "in; (p·t)*; out" world made
-    finite: unions and sequences freely, iteration only over link-free
-    fragments — which covers source routing, waypoint chaining and
-    service-function chains, the global programs one actually writes.
-
-    Compilation normalizes the program into {e traces} (stage, link,
-    stage, ..., stage), gives every position in every trace a VLAN tag,
-    and emits one local policy in which: stage 0 runs on untagged packets
-    and must end at its trace's first link source, where the next tag is
-    pushed; stage [j] runs only on packets carrying tag [j] arriving at
-    link [j]'s destination; the final stage pops the tag.  Installing the
-    result with the ordinary local compiler realizes the global program
-    exactly (the correspondence is property-tested against the
-    teleporting denotational semantics).
-
-    Restrictions (checked, {!Unsupported} otherwise): no [Star] over
-    links, no [Switch]/[Vlan] modification inside stages (the VLAN is the
-    program counter), at most {!max_segments} stages per trace. *)
-
 open Packet
 
 exception Unsupported of string
 
-(** A location: switch id and port. *)
 type loc = int * int
 
 type gpol =
-  | Local of Syntax.pol            (** one processing stage *)
-  | GLink of loc * loc             (** cross the link [src -> dst] *)
+  | Local of Syntax.pol
+  | GLink of loc * loc
   | GSeq of gpol * gpol
   | GUnion of gpol * gpol
-  | GStar of gpol                  (** link-free bodies only *)
+  | GStar of gpol
 
 let max_segments = 15
 
 (* ------------------------------------------------------------------ *)
 (* Sugar *)
 
-let local p = Local p
-let glink ~from ~to_ = GLink (from, to_)
 let gseq a b = GSeq (a, b)
-let gunion a b = GUnion (a, b)
 let big_gseq = function
   | [] -> Local Syntax.id
   | x :: xs -> List.fold_left gseq x xs
 
-(** The teleporting denotational reading: links move packets without a
-    physical network.  The specification compiled code must meet. *)
 let rec desugar = function
   | Local p -> p
   | GLink ((s1, p1), (s2, p2)) -> Syntax.link (s1, p1) (s2, p2)
@@ -63,7 +31,6 @@ let rec desugar = function
 (* ------------------------------------------------------------------ *)
 (* Normalization into traces *)
 
-(** stage 0, then (link crossed, following stage) pairs in order *)
 type trace = {
   first : Syntax.pol;
   rest : ((loc * loc) * Syntax.pol) list;
@@ -131,10 +98,6 @@ let rec normalize = function
 let at_loc (sw, pt) =
   Syntax.conj (Syntax.test Fields.Switch sw) (Syntax.test Fields.In_port pt)
 
-(** [compile ?base_tag g] — the local policy realizing [g] over the
-    physical network (install it with {!Local} / {!Zen.install_policy}).
-    Tags are drawn from [base_tag] upward, [max_segments + 1] per trace.
-    @raise Unsupported on programs outside the compilable fragment. *)
 let compile ?(base_tag = 2000) g =
   let traces = normalize g in
   let pols =
@@ -181,8 +144,6 @@ let compile ?(base_tag = 2000) g =
   in
   Syntax.big_union pols
 
-(** [links_of g] — every link hop the program names (for validation
-    against a topology). *)
 let links_of g =
   let rec go = function
     | Local _ -> []
@@ -192,8 +153,6 @@ let links_of g =
   in
   List.sort_uniq compare (go g)
 
-(** [validate topo g] — check every named link exists (and is up) in the
-    topology; returns the offending links. *)
 let validate topo g =
   List.filter
     (fun (((s1, p1), (s2, p2)) : loc * loc) ->
@@ -206,11 +165,6 @@ let validate topo g =
 (* ------------------------------------------------------------------ *)
 (* Convenience builders *)
 
-(** [path_program topo ~vias ~stage ~final] — a source route: at each
-    switch of [vias] in order, apply [stage] and forward toward the next
-    via over the direct link (which must exist); at the last via apply
-    [stage] then [final] (typically delivery to a host port).  The
-    canonical way to express waypoint/service chains. *)
 let path_program topo ~vias ~stage ~final =
   let link_between a b =
     Topo.Topology.out_links topo (Topo.Topology.Node.Switch a)

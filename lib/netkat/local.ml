@@ -1,17 +1,3 @@
-(** Local compilation: policy → FDD → per-switch flow table.
-
-    A policy is {e local} when it never moves packets between switches
-    (no [link]s, no writes to the [Switch] meta-field); such a policy
-    describes the behavior of every switch at once, and compiling it for
-    switch [sw] means specializing to [Switch = sw] and reading rules off
-    the diagram.
-
-    Rules are emitted along the diagram's root-to-leaf paths in
-    true-branch-first order with descending priorities; a path
-    contributes the conjunction of its positive tests as the match
-    pattern, and the shadowing of higher-priority rules encodes the
-    false-branch (negative) constraints exactly. *)
-
 open Packet
 
 exception Not_local of string
@@ -63,13 +49,6 @@ let pattern_of_tests tests =
            assert false))
     Flow.Pattern.any tests
 
-(** [rules_of_restricted d] extracts the rule list from a diagram
-    already specialized to one switch (no [Switch] tests left), highest
-    priority first.  Priorities count paths from the bottom ([n - i]),
-    so an edit that inserts or removes paths leaves every rule {e below}
-    the edit point untouched — the property the incremental recompiler
-    ({!Delta}) relies on for small diffs.
-    @raise Not_local if the diagram moves packets between switches. *)
 let rules_of_restricted d =
   let paths =
     Fdd.fold_paths d ~init:[] ~f:(fun tests acts acc ->
@@ -82,15 +61,9 @@ let rules_of_restricted d =
   |> List.mapi (fun i (pattern, actions) ->
     { priority = n - i; pattern; actions })
 
-(** [rules_of_fdd ~switch d] specializes [d] to the switch and extracts
-    the rule list, highest priority first.
-    @raise Not_local if the diagram moves packets between switches. *)
 let rules_of_fdd ~switch d =
   rules_of_restricted (Fdd.restrict (Fields.Switch, switch) d)
 
-(** [compile ~switch pol] compiles a local policy to the flow table of
-    one switch.
-    @raise Not_local on link policies (switch tests are fine). *)
 let compile ~switch pol =
   rules_of_fdd ~switch (Fdd.of_policy pol)
 
@@ -108,18 +81,12 @@ let table_of_rules ?capacity rules =
   load_rules table rules;
   table
 
-(** As {!compile}, but loaded into a {!Flow.Table.t}. *)
 let compile_table ?capacity ~switch pol =
   table_of_rules ?capacity (compile ~switch pol)
 
-(** [rules_of_fdd_all ~switches d] pairs each switch of [switches], in
-    order, with [rules_of_fdd ~switch d]. *)
 let rules_of_fdd_all ~switches d =
   List.map (fun sw -> (sw, rules_of_fdd ~switch:sw d)) switches
 
-(** [compile_all ~switches pol] compiles a local policy for every switch
-    at once, building its FDD once.
-    @raise Not_local on link policies. *)
 let compile_all ~switches pol = rules_of_fdd_all ~switches (Fdd.of_policy pol)
 
 let pp_rule fmt r =

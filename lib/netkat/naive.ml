@@ -1,16 +1,3 @@
-(** The baseline compiler: straightforward cross-product translation of
-    policies to rules, with none of the FDD's sharing, factoring or
-    shadow elimination.  It exists to quantify what the FDD buys (E1).
-
-    Supported fragment: [Filter]/[Mod]/[Union]/[Seq] where predicates are
-    built from tests with [And]/[Or] (no negation) — the fragment that
-    hand-written rule generators typically cover.  [Union] branches are
-    assumed pairwise disjoint (true of routing and ACL policies, where
-    branches test distinct header values); overlapping branches would
-    need multicast groups that a naive rule list cannot express.
-
-    @raise Unsupported on negation, star, or switch modification. *)
-
 open Packet
 
 exception Unsupported of string
@@ -82,11 +69,6 @@ let rec translate (p : Syntax.pol) : arule list =
       ra
   | Star _ -> raise (Unsupported "star")
 
-(** [compile ~switch pol] produces the rule list for one switch:
-    rules testing another switch are dropped, the switch test is erased,
-    and the rest become flow rules in declaration order.  The result may
-    contain redundant and duplicated entries — that is the point of the
-    baseline. *)
 let compile ~switch pol : Local.rule list =
   let keep r =
     match test_get r.tests Fields.Switch with
@@ -115,8 +97,3 @@ let compile ~switch pol : Local.rule list =
     (fun i (pattern, actions) ->
       { Local.priority = n - i; pattern; actions })
     rules
-
-let total_rules ~switches pol =
-  List.fold_left
-    (fun acc sw -> acc + List.length (compile ~switch:sw pol))
-    0 switches

@@ -1,21 +1,3 @@
-(** Concrete syntax for policies and predicates.
-
-    Grammar (precedence low to high; [+] and [;] associate left):
-    {v
-      pol   ::= pol "+" pol | pol ";" pol | pol "*"
-              | "id" | "drop" | "filter" apred
-              | field ":=" value
-              | "if" pred "then" pol "else" pol
-              | "(" pol ")"
-      pred  ::= pred "or" pred | pred "and" pred | "not" pred | apred
-      apred ::= "true" | "false" | field "=" value | "(" pred ")"
-      field ::= switch | port | ethSrc | ethDst | ethType | vlan
-              | ipProto | ip4Src | ip4Dst | tpSrc | tpDst
-      value ::= integer | 0xHEX | a.b.c.d | aa:bb:cc:dd:ee:ff
-    v}
-
-    {!Syntax.pol_to_string} output parses back to an equal policy. *)
-
 exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
@@ -212,14 +194,12 @@ and parse_apol st =
      | None -> fail "expected a policy, got %S" w)
   | _ -> fail "expected a policy"
 
-(** Parses a policy. @raise Parse_error with a diagnostic on bad input. *)
 let pol_of_string s =
   let st = { toks = tokenize s } in
   let p = parse_pol st in
   if peek st <> Eof then fail "trailing input after policy";
   p
 
-(** Parses a predicate. @raise Parse_error on bad input. *)
 let pred_of_string s =
   let st = { toks = tokenize s } in
   let p = parse_pred st in

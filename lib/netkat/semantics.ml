@@ -1,8 +1,3 @@
-(** Denotational semantics of the policy language: a policy maps one
-    header record to a set of header records.  This interpreter is the
-    specification against which the flow-table compiler is tested — it is
-    deliberately simple rather than fast. *)
-
 open Packet
 
 module HSet = Set.Make (struct
@@ -20,10 +15,6 @@ let rec eval_pred (p : Syntax.pred) (h : Headers.t) =
   | Or (a, b) -> eval_pred a h || eval_pred b h
   | Not a -> not (eval_pred a h)
 
-(** [eval pol h] is the set of packets [pol] produces from [h].  [Star]
-    iterates to a fixpoint, which exists because every reachable header
-    assigns each field either its original value or one written by some
-    [Mod] in the policy — a finite space. *)
 let rec eval (p : Syntax.pol) (h : Headers.t) : HSet.t =
   match p with
   | Filter pred -> if eval_pred pred h then HSet.singleton h else HSet.empty
@@ -47,10 +38,5 @@ let rec eval (p : Syntax.pol) (h : Headers.t) : HSet.t =
     in
     grow (HSet.singleton h) (HSet.singleton h)
 
-(** [eval_set pol hs] maps {!eval} over a set and unions the results. *)
-let eval_set (p : Syntax.pol) (hs : HSet.t) =
-  HSet.fold (fun h acc -> HSet.union (eval p h) acc) hs HSet.empty
-
-(** Packet-level equivalence of two policies on a given input. *)
 let equiv_on (p : Syntax.pol) (q : Syntax.pol) (h : Headers.t) =
   HSet.equal (eval p h) (eval q h)

@@ -1,13 +1,3 @@
-(** Abstract syntax of the policy language — a NetKAT-style algebra of
-    predicates and policies over the header fields of {!Packet.Fields}.
-
-    A policy denotes a function from one packet to a {e set} of packets:
-    [Filter] keeps or drops, [Mod] rewrites one field, [Union] copies the
-    packet through both branches, [Seq] pipes, and [Star] iterates [Seq]
-    to a fixpoint.  Forwarding is expressed by modifying the [In_port]
-    field (the packet's location); network links are the derived form
-    {!link}, which teleports packets between switch locations. *)
-
 open Packet
 
 type pred =
@@ -25,10 +15,8 @@ type pol =
   | Seq of pol * pol
   | Star of pol
 
-(** The always-pass policy. *)
 let id = Filter True
 
-(** The drop-everything policy. *)
 let drop = Filter False
 
 (* Smart constructors perform the cheap algebraic simplifications so
@@ -73,26 +61,17 @@ let star = function
   | Filter True | Filter False -> id
   | p -> Star p
 
-(** n-ary unions/sequences (right-nested); empty union is [drop], empty
-    sequence is [id]. *)
 let big_union ps = List.fold_right union ps drop
 
 let big_seq ps = List.fold_right seq ps id
 
-(** [ite pred p q] — if [pred] then [p] else [q]. *)
 let ite pred p q =
   union (seq (filter pred) p) (seq (filter (neg pred)) q)
 
-(** [at ~switch] restricts to packets located at the given switch. *)
 let at ~switch = filter (test Fields.Switch switch)
 
-(** [forward port] emits through [port] (a location modification). *)
 let forward port = modify Fields.In_port port
 
-(** [link (s1, p1) (s2, p2)] is the derived NetKAT link policy: packets
-    sitting at port [p1] of switch [s1] move to port [p2] of switch [s2].
-    Local (single-switch) compilation rejects policies containing links;
-    the verifier interprets them via the topology instead. *)
 let link (s1, p1) (s2, p2) =
   big_seq
     [ filter (conj (test Fields.Switch s1) (test Fields.In_port p1));

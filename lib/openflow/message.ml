@@ -1,21 +1,12 @@
-(** Control-channel messages between the controller and switches, modeled
-    on OpenFlow 1.0.  Every message travels with a transaction id ([xid]);
-    {!Wire} provides the binary framing.
-
-    Packet payloads on the control channel (packet-in / packet-out) carry
-    the flat {!Packet.Headers.t} view plus the original size and an opaque
-    tag, which is exactly the state the simulated dataplane attaches to a
-    packet in flight. *)
-
 type payload = {
   headers : Packet.Headers.t;
-  size : int;  (** original frame size in bytes *)
-  tag : int;   (** opaque correlation tag (e.g. ping id) *)
+  size : int;
+  tag : int;
 }
 
 type packet_in_reason =
-  | No_match       (** table miss *)
-  | Explicit_send  (** an [Output Controller] action fired *)
+  | No_match
+  | Explicit_send
 
 type packet_in = {
   in_port : int;
@@ -24,16 +15,16 @@ type packet_in = {
 }
 
 type packet_out = {
-  out_in_port : int;  (** ingress port context for [In_port_out]/[Flood] *)
+  out_in_port : int;
   out_actions : Flow.Action.seq;
   out_packet : payload;
 }
 
 type flow_mod_command =
   | Add_flow
-  | Modify_flow        (** replace actions of matching rules, add if absent *)
-  | Delete_flow        (** remove rules subsumed by the pattern *)
-  | Delete_strict_flow (** remove exactly the (priority, pattern) rule *)
+  | Modify_flow
+  | Delete_flow
+  | Delete_strict_flow
 
 type flow_mod = {
   command : flow_mod_command;
@@ -65,16 +56,8 @@ let delete_strict_flow ?(cookie = None) ~priority ~pattern () =
     fm_cookie = (match cookie with None -> -1 | Some c -> c);
     notify_when_removed = false }
 
-(** The bit of a table rule's cookie that records [notify_when_removed]:
-    the flag travels inside the installed rule, so an expiry can emit
-    [Flow_removed] with the controller's cookie (the bit cleared). *)
 let notify_bit = 0x40000000
 
-(** [apply_to_table ~now table fm] is the table half of a flow-mod: the
-    one mapping from [fm] to table operations, shared by the switch and
-    by every controller-side shadow of its table, so a shadow cannot
-    drift from what the switch installs.  [now] stamps added rules; a
-    cookie of [-1] scopes a delete to every cookie. *)
 let apply_to_table ~now table fm =
   let scope = if fm.fm_cookie = -1 then None else Some fm.fm_cookie in
   match fm.command with
@@ -114,12 +97,12 @@ type flow_removed = {
 
 type features_reply = {
   datapath_id : int;
-  port_list : int list;  (** ports that carry links *)
+  port_list : int list;
 }
 
 type stats_request =
-  | Flow_stats_request of Flow.Pattern.t   (** stats of rules subsumed by the pattern *)
-  | Port_stats_request of int option       (** one port, or all when [None] *)
+  | Flow_stats_request of Flow.Pattern.t
+  | Port_stats_request of int option
   | Table_stats_request
 
 type flow_stat = {
@@ -127,8 +110,6 @@ type flow_stat = {
   fs_priority : int;
   fs_cookie : int;
   fs_actions : Flow.Action.group;
-      (** the rule's installed actions — a stats snapshot must let the
-          controller detect action drift, not just missing/extra rules *)
   fs_packets : int;
   fs_bytes : int;
 }
@@ -146,11 +127,11 @@ type table_stat = {
   active_rules : int;
   table_hits : int;
   table_misses : int;
-  cache_hits : int;          (** exact-match flow-cache hits *)
-  cache_misses : int;        (** flow-cache misses (fell to the classifier) *)
-  cache_invalidations : int; (** generation bumps from table mutations *)
-  classifier_probes : int;   (** tuple-space shape-table probes *)
-  classifier_shapes : int;   (** distinct pattern shapes in the table *)
+  cache_hits : int;
+  cache_misses : int;
+  cache_invalidations : int;
+  classifier_probes : int;
+  classifier_shapes : int;
 }
 
 type stats_reply =
@@ -174,13 +155,6 @@ type t =
   | Barrier_request
   | Barrier_reply
   | Fence of int
-      (** leader-lease fencing token (see {!Controller.Replica}): prefixes
-          a flow-mod batch with the sender's lease epoch.  A switch
-          remembers the highest token it has seen and rejects flow-mods
-          in any delivery fenced with a lower one, so a deposed leader's
-          writes cannot land after a failover.  A strictly higher token
-          also resets the switch's flow-mod xid dedup — each epoch is a
-          fresh reliable stream. *)
 
 let type_name = function
   | Hello -> "hello"

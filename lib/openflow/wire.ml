@@ -1,21 +1,3 @@
-(** Binary wire codec for {!Message.t}.
-
-    Framing follows the OpenFlow convention: an 8-byte header
-    [version(1) | type(1) | length(2) | xid(4)] followed by a
-    type-specific body, all big-endian.  The controller runtime round-trips
-    every control message through this codec so that the protocol layer is
-    genuinely exercised, not just modeled.
-
-    Encoding writes single-pass into a growable scratch buffer (one
-    writer per domain): the 8-byte header is reserved, the body
-    written, the header patched with the measured length, and
-    the exact frame copied out — no intermediate [Buffer], no per-field
-    allocation.  {!encode_batch} extends this to several messages in one
-    transmission: frames are simply concatenated, and {!decode_all}
-    walks them back out by their length fields.  Every length that must
-    fit a wire field is range-checked — a frame that cannot be encoded
-    faithfully raises {!Wire_error} rather than truncating. *)
-
 open Util
 open Message
 
@@ -286,24 +268,18 @@ let write_frame w ~xid msg =
   Bytes.unsafe_set b (start + 6) (Char.unsafe_chr ((xid lsr 8) land 0xff));
   Bytes.unsafe_set b (start + 7) (Char.unsafe_chr (xid land 0xff))
 
-(** [encode ~xid msg] frames [msg] into wire bytes. *)
 let encode ~xid msg =
   let w = Domain.DLS.get writer_key in
   w.pos <- 0;
   write_frame w ~xid msg;
   Bytes.sub w.buf 0 w.pos
 
-(** [encode_batch msgs] frames each [(xid, msg)] and concatenates the
-    frames into one transmission; {!decode_all} is the inverse.  A batch
-    of one is byte-identical to {!encode}. *)
 let encode_batch msgs =
   let w = Domain.DLS.get writer_key in
   w.pos <- 0;
   List.iter (fun (xid, msg) -> write_frame w ~xid msg) msgs;
   Bytes.sub w.buf 0 w.pos
 
-(** Number of framed messages in [data], by walking the length fields
-    (malformed tails count as one frame; {!decode_all} reports them). *)
 let frame_count data =
   let n = Bytes.length data in
   let rec go pos count =
@@ -544,8 +520,6 @@ let rbody code c =
   | 20 -> Fence (r32 c)
   | n -> fail "unknown message type %d" n
 
-(** [decode bytes] parses one framed message, returning [(xid, msg)].
-    @raise Wire_error on malformed input or trailing garbage. *)
 let decode data =
   let c = { data; pos = 0; limit = Bytes.length data } in
   let v = r8 c in
@@ -559,11 +533,6 @@ let decode data =
   if c.pos <> Bytes.length data then fail "trailing bytes after message";
   (xid, msg)
 
-(** [decode_all bytes] parses a batch of concatenated frames (see
-    {!encode_batch}) in order; a single frame decodes as a one-element
-    list.  Each frame is bounded by its own length field, so a message
-    body can never read into the next frame.
-    @raise Wire_error on malformed input. *)
 let decode_all data =
   let total = Bytes.length data in
   let c = { data; pos = 0; limit = total } in

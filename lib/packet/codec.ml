@@ -1,17 +1,3 @@
-(** Binary wire codec for {!Frame.t}: big-endian serialization following
-    the standard header layouts (Ethernet II, 802.1Q, ARP over Ethernet,
-    IPv4 without options, TCP without options, UDP, ICMP).  The IPv4
-    header checksum is computed on encode and validated on decode.
-
-    Encoding is single-pass: the total size is computed up front
-    ({!Frame.size}) and every layer writes directly into its slice of
-    one output buffer — no per-layer allocation or blitting.
-    {!encode_into} exposes the same path for callers that reuse a
-    buffer; it writes every byte of the frame explicitly, checksum and
-    reserved fields included, so dirty reused buffers are safe.  Lengths that must fit
-    a wire field (IPv4 total length, TCP/UDP payload sizes) are
-    range-checked and raise {!Parse_error} instead of truncating. *)
-
 open Util
 
 exception Parse_error of string
@@ -97,12 +83,6 @@ let write_arp b off (a : Frame.arp) =
   Bits.set_u32 b (off + 24) (Ipv4.to_int a.tpa);
   28
 
-(** [encode_into frame buf off] serializes [frame] into [buf] at [off]
-    in one pass, returning the number of bytes written
-    (= [Frame.size frame]).  Every byte of the frame is written, so
-    [buf] may hold arbitrary prior contents (e.g. a pooled buffer).
-    @raise Invalid_argument when [buf] is too small.
-    @raise Parse_error when a length exceeds its wire field. *)
 let encode_into (t : Frame.t) b off =
   let size = Frame.size t in
   if off < 0 || off + size > Bytes.length b then
@@ -127,8 +107,6 @@ let encode_into (t : Frame.t) b off =
    | Eth_raw (_, raw) -> Bytes.blit raw 0 b body (Bytes.length raw));
   size
 
-(** [encode frame] serializes to freshly-allocated bytes of exactly
-    [Frame.size frame] bytes. *)
 let encode (t : Frame.t) =
   let b = Bytes.create (Frame.size t) in
   ignore (encode_into t b 0);
@@ -198,8 +176,6 @@ let decode_arp b : Frame.arp =
   { op; sha = Bits.get_u48 b 8; spa = Bits.get_u32 b 14;
     tha = Bits.get_u48 b 18; tpa = Bits.get_u32 b 24 }
 
-(** [decode bytes] parses a frame.
-    @raise Parse_error on malformed or truncated input. *)
 let decode b : Frame.t =
   if Bytes.length b < 14 then fail "ethernet: truncated header";
   let eth_dst = Bits.get_u48 b 0 and eth_src = Bits.get_u48 b 6 in

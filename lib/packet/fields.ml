@@ -1,22 +1,16 @@
-(** The header fields visible to the policy language and to match-action
-    tables.  The declaration order of [t] fixes the variable order of the
-    forwarding decision diagrams built by the compiler: fields tested
-    earlier in the order appear nearer the root. *)
-
 type t =
-  | Switch      (** datapath identifier (meta-field; never in a table pattern) *)
-  | In_port     (** ingress port *)
+  | Switch
+  | In_port
   | Eth_src
   | Eth_dst
   | Eth_type
-  | Vlan        (** VLAN id; [vlan_none] when untagged *)
+  | Vlan
   | Ip_proto
   | Ip4_src
   | Ip4_dst
-  | Tp_src      (** transport source port (TCP/UDP) *)
-  | Tp_dst      (** transport destination port *)
+  | Tp_src
+  | Tp_dst
 
-(** Value carried by an untagged frame in the [Vlan] field. *)
 let vlan_none = 0xffff
 
 let all =
@@ -28,7 +22,6 @@ let index = function
   | Vlan -> 5 | Ip_proto -> 6 | Ip4_src -> 7 | Ip4_dst -> 8 | Tp_src -> 9
   | Tp_dst -> 10
 
-(** Total order used by the FDD: compares declaration positions. *)
 let compare a b = compare (index a) (index b)
 
 let equal a b = index a = index b
@@ -39,8 +32,6 @@ let to_string = function
   | Ip_proto -> "ipProto" | Ip4_src -> "ip4Src" | Ip4_dst -> "ip4Dst"
   | Tp_src -> "tpSrc" | Tp_dst -> "tpDst"
 
-(** Inverse of {!to_string}; recognized names follow the NetKAT surface
-    syntax. @raise Invalid_argument on an unknown name. *)
 let of_string = function
   | "switch" -> Switch | "port" -> In_port | "ethSrc" -> Eth_src
   | "ethDst" -> Eth_dst | "ethType" -> Eth_type | "vlan" -> Vlan
@@ -50,8 +41,6 @@ let of_string = function
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
-(** Renders a field value using the natural notation for the field
-    (dotted quads for addresses, colon hex for MACs, decimal otherwise). *)
 let pp_value fmt (f, v) =
   match f with
   | Eth_src | Eth_dst -> Mac.pp fmt v

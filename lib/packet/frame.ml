@@ -1,14 +1,9 @@
-(** Structured packet representation: a conventional protocol tree of
-    Ethernet / VLAN / ARP / IPv4 / TCP / UDP / ICMP.  {!Codec} maps values
-    of this type to and from wire bytes; {!to_headers} projects them onto
-    the flat {!Headers.t} view used by tables and policies. *)
-
 type tcp = {
   tcp_src : int;
   tcp_dst : int;
   seq : int;
   ack : int;
-  flags : int;  (** low 9 bits: NS CWR ECE URG ACK PSH RST SYN FIN *)
+  flags : int;
   window : int;
   tcp_payload : bytes;
 }
@@ -21,7 +16,7 @@ type ip_payload =
   | Tcp of tcp
   | Udp of udp
   | Icmp of icmp
-  | Ip_raw of int * bytes  (** unknown protocol number, raw body *)
+  | Ip_raw of int * bytes
 
 type ipv4 = {
   ip_src : Ipv4.t;
@@ -36,16 +31,16 @@ type arp_op = Arp_request | Arp_reply
 
 type arp = {
   op : arp_op;
-  sha : Mac.t;   (** sender hardware address *)
-  spa : Ipv4.t;  (** sender protocol address *)
-  tha : Mac.t;   (** target hardware address *)
-  tpa : Ipv4.t;  (** target protocol address *)
+  sha : Mac.t;
+  spa : Ipv4.t;
+  tha : Mac.t;
+  tpa : Ipv4.t;
 }
 
 type eth_payload =
   | Ip of ipv4
   | Arp of arp
-  | Eth_raw of int * bytes  (** unknown ethertype, raw body *)
+  | Eth_raw of int * bytes
 
 type t = {
   eth_src : Mac.t;
@@ -72,10 +67,6 @@ let ethertype_of_payload = function
   | Arp _ -> ethertype_arp
   | Eth_raw (ty, _) -> ty
 
-(** Projects a frame onto the flat header record, locating it at
-    [switch]/[in_port].  Non-IP frames carry zeros in the IP/transport
-    fields; ARP frames expose their protocol addresses as IP fields, as
-    OpenFlow 1.0 does. *)
 let to_headers ~switch ~in_port t =
   let base =
     { Headers.default with
@@ -102,7 +93,6 @@ let to_headers ~switch ~in_port t =
      | Icmp ic -> { base with tp_src = ic.icmp_type; tp_dst = ic.icmp_code }
      | Ip_raw _ -> base)
 
-(** Total on-wire size in bytes (without FCS), as {!Codec.encode} emits. *)
 let size t =
   let ip_payload_size = function
     | Tcp tcp -> 20 + Bytes.length tcp.tcp_payload
@@ -117,8 +107,6 @@ let size t =
     | Eth_raw (_, b) -> Bytes.length b
   in
   14 + (match t.vlan with None -> 0 | Some _ -> 4) + payload_size
-
-(** Convenience constructors used throughout tests and examples. *)
 
 let tcp_packet ?(vlan = None) ?(ttl = 64) ?(flags = 0x02 (* SYN *))
     ?(payload = Bytes.empty) ~eth_src ~eth_dst ~ip_src ~ip_dst ~tp_src ~tp_dst

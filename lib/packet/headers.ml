@@ -1,15 +1,10 @@
-(** The flat header record: the view of a packet that policies and flow
-    tables operate on.  It corresponds to a "located packet" in NetKAT
-    terminology — the [switch] and [in_port] fields record where the
-    packet currently is. *)
-
 type t = {
   switch : int;
   in_port : int;
   eth_src : Mac.t;
   eth_dst : Mac.t;
   eth_type : int;
-  vlan : int;  (** {!Fields.vlan_none} when untagged *)
+  vlan : int;
   ip_proto : int;
   ip4_src : Ipv4.t;
   ip4_dst : Ipv4.t;
@@ -17,7 +12,6 @@ type t = {
   tp_dst : int;
 }
 
-(** All-zero headers on switch 0 port 0, untagged. *)
 let default =
   { switch = 0; in_port = 0; eth_src = 0; eth_dst = 0; eth_type = 0;
     vlan = Fields.vlan_none; ip_proto = 0; ip4_src = 0; ip4_dst = 0;
@@ -56,9 +50,6 @@ let equal (a : t) (b : t) =
 
 let compare (a : t) (b : t) = compare a b
 
-(** Cheap deterministic hash over the full header tuple, suitable as an
-    exact-match flow-cache key (avoids the generic [Hashtbl.hash]
-    traversal). *)
 let hash (t : t) =
   let mix h v = (h * 31) + v in
   mix
@@ -85,10 +76,6 @@ let pp fmt t =
     (if t.vlan = Fields.vlan_none then "-" else string_of_int t.vlan)
     t.ip_proto Ipv4.pp t.ip4_src t.tp_src Ipv4.pp t.ip4_dst t.tp_dst
 
-let to_string t = Format.asprintf "%a" pp t
-
-(** A plausible TCP packet between two synthesized hosts, convenient for
-    tests and workload generators. *)
 let tcp ~switch ~in_port ~src_host ~dst_host ~tp_src ~tp_dst =
   { switch; in_port;
     eth_src = Mac.of_host_id src_host; eth_dst = Mac.of_host_id dst_host;

@@ -1,6 +1,3 @@
-(** IPv4 addresses and CIDR prefixes, represented as 32-bit values in an
-    OCaml [int]. *)
-
 type t = int
 
 let max_addr = 0xffffffff
@@ -11,10 +8,6 @@ let of_octets a b c d =
     [ a; b; c; d ];
   (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 
-let of_int v =
-  if v < 0 || v > max_addr then invalid_arg "Ipv4.of_int";
-  v
-
 let to_int t = t
 
 let to_string t =
@@ -22,7 +15,6 @@ let to_string t =
     ((t lsr 24) land 0xff) ((t lsr 16) land 0xff)
     ((t lsr 8) land 0xff) (t land 0xff)
 
-(** Parses dotted-quad notation. @raise Invalid_argument on bad syntax. *)
 let of_string s =
   match String.split_on_char '.' s with
   | [ a; b; c; d ] ->
@@ -35,12 +27,9 @@ let of_string s =
   | _ -> invalid_arg ("Ipv4.of_string: " ^ s)
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = compare a b
 
-(** CIDR prefixes, e.g. [10.0.0.0/8]. *)
 module Prefix = struct
-  (** [network] is stored with host bits already zeroed. *)
+  (* [network] is stored with host bits already zeroed. *)
   type nonrec prefix = { network : t; length : int }
 
   type t = prefix
@@ -48,8 +37,6 @@ module Prefix = struct
   let mask_of_length len =
     if len = 0 then 0 else max_addr lxor ((1 lsl (32 - len)) - 1)
 
-  (** [make addr len] normalizes [addr] by masking host bits away.
-      @raise Invalid_argument when [len] is outside [0, 32]. *)
   let make addr len =
     if len < 0 || len > 32 then invalid_arg "Ipv4.Prefix.make";
     { network = addr land mask_of_length len; length = len }
@@ -58,20 +45,15 @@ module Prefix = struct
   let any = make 0 0
   let network p = p.network
   let length p = p.length
-  let mask p = mask_of_length p.length
 
-  (** [matches p addr] tests whether [addr] falls inside [p]. *)
   let matches p addr = addr land mask_of_length p.length = p.network
 
-  (** [subset ~of_ p] is true when every address in [p] is also in [of_]. *)
   let subset ~of_ p = p.length >= of_.length && matches of_ p.network
 
-  (** Prefixes overlap iff one contains the other. *)
   let overlap a b = subset ~of_:a b || subset ~of_:b a
 
   let to_string p = Printf.sprintf "%s/%d" (to_string p.network) p.length
 
-  (** Parses ["10.0.0.0/8"]; a bare address means a /32. *)
   let of_string s =
     match String.index_opt s '/' with
     | None -> host (of_string s)
@@ -83,19 +65,8 @@ module Prefix = struct
         | None -> invalid_arg ("Ipv4.Prefix.of_string: " ^ s)
       in
       make addr len
-
-  let pp fmt p = Format.pp_print_string fmt (to_string p)
-  let equal a b = a.network = b.network && a.length = b.length
-
-  (** Longer (more specific) prefixes sort first; used for
-      longest-prefix-match rule generation. *)
-  let compare_specificity a b =
-    match compare b.length a.length with
-    | 0 -> compare a.network b.network
-    | c -> c
 end
 
-(** Deterministic address for a synthesized host id, inside 10.0.0.0/8. *)
 let of_host_id id =
   if id < 0 || id > 0xffffff then invalid_arg "Ipv4.of_host_id";
   of_octets 10 ((id lsr 16) land 0xff) ((id lsr 8) land 0xff) (id land 0xff)

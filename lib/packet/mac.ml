@@ -1,31 +1,20 @@
-(** Ethernet MAC addresses, represented as 48-bit values in an OCaml [int]. *)
-
 type t = int
 
 let broadcast = 0xffffffffffff
 
-(** [of_octets a b c d e f] builds [a:b:c:d:e:f]; each octet must be in
-    [0, 255]. *)
 let of_octets a b c d e f =
   List.iter
     (fun o -> if o < 0 || o > 0xff then invalid_arg "Mac.of_octets")
     [ a; b; c; d; e; f ];
   (a lsl 40) lor (b lsl 32) lor (c lsl 24) lor (d lsl 16) lor (e lsl 8) lor f
 
-(** [of_int v] validates that [v] fits in 48 bits. *)
-let of_int v =
-  if v < 0 || v > broadcast then invalid_arg "Mac.of_int";
-  v
-
 let to_int t = t
 
-(** Conventional colon-separated lowercase hex rendering. *)
 let to_string t =
   Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x"
     ((t lsr 40) land 0xff) ((t lsr 32) land 0xff) ((t lsr 24) land 0xff)
     ((t lsr 16) land 0xff) ((t lsr 8) land 0xff) (t land 0xff)
 
-(** Parses ["aa:bb:cc:dd:ee:ff"]. @raise Invalid_argument on bad syntax. *)
 let of_string s =
   match String.split_on_char ':' s with
   | [ a; b; c; d; e; f ] ->
@@ -39,15 +28,10 @@ let of_string s =
 
 let is_broadcast t = t = broadcast
 
-(** Multicast bit: least-significant bit of the first octet. *)
 let is_multicast t = (t lsr 40) land 1 = 1
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = compare a b
 
-(** A deterministic locally-administered unicast address derived from a
-    small integer id, used when synthesizing hosts. *)
 let of_host_id id =
   if id < 0 || id > 0xffffffff then invalid_arg "Mac.of_host_id";
   0x020000000000 lor id

@@ -1,7 +1,3 @@
-(** Allocation results and the metrics shared by every TE scheme: an
-    allocation assigns each demand a set of (path, rate) pairs; from it
-    we derive link loads, utilization, carried traffic and fairness. *)
-
 module Node = Topo.Topology.Node
 
 type path_share = { path : Topo.Path.t; rate : float }
@@ -13,18 +9,15 @@ type t = { topo : Topo.Topology.t; entries : entry list }
 let allocated_rate e =
   List.fold_left (fun acc s -> acc +. s.rate) 0.0 e.shares
 
-(** Fraction of the demand satisfied, in [0, 1]. *)
 let satisfaction e =
   if e.demand.rate <= 0.0 then 1.0
   else min 1.0 (allocated_rate e /. e.demand.rate)
 
-(** Total traffic carried (sum of allocations, capped by demand). *)
 let carried t =
   List.fold_left
     (fun acc e -> acc +. min (allocated_rate e) e.demand.rate)
     0.0 t.entries
 
-(** Load placed on each directed link: [(node, port) -> bits/s]. *)
 let link_loads t =
   let loads : (Node.t * int, float) Hashtbl.t = Hashtbl.create 64 in
   List.iter
@@ -41,7 +34,6 @@ let link_loads t =
     t.entries;
   loads
 
-(** (max, mean) link utilization over links that carry load. *)
 let utilization t =
   let loads = link_loads t in
   let stats = Util.Stats.Online.create () in
@@ -55,18 +47,14 @@ let utilization t =
   if Util.Stats.Online.count stats = 0 then (0.0, 0.0)
   else (Util.Stats.Online.max_value stats, Util.Stats.Online.mean stats)
 
-(** Jain fairness of demand-satisfaction ratios. *)
 let fairness t =
   match t.entries with
   | [] -> 1.0
   | es -> Util.Stats.jain_fairness (List.map satisfaction es)
 
-(** Demands receiving less than [threshold] of what they asked. *)
 let starved ?(threshold = 0.999) t =
   List.filter (fun e -> satisfaction e < threshold) t.entries
 
-(** True when no directed link carries more than its capacity (within a
-    relative tolerance). *)
 let feasible ?(tolerance = 1e-6) t =
   let loads = link_loads t in
   Hashtbl.fold

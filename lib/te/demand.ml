@@ -1,12 +1,8 @@
-(** Traffic demands for the WAN experiments: a demand asks for [rate]
-    bits/s from one switch (site) to another, with a priority class as in
-    inter-datacenter TE systems (B4's copy/elastic/interactive split). *)
-
 type t = {
-  src : int;       (** source switch id *)
-  dst : int;       (** destination switch id *)
-  rate : float;    (** requested bits per second *)
-  priority : int;  (** lower = more important; 0 is highest *)
+  src : int;
+  dst : int;
+  rate : float;
+  priority : int;
 }
 
 let make ?(priority = 0) ~src ~dst ~rate () =
@@ -19,7 +15,6 @@ let total demands = List.fold_left (fun acc d -> acc +. d.rate) 0.0 demands
 let scale factor demands =
   List.map (fun d -> { d with rate = d.rate *. factor }) demands
 
-(** All-pairs uniform matrix at [rate] per pair. *)
 let uniform ~switches ~rate =
   List.concat_map
     (fun src ->
@@ -28,9 +23,6 @@ let uniform ~switches ~rate =
         switches)
     switches
 
-(** Gravity model: demand between two sites is proportional to the
-    product of their (random) masses, scaled so the matrix totals
-    [total_rate].  Priorities are drawn uniformly from [0, priorities). *)
 let gravity ~prng ~switches ~total_rate ?(priorities = 1) () =
   let sw = Array.of_list switches in
   let n = Array.length sw in
@@ -55,7 +47,3 @@ let gravity ~prng ~switches ~total_rate ?(priorities = 1) () =
         ~rate:(total_rate *. w /. !sum)
         ())
     !raw
-
-let pp fmt d =
-  Format.fprintf fmt "%d->%d @ %.1f Mb/s (p%d)" d.src d.dst (d.rate /. 1e6)
-    d.priority

@@ -1,11 +1,3 @@
-(** Baseline: capacity-oblivious ECMP over shortest paths.
-
-    Every demand is split evenly across all fewest-hops paths, ignoring
-    capacity (what plain OSPF/ECMP does).  Overloaded links then shed
-    traffic: each path share is scaled by its bottleneck factor
-    [min (1, capacity / load)], which models per-flow fair drops and
-    keeps the reported allocation feasible. *)
-
 module Node = Topo.Topology.Node
 
 let solve topo demands : Alloc.t =

@@ -1,14 +1,3 @@
-(** B4-style greedy multipath allocation.
-
-    Demands are served in priority order (group 0 first, as B4 serves
-    interactive before elastic before copy traffic).  Within a group,
-    flows are filled in small quanta, round-robin, each flow placing its
-    quantum on the first of its [k] precomputed shortest paths with
-    residual capacity — so when a shortest path fills up, traffic spills
-    to the next path instead of being lost.  This is the property that
-    lets multipath TE carry substantially more traffic than ECMP at high
-    load. *)
-
 module Node = Topo.Topology.Node
 
 let solve ?(k = 4) ?(quantum_divisor = 50.0) topo demands : Alloc.t =

@@ -1,11 +1,3 @@
-(** Topology generators: the standard shapes used by the examples, tests
-    and experiments.  Switch ids start at 1; host ids start at 1 and are
-    attached to edge switches in ascending order, one link each.
-
-    Unless stated otherwise links default to 1 Gb/s capacity and 10 us
-    propagation delay (datacenter scale); the WAN topologies carry
-    realistic millisecond delays. *)
-
 module Node = Topology.Node
 
 let default_capacity = 1e9
@@ -31,8 +23,6 @@ let attach_hosts ?(capacity = default_capacity) ?(delay = default_delay) topo
       done)
     sw_ids
 
-(** [linear ~switches ~hosts_per_switch ()] is the chain
-    s1 - s2 - ... - sn with hosts on every switch. *)
 let linear ?(hosts_per_switch = 1) ~switches () =
   if switches < 1 then invalid_arg "Gen.linear";
   let topo = Topology.create () in
@@ -46,7 +36,6 @@ let linear ?(hosts_per_switch = 1) ~switches () =
     (List.init switches (fun i -> i + 1));
   topo
 
-(** [ring ~switches ~hosts_per_switch ()] closes the chain into a cycle. *)
 let ring ?(hosts_per_switch = 1) ~switches () =
   if switches < 3 then invalid_arg "Gen.ring: need >= 3 switches";
   let topo = linear ~hosts_per_switch:0 ~switches () in
@@ -55,8 +44,6 @@ let ring ?(hosts_per_switch = 1) ~switches () =
     (List.init switches (fun i -> i + 1));
   topo
 
-(** [star ~leaves ~hosts_per_leaf ()]: switch 1 is the hub; switches
-    2..leaves+1 are leaves carrying the hosts. *)
 let star ?(hosts_per_leaf = 1) ~leaves () =
   if leaves < 1 then invalid_arg "Gen.star";
   let topo = Topology.create () in
@@ -69,31 +56,6 @@ let star ?(hosts_per_leaf = 1) ~leaves () =
     (List.init leaves (fun i -> i + 2));
   topo
 
-(** Complete [fanout]-ary tree of switch levels of the given [depth]
-    (depth 1 = a single switch); hosts hang off the leaves. *)
-let tree ?(hosts_per_leaf = 1) ~depth ~fanout () =
-  if depth < 1 || fanout < 1 then invalid_arg "Gen.tree";
-  let topo = Topology.create () in
-  let next = ref 0 in
-  let fresh () = incr next; !next in
-  let leaves = ref [] in
-  let rec build level =
-    let id = fresh () in
-    Topology.add_switch topo id;
-    if level = depth then leaves := id :: !leaves
-    else
-      for _ = 1 to fanout do
-        let child = build (level + 1) in
-        connect topo (Node.Switch id) (Node.Switch child)
-      done;
-    id
-  in
-  ignore (build 1);
-  attach_hosts topo ~per_switch:hosts_per_leaf (List.rev !leaves);
-  topo
-
-(** [grid ~rows ~cols ()]: rows x cols mesh; switch id of cell (r, c)
-    (0-based) is [r * cols + c + 1]; one host per switch. *)
 let grid ?(hosts_per_switch = 1) ?(wrap = false) ~rows ~cols () =
   if rows < 1 || cols < 1 then invalid_arg "Gen.grid";
   let topo = Topology.create () in
@@ -126,8 +88,6 @@ let grid ?(hosts_per_switch = 1) ?(wrap = false) ~rows ~cols () =
 let torus ?(hosts_per_switch = 1) ~rows ~cols () =
   grid ~hosts_per_switch ~wrap:true ~rows ~cols ()
 
-(** Description of a fat-tree built by {!fat_tree}, exposing the id
-    ranges of each switch layer. *)
 type fat_tree_info = {
   k : int;
   core : int list;
@@ -136,11 +96,6 @@ type fat_tree_info = {
   host_ids : int list;
 }
 
-(** The standard k-ary fat-tree (Al-Fares et al.): [(k/2)^2] core
-    switches, [k] pods of [k/2] aggregation and [k/2] edge switches, and
-    [k/2] hosts per edge switch — [k^3/4] hosts total.  [k] must be even
-    and >= 2.  Core links get 10x the edge capacity, matching common
-    oversubscription setups. *)
 let fat_tree ~k () =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Gen.fat_tree: k must be even";
   let topo = Topology.create () in
@@ -179,9 +134,6 @@ let fat_tree ~k () =
   ( topo,
     { k; core; aggregation = !aggregation; edge = !edge; host_ids } )
 
-(** Two-tier leaf-spine fabric: every leaf connects to every spine;
-    hosts hang off the leaves.  Spine ids are 1..spines, leaf ids
-    follow.  Spine links carry 4x the edge capacity. *)
 let leaf_spine ?(hosts_per_leaf = 4) ~leaves ~spines () =
   if leaves < 1 || spines < 1 then invalid_arg "Gen.leaf_spine";
   let topo = Topology.create () in
@@ -200,10 +152,6 @@ let leaf_spine ?(hosts_per_leaf = 4) ~leaves ~spines () =
   attach_hosts topo ~per_switch:hosts_per_leaf leaf_ids;
   topo
 
-(** Jellyfish (random regular graph of switches, Singla et al.): each of
-    [switches] switches gets [degree] inter-switch links wired by random
-    matching (with patching passes so the graph ends up connected);
-    [hosts_per_switch] hosts per switch. *)
 let jellyfish ?(hosts_per_switch = 1) ~switches ~degree ~prng () =
   if switches < degree + 1 then invalid_arg "Gen.jellyfish: too few switches";
   let topo = Topology.create () in
@@ -254,10 +202,6 @@ let jellyfish ?(hosts_per_switch = 1) ~switches ~degree ~prng () =
     (List.init switches (fun i -> i + 1));
   topo
 
-(** Waxman random graph over [n] switches placed uniformly in the unit
-    square; edge probability [alpha * exp (-d / (beta * L))].  The result
-    is forced connected by chaining any leftover components.  Link delays
-    are proportional to Euclidean distance (1 ms per unit). *)
 let waxman ?(hosts_per_switch = 1) ?(alpha = 0.4) ?(beta = 0.4) ~switches ~prng
     () =
   if switches < 1 then invalid_arg "Gen.waxman";
@@ -309,8 +253,6 @@ let wan_of_edges ~hosts_per_switch ~capacity edges ~n =
     (List.init n (fun i -> i + 1));
   topo
 
-(** The classic 11-node Abilene research backbone (delays approximate
-    great-circle latency in ms). *)
 let abilene ?(hosts_per_switch = 1) ?(capacity = 10e9) () =
   (* 1 Seattle, 2 Sunnyvale, 3 Los Angeles, 4 Denver, 5 Kansas City,
      6 Houston, 7 Chicago, 8 Indianapolis, 9 Atlanta, 10 Washington,
@@ -320,10 +262,6 @@ let abilene ?(hosts_per_switch = 1) ?(capacity = 10e9) () =
       (4, 5, 6.0); (5, 6, 7.0); (5, 8, 5.0); (6, 9, 10.0); (7, 8, 2.0);
       (7, 11, 8.0); (8, 9, 5.0); (9, 10, 6.0); (10, 11, 2.0) ]
 
-(** A 12-site inter-datacenter WAN in the shape of Google's B4 as
-    published at SIGCOMM'13: three geographic clusters (North America,
-    Europe, Asia) with rich intra-cluster meshing and a few long
-    inter-continental links. *)
 let b4 ?(hosts_per_switch = 1) ?(capacity = 10e9) () =
   wan_of_edges ~hosts_per_switch ~capacity ~n:12
     [ (* North America: 1-6 *)
@@ -338,8 +276,6 @@ let b4 ?(hosts_per_switch = 1) ?(capacity = 10e9) () =
       (* Asia: 10-12 *)
       (10, 11, 15.0); (11, 12, 12.0); (10, 12, 20.0) ]
 
-(** Named lookup used by the CLI: one of "linear:N", "ring:N", "star:N",
-    "fattree:K", "grid:RxC", "abilene", "b4", "waxman:N:SEED". *)
 let of_spec spec =
   let parse_int s =
     match int_of_string_opt s with

@@ -1,31 +1,8 @@
-(** Path computation over a {!Topology.t}.
-
-    All algorithms respect two network realities: links that are down are
-    invisible, and hosts never transit traffic (a path may start or end at
-    a host but never pass through one).
-
-    A path is a list of hops; each hop records the node left, the egress
-    port used, and the link taken. *)
-
 module Node = Topology.Node
 
 type hop = { node : Node.t; out_port : int; next : Node.t; in_port : int }
 
 type t = hop list
-(** in travel order; empty for the trivial path from a node to itself *)
-
-let length (p : t) = List.length p
-
-let nodes ~src (p : t) = src :: List.map (fun h -> h.next) p
-
-let pp fmt (p : t) =
-  match p with
-  | [] -> Format.pp_print_string fmt "<empty>"
-  | first :: _ ->
-    Format.fprintf fmt "%a" Node.pp first.node;
-    List.iter (fun h -> Format.fprintf fmt " -[%d]-> %a" h.out_port Node.pp h.next) p
-
-let to_string p = Format.asprintf "%a" pp p
 
 (* Expand the neighbors of [node]: traffic may leave a host only when the
    host is the path source. *)
@@ -39,9 +16,6 @@ let successors topo ~src node =
 (* ------------------------------------------------------------------ *)
 (* BFS (unit weights) *)
 
-(** [bfs topo ~src] returns the predecessor-hop table of a breadth-first
-    search from [src]: for each reached node, the hop by which it was first
-    reached.  [src] itself is not in the table. *)
 let bfs topo ~src =
   let pred : (Node.t, hop) Hashtbl.t = Hashtbl.create 64 in
   let visited : (Node.t, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -74,16 +48,11 @@ let walk_back pred ~src ~dst =
     go dst []
   end
 
-(** Fewest-hops path, or [None] when [dst] is unreachable. *)
 let shortest_path topo ~src ~dst = walk_back (bfs topo ~src) ~src ~dst
 
 (* ------------------------------------------------------------------ *)
 (* Dijkstra (arbitrary non-negative weights) *)
 
-(** [dijkstra topo ~weight ~src] computes least-cost distances and
-    predecessor hops from [src].  [weight] maps each half-link to a
-    non-negative cost (e.g. [fun l -> l.delay], or [fun _ -> 1.] for hop
-    count). *)
 let dijkstra topo ~weight ~src =
   let dist : (Node.t, float) Hashtbl.t = Hashtbl.create 64 in
   let pred : (Node.t, hop) Hashtbl.t = Hashtbl.create 64 in
@@ -119,7 +88,6 @@ let dijkstra topo ~weight ~src =
   done;
   (dist, pred)
 
-(** Least-[weight] path with its total cost, or [None] if unreachable. *)
 let cheapest_path topo ~weight ~src ~dst =
   let dist, pred = dijkstra topo ~weight ~src in
   match Hashtbl.find_opt dist dst with
@@ -132,8 +100,6 @@ let cheapest_path topo ~weight ~src ~dst =
 (* ------------------------------------------------------------------ *)
 (* Bellman-Ford — used as an independent oracle in property tests *)
 
-(** Same contract as the distance table of {!dijkstra}, computed by
-    Bellman-Ford relaxation. *)
 let bellman_ford topo ~weight ~src =
   let dist : (Node.t, float) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.replace dist src 0.0;
@@ -171,9 +137,6 @@ let bellman_ford topo ~weight ~src =
 (* ------------------------------------------------------------------ *)
 (* All shortest paths (ECMP sets) *)
 
-(** [all_shortest_paths topo ~src ~dst] enumerates every fewest-hops path
-    (the ECMP set).  The result is empty when [dst] is unreachable and
-    [[[]]] when [src = dst]. *)
 let all_shortest_paths topo ~src ~dst =
   (* hop-count distances from every node to dst would need a reverse
      graph; instead compute distances from src and walk the BFS DAG. *)
@@ -220,8 +183,6 @@ let path_cost topo ~weight (p : t) =
       | None -> acc)
     0.0 p
 
-(** [k_shortest topo ~weight ~src ~dst k] returns up to [k] loop-free
-    paths in nondecreasing cost order (Yen's algorithm). *)
 let k_shortest topo ~weight ~src ~dst k =
   if k <= 0 then []
   else begin
@@ -315,11 +276,6 @@ let k_shortest topo ~weight ~src ~dst k =
 (* ------------------------------------------------------------------ *)
 (* Spanning tree (for flooding) *)
 
-(** [spanning_tree topo] returns, for each switch, the set of ports that
-    belong to a BFS spanning tree of the switch-and-host graph rooted at
-    the lowest-id switch.  Flooding along exactly these ports reaches
-    every node once with no loops.  Host-facing ports are always
-    included. *)
 let spanning_tree topo =
   let result : (int, int list) Hashtbl.t = Hashtbl.create 16 in
   (match Topology.switches topo with

@@ -1,20 +1,9 @@
-(** Network topology: a port-labelled multigraph of switches and hosts.
-
-    Links are bidirectional and are stored as two directed half-links so
-    that per-direction state (queues, failures) is natural.  Ports are
-    integers local to each node, numbered from 1.  Hosts have exactly one
-    port.  The graph is mutable: builders add nodes and links, and the
-    failure API flips links up/down in place (routing recomputes from the
-    surviving graph). *)
-
 module Node = struct
   type t =
     | Switch of int
     | Host of int
 
-  let compare (a : t) (b : t) = compare a b
   let equal (a : t) (b : t) = a = b
-  let hash = Hashtbl.hash
 
   let is_switch = function Switch _ -> true | Host _ -> false
   let is_host = function Host _ -> true | Switch _ -> false
@@ -28,14 +17,13 @@ module Node = struct
   let pp fmt t = Format.pp_print_string fmt (to_string t)
 end
 
-(** Attributes of one direction of a link. *)
 type link = {
   src : Node.t;
   src_port : int;
   dst : Node.t;
   dst_port : int;
-  capacity : float;  (** bits per second *)
-  delay : float;     (** propagation delay, seconds *)
+  capacity : float;
+  delay : float;
   mutable up : bool;
 }
 
@@ -51,11 +39,6 @@ let create () =
   { node_tbl = Hashtbl.create 64; port_tbl = Hashtbl.create 64;
     node_order = [] }
 
-(** [copy t] is a structural clone: same nodes, ports and link
-    attributes, but with {e fresh} link records so [set_link_up] on the
-    copy never touches the original (and vice versa).  The sharded
-    simulator gives each shard its own clone so the mutable [up] flags
-    are never shared across domains. *)
 let copy t =
   let c =
     { node_tbl = Hashtbl.copy t.node_tbl;
@@ -79,9 +62,7 @@ let add_node t n =
   end
 
 let add_switch t id = add_node t (Node.Switch id)
-let add_host t id = add_node t (Node.Host id)
 
-(** All nodes in insertion order. *)
 let nodes t = List.rev t.node_order
 
 let switches t = List.filter Node.is_switch (nodes t)
@@ -92,13 +73,6 @@ let host_ids t = List.map Node.id (hosts t)
 
 exception Port_in_use of Node.t * int
 
-(** [add_link t (a, pa) (b, pb) ~capacity ~delay] connects port [pa] of
-    [a] to port [pb] of [b] with symmetric attributes.  Both endpoints are
-    added to the graph if missing.
-    @raise Port_in_use if either port already carries a link.
-    @raise Invalid_argument unless [capacity] (bits/s) is positive and
-    [delay] (seconds) finite and non-negative: a link with no capacity
-    would take forever to serialize a packet. *)
 let add_link t (a, pa) (b, pb) ~capacity ~delay =
   if not (capacity > 0.0) then
     invalid_arg "Topology.add_link: capacity must be positive";
@@ -115,24 +89,19 @@ let add_link t (a, pa) (b, pb) ~capacity ~delay =
     { src = b; src_port = pb; dst = a; dst_port = pa; capacity; delay;
       up = true }
 
-(** The half-link leaving [node] through [port], if any (up or down). *)
 let link_via t node port = Hashtbl.find_opt t.port_tbl (node, port)
 
-(** [peer t node port] is [Some (peer, peer_port)] when an {e up} link
-    leaves [node] through [port]. *)
 let peer t node port =
   match link_via t node port with
   | Some l when l.up -> Some (l.dst, l.dst_port)
   | Some _ | None -> None
 
-(** Ports of [node] that carry a link (up or down), ascending. *)
 let ports t node =
   Hashtbl.fold
     (fun (n, p) _ acc -> if Node.equal n node then p :: acc else acc)
     t.port_tbl []
   |> List.sort compare
 
-(** Outgoing up half-links of [node], in ascending port order. *)
 let out_links t node =
   ports t node
   |> List.filter_map (fun p ->
@@ -140,8 +109,6 @@ let out_links t node =
     | Some l when l.up -> Some l
     | Some _ | None -> None)
 
-(** All links as half-link pairs reported once per bidirectional link
-    (the direction with the smaller [(node, port)] endpoint). *)
 let links t =
   Hashtbl.fold
     (fun (n, p) l acc ->
@@ -149,8 +116,6 @@ let links t =
     t.port_tbl []
   |> List.sort (fun a b -> compare (a.src, a.src_port) (b.src, b.src_port))
 
-(** [set_link_up t (a, pa) up] marks both directions of the link through
-    [(a, pa)] as up/down.  No-op if no such link exists. *)
 let set_link_up t (a, pa) up =
   match link_via t a pa with
   | None -> ()
@@ -163,22 +128,18 @@ let set_link_up t (a, pa) up =
 let fail_link t endpoint = set_link_up t endpoint false
 let restore_link t endpoint = set_link_up t endpoint true
 
-(** [fail_node t n] downs every link of [n]. *)
 let fail_node t n = List.iter (fun p -> set_link_up t (n, p) false) (ports t n)
 
-(** Lowest unused port number of [node] (ports start at 1). *)
 let fresh_port t node =
   let used = ports t node in
   let rec go p = if List.mem p used then go (p + 1) else p in
   go 1
 
-(** The switch a host attaches to, with the switch-side port. *)
 let attachment t host_id =
   match peer t (Node.Host host_id) 1 with
   | Some (sw, sw_port) when Node.is_switch sw -> Some (Node.id sw, sw_port)
   | Some _ | None -> None
 
-(** Host ids attached to switch [sw_id], with the switch-side port. *)
 let hosts_of_switch t sw_id =
   out_links t (Node.Switch sw_id)
   |> List.filter_map (fun l ->
@@ -200,10 +161,6 @@ let pp fmt t =
         (if l.up then "" else " (down)"))
     (links t)
 
-let to_string t = Format.asprintf "%a" pp t
-
-(** Graphviz rendering: switches as boxes, hosts as ellipses, one edge
-    per bidirectional link labelled with its ports, dashed when down. *)
 let to_dot t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "graph topology {\n  overlap = false;\n";

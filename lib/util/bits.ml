@@ -1,8 +1,3 @@
-(** Big-endian byte-level codecs used by the packet and OpenFlow wire
-    formats.  All offsets are in bytes; all multi-byte quantities are
-    network (big-endian) order.  Functions raise [Invalid_argument] when
-    the access falls outside the buffer, mirroring [Bytes] semantics. *)
-
 (* The accessors lower to the stdlib's fixed-width big-endian
    primitives (one bounds check + one load/store each) rather than
    per-byte [Bytes.get]/[Bytes.set] chains — these sit on the packet
@@ -17,7 +12,6 @@ let set_u16 b off v = Bytes.set_uint16_be b off (v land 0xffff)
 let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
 let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
 
-(** 48-bit quantity (an Ethernet MAC address) as an OCaml [int]. *)
 let get_u48 b off = (get_u16 b off lsl 32) lor get_u32 b (off + 2)
 
 let set_u48 b off v =
@@ -27,8 +21,6 @@ let set_u48 b off v =
 let get_u64 b off = Bytes.get_int64_be b off
 let set_u64 b off v = Bytes.set_int64_be b off v
 
-(** [hex_dump b] renders [b] as the conventional 16-bytes-per-line hex dump,
-    for diagnostics and golden tests. *)
 let hex_dump b =
   let n = Bytes.length b in
   let buf = Buffer.create (n * 4) in
@@ -45,8 +37,6 @@ let hex_dump b =
   line 0;
   Buffer.contents buf
 
-(** One's-complement 16-bit checksum over [len] bytes starting at [off],
-    as used by the IPv4 header checksum. *)
 let ones_complement_sum b off len =
   let rec go i acc =
     if i + 1 < len then go (i + 2) (acc + get_u16 b (off + i))

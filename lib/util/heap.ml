@@ -1,15 +1,3 @@
-(** Imperative binary min-heap: the overflow stage of {!Timing_wheel},
-    Dijkstra's priority queue, and the reference order the wheel is
-    tested against.
-
-    Elements are ordered by a float key supplied at insertion; ties are
-    broken by insertion order so that the simulator is deterministic.
-
-    Slots above [size] are kept at [None]: {!pop} and {!clear} null out
-    vacated entries, so the heap never retains popped payloads (a
-    long-running simulator would otherwise pin every executed event
-    closure until the backing array happened to be overwritten). *)
-
 type 'a entry = { key : float; seq : int; value : 'a }
 
 type 'a t = {
@@ -56,11 +44,6 @@ let rec sift_down h i =
     sift_down h smallest
   end
 
-(** [push_seq h key ~seq value] inserts with an explicit tie-break
-    sequence number.  {!Timing_wheel} uses this to preserve the global
-    insertion order of entries that migrate between its stages; the
-    internal counter advances past [seq] so later plain {!push}es still
-    sort after it. *)
 let push_seq h key ~seq value =
   let e = Some { key; seq; value } in
   if seq >= h.next_seq then h.next_seq <- seq + 1;
@@ -77,17 +60,12 @@ let push_seq h key ~seq value =
 
 let push h key value = push_seq h key ~seq:h.next_seq value
 
-(** [peek h] returns [Some (key, value)] for the minimum element without
-    removing it, or [None] when the heap is empty. *)
 let peek h =
   if h.size = 0 then None
   else
     let e = get h 0 in
     Some (e.key, e.value)
 
-(** [pop_seq h] removes the minimum element, returning its tie-break
-    sequence number as well (see {!push_seq}).
-    @raise Not_found when the heap is empty. *)
 let pop_seq h =
   if h.size = 0 then raise Not_found;
   let top = get h 0 in
@@ -100,8 +78,6 @@ let pop_seq h =
   else h.data.(0) <- None;
   (top.key, top.seq, top.value)
 
-(** [pop h] removes and returns the minimum element.
-    @raise Not_found when the heap is empty. *)
 let pop h =
   let key, _seq, value = pop_seq h in
   (key, value)
@@ -110,8 +86,6 @@ let clear h =
   Array.fill h.data 0 h.size None;
   h.size <- 0
 
-(** [to_sorted_list h] drains a copy of the heap in key order (the heap
-    itself is not modified). *)
 let to_sorted_list h =
   let copy =
     { data = Array.sub h.data 0 h.size; size = h.size; next_seq = h.next_seq }

@@ -1,24 +1,3 @@
-(** A reusable fixed-size pool of OCaml 5 domains.
-
-    {!map} fans a list out over the pool's domains and returns the
-    results in input order — the submitting domain participates in the
-    work, so a pool of size [n] uses exactly [n] domains ([n - 1]
-    spawned workers plus the caller).  A pool of size 1 runs everything
-    inline with no spawning, no locking and no queueing: sequential
-    callers pay nothing for the parallel capability.
-
-    The default size is [Domain.recommended_domain_count].
-    {!get_default} returns a lazily-created process-wide pool of that
-    size, which the sharded simulator ({!Shard_sync}) runs its windows
-    on.
-
-    Scheduling is a single mutex-protected FIFO of jobs; workers park on
-    a condition variable when it is empty.  That is deliberately simple:
-    the intended grain is one simulation window per shard, where queue
-    overhead is noise.  Exceptions raised by [f] are caught on the
-    worker, and the first one is re-raised (with its backtrace) on the
-    caller after the whole batch has settled. *)
-
 type t = {
   size : int;  (** total domains used by {!map}, including the caller *)
   mutex : Mutex.t;
@@ -49,9 +28,6 @@ let rec worker t =
     (* queue empty and stop set: drain complete, retire *)
     Mutex.unlock t.mutex
 
-(** [create ?domains ()] builds a pool of [domains] total domains
-    (default {!default_size}), spawning [domains - 1] workers.
-    @raise Invalid_argument when [domains < 1]. *)
 let create ?domains () =
   let size = match domains with Some d -> d | None -> default_size () in
   if size < 1 then invalid_arg "Pool.create: domains must be >= 1";
@@ -63,8 +39,6 @@ let create ?domains () =
   t.workers <- List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
-(** [shutdown t] retires the worker domains after the queued jobs drain.
-    Idempotent; {!map} on a shut-down pool runs inline. *)
 let shutdown t =
   Mutex.lock t.mutex;
   t.stop <- true;
@@ -73,10 +47,6 @@ let shutdown t =
   List.iter Domain.join t.workers;
   t.workers <- []
 
-(** [map t xs ~f] is [List.map f xs] with the applications distributed
-    over the pool's domains.  Results keep input order.  The first
-    exception raised by [f] (if any) is re-raised on the caller once
-    every application has finished. *)
 let map t xs ~f =
   match xs with
   | [] -> []
@@ -132,6 +102,4 @@ let map t xs ~f =
    parallel spawn nothing. *)
 let default = lazy (create ())
 
-(** The shared process-wide pool (created on first use, sized by
-    {!default_size}).  Never shut this pool down. *)
 let get_default () = Lazy.force default

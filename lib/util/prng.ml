@@ -1,15 +1,6 @@
-(** Deterministic splitmix64 pseudo-random generator.
-
-    Every stochastic component of the toolkit (workload generators, random
-    topologies, benchmark inputs) draws from an explicit [Prng.t] so that
-    simulations and experiments are exactly reproducible from a seed,
-    independent of the global [Random] state. *)
-
 type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
-
-let copy t = { state = t.state }
 
 (* splitmix64 step (Steele, Lea & Flood 2014). *)
 let next_int64 t =
@@ -19,33 +10,27 @@ let next_int64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(** [int t bound] draws uniformly from [0, bound). [bound] must be positive. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* keep 62 bits so the value fits OCaml's 63-bit int non-negatively *)
   let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   v mod bound
 
-(** [float t bound] draws uniformly from [0, bound). *)
 let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-(** Exponentially distributed sample with the given [mean] (inter-arrival
-    times of Poisson processes). *)
 let exponential t ~mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
 
-(** [pick t arr] draws an element of [arr] uniformly. *)
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))
 
-(** In-place Fisher-Yates shuffle. *)
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in
@@ -54,5 +39,4 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-(** [split t] derives an independent generator; the parent advances. *)
 let split t = { state = next_int64 t }

@@ -1,81 +1,3 @@
-(** Conservative synchronization for a sharded discrete-event simulator.
-
-    A simulation partitioned over [n] shards (each with its own clock and
-    event queue) stays correct as long as no shard executes an event
-    before every event that could still be sent to it with an earlier
-    timestamp has arrived.  With a positive {e lookahead} [L] — here, the
-    minimum delay of any link crossing a shard boundary — an event
-    executing at time [t] can only generate cross-shard work at
-    [t + L] or later, so the classic conservative window holds:
-
-    {v
-      every shard may safely run all events with time <  min_pending + L
-      where min_pending = min over shards of (local queue, inbound mail)
-    v}
-
-    This module owns the machinery around that invariant:
-
-    - one {e mailbox} per shard: a mutex-protected buffer of timestamped
-      envelopes posted by other shards while a window executes.  Posting
-      is the {e horizon exchange}: because every envelope produced in a
-      window lands at or beyond the next window boundary, draining the
-      mailbox at a barrier is equivalent to a null-message protocol with
-      one message per shard pair per window — without the deadlock risk
-      of per-link channel blocking (no shard ever waits on a channel; the
-      barrier is the only wait).
-    - {!drive}: the windowed barrier loop.  Each round computes the
-      global minimum pending timestamp, fans [run_window] out over a
-      {!Pool}, and barriers (the [Pool.map] return).  Rounds where a
-      shard has nothing below the window bound are counted as
-      {e horizon stalls} — the per-shard idleness a too-small lookahead
-      or an unbalanced partition produces — and such shards are
-      {e skipped} outright (their window would only advance a clock, an
-      unobservable effect), so a sparse fabric fast-forwards from event
-      cluster to event cluster instead of barrier-stepping empty
-      [L]-wide windows.
-    - {b adaptive windows}: shard [i]'s window may end beyond the
-      global [m + L] bound, at its {e distance-based} envelope bound
-
-      {v  B_i = min over shards j of (pending_j + dist(j, i))  v}
-
-      where [dist(j, i)] is the shortest-path weight from [j] to [i] in
-      the {e shard quotient graph} (one node per shard, edge weight =
-      minimum delay over the boundary links joining the pair), and the
-      diagonal [dist(i, i)] is the minimum {e return cycle} — the
-      cheapest way shard [i]'s own traffic can bounce off another shard
-      and come back.  This is risk-free: any envelope that will ever
-      reach [i] is caused by some event that is pending {e now} on some
-      shard [j], and its causal chain must cross boundary links summing
-      to at least [dist(j, i)] ([j = i] covers the echo of [i]'s own
-      posts); barriers only delay it further.  So nothing can arrive
-      inside [\[m, B_i)], and [B_i >= m + L] always (the plain
-      [m + L] window is the uniform-distance special case).  A growth
-      cap [m + g*L] keeps one shard from racing unboundedly ahead of
-      its consumers: [g]
-      doubles each round the mailboxes stay inside capacity and halves
-      when backpressure grew, so sustained cross-shard pressure shrinks
-      the window back toward the uniform [L] bound.
-    - {b work stealing}: the per-round windows are dealt to the pool's
-      workers by shard index (shard [i]'s {e home} is worker
-      [i mod size]), each worker's deal
-      sorted heaviest-first by a load hint; a worker whose own deal
-      drains steals the {e lightest} window from a loaded neighbor's
-      tail.  Stealing moves whole windows — each shard's window is still
-      executed by exactly one domain between two barriers — so it
-      changes which core runs a window, never the events' order, and
-      results stay byte-equal at any pool size.
-    - determinism: envelopes carry [(time, source shard, per-source
-      sequence)] and are filed in that order at every drain, so the
-      result of a sharded run is a function of the inputs only, not of
-      domain scheduling or pool size.  (The [steals] counters are the
-      one scheduling-dependent output: they describe where windows ran,
-      not what they computed.)
-
-    Capacity is a soft bound: mailboxes grow past it (a hard bound would
-    deadlock the barrier), but posts beyond capacity are counted in
-    [backpressure] and the high-water mark is kept, so an undersized
-    window shows up in the stats instead of in a hang. *)
-
 type 'a envelope = {
   env_time : float;
   env_src : int;   (* posting shard *)
@@ -89,6 +11,17 @@ type 'a mailbox = {
   mutable mb_count : int;
   mutable mb_min : float;             (* infinity when empty *)
   mutable mb_high_water : int;
+}
+
+type stats = {
+  rounds : int;
+  handoffs : int array;
+  stalls : int array;
+  steals : int array;
+  windows : int array;
+  avg_window : float array;
+  backpressure : int;
+  high_water : int;
 }
 
 type 'a t = {
@@ -122,12 +55,6 @@ let create ?(capacity = default_capacity) ~shards () =
     win_sum = Array.make shards 0.0;
     rounds = 0; backpressure = 0 }
 
-let shards t = t.nshards
-
-(** [post t ~src ~dst ~time load] hands [load] to shard [dst] as an
-    event at absolute [time].  Must be called from the domain currently
-    running shard [src]'s window; the conservative invariant requires
-    [time >= now_of_src + lookahead]. *)
 let post t ~src ~dst ~time load =
   let seq = t.seqs.(src) in
   t.seqs.(src) <- seq + 1;
@@ -150,9 +77,6 @@ let envelope_cmp a b =
      | c -> c)
   | c -> c
 
-(** [drain t shard] empties [shard]'s mailbox, returning the envelopes
-    sorted by (time, source shard, source sequence) — file them into the
-    local queue in list order and tie-breaking stays deterministic. *)
 let drain t shard =
   let box = t.boxes.(shard) in
   Mutex.lock box.mb_mutex;
@@ -173,25 +97,19 @@ let mailbox_min t shard =
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
-let rounds t = t.rounds
-let handoffs t = Array.fold_left ( + ) 0 t.handoffs
-let handoffs_of t shard = t.handoffs.(shard)
-let stalls t = Array.fold_left ( + ) 0 t.stalls
-let stalls_of t shard = t.stalls.(shard)
-let steals t = Array.fold_left ( + ) 0 t.steals
-let steals_of t shard = t.steals.(shard)
-let windows_of t shard = t.windows.(shard)
-
-(** Mean executed-window width of [shard], in simulated seconds
-    (0 when it never ran a window).  This grows past the lookahead
-    whenever the other shards' pending bounds allow it. *)
-let avg_window_of t shard =
-  if t.windows.(shard) = 0 then 0.0
-  else t.win_sum.(shard) /. float_of_int t.windows.(shard)
-
-let backpressure t = t.backpressure
-let high_water t =
-  Array.fold_left (fun acc b -> max acc b.mb_high_water) 0 t.boxes
+let stats (t : _ t) : stats =
+  { rounds = t.rounds;
+    handoffs = Array.copy t.handoffs;
+    stalls = Array.copy t.stalls;
+    steals = Array.copy t.steals;
+    windows = Array.copy t.windows;
+    avg_window =
+      Array.mapi
+        (fun i n -> if n = 0 then 0.0 else t.win_sum.(i) /. float_of_int n)
+        t.windows;
+    backpressure = t.backpressure;
+    high_water =
+      Array.fold_left (fun acc b -> max acc b.mb_high_water) 0 t.boxes }
 
 (* ------------------------------------------------------------------ *)
 (* Per-round window execution, with stealing *)
@@ -275,30 +193,6 @@ let exec_round t ~pool ~load_hint ~run_window tasks =
 (* ------------------------------------------------------------------ *)
 (* The windowed barrier loop *)
 
-(** [drive t ~pool ~lookahead ?until ~next_time ~run_window ()] runs the
-    conservative window loop to completion (or to [until], inclusive —
-    matching the single-domain [Sim.run ?until] contract).
-
-    [next_time i] must return shard [i]'s earliest queued local event
-    time ([infinity] when idle); [run_window i ~stop ~strict] must drain
-    [i]'s mailbox and execute its events up to [stop] ([strict] = stop
-    is exclusive, the interior-window case; inclusive only for the final
-    [until] window).  Both callbacks run between barriers, so they may
-    touch shard state without locks; [run_window] is fanned over [pool]
-    and must only touch shard [i].
-
-    Idle pool workers steal queued windows, guided by [load_hint i]
-    (any monotone proxy for shard [i]'s queued work; default constant);
-    stealing never changes observable simulation results.
-
-    [dist] is the shard-quotient distance matrix for the adaptive bounds:
-    [dist.(j).(i)] lower-bounds the boundary-delay any causal chain
-    accumulates getting from shard [j] to shard [i], with the diagonal
-    [dist.(i).(i)] the minimum return cycle (how soon [i]'s own posts
-    can echo back).  Every entry must be [>= lookahead] (the diagonal
-    [>= 2 * lookahead]); [infinity] marks unreachable pairs.  Defaults
-    to the uniform matrix ([lookahead] off-diagonal, twice that on the
-    diagonal — no echo possible when there is a single shard). *)
 let drive t ~pool ~lookahead ?until ?dist
     ?(load_hint = fun (_ : int) -> 0) ~next_time ~run_window () =
   if lookahead <= 0.0 then

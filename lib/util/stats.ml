@@ -1,8 +1,3 @@
-(** Descriptive statistics used by the measurement apps and the benchmark
-    harness: online mean/variance, percentiles, fixed-bucket histograms,
-    EWMA smoothing and Jain's fairness index. *)
-
-(** Online mean and variance via Welford's algorithm. *)
 module Online = struct
   type t = {
     mutable n : int;
@@ -26,18 +21,10 @@ module Online = struct
   let count t = t.n
   let mean t = if t.n = 0 then nan else t.mean
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
   let min_value t = if t.n = 0 then nan else t.minv
   let max_value t = if t.n = 0 then nan else t.maxv
 end
 
-(** [percentile xs p] returns the [p]-th percentile (0..100) of [xs] using
-    linear interpolation between closest ranks.  Sorting uses
-    {!Float.compare}, so [-0.] and [0.] order deterministically; a nan
-    sample has no defined rank and is rejected rather than silently
-    landing wherever the sort left it.
-    @raise Invalid_argument on an empty list, out-of-range [p], or a nan
-    sample. *)
 let percentile xs p =
   if xs = [] then invalid_arg "Stats.percentile: empty";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
@@ -59,8 +46,6 @@ let mean xs =
   | [] -> nan
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-(** Jain's fairness index of an allocation vector: 1.0 is perfectly fair,
-    1/n is maximally unfair.  Returns 1.0 for an all-zero vector. *)
 let jain_fairness xs =
   match xs with
   | [] -> invalid_arg "Stats.jain_fairness: empty"
@@ -69,8 +54,6 @@ let jain_fairness xs =
     let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
     if s2 = 0.0 then 1.0 else s *. s /. (float_of_int (List.length xs) *. s2)
 
-(** Fixed-bucket histogram over [\[lo, hi)] with [buckets] equal cells;
-    out-of-range samples are clamped into the first/last cell. *)
 module Histogram = struct
   type t = { lo : float; hi : float; counts : int array; mutable total : int }
 
@@ -91,7 +74,6 @@ module Histogram = struct
   let count t = t.total
   let bucket_count t i = t.counts.(i)
 
-  (** Approximate quantile from bucket midpoints. *)
   let quantile t q =
     if t.total = 0 then nan
     else begin
@@ -111,7 +93,6 @@ module Histogram = struct
     end
 end
 
-(** Exponentially-weighted moving average with smoothing factor [alpha]. *)
 module Ewma = struct
   type t = { alpha : float; mutable value : float option }
 
@@ -127,18 +108,13 @@ module Ewma = struct
   let value t = t.value
 end
 
-(** A time series of (time, value) samples with simple aggregation,
-    used by the monitoring app. *)
 module Series = struct
   type t = { mutable samples : (float * float) list (* newest first *) }
 
   let create () = { samples = [] }
   let add t ~time ~value = t.samples <- (time, value) :: t.samples
   let length t = List.length t.samples
-  let to_list t = List.rev t.samples
 
-  (** Average rate of change between first and last sample, or 0 when
-      fewer than two samples exist. *)
   let rate t =
     match (t.samples, List.rev t.samples) with
     | (tn, vn) :: _, (t0, v0) :: _ when tn > t0 -> (vn -. v0) /. (tn -. t0)

@@ -1,42 +1,3 @@
-(** Hierarchical timing wheel: the priority queue behind the
-    discrete-event simulator's hot path.
-
-    A binary heap pays O(log n) float-compare sifts on every push and
-    pop; a simulator scheduling one closure per packet hop does both per
-    event.  Most of those events are {e near-future} — link serialization
-    and propagation, queue drains, control-channel latency — so this
-    structure buckets them into fixed-width time slots ([tick] seconds,
-    [slots] of them) and only pays heap costs within one slot:
-
-    - events landing in the {e current} tick go to a small [near] heap
-      (usually a handful of entries), which preserves the exact
-      (key, insertion-order) execution order of the reference heap.
-      It is a wheel-private array of the entry records {!push}
-      allocated, not a {!Heap}: filing, draining and popping an event
-      allocate nothing further;
-    - events within the wheel horizon ([slots * tick] seconds ahead) are
-      consed onto their slot's list in O(1);
-    - far timers (retransmission timeouts, expiry sweeps, periodic
-      polls) overflow to a fallback {!Heap} and migrate into the wheel
-      as its base advances.
-
-    Execution order is {e identical} to {!Heap}'s: slot assignment is a
-    monotone function of the key, entries carry their global insertion
-    sequence through every migration, and each slot is drained through
-    the [near] heap, which orders by (key, seq).  The [test/util.wheel]
-    suite pins this equivalence property, including ties, and
-    [test/dataplane.sim] pins it through {!Dataplane.Sim}.
-
-    A key too large for its tick to fit in an [int] (including
-    [infinity]) saturates to {!max_tick}: it waits in the overflow until
-    everything finite-ticked ahead of it has run, then the [near] heap
-    orders it by key like any other.
-
-    Tick width and slot count trade memory against how much of the
-    schedule stays O(1): the defaults (16 µs ticks, 1024 slots ≈ 16 ms
-    horizon) cover link and control-channel delays of the simulated
-    networks; the [create] arguments override them in tests. *)
-
 type 'a entry = { key : float; seq : int; value : 'a }
 
 type 'a t = {
@@ -162,8 +123,6 @@ let file t e =
   end
   else Heap.push_seq t.overflow e.key ~seq:e.seq e.value
 
-(** [push t key value] schedules [value] at [key] (seconds, must be
-    non-negative and not NaN); ties execute in insertion order. *)
 let push t key value =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -243,9 +202,6 @@ let rec ensure_near t =
 (* ------------------------------------------------------------------ *)
 (* Popping *)
 
-(** [peek t] returns [Some (key, value)] for the earliest entry without
-    removing it, or [None] when the wheel is empty.  (Advances internal
-    cursors; the logical contents are unchanged.) *)
 let peek t =
   ensure_near t;
   if t.near_size = 0 then None
@@ -253,14 +209,6 @@ let peek t =
     let e = t.near.(0) in
     Some (e.key, e.value)
 
-(** [pop_due t ~strict ~stop] is the simulator's fused peek-and-pop: it
-    removes and returns the earliest entry when its key is <= [stop]
-    (< [stop] with [~strict:true] — the sharded simulator's conservative
-    windows are half-open intervals).  The entry is the record {!push}
-    allocated, so a pop allocates nothing.  Same-tick drains stay inside
-    the [near] heap — no wheel advance, no global re-peek per event.
-    @raise Not_found when no entry is due ({!is_empty} tells an empty
-    wheel from one whose earliest entry is past [stop]). *)
 let pop_due t ~strict ~stop =
   ensure_near t;
   if t.near_size = 0 then raise_notrace Not_found;
@@ -268,34 +216,9 @@ let pop_due t ~strict ~stop =
   if (if strict then key >= stop else key > stop) then raise_notrace Not_found;
   near_pop t
 
-(** [pop t] removes and returns the earliest entry.
-    @raise Not_found when the wheel is empty. *)
-let pop t =
-  let e = pop_due t ~strict:false ~stop:infinity in
-  (e.key, e.value)
-
-(** [pop_until t ~stop] is {!pop_due} with the outcome as a value:
-    [`Event] with the earliest entry when it is due, [`Beyond] when
-    entries remain but the earliest is past [stop], [`Empty]
-    otherwise. *)
-let pop_until ?(strict = false) t ~stop =
-  match pop_due t ~strict ~stop with
-  | e -> `Event (e.key, e.value)
-  | exception Not_found -> if is_empty t then `Empty else `Beyond
-
 let clear t =
   Array.fill t.near 0 t.near_size (vacant ());
   t.near_size <- 0;
   Heap.clear t.overflow;
   if t.wheel_count > 0 then Array.fill t.slots 0 t.nslots [];
   t.wheel_count <- 0
-
-(** Drains a copy of the queue in execution order (the queue itself is
-    consumed — diagnostic/test use). *)
-let drain_to_list t =
-  let rec go acc =
-    match pop t with
-    | exception Not_found -> List.rev acc
-    | key, value -> go ((key, value) :: acc)
-  in
-  go []

@@ -1,13 +1,3 @@
-(** Header-space algebra: symbolic sets of packet headers represented as
-    {e cubes} — per-field constraints that are either unconstrained, a
-    finite value set, or the complement of a finite value set.  Cubes are
-    closed under intersection; subtraction yields a union of cubes.
-
-    The algebra covers exactly the patterns the local compiler emits
-    (exact values or wildcards per field).  CIDR prefixes other than /0
-    and /32 raise {!Unsupported}; verifying prefix-rich tables would need
-    ternary bit-vector cubes, which this toolkit does not require. *)
-
 open Packet
 
 exception Unsupported of string
@@ -16,12 +6,9 @@ module IntSet = Set.Make (Int)
 
 type constr =
   | Any
-  | In of IntSet.t      (** invariant: non-empty *)
-  | Excl of IntSet.t    (** complement; invariant: non-empty *)
+  | In of IntSet.t
+  | Excl of IntSet.t
 
-(** A cube maps each field to a constraint; absent fields are [Any].
-    The [Switch] field is never constrained (location is tracked
-    explicitly by the reachability walk). *)
 type cube = (Fields.t * constr) list  (* sorted by field index *)
 
 let top : cube = []
@@ -58,7 +45,6 @@ let neg_constr = function
   | In s -> Some (Excl s)
   | Excl s -> Some (In s)
 
-(** [inter a b] — cube intersection, [None] when empty. *)
 let inter (a : cube) (b : cube) : cube option =
   let fields =
     List.sort_uniq Fields.compare (List.map fst a @ List.map fst b)
@@ -73,7 +59,6 @@ let inter (a : cube) (b : cube) : cube option =
          | Some k -> Some (set_constr c f k)))
     (Some top) fields
 
-(** [subtract a b] — the set [a \ b] as a union of disjoint cubes. *)
 let subtract (a : cube) (b : cube) : cube list =
   (* classic decomposition: for each constrained field f_i of b, emit
      a ∩ b_{<i} ∩ ¬b_i, accumulating positive constraints as we go *)
@@ -98,7 +83,6 @@ let subtract (a : cube) (b : cube) : cube list =
   | None -> [ a ]  (* disjoint: nothing to remove *)
   | Some _ -> go a b []
 
-(** [subsumes ~general c] — every header in [c] is in [general]. *)
 let subsumes ~general (c : cube) =
   List.for_all
     (fun (f, gk) ->
@@ -111,13 +95,8 @@ let subsumes ~general (c : cube) =
       | Excl _, Any -> false)
     general
 
-let is_top (c : cube) = c = []
-
-(** Singleton-value test constraint. *)
 let eq f v : cube = [ (f, In (IntSet.singleton v)) ]
 
-(** Cube of all headers matching a flow-table pattern.
-    @raise Unsupported on CIDR prefixes other than /0 and /32. *)
 let of_pattern (p : Flow.Pattern.t) : cube =
   let add c f o =
     match o with
@@ -147,10 +126,8 @@ let of_pattern (p : Flow.Pattern.t) : cube =
   |> fun c -> add c Fields.Tp_src p.tp_src
   |> fun c -> add c Fields.Tp_dst p.tp_dst
 
-(** [rewrite c f v] — the image of [c] under the assignment [f := v]. *)
 let rewrite (c : cube) f v = set_constr c f (In (IntSet.singleton v))
 
-(** [contains c h] — membership of concrete headers. *)
 let contains (c : cube) (h : Headers.t) =
   List.for_all
     (fun (f, k) ->
@@ -161,8 +138,6 @@ let contains (c : cube) (h : Headers.t) =
       | Excl s -> not (IntSet.mem v s))
     c
 
-(** A concrete witness header inside the cube (fields left [Any] take
-    defaults; [Excl] fields take the smallest non-excluded value). *)
 let witness (c : cube) : Headers.t =
   List.fold_left
     (fun h (f, k) ->
@@ -173,22 +148,3 @@ let witness (c : cube) : Headers.t =
         let rec pick v = if IntSet.mem v s then pick (v + 1) else v in
         Headers.set h f (pick 0))
     Packet.Headers.default c
-
-let pp_constr fmt = function
-  | Any -> Format.pp_print_string fmt "*"
-  | In s ->
-    Format.fprintf fmt "{%s}"
-      (String.concat "," (List.map string_of_int (IntSet.elements s)))
-  | Excl s ->
-    Format.fprintf fmt "!{%s}"
-      (String.concat "," (List.map string_of_int (IntSet.elements s)))
-
-let pp fmt (c : cube) =
-  if is_top c then Format.pp_print_string fmt "top"
-  else
-    Format.pp_print_list
-      ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " & ")
-      (fun fmt (f, k) -> Format.fprintf fmt "%a%a" Fields.pp f pp_constr k)
-      fmt c
-
-let to_string c = Format.asprintf "%a" pp c

@@ -1,20 +1,10 @@
-(** Symbolic reachability over installed flow tables: the header-space
-    transfer function of each switch, composed along topology links.
-
-    The input is a {e snapshot}: the topology plus every switch's rule
-    list (priority-descending, as {!Flow.Table.rules} returns them).
-    Analyses: per-host reachability, loop detection, black-hole
-    enumeration, and pairwise isolation of host groups. *)
-
 module Node = Topo.Topology.Node
 
 type snapshot = {
   topo : Topo.Topology.t;
   tables : int -> Flow.Table.rule list;
-      (** rules of a switch, highest priority first *)
 }
 
-(** A symbolic packet set at a location. *)
 type located = { switch : int; in_port : int; cube : Hsa.cube }
 
 type transfer_result = {
@@ -82,21 +72,16 @@ type delivery = {
   host : int;
   cube : Hsa.cube;
   hops : int;
-  via : int list;  (** switches traversed, in order *)
+  via : int list;
 }
 
 type walk_result = {
   deliveries : delivery list;
-  loops : located list;        (** locations where a looping slice was cut *)
-  black_holes : located list;  (** locations where a slice hit no rule *)
-  explored : int;              (** symbolic states expanded *)
+  loops : located list;
+  black_holes : located list;
+  explored : int;
 }
 
-(** [walk snapshot ~src ~cube ?max_hops ()] pushes the symbolic packet
-    set [cube], injected on the access link of host [src], through the
-    network.  A slice arriving at a (switch, port) it has already
-    visited along its own path — with a cube subsumed by the earlier
-    one — is reported as a loop and cut. *)
 let walk snapshot ~src ~cube ?(max_hops = 64) () =
   let deliveries = ref [] in
   let loops = ref [] in
@@ -165,13 +150,10 @@ let flow_cube ~src ~dst =
   |> fun c -> Hsa.set_constr c Fields.Eth_type
                 (Hsa.In (Hsa.IntSet.singleton 0x0800))
 
-(** [reachable snapshot ~src ~dst] — does some packet addressed from
-    [src] to [dst] actually arrive at [dst]? *)
 let reachable snapshot ~src ~dst =
   let r = walk snapshot ~src ~cube:(flow_cube ~src ~dst) () in
   List.exists (fun d -> d.host = dst) r.deliveries
 
-(** All-pairs reachability matrix over host ids. *)
 let reachability_matrix snapshot =
   let hosts = Topo.Topology.host_ids snapshot.topo in
   List.concat_map
@@ -183,9 +165,6 @@ let reachability_matrix snapshot =
         hosts)
     hosts
 
-(** [loop_free snapshot] — walks the full header space from every host;
-    returns the looping locations found (empty means loop-free for all
-    host-injected traffic). *)
 let loop_free snapshot =
   let hosts = Topo.Topology.host_ids snapshot.topo in
   List.concat_map
@@ -194,10 +173,6 @@ let loop_free snapshot =
       List.map (fun l -> (src, l)) r.loops)
     hosts
 
-(** [isolated snapshot ~group_a ~group_b] — no packet injected by a host
-    of [group_a] and addressed (by IP) to a host of [group_b] is
-    delivered to [group_b], and vice versa.  Returns the offending
-    (src, dst) witness pairs. *)
 let isolated snapshot ~group_a ~group_b =
   let leaks one_way =
     List.concat_map
@@ -209,19 +184,9 @@ let isolated snapshot ~group_a ~group_b =
   in
   leaks (group_a, group_b) @ leaks (group_b, group_a)
 
-(** Slices of the full header space from [src] that hit no rule
-    anywhere — candidate black holes (expected to be non-empty in
-    default-drop networks; useful to check {e which} traffic dies). *)
 let black_holes snapshot ~src =
   (walk snapshot ~src ~cube:Hsa.top ()).black_holes
 
-(** Waypoint enforcement: does {e every} delivered packet from [src] to
-    [dst] traverse switch [waypoint]?  Returns
-    [`No_traffic] when nothing is delivered at all,
-    [`Enforced] when all deliveries pass the waypoint, and
-    [`Violated witnesses] with the offending deliveries otherwise.
-    The classic use: "all cross-zone traffic goes through the firewall
-    switch". *)
 let waypoint snapshot ~src ~dst ~waypoint =
   let r = walk snapshot ~src ~cube:(flow_cube ~src ~dst) () in
   let delivered = List.filter (fun d -> d.host = dst) r.deliveries in

@@ -12,12 +12,12 @@ let match_h3 = Syntax.filter (Syntax.test Fields.Eth_dst (Mac.of_host_id 3))
 
 let route_1_to_3 =
   Global.big_gseq
-    [ Global.local
+    [ Global.Local
         (Syntax.big_seq [ Syntax.at ~switch:1; match_h3; Syntax.forward 1 ]);
-      Global.glink ~from:(1, 1) ~to_:(2, 1);
-      Global.local (Syntax.big_seq [ match_h3; Syntax.forward 2 ]);
-      Global.glink ~from:(2, 2) ~to_:(3, 1);
-      Global.local (Syntax.big_seq [ match_h3; Syntax.forward 2 ]) ]
+      Global.GLink ((1, 1), (2, 1));
+      Global.Local (Syntax.big_seq [ match_h3; Syntax.forward 2 ]);
+      Global.GLink ((2, 2), (3, 1));
+      Global.Local (Syntax.big_seq [ match_h3; Syntax.forward 2 ]) ]
 
 let test_normalize_traces () =
   let traces = Global.normalize route_1_to_3 in
@@ -25,7 +25,7 @@ let test_normalize_traces () =
   Alcotest.(check int) "two link hops" 2
     (List.length (List.hd traces).Global.rest);
   (* unions multiply traces *)
-  let two = Global.gunion route_1_to_3 route_1_to_3 in
+  let two = Global.GUnion (route_1_to_3, route_1_to_3) in
   Alcotest.(check int) "union doubles" 2 (List.length (Global.normalize two))
 
 let test_links_of_and_validate () =
@@ -35,22 +35,22 @@ let test_links_of_and_validate () =
   Alcotest.(check int) "all valid" 0
     (List.length (Global.validate topo route_1_to_3));
   let bogus =
-    Global.gseq route_1_to_3 (Global.glink ~from:(3, 9) ~to_:(1, 9))
+    Global.GSeq (route_1_to_3, Global.GLink ((3, 9), (1, 9)))
   in
   Alcotest.(check int) "bogus link flagged" 1
     (List.length (Global.validate topo bogus))
 
 let test_unsupported () =
   Alcotest.(check bool) "star over links" true
-    (match Global.compile (Global.GStar (Global.glink ~from:(1, 1) ~to_:(2, 1))) with
+    (match Global.compile (Global.GStar (Global.GLink ((1, 1), (2, 1)))) with
      | exception Global.Unsupported _ -> true
      | _ -> false);
   Alcotest.(check bool) "vlan mod in stage" true
-    (match Global.compile (Global.local (Syntax.modify Fields.Vlan 5)) with
+    (match Global.compile (Global.Local (Syntax.modify Fields.Vlan 5)) with
      | exception Global.Unsupported _ -> true
      | _ -> false);
   Alcotest.(check bool) "switch mod in stage" true
-    (match Global.compile (Global.local (Syntax.modify Fields.Switch 5)) with
+    (match Global.compile (Global.Local (Syntax.modify Fields.Switch 5)) with
      | exception Global.Unsupported _ -> true
      | _ -> false)
 
@@ -83,22 +83,22 @@ let test_union_duplicates () =
   let stage fwd = Syntax.seq match_h3 (Syntax.forward fwd) in
   let via_s2 =
     Global.big_gseq
-      [ Global.local (Syntax.seq (Syntax.at ~switch:1) (stage 1));
-        Global.glink ~from:(1, 1) ~to_:(2, 1);
-        Global.local (stage 2);
-        Global.glink ~from:(2, 2) ~to_:(3, 1);
-        Global.local (stage 3) ]
+      [ Global.Local (Syntax.seq (Syntax.at ~switch:1) (stage 1));
+        Global.GLink ((1, 1), (2, 1));
+        Global.Local (stage 2);
+        Global.GLink ((2, 2), (3, 1));
+        Global.Local (stage 3) ]
   in
   let via_s4 =
     Global.big_gseq
-      [ Global.local (Syntax.seq (Syntax.at ~switch:1) (stage 2));
-        Global.glink ~from:(1, 2) ~to_:(4, 2);
-        Global.local (stage 1);
-        Global.glink ~from:(4, 1) ~to_:(3, 2);
-        Global.local (stage 3) ]
+      [ Global.Local (Syntax.seq (Syntax.at ~switch:1) (stage 2));
+        Global.GLink ((1, 2), (4, 2));
+        Global.Local (stage 1);
+        Global.GLink ((4, 1), (3, 2));
+        Global.Local (stage 3) ]
   in
   let net = Zen.create topo in
-  ignore (Zen.install_policy net (Global.compile (Global.gunion via_s2 via_s4)));
+  ignore (Zen.install_policy net (Global.compile (Global.GUnion (via_s2, via_s4))));
   Dataplane.Network.send_from (Zen.network net) ~host:1
     (Dataplane.Network.make_pkt ~src:1 ~dst:3 ());
   ignore (Zen.run net);
@@ -137,16 +137,16 @@ let test_service_chain_stage_applied () =
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
   let chain =
     Global.big_gseq
-      [ Global.local
+      [ Global.Local
           (Syntax.big_seq
              [ Syntax.at ~switch:1; match_h3;
                Syntax.modify Fields.Tp_dst 1111; Syntax.forward 1 ]);
-        Global.glink ~from:(1, 1) ~to_:(2, 1);
-        Global.local
+        Global.GLink ((1, 1), (2, 1));
+        Global.Local
           (Syntax.big_seq
              [ Syntax.modify Fields.Tp_dst 2222; Syntax.forward 2 ]);
-        Global.glink ~from:(2, 2) ~to_:(3, 1);
-        Global.local (Syntax.forward 2) ]
+        Global.GLink ((2, 2), (3, 1));
+        Global.Local (Syntax.forward 2) ]
   in
   let net = Zen.create topo in
   ignore (Zen.install_policy net (Global.compile chain));

@@ -166,7 +166,7 @@ let test_failover_reconverges () =
      Alcotest.(check bool)
        (Printf.sprintf "failover %.3fs within 10 heartbeats" d)
        true
-       (d > 0.0 && d <= 10.0 *. (Replica.config r).hb_period)
+       (d > 0.0 && d <= 10.0 *. (0.15 /. 3.0))
    | l ->
      Alcotest.failf "expected one failover sample, got %d" (List.length l));
   (* the new leader's full re-push reloads a warm converged table with

@@ -209,11 +209,12 @@ let test_handoffs_counted () =
   ignore (Shard.run ~until t);
   Alcotest.(check bool) "cross-shard handoffs happened" true
     (Shard.handoffs t > 0);
+  let ss = Shard.sync_stats t in
   Alcotest.(check int) "per-shard handoffs sum to total" (Shard.handoffs t)
-    (Shard.handoffs_of t 0 + Shard.handoffs_of t 1);
+    (ss.handoffs.(0) + ss.handoffs.(1));
   Alcotest.(check bool) "rounds advanced" true (Shard.rounds t > 0);
   Alcotest.(check bool) "no backpressure on this workload" true
-    (Shard.backpressure t = 0)
+    (ss.backpressure = 0)
 
 let test_lookahead_is_min_cross_delay () =
   let topo = fst (Topo.Gen.fat_tree ~k:4 ()) in
@@ -350,9 +351,9 @@ let test_sync_backpressure () =
     Util.Shard_sync.post sync ~src:1 ~dst:0 ~time:(float_of_int i) i
   done;
   Alcotest.(check int) "posts beyond capacity counted" 6
-    (Util.Shard_sync.backpressure sync);
+    (Util.Shard_sync.stats sync).backpressure;
   Alcotest.(check int) "high-water tracks the burst" 10
-    (Util.Shard_sync.high_water sync);
+    (Util.Shard_sync.stats sync).high_water;
   Alcotest.(check int) "all envelopes survive (soft bound)" 10
     (List.length (Util.Shard_sync.drain sync 0));
   (* drained: the next burst within capacity adds no backpressure *)
@@ -360,9 +361,9 @@ let test_sync_backpressure () =
     Util.Shard_sync.post sync ~src:1 ~dst:0 ~time:(float_of_int i) i
   done;
   Alcotest.(check int) "within capacity after drain" 6
-    (Util.Shard_sync.backpressure sync);
+    (Util.Shard_sync.stats sync).backpressure;
   Alcotest.(check int) "high-water is a high-water mark" 10
-    (Util.Shard_sync.high_water sync)
+    (Util.Shard_sync.stats sync).high_water
 
 (* ------------------------------------------------------------------ *)
 (* Shard_sync determinism *)
@@ -384,7 +385,7 @@ let test_sync_drain_order () =
   Alcotest.(check bool) "drain empties the box" true
     (Util.Shard_sync.drain sync 0 = []);
   Alcotest.(check int) "handoffs counted at the source" 2
-    (Util.Shard_sync.handoffs_of sync 1)
+    (Util.Shard_sync.stats sync).handoffs.(1)
 
 (* bursty posting with deliberate timestamp ties: drain order is the
    total (time, src, seq) order, so per-source sequences stay monotone

@@ -13,7 +13,7 @@ let test_add_and_query () =
   let t = Topology.create () in
   Topology.add_switch t 1;
   Topology.add_switch t 2;
-  Topology.add_host t 1;
+  Topology.add_node t (host 1);
   Topology.add_link t (sw 1, 1) (sw 2, 1) ~capacity:1e9 ~delay:1e-6;
   Topology.add_link t (sw 1, 2) (host 1, 1) ~capacity:1e9 ~delay:1e-6;
   Alcotest.(check int) "switches" 2 (Topology.switch_count t);
@@ -167,8 +167,8 @@ let test_shortest_path_linear () =
   | None -> Alcotest.fail "no path"
   | Some p ->
     (* h1 -> s1 -> s2 -> s3 -> s4 -> h4 *)
-    Alcotest.(check int) "hops" 5 (Path.length p);
-    let nodes = Path.nodes ~src:(host 1) p in
+    Alcotest.(check int) "hops" 5 (List.length p);
+    let nodes = host 1 :: List.map (fun (h : Path.hop) -> h.next) p in
     Alcotest.(check bool) "ends at h4" true
       (List.nth nodes 5 = host 4)
 
@@ -190,11 +190,11 @@ let test_path_respects_failures () =
   let t = Gen.ring ~switches:4 ~hosts_per_switch:0 () in
   (* ring 1-2-3-4-1; fail 1-2: path 1->2 must go the long way *)
   let p_before = Option.get (Path.shortest_path t ~src:(sw 1) ~dst:(sw 2)) in
-  Alcotest.(check int) "direct" 1 (Path.length p_before);
+  Alcotest.(check int) "direct" 1 (List.length p_before);
   Topology.fail_link t (sw 1, 1);
   (* port 1 of s1 connects to s2 in Gen.linear construction *)
   let p_after = Option.get (Path.shortest_path t ~src:(sw 1) ~dst:(sw 2)) in
-  Alcotest.(check int) "detour" 3 (Path.length p_after)
+  Alcotest.(check int) "detour" 3 (List.length p_after)
 
 let test_dijkstra_weights () =
   (* triangle with a heavy direct edge: cheapest path is the detour *)
@@ -205,7 +205,7 @@ let test_dijkstra_weights () =
   match Path.cheapest_path t ~weight:(fun l -> l.delay) ~src:(sw 1) ~dst:(sw 2) with
   | None -> Alcotest.fail "no path"
   | Some (p, cost) ->
-    Alcotest.(check int) "two hops" 2 (Path.length p);
+    Alcotest.(check int) "two hops" 2 (List.length p);
     Alcotest.(check (float 1e-9)) "cost" 2.0 cost
 
 let test_dijkstra_unreachable () =
@@ -224,7 +224,7 @@ let test_all_shortest_paths_ecmp () =
   let paths = Path.all_shortest_paths t ~src:(sw 1) ~dst:(sw 4) in
   Alcotest.(check int) "two ECMP paths" 2 (List.length paths);
   List.iter
-    (fun p -> Alcotest.(check int) "both 2 hops" 2 (Path.length p))
+    (fun p -> Alcotest.(check int) "both 2 hops" 2 (List.length p))
     paths
 
 let test_k_shortest () =
@@ -234,7 +234,7 @@ let test_k_shortest () =
   in
   Alcotest.(check int) "two distinct paths in a ring" 2 (List.length paths);
   Alcotest.(check (list int)) "lengths ordered" [ 2; 3 ]
-    (List.map Path.length paths)
+    (List.map List.length paths)
 
 let test_k_shortest_diverse () =
   let t = Gen.grid ~rows:3 ~cols:3 ~hosts_per_switch:0 () in
@@ -245,12 +245,12 @@ let test_k_shortest_diverse () =
   (* all loop-free *)
   List.iter
     (fun p ->
-      let nodes = Path.nodes ~src:(sw 1) p in
+      let nodes = sw 1 :: List.map (fun (h : Path.hop) -> h.next) p in
       Alcotest.(check int) "loop free" (List.length nodes)
         (List.length (List.sort_uniq compare nodes)))
     paths;
   (* costs nondecreasing *)
-  let costs = List.map Path.length paths in
+  let costs = List.map List.length paths in
   Alcotest.(check (list int)) "sorted" (List.sort compare costs) costs
 
 let test_k_shortest_restores_topology () =
@@ -325,7 +325,7 @@ let prop_bfs_minimal =
               Path.cheapest_path t ~weight ~src:(sw 1) ~dst )
           with
           | Some p, Some (_, cost) ->
-            float_of_int (Path.length p) <= cost +. 1e-9
+            float_of_int (List.length p) <= cost +. 1e-9
           | None, None -> true
           | _ -> false)
         (Topology.switches t))

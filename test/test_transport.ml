@@ -70,6 +70,52 @@ let test_aborts_when_unreachable () =
   Alcotest.(check bool) "aborted" true (Dataplane.Transport.is_aborted c);
   Alcotest.(check bool) "not complete" false (Dataplane.Transport.is_complete c)
 
+(* An RTO far below the path RTT exhausts the retransmission budget
+   while the first window's ACKs are still in flight.  The abort stops
+   the sender: those late ACKs must not advance it, pump the rest of the
+   data and complete the transfer as well. *)
+let test_abort_is_final () =
+  let net = routed_pair () in
+  let c =
+    Dataplane.Transport.start net ~src:1 ~dst:2 ~total:200 ~rto:1e-7
+      ~max_retx:2 ()
+  in
+  ignore (Dataplane.Network.run ~until:20.0 net ());
+  Alcotest.(check bool) "aborted" true (Dataplane.Transport.is_aborted c);
+  Alcotest.(check bool) "not complete" false (Dataplane.Transport.is_complete c);
+  Alcotest.(check bool) "the sender stopped short of the transfer" true
+    (Dataplane.Transport.delivered c < 200)
+
+(* Every timer argument that cannot drive the transfer forward is
+   rejected before the first window goes on the wire. *)
+let test_start_rejects_bad_timers () =
+  let reject name start =
+    let net = routed_pair () in
+    (match start net with
+     | _ -> Alcotest.failf "%s: accepted" name
+     | exception Invalid_argument _ -> ());
+    ignore (Dataplane.Network.run ~until:1.0 net ());
+    Alcotest.(check int) (name ^ ": nothing sent") 0
+      (Dataplane.Network.stats net).forwarded
+  in
+  let start ?rto ?backoff ?max_rto ?max_retx ?(window = 8) ?(total = 10) net
+      =
+    Dataplane.Transport.start net ~src:1 ~dst:2 ~total ~window ?rto ?backoff
+      ?max_rto ?max_retx ()
+  in
+  reject "rto 0" (start ~rto:0.0);
+  reject "rto nan" (start ~rto:nan);
+  reject "rto negative" (start ~rto:(-1.0));
+  reject "rto infinite" (start ~rto:infinity);
+  reject "max_rto below rto" (start ~rto:0.05 ~max_rto:0.01);
+  reject "max_rto nan" (start ~max_rto:nan);
+  reject "backoff infinite" (start ~backoff:infinity);
+  reject "backoff nan" (start ~backoff:nan);
+  reject "backoff below 1" (start ~backoff:0.5);
+  reject "max_retx negative" (start ~max_retx:(-1));
+  reject "window 0" (start ~window:0);
+  reject "total 0" (start ~total:0)
+
 (* Exponential backoff vs the legacy fixed RTO on a 20%-lossy link,
    with the initial RTO set below the loaded RTT: the fixed timer keeps
    spuriously re-offering whole windows while ACKs are still in flight
@@ -122,6 +168,9 @@ let suites =
           test_recovers_from_outage;
         Alcotest.test_case "aborts when unreachable" `Quick
           test_aborts_when_unreachable;
+        Alcotest.test_case "abort is final" `Quick test_abort_is_final;
+        Alcotest.test_case "start rejects bad timers" `Quick
+          test_start_rejects_bad_timers;
         Alcotest.test_case "backoff beats fixed RTO under loss" `Quick
           test_backoff_beats_fixed_rto_under_loss;
         Alcotest.test_case "window scales goodput" `Quick

@@ -139,13 +139,32 @@ let prop_heap_sorts =
 (* ------------------------------------------------------------------ *)
 (* Timing wheel *)
 
+(* The wheel pops only through [pop_due], the simulator's fused
+   peek-and-pop; these views of it keep the tests readable. *)
+let wheel_pop w =
+  let e = Timing_wheel.pop_due w ~strict:false ~stop:infinity in
+  (e.key, e.value)
+
+let wheel_pop_until ?(strict = false) w ~stop =
+  match Timing_wheel.pop_due w ~strict ~stop with
+  | e -> `Event (e.key, e.value)
+  | exception Not_found -> if Timing_wheel.is_empty w then `Empty else `Beyond
+
+let wheel_drain w =
+  let rec go acc =
+    match wheel_pop w with
+    | exception Not_found -> List.rev acc
+    | kv -> go (kv :: acc)
+  in
+  go []
+
 let test_wheel_order () =
   let w = Timing_wheel.create ~tick:1e-3 ~slots:16 () in
   List.iter
     (fun k -> Timing_wheel.push w k (int_of_float (k *. 10.0)))
     [ 0.5; 0.1; 0.3; 0.2; 0.4 ];
   check "length" 5 (Timing_wheel.length w);
-  let order = List.map snd (Timing_wheel.drain_to_list w) in
+  let order = List.map snd (wheel_drain w) in
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] order
 
 let test_wheel_fifo_ties () =
@@ -154,7 +173,7 @@ let test_wheel_fifo_ties () =
   Timing_wheel.push w 1.0 "b";
   Timing_wheel.push w 1.0 "c";
   Alcotest.(check (list string)) "insertion order on ties" [ "a"; "b"; "c" ]
-    (List.map snd (Timing_wheel.drain_to_list w))
+    (List.map snd (wheel_drain w))
 
 let test_wheel_overflow_migrates () =
   (* horizon is 16 ms; events at 1 s land in the overflow heap and must
@@ -166,21 +185,21 @@ let test_wheel_overflow_migrates () =
   Timing_wheel.push w 0.5 "mid";
   Alcotest.(check (list string)) "overflow drains in order"
     [ "near"; "mid"; "far-a"; "far-b" ]
-    (List.map snd (Timing_wheel.drain_to_list w))
+    (List.map snd (wheel_drain w))
 
 let test_wheel_pop_until () =
   let w = Timing_wheel.create ~tick:1e-3 ~slots:16 () in
-  (match Timing_wheel.pop_until w ~stop:1.0 with
+  (match wheel_pop_until w ~stop:1.0 with
    | `Empty -> ()
    | _ -> Alcotest.fail "expected `Empty");
   Timing_wheel.push w 2.0 "late";
-  (match Timing_wheel.pop_until w ~stop:1.0 with
+  (match wheel_pop_until w ~stop:1.0 with
    | `Beyond -> ()
    | _ -> Alcotest.fail "expected `Beyond");
-  (match Timing_wheel.pop_until w ~stop:3.0 with
+  (match wheel_pop_until w ~stop:3.0 with
    | `Event (k, "late") -> checkf "key" 2.0 k
    | _ -> Alcotest.fail "expected `Event");
-  match Timing_wheel.pop_until w ~stop:3.0 with
+  match wheel_pop_until w ~stop:3.0 with
   | `Empty -> ()
   | _ -> Alcotest.fail "expected `Empty after drain"
 
@@ -202,7 +221,7 @@ let test_wheel_horizon_boundary () =
   Alcotest.(check (list string))
     "boundary entry never jumps the intervening slots"
     [ "mid"; "edge"; "boundary" ]
-    (List.map snd (Timing_wheel.drain_to_list w))
+    (List.map snd (wheel_drain w))
 
 let test_wheel_horizon_boundary_fifo () =
   (* three same-instant entries beyond the horizon must keep insertion
@@ -213,7 +232,7 @@ let test_wheel_horizon_boundary_fifo () =
   Timing_wheel.push w 20.0 "b";
   Timing_wheel.push w 1.0 "near";
   Timing_wheel.push w 20.0 "c";
-  (match Timing_wheel.pop w with
+  (match wheel_pop w with
    | _, "near" -> ()
    | _ -> Alcotest.fail "expected near first");
   (* base has jumped to tick 20 and a/b/c migrated; a fresh push at the
@@ -221,15 +240,15 @@ let test_wheel_horizon_boundary_fifo () =
   Timing_wheel.push w 20.0 "d";
   Alcotest.(check (list string)) "FIFO preserved across migration"
     [ "a"; "b"; "c"; "d" ]
-    (List.map snd (Timing_wheel.drain_to_list w))
+    (List.map snd (wheel_drain w))
 
 let test_wheel_pop_until_strict () =
   let w = Timing_wheel.create ~tick:1e-3 ~slots:16 () in
   Timing_wheel.push w 1.0 "at-stop";
-  (match Timing_wheel.pop_until ~strict:true w ~stop:1.0 with
+  (match wheel_pop_until ~strict:true w ~stop:1.0 with
    | `Beyond -> ()
    | _ -> Alcotest.fail "strict: entry at stop stays queued");
-  (match Timing_wheel.pop_until w ~stop:1.0 with
+  (match wheel_pop_until w ~stop:1.0 with
    | `Event (_, "at-stop") -> ()
    | _ -> Alcotest.fail "inclusive: entry at stop pops");
   check "nothing left" 0 (Timing_wheel.length w)
@@ -245,18 +264,18 @@ let test_wheel_huge_keys () =
   Timing_wheel.push w 1.0 "t1";
   Timing_wheel.push w 2.0 "t2";
   Timing_wheel.push w 1e300 "huge2";
-  (match Timing_wheel.pop_until w ~stop:3.0 with
+  (match wheel_pop_until w ~stop:3.0 with
    | `Event (_, "t1") -> ()
    | _ -> Alcotest.fail "expected t1 first");
-  (match Timing_wheel.pop_until w ~stop:3.0 with
+  (match wheel_pop_until w ~stop:3.0 with
    | `Event (_, "t2") -> ()
    | _ -> Alcotest.fail "expected t2 second");
-  (match Timing_wheel.pop_until w ~stop:3.0 with
+  (match wheel_pop_until w ~stop:3.0 with
    | `Beyond -> ()
    | _ -> Alcotest.fail "expected the huge keys beyond t=3");
   Alcotest.(check (list string)) "huge keys in key, then insertion, order"
     [ "huge"; "huge2"; "inf" ]
-    (List.map snd (Timing_wheel.drain_to_list w))
+    (List.map snd (wheel_drain w))
 
 (* The heap's no-retention property ("releases popped payloads"),
    applied to the wheel: a popped (or cleared) event closure is garbage
@@ -275,7 +294,7 @@ let test_wheel_releases_popped () =
       Timing_wheel.push w k f)
     [ 0.0; 0.0; 0.005; 0.005; 1.0; 1.0 ];
   for _ = 1 to 4 do
-    match Timing_wheel.pop_until w ~stop:0.5 with
+    match wheel_pop_until w ~stop:0.5 with
     | `Event (_, f) -> f ()
     | `Beyond | `Empty -> Alcotest.fail "expected an event"
   done;
@@ -324,14 +343,14 @@ let prop_wheel_heap_equivalent =
             Timing_wheel.push w k !id;
             Heap.push h k !id
           | `Pop ->
-            (match Timing_wheel.pop w with
+            (match wheel_pop w with
              | exception Not_found -> ()
              | k, v -> trace_w := (k, v) :: !trace_w);
             (match Heap.pop h with
              | exception Not_found -> ()
              | k, v -> trace_h := (k, v) :: !trace_h))
         ops;
-      List.iter (fun e -> trace_w := e :: !trace_w) (Timing_wheel.drain_to_list w);
+      List.iter (fun e -> trace_w := e :: !trace_w) (wheel_drain w);
       List.iter (fun e -> trace_h := e :: !trace_h) (Heap.to_sorted_list h);
       !trace_w = !trace_h)
 
@@ -379,12 +398,12 @@ let prop_wheel_heap_pop_until =
             true
           | `Pop_until (strict, d) ->
             let stop = !now +. d in
-            let rw = Timing_wheel.pop_until ~strict w ~stop in
+            let rw = wheel_pop_until ~strict w ~stop in
             let rh = heap_pop_until ~strict ~stop in
             (match rh with `Event (k, _) -> now := k | `Beyond | `Empty -> ());
             rw = rh)
         ops
-      && Timing_wheel.drain_to_list w = Heap.to_sorted_list h)
+      && wheel_drain w = Heap.to_sorted_list h)
 
 (* ------------------------------------------------------------------ *)
 (* Prng *)
