@@ -184,6 +184,52 @@ let json_of_counters (c : Dataplane.Network.counters) =
       ("control_bytes", string_of_int c.control_bytes);
       ("fenced_writes", string_of_int c.fenced_writes) ]
 
+(* Flow-cache and classifier counters summed over every switch table of
+   [nets]: the one network of a single-domain run, or each shard's. *)
+type cache_counts = {
+  cc_hits : int;
+  cc_misses : int;
+  cc_invalidations : int;
+  cc_probes : int;
+  cc_shapes : int;
+}
+
+let cache_counts nets =
+  let add c (sw : Dataplane.Network.switch) =
+    { cc_hits = c.cc_hits + Flow.Table.cache_hits sw.table;
+      cc_misses = c.cc_misses + Flow.Table.cache_misses sw.table;
+      cc_invalidations = c.cc_invalidations + Flow.Table.invalidations sw.table;
+      cc_probes = c.cc_probes + Flow.Table.classifier_probes sw.table;
+      cc_shapes = c.cc_shapes + Flow.Table.shape_count sw.table }
+  in
+  List.fold_left
+    (fun c net -> List.fold_left add c (Dataplane.Network.switch_list net))
+    { cc_hits = 0; cc_misses = 0; cc_invalidations = 0; cc_probes = 0;
+      cc_shapes = 0 }
+    nets
+
+let json_of_cache_counts c =
+  json_obj
+    [ ("hits", string_of_int c.cc_hits);
+      ("misses", string_of_int c.cc_misses);
+      ("invalidations", string_of_int c.cc_invalidations);
+      ("classifier_probes", string_of_int c.cc_probes);
+      ("shapes", string_of_int c.cc_shapes) ]
+
+let print_cache_counts c =
+  let lookups = c.cc_hits + c.cc_misses in
+  Format.printf
+    "flow cache: %d hits, %d misses (%.1f%% hit rate), %d invalidations@."
+    c.cc_hits c.cc_misses
+    (if lookups = 0 then 0.0
+     else 100.0 *. float_of_int c.cc_hits /. float_of_int lookups)
+    c.cc_invalidations;
+  Format.printf
+    "classifier: %d shape probes over %d shapes (%.1f probes/miss)@."
+    c.cc_probes c.cc_shapes
+    (if c.cc_misses = 0 then 0.0
+     else float_of_int c.cc_probes /. float_of_int c.cc_misses)
+
 let simulate_cmd =
   let flows_arg =
     Arg.(value & opt int 10 & info [ "flows" ] ~docv:"N" ~doc:"Random CBR flows.")
@@ -262,6 +308,7 @@ let simulate_cmd =
     let wall = Unix.gettimeofday () -. t0 in
     let sent = List.fold_left (fun acc s -> acc + !s) 0 senders in
     let ss = Dataplane.Shard.sync_stats t in
+    let cc = cache_counts (Array.to_list (Dataplane.Shard.nets t)) in
     if json then
       print_endline
         (json_obj
@@ -284,6 +331,7 @@ let simulate_cmd =
               string_of_int ss.backpressure);
              ("high_water", string_of_int ss.high_water);
              ("stats", json_of_counters (Dataplane.Shard.stats t));
+             ("flow_cache", json_of_cache_counts cc);
              ("per_shard",
               json_arr
                 (List.init (Dataplane.Shard.shards t) (fun i ->
@@ -306,6 +354,7 @@ let simulate_cmd =
       Format.printf "sent %d packets over %d flows in %.1fs of simulated time@."
         sent flows duration;
       Format.printf "%a@." Dataplane.Network.pp_stats (Dataplane.Shard.stats t);
+      print_cache_counts cc;
       Format.printf
         "events executed: %d (%.0f events/s wall) in %d rounds, %d \
          cross-shard handoffs, %d steals, %d backpressure waits (mailbox \
@@ -377,17 +426,7 @@ let simulate_cmd =
     ignore (Zen.run ~until:(duration +. 1.0) net);
     let wall = Unix.gettimeofday () -. t0 in
     let sent = List.fold_left (fun acc s -> acc + !s) 0 senders in
-    let ch, cm, inv, cp, cs =
-      List.fold_left
-        (fun (h, m, i, p, s) (sw : Dataplane.Network.switch) ->
-          (h + Flow.Table.cache_hits sw.table,
-           m + Flow.Table.cache_misses sw.table,
-           i + Flow.Table.invalidations sw.table,
-           p + Flow.Table.classifier_probes sw.table,
-           s + Flow.Table.shape_count sw.table))
-        (0, 0, 0, 0, 0)
-        (Dataplane.Network.switch_list network)
-    in
+    let cc = cache_counts [ network ] in
     let executed = Dataplane.Sim.executed (Dataplane.Network.sim network) in
     if json then
       print_endline
@@ -403,29 +442,13 @@ let simulate_cmd =
              ("events", string_of_int executed);
              ("stats",
               json_of_counters (Dataplane.Network.stats network));
-             ("flow_cache",
-              json_obj
-                [ ("hits", string_of_int ch);
-                  ("misses", string_of_int cm);
-                  ("invalidations", string_of_int inv);
-                  ("classifier_probes", string_of_int cp);
-                  ("shapes", string_of_int cs) ]) ])
+             ("flow_cache", json_of_cache_counts cc) ])
     else begin
       Format.printf "sent %d packets over %d flows in %.1fs of simulated time@."
         sent flows duration;
       Format.printf "%a@." Dataplane.Network.pp_stats
         (Dataplane.Network.stats network);
-      let probes = ch + cm in
-      Format.printf
-        "flow cache: %d hits, %d misses (%.1f%% hit rate), %d invalidations@."
-        ch cm
-        (if probes = 0 then 0.0
-         else 100.0 *. float_of_int ch /. float_of_int probes)
-        inv;
-      Format.printf
-        "classifier: %d shape probes over %d shapes (%.1f probes/miss)@."
-        cp cs
-        (if cm = 0 then 0.0 else float_of_int cp /. float_of_int cm);
+      print_cache_counts cc;
       Format.printf "events executed: %d@." executed
     end
   in

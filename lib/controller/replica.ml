@@ -6,7 +6,6 @@ module Ctl_channel = Dataplane.Ctl_channel
 type role = Leader | Standby | Down
 
 type config = {
-  replicas : int;
   lease : float;         (* lease duration, seconds *)
   hb_period : float;     (* heartbeat period, [lease / 3] *)
   repl_latency : float;  (* one-way inter-controller latency *)
@@ -455,7 +454,7 @@ let create ?(latency = 1e-3) ?(resilience = Runtime.default_resilience)
         partitioned = false; term = 0 })
   in
   let t =
-    { net; cfg = { replicas; lease; hb_period = lease /. 3.0; repl_latency };
+    { net; cfg = { lease; hb_period = lease /. 3.0; repl_latency };
       latency; resilience; mk_apps; switch_ids; members;
       repl_fault;
       lanes =

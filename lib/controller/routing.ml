@@ -4,7 +4,6 @@ type t = {
   mutable installs : int;        (* rules pushed over the lifetime *)
   mutable reinstalls : int;      (* recomputation rounds *)
   mutable last_churn : int;      (* flow-mods issued by the last round *)
-  mutable last_recompute : float;
   mutable recompute_pending : bool;  (* a coalesced recompute is scheduled *)
   mutable repushes : int;            (* single-switch re-pushes on repeat
                                         switch_up (post-crash re-handshake) *)
@@ -60,8 +59,7 @@ let push_tables t ctx =
   t.snap <- Some result.snapshot;
   t.installs <- t.installs + churn;
   t.last_churn <- churn;
-  t.reinstalls <- t.reinstalls + 1;
-  t.last_recompute <- Api.time ctx
+  t.reinstalls <- t.reinstalls + 1
 
 let create ?(use_ip = false) ?(cookie = 0x0e) () =
   let t_ref = ref None in
@@ -130,7 +128,7 @@ let create ?(use_ip = false) ?(cookie = 0x0e) () =
   in
   let t =
     { app; cookie; installs = 0; reinstalls = 0; last_churn = 0;
-      last_recompute = 0.0; recompute_pending = false; repushes = 0;
+      recompute_pending = false; repushes = 0;
       snap = None;
       seen = Hashtbl.create 16; dead = Hashtbl.create 4; reroutes = 0;
       use_ip }

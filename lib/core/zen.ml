@@ -4,14 +4,13 @@ module Wan = Wan
 
 type net = {
   network : Dataplane.Network.t;
-  mutable runtime : Controller.Runtime.t option;
   mutable delta_snap : Netkat.Delta.snapshot option;
       (* last compile's per-switch certificates, the next install's base *)
 }
 
 let create ?queue_depth ?fault topo =
   { network = Dataplane.Network.create ?queue_depth ?fault topo;
-    runtime = None; delta_snap = None }
+    delta_snap = None }
 
 let topology t = Dataplane.Network.topology t.network
 let network t = t.network
@@ -38,7 +37,6 @@ let with_controller ?latency ?resilience t apps =
   let rt =
     Controller.Runtime.create_and_handshake ?latency ?resilience t.network apps
   in
-  t.runtime <- Some rt;
   rt
 
 let with_replicas ?(latency = 1e-3) ?resilience ?replicas ?lease
@@ -47,7 +45,6 @@ let with_replicas ?(latency = 1e-3) ?resilience ?replicas ?lease
     Controller.Replica.create ~latency ?resilience ?replicas ?lease
       ?repl_latency ?repl_fault t.network mk_apps
   in
-  t.runtime <- Controller.Replica.leader_runtime r;
   let horizon = now t +. (20.0 *. latency) in
   ignore (Dataplane.Network.run ~until:horizon t.network ());
   r

@@ -59,7 +59,8 @@ val random_pair_specs :
 (** [random_pairs net ~prng ~flows ~rate_pps ~stop] starts [flows] CBR
     flows between uniformly chosen distinct host pairs; returns the
     per-flow sent counters.  By default every packet carries a fresh
-    [tp_src] (an adversarial workload for exact-match caches);
+    [tp_src]: each is a new microflow, which a megaflow cache still
+    serves from one entry while no rule matches on [tp_src];
     [~fixed_ports:true] pins one [tp_src] per flow instead, modelling
     long-lived 5-tuple flows. *)
 val random_pairs :

@@ -59,6 +59,12 @@ val shape_of : t -> shape
     [shape_project (shape_of p) h = shape_key p]. *)
 val shape_project : shape -> Headers.t -> Headers.t
 
+(** [shape_union a b] constrains every field either shape constrains,
+    with the longer of the two prefix lengths on each address field: a
+    header's projection under the union determines its projection under
+    [a] and under [b]. *)
+val shape_union : shape -> shape -> shape
+
 (** [shape_key t] is the masked-tuple key under which a rule with this
     pattern lives in its shape's hashtable. *)
 val shape_key : t -> Headers.t

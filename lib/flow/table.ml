@@ -22,7 +22,6 @@ module Header_key = struct
 end
 
 module Cache = Hashtbl.Make (Header_key)
-module Hcache = Clock_cache.Make (Header_key)
 
 (* One tuple-space stage: every rule whose pattern has this shape, in a
    hashtable keyed on the pattern's masked field tuple.  Rules in a
@@ -39,18 +38,45 @@ type shape_entry = {
          ceiling. *)
 }
 
+(* A megaflow mask: a union of probed shapes, with [bits] its projection
+   of an all-ones header, so masking a field is one [land]. *)
+type mask = { shape : Pattern.shape; bits : Headers.t }
+
+(* One megaflow cache entry: the verdict of every header whose
+   projection under [mask] is [key]. *)
+type slot = {
+  mutable key : Headers.t;  (* a header masked by [mask] *)
+  mutable mask : Pattern.shape;
+  mutable hash : int;  (* [masked_hash] of [key] under [mask] *)
+  mutable gen : int;  (* the table generation the verdict belongs to *)
+  mutable verdict : rule option;
+  mutable next : int;  (* next slot in the bucket chain; -1 ends it *)
+  mutable referenced : bool;  (* CLOCK second-chance bit *)
+}
+
 (* Default bound on resident cache entries (live + stale). *)
 let max_cache_entries = 8192
+
+(* Slots a table starts with; the arrays double on demand up to the
+   bound, so a switch that sees few flows holds a small cache. *)
+let initial_slots = 16
 
 type t = {
   mutable rules : rule list;  (* descending priority, stable within ties *)
   mutable n_rules : int;
-  mutable capacity : int option;  (* max rules, None = unbounded *)
+  capacity : int option;  (* max rules, None = unbounded *)
   mutable misses : int;
   mutable hits : int;
-  (* exact-match fast path: header tuple -> (generation, winning rule);
-     when full, the CLOCK hand evicts one cold entry per insert *)
-  cache : (int * rule option) Hcache.t;
+  (* megaflow cache: [slots.(0 .. len-1)] are filled, chained from
+     [heads] (a power of two, at least as many buckets as slots) *)
+  cache_cap : int;
+  mutable slots : slot array;
+  mutable heads : int array;
+  mutable len : int;
+  mutable hand : int;  (* CLOCK hand, used once [len = cache_cap] *)
+  mutable evictions : int;
+  mutable masks : mask list;
+      (* the masks of this generation's entries, in insertion order *)
   mutable generation : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -64,11 +90,23 @@ type t = {
   mutable next_seq : int;
 }
 
+let empty_slot () =
+  { key = Headers.default; mask = 0; hash = 0; gen = -1; verdict = None;
+    next = -1; referenced = false }
+
+let pow2_at_least n =
+  let rec go p = if p >= n then p else go (2 * p) in
+  go 1
+
 let create ?capacity ?(cache_entries = max_cache_entries) () =
-  { rules = []; n_rules = 0; capacity; misses = 0; hits = 0;
-    cache = Hcache.create ~cap:cache_entries;
-    generation = 0; cache_hits = 0; cache_misses = 0; invalidations = 0;
-    shapes = Hashtbl.create 16; shape_order = []; probes = 0; next_seq = 0 }
+  let cache_cap = max 1 cache_entries in
+  let n = min initial_slots cache_cap in
+  { rules = []; n_rules = 0; capacity; misses = 0; hits = 0; cache_cap;
+    slots = Array.init n (fun _ -> empty_slot ());
+    heads = Array.make (pow2_at_least n) (-1); len = 0; hand = 0;
+    evictions = 0; masks = []; generation = 0; cache_hits = 0;
+    cache_misses = 0; invalidations = 0; shapes = Hashtbl.create 16;
+    shape_order = []; probes = 0; next_seq = 0 }
 
 let size t = t.n_rules
 let rules t = t.rules
@@ -79,17 +117,21 @@ let cache_misses t = t.cache_misses
 let invalidations t = t.invalidations
 let generation t = t.generation
 
-let cache_size t = Hcache.length t.cache
+let cache_size t = t.len
 
-let cache_evictions t = Hcache.evictions t.cache
+let cache_evictions t = t.evictions
+
+let mask_count t = List.length t.masks
 
 let shape_count t = Hashtbl.length t.shapes
 
 let classifier_probes t = t.probes
 
-(* O(1) invalidation: entries stamped with an older generation are dead. *)
+(* O(1) invalidation: entries stamped with an older generation are dead,
+   and so are their masks. *)
 let invalidate t =
   t.generation <- t.generation + 1;
+  t.masks <- [];
   t.invalidations <- t.invalidations + 1
 
 (* ------------------------------------------------------------------ *)
@@ -181,14 +223,18 @@ let classifier_remove t r =
          end
        end)
 
-let lookup_tuple t (h : Headers.t) =
-  let rec go best = function
-    | [] -> best
+(* The classifier proper: the winning rule, and the union of the shapes
+   it probed.  Every header that agrees with [h] on that union projects
+   to the same keys in the probed shapes, so it takes the same probes,
+   stops at the same shape and gets the same verdict. *)
+let classify t (h : Headers.t) =
+  let rec go best mask = function
+    | [] -> (best, mask)
     | se :: rest ->
       (match best with
        | Some (b : rule) when b.priority > se.se_max_prio ->
          (* every remaining shape has a ceiling <= this one: done *)
-         best
+         (best, mask)
        | _ ->
          t.probes <- t.probes + 1;
          let best =
@@ -201,9 +247,11 @@ let lookup_tuple t (h : Headers.t) =
               | Some _ | None -> Some r)
            | Some [] | None -> best
          in
-         go best rest)
+         go best (Pattern.shape_union mask se.se_shape) rest)
   in
-  go None t.shape_order
+  go None 0 t.shape_order
+
+let lookup_tuple t h = fst (classify t h)
 
 exception Table_full
 
@@ -308,16 +356,176 @@ let clear t =
 let lookup_linear t (h : Headers.t) =
   List.find_opt (fun r -> Pattern.matches r.pattern h) t.rules
 
+(* ------------------------------------------------------------------ *)
+(* Megaflow cache.  Every function on the hit path is top-level and
+   closure-free, and a hit allocates nothing. *)
+
+let all_ones : Headers.t =
+  { switch = -1; in_port = -1; eth_src = -1; eth_dst = -1; eth_type = -1;
+    vlan = -1; ip_proto = -1; ip4_src = -1; ip4_dst = -1; tp_src = -1;
+    tp_dst = -1 }
+
+let[@inline] mix acc v = (acc * 31) + v
+
+(* the hash of [h] masked by [m], computed in place *)
+let masked_hash m (h : Headers.t) =
+  let b = m.bits in
+  mix
+    (mix
+       (mix
+          (mix
+             (mix
+                (mix
+                   (mix
+                      (mix
+                         (mix (mix m.shape (h.in_port land b.in_port))
+                            (h.eth_src land b.eth_src))
+                         (h.eth_dst land b.eth_dst))
+                      (h.eth_type land b.eth_type))
+                   (h.vlan land b.vlan))
+                (h.ip_proto land b.ip_proto))
+             (h.ip4_src land b.ip4_src))
+          (h.ip4_dst land b.ip4_dst))
+       (h.tp_src land b.tp_src))
+    (h.tp_dst land b.tp_dst)
+  land max_int
+
+(* [key] is [h] masked by [bits] ([switch] is never keyed); the fields
+   that most often tell flows apart are compared first *)
+let masked_equal (bits : Headers.t) (key : Headers.t) (h : Headers.t) =
+  key.ip4_dst = h.ip4_dst land bits.ip4_dst
+  && key.tp_src = h.tp_src land bits.tp_src
+  && key.eth_dst = h.eth_dst land bits.eth_dst
+  && key.in_port = h.in_port land bits.in_port
+  && key.ip4_src = h.ip4_src land bits.ip4_src
+  && key.tp_dst = h.tp_dst land bits.tp_dst
+  && key.eth_src = h.eth_src land bits.eth_src
+  && key.eth_type = h.eth_type land bits.eth_type
+  && key.vlan = h.vlan land bits.vlan
+  && key.ip_proto = h.ip_proto land bits.ip_proto
+
+let bucket t hash = hash land (Array.length t.heads - 1)
+
+(* the slot holding [h] masked by [m] in the chain from [s], live or
+   stale, or -1 *)
+let rec chain_find slots m hash h s =
+  if s < 0 then -1
+  else
+    let e = Array.unsafe_get slots s in
+    if e.hash = hash && e.mask = m.shape && masked_equal m.bits e.key h then s
+    else chain_find slots m hash h e.next
+
+let find_slot t m hash h =
+  chain_find t.slots m hash h (Array.unsafe_get t.heads (bucket t hash))
+
+(* the live slot of the first mask under which [h] is cached, or -1 *)
+let rec find_live t h = function
+  | [] -> -1
+  | m :: rest ->
+    let s = find_slot t m (masked_hash m h) h in
+    if s >= 0 && (Array.unsafe_get t.slots s).gen = t.generation then s
+    else find_live t h rest
+
+let link t s =
+  let e = t.slots.(s) in
+  let b = bucket t e.hash in
+  e.next <- t.heads.(b);
+  t.heads.(b) <- s
+
+let rec unlink_after slots prev s =
+  let p = slots.(prev) in
+  if p.next = s then p.next <- slots.(s).next
+  else unlink_after slots p.next s
+
+let unlink t s =
+  let b = bucket t t.slots.(s).hash in
+  if t.heads.(b) = s then t.heads.(b) <- t.slots.(s).next
+  else unlink_after t.slots t.heads.(b) s
+
+(* double the slot arrays (up to the bound) and rechain every entry *)
+let grow t =
+  let n = min t.cache_cap (2 * Array.length t.slots) in
+  let old = t.slots in
+  t.slots <-
+    Array.init n (fun i -> if i < Array.length old then old.(i) else empty_slot ());
+  t.heads <- Array.make (pow2_at_least n) (-1);
+  for s = 0 to t.len - 1 do
+    link t s
+  done
+
+(* sweep to the first slot with a clear bit, clearing bits as we go,
+   and unchain it; one lap clears every bit, so this ends *)
+let rec evict t =
+  let s = t.hand in
+  t.hand <- (if s + 1 = t.cache_cap then 0 else s + 1);
+  let e = t.slots.(s) in
+  if e.referenced then begin
+    e.referenced <- false;
+    evict t
+  end
+  else begin
+    unlink t s;
+    t.evictions <- t.evictions + 1;
+    s
+  end
+
+(* a free slot: the next unused one, a new one from growing, or the
+   CLOCK victim once the cache is at its bound *)
+let free_slot t =
+  if t.len < Array.length t.slots then begin
+    t.len <- t.len + 1;
+    t.len - 1
+  end
+  else if t.len < t.cache_cap then begin
+    grow t;
+    t.len <- t.len + 1;
+    t.len - 1
+  end
+  else evict t
+
+(* this generation's mask for [shape], added on first use *)
+let mask_of t shape =
+  match List.find_opt (fun m -> m.shape = shape) t.masks with
+  | Some m -> m
+  | None ->
+    let m = { shape; bits = Pattern.shape_project shape all_ones } in
+    t.masks <- t.masks @ [ m ];
+    m
+
+let cache_insert t shape h verdict =
+  let m = mask_of t shape in
+  let hash = masked_hash m h in
+  let s = find_slot t m hash h in
+  let e =
+    if s >= 0 then t.slots.(s)  (* a stale entry with this key *)
+    else begin
+      let s = free_slot t in
+      let e = t.slots.(s) in
+      e.key <- Pattern.shape_project shape h;
+      e.mask <- shape;
+      e.hash <- hash;
+      link t s;
+      e
+    end
+  in
+  e.gen <- t.generation;
+  e.verdict <- verdict;
+  e.referenced <- true
+
 let lookup t (h : Headers.t) =
-  match Hcache.find_opt t.cache h with
-  | Some (gen, res) when gen = t.generation ->
+  let s = find_live t h t.masks in
+  if s >= 0 then begin
+    let e = Array.unsafe_get t.slots s in
+    e.referenced <- true;
     t.cache_hits <- t.cache_hits + 1;
-    res
-  | Some _ | None ->
+    e.verdict
+  end
+  else begin
     t.cache_misses <- t.cache_misses + 1;
-    let res = lookup_tuple t h in
-    Hcache.replace t.cache h (t.generation, res);
-    res
+    let verdict, shape = classify t h in
+    cache_insert t shape h verdict;
+    verdict
+  end
 
 let apply t ~now ~size (h : Headers.t) =
   match lookup t h with

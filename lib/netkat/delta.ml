@@ -6,7 +6,6 @@ type entry = {
 }
 
 type snapshot = {
-  gen : int;  (** {!Fdd.generation} at compile time *)
   fdd : Fdd.t;  (** whole-policy diagram (pre-restriction) *)
   entries : (int, entry) Hashtbl.t;  (** per-switch certificates *)
 }
@@ -88,7 +87,6 @@ let per_switch ~previous ~transform ~keep fdd ~case sw =
 
 let compile ?(transform = fun (r : Local.rule) -> r)
     ?(keep = fun (_ : Local.rule) -> true) ~switches previous fdd =
-  let gen = Fdd.generation () in
   (* whole-policy fast path: a physically equal diagram certifies every
      previously-recorded switch at once *)
   let unchanged_fdd =
@@ -129,7 +127,7 @@ let compile ?(transform = fun (r : Local.rule) -> r)
           (s, r + 1, a + List.length adds, d + List.length deletes))
       (0, 0, 0, 0) results
   in
-  { snapshot = { gen; fdd; entries }; changes; skipped; rederived; n_adds;
+  { snapshot = { fdd; entries }; changes; skipped; rederived; n_adds;
     n_deletes }
 
 let compile_policy ?transform ?keep ~switches previous pol =

@@ -98,16 +98,6 @@ val drop : t
 (** Test-only. *)
 val ident : t
 
-(** Hash-cons generation: bumped by every {!clear_cache}.  Within one
-    generation, structurally equal diagrams are physically equal, so
-    equal uids certify equal diagrams {e and} unequal uids certify the
-    diagrams were not built from shared construction — the property the
-    incremental recompiler ({!Delta}) uses for change detection.  Across
-    a clear, sharing is lost: re-deriving the same policy yields fresh
-    uids, so uid comparison stays {e sound} (uids are never reused) but
-    loses its completeness — equal tables may carry different uids. *)
-val generation : unit -> int
-
 (** Sizes of the internal tables:
     [(leaves, branches, binop cache, restrict cache)].
     Test-only. *)
@@ -123,7 +113,16 @@ val last_policy_size : unit -> int
     benchmark runs to measure cold construction).  Existing diagrams
     remain usable but will no longer share with new ones; [drop] and
     [ident] stay canonical.  Interned actions are kept — their ids are
-    canonical for the whole process. *)
+    canonical for the whole process.
+
+    Between two clears, structurally equal diagrams are physically
+    equal, so equal uids certify equal diagrams {e and} unequal uids
+    certify the diagrams were not built from shared construction — the
+    property the incremental recompiler ({!Delta}) uses for change
+    detection.  Across a clear, sharing is lost: re-deriving the same
+    policy yields fresh uids, so uid comparison stays {e sound} (uids
+    are never reused) but loses its completeness — equal tables may
+    carry different uids. *)
 val clear_cache : unit -> unit
 
 (** Diagram equality: physical, thanks to hash-consing. *)
@@ -164,8 +163,8 @@ val act_seq : Act.t -> t -> t
 val seq : t -> t -> t
 
 (** The diagram of a policy.  A syntax node the previous top-level call
-    visited (the same physical value, within one
-    {!generation}) is answered from that call without re-walking it;
+    visited (the same physical value, with no {!clear_cache} since) is
+    answered from that call without re-walking it;
     the answer is the node recomputation would build. *)
 val of_policy : Syntax.pol -> t
 

@@ -127,7 +127,7 @@ type table_stat = {
   active_rules : int;
   table_hits : int;
   table_misses : int;
-  cache_hits : int;          (** exact-match flow-cache hits *)
+  cache_hits : int;          (** megaflow-cache hits *)
   cache_misses : int;        (** flow-cache misses (fell to the classifier) *)
   cache_invalidations : int; (** generation bumps from table mutations *)
   classifier_probes : int;   (** tuple-space shape-table probes *)

@@ -28,9 +28,9 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-(** Cheap deterministic hash over the full header tuple, suitable as an
-    exact-match flow-cache key (avoids the generic [Hashtbl.hash]
-    traversal). *)
+(** Cheap deterministic hash over the full header tuple, suitable as a
+    hashtable key, e.g. for the classifier's per-shape buckets (avoids
+    the generic [Hashtbl.hash] traversal). *)
 val hash : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 type 'a entry = { key : float; seq : int; value : 'a }
 
 type 'a t = {
-  tick : float;               (* slot width, seconds *)
   inv_tick : float;
   nslots : int;               (* power of two *)
   mask : int;
@@ -30,7 +29,7 @@ let pow2 n =
 let create ?(tick = 16e-6) ?(slots = 1024) () =
   if tick <= 0.0 then invalid_arg "Timing_wheel.create: tick must be positive";
   let nslots = pow2 slots in
-  { tick; inv_tick = 1.0 /. tick; nslots; mask = nslots - 1;
+  { inv_tick = 1.0 /. tick; nslots; mask = nslots - 1;
     slots = Array.make nslots []; wheel_count = 0; base = 0;
     near = [||]; near_size = 0; overflow = Heap.create (); next_seq = 0 }
 

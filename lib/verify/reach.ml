@@ -5,7 +5,7 @@ type snapshot = {
   tables : int -> Flow.Table.rule list;
 }
 
-type located = { switch : int; in_port : int; cube : Hsa.cube }
+type located = { switch : int; in_port : int }
 
 type transfer_result = {
   out_sets : (int * Hsa.cube) list;  (** (egress port, rewritten cube) *)
@@ -90,7 +90,7 @@ let walk snapshot ~src ~cube ?(max_hops = 64) () =
   (* history: (switch, port, cube) triples along the current path *)
   let rec step ~(loc : located) ~history ~hops c =
     explored := !explored + 1;
-    if hops > max_hops then loops := { loc with cube = c } :: !loops
+    if hops > max_hops then loops := loc :: !loops
     else begin
       let looping =
         List.exists
@@ -98,13 +98,10 @@ let walk snapshot ~src ~cube ?(max_hops = 64) () =
             sw = loc.switch && pt = loc.in_port && Hsa.subsumes ~general:seen c)
           history
       in
-      if looping then loops := { loc with cube = c } :: !loops
+      if looping then loops := loc :: !loops
       else begin
         let r = transfer snapshot ~switch:loc.switch ~in_port:loc.in_port c in
-        List.iter
-          (fun miss ->
-            black_holes := { loc with cube = miss } :: !black_holes)
-          r.missed;
+        List.iter (fun _ -> black_holes := loc :: !black_holes) r.missed;
         List.iter
           (fun (out_port, c') ->
             match
@@ -120,7 +117,7 @@ let walk snapshot ~src ~cube ?(max_hops = 64) () =
               (* the cube's In_port constraint is stale after moving *)
               let c' = Hsa.set_constr c' Packet.Fields.In_port Hsa.Any in
               step
-                ~loc:{ switch = sw; in_port; cube = c' }
+                ~loc:{ switch = sw; in_port }
                 ~history:((loc.switch, loc.in_port, c) :: history)
                 ~hops:(hops + 1) c')
           r.out_sets
@@ -130,7 +127,7 @@ let walk snapshot ~src ~cube ?(max_hops = 64) () =
   (match Topo.Topology.attachment snapshot.topo src with
    | None -> ()
    | Some (sw, sw_port) ->
-     step ~loc:{ switch = sw; in_port = sw_port; cube } ~history:[] ~hops:1 cube);
+     step ~loc:{ switch = sw; in_port = sw_port } ~history:[] ~hops:1 cube);
   { deliveries = !deliveries; loops = !loops; black_holes = !black_holes;
     explored = !explored }
 

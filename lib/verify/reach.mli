@@ -12,7 +12,7 @@ type snapshot = {
       (** rules of a switch, highest priority first *)
 }
 
-(** A symbolic packet set at a location. *)
+(** A location of the walk: a switch and its ingress port. *)
 type located
 
 type delivery = {

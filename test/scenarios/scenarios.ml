@@ -23,8 +23,8 @@ let allowlist_policy topo k =
 (* [spec] routed by the compiled routing policy, with long-lived CBR
    flows queued (seed 9, 1000 B; by default 32 flows at 500 pps until
    1 s); the caller runs it.  Fixed per-flow ports give long-lived
-   5-tuples, so the exact-match cache can do its job (one miss per flow
-   per switch). *)
+   5-tuples; the routing tables match only destinations, so the flow
+   cache misses once per destination per switch. *)
 let routed_flows ?(flows = 32) ?(rate_pps = 500.0) ?(stop = 1.0) spec =
   let topo = Topo.Gen.of_spec spec in
   let net = Zen.create topo in

@@ -187,7 +187,7 @@ let test_ring16_signature () =
 
 (* What one executed event allocates, on fat-tree k=4 with compiled
    routing and 100 fixed-port CBR flows over 50 ms (~33K events, every
-   lookup after the first per flow and switch an exact-match cache hit).
+   lookup after the first per destination and switch a flow-cache hit).
    A forwarding hop still allocates its arrival closure, the wheel entry
    (with its boxed time) and the list cell filing it in a slot, the
    located header copy and the ttl-decremented packet, plus the flow

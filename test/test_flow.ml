@@ -183,7 +183,7 @@ let test_modify_preserves_counters () =
   | _ -> Alcotest.fail "one rule expected"
 
 (* regression: deletes that removed nothing used to flush the whole
-   exact-match cache anyway *)
+   flow cache anyway *)
 let test_noop_delete_keeps_cache () =
   let t = Table.create () in
   Table.add t (mk ~priority:5 (Pattern.of_field Fields.Tp_dst 80) (Action.forward 1));
@@ -330,7 +330,7 @@ let prop_lookup_max_priority =
         List.for_all (fun (r' : Table.rule) -> r'.priority <= r.priority)
           matching)
 
-(* directed checks of the exact-match cache counters *)
+(* directed checks of the flow-cache counters *)
 let test_cache_counters () =
   let t = Table.create () in
   Table.add t (mk ~priority:1 Pattern.any (Action.forward 1));
@@ -604,10 +604,14 @@ let prop_tuple_space_consistent =
 (* cache overflow *)
 
 (* one hot header re-probed between a stream of cold ones — the access
-   pattern where wholesale reset loses and per-entry eviction wins *)
+   pattern where wholesale reset loses and per-entry eviction wins.  The
+   tp_dst rule puts tp_dst in every megaflow mask, so each cold header
+   needs an entry of its own. *)
 let churn_cache () =
   let t = Table.create ~cache_entries:8 () in
   Table.add t (mk Pattern.any (Action.forward 1));
+  Table.add t
+    (mk ~priority:5 (Pattern.of_field Fields.Tp_dst 0) (Action.forward 2));
   let h i = Headers.set hdr Fields.Tp_dst i in
   let hot = h 1 in
   ignore (Table.lookup t hot);
@@ -652,6 +656,177 @@ let test_clock_consistent_under_eviction () =
         (key (Table.lookup t probe))
     done
   done
+
+(* ------------------------------------------------------------------ *)
+(* Megaflow cache *)
+
+(* a destination-only table: one megaflow entry serves every source
+   port, so a stream of fresh ports misses once *)
+let test_megaflow_fresh_ports () =
+  let t = Table.create () in
+  Table.add t
+    (mk ~priority:1
+       { Pattern.any with ip4_dst = Some (Ipv4.Prefix.host hdr.ip4_dst) }
+       (Action.forward 1));
+  for port = 1 to 1000 do
+    match Table.lookup t { hdr with tp_src = port } with
+    | Some r -> Alcotest.(check int) "winner" 1 r.priority
+    | None -> Alcotest.fail "destination rule must match"
+  done;
+  Alcotest.(check int) "one miss" 1 (Table.cache_misses t);
+  Alcotest.(check int) "999 hits" 999 (Table.cache_hits t);
+  Alcotest.(check int) "one entry" 1 (Table.cache_size t)
+
+(* [Gc.minor_words] is unboxed in native code, so the loop's own
+   allocation is all it measures; any per-hit allocation is >= 2 words *)
+let test_megaflow_hit_allocates_nothing () =
+  let t = Table.create () in
+  Table.add t
+    (mk ~priority:3
+       { Pattern.any with
+         ip4_dst = Some (Ipv4.Prefix.make hdr.ip4_dst 24) }
+       (Action.forward 1));
+  Table.add t
+    (mk ~priority:2
+       { Pattern.any with in_port = Some 7; tp_dst = Some 80 }
+       (Action.forward 2));
+  Table.add t (mk Pattern.any (Action.forward 3));
+  let miss = { hdr with ip4_dst = Ipv4.of_string "192.168.0.1" } in
+  ignore (Table.lookup t hdr);
+  ignore (Table.lookup t miss);
+  let hits = Table.cache_hits t in
+  let before = Gc.minor_words () in
+  for _ = 1 to 5_000 do
+    ignore (Sys.opaque_identity (Table.lookup t hdr));
+    ignore (Sys.opaque_identity (Table.lookup t miss))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all hits" (hits + 10_000) (Table.cache_hits t);
+  Alcotest.(check int) "words per hit" 0 (int_of_float (words /. 10_000.0))
+
+let test_megaflow_mask_bound () =
+  let t = Table.create () in
+  ignore (Table.lookup t hdr);
+  Alcotest.(check int) "an empty table caches under one mask" 1
+    (Table.mask_count t);
+  let dst len =
+    { Pattern.any with ip4_dst = Some (Ipv4.Prefix.make hdr.ip4_dst len) }
+  in
+  Table.add t (mk ~priority:9 (dst 32) (Action.forward 1));
+  Table.add t (mk ~priority:8 (dst 24) (Action.forward 2));
+  Table.add t (mk ~priority:7 (Pattern.of_field Fields.In_port 3) (Action.forward 3));
+  Table.add t (mk ~priority:6 (Pattern.of_field Fields.Tp_dst 22) (Action.forward 4));
+  Alcotest.(check int) "mutation clears the masks" 0 (Table.mask_count t);
+  let prng = Util.Prng.create 3 in
+  for _ = 1 to 2000 do
+    let h =
+      { hdr with
+        in_port = Util.Prng.int prng 5;
+        (* hdr's address, a neighbour in its /24, or one outside it *)
+        ip4_dst =
+          hdr.ip4_dst lxor Util.Prng.int prng 2
+          lxor (Util.Prng.int prng 2 lsl 8);
+        tp_src = Util.Prng.int prng 1000;
+        tp_dst = 20 + Util.Prng.int prng 4 }
+    in
+    ignore (Table.lookup t h);
+    if Table.mask_count t > max 1 (Table.shape_count t) then
+      Alcotest.failf "%d masks over %d shapes" (Table.mask_count t)
+        (Table.shape_count t)
+  done;
+  (* the probe order's prefixes give four unions, but /32 ∪ /24 is the
+     /32 mask itself *)
+  Alcotest.(check int) "one mask per distinct union" 3 (Table.mask_count t)
+
+(* property: the megaflow cache answers like the linear scan on
+   multi-shape tables — in_port, exact fields, source and destination
+   prefixes of several lengths, equal-priority ties — with modify,
+   delete and expiry between lookups.  Headers also vary tp_src and
+   eth_src, which no rule constrains, so entries are shared. *)
+let prop_megaflow_consistent ?cache_entries name =
+  let open QCheck.Gen in
+  let addr =
+    map3 (fun a b c -> Ipv4.of_octets 10 a b c) (int_bound 1) (int_bound 1)
+      (1 -- 2)
+  in
+  let prefix = opt (map2 Ipv4.Prefix.make addr (oneofl [ 8; 16; 24; 32 ])) in
+  let gen_pat =
+    map
+      (fun ((in_port, ip_proto, tp_dst), (ip4_src, ip4_dst)) ->
+        { Pattern.any with in_port; ip_proto; tp_dst; ip4_src; ip4_dst })
+      (pair
+         (triple (opt (int_bound 2)) (opt (oneofl [ 6; 17 ]))
+            (opt (oneofl [ 80; 443 ])))
+         (pair prefix prefix))
+  in
+  let gen_hdr =
+    map
+      (fun ((in_port, ip_proto, tp_dst), (ip4_src, ip4_dst), (tp_src, eth_src)) ->
+        { hdr with in_port; ip_proto; tp_dst; ip4_src; ip4_dst; tp_src;
+          eth_src })
+      (triple
+         (triple (int_bound 2) (oneofl [ 6; 17 ]) (oneofl [ 80; 443 ]))
+         (pair addr addr)
+         (pair (int_bound 1000) (int_bound 3)))
+  in
+  let gen_op =
+    frequency
+      [ (4,
+         map3
+           (fun prio p idle -> `Add (prio, p, idle))
+           (int_bound 3) gen_pat
+           (opt (1 -- 4)));
+        (2, map (fun i -> `Modify i) nat);
+        (1, map (fun p -> `Remove p) gen_pat);
+        (1, map (fun i -> `Remove_strict i) nat);
+        (1, return `Expire);
+        (4, map (fun hs -> `Apply hs) (list_size (1 -- 8) gen_hdr)) ]
+  in
+  QCheck.Test.make ~name ~count:400
+    (QCheck.make
+       (pair (list_size (5 -- 40) gen_op) (list_size (4 -- 12) gen_hdr)))
+    (fun (ops, probes) ->
+      let t = Table.create ?cache_entries () in
+      let cookie = ref 0 in
+      let now = ref 0.0 in
+      let key = Option.map (fun (r : Table.rule) -> r.cookie) in
+      let agree h = key (Table.lookup t h) = key (Table.lookup_linear t h) in
+      let nth_rule i =
+        match Table.rules t with
+        | [] -> None
+        | rules -> Some (List.nth rules (i mod List.length rules))
+      in
+      List.for_all
+        (fun op ->
+          now := !now +. 1.0;
+          incr cookie;
+          (match op with
+           | `Add (priority, pattern, idle) ->
+             Table.add t
+               (Table.make_rule ~priority ~cookie:!cookie ~pattern
+                  ~idle_timeout:(Option.map float_of_int idle) ~now:!now
+                  ~actions:(Action.forward 1) ())
+           | `Modify i ->
+             Option.iter
+               (fun (r : Table.rule) ->
+                 Table.add t
+                   (Table.make_rule ~priority:r.priority ~cookie:!cookie
+                      ~pattern:r.pattern ~actions:(Action.forward 2) ()))
+               (nth_rule i)
+           | `Remove pattern -> Table.remove t ~pattern
+           | `Remove_strict i ->
+             Option.iter
+               (fun (r : Table.rule) ->
+                 Table.remove_strict t ~priority:r.priority ~pattern:r.pattern)
+               (nth_rule i)
+           | `Expire -> ignore (Table.expire t ~now:!now)
+           | `Apply hs ->
+             List.iter
+               (fun h -> ignore (Table.apply t ~now:!now ~size:100 h))
+               hs);
+          List.for_all agree probes
+          && Table.mask_count t <= max 1 (Table.shape_count t))
+        ops)
 
 let suites =
   [ ( "flow.pattern",
@@ -701,4 +876,16 @@ let suites =
           test_classifier_probe_cost;
         Alcotest.test_case "prefix stacks resolve by priority" `Quick
           test_classifier_prefix_priorities;
-        QCheck_alcotest.to_alcotest prop_tuple_space_consistent ] ) ]
+        QCheck_alcotest.to_alcotest prop_tuple_space_consistent ] );
+    ( "flow.megaflow",
+      [ Alcotest.test_case "fresh ports share one entry" `Quick
+          test_megaflow_fresh_ports;
+        Alcotest.test_case "a hit allocates nothing" `Quick
+          test_megaflow_hit_allocates_nothing;
+        Alcotest.test_case "masks bounded by shapes" `Quick
+          test_megaflow_mask_bound;
+        QCheck_alcotest.to_alcotest
+          (prop_megaflow_consistent ~cache_entries:2
+             "megaflow == linear, 2-entry cache");
+        QCheck_alcotest.to_alcotest
+          (prop_megaflow_consistent "megaflow == linear, default cache") ] ) ]
