@@ -12,20 +12,24 @@ let default_resilience =
 
 let check_resilience who r =
   let bad field = invalid_arg (Printf.sprintf "%s: resilience.%s" who field) in
-  let positive x = Float.is_finite x && x > 0.0 in
-  if not (positive r.echo_period) then bad "echo_period";
+  if not (Float.is_finite r.echo_period && r.echo_period > 0.0) then
+    bad "echo_period";
   if r.echo_miss_limit < 1 then bad "echo_miss_limit";
-  if not (positive r.retx_timeout) then bad "retx_timeout";
-  if not (Float.is_finite r.retx_backoff && r.retx_backoff >= 1.0) then
-    bad "retx_backoff";
-  if not (Float.is_finite r.retx_cap && r.retx_cap >= r.retx_timeout) then
-    bad "retx_cap"
+  match
+    Util.Rto.bad_arg ~initial:r.retx_timeout ~backoff:r.retx_backoff
+      ~cap:r.retx_cap
+  with
+  | Some Initial -> bad "retx_timeout"
+  | Some Backoff -> bad "retx_backoff"
+  | Some Cap -> bad "retx_cap"
+  | None -> ()
 
 (* a reliable batch: pre-assigned xids so retransmissions are replays *)
 type batch = {
   frames : (int * Openflow.Message.t) list;
   barrier_xid : int;
   mutable attempts : int;
+  mutable sent_at : float;  (* the latest transmission *)
 }
 
 type sw_status = Handshaking | Sw_up | Sw_down
@@ -35,7 +39,7 @@ type sw_state = {
   shadow : Flow.Table.t;  (* the rules this switch is intended to hold *)
   pending : batch Queue.t;
   mutable inflight : batch option;
-  mutable rto : float;
+  rto : Util.Rto.t;
   mutable status : sw_status;
   mutable echo_outstanding : int;  (* keepalives sent and not yet answered *)
   mutable down_since : float;
@@ -89,9 +93,10 @@ let state t switch_id =
       { st_id = switch_id; shadow = Flow.Table.create ();
         pending = Queue.create (); inflight = None;
         rto =
-          (match t.resilience with
-           | Some r -> r.retx_timeout
-           | None -> 0.0);
+          (* unused without resilience *)
+          (let r = Option.value t.resilience ~default:default_resilience in
+           Util.Rto.create ~initial:r.retx_timeout ~backoff:r.retx_backoff
+             ~cap:r.retx_cap);
         status = Handshaking; echo_outstanding = 0; down_since = 0.0;
         handshaked = false }
     in
@@ -160,25 +165,27 @@ let sim_of t = Dataplane.Network.sim t.ctx.Api.net
 
 let transmit_batch t st b =
   b.attempts <- b.attempts + 1;
+  b.sent_at <- Api.time t.ctx;
   Dataplane.Network.controller_send t.ctx.Api.net ~switch_id:st.st_id
     (Openflow.Wire.encode_batch b.frames)
 
 (* arm the retransmission timer for the batch currently in flight; the
    timer is disarmed implicitly when the batch is acked or discarded
    (physical equality against [inflight]) *)
-let rec arm_retx t st b r =
-  Dataplane.Sim.schedule (sim_of t) ~delay:st.rto (fun () ->
-    if not t.stopped then
-      match st.inflight with
-      | Some cur when cur == b ->
-        t.rstats.retransmits <- t.rstats.retransmits + 1;
-        st.rto <- Float.min (st.rto *. r.retx_backoff) r.retx_cap;
-        transmit_batch t st b;
-        arm_retx t st b r
-      | _ -> ())
+let rec arm_retx t st b =
+  Dataplane.Sim.schedule (sim_of t) ~delay:(Util.Rto.current st.rto)
+    (fun () ->
+      if not t.stopped then
+        match st.inflight with
+        | Some cur when cur == b ->
+          t.rstats.retransmits <- t.rstats.retransmits + 1;
+          Util.Rto.expire st.rto;
+          transmit_batch t st b;
+          arm_retx t st b
+        | _ -> ())
 
 (* start the next queued batch if the line is idle and the switch is up *)
-let pump t st r =
+let pump t st =
   match st.inflight with
   | Some _ -> ()
   | None ->
@@ -186,7 +193,7 @@ let pump t st r =
       let b = Queue.pop st.pending in
       st.inflight <- Some b;
       transmit_batch t st b;
-      arm_retx t st b r
+      arm_retx t st b
     end
 
 (* enqueue [msgs] as one reliable batch (trailing barrier appended when
@@ -194,7 +201,7 @@ let pump t st r =
    A replicated leader opens every batch with its lease-epoch Fence —
    the switch rejects the whole delivery once a higher epoch has been
    seen, so a deposed leader's retransmits can never land. *)
-let enqueue_reliable t st r msgs =
+let enqueue_reliable t st msgs =
   let msgs =
     if t.fence > 0 then Openflow.Message.Fence t.fence :: msgs else msgs
   in
@@ -214,8 +221,8 @@ let enqueue_reliable t st r msgs =
     (* the batch ends with the barrier by construction *)
     match List.rev frames with (xid, _) :: _ -> xid | [] -> assert false
   in
-  Queue.push { frames; barrier_xid; attempts = 0 } st.pending;
-  pump t st r
+  Queue.push { frames; barrier_xid; attempts = 0; sent_at = nan } st.pending;
+  pump t st
 
 let contains_flow_mod msgs =
   List.exists
@@ -241,7 +248,7 @@ let send_batch t ~switch_id msgs =
         | _ -> ())
       msgs;
     match t.resilience with
-    | Some r when contains_flow_mod msgs -> enqueue_reliable t st r msgs
+    | Some _ when contains_flow_mod msgs -> enqueue_reliable t st msgs
     | _ ->
       let framed =
         List.map
@@ -312,9 +319,9 @@ let add_of_rule (ru : Flow.Table.rule) =
 (* full-table re-push after a re-handshake, as a single reliable
    delete-all-plus-adds batch.  The batch is NOT shadowed: it
    reconstructs the shadow, it does not extend it. *)
-let full_resync t st r =
+let full_resync t st =
   t.rstats.resyncs <- t.rstats.resyncs + 1;
-  enqueue_reliable t st r
+  enqueue_reliable t st
     (Openflow.Message.Flow_mod
        (Openflow.Message.delete_flow ~pattern:Flow.Pattern.any ())
     :: List.map add_of_rule (Flow.Table.rules st.shadow))
@@ -370,14 +377,19 @@ let create ?(latency = 1e-3) ?resilience ?(attach = true)
        | None -> ())
     | Barrier_reply ->
       (match t.resilience with
-       | Some r ->
+       | Some _ ->
          let st = state t switch_id in
          (match st.inflight with
           | Some b when b.barrier_xid = xid ->
             st.inflight <- None;
-            st.rto <- r.retx_timeout;
+            (* Karn's rule: a retransmitted batch's reply may answer
+               any of its copies, so only a first send is timed *)
+            Util.Rto.ack st.rto
+              ?rtt:
+                (if b.attempts = 1 then Some (Api.time t.ctx -. b.sent_at)
+                 else None);
             t.rstats.acked_batches <- t.rstats.acked_batches + 1;
-            pump t st r
+            pump t st
           | _ -> ())  (* stale or duplicate ack *)
        | None -> ())
     | Features_reply f ->
@@ -391,14 +403,16 @@ let create ?(latency = 1e-3) ?resilience ?(attach = true)
        | None ->
          t.handshakes <- t.handshakes + 1;
          fire_up ()
-       | Some r ->
+       | Some _ ->
          let st = state t f.datapath_id in
          (match st.status with
           | Sw_up -> ()  (* duplicate features reply: already up *)
           | prev ->
             st.status <- Sw_up;
             st.echo_outstanding <- 0;
-            st.rto <- r.retx_timeout;
+            (* the switch answers again: drop any backoff, keep the
+               RTT estimate *)
+            Util.Rto.ack st.rto;
             t.handshakes <- t.handshakes + 1;
             if prev = Sw_down then
               t.rstats.recovery_samples <-
@@ -407,9 +421,9 @@ let create ?(latency = 1e-3) ?resilience ?(attach = true)
             st.handshaked <- true;
             (* re-handshake after a crash: restore intended state before
                apps react, then let their switch_up pushes layer on top *)
-            if resync then full_resync t st r;
+            if resync then full_resync t st;
             fire_up ();
-            pump t st r))
+            pump t st))
     | Packet_in pi ->
       List.iter
         (fun (app : Api.app) ->

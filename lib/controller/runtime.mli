@@ -25,7 +25,11 @@
       with capped exponential backoff until the matching [Barrier_reply]
       arrives.  Batches to one switch go stop-and-wait (at most one
       unacked batch in flight), which together with the switch-side
-      last-seen-xid dedup makes replays idempotent and order-safe;
+      last-seen-xid dedup makes replays idempotent and order-safe.  The
+      timeout adapts to the control RTT: each switch keeps a
+      {!Util.Rto} estimator, fed by the barrier round trip of every
+      batch acked on its first send (Karn's rule: a retransmitted
+      batch is never timed);
     - a switch that re-handshakes (after a crash, a control-channel
       partition, or adoption by a new leader — its restart [Hello], or
       the probe loop, triggers a fresh features exchange) is resynced:
@@ -44,9 +48,11 @@
 type resilience = {
   echo_period : float;     (** seconds between keepalive ticks per switch *)
   echo_miss_limit : int;   (** consecutive unanswered echos ⇒ switch down *)
-  retx_timeout : float;    (** initial retransmission timeout (RTO) *)
+  retx_timeout : float;
+      (** retransmission timeout (RTO) before the first RTT sample *)
   retx_backoff : float;    (** RTO multiplier per retransmission *)
-  retx_cap : float;        (** RTO ceiling *)
+  retx_cap : float;
+      (** ceiling on both the RTT estimate and the backed-off RTO *)
 }
 
 val default_resilience : resilience
@@ -55,10 +61,11 @@ val default_resilience : resilience
     and the field) unless [r] can drive its timers forward: a zero or
     non-finite period or timeout would schedule keepalives or
     retransmissions at one simulated instant forever.  Requires
-    [echo_period] and [retx_timeout] finite and > 0, [echo_miss_limit]
-    >= 1, [retx_backoff] finite and >= 1, and [retx_cap] finite and
-    >= [retx_timeout] (the bounds {!Dataplane.Transport.start} puts on
-    its own timers). *)
+    [echo_period] finite and > 0 and [echo_miss_limit] >= 1; the three
+    [retx_] fields go through {!Util.Rto.bad_arg}, the validation
+    {!Dataplane.Transport.start} shares: [retx_timeout] finite and > 0,
+    [retx_backoff] finite and >= 1, [retx_cap] finite and >=
+    [retx_timeout]. *)
 val check_resilience : string -> resilience -> unit
 
 

@@ -13,10 +13,7 @@ type t = {
   dst : int;
   total : int;        (** packets to deliver *)
   window : int;
-  rto : float;        (** initial retransmission timeout *)
-  backoff : float;    (** RTO multiplier per timer expiry *)
-  max_rto : float;    (** RTO ceiling *)
-  mutable cur_rto : float;  (* current (possibly backed-off) RTO *)
+  rto : Util.Rto.t;   (* never sampled: see the .mli *)
   max_retx : int;     (** per-packet retransmission budget before abort *)
   pkt_size : int;
   tp_dst : int;
@@ -72,7 +69,7 @@ let rec pump t =
 and arm_timer t =
   t.timer_gen <- t.timer_gen + 1;
   let gen = t.timer_gen in
-  Sim.schedule (Network.sim t.net) ~delay:t.cur_rto (fun () ->
+  Sim.schedule (Network.sim t.net) ~delay:(Util.Rto.current t.rto) (fun () ->
     if (not t.done_) && (not t.aborted) && gen = t.timer_gen
        && t.base < t.next_seq
     then begin
@@ -87,7 +84,7 @@ and arm_timer t =
         done;
         (* back off: the path just ate a whole window, don't re-offer it
            at the same rate *)
-        t.cur_rto <- Float.min (t.cur_rto *. t.backoff) t.max_rto;
+        Util.Rto.expire t.rto;
         arm_timer t
       end
     end
@@ -112,7 +109,7 @@ let on_sender_receive t (pkt : Network.pkt) =
         pump t;
         (* the path is moving again: fresh RTT credit for the new base,
            back at the initial RTO *)
-        t.cur_rto <- t.rto;
+        Util.Rto.ack t.rto;
         arm_timer t
       end
     end
@@ -143,16 +140,16 @@ let start net ~src ~dst ~total ?(window = 8) ?(rto = 0.05)
   let bad what = invalid_arg ("Transport.start: " ^ what) in
   if total <= 0 then bad "total must be >= 1";
   if window <= 0 then bad "window must be >= 1";
-  if not (Float.is_finite rto && rto > 0.0) then
-    bad "rto must be finite and > 0";
-  if not (Float.is_finite backoff && backoff >= 1.0) then
-    bad "backoff must be finite and >= 1";
   let max_rto = Option.value max_rto ~default:(8.0 *. rto) in
-  if not (Float.is_finite max_rto && max_rto >= rto) then
-    bad "max_rto must be finite and >= rto";
+  (match Util.Rto.bad_arg ~initial:rto ~backoff ~cap:max_rto with
+   | Some Initial -> bad "rto must be finite and > 0"
+   | Some Backoff -> bad "backoff must be finite and >= 1"
+   | Some Cap -> bad "max_rto must be finite and >= rto"
+   | None -> ());
   if max_retx < 0 then bad "max_retx must be >= 0";
   let t =
-    { net; src; dst; total; window; rto; backoff; max_rto; cur_rto = rto;
+    { net; src; dst; total; window;
+      rto = Util.Rto.create ~initial:rto ~backoff ~cap:max_rto;
       max_retx; pkt_size; tp_dst;
       start_time = Network.now net;
       stats = { sent = 0; retransmissions = 0; acks_received = 0;

@@ -11,7 +11,11 @@
     to [max_rto], and any base-advancing ACK resets it to the initial
     value.  (A fixed RTO hammers a lossy or congested path with
     back-to-back window retransmissions — exactly the collapse the
-    backoff avoids.)  Loss comes from the network itself (drop-tail
+    backoff avoids.)  The timer is the controller's {!Util.Rto}, fed no
+    RTT samples: go-back-N keeps no per-segment send times, and a
+    cumulative ACK after a window retransmission cannot say which copy
+    it answers, so the RTO stays at its initial value between
+    expiries.  Loss comes from the network itself (drop-tail
     queues, failures, link chaos), so the transfer exercises exactly the
     queueing behavior the simulator models.  Used by experiment E14
     (goodput vs window vs queue depth). *)
@@ -47,8 +51,8 @@ val delivered : t -> int
     sender stops, and late ACKs are ignored.
     @raise Invalid_argument before sending anything unless [total] and
     [window] are >= 1, [rto] is finite and > 0, [backoff] is finite and
-    >= 1, [max_rto] is finite and >= [rto], and [max_retx] is >= 0 (the
-    timer bounds of {!Controller.Runtime.check_resilience}). *)
+    >= 1, [max_rto] is finite and >= [rto] (the timer bounds of
+    {!Util.Rto.bad_arg}), and [max_retx] is >= 0. *)
 val start :
   Network.t ->
   src:int ->

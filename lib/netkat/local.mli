@@ -25,9 +25,13 @@ val seq_of_act : Fdd.Act.t -> Flow.Action.seq
 (** [rules_of_restricted d] extracts the rule list from a diagram
     already specialized to one switch (no [Switch] tests left), highest
     priority first.  Priorities count paths from the bottom ([n - i]),
-    so an edit that inserts or removes paths leaves every rule {e below}
-    the edit point untouched — the property the incremental recompiler
-    ({!Delta}) relies on for small diffs.
+    so an edit that inserts or removes paths leaves the rules {e below}
+    the edit point untouched but renumbers every rule above it.
+    {!Delta.diff_rules} keys on (priority, pattern), so it ships each
+    renumbered rule as a delete plus an add: a guard edit on fat-tree
+    k=6 sends 100.1 flow-mods for 1.93 re-derived switches.  Stable,
+    gapped priorities would make that about one flow-mod per changed
+    rule (ROADMAP item 1).
     @raise Not_local if the diagram moves packets between switches. *)
 val rules_of_restricted : Fdd.t -> rule list
 

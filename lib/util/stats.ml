@@ -54,60 +54,6 @@ let jain_fairness xs =
     let s2 = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
     if s2 = 0.0 then 1.0 else s *. s /. (float_of_int (List.length xs) *. s2)
 
-module Histogram = struct
-  type t = { lo : float; hi : float; counts : int array; mutable total : int }
-
-  let create ~lo ~hi ~buckets =
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets";
-    if hi <= lo then invalid_arg "Histogram.create: bounds";
-    { lo; hi; counts = Array.make buckets 0; total = 0 }
-
-  let add t x =
-    let n = Array.length t.counts in
-    let idx =
-      int_of_float (float_of_int n *. ((x -. t.lo) /. (t.hi -. t.lo)))
-    in
-    let idx = max 0 (min (n - 1) idx) in
-    t.counts.(idx) <- t.counts.(idx) + 1;
-    t.total <- t.total + 1
-
-  let count t = t.total
-  let bucket_count t i = t.counts.(i)
-
-  let quantile t q =
-    if t.total = 0 then nan
-    else begin
-      let target = q *. float_of_int t.total in
-      let n = Array.length t.counts in
-      let width = (t.hi -. t.lo) /. float_of_int n in
-      let rec go i acc =
-        if i >= n then t.hi
-        else begin
-          let acc' = acc + t.counts.(i) in
-          if float_of_int acc' >= target then
-            t.lo +. (width *. (float_of_int i +. 0.5))
-          else go (i + 1) acc'
-        end
-      in
-      go 0 0
-    end
-end
-
-module Ewma = struct
-  type t = { alpha : float; mutable value : float option }
-
-  let create ~alpha =
-    if alpha <= 0.0 || alpha > 1.0 then invalid_arg "Ewma.create: alpha";
-    { alpha; value = None }
-
-  let add t x =
-    match t.value with
-    | None -> t.value <- Some x
-    | Some v -> t.value <- Some ((t.alpha *. x) +. ((1.0 -. t.alpha) *. v))
-
-  let value t = t.value
-end
-
 module Series = struct
   type t = { mutable samples : (float * float) list (* newest first *) }
 

@@ -1,6 +1,6 @@
 (** Descriptive statistics used by the measurement apps and the benchmark
-    harness: online mean/variance, percentiles, fixed-bucket histograms,
-    EWMA smoothing and Jain's fairness index. *)
+    harness: online mean/variance, percentiles, Jain's fairness index
+    and time series. *)
 
 (** Online mean and variance via Welford's algorithm. *)
 module Online : sig
@@ -39,36 +39,6 @@ val mean : float list -> float
 (** Jain's fairness index of an allocation vector: 1.0 is perfectly fair,
     1/n is maximally unfair.  Returns 1.0 for an all-zero vector. *)
 val jain_fairness : float list -> float
-
-(** Fixed-bucket histogram over [\[lo, hi)] with [buckets] equal cells;
-    out-of-range samples are clamped into the first/last cell.
-    Test-only. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> buckets:int -> t
-
-  val add : t -> float -> unit
-
-  val count : t -> int
-
-  val bucket_count : t -> int -> int
-
-  (** Approximate quantile from bucket midpoints. *)
-  val quantile : t -> float -> float
-end
-
-(** Exponentially-weighted moving average with smoothing factor [alpha].
-    Test-only. *)
-module Ewma : sig
-  type t
-
-  val create : alpha:float -> t
-
-  val add : t -> float -> unit
-
-  val value : t -> float option
-end
 
 (** A time series of (time, value) samples with simple aggregation,
     used by the monitoring app. *)

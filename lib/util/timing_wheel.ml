@@ -26,7 +26,9 @@ let pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 2
 
-let create ?(tick = 16e-6) ?(slots = 1024) () =
+let default_tick = 16e-6
+
+let create ?(tick = default_tick) ?(slots = 1024) () =
   if tick <= 0.0 then invalid_arg "Timing_wheel.create: tick must be positive";
   let nslots = pow2 slots in
   { inv_tick = 1.0 /. tick; nslots; mask = nslots - 1;

@@ -508,10 +508,10 @@ let replica_realization_digest () =
 
 let test_realization_pinned () =
   Alcotest.(check string) "control channel realization"
-    "c035b024c31255c3d052f4f5fe44ca9f"
+    "c04fd16ad42f76a0f8020000c9a10c74"
     (realization_digest ());
   Alcotest.(check string) "inter-controller channel realization"
-    "a61dc7da3ab838df29bcc9c60721a6e6"
+    "4488fa4a5391793945e4fe44edce76e9"
     (replica_realization_digest ())
 
 (* ------------------------------------------------------------------ *)

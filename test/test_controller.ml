@@ -445,6 +445,65 @@ let resilience_cases =
         (fun r -> { r with retx_cap = nan });
         (fun r -> { r with retx_cap = infinity }) ] ) ]
 
+(* ------------------------------------------------------------------ *)
+(* Adaptive retransmission timer *)
+
+(* A default-resilience runtime on fat-tree k=4 with [fault] on its
+   control channel: the routing install, then 150 guard edits
+   [Seq (guard_i, base)] on one edge switch, each settled before the
+   next.  Every edit is one reliable batch to that switch, so its
+   session takes enough RTT samples for 4 RTTVAR to decay below the
+   float noise of a constant RTT: only the clock-granularity floor then
+   keeps the timeout above the RTT.  Returns (retransmits, acked
+   batches). *)
+let guard_edit_retransmits ?fault () =
+  let topo, info = Topo.Gen.fat_tree ~k:4 () in
+  let net = Network.create ?fault topo in
+  let rt =
+    Controller.Runtime.create_and_handshake
+      ~resilience:Controller.Runtime.default_resilience net []
+  in
+  let ctx = Controller.Runtime.ctx rt in
+  let upd = Controller.Update.create () in
+  let install pol =
+    Controller.Update.install_plain upd ctx pol;
+    Alcotest.(check (list int)) "converged" [] (Controller.Runtime.settle rt)
+  in
+  let base = Netkat.Builder.routing_policy topo in
+  install base;
+  let sw = List.hd info.edge in
+  let mac = Packet.Mac.of_host_id (List.hd (Topo.Topology.host_ids topo)) in
+  for i = 1 to 150 do
+    install (Scenarios.apply_edit base (sw, mac, 1024 + i))
+  done;
+  (* let the last barrier replies land *)
+  ignore (Network.run ~until:(Network.now net +. 0.1) net ());
+  Controller.Runtime.shutdown rt;
+  let s = Controller.Runtime.resilience_stats rt in
+  (s.retransmits, s.acked_batches)
+
+(* the 2 ms control RTT is constant on a clean channel *)
+let test_clean_channel_never_retransmits () =
+  let retransmits, acked = guard_edit_retransmits () in
+  Alcotest.(check int) "every batch acked" 170 acked;
+  Alcotest.(check int) "retransmits" 0 retransmits
+
+(* Drop 0.05 each way loses 1 - 0.95^2 of the batch round trips, which
+   costs 0.108 retransmits per acked batch; the 1 ms jitter adds a few
+   early timeouts (0.14 measured).  The bound leaves room for those and
+   fails a timer that tracks the RTT too tightly: SRTT + RTTVAR reads
+   0.62. *)
+let test_lossy_retransmits_bounded () =
+  let fault = Fault.create ~seed:1 ~drop:0.05 ~dup:0.05 ~jitter:1e-3 () in
+  let retransmits, acked = guard_edit_retransmits ~fault () in
+  Alcotest.(check bool) "loss recovered by retransmission" true
+    (retransmits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d retransmits per %d acked batches <= 0.2" retransmits
+       acked)
+    true
+    (float_of_int retransmits <= 0.2 *. float_of_int acked)
+
 let suites =
   [ ( "controller.runtime",
       [ Alcotest.test_case "handshake" `Quick test_handshake;
@@ -453,7 +512,11 @@ let suites =
         Alcotest.test_case "packet-out and stats" `Quick
           test_packet_out_and_stats;
         Alcotest.test_case "control channel counted" `Quick
-          test_control_channel_counted ]
+          test_control_channel_counted;
+        Alcotest.test_case "clean channel never retransmits" `Quick
+          test_clean_channel_never_retransmits;
+        Alcotest.test_case "retransmits bounded under loss" `Quick
+          test_lossy_retransmits_bounded ]
       @ List.map
           (fun (field, bad) ->
             Alcotest.test_case ("bad " ^ field ^ " rejected") `Quick

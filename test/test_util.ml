@@ -503,35 +503,103 @@ let test_jain () =
   checkf "one hog" (1.0 /. 3.0) (Stats.jain_fairness [ 9.0; 0.0; 0.0 ]);
   checkf "all zero" 1.0 (Stats.jain_fairness [ 0.0; 0.0 ])
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 9.5; 11.0 (* clamped *) ];
-  check "total" 5 (Stats.Histogram.count h);
-  check "bucket 1" 2 (Stats.Histogram.bucket_count h 1);
-  check "clamped into last" 2 (Stats.Histogram.bucket_count h 9)
-
-let test_histogram_quantile () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:100.0 ~buckets:100 in
-  for i = 1 to 100 do
-    Stats.Histogram.add h (float_of_int i -. 0.5)
-  done;
-  let q = Stats.Histogram.quantile h 0.9 in
-  Alcotest.(check bool) "p90 near 90" true (abs_float (q -. 90.0) < 2.0)
-
-let test_ewma () =
-  let e = Stats.Ewma.create ~alpha:0.5 in
-  Alcotest.(check (option (float 1e-9))) "empty" None (Stats.Ewma.value e);
-  Stats.Ewma.add e 10.0;
-  Stats.Ewma.add e 20.0;
-  Alcotest.(check (option (float 1e-9))) "smoothed" (Some 15.0)
-    (Stats.Ewma.value e)
-
 let test_series_rate () =
   let s = Stats.Series.create () in
   Stats.Series.add s ~time:0.0 ~value:0.0;
   Stats.Series.add s ~time:2.0 ~value:10.0;
   checkf "rate" 5.0 (Stats.Series.rate s);
   check "length" 2 (Stats.Series.length s)
+
+(* ------------------------------------------------------------------ *)
+(* Rto *)
+
+let check_estimate msg expected rto =
+  Alcotest.(check (option (pair (float 1e-12) (float 1e-12)))) msg expected
+    (Rto.estimate rto)
+
+(* RFC 6298 2.2/2.3, worked by hand *)
+let test_rto_rfc6298 () =
+  let r = Rto.create ~initial:1.0 ~backoff:2.0 ~cap:60.0 in
+  check_estimate "no sample yet" None r;
+  checkf "initial RTO" 1.0 (Rto.current r);
+  Rto.ack ~rtt:0.1 r;
+  check_estimate "first sample" (Some (0.1, 0.05)) r;
+  checkf "SRTT + 4 RTTVAR" 0.3 (Rto.current r);
+  Rto.ack ~rtt:0.2 r;
+  check_estimate "second sample" (Some (0.1125, 0.0625)) r;
+  checkf "second RTO" 0.3625 (Rto.current r);
+  Rto.ack ~rtt:0.05 r;
+  check_estimate "third sample" (Some (0.1046875, 0.0625)) r;
+  checkf "third RTO" 0.3546875 (Rto.current r)
+
+let test_rto_backoff_cap () =
+  let r = Rto.create ~initial:0.02 ~backoff:2.0 ~cap:0.1 in
+  List.iter
+    (fun expected ->
+      Rto.expire r;
+      checkf "backed off" expected (Rto.current r))
+    [ 0.04; 0.08; 0.1; 0.1 ];
+  Rto.ack r;
+  checkf "an ack before any sample returns to the initial RTO" 0.02
+    (Rto.current r);
+  Rto.ack ~rtt:0.5 r;
+  checkf "the estimate is capped too" 0.1 (Rto.current r)
+
+(* Karn's rule: the ack of a retransmitted send carries no sample, and
+   only undoes the backoff *)
+let test_rto_karn () =
+  let r = Rto.create ~initial:0.02 ~backoff:2.0 ~cap:0.5 in
+  Rto.ack ~rtt:0.002 r;
+  let before = Rto.estimate r and rto = Rto.current r in
+  Rto.expire r;
+  Rto.expire r;
+  Alcotest.(check bool) "backed off" true (Rto.current r > rto);
+  Rto.ack r;
+  check_estimate "SRTT/RTTVAR untouched" before r;
+  checkf "back at the estimate" rto (Rto.current r)
+
+(* RTTVAR decays to 0 on a constant RTT; the clock-granularity floor
+   keeps the timer from firing with the reply *)
+let test_rto_granularity_floor () =
+  let r = Rto.create ~initial:0.02 ~backoff:2.0 ~cap:0.5 in
+  for _ = 1 to 500 do
+    Rto.ack ~rtt:0.002 r
+  done;
+  Alcotest.(check bool) "strictly above the RTT" true (Rto.current r > 0.002);
+  checkf "by one wheel tick" (0.002 +. Timing_wheel.default_tick)
+    (Rto.current r)
+
+let test_rto_rejects () =
+  let arg =
+    Alcotest.testable
+      (fun ppf (a : Rto.arg) ->
+        Format.pp_print_string ppf
+          (match a with
+           | Initial -> "Initial"
+           | Backoff -> "Backoff"
+           | Cap -> "Cap"))
+      ( = )
+  in
+  List.iter
+    (fun (expected, initial, backoff, cap) ->
+      Alcotest.(check (option arg)) "named" expected
+        (Rto.bad_arg ~initial ~backoff ~cap);
+      match Rto.create ~initial ~backoff ~cap with
+      | _ -> if expected <> None then Alcotest.fail "accepted"
+      | exception Invalid_argument _ ->
+        if expected = None then Alcotest.fail "rejected")
+    [ (None, 0.02, 2.0, 0.5);
+      (None, 0.02, 1.0, 0.02);
+      (Some Initial, 0.0, 2.0, 0.5);
+      (Some Initial, -1.0, 2.0, 0.5);
+      (Some Initial, nan, 2.0, 0.5);
+      (Some Initial, infinity, 2.0, infinity);
+      (Some Backoff, 0.02, 0.5, 0.5);
+      (Some Backoff, 0.02, nan, 0.5);
+      (Some Backoff, 0.02, infinity, 0.5);
+      (Some Cap, 0.02, 2.0, 0.01);
+      (Some Cap, 0.02, 2.0, nan);
+      (Some Cap, 0.02, 2.0, infinity) ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
@@ -648,12 +716,17 @@ let suites =
         Alcotest.test_case "percentile float order" `Quick
           test_percentile_float_order;
         Alcotest.test_case "jain fairness" `Quick test_jain;
-        Alcotest.test_case "histogram buckets" `Quick test_histogram;
-        Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
-        Alcotest.test_case "ewma" `Quick test_ewma;
         Alcotest.test_case "series rate" `Quick test_series_rate;
         QCheck_alcotest.to_alcotest prop_jain_bounds;
         QCheck_alcotest.to_alcotest prop_percentile_monotone ] );
+    ( "util.rto",
+      [ Alcotest.test_case "RFC 6298 arithmetic" `Quick test_rto_rfc6298;
+        Alcotest.test_case "backoff stops at the cap" `Quick
+          test_rto_backoff_cap;
+        Alcotest.test_case "Karn's rule" `Quick test_rto_karn;
+        Alcotest.test_case "granularity floor" `Quick
+          test_rto_granularity_floor;
+        Alcotest.test_case "rejects bad timers" `Quick test_rto_rejects ] );
     ( "util.pool",
       [ Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
         Alcotest.test_case "size-1 runs inline" `Quick
