@@ -13,8 +13,10 @@ let op_reply = 2
 let create () =
   let t_ref = ref None in
   let get () = Option.get !t_ref in
+  (* above every compiled table, which lies inside (0, Delta.span) *)
   let switch_up ctx ~switch_id ~ports:_ =
-    Api.install ctx ~switch_id ~priority:30000 ~cookie:0xa9
+    Api.install ctx ~switch_id ~priority:(Netkat.Delta.span + 30000)
+      ~cookie:0xa9
       { Flow.Pattern.any with eth_type = Some arp_ethertype }
       Flow.Action.to_controller
   in

@@ -10,6 +10,9 @@ type t = {
   idle_timeout : float;
 }
 
+(* above every compiled table, which lies inside (0, Delta.span) *)
+let priority = Netkat.Delta.span + 10000
+
 let pick_backend t (h : Headers.t) =
   (* deterministic hash of the client flow identity *)
   let key = Hashtbl.hash (h.ip4_src, h.tp_src, h.ip4_dst, h.tp_dst) in
@@ -24,7 +27,7 @@ let create ~vip ?(vip_mac = Mac.of_string "02:de:ad:be:ef:01")
      routing rules (which would otherwise drop or misroute VIP traffic) *)
   let switch_up ctx ~switch_id ~ports:_ =
     let t = get () in
-    Api.install ctx ~switch_id ~priority:10000 ~cookie:0x1b
+    Api.install ctx ~switch_id ~priority ~cookie:0x1b
       { Flow.Pattern.any with ip4_dst = Some (Ipv4.Prefix.host t.vip) }
       Flow.Action.to_controller
   in
@@ -58,7 +61,7 @@ let create ~vip ?(vip_mac = Mac.of_string "02:de:ad:be:ef:01")
               Set_field (Fields.Eth_dst, dmac);
               Output (Physical hop.Topo.Path.out_port) ] ]
         in
-        Api.install ctx ~switch_id ~priority:10100
+        Api.install ctx ~switch_id ~priority:(priority + 100)
           ~idle_timeout:t.idle_timeout ~cookie:0x1b fwd_pattern fwd_actions;
         (* reverse: rewrite backend -> vip for this client *)
         let rev_pattern =
@@ -93,7 +96,7 @@ let create ~vip ?(vip_mac = Mac.of_string "02:de:ad:be:ef:01")
                  Set_field (Fields.Eth_src, t.vip_mac);
                  Output (Physical client_port) ] ]
            in
-           Api.install ctx ~switch_id ~priority:10100
+           Api.install ctx ~switch_id ~priority:(priority + 100)
              ~idle_timeout:t.idle_timeout ~cookie:0x1b rev_pattern
              rev_actions);
         (* re-inject the trigger packet along the installed path *)

@@ -19,6 +19,9 @@ type t = {
   idle_timeout : float;
 }
 
+(* above every compiled table, which lies inside (0, Delta.span) *)
+let priority = Netkat.Delta.span + 20000
+
 let inside_pred t ip = List.exists (fun h -> Ipv4.of_host_id h = ip) t.inside
 
 let allocate_port t =
@@ -54,7 +57,7 @@ let create ~gateway ~public_ip ?(public_mac = Mac.of_string "02:0a:0a:0a:0a:01")
           ~dst:(Topo.Topology.Node.Switch t.gateway)
       with
       | Some (hop :: _) ->
-        Api.install ctx ~switch_id ~priority:20000 ~cookie:0x4a
+        Api.install ctx ~switch_id ~priority ~cookie:0x4a
           { Flow.Pattern.any with
             ip4_dst = Some (Ipv4.Prefix.host t.public_ip);
             eth_type = Some 0x0800 }
@@ -66,13 +69,13 @@ let create ~gateway ~public_ip ?(public_mac = Mac.of_string "02:0a:0a:0a:0a:01")
          public address; sit above routing, below installed translations *)
       List.iter
         (fun h ->
-          Api.install ctx ~switch_id ~priority:20000 ~cookie:0x4a
+          Api.install ctx ~switch_id ~priority ~cookie:0x4a
             { Flow.Pattern.any with
               ip4_src = Some (Ipv4.Prefix.host (Ipv4.of_host_id h));
               eth_type = Some 0x0800 }
             Flow.Action.to_controller)
         t.inside;
-      Api.install ctx ~switch_id ~priority:20000 ~cookie:0x4a
+      Api.install ctx ~switch_id ~priority ~cookie:0x4a
         { Flow.Pattern.any with
           ip4_dst = Some (Ipv4.Prefix.host t.public_ip);
           eth_type = Some 0x0800 }
@@ -100,8 +103,8 @@ let create ~gateway ~public_ip ?(public_mac = Mac.of_string "02:0a:0a:0a:0a:01")
                  public_port; dst_ip = h.ip4_dst }
                :: t.bindings;
              (* outbound translation *)
-             Api.install ctx ~switch_id ~priority:20100 ~cookie:0x4a
-               ~idle_timeout:t.idle_timeout
+             Api.install ctx ~switch_id ~priority:(priority + 100)
+               ~cookie:0x4a ~idle_timeout:t.idle_timeout
                { Flow.Pattern.any with
                  ip4_src = Some (Ipv4.Prefix.host h.ip4_src);
                  tp_src = Some h.tp_src; eth_type = Some 0x0800 }
@@ -118,8 +121,8 @@ let create ~gateway ~public_ip ?(public_mac = Mac.of_string "02:0a:0a:0a:0a:01")
                  with
                  | None -> ()
                  | Some back_port ->
-                   Api.install ctx ~switch_id ~priority:20100 ~cookie:0x4a
-                     ~idle_timeout:t.idle_timeout
+                   Api.install ctx ~switch_id ~priority:(priority + 100)
+                     ~cookie:0x4a ~idle_timeout:t.idle_timeout
                      { Flow.Pattern.any with
                        ip4_dst = Some (Ipv4.Prefix.host t.public_ip);
                        tp_dst = Some public_port; eth_type = Some 0x0800 }

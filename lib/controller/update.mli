@@ -104,7 +104,14 @@ val install : t -> Api.ctx -> Netkat.Syntax.pol -> unit
 (** [two_phase t ctx pol] — per-packet-consistent transition to [pol].
     Phases are driven by simulated time; the transition completes (old
     rules gone) after roughly [2 * control latency + drain] seconds.
-    @raise Policy_uses_vlan *)
+    Version [v]'s internal rules take the priority band
+    [2 v span + (0, span)] and its ingress rules the band one span
+    higher ([span] is {!Netkat.Delta.span}), so the new version's
+    ingress rules shadow every rule of the old one.
+    @raise Policy_uses_vlan
+    @raise Invalid_argument if the new version's bands would pass the
+    u32 wire priority (version 8192 and up), leaving the version as it
+    was. *)
 val two_phase : t -> Api.ctx -> Netkat.Syntax.pol -> unit
 
 (** [naive t ctx ~prng ~max_jitter pol] — the inconsistent baseline:
@@ -126,7 +133,8 @@ val global_install : t -> Api.ctx -> Netkat.Syntax.pol -> unit
 
 (** [global_two_phase t ctx pol] — per-packet-consistent transition to a
     new globally-compiled program whose tag space is disjoint from the
-    currently installed one. *)
+    currently installed one, in the version bands of {!two_phase}.
+    @raise Invalid_argument as {!two_phase}. *)
 val global_two_phase : t -> Api.ctx -> Netkat.Syntax.pol -> unit
 
 (** Plain (unversioned) install, for the naive baseline runs.  The

@@ -34,35 +34,45 @@ let seq_of_act (act : Fdd.Act.t) : Flow.Action.seq =
 let group_of_actset (acts : Fdd.ActSet.t) : Flow.Action.group =
   List.map seq_of_act (Fdd.ActSet.elements acts)
 
+(* Ordered FDD paths carry at most one positive test per field, so each
+   test fills an empty field of the pattern. *)
 let pattern_of_tests tests =
   List.fold_left
-    (fun pat (f, v) ->
+    (fun (pat : Flow.Pattern.t) (f, v) ->
       match (f : Fields.t) with
       | Switch -> raise (Not_local "switch test survived specialization")
-      | In_port | Eth_src | Eth_dst | Eth_type | Vlan | Ip_proto | Ip4_src
-      | Ip4_dst | Tp_src | Tp_dst ->
-        (match Flow.Pattern.conj pat (Flow.Pattern.of_field f v) with
-         | Some p -> p
-         | None ->
-           (* ordered FDD paths carry at most one positive test per
-              field, so a contradiction is impossible *)
-           assert false))
+      | In_port -> { pat with in_port = Some v }
+      | Eth_src -> { pat with eth_src = Some v }
+      | Eth_dst -> { pat with eth_dst = Some v }
+      | Eth_type -> { pat with eth_type = Some v }
+      | Vlan -> { pat with vlan = Some v }
+      | Ip_proto -> { pat with ip_proto = Some v }
+      | Ip4_src -> { pat with ip4_src = Some (Ipv4.Prefix.host v) }
+      | Ip4_dst -> { pat with ip4_dst = Some (Ipv4.Prefix.host v) }
+      | Tp_src -> { pat with tp_src = Some v }
+      | Tp_dst -> { pat with tp_dst = Some v })
     Flow.Pattern.any tests
 
 let rules_of_restricted d =
+  (* fold_paths visits the highest-priority path first; the accumulated
+     list is reversed, its head the lowest-priority path *)
   let paths =
     Fdd.fold_paths d ~init:[] ~f:(fun tests acts acc ->
       (pattern_of_tests tests, group_of_actset acts) :: acc)
   in
-  (* fold_paths accumulates in visit order, so [paths] is reversed:
-     the head is the last-visited (lowest-priority) path. *)
-  let n = List.length paths in
-  List.rev paths
-  |> List.mapi (fun i (pattern, actions) ->
-    { priority = n - i; pattern; actions })
+  match paths with
+  | [] -> [||]
+  | (pattern, actions) :: _ ->
+    let n = List.length paths in
+    let rules = Array.make n { priority = 1; pattern; actions } in
+    List.iteri
+      (fun k (pattern, actions) ->
+        rules.(n - 1 - k) <- { priority = k + 1; pattern; actions })
+      paths;
+    rules
 
 let rules_of_fdd ~switch d =
-  rules_of_restricted (Fdd.restrict (Fields.Switch, switch) d)
+  Array.to_list (rules_of_restricted (Fdd.restrict (Fields.Switch, switch) d))
 
 let compile ~switch pol =
   rules_of_fdd ~switch (Fdd.of_policy pol)

@@ -22,18 +22,16 @@ type rule = {
 
 val seq_of_act : Fdd.Act.t -> Flow.Action.seq
 
-(** [rules_of_restricted d] extracts the rule list from a diagram
+(** [rules_of_restricted d] extracts the rule table from a diagram
     already specialized to one switch (no [Switch] tests left), highest
-    priority first.  Priorities count paths from the bottom ([n - i]),
-    so an edit that inserts or removes paths leaves the rules {e below}
-    the edit point untouched but renumbers every rule above it.
-    {!Delta.diff_rules} keys on (priority, pattern), so it ships each
-    renumbered rule as a delete plus an add: a guard edit on fat-tree
-    k=6 sends 100.1 flow-mods for 1.93 re-derived switches.  Stable,
-    gapped priorities would make that about one flow-mod per changed
-    rule (ROADMAP item 1).
+    priority first.  Priorities count paths from the bottom ([n - i]);
+    they give only the order.  {!Delta} keeps its own numbering: it
+    lays a first install over its priority span and, on an edit, keeps
+    the priority of every rule it matches in the old table, so an
+    inserted path costs one flow-mod, not a renumbering of every rule
+    above it.
     @raise Not_local if the diagram moves packets between switches. *)
-val rules_of_restricted : Fdd.t -> rule list
+val rules_of_restricted : Fdd.t -> rule array
 
 (** [rules_of_fdd ~switch d] specializes [d] to the switch and extracts
     the rule list, highest priority first.

@@ -354,16 +354,100 @@ let live_tables net switches =
              (Dataplane.Network.switch (Zen.network net) sw).table) ))
     switches
 
+(* [Local.rule]s as (priority, pattern, actions) triples *)
+let triples rules =
+  List.map (fun (r : Netkat.Local.rule) -> (r.priority, r.pattern, r.actions))
+    rules
+
 (* the same triples from a from-scratch compile (no previous snapshot) *)
 let scratch_tables fdd switches =
   let snap = (Netkat.Delta.compile ~switches None fdd).snapshot in
   List.map
     (fun sw ->
-      ( sw,
-        List.map
-          (fun (r : Netkat.Local.rule) -> (r.priority, r.pattern, r.actions))
-          (Option.value ~default:[] (Netkat.Delta.find snap sw)) ))
+      (sw, triples (Option.value ~default:[] (Netkat.Delta.find snap sw))))
     switches
+
+(* A probe header for [pat]: its constrained fields set, the rest from
+   [Headers.default]. *)
+let header_of_pattern (pat : Flow.Pattern.t) =
+  let set f v h =
+    match v with Some v -> Packet.Headers.set h f v | None -> h
+  in
+  let net = Option.map Packet.Ipv4.Prefix.network in
+  Packet.Headers.default
+  |> set Packet.Fields.In_port pat.in_port
+  |> set Packet.Fields.Eth_src pat.eth_src
+  |> set Packet.Fields.Eth_dst pat.eth_dst
+  |> set Packet.Fields.Eth_type pat.eth_type
+  |> set Packet.Fields.Vlan pat.vlan
+  |> set Packet.Fields.Ip_proto pat.ip_proto
+  |> set Packet.Fields.Ip4_src (net pat.ip4_src)
+  |> set Packet.Fields.Ip4_dst (net pat.ip4_dst)
+  |> set Packet.Fields.Tp_src pat.tp_src
+  |> set Packet.Fields.Tp_dst pat.tp_dst
+
+let probe_fields =
+  Packet.Fields.
+    [| In_port; Eth_src; Eth_dst; Eth_type; Vlan; Ip_proto; Ip4_src;
+       Ip4_dst; Tp_src; Tp_dst |]
+
+(* [table_mismatch ~seed got want] checks that [got], a delta-maintained
+   table as (priority, pattern, actions) triples highest first, is [want]
+   up to priorities: the same ordered (pattern, actions) list with
+   strictly decreasing priorities, and the same verdict on [probes]
+   seeded headers ([Table.lookup] on [got], [Table.lookup_linear] on
+   [want]).  Each probe takes one rule's pattern and, half the time, one
+   field's value from another rule's, so probes land on every rule, on
+   the rules it shadows, and between them.  [None] when all hold, else
+   what failed. *)
+let table_mismatch ?(probes = 200) ~seed got want =
+  let pattern_actions = List.map (fun (_, p, a) -> (p, a)) in
+  let rec decreasing = function
+    | (p1, _, _) :: ((p2, _, _) :: _ as rest) -> p1 > p2 && decreasing rest
+    | _ -> true
+  in
+  if pattern_actions got <> pattern_actions want then
+    Some "ordered (pattern, actions) lists differ"
+  else if not (decreasing got) then Some "priorities not strictly decreasing"
+  else begin
+    let load rules =
+      let t = Flow.Table.create () in
+      List.iter
+        (fun (priority, pattern, actions) ->
+          Flow.Table.add t
+            (Flow.Table.make_rule ~priority ~pattern ~actions ()))
+        rules;
+      t
+    in
+    let got_t = load got and want_t = load want in
+    let pats = Array.of_list (List.map (fun (_, p, _) -> p) want) in
+    let prng = Util.Prng.create seed in
+    let verdict =
+      Option.map (fun (r : Flow.Table.rule) -> (r.pattern, r.actions))
+    in
+    let rec go i =
+      if i = probes then None
+      else begin
+        let h =
+          if pats = [||] then Packet.Headers.default
+          else begin
+            let h = header_of_pattern (Util.Prng.pick prng pats) in
+            if Util.Prng.int prng 2 = 0 then h
+            else
+              let f = Util.Prng.pick prng probe_fields in
+              Packet.Headers.set h f
+                (Packet.Headers.get
+                   (header_of_pattern (Util.Prng.pick prng pats)) f)
+          end
+        in
+        if verdict (Flow.Table.lookup got_t h)
+           <> verdict (Flow.Table.lookup_linear want_t h)
+        then Some (Format.asprintf "lookup differs on %a" Packet.Headers.pp h)
+        else go (i + 1)
+      end
+    in
+    go 0
+  end
 
 (* [edits] seeded churn edits on fat-tree [k] routing, compiled by
    deltas with no network attached: (rules deployed after the last

@@ -184,6 +184,108 @@ let test_two_phase_table_occupancy () =
   in
   Alcotest.(check bool) "old version garbage-collected" false stale
 
+(* Version bands on fat-tree k=4 routing, whose edge tables hold more
+   than 10 ingress rules per version: a two-phase transition under CBR
+   traffic loses nothing; every rule of version [v] (cookie [v]) lies in
+   [v]'s band — internal rules in [(2 v span, (2 v + 1) span)], ingress
+   rules one span higher; and at peak occupancy, with both versions
+   installed, every switch's new ingress rules sit strictly above the
+   old version's rules. *)
+let test_two_phase_bands () =
+  let topo, _ = Topo.Gen.fat_tree ~k:4 () in
+  let base = Netkat.Builder.routing_policy topo in
+  let net = Zen.create topo in
+  let rt = Zen.with_controller net [] in
+  let ctx = Controller.Runtime.ctx rt in
+  let updater = Controller.Update.create ~drain:0.2 () in
+  Controller.Update.install updater ctx base;
+  ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
+  let hosts = Topo.Topology.host_ids topo in
+  let src = List.hd hosts and dst = List.nth hosts (List.length hosts - 1) in
+  let sent =
+    Dataplane.Traffic.cbr (Zen.network net)
+      { (Dataplane.Traffic.default_flow ~src ~dst) with
+        rate_pps = 1000.0; start = Zen.now net; stop = Zen.now net +. 1.0 }
+  in
+  let span = Netkat.Delta.span in
+  let ingress (r : Flow.Table.rule) =
+    r.pattern.vlan = Some Fields.vlan_none
+  in
+  let check_bands () =
+    List.iter
+      (fun (sw : Dataplane.Network.switch) ->
+        List.iter
+          (fun (r : Flow.Table.rule) ->
+            let lo = (2 * r.cookie * span) + if ingress r then span else 0 in
+            if r.priority <= lo || r.priority >= lo + span then
+              Alcotest.failf "s%d: priority %d of version %d outside (%d, %d)"
+                sw.sw_id r.priority r.cookie lo (lo + span))
+          (Flow.Table.rules sw.table))
+      (Dataplane.Network.switch_list (Zen.network net))
+  in
+  let peak_checked = ref false and most_ingress = ref 0 in
+  let sim = Dataplane.Network.sim (Zen.network net) in
+  let edit = (List.hd (Topo.Topology.switch_ids topo), Mac.of_host_id dst, 9) in
+  Dataplane.Sim.schedule sim ~delay:0.3 (fun () ->
+    Controller.Update.two_phase updater ctx (Scenarios.apply_edit base edit));
+  (* phase 2 flips ingress 10 ms in, the drain ends 200 ms later *)
+  Dataplane.Sim.schedule sim ~delay:0.4 (fun () ->
+    peak_checked := true;
+    check_bands ();
+    List.iter
+      (fun (sw : Dataplane.Network.switch) ->
+        let rules = Flow.Table.rules sw.table in
+        let of_version v =
+          List.filter (fun (r : Flow.Table.rule) -> r.cookie = v) rules
+        in
+        let fresh = List.filter ingress (of_version 2) in
+        most_ingress := max !most_ingress (List.length fresh);
+        let lowest_new =
+          List.fold_left (fun m (r : Flow.Table.rule) -> min m r.priority)
+            max_int fresh
+        in
+        List.iter
+          (fun (r : Flow.Table.rule) ->
+            if r.priority >= lowest_new then
+              Alcotest.failf
+                "s%d: version 1 rule at %d not below version 2 ingress at %d"
+                sw.sw_id r.priority lowest_new)
+          (of_version 1);
+        if fresh <> [] && of_version 1 = [] then
+          Alcotest.failf "s%d: version 1 gone before the drain" sw.sw_id)
+      (Dataplane.Network.switch_list (Zen.network net)));
+  ignore (Zen.run ~until:(Zen.now net +. 1.5) net);
+  Alcotest.(check bool) "peak occupancy inspected" true !peak_checked;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d ingress rules on the fullest switch > 10" !most_ingress)
+    true (!most_ingress > 10);
+  Alcotest.(check bool) (Printf.sprintf "%d packets sent" !sent) true
+    (!sent >= 900);
+  Alcotest.(check int) "zero loss" !sent
+    (Dataplane.Network.host (Zen.network net) dst).received;
+  Alcotest.(check int) "transition done" 1
+    (Controller.Update.updates_done updater);
+  check_bands ()
+
+(* the last version whose bands fit the u32 wire priority is 8191 at
+   span 2^18; the next two-phase raises before touching the version *)
+let test_band_overflow_rejected () =
+  let topo, old_pol, new_pol = ring_with_policies () in
+  let net = Zen.create topo in
+  let ctx = Controller.Runtime.ctx (Zen.with_controller net []) in
+  let updater = Controller.Update.create () in
+  let last = (1 lsl 32) / (2 * Netkat.Delta.span) - 1 in
+  Controller.Update.import_state updater (string_of_int (last - 1));
+  Controller.Update.two_phase updater ctx old_pol;
+  Alcotest.(check int) "last fitting version" last
+    (Controller.Update.version updater);
+  Alcotest.(check bool) "next version rejected" true
+    (match Controller.Update.two_phase updater ctx new_pol with
+     | exception Invalid_argument _ -> true
+     | () -> false);
+  Alcotest.(check int) "version unchanged" last
+    (Controller.Update.version updater)
+
 let test_vlan_policy_rejected () =
   let topo = Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 () in
   let net = Zen.create topo in
@@ -316,17 +418,32 @@ let test_incremental_edit_targets_one_switch () =
   Alcotest.(check bool) "delta flow-mods issued" true
     (Controller.Update.delta_mods updater > 0);
   (* the resulting tables are what a first install of new_pol on a fresh
-     network produces *)
+     network produces, up to priorities (the edit kept the untouched
+     rules' slots) *)
+  let ordered net =
+    List.map
+      (fun (sw : Dataplane.Network.switch) ->
+        ( sw.sw_id,
+          List.map
+            (fun (r : Flow.Table.rule) -> (r.priority, r.pattern, r.actions))
+            (Flow.Table.rules sw.table) ))
+      (Dataplane.Network.switch_list (Zen.network net))
+  in
   let fresh =
     let net' = Zen.create (let t, _, _ = ring_with_policies () in t) in
     let rt' = Zen.with_controller net' [] in
     let updater' = Controller.Update.create () in
     Controller.Update.install updater' (Controller.Runtime.ctx rt') new_pol;
     ignore (Zen.run ~until:(Zen.now net' +. 0.2) net');
-    installed_tables net'
+    ordered net'
   in
-  Alcotest.(check bool) "tables equal a from-scratch install" true
-    (installed_tables net = fresh)
+  List.iter2
+    (fun (sw, got) (_, want) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "s%d table equals a from-scratch install" sw)
+        None
+        (Scenarios.table_mismatch ~seed:sw got want))
+    (ordered net) fresh
 
 (* delete_version only messages switches that received rules under the
    cookie: a switch whose compiled table was pure drops (not installed
@@ -474,7 +591,11 @@ let suites =
         Alcotest.test_case "occupancy peak and GC" `Quick
           test_two_phase_table_occupancy;
         Alcotest.test_case "vlan policies rejected" `Quick
-          test_vlan_policy_rejected ] );
+          test_vlan_policy_rejected;
+        Alcotest.test_case "two-phase bands on fat-tree k=4" `Quick
+          test_two_phase_bands;
+        Alcotest.test_case "band overflow rejected" `Quick
+          test_band_overflow_rejected ] );
     ( "controller.incremental",
       [ Alcotest.test_case "delta equals full result" `Quick
           test_incremental_routing_equivalent;
