@@ -111,9 +111,7 @@ let e1 () =
         (* count dead (shadowed) rules the baseline installs *)
         let shadowed =
           List.fold_left
-            (fun acc rules ->
-              let tbl = Netkat.Local.table_of_rules rules in
-              acc + List.length (Flow.Table.shadowed tbl))
+            (fun acc rules -> acc + List.length (Flow.Optimize.shadowed rules))
             0 per_switch
         in
         Printf.sprintf "%10d %10d %8.1f" rules shadowed (ms t)
@@ -764,13 +762,6 @@ let e11 () =
   pf "near-minimal; random tables shrink by whatever redundancy was drawn.@.@.";
   pf "%-34s | %8s %8s %8s@." "table" "before" "after" "saved";
   pf "%s@." (String.make 64 '-');
-  let to_opt (rules : Netkat.Local.rule list) =
-    List.map
-      (fun (r : Netkat.Local.rule) ->
-        { Flow.Optimize.priority = r.priority; pattern = r.pattern;
-          actions = r.actions })
-      rules
-  in
   let row name rules =
     let before = List.length rules in
     let after = List.length (Flow.Optimize.minimize rules) in
@@ -788,19 +779,18 @@ let e11 () =
                    (Netkat.Syntax.test Packet.Fields.Tp_dst (i + 1)))
                 (Netkat.Syntax.forward ((i mod 3) + 1))))))
   in
-  row "naive: 8x-duplicated ACL" (to_opt (Netkat.Naive.compile ~switch:1 dup_policy));
+  row "naive: 8x-duplicated ACL" (Netkat.Naive.compile ~switch:1 dup_policy);
   let topo, _ = Topo.Gen.fat_tree ~k:4 () in
   row "naive: acl8 x routing (s9)"
-    (to_opt
-       (Netkat.Naive.compile ~switch:9 (Scenarios.allowlist_policy topo 8)));
+    (Netkat.Naive.compile ~switch:9 (Scenarios.allowlist_policy topo 8));
   row "fdd: routing fat-tree (s9)"
-    (to_opt (Netkat.Local.compile ~switch:9 (Netkat.Builder.routing_policy topo)));
+    (Netkat.Local.compile ~switch:9 (Netkat.Builder.routing_policy topo));
   row "fdd: fw8-denylist (s9)"
-    (to_opt (Netkat.Local.compile ~switch:9 (denylist_policy topo 8)));
+    (Netkat.Local.compile ~switch:9 (denylist_policy topo 8));
   (* random tables: mostly-exact rules over a few fields, few actions *)
   let prng = Util.Prng.create 31 in
   let random_rules n =
-    List.init n (fun i ->
+    List.init n (fun _ ->
       let pattern =
         match Util.Prng.int prng 4 with
         | 0 -> Flow.Pattern.any
@@ -815,8 +805,7 @@ let e11 () =
            | Some p -> p
            | None -> Flow.Pattern.any)
       in
-      { Flow.Optimize.priority = n - i; pattern;
-        actions = Flow.Action.forward (1 + Util.Prng.int prng 3) })
+      (pattern, Flow.Action.forward (1 + Util.Prng.int prng 3)))
   in
   row "random: 500 rules, 3 actions" (random_rules 500)
 

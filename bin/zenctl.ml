@@ -88,18 +88,32 @@ let compile_cmd =
       | None -> Topo.Topology.switch_ids topo
     in
     let total = ref 0 in
-    List.iter
-      (fun sw ->
-        let rules =
-          if naive then Netkat.Naive.compile ~switch:sw pol
-          else Netkat.Local.compile ~switch:sw pol
-        in
-        total := !total + List.length rules;
-        Format.printf "switch %d (%d rules):@." sw (List.length rules);
-        List.iter
-          (fun r -> Format.printf "  %a@." Netkat.Local.pp_rule r)
-          rules)
-      switches;
+    let show sw rules pp =
+      total := !total + List.length rules;
+      Format.printf "switch %d (%d rules):@." sw (List.length rules);
+      List.iter (Format.printf "  %a@." pp) rules
+    in
+    let pp_rule fmt (pattern, actions) =
+      Format.fprintf fmt "%a -> %a" Flow.Pattern.pp pattern
+        Flow.Action.pp_group actions
+    in
+    if naive then
+      (* no installer loads the baseline: its rules in list order *)
+      List.iter
+        (fun sw -> show sw (Netkat.Naive.compile ~switch:sw pol) pp_rule)
+        switches
+    else begin
+      (* the priorities [Zen.install_policy] installs *)
+      let snap = (Netkat.Delta.compile_policy ~switches None pol).snapshot in
+      List.iter
+        (fun sw ->
+          show sw
+            (Option.value ~default:[] (Netkat.Delta.find snap sw))
+            (fun fmt (r : Netkat.Delta.rule) ->
+              Format.fprintf fmt "[%6d] %a" r.priority pp_rule
+                (r.pattern, r.actions)))
+        switches
+    end;
     Format.printf "total: %d rules (%s compiler)@." !total
       (if naive then "naive" else "FDD")
   in

@@ -21,7 +21,7 @@ let install ctx ~switch_id ?(priority = 0) ?idle_timeout ?hard_timeout
           ~cookie ~notify_when_removed ~pattern ~actions ()))
 
 let change_flow_mods ?(cookie = 0) ~known (change : Netkat.Delta.change) =
-  let add (r : Netkat.Local.rule) =
+  let add (r : Netkat.Delta.rule) =
     Openflow.Message.add_flow ~priority:r.priority ~cookie ~pattern:r.pattern
       ~actions:r.actions ()
   in
@@ -30,7 +30,7 @@ let change_flow_mods ?(cookie = 0) ~known (change : Netkat.Delta.change) =
   | Changed { adds; deletes; _ } when known ->
     List.map add adds
     @ List.map
-        (fun (r : Netkat.Local.rule) ->
+        (fun (r : Netkat.Delta.rule) ->
           Openflow.Message.delete_strict_flow ~cookie:(Some cookie)
             ~priority:r.priority ~pattern:r.pattern ())
         deletes

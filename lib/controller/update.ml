@@ -206,7 +206,7 @@ let versioned_streams t ctx pol ~version =
   let base = band_base version in
   let part path mk_part ~vlan ~base () =
     install_stream t ctx ~stream:(stream_key path version) ~cookie:version
-      ~transform:(fun (r : Local.rule) ->
+      ~transform:(fun (r : Delta.rule) ->
         { r with priority = base + r.priority;
           pattern = { r.pattern with vlan = Some vlan } })
       (Fdd.restrict (Packet.Fields.Vlan, vlan)
@@ -295,13 +295,15 @@ let naive t ctx ~prng ~max_jitter pol =
 let global_streams t ctx pol ~version =
   let base = band_base version in
   let fdd = Fdd.of_policy pol in
-  let untagged (r : Local.rule) =
-    r.pattern.vlan = Some Packet.Fields.vlan_none
+  let untagged (pattern : Flow.Pattern.t) =
+    pattern.vlan = Some Packet.Fields.vlan_none
   in
   let part path ~ingress ~base () =
     install_stream t ctx ~stream:(stream_key path version) ~cookie:version
-      ~keep:(fun r -> r.actions <> [] && untagged r = ingress)
-      ~transform:(fun r -> { r with priority = base + r.priority })
+      ~keep:(fun (pattern, actions) ->
+        actions <> [] && untagged pattern = ingress)
+      ~transform:(fun (r : Delta.rule) ->
+        { r with priority = base + r.priority })
       fdd
   in
   ( part "internal" ~ingress:false ~base,

@@ -1,12 +1,14 @@
-(** Flow-table minimization: semantics-preserving shrinking of a rule
-    list, applied after compilation and before installation (switch TCAM
-    is the scarce resource).
+(** Dead-rule analysis and minimization of an ordered rule list — the
+    compiler's output, a [(pattern, actions)] list whose first matching
+    rule decides a packet (list order is precedence, as in
+    [Netkat.Local.rule]).  Minimizing before installation saves switch
+    TCAM, the scarce resource.
 
     Two passes, both conservative (they only remove a rule when a purely
     syntactic argument shows lookups cannot change):
 
-    - {b shadow elimination}: a rule is dead when an earlier
-      (higher-precedence) rule's pattern subsumes its own;
+    - {b shadow elimination}: a rule is dead when an earlier rule's
+      pattern subsumes its own;
     - {b redundancy elimination}: a rule is redundant when some later rule
       with {e identical actions} subsumes its pattern and no rule between
       them overlaps it with different actions — every packet the rule
@@ -14,23 +16,18 @@
 
     Passes iterate to a fixpoint (removing one rule can expose another). *)
 
-type rule = {
-  priority : int;
-  pattern : Pattern.t;
-  actions : Action.group;
-}
+(** [shadowed rules] — the dead rules: those an earlier rule's pattern
+    subsumes, so they can never match.  In list order. *)
+val shadowed :
+  (Pattern.t * Action.group) list -> (Pattern.t * Action.group) list
 
 (** [minimize rules] returns an equivalent, usually smaller rule list
-    (same relative order among survivors; priorities unchanged). *)
-val minimize : rule list -> rule list
+    (same relative order among survivors). *)
+val minimize :
+  (Pattern.t * Action.group) list -> (Pattern.t * Action.group) list
 
 (** Lookup semantics of a rule list (the reference the optimizer must
-    preserve): action group of the first matching rule in precedence
-    order, [None] on miss.
+    preserve): action group of the first matching rule, [None] on miss.
     Test-only. *)
-val lookup : rule list -> Packet.Headers.t -> Action.group option
-
-(** Convenience: minimize the contents of a {!Table.t} in place,
-    returning (before, after) sizes.
-    Test-only. *)
-val minimize_table : Table.t -> int * int
+val lookup :
+  (Pattern.t * Action.group) list -> Packet.Headers.t -> Action.group option

@@ -562,37 +562,6 @@ let expire t ~now =
   end;
   gone
 
-let overlaps t =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | r :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc r' ->
-            if r'.priority = r.priority && Pattern.overlap r.pattern r'.pattern
-            then (r, r') :: acc
-            else acc)
-          acc rest
-      in
-      go acc rest
-  in
-  go [] t.rules
-
-let shadowed t =
-  let rec go seen acc = function
-    | [] -> List.rev acc
-    | r :: rest ->
-      let dead =
-        List.exists
-          (fun earlier ->
-            earlier.priority >= r.priority
-            && Pattern.subsumes ~general:earlier.pattern r.pattern)
-          seen
-      in
-      go (r :: seen) (if dead then r :: acc else acc) rest
-  in
-  go [] [] t.rules
-
 let pp fmt t =
   Format.fprintf fmt
     "flow table (%d rules, %d hits, %d misses; cache %d hits, %d misses, %d invalidations; %d shapes, %d probes)@."

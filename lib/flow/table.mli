@@ -2,11 +2,11 @@
 
     Lookup returns the action group of the highest-priority matching
     rule; among equal priorities the earliest-installed rule wins (as in
-    OpenFlow, equal-priority overlaps are discouraged — {!overlaps}
-    detects them).  Rules carry packet/byte counters and optional idle
-    and hard timeouts evicted by {!expire}.  Re-adding a rule with the
-    same priority and pattern replaces its actions and timeouts but
-    preserves its counters and install time (OpenFlow modify semantics).
+    OpenFlow, equal-priority overlaps are discouraged).  Rules carry
+    packet/byte counters and optional idle and hard timeouts evicted by
+    {!expire}.  Re-adding a rule with the same priority and pattern
+    replaces its actions and timeouts but preserves its counters and
+    install time (OpenFlow modify semantics).
 
     {b Fast path.}  Lookup is staged.  In front sits a megaflow cache,
     as in Open vSwitch: on a miss, the classifier below also reports
@@ -165,14 +165,5 @@ val apply :
 (** [expire t ~now] evicts rules whose idle or hard timeout has passed,
     returning the evicted rules (for flow-removed notifications). *)
 val expire : t -> now:float -> rule list
-
-(** Pairs of distinct same-priority rules whose patterns overlap — the
-    situations where lookup results depend on insertion order.
-    Test-only. *)
-val overlaps : t -> (rule * rule) list
-
-(** Rules that can never match because a higher-priority rule subsumes
-    them — dead table entries. *)
-val shadowed : t -> rule list
 
 val pp : Format.formatter -> t -> unit

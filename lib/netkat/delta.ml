@@ -2,12 +2,18 @@ open Packet
 
 let span = 1 lsl 18
 
+type rule = {
+  priority : int;
+  pattern : Flow.Pattern.t;
+  actions : Flow.Action.group;
+}
+
 type entry = {
   uid : int;  (** uid of the switch's spine-case subtree (its certificate) *)
-  local : Local.rule array;
+  local : rule array;
       (** the numbered table before [transform], highest priority first:
           what the next compile aligns against *)
-  rules : Local.rule list;  (** the recorded table, after [transform] *)
+  rules : rule list;  (** the recorded table, after [transform] *)
 }
 
 type snapshot = {
@@ -18,9 +24,9 @@ type snapshot = {
 type change =
   | Unchanged
   | Changed of {
-      rules : Local.rule list;
-      adds : Local.rule list;
-      deletes : Local.rule list;
+      rules : rule list;
+      adds : rule list;
+      deletes : rule list;
     }
 
 type result = {
@@ -47,7 +53,7 @@ let same_pattern (a : Flow.Pattern.t) b = a == b || a = b
    longest increasing run of old positions (patience diff).  A restricted
    diagram's paths carry distinct positive-test sets, so patterns are
    unique within a table and this run is a longest common subsequence. *)
-let match_middle (old : Local.rule array) (fresh : Local.rule array) link
+let match_middle (old : rule array) (fresh : Local.rule array) link
     ~lo ~fhi ~ohi =
   let index = Hashtbl.create (ohi - lo) in
   for j = ohi - 1 downto lo do
@@ -57,7 +63,7 @@ let match_middle (old : Local.rule array) (fresh : Local.rule array) link
   let cand =
     Array.init k (fun x ->
       Option.value ~default:(-1)
-        (Hashtbl.find_opt index fresh.(lo + x).pattern))
+        (Hashtbl.find_opt index (fst fresh.(lo + x))))
   in
   (* tails.(l): the candidate ending the best run of length l + 1 *)
   let tails = Array.make k 0 and pred = Array.make k (-1) and len = ref 0 in
@@ -85,13 +91,13 @@ let match_middle (old : Local.rule array) (fresh : Local.rule array) link
 (* [link.(i)] is the old position matched to [fresh.(i)], or -1.  One
    edit leaves most of a table in place, so the common prefix and suffix
    are trimmed first and only the middle is searched. *)
-let match_rules (old : Local.rule array) (fresh : Local.rule array) =
+let match_rules (old : rule array) (fresh : Local.rule array) =
   let n = Array.length fresh and m = Array.length old in
   let link = Array.make n (-1) in
   let pre = ref 0 in
   while
     !pre < n && !pre < m
-    && same_pattern fresh.(!pre).pattern old.(!pre).pattern
+    && same_pattern (fst fresh.(!pre)) old.(!pre).pattern
   do
     link.(!pre) <- !pre;
     incr pre
@@ -99,7 +105,7 @@ let match_rules (old : Local.rule array) (fresh : Local.rule array) =
   let suf = ref 0 in
   while
     !pre + !suf < n && !pre + !suf < m
-    && same_pattern fresh.(n - 1 - !suf).pattern old.(m - 1 - !suf).pattern
+    && same_pattern (fst fresh.(n - 1 - !suf)) old.(m - 1 - !suf).pattern
   do
     link.(n - 1 - !suf) <- m - 1 - !suf;
     incr suf
@@ -119,7 +125,7 @@ let spread prio ~a ~count ~hi ~lo =
     prio.(a + t) <- hi - ((t + 1) * d / (count + 1))
   done
 
-let number (old : Local.rule array) link =
+let number (old : rule array) link =
   let n = Array.length link in
   if n >= span then
     invalid_arg
@@ -155,24 +161,24 @@ let number (old : Local.rule array) link =
 (* The numbered new table, and the rules to add (new, renumbered or
    with changed actions) and to delete (gone or renumbered).  A rule
    that kept its pattern, priority and actions is the old record. *)
-let realign (old : Local.rule array) (fresh : Local.rule array) =
+let realign (old : rule array) (fresh : Local.rule array) =
   let link = match_rules old fresh in
   let prio = number old link in
   let kept = Array.make (Array.length old) false in
   let adds = ref [] in
   let local =
     Array.mapi
-      (fun i (r : Local.rule) ->
+      (fun i (pattern, actions) ->
         let j = link.(i) and p = prio.(i) in
         let slot =
           if j >= 0 && old.(j).priority = p then Some old.(j) else None
         in
         if Option.is_some slot then kept.(j) <- true;
         match slot with
-        | Some o when o.actions == r.actions || o.actions = r.actions -> o
+        | Some o when o.actions == actions || o.actions = actions -> o
         | Some _ | None ->
           (* on a kept slot the add replaces the old rule's actions *)
-          let r = if r.priority = p then r else { r with priority = p } in
+          let r = { priority = p; pattern; actions } in
           adds := r :: !adds;
           r)
       fresh

@@ -1,11 +1,11 @@
 (** Incremental delta recompilation: policy/topology churn without full
-    recompiles.
+    recompiles, and the one place a compiled rule gets its priority.
 
-    A full compile ({!Local.compile_all}) re-derives every switch's
-    table and the installer re-pushes every rule, even when an edit
-    touched one clause of a million-rule deployment.  At scale, churn is
-    continuous — the headline cost is update latency, not one-shot
-    compile time.
+    A full compile ({!Local.rules_of_fdd} for every switch) re-derives
+    every switch's table and the installer re-pushes every rule, even
+    when an edit touched one clause of a million-rule deployment.  At
+    scale, churn is continuous — the headline cost is update latency,
+    not one-shot compile time.
 
     This layer exploits the hash-consed {!Fdd}: within one hash-cons
     generation, structurally equal diagrams are physically equal, so the
@@ -13,7 +13,7 @@
     top-level [Switch] spine ({!Fdd.switch_cases}) — which fully
     determines [restrict (Switch, sw) fdd] — is a certificate for switch
     [sw]'s entire table.  A {!snapshot} records, per switch, that uid
-    and the derived rule list.  {!compile} then:
+    and the numbered table.  {!compile} then:
 
     {ol
     {- compares the whole-policy diagram against the snapshot's — a
@@ -24,21 +24,22 @@
        unchanged — no restriction, no path extraction, no alignment, no
        flow-mods, warm flow caches stay warm;}
     {- re-derives only the changed switches (restrict + extract) and
-       aligns each new rule list with the old one in order: matched
+       aligns each new ordered rule list with the old table: matched
        rules keep their priority (a matched pattern with new actions
        becomes one modify), inserted runs take priorities inside their
        neighbours' gap, and only when a gap runs out is a local window
        renumbered.}}
 
-    {b Stable, gapped priorities.}  A switch's first table spreads its
-    rules over the fixed span [(0, span)]; later edits keep the
-    priorities of the rules they do not touch, so one inserted path
-    ships one flow-mod.  So a delta-maintained table need not be
-    byte-equal to a from-scratch compile: it is the {e same ordered
-    [(pattern, actions)] list with strictly decreasing priorities},
-    which answers every lookup the same way.  Rules are
-    numbered before [transform], so a transform's priority base (the
-    version bands of {!Controller.Update}) is kept on every edit.
+    {b Stable, gapped priorities.}  {!Local} emits ordered lists; this
+    module numbers them.  A switch's first table spreads its rules over
+    the fixed span [(0, span)]; later edits keep the priorities of the
+    rules they do not touch, so one inserted path ships one flow-mod.
+    So a delta-maintained table need not be byte-equal to a fresh
+    install: it is the {e compiler's ordered [(pattern, actions)] list
+    with strictly decreasing priorities}, which answers every lookup as
+    the list's first match does.  Rules are numbered before
+    [transform], so a transform's priority base (the version bands of
+    {!Controller.Update}) is kept on every edit.
 
     {b Invalidation rules.}  Uids are drawn from a never-reset counter,
     so uid {e equality} is sound forever — across {!Fdd.clear_cache}
@@ -53,6 +54,13 @@
 
 type snapshot
 
+(** A numbered rule: a {!Local.rule} given its priority. *)
+type rule = {
+  priority : int;
+  pattern : Flow.Pattern.t;
+  actions : Flow.Action.group;
+}
+
 (** What happened to one switch's table. *)
 type change =
   | Unchanged
@@ -60,13 +68,13 @@ type change =
           an alignment that matched every rule in place) — nothing to
           push *)
   | Changed of {
-      rules : Local.rule list;  (** the full new table *)
-      adds : Local.rule list;
+      rules : rule list;  (** the full new table *)
+      adds : rule list;
           (** rules to add or modify, in table order: inserted rules,
               rules a renumbered window moved, and kept slots whose
               actions changed (an add with the same priority and
               pattern replaces the installed rule) *)
-      deletes : Local.rule list;
+      deletes : rule list;
           (** old rules that vanished or were moved, for strict
               deletes *)
     }
@@ -85,7 +93,7 @@ type result = {
 
 (** [find snapshot switch] is the table recorded for [switch], if any
     (e.g. for re-pushing a crashed switch from the shadow). *)
-val find : snapshot -> int -> Local.rule list option
+val find : snapshot -> int -> rule list option
 
 (** Rules across all recorded switches — the deployment's size. *)
 val total_rules : snapshot -> int
@@ -103,14 +111,15 @@ val span : int
     pushing (e.g. stamping a version tag or adding a priority base); it
     must be pure, stable across calls and keep priorities in order, or
     the uid fast path would certify stale transforms.  [keep] filters
-    derived rules first (e.g. dropping fall-through drop rules for
-    global programs).  Switches absent from [switches] are dropped from
-    the snapshot — the caller no longer owns them.
+    the derived ordered list before numbering (e.g. dropping
+    fall-through drop rules for global programs).  Switches absent from
+    [switches] are dropped from the snapshot — the caller no longer owns
+    them.
     @raise Invalid_argument if a table has [span] rules or more.
     @raise Local.Not_local if the diagram moves packets between
     switches. *)
 val compile :
-  ?transform:(Local.rule -> Local.rule) ->
+  ?transform:(rule -> rule) ->
   ?keep:(Local.rule -> bool) ->
   switches:int list -> snapshot option -> Fdd.t -> result
 
@@ -118,6 +127,6 @@ val compile :
     ({!Fdd.of_policy}, which reuses the diagrams of subterms shared with
     the previous policy). *)
 val compile_policy :
-  ?transform:(Local.rule -> Local.rule) ->
+  ?transform:(rule -> rule) ->
   ?keep:(Local.rule -> bool) ->
   switches:int list -> snapshot option -> Syntax.pol -> result

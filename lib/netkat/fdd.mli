@@ -189,8 +189,8 @@ val node_count : t -> int
 val switch_cases : t -> (int, t) Hashtbl.t * t
 
 (** [fold_paths d ~init ~f] visits every root-to-leaf path, true-branches
-    first (the order in which rules must be emitted for priorities to
-    encode the false-branch constraints).  [f] receives the positive
+    first (the order in which rules must be listed for the earlier ones
+    to encode the false-branch constraints).  [f] receives the positive
     tests along the path, the leaf's action set, and the accumulator. *)
 val fold_paths : t -> init:'a -> f:(test list -> ActSet.t -> 'a -> 'a) -> 'a
 

@@ -2,11 +2,7 @@ open Packet
 
 exception Not_local of string
 
-type rule = {
-  priority : int;
-  pattern : Flow.Pattern.t;
-  actions : Flow.Action.group;
-}
+type rule = Flow.Pattern.t * Flow.Action.group
 
 (* Convert one FDD action (a partial header update) to a flow action
    sequence.  The final location of the packet is its [In_port] value:
@@ -54,51 +50,16 @@ let pattern_of_tests tests =
     Flow.Pattern.any tests
 
 let rules_of_restricted d =
-  (* fold_paths visits the highest-priority path first; the accumulated
-     list is reversed, its head the lowest-priority path *)
+  (* fold_paths visits the first-match path first; the accumulated list
+     is reversed *)
   let paths =
     Fdd.fold_paths d ~init:[] ~f:(fun tests acts acc ->
       (pattern_of_tests tests, group_of_actset acts) :: acc)
   in
-  match paths with
-  | [] -> [||]
-  | (pattern, actions) :: _ ->
-    let n = List.length paths in
-    let rules = Array.make n { priority = 1; pattern; actions } in
-    List.iteri
-      (fun k (pattern, actions) ->
-        rules.(n - 1 - k) <- { priority = k + 1; pattern; actions })
-      paths;
-    rules
+  Array.of_list (List.rev paths)
 
 let rules_of_fdd ~switch d =
   Array.to_list (rules_of_restricted (Fdd.restrict (Fields.Switch, switch) d))
 
 let compile ~switch pol =
   rules_of_fdd ~switch (Fdd.of_policy pol)
-
-(** [load_rules table rules] adds each rule to [table]. *)
-let load_rules table rules =
-  List.iter
-    (fun r ->
-      Flow.Table.add table
-        (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
-           ~actions:r.actions ()))
-    rules
-
-let table_of_rules ?capacity rules =
-  let table = Flow.Table.create ?capacity () in
-  load_rules table rules;
-  table
-
-let compile_table ?capacity ~switch pol =
-  table_of_rules ?capacity (compile ~switch pol)
-
-let rules_of_fdd_all ~switches d =
-  List.map (fun sw -> (sw, rules_of_fdd ~switch:sw d)) switches
-
-let compile_all ~switches pol = rules_of_fdd_all ~switches (Fdd.of_policy pol)
-
-let pp_rule fmt r =
-  Format.fprintf fmt "[%4d] %a -> %a" r.priority Flow.Pattern.pp r.pattern
-    Flow.Action.pp_group r.actions

@@ -75,25 +75,18 @@ let compile ~switch pol : Local.rule list =
     | Some sw -> sw = switch
     | None -> true
   in
-  let rules =
-    translate pol
-    |> List.filter keep
-    |> List.map (fun r ->
-      let tests =
-        List.filter (fun (f, _) -> not (Fields.equal f Fields.Switch)) r.tests
-      in
-      let pattern =
-        List.fold_left
-          (fun pat (f, v) ->
-            match Flow.Pattern.conj pat (Flow.Pattern.of_field f v) with
-            | Some p -> p
-            | None -> assert false)
-          Flow.Pattern.any tests
-      in
-      (pattern, [ Local.seq_of_act r.update ]))
-  in
-  let n = List.length rules in
-  List.mapi
-    (fun i (pattern, actions) ->
-      { Local.priority = n - i; pattern; actions })
-    rules
+  translate pol
+  |> List.filter keep
+  |> List.map (fun r ->
+    let tests =
+      List.filter (fun (f, _) -> not (Fields.equal f Fields.Switch)) r.tests
+    in
+    let pattern =
+      List.fold_left
+        (fun pat (f, v) ->
+          match Flow.Pattern.conj pat (Flow.Pattern.of_field f v) with
+          | Some p -> p
+          | None -> assert false)
+        Flow.Pattern.any tests
+    in
+    (pattern, [ Local.seq_of_act r.update ]))

@@ -13,9 +13,10 @@
 
 exception Unsupported of string
 
-(** [compile ~switch pol] produces the rule list for one switch:
-    rules testing another switch are dropped, the switch test is erased,
-    and the rest become flow rules in declaration order.  The result may
+(** [compile ~switch pol] produces the ordered rule list for one
+    switch: rules testing another switch are dropped, the switch test is
+    erased, and the rest become flow rules in declaration order (first
+    match first, as {!Local.compile}).  The result may
     contain redundant and duplicated entries — that is the point of the
     baseline. *)
 val compile : switch:int -> Syntax.pol -> Local.rule list

@@ -314,7 +314,7 @@ let full_bytes snapshot switches =
         Openflow.Message.Flow_mod
           (Openflow.Message.delete_flow ~pattern:Flow.Pattern.any ())
         :: List.map
-             (fun (r : Netkat.Local.rule) ->
+             (fun (r : Netkat.Delta.rule) ->
                Openflow.Message.Flow_mod
                  (Openflow.Message.add_flow ~priority:r.priority
                     ~pattern:r.pattern ~actions:r.actions ()))
@@ -342,30 +342,22 @@ let delta_bytes ~previous (result : Netkat.Delta.result) =
              @ [ Openflow.Message.Barrier_request ]))
     0 result.changes
 
-(* per-switch (priority, pattern, actions) triples of [net]'s live
-   tables *)
+(* per-switch live tables of [net], as numbered rules highest first *)
 let live_tables net switches =
   List.map
     (fun sw ->
       ( sw,
         List.map
-          (fun (r : Flow.Table.rule) -> (r.priority, r.pattern, r.actions))
+          (fun (r : Flow.Table.rule) ->
+            { Netkat.Delta.priority = r.priority; pattern = r.pattern;
+              actions = r.actions })
           (Flow.Table.rules
              (Dataplane.Network.switch (Zen.network net) sw).table) ))
     switches
 
-(* [Local.rule]s as (priority, pattern, actions) triples *)
-let triples rules =
-  List.map (fun (r : Netkat.Local.rule) -> (r.priority, r.pattern, r.actions))
-    rules
-
-(* the same triples from a from-scratch compile (no previous snapshot) *)
+(* per-switch ordered lists of a from-scratch compile *)
 let scratch_tables fdd switches =
-  let snap = (Netkat.Delta.compile ~switches None fdd).snapshot in
-  List.map
-    (fun sw ->
-      (sw, triples (Option.value ~default:[] (Netkat.Delta.find snap sw))))
-    switches
+  List.map (fun sw -> (sw, Netkat.Local.rules_of_fdd ~switch:sw fdd)) switches
 
 (* A probe header for [pat]: its constrained fields set, the rest from
    [Headers.default]. *)
@@ -392,39 +384,35 @@ let probe_fields =
        Ip4_dst; Tp_src; Tp_dst |]
 
 (* [table_mismatch ~seed got want] checks that [got], a delta-maintained
-   table as (priority, pattern, actions) triples highest first, is [want]
-   up to priorities: the same ordered (pattern, actions) list with
-   strictly decreasing priorities, and the same verdict on [probes]
-   seeded headers ([Table.lookup] on [got], [Table.lookup_linear] on
-   [want]).  Each probe takes one rule's pattern and, half the time, one
-   field's value from another rule's, so probes land on every rule, on
-   the rules it shadows, and between them.  [None] when all hold, else
-   what failed. *)
-let table_mismatch ?(probes = 200) ~seed got want =
-  let pattern_actions = List.map (fun (_, p, a) -> (p, a)) in
+   table highest priority first, encodes [want], the compiler's ordered
+   list: the same (pattern, actions) list with strictly decreasing
+   priorities, and the same winning rule on [probes] seeded headers
+   ([Table.lookup] on [got] loaded into a table, the first match in list
+   order on [want]).  Each probe takes one rule's pattern and, half the
+   time, one field's value from another rule's, so probes land on every
+   rule, on the rules it shadows, and between them.  [None] when all
+   hold, else what failed. *)
+let table_mismatch ?(probes = 200) ~seed (got : Netkat.Delta.rule list)
+    (want : Netkat.Local.rule list) =
   let rec decreasing = function
-    | (p1, _, _) :: ((p2, _, _) :: _ as rest) -> p1 > p2 && decreasing rest
+    | (r1 : Netkat.Delta.rule) :: (r2 :: _ as rest) ->
+      r1.priority > r2.priority && decreasing rest
     | _ -> true
   in
-  if pattern_actions got <> pattern_actions want then
-    Some "ordered (pattern, actions) lists differ"
+  if List.map (fun (r : Netkat.Delta.rule) -> (r.pattern, r.actions)) got
+     <> want
+  then Some "ordered (pattern, actions) lists differ"
   else if not (decreasing got) then Some "priorities not strictly decreasing"
   else begin
-    let load rules =
-      let t = Flow.Table.create () in
-      List.iter
-        (fun (priority, pattern, actions) ->
-          Flow.Table.add t
-            (Flow.Table.make_rule ~priority ~pattern ~actions ()))
-        rules;
-      t
-    in
-    let got_t = load got and want_t = load want in
-    let pats = Array.of_list (List.map (fun (_, p, _) -> p) want) in
+    let got_t = Flow.Table.create () in
+    List.iter
+      (fun (r : Netkat.Delta.rule) ->
+        Flow.Table.add got_t
+          (Flow.Table.make_rule ~priority:r.priority ~pattern:r.pattern
+             ~actions:r.actions ()))
+      got;
+    let pats = Array.of_list (List.map fst want) in
     let prng = Util.Prng.create seed in
-    let verdict =
-      Option.map (fun (r : Flow.Table.rule) -> (r.pattern, r.actions))
-    in
     let rec go i =
       if i = probes then None
       else begin
@@ -440,8 +428,11 @@ let table_mismatch ?(probes = 200) ~seed got want =
                    (header_of_pattern (Util.Prng.pick prng pats)) f)
           end
         in
-        if verdict (Flow.Table.lookup got_t h)
-           <> verdict (Flow.Table.lookup_linear want_t h)
+        if
+          Option.map
+            (fun (r : Flow.Table.rule) -> (r.pattern, r.actions))
+            (Flow.Table.lookup got_t h)
+          <> List.find_opt (fun (p, _) -> Flow.Pattern.matches p h) want
         then Some (Format.asprintf "lookup differs on %a" Packet.Headers.pp h)
         else go (i + 1)
       end

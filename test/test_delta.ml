@@ -2,18 +2,16 @@
    skip untouched switches, the alignment fallback survives cache
    clears, untouched rules keep their priorities (an edit ships only the
    flow-mods it needs, and an exhausted gap renumbers a local window),
-   and at every step of a churn sequence a delta-maintained table is a
-   from-scratch compile up to priorities: the same ordered (pattern,
-   actions) list, strictly decreasing priorities, and the same lookup
-   verdict on seeded probe headers ({!Scenarios.table_mismatch}). *)
+   and at every step of a churn sequence a delta-maintained table
+   encodes a from-scratch compile's ordered list: the same (pattern,
+   actions) list, strictly decreasing priorities, and the same winning
+   rule on seeded probe headers ({!Scenarios.table_mismatch}). *)
 
 open Packet
 module Syntax = Netkat.Syntax
 module Fdd = Netkat.Fdd
 module Local = Netkat.Local
 module Delta = Netkat.Delta
-
-let triples = Scenarios.triples
 
 (* fails unless [got] is [want] up to priorities *)
 let check_same_table what ~seed got want =
@@ -58,9 +56,9 @@ let test_edit_skips_other_switches () =
       check_same_table
         (Printf.sprintf "switch %d equals scratch" sw)
         ~seed:sw
-        (triples (Option.get (Delta.find r1.snapshot sw)))
-        (triples rules))
-    (Local.rules_of_fdd_all ~switches edited)
+        (Option.get (Delta.find r1.snapshot sw))
+        rules)
+    (Scenarios.scratch_tables edited switches)
 
 let test_clear_cache_structural_fallback () =
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
@@ -111,7 +109,7 @@ let tp_routes routes =
           routes))
 
 let priority_of rules tp =
-  (List.find (fun (r : Local.rule) -> r.pattern.tp_dst = Some tp) rules)
+  (List.find (fun (r : Delta.rule) -> r.pattern.tp_dst = Some tp) rules)
     .priority
 
 (* an edit that changes one rule's actions, keeps one, drops one and
@@ -124,7 +122,7 @@ let test_alignment () =
   let old = Option.get (Delta.find r0.snapshot 1) in
   Alcotest.(check bool) "first install inside (0, span)" true
     (List.for_all
-       (fun (r : Local.rule) -> r.priority > 0 && r.priority < Delta.span)
+       (fun (r : Delta.rule) -> r.priority > 0 && r.priority < Delta.span)
        old);
   let r1 =
     Delta.compile ~switches:[ 1 ] (Some r0.snapshot) (tp_routes after)
@@ -136,19 +134,19 @@ let test_alignment () =
       (priority_of rules 1);
     Alcotest.(check int) "tp 2 keeps its slot" (priority_of old 2)
       (priority_of rules 2);
-    let sorted rs = List.sort compare (triples rs) in
+    let sorted rs = List.sort compare rs in
     let pick rs tps =
       List.filter
-        (fun (r : Local.rule) ->
+        (fun (r : Delta.rule) ->
           List.exists (fun tp -> r.pattern.tp_dst = Some tp) tps)
         rs
     in
     Alcotest.(check bool) "adds = modify tp 1 + insert tp 4" true
       (sorted adds = sorted (pick rules [ 1; 4 ]));
     Alcotest.(check bool) "deletes = tp 3 at its old priority" true
-      (triples deletes = triples (pick old [ 3 ]));
-    check_same_table "realigned table" ~seed:1 (triples rules)
-      (triples (Local.rules_of_fdd ~switch:1 (tp_routes after)))
+      (deletes = pick old [ 3 ]);
+    check_same_table "realigned table" ~seed:1 rules
+      (Local.rules_of_fdd ~switch:1 (tp_routes after))
 
 (* Insert into one gap until it runs out: tp_dst 1000 - i lands next to
    tp_dst 500 every time (tables list one field's tests in value order),
@@ -177,16 +175,16 @@ let test_gap_exhaustion () =
         (Printf.sprintf "renumbered after %d inserts, not at the first" i)
         true (i > 1);
       List.iter
-        (fun (r : Local.rule) ->
+        (fun (r : Delta.rule) ->
           if r.priority <= 0 || r.priority >= Delta.span then
             Alcotest.failf "priority %d outside (0, %d)" r.priority Delta.span)
         rules;
       let moved =
         List.mapi
-          (fun pos (r : Local.rule) ->
+          (fun pos (r : Delta.rule) ->
             match
               List.find_opt
-                (fun (o : Local.rule) -> o.pattern = r.pattern)
+                (fun (o : Delta.rule) -> o.pattern = r.pattern)
                 old
             with
             | Some o when o.priority = r.priority -> None
@@ -205,8 +203,8 @@ let test_gap_exhaustion () =
       Alcotest.(check int) "one add per window rule" window r.n_adds;
       Alcotest.(check int) "one delete per moved old rule" (window - 1)
         r.n_deletes;
-      check_same_table "renumbered table" ~seed:i (triples rules)
-        (triples (Local.rules_of_fdd ~switch:1 fdd));
+      check_same_table "renumbered table" ~seed:i rules
+        (Local.rules_of_fdd ~switch:1 fdd);
       (* the window left room: the next insert is one flow-mod again *)
       let inserted = (1000 - i - 1, 3) :: inserted in
       let r' =
@@ -308,7 +306,7 @@ let test_k8_edit_bytes () =
 let apply_change old_rules = function
   | Delta.Unchanged -> old_rules
   | Delta.Changed { adds; deletes; _ } ->
-    let key (r : Local.rule) = (r.priority, r.pattern) in
+    let key (r : Delta.rule) = (r.priority, r.pattern) in
     let dead = List.map key deletes @ List.map key adds in
     adds @ List.filter (fun r -> not (List.mem (key r) dead)) old_rules
 
@@ -350,10 +348,7 @@ let prop_churn ~clears name =
                | Delta.Changed { rules; _ } ->
                  (* the emitted delta must reconstruct the full table *)
                  let applied = apply_change old_rules change in
-                 if
-                   List.sort compare (triples applied)
-                   <> List.sort compare (triples rules)
-                 then
+                 if List.sort compare applied <> List.sort compare rules then
                    QCheck.Test.fail_reportf
                      "delta does not reconstruct table (step %d, switch %d)"
                      i sw;
@@ -368,14 +363,13 @@ let prop_churn ~clears name =
                 Option.value ~default:[] (Hashtbl.find_opt tables sw)
               in
               match
-                Scenarios.table_mismatch ~seed:((10 * i) + sw) (triples got)
-                  (triples rules)
+                Scenarios.table_mismatch ~seed:((10 * i) + sw) got rules
               with
               | None -> ()
               | Some why ->
                 QCheck.Test.fail_reportf
                   "incremental <> scratch (step %d, switch %d): %s" i sw why)
-            (Local.rules_of_fdd_all ~switches fdd))
+            (Scenarios.scratch_tables fdd switches))
         steps;
       true)
 
@@ -411,19 +405,19 @@ let prop_gap_churn =
         snap := Some r.snapshot;
         let rules = Option.get (Delta.find r.snapshot 1) in
         let applied = apply_change !table (List.assoc 1 r.changes) in
-        let sorted rs = List.sort compare (triples rs) in
+        let sorted rs = List.sort compare rs in
         if sorted applied <> sorted rules then
           QCheck.Test.fail_reportf "delta does not rebuild step %d" step;
         table := rules;
         List.iter
-          (fun (x : Local.rule) ->
+          (fun (x : Delta.rule) ->
             if x.priority <= 0 || x.priority >= Delta.span then
               QCheck.Test.fail_reportf
                 "priority %d outside (0, span) at step %d" x.priority step)
           rules;
         match
-          Scenarios.table_mismatch ~seed:step (triples rules)
-            (triples (Local.rules_of_fdd ~switch:1 fdd))
+          Scenarios.table_mismatch ~seed:step rules
+            (Local.rules_of_fdd ~switch:1 fdd)
         with
         | None -> ()
         | Some why -> QCheck.Test.fail_reportf "step %d: %s" step why
@@ -468,7 +462,10 @@ let prop_offline_equals_controller =
           (fun (sw, rs) (_, scratch) ->
             match
               Scenarios.table_mismatch ~seed:((10 * i) + sw)
-                (List.map (fun (p, m, a, _) -> (p, m, a)) rs)
+                (List.map
+                   (fun (priority, pattern, actions, _) ->
+                     { Delta.priority; pattern; actions })
+                   rs)
                 scratch
             with
             | None -> ()

@@ -331,21 +331,12 @@ let prop_fdd_equals_semantics =
       let fdd = Fdd.eval (Fdd.of_policy p) h |> List.sort_uniq Headers.compare in
       sem = fdd)
 
-(* table-level: compiled rules behave like the FDD restricted to a switch *)
+(* table-level: compiled rules behave like the FDD restricted to a switch;
+   the first matching rule decides *)
 let table_eval rules (h : Headers.t) =
-  let winner =
-    List.fold_left
-      (fun best (r : Local.rule) ->
-        match best with
-        | Some (bp, _) when bp >= r.priority -> best
-        | _ ->
-          if Flow.Pattern.matches r.pattern h then Some (r.priority, r.actions)
-          else best)
-      None rules
-  in
-  match winner with
+  match Flow.Optimize.lookup rules h with
   | None -> []
-  | Some (_, group) ->
+  | Some group ->
     Flow.Action.apply_group h group
     |> List.filter_map (fun (h', port) ->
       match (port : Flow.Action.port) with
@@ -425,11 +416,15 @@ let test_local_negation_via_shadowing () =
   Alcotest.(check bool) "443 forwarded" true
     (table_eval rules h443 = [ Headers.set h443 Fields.In_port 9 ])
 
+(* an ordered list becomes a table through the product path: Delta
+   numbers it, [Api.load_delta] applies the flow-mods *)
 let test_local_table_loading () =
   let open Syntax in
-  let table =
-    Local.compile_table ~switch:1 (seq (filter (test Fields.Tp_dst 80)) (forward 3))
-  in
+  let table = Flow.Table.create () in
+  Controller.Api.load_delta ~previous:None
+    ~table_of:(fun _ -> table)
+    (Netkat.Delta.compile_policy ~switches:[ 1 ] None
+       (seq (filter (test Fields.Tp_dst 80)) (forward 3)));
   Alcotest.(check bool) "loaded" true (Flow.Table.size table >= 1);
   match Flow.Table.apply table ~now:0.0 ~size:10 h0 with
   | Some actions ->
@@ -472,11 +467,11 @@ let test_naive_redundancy () =
   Alcotest.(check int) "naive keeps duplicates" 4 (List.length naive);
   Alcotest.(check int) "fdd collapses (match + fall-through drop)" 2
     (List.length fdd);
-  (* load both into tables and count dead entries *)
+  (* count dead entries of both ordered lists *)
   Alcotest.(check int) "naive has shadowed rules" 3
-    (List.length (Flow.Table.shadowed (Local.table_of_rules naive)));
+    (List.length (Flow.Optimize.shadowed naive));
   Alcotest.(check int) "fdd has none" 0
-    (List.length (Flow.Table.shadowed (Local.table_of_rules fdd)))
+    (List.length (Flow.Optimize.shadowed fdd))
 
 let test_fdd_negation_linear () =
   (* a denylist firewall needs negation: the FDD compiles it to a linear
@@ -509,31 +504,6 @@ let test_naive_unsupported () =
     (match Naive.compile ~switch:1 (Syntax.Star (Syntax.Mod (Fields.Vlan, 1))) with
      | exception Naive.Unsupported _ -> true
      | _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Whole-network compilation *)
-
-(* compile_all must be the per-switch result — same switches in the
-   same order, same rules, same priorities; inputs are 60 random
-   4-switch policies and an 8-entry allowlist over fat-tree k=4
-   routing *)
-let test_compile_all_equals_sequential () =
-  let rand = Random.State.make [| 0xC0FFEE |] in
-  let fat_tree = fst (Topo.Gen.fat_tree ~k:4 ()) in
-  let inputs =
-    (Topo.Topology.switch_ids fat_tree, Scenarios.allowlist_policy fat_tree 8)
-    :: List.map
-         (fun pol -> ([ 1; 2; 3; 4 ], pol))
-         (QCheck.Gen.generate ~n:60 ~rand local_pol_gen)
-  in
-  List.iter
-    (fun (switches, pol) ->
-      let sequential =
-        List.map (fun sw -> (sw, Local.compile ~switch:sw pol)) switches
-      in
-      if Local.compile_all ~switches pol <> sequential then
-        Alcotest.failf "compile_all diverges on %s" (Syntax.pol_to_string pol))
-    inputs
 
 (* ------------------------------------------------------------------ *)
 (* Edit compile cost: the seq specialisation and the of_policy memo *)
@@ -783,9 +753,7 @@ let suites =
         Alcotest.test_case "table loading" `Quick test_local_table_loading;
         QCheck_alcotest.to_alcotest prop_table_equals_semantics ] );
     ( "netkat.parallel",
-      [ Alcotest.test_case "compile_all = sequential per-switch compile"
-          `Quick test_compile_all_equals_sequential;
-        Alcotest.test_case "of_policy memo survives a domain handoff" `Quick
+      [ Alcotest.test_case "of_policy memo survives a domain handoff" `Quick
           test_of_policy_memo_across_domains ] );
     ( "netkat.naive",
       [ Alcotest.test_case "agrees on routing" `Quick

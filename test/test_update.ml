@@ -420,30 +420,26 @@ let test_incremental_edit_targets_one_switch () =
   (* the resulting tables are what a first install of new_pol on a fresh
      network produces, up to priorities (the edit kept the untouched
      rules' slots) *)
-  let ordered net =
-    List.map
-      (fun (sw : Dataplane.Network.switch) ->
-        ( sw.sw_id,
-          List.map
-            (fun (r : Flow.Table.rule) -> (r.priority, r.pattern, r.actions))
-            (Flow.Table.rules sw.table) ))
-      (Dataplane.Network.switch_list (Zen.network net))
-  in
+  let switches = Topo.Topology.switch_ids topo in
   let fresh =
     let net' = Zen.create (let t, _, _ = ring_with_policies () in t) in
     let rt' = Zen.with_controller net' [] in
     let updater' = Controller.Update.create () in
     Controller.Update.install updater' (Controller.Runtime.ctx rt') new_pol;
     ignore (Zen.run ~until:(Zen.now net' +. 0.2) net');
-    ordered net'
+    Scenarios.live_tables net' switches
   in
   List.iter2
     (fun (sw, got) (_, want) ->
       Alcotest.(check (option string))
         (Printf.sprintf "s%d table equals a from-scratch install" sw)
         None
-        (Scenarios.table_mismatch ~seed:sw got want))
-    (ordered net) fresh
+        (Scenarios.table_mismatch ~seed:sw got
+           (List.map
+              (fun (r : Netkat.Delta.rule) -> (r.pattern, r.actions))
+              want)))
+    (Scenarios.live_tables net switches)
+    fresh
 
 (* delete_version only messages switches that received rules under the
    cookie: a switch whose compiled table was pure drops (not installed
@@ -484,24 +480,23 @@ let test_delete_version_skips_untouched () =
 (* ------------------------------------------------------------------ *)
 (* Optimizer *)
 
-let opt_rule priority pattern actions =
-  { Flow.Optimize.priority; pattern; actions }
+(* rule lists are ordered: the first matching rule decides *)
 
 let test_optimize_removes_shadowed () =
   let rules =
-    [ opt_rule 10 Flow.Pattern.any (Flow.Action.forward 1);
-      opt_rule 5 (Flow.Pattern.of_field Fields.Tp_dst 80) (Flow.Action.forward 2) ]
+    [ (Flow.Pattern.any, Flow.Action.forward 1);
+      (Flow.Pattern.of_field Fields.Tp_dst 80, Flow.Action.forward 2) ]
   in
   let out = Flow.Optimize.minimize rules in
   Alcotest.(check int) "shadowed removed" 1 (List.length out);
   Alcotest.(check bool) "the any rule survives" true
-    ((List.hd out).pattern = Flow.Pattern.any)
+    (fst (List.hd out) = Flow.Pattern.any)
 
 let test_optimize_removes_redundant () =
   (* specific rule with same action as the catch-all below it *)
   let rules =
-    [ opt_rule 10 (Flow.Pattern.of_field Fields.Tp_dst 80) (Flow.Action.forward 1);
-      opt_rule 1 Flow.Pattern.any (Flow.Action.forward 1) ]
+    [ (Flow.Pattern.of_field Fields.Tp_dst 80, Flow.Action.forward 1);
+      (Flow.Pattern.any, Flow.Action.forward 1) ]
   in
   Alcotest.(check int) "redundant removed" 1
     (List.length (Flow.Optimize.minimize rules))
@@ -511,9 +506,9 @@ let test_optimize_keeps_blocked_redundancy () =
      top rule is NOT redundant (removing it would expose tp80+port1
      packets to the drop rule) *)
   let rules =
-    [ opt_rule 10 (Flow.Pattern.of_field Fields.Tp_dst 80) (Flow.Action.forward 1);
-      opt_rule 5 (Flow.Pattern.of_field Fields.In_port 1) Flow.Action.drop;
-      opt_rule 1 Flow.Pattern.any (Flow.Action.forward 1) ]
+    [ (Flow.Pattern.of_field Fields.Tp_dst 80, Flow.Action.forward 1);
+      (Flow.Pattern.of_field Fields.In_port 1, Flow.Action.drop);
+      (Flow.Pattern.any, Flow.Action.forward 1) ]
   in
   Alcotest.(check int) "nothing removed" 3
     (List.length (Flow.Optimize.minimize rules))
@@ -532,7 +527,7 @@ let prop_optimize_preserves_semantics =
     (QCheck.make
        QCheck.Gen.(
          list_size (0 -- 25)
-           (triple (int_bound 10)
+           (pair
               (oneof
                  [ return Flow.Pattern.any;
                    map (Flow.Pattern.of_field Fields.Tp_dst) (int_bound 3);
@@ -551,9 +546,9 @@ let prop_optimize_preserves_semantics =
     (fun specs ->
       let rules =
         List.map
-          (fun (priority, pattern, act) ->
-            opt_rule priority pattern
-              (if act = 0 then Flow.Action.drop else Flow.Action.forward act))
+          (fun (pattern, act) ->
+            ( pattern,
+              if act = 0 then Flow.Action.drop else Flow.Action.forward act ))
           specs
       in
       let out = Flow.Optimize.minimize rules in
@@ -562,19 +557,6 @@ let prop_optimize_preserves_semantics =
            (fun h ->
              Flow.Optimize.lookup rules h = Flow.Optimize.lookup out h)
            probe_headers)
-
-let test_optimize_table_in_place () =
-  let table = Flow.Table.create () in
-  for i = 1 to 10 do
-    Flow.Table.add table
-      (Flow.Table.make_rule ~priority:i
-         ~pattern:(Flow.Pattern.of_field Fields.Tp_dst 80)
-         ~actions:(Flow.Action.forward 1) ())
-  done;
-  let before, after = Flow.Optimize.minimize_table table in
-  Alcotest.(check int) "before" 10 before;
-  Alcotest.(check int) "after" 1 after;
-  Alcotest.(check int) "table shrunk" 1 (Flow.Table.size table)
 
 let suites =
   [ ( "flow.strict_delete",
@@ -614,6 +596,4 @@ let suites =
           test_optimize_removes_redundant;
         Alcotest.test_case "keeps blocked redundancy" `Quick
           test_optimize_keeps_blocked_redundancy;
-        Alcotest.test_case "minimize_table in place" `Quick
-          test_optimize_table_in_place;
         QCheck_alcotest.to_alcotest prop_optimize_preserves_semantics ] ) ]

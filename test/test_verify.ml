@@ -182,16 +182,11 @@ let prop_cube_algebra =
 (* ------------------------------------------------------------------ *)
 (* Reachability over compiled tables *)
 
+(* the tables [Zen.install_policy] loads *)
 let snapshot_of topo pol : Reach.snapshot =
-  let fdd = Netkat.Fdd.of_policy pol in
-  let tables = Hashtbl.create 8 in
-  List.iter
-    (fun sw ->
-      let id = Topo.Topology.Node.id sw in
-      let rules = Netkat.Local.rules_of_fdd ~switch:id fdd in
-      Hashtbl.replace tables id (Netkat.Local.table_of_rules rules))
-    (Topo.Topology.switches topo);
-  { topo; tables = (fun id -> Flow.Table.rules (Hashtbl.find tables id)) }
+  let net = Zen.create topo in
+  ignore (Zen.install_policy net pol);
+  Zen.snapshot net
 
 let test_reachability_routing () =
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
