@@ -1,5 +1,3 @@
-open Packet
-
 let span = 1 lsl 18
 
 type rule = {
@@ -190,14 +188,14 @@ let realign (old : rule array) (fresh : Local.rule array) =
   (local, List.rev !adds, !deletes)
 
 (* Per-switch work: certify by the spine-case subtree's uid, re-derive
-   (restrict + extract) and realign only on a changed certificate.
-   [case] is the subtree packets with [Switch = sw] reach through the
-   root spine (from {!Fdd.switch_cases}); it fully determines the
-   restriction, so its uid is as sound a certificate as the restricted
-   diagram's own — and free, where a restrict walk costs O(spine) per
-   switch.  Rules are numbered before [transform], in [(0, span)], so a
+   (extract) and realign only on a changed certificate.  [case] is the
+   subtree packets with [Switch = sw] reach through the root spine (from
+   {!Fdd.switch_cases}).  [Switch] is the first field in the diagram
+   order, so [case] is [Fdd.restrict (Switch, sw)] of the whole diagram:
+   the rules are read from it directly, and its uid is the certificate.
+   Rules are numbered before [transform], in [(0, span)], so a
    transform's priority base survives every edit. *)
-let per_switch ~previous ~transform ~keep fdd ~case sw =
+let per_switch ~previous ~transform ~keep ~case sw =
   let uid = Fdd.uid case in
   let prev =
     match previous with
@@ -207,9 +205,7 @@ let per_switch ~previous ~transform ~keep fdd ~case sw =
   match prev with
   | Some e when e.uid = uid -> (sw, e, Unchanged)
   | prev ->
-    let fresh =
-      Local.rules_of_restricted (Fdd.restrict (Fields.Switch, sw) fdd)
-    in
+    let fresh = Local.rules_of_restricted case in
     let fresh =
       match keep with
       | None -> fresh
@@ -251,8 +247,8 @@ let compile ?transform ?keep ~switches previous fdd =
     | Some p when unchanged_fdd ->
       (match Hashtbl.find_opt p.entries sw with
        | Some e -> (sw, e, Unchanged)
-       | None -> per_switch ~previous ~transform ~keep fdd ~case sw)
-    | _ -> per_switch ~previous ~transform ~keep fdd ~case sw
+       | None -> per_switch ~previous ~transform ~keep ~case sw)
+    | _ -> per_switch ~previous ~transform ~keep ~case sw
   in
   let results = List.map work switches in
   let entries = Hashtbl.create (List.length results) in

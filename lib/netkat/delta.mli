@@ -21,12 +21,14 @@
        switch work at all);}
     {- otherwise unzips the [Switch] spine once (O(spine) for all
        switches) and skips every switch whose case-subtree uid is
-       unchanged — no restriction, no path extraction, no alignment, no
-       flow-mods, warm flow caches stay warm;}
-    {- re-derives only the changed switches (restrict + extract) and
-       aligns each new ordered rule list with the old table: matched
-       rules keep their priority (a matched pattern with new actions
-       becomes one modify), inserted runs take priorities inside their
+       unchanged — no path extraction, no alignment, no flow-mods,
+       warm flow caches stay warm;}
+    {- re-derives only the changed switches, extracting each one's
+       rules from its case subtree (which {e is} its restriction, since
+       [Switch] is the first field in the diagram order), and aligns
+       each new ordered rule list with the old table: matched rules
+       keep their priority (a matched pattern with new actions becomes
+       one modify), inserted runs take priorities inside their
        neighbours' gap, and only when a gap runs out is a local window
        renumbered.}}
 

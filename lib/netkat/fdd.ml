@@ -105,7 +105,13 @@ let test_compare (f, v) (g, u) =
 (* ------------------------------------------------------------------ *)
 (* Hash-consing *)
 
-let hash_acts acts = Hashtbl.hash (List.map Act.uid (ActSet.elements acts))
+(* One round of integer mixing: multiply, then fold the high bits down,
+   so the low bits of the result depend on every bit of [h] and [x]. *)
+let mix h x =
+  let h = (h lxor x) * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 32)
+
+let hash_acts acts = ActSet.fold (fun a h -> mix h (Act.uid a)) acts 0
 
 module Leaf_key = struct
   type t = ActSet.t
@@ -117,7 +123,6 @@ end
 module Leaf_tbl = Hashtbl.Make (Leaf_key)
 
 let leaf_tbl : t Leaf_tbl.t = Leaf_tbl.create 256
-let branch_tbl : (int * int * int * int, t) Hashtbl.t = Hashtbl.create 256
 let next_uid = ref 0
 
 let fresh ~hash ~mask node =
@@ -134,40 +139,108 @@ let leaf acts =
     Leaf_tbl.add leaf_tbl acts t;
     t
 
+(* Marks an empty slot and a missing answer; never a diagram node. *)
+let absent = { uid = -1; hash = -1; mask = 0; node = Leaf ActSet.empty }
+
+(* The branch unique table: open addressing with linear probing over
+   the nodes themselves, doubled before it is more than half full.  A
+   probe compares a node's stored hash, then its children ([==]) and
+   its test, so a lookup allocates nothing. *)
+type unique = { mutable slots : t array; mutable count : int }
+
+let unique_initial = 1 lsl 12
+let unique = { slots = Array.make unique_initial absent; count = 0 }
+
+let branch_hash fi v tru fls =
+  mix (mix (mix (mix 0 fi) v) tru.uid) fls.uid land max_int
+
+(* The slot holding branch [(fi, v) tru fls], or the empty slot where
+   it belongs. *)
+let rec probe slots m h fi v tru fls i =
+  let n = Array.unsafe_get slots i in
+  if n == absent then i
+  else if
+    n.hash = h
+    && (match n.node with
+        | Branch ((g, u), t, e) ->
+          t == tru && e == fls && u = v && Fields.index g = fi
+        | Leaf _ -> false)
+  then i
+  else probe slots m h fi v tru fls ((i + 1) land m)
+
+let grow () =
+  let old = unique.slots in
+  let slots = Array.make (2 * Array.length old) absent in
+  let m = Array.length slots - 1 in
+  Array.iter
+    (fun n ->
+      if n != absent then begin
+        let i = ref (n.hash land m) in
+        while slots.(!i) != absent do i := (!i + 1) land m done;
+        slots.(!i) <- n
+      end)
+    old;
+  unique.slots <- slots
+
 (** [branch test tru fls] hash-conses, collapsing redundant tests. *)
 let branch ((f, v) as test) tru fls =
   if tru == fls then tru
   else begin
-    let key = (Fields.index f, v, tru.uid, fls.uid) in
-    match Hashtbl.find_opt branch_tbl key with
-    | Some t -> t
-    | None ->
+    let fi = Fields.index f in
+    let h = branch_hash fi v tru fls in
+    let slots = unique.slots in
+    let m = Array.length slots - 1 in
+    let i = probe slots m h fi v tru fls (h land m) in
+    let n = Array.unsafe_get slots i in
+    if n != absent then n
+    else begin
       let t =
-        fresh ~hash:(Hashtbl.hash key) ~mask:(tru.mask lor fls.mask)
-          (Branch (test, tru, fls))
+        fresh ~hash:h ~mask:(tru.mask lor fls.mask) (Branch (test, tru, fls))
       in
-      Hashtbl.add branch_tbl key t;
+      slots.(i) <- t;
+      unique.count <- unique.count + 1;
+      if 2 * unique.count > Array.length slots then grow ();
       t
+    end
   end
 
 let drop = leaf ActSet.empty
 let ident = leaf (ActSet.singleton Act.id)
 
 (* ------------------------------------------------------------------ *)
-(* Global operation caches.
+(* The computed table.
 
-   Binary operations memoize on (op tag, uid, uid) in one shared table
-   that persists across calls; uids are never reused, so entries stay
-   valid until explicitly cleared.  [restrict] keys on (field, value,
-   uid) in its own table. *)
+   Every memoized operation shares one direct-mapped table of a fixed
+   2^16 slots.  A key is two ints: the operation tag with one operand's
+   uid, and the other operand's uid (an action's id for [act_seq], the
+   tested field and value for [restrict]).  A store overwrites whatever
+   the slot held, so the table never grows; a lost entry costs only a
+   recomputation, which rebuilds no node because the unique tables
+   still hold every node it reaches. *)
 
 let op_union = 0
 let op_gate = 1
 let op_seq = 2
 let op_act_seq = 3
+let op_restrict = 4
 
-let binop_cache : (int * int * int, t) Hashtbl.t = Hashtbl.create 4096
-let restrict_cache : (int * int * int, t) Hashtbl.t = Hashtbl.create 256
+let ct_bits = 16
+let ct_mask = (1 lsl ct_bits) - 1
+
+(* slot [s]'s key is [ct_keys.(2s), ct_keys.(2s + 1)]; -1 is no key *)
+let ct_keys = Array.make (2 lsl ct_bits) (-1)
+let ct_results = Array.make (1 lsl ct_bits) drop
+
+let ct_slot k1 k2 = mix (mix 0 k1) k2 land ct_mask
+
+let ct_hit s k1 k2 =
+  Array.unsafe_get ct_keys (2 * s) = k1
+  && Array.unsafe_get ct_keys ((2 * s) + 1) = k2
+
+let ct_store s k1 k2 r =
+  ct_keys.(2 * s) <- k1;
+  ct_keys.((2 * s) + 1) <- k2;
+  ct_results.(s) <- r
 
 let memo_generation = ref 0
 
@@ -187,9 +260,7 @@ let last_policy : (int * t Pol_tbl.t) option ref = ref None
 
 let generation () = !memo_generation
 
-let cache_stats () =
-  (Leaf_tbl.length leaf_tbl, Hashtbl.length branch_tbl,
-   Hashtbl.length binop_cache, Hashtbl.length restrict_cache)
+let branch_count () = unique.count
 
 let last_policy_size () =
   match !last_policy with
@@ -198,9 +269,10 @@ let last_policy_size () =
 
 let clear_cache () =
   Leaf_tbl.reset leaf_tbl;
-  Hashtbl.reset branch_tbl;
-  Hashtbl.reset binop_cache;
-  Hashtbl.reset restrict_cache;
+  unique.slots <- Array.make unique_initial absent;
+  unique.count <- 0;
+  Array.fill ct_keys 0 (Array.length ct_keys) (-1);
+  Array.fill ct_results 0 (Array.length ct_results) drop;
   last_policy := None;
   incr memo_generation;
   Leaf_tbl.add leaf_tbl ActSet.empty drop;
@@ -231,48 +303,49 @@ let min_root a b =
   | Leaf _, Leaf _ -> assert false
 
 (* Shannon-expansion apply of a leaf-level binary operation.  [op] must
-   be deterministic; results are memoized in the global cache under
+   be deterministic; results are memoized in the computed table under
    [tag], normalizing the operand order when [commutative].  [terminal]
    answers the pairs whose result needs no expansion (e.g. a [drop]
-   operand); it is tried at every step of the recursion, so expansion
-   stops where the operands stop overlapping. *)
+   operand), or returns [absent]; it is tried at every step of the
+   recursion, so expansion stops where the operands stop overlapping. *)
 let apply ~tag ~commutative ~terminal op =
   let rec go a b =
-    match terminal a b with
-    | Some r -> r
-    | None ->
-      (match (a.node, b.node) with
-       | Leaf x, Leaf y -> leaf (op x y)
-       | _ ->
-         let a, b = if commutative && a.uid > b.uid then (b, a) else (a, b) in
-         let key = (tag, a.uid, b.uid) in
-         (match Hashtbl.find_opt binop_cache key with
-          | Some r -> r
-          | None ->
-            let test = min_root a b in
-            let r =
-              branch test (go (pos test a) (pos test b))
-                (go (neg test a) (neg test b))
-            in
-            Hashtbl.replace binop_cache key r;
-            r))
+    let r = terminal a b in
+    if r != absent then r
+    else
+      match (a.node, b.node) with
+      | Leaf x, Leaf y -> leaf (op x y)
+      | _ ->
+        let swap = commutative && a.uid > b.uid in
+        let a = if swap then b else a and b = if swap then a else b in
+        let k1 = (a.uid lsl 3) lor tag and k2 = b.uid in
+        let s = ct_slot k1 k2 in
+        if ct_hit s k1 k2 then Array.unsafe_get ct_results s
+        else begin
+          let test = min_root a b in
+          let r =
+            branch test (go (pos test a) (pos test b))
+              (go (neg test a) (neg test b))
+          in
+          ct_store s k1 k2 r;
+          r
+        end
   in
   go
 
 let union =
   apply ~tag:op_union ~commutative:true
     ~terminal:(fun a b ->
-      if a == b || b == drop then Some a else if a == drop then Some b
-      else None)
+      if a == b || b == drop then a else if a == drop then b else absent)
     ActSet.union
 
 (* Gate: where the predicate diagram [p] passes, behave as [d]. *)
 let gate =
   apply ~tag:op_gate ~commutative:false
     ~terminal:(fun p d ->
-      if p == ident then Some d
-      else if p == drop || d == drop then Some drop
-      else None)
+      if p == ident then d
+      else if p == drop || d == drop then drop
+      else absent)
     (fun pass acts -> if ActSet.is_empty pass then ActSet.empty else acts)
 
 let cond test t e =
@@ -288,19 +361,20 @@ let restrict (f, v) d =
   let rec go d =
     match d.node with
     | Leaf _ -> d
-    | Branch ((g, u), tru, fls) ->
+    | Branch (((g, u) as test), tru, fls) ->
       if Fields.compare g f > 0 then d
       else begin
-        let key = (fi, v, d.uid) in
-        match Hashtbl.find_opt restrict_cache key with
-        | Some r -> r
-        | None ->
+        let k1 = (((d.uid lsl 4) lor fi) lsl 3) lor op_restrict in
+        let s = ct_slot k1 v in
+        if ct_hit s k1 v then Array.unsafe_get ct_results s
+        else begin
           let r =
             if Fields.equal g f then if u = v then go tru else go fls
-            else branch (g, u) (go tru) (go fls)
+            else branch test (go tru) (go fls)
           in
-          Hashtbl.replace restrict_cache key r;
+          ct_store s k1 v r;
           r
+        end
       end
   in
   go d
@@ -310,25 +384,26 @@ let restrict (f, v) d =
 
 (* [act_seq act d]: the diagram "apply [act], then run [d]", expressed
    over the *input* packet.  Tests in [d] on fields written by [act] are
-   resolved; leaves are pre-composed with [act].  Memoized globally on
-   (act id, node uid). *)
+   resolved; leaves are pre-composed with [act].  Memoized in the
+   computed table on (node uid, act id). *)
 let rec act_seq act d =
   if Act.equal act Act.id then d
   else begin
-    let key = (op_act_seq, Act.uid act, d.uid) in
-    match Hashtbl.find_opt binop_cache key with
-    | Some r -> r
-    | None ->
+    let k1 = (d.uid lsl 3) lor op_act_seq and k2 = Act.uid act in
+    let s = ct_slot k1 k2 in
+    if ct_hit s k1 k2 then Array.unsafe_get ct_results s
+    else begin
       let r =
         match d.node with
         | Leaf acts -> leaf (ActSet.map (fun a2 -> Act.compose act a2) acts)
-        | Branch ((f, v), tru, fls) ->
+        | Branch (((f, v) as test), tru, fls) ->
           (match Act.get act f with
            | Some v' -> if v' = v then act_seq act tru else act_seq act fls
-           | None -> cond (f, v) (act_seq act tru) (act_seq act fls))
+           | None -> cond test (act_seq act tru) (act_seq act fls))
       in
-      Hashtbl.replace binop_cache key r;
+      ct_store s k1 k2 r;
       r
+    end
   end
 
 let rec seq a b =
@@ -336,10 +411,10 @@ let rec seq a b =
   else if a == ident then b
   else if a == drop || b == drop then drop
   else begin
-    let key = (op_seq, a.uid, b.uid) in
-    match Hashtbl.find_opt binop_cache key with
-    | Some r -> r
-    | None ->
+    let k1 = (a.uid lsl 3) lor op_seq and k2 = b.uid in
+    let s = ct_slot k1 k2 in
+    if ct_hit s k1 k2 then Array.unsafe_get ct_results s
+    else begin
       let r =
         match a.node with
         | Leaf acts ->
@@ -350,8 +425,9 @@ let rec seq a b =
           let b_tru = if writes tru f then b else restrict test b in
           cond test (seq tru b_tru) (seq fls b)
       in
-      Hashtbl.replace binop_cache key r;
+      ct_store s k1 k2 r;
       r
+    end
   end
 
 (** Kleene star: least fixpoint of [x = ident ∪ seq d x].  Terminates

@@ -17,11 +17,19 @@
     share one record carrying a unique id, so action equality and
     hashing are O(1) and leaf hash-consing never re-traverses action
     structure.  Every node carries a precomputed hash and the set of
-    fields its actions write.  The binary operations ({!union}, [gate],
-    {!seq}, [act_seq], {!restrict}) memoize through persistent global
-    caches keyed on [(op, uid, uid)] that survive across calls —
+    fields its actions write.  Branches are hash-consed in a unique
+    table probed on integers: a lookup hashes the test and the
+    children's uids, then matches candidates on their own fields and
+    children ([==]), allocating nothing.  The operations ({!union},
+    [gate], {!seq}, [act_seq], {!restrict}) memoize in one
+    direct-mapped {e computed table} of 2{^16} slots, keyed on two ints
+    (the operation with one operand's uid, and the other operand's uid,
+    action id or tested field and value).  It survives across calls, so
     repeated compilation of overlapping policies (the common controller
-    workload) hits warm entries — and are reset by {!clear_cache}.
+    workload) hits warm entries, but it never grows: a colliding store
+    overwrites the slot.  A lost entry costs a recomputation that
+    rebuilds no node, since hash-consing is exact and complete, so
+    every diagram and every uid are the ones a complete memo gives.
 
     An edit's cost follows the part of the diagram it touches, not the
     diagram's size.  {!union} and [gate] stop recursing as soon as one
@@ -34,7 +42,7 @@
     top-level call's syntax nodes (by physical identity), so
     [Seq (guard, base)] after [base] does not re-walk [base].
 
-    The intern, hash-cons and memo tables are global mutable state
+    The intern, unique and computed tables are global mutable state
     without locks, so FDD state must be used by one domain at a time:
     compiles run on the caller's domain, and a sharded simulation hosts
     no controller. *)
@@ -98,10 +106,10 @@ val drop : t
 (** Test-only. *)
 val ident : t
 
-(** Sizes of the internal tables:
-    [(leaves, branches, binop cache, restrict cache)].
+(** Branch nodes in the unique table: every distinct branch built since
+    the last {!clear_cache}.
     Test-only. *)
-val cache_stats : unit -> int * int * int * int
+val branch_count : unit -> int
 
 (** Syntax nodes the last top-level {!of_policy} call
     visited (and so remembers): a call that reuses a shared subterm
@@ -109,10 +117,11 @@ val cache_stats : unit -> int * int * int * int
     Test-only. *)
 val last_policy_size : unit -> int
 
-(** Resets the hash-cons tables and the operation caches (used between
-    benchmark runs to measure cold construction).  Existing diagrams
-    remain usable but will no longer share with new ones; [drop] and
-    [ident] stay canonical.  Interned actions are kept — their ids are
+(** Empties the unique tables and the computed table (used between
+    benchmark runs to measure cold construction), so no node built
+    before the clear is returned after it.  Existing diagrams remain
+    usable but will no longer share with new ones; [drop] and [ident]
+    stay canonical.  Interned actions are kept — their ids are
     canonical for the whole process.
 
     Between two clears, structurally equal diagrams are physically

@@ -80,6 +80,37 @@ let test_clear_cache_structural_fallback () =
   let r2 = Delta.compile ~switches (Some r1.snapshot) fdd in
   Alcotest.(check int) "refreshed uids certify" 0 r2.rederived
 
+(* [Delta] reads a switch's rules from its spine case: since [Switch] is
+   the first field in the diagram order, that case is the switch's
+   restriction, node for node, and the default case is the restriction
+   to a switch the spine never tests *)
+let test_case_is_restriction () =
+  let topo, _ = Topo.Gen.fat_tree ~k:4 () in
+  let switches = Topo.Topology.switch_ids topo in
+  let untested = 1 + List.fold_left max 0 switches in
+  let check_diagram what d =
+    let cases, default = Fdd.switch_cases d in
+    List.iter
+      (fun sw ->
+        let case = Option.value ~default (Hashtbl.find_opt cases sw) in
+        if Fdd.restrict (Fields.Switch, sw) d != case then
+          Alcotest.failf "%s: s%d's case is not its restriction" what sw)
+      switches;
+    Alcotest.(check bool)
+      (what ^ ": default case = restriction") true
+      (Fdd.restrict (Fields.Switch, untested) d == default)
+  in
+  let base = Netkat.Builder.routing_policy topo in
+  check_diagram "routing" (Fdd.of_policy base);
+  ignore
+    (List.fold_left
+       (fun (i, pol) edit ->
+         let pol = Scenarios.apply_edit pol edit in
+         check_diagram (Printf.sprintf "edit %d" i) (Fdd.of_policy pol);
+         (i + 1, pol))
+       (1, base)
+       (Scenarios.churn_edits ~seed:5 ~edits:20 topo))
+
 let test_new_switch_appears_and_leaves () =
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
   let pol = Netkat.Builder.routing_policy topo in
@@ -255,18 +286,14 @@ let test_zen_stacked_churn () =
   let base = Netkat.Builder.routing_policy topo in
   let net = Zen.create topo in
   ignore (Zen.install_fdd net (Fdd.of_policy base));
-  let branches () =
-    let _, b, _, _ = Fdd.cache_stats () in
-    b
-  in
   let edits = Scenarios.churn_edits ~seed:7 ~edits:8 topo in
   let pol = ref base and grown = ref 0 in
   List.iteri
     (fun i edit ->
       pol := Scenarios.apply_edit !pol edit;
-      let before = branches () in
+      let before = Fdd.branch_count () in
       let next = Fdd.of_policy !pol in
-      grown := !grown + branches () - before;
+      grown := !grown + Fdd.branch_count () - before;
       ignore (Zen.install_fdd net next);
       List.iter2
         (fun (sw, live) (_, scratch) ->
@@ -512,6 +539,8 @@ let suites =
           test_clear_cache_structural_fallback;
         Alcotest.test_case "new switch appears and leaves" `Quick
           test_new_switch_appears_and_leaves;
+        Alcotest.test_case "spine case = restriction" `Quick
+          test_case_is_restriction;
         Alcotest.test_case "alignment keeps untouched slots" `Quick
           test_alignment;
         Alcotest.test_case "gap exhaustion renumbers a local window" `Quick

@@ -577,18 +577,76 @@ let test_edit_compile_growth () =
   let topo, _ = Topo.Gen.fat_tree ~k:4 () in
   let base = Builder.routing_policy topo in
   ignore (Fdd.of_policy base);
-  let branches () =
-    let _, b, _, _ = Fdd.cache_stats () in
-    b
-  in
-  let before = branches () in
+  let before = Fdd.branch_count () in
   for i = 0 to 49 do
     ignore (Fdd.of_policy (Syntax.seq (edit_guard topo i) base))
   done;
-  let per_edit = (branches () - before) / 50 in
+  let per_edit = (Fdd.branch_count () - before) / 50 in
   Alcotest.(check bool)
     (Printf.sprintf "%d new branch nodes per edit <= 100" per_edit)
     true (per_edit <= 100)
+
+(* The computed table is lossy: compiling large unrelated policies
+   overwrites most of its slots (the two fat-tree k=6 compiles here
+   rewrite 84% of them), yet a fresh, structurally equal value of an
+   earlier policy (which misses the of_policy memo) hash-conses to the
+   earlier node and builds no branch node *)
+let test_eviction_keeps_canonicity () =
+  Fdd.clear_cache ();
+  let small, _ = Topo.Gen.fat_tree ~k:4 () in
+  let policy () =
+    Syntax.seq (edit_guard small 3) (Builder.routing_policy small)
+  in
+  let first = Fdd.of_policy (policy ()) in
+  let big, _ = Topo.Gen.fat_tree ~k:6 () in
+  ignore (Fdd.of_policy (Builder.ip_routing_policy big));
+  ignore (Fdd.of_policy (Builder.routing_policy big));
+  let built = Fdd.branch_count () in
+  let again = Fdd.of_policy (policy ()) in
+  Alcotest.(check bool) "recompiled after eviction: the same node" true
+    (again == first);
+  Alcotest.(check int) "the recompile built no branch node" built
+    (Fdd.branch_count ());
+  (* drop the k=6 diagrams: later tests need not carry them in the heap *)
+  Fdd.clear_cache ()
+
+(* every node reachable from [d] *)
+let fdd_nodes d =
+  let rec go acc (d : Fdd.t) =
+    if List.memq d acc then acc
+    else
+      match d.node with
+      | Fdd.Leaf _ -> d :: acc
+      | Fdd.Branch (_, tru, fls) -> go (go (d :: acc) tru) fls
+  in
+  go [] d
+
+(* clear_cache empties the computed table with the unique tables, so no
+   node built before the clear comes back from it: every node of the
+   recompiled diagram is fresh, except the canonical drop and ident.
+   The policy writes a field and then tests another, so the compile
+   sequences an action with [ident] (its operands both survive a clear) *)
+let test_clear_cache_empties_computed_table () =
+  let topo = Topo.Gen.linear ~switches:4 ~hosts_per_switch:2 () in
+  let policy () =
+    Syntax.union (Builder.routing_policy topo)
+      (Syntax.seq (Syntax.modify Fields.Vlan 7)
+         (Syntax.filter (Syntax.test Fields.Ip_proto 6)))
+  in
+  let before = Fdd.of_policy (policy ()) in
+  let last =
+    Fdd.uid (Fdd.of_policy (Syntax.filter (Syntax.test Fields.Tp_src 4242)))
+  in
+  Fdd.clear_cache ();
+  let after = Fdd.of_policy (policy ()) in
+  Alcotest.(check int) "same diagram size" (Fdd.node_count before)
+    (Fdd.node_count after);
+  List.iter
+    (fun (d : Fdd.t) ->
+      if d != Fdd.drop && d != Fdd.ident && Fdd.uid d <= last then
+        Alcotest.failf "node %d was built before the clear (last uid %d)"
+          (Fdd.uid d) last)
+    (fdd_nodes after)
 
 let test_of_policy_memo () =
   let topo = Topo.Gen.linear ~switches:4 ~hosts_per_switch:2 () in
@@ -741,7 +799,11 @@ let suites =
         QCheck_alcotest.to_alcotest prop_seq_matches_reference;
         Alcotest.test_case "edit compile growth (fat-tree k=4)" `Quick
           test_edit_compile_growth;
-        Alcotest.test_case "of_policy memo" `Quick test_of_policy_memo ] );
+        Alcotest.test_case "of_policy memo" `Quick test_of_policy_memo;
+        Alcotest.test_case "eviction keeps canonicity" `Quick
+          test_eviction_keeps_canonicity;
+        Alcotest.test_case "clear_cache empties the computed table" `Quick
+          test_clear_cache_empties_computed_table ] );
     ( "netkat.builder",
       [ Alcotest.test_case "routing = per-pair shortest paths" `Quick
           test_builder_matches_per_pair_oracle ] );
