@@ -13,12 +13,12 @@ let time ctx = Dataplane.Network.now ctx.net
 let schedule ctx ~delay f =
   Dataplane.Sim.schedule (Dataplane.Network.sim ctx.net) ~delay f
 
-let install ctx ~switch_id ?(priority = 0) ?idle_timeout ?hard_timeout
-    ?(cookie = 0) ?(notify_when_removed = false) pattern actions =
+let install ctx ~switch_id ?(priority = 0) ?idle_timeout ?(cookie = 0)
+    pattern actions =
   ctx.send ~switch_id
     (Openflow.Message.Flow_mod
-       (Openflow.Message.add_flow ~priority ~idle_timeout ~hard_timeout
-          ~cookie ~notify_when_removed ~pattern ~actions ()))
+       (Openflow.Message.add_flow ~priority ~idle_timeout ~cookie ~pattern
+          ~actions ()))
 
 let change_flow_mods ?(cookie = 0) ~known (change : Netkat.Delta.change) =
   let add (r : Netkat.Delta.rule) =
@@ -103,7 +103,6 @@ type app = {
     reason:Openflow.Message.packet_in_reason ->
     Openflow.Message.payload -> unit;
   port_status : ctx -> switch_id:int -> port:int -> up:bool -> unit;
-  flow_removed : ctx -> switch_id:int -> Openflow.Message.flow_removed -> unit;
   export_state : ctx -> string option;
   import_state : ctx -> string -> unit;
 }
@@ -114,6 +113,5 @@ let default_app name =
     switch_down = (fun _ ~switch_id:_ -> ());
     packet_in = (fun _ ~switch_id:_ ~port:_ ~reason:_ _ -> ());
     port_status = (fun _ ~switch_id:_ ~port:_ ~up:_ -> ());
-    flow_removed = (fun _ ~switch_id:_ _ -> ());
     export_state = (fun _ -> None);
     import_state = (fun _ _ -> ()) }

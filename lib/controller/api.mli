@@ -32,16 +32,15 @@ val time : ctx -> float
     time. *)
 val schedule : ctx -> delay:float -> (unit -> unit) -> unit
 
-(** [install ctx ~switch_id ?priority ?idle_timeout ?hard_timeout ?cookie
-    pattern actions] adds a flow rule. *)
+(** [install ctx ~switch_id ?priority ?idle_timeout ?cookie pattern
+    actions] adds a flow rule; with [idle_timeout] the switch evicts it
+    after that many seconds without a hit. *)
 val install :
   ctx ->
   switch_id:int ->
   ?priority:int ->
   ?idle_timeout:float ->
-  ?hard_timeout:float ->
-  ?cookie:int ->
-  ?notify_when_removed:bool -> Flow.Pattern.t -> Flow.Action.group -> unit
+  ?cookie:int -> Flow.Pattern.t -> Flow.Action.group -> unit
 
 (** [change_flow_mods ?cookie ~known change] is the one mapping from a
     {!Netkat.Delta.change} to flow-mods, shared by every table writer
@@ -130,7 +129,6 @@ type app = {
     reason:Openflow.Message.packet_in_reason ->
     Openflow.Message.payload -> unit;
   port_status : ctx -> switch_id:int -> port:int -> up:bool -> unit;
-  flow_removed : ctx -> switch_id:int -> Openflow.Message.flow_removed -> unit;
   export_state : ctx -> string option;
       (** replication hook (see {!Controller.Replica}): an opaque blob of
           the app's durable state, shipped to standby controllers with

@@ -10,7 +10,9 @@ type t = {
   idle_timeout : float;
 }
 
-(* above every compiled table, which lies inside (0, Delta.span) *)
+(* above every Delta stream numbered in (0, Delta.span) with no transform
+   (Routing, Update.install_plain, Zen's loaders), but below Update's
+   version bands, which start at 2 * Delta.span * v for v >= 1 *)
 let priority = Netkat.Delta.span + 10000
 
 let pick_backend t (h : Headers.t) =
@@ -23,7 +25,7 @@ let create ~vip ?(vip_mac = Mac.of_string "02:de:ad:be:ef:01")
   if backends = [] then invalid_arg "Lb.create: no backends";
   let t_ref = ref None in
   let get () = Option.get !t_ref in
-  (* punt first-packets of VIP flows to the controller, above any
+  (* punt first-packets of VIP flows to the controller, above the
      routing rules (which would otherwise drop or misroute VIP traffic) *)
   let switch_up ctx ~switch_id ~ports:_ =
     let t = get () in

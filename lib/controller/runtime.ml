@@ -115,13 +115,11 @@ let state t switch_id =
 (* ------------------------------------------------------------------ *)
 (* Intended-state shadow *)
 
-let timed (r : Flow.Table.rule) =
-  Option.is_some r.idle_timeout || Option.is_some r.hard_timeout
+let timed (r : Flow.Table.rule) = Option.is_some r.idle_timeout
 
 let shadow_flow_mod table (fm : Openflow.Message.flow_mod) =
   match fm.command with
-  | (Add_flow | Modify_flow)
-    when Option.is_some fm.idle_timeout || Option.is_some fm.hard_timeout ->
+  | (Add_flow | Modify_flow) when Option.is_some fm.idle_timeout ->
     Flow.Table.remove_strict table ~priority:fm.fm_priority
       ~pattern:fm.fm_pattern
   | _ -> Openflow.Message.apply_to_table ~now:0.0 table fm
@@ -307,13 +305,10 @@ let rec keepalive_tick t st r =
   end
 
 (* a flow-mod add reconstructing one intended (shadow) rule — permanent
-   by construction (see shadow_flow_mod); the notify bit rides in the
-   shadow cookie and must be split back out *)
+   by construction (see shadow_flow_mod) *)
 let add_of_rule (ru : Flow.Table.rule) =
   Openflow.Message.Flow_mod
-    (Openflow.Message.add_flow ~priority:ru.priority
-       ~cookie:(ru.cookie land lnot Openflow.Message.notify_bit)
-       ~notify_when_removed:(ru.cookie land Openflow.Message.notify_bit <> 0)
+    (Openflow.Message.add_flow ~priority:ru.priority ~cookie:ru.cookie
        ~pattern:ru.pattern ~actions:ru.actions ())
 
 (* full-table re-push after a re-handshake, as a single reliable
@@ -435,10 +430,6 @@ let create ?(latency = 1e-3) ?resilience ?(attach = true)
         (fun (app : Api.app) ->
           app.port_status t.ctx ~switch_id ~port:ps.ps_port
             ~up:(ps.ps_reason = Openflow.Message.Port_up))
-        t.apps
-    | Flow_removed fr ->
-      List.iter
-        (fun (app : Api.app) -> app.flow_removed t.ctx ~switch_id fr)
         t.apps
     | Stats_reply reply ->
       (match Hashtbl.find_opt t.stats_waiters switch_id with

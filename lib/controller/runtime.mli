@@ -10,8 +10,8 @@
     every flow-mod it sends is applied to the shadow as well (see
     {!shadow_flow_mod}), so the permanent rules each switch {e should}
     hold are always known — introspection ({!intended_rules}), {!diverged}
-    and crash resync all read it.  Rules with an idle or hard timeout are
-    soft state: the switch expires them on its own, so the shadow never
+    and crash resync all read it.  Rules with an idle timeout are soft
+    state: the switch expires them on its own, so the shadow never
     records them.
 
     With [?resilience] the runtime additionally survives a lossy control
@@ -84,11 +84,11 @@ type resilience_stats = {
 type t
 
 (** [shadow_flow_mod table fm] applies [fm] to an intended-state shadow:
-    exactly as the switch does (notify bit included, so deletes scoped
-    by cookie hit the same rules), except that an add or modify with an
-    idle or hard timeout only clears its (priority, pattern) key — the
-    switch expires such a rule on its own, so the shadow holds exactly
-    the switch's permanent rules.  The runtime and every replica of its
+    exactly as the switch does (same cookies, so deletes scoped by
+    cookie hit the same rules), except that an add or modify with an
+    idle timeout only clears its (priority, pattern) key — the switch
+    expires such a rule on its own, so the shadow holds exactly the
+    switch's permanent rules.  The runtime and every replica of its
     shadow ({!Controller.Replica}) write through this one function. *)
 val shadow_flow_mod : Flow.Table.t -> Openflow.Message.flow_mod -> unit
 

@@ -559,25 +559,14 @@ let set_ctl_outage_handler t h = t.ctl_outage <- Some h
    first rule with a timeout is installed. *)
 let rec schedule_expiry t sw =
   Sim.schedule t.sim ~delay:t.expiry_period (fun () ->
-    let gone = Flow.Table.expire sw.table ~now:(now t) in
-    List.iter
-      (fun (r : Flow.Table.rule) ->
-        if r.cookie land Openflow.Message.notify_bit <> 0 then
-          control_send t sw
-            (Openflow.Message.Flow_removed
-               { fr_pattern = r.pattern; fr_priority = r.priority;
-                 fr_cookie = r.cookie land lnot Openflow.Message.notify_bit;
-                 fr_reason = Openflow.Message.Idle_timeout_expired;
-                 fr_packets = r.packets; fr_bytes = r.bytes }))
-      gone;
+    ignore (Flow.Table.expire sw.table ~now:(now t));
     if sw.has_timeouts then schedule_expiry t sw)
 
 let apply_flow_mod t sw (fm : Openflow.Message.flow_mod) =
   Openflow.Message.apply_to_table ~now:(now t) sw.table fm;
   match fm.command with
   | (Add_flow | Modify_flow)
-    when (fm.idle_timeout <> None || fm.hard_timeout <> None)
-         && not sw.has_timeouts ->
+    when fm.idle_timeout <> None && not sw.has_timeouts ->
     sw.has_timeouts <- true;
     schedule_expiry t sw
   | Add_flow | Modify_flow | Delete_flow | Delete_strict_flow -> ()
@@ -646,7 +635,7 @@ let handle_at_switch t sw ~xid (msg : Openflow.Message.t) =
               classifier_shapes = Flow.Table.shape_count sw.table }))
   | Fence _ -> ()  (* consumed by the session gate *)
   | Echo_reply _ | Features_reply _ | Packet_in _ | Port_status _
-  | Flow_removed _ | Stats_reply _ | Barrier_reply ->
+  | Stats_reply _ | Barrier_reply ->
     ()  (* controller-bound messages are meaningless at a switch *)
 
 (* apply a delivered controller→switch transmission (possibly a batch)

@@ -6,10 +6,8 @@ type rule = {
   actions : Action.group;
   mutable packets : int;
   mutable bytes : int;
-  installed_at : float;
   mutable last_hit : float;
   idle_timeout : float option;
-  hard_timeout : float option;
   cookie : int;
   mutable seq : int;
 }
@@ -255,10 +253,10 @@ let lookup_tuple t h = fst (classify t h)
 
 exception Table_full
 
-let make_rule ?(priority = 0) ?(idle_timeout = None) ?(hard_timeout = None)
-    ?(cookie = 0) ?(now = 0.0) ~pattern ~actions () =
-  { priority; pattern; actions; packets = 0; bytes = 0; installed_at = now;
-    last_hit = now; idle_timeout; hard_timeout; cookie; seq = 0 }
+let make_rule ?(priority = 0) ?(idle_timeout = None) ?(cookie = 0)
+    ?(now = 0.0) ~pattern ~actions () =
+  { priority; pattern; actions; packets = 0; bytes = 0; last_hit = now;
+    idle_timeout; cookie; seq = 0 }
 
 let add t rule =
   let replaced = ref None in
@@ -266,11 +264,10 @@ let add t rule =
     List.map
       (fun r ->
         if r.priority = rule.priority && r.pattern = rule.pattern then begin
-          let fresh = { rule with installed_at = r.installed_at } in
+          let fresh = { rule with seq = r.seq } in
           fresh.packets <- r.packets;
           fresh.bytes <- r.bytes;
           fresh.last_hit <- r.last_hit;
-          fresh.seq <- r.seq;
           replaced := Some (r, fresh);
           fresh
         end
@@ -303,8 +300,7 @@ let add_copies t rules =
     (fun r ->
       add t
         (make_rule ~priority:r.priority ~pattern:r.pattern ~actions:r.actions
-           ~idle_timeout:r.idle_timeout ~hard_timeout:r.hard_timeout
-           ~cookie:r.cookie ()))
+           ~idle_timeout:r.idle_timeout ~cookie:r.cookie ()))
     rules
 
 (* Shared delete plumbing: filter [t.rules] with [victim], unfile the
@@ -541,17 +537,9 @@ let apply t ~now ~size (h : Headers.t) =
 
 let expire t ~now =
   let expired r =
-    let idle =
-      match r.idle_timeout with
-      | Some dt -> now -. r.last_hit >= dt
-      | None -> false
-    in
-    let hard =
-      match r.hard_timeout with
-      | Some dt -> now -. r.installed_at >= dt
-      | None -> false
-    in
-    idle || hard
+    match r.idle_timeout with
+    | Some dt -> now -. r.last_hit >= dt
+    | None -> false
   in
   let gone, kept = List.partition expired t.rules in
   if gone <> [] then begin

@@ -3,10 +3,10 @@
     Lookup returns the action group of the highest-priority matching
     rule; among equal priorities the earliest-installed rule wins (as in
     OpenFlow, equal-priority overlaps are discouraged).  Rules carry
-    packet/byte counters and optional idle and hard timeouts evicted by
+    packet/byte counters and an optional idle timeout evicted by
     {!expire}.  Re-adding a rule with the same priority and pattern
-    replaces its actions and timeouts but preserves its counters and
-    install time (OpenFlow modify semantics).
+    replaces its actions, timeout and cookie but preserves its counters
+    and last-hit time (OpenFlow modify semantics).
 
     {b Fast path.}  Lookup is staged.  In front sits a megaflow cache,
     as in Open vSwitch: on a miss, the classifier below also reports
@@ -54,10 +54,8 @@ type rule = {
   actions : Action.group;
   mutable packets : int;
   mutable bytes : int;
-  installed_at : float;
   mutable last_hit : float;
   idle_timeout : float option;  (** seconds of inactivity before eviction *)
-  hard_timeout : float option;  (** absolute lifetime in seconds *)
   cookie : int;                 (** opaque tag chosen by the controller *)
   mutable seq : int;
       (** installation order, the equal-priority tie-breaker; assigned by
@@ -116,22 +114,21 @@ exception Table_full
 val make_rule :
   ?priority:int ->
   ?idle_timeout:float option ->
-  ?hard_timeout:float option ->
   ?cookie:int ->
   ?now:float ->
   pattern:Pattern.t -> actions:Action.group -> unit -> rule
 
 (** [add t rule] inserts keeping the descending-priority order; a rule
     with the same priority and pattern as an existing one replaces it
-    (OpenFlow modify semantics: new actions, timeouts and cookie, but
-    the old rule's counters and timestamps are preserved).
+    (OpenFlow modify semantics: new actions, timeout and cookie, but
+    the old rule's counters and last-hit time are preserved).
     @raise Table_full when the table is at capacity. *)
 val add : t -> rule -> unit
 
 (** [add_copies t rules] adds a fresh copy of each of [rules] —
-    priority, pattern, actions, timeouts and cookie kept, counters and
-    timestamps reset — e.g. to seed a shadow table from another table's
-    rule list. *)
+    priority, pattern, actions, timeout and cookie kept, counters and
+    last-hit time reset — e.g. to seed a shadow table from another
+    table's rule list. *)
 val add_copies : t -> rule list -> unit
 
 (** Removes every rule whose pattern is subsumed by [pattern] (OpenFlow
@@ -162,8 +159,8 @@ val lookup : t -> Headers.t -> rule option
 val apply :
   t -> now:float -> size:int -> Headers.t -> Action.group option
 
-(** [expire t ~now] evicts rules whose idle or hard timeout has passed,
-    returning the evicted rules (for flow-removed notifications). *)
+(** [expire t ~now] evicts rules whose idle timeout has passed,
+    returning the evicted rules. *)
 val expire : t -> now:float -> rule list
 
 val pp : Format.formatter -> t -> unit

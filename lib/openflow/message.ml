@@ -32,44 +32,32 @@ type flow_mod = {
   fm_pattern : Flow.Pattern.t;
   fm_actions : Flow.Action.group;
   idle_timeout : float option;
-  hard_timeout : float option;
   fm_cookie : int;
-  notify_when_removed : bool;
 }
 
-let add_flow ?(priority = 0) ?(idle_timeout = None) ?(hard_timeout = None)
-    ?(cookie = 0) ?(notify_when_removed = false) ~pattern ~actions () =
+let add_flow ?(priority = 0) ?(idle_timeout = None) ?(cookie = 0) ~pattern
+    ~actions () =
   { command = Add_flow; fm_priority = priority; fm_pattern = pattern;
-    fm_actions = actions; idle_timeout; hard_timeout; fm_cookie = cookie;
-    notify_when_removed }
+    fm_actions = actions; idle_timeout; fm_cookie = cookie }
 
 let delete_flow ?(cookie = None) ~pattern () =
   { command = Delete_flow; fm_priority = 0; fm_pattern = pattern;
-    fm_actions = []; idle_timeout = None; hard_timeout = None;
-    fm_cookie = (match cookie with None -> -1 | Some c -> c);
-    notify_when_removed = false }
+    fm_actions = []; idle_timeout = None;
+    fm_cookie = (match cookie with None -> -1 | Some c -> c) }
 
 let delete_strict_flow ?(cookie = None) ~priority ~pattern () =
   { command = Delete_strict_flow; fm_priority = priority;
     fm_pattern = pattern; fm_actions = []; idle_timeout = None;
-    hard_timeout = None;
-    fm_cookie = (match cookie with None -> -1 | Some c -> c);
-    notify_when_removed = false }
-
-let notify_bit = 0x40000000
+    fm_cookie = (match cookie with None -> -1 | Some c -> c) }
 
 let apply_to_table ~now table fm =
   let scope = if fm.fm_cookie = -1 then None else Some fm.fm_cookie in
   match fm.command with
   | Add_flow | Modify_flow ->
-    let cookie =
-      if fm.notify_when_removed then fm.fm_cookie lor notify_bit
-      else fm.fm_cookie
-    in
     Flow.Table.add table
       (Flow.Table.make_rule ~priority:fm.fm_priority ~pattern:fm.fm_pattern
          ~actions:fm.fm_actions ~idle_timeout:fm.idle_timeout
-         ~hard_timeout:fm.hard_timeout ~cookie ~now ())
+         ~cookie:fm.fm_cookie ~now ())
   | Delete_flow -> Flow.Table.remove ?cookie:scope table ~pattern:fm.fm_pattern
   | Delete_strict_flow ->
     Flow.Table.remove_strict ?cookie:scope table ~priority:fm.fm_priority
@@ -80,20 +68,6 @@ type port_status_reason =
   | Port_down
 
 type port_status = { ps_port : int; ps_reason : port_status_reason }
-
-type flow_removed_reason =
-  | Idle_timeout_expired
-  | Hard_timeout_expired
-  | Deleted_by_controller
-
-type flow_removed = {
-  fr_pattern : Flow.Pattern.t;
-  fr_priority : int;
-  fr_cookie : int;
-  fr_reason : flow_removed_reason;
-  fr_packets : int;
-  fr_bytes : int;
-}
 
 type features_reply = {
   datapath_id : int;
@@ -149,7 +123,6 @@ type t =
   | Packet_out of packet_out
   | Flow_mod of flow_mod
   | Port_status of port_status
-  | Flow_removed of flow_removed
   | Stats_request of stats_request
   | Stats_reply of stats_reply
   | Barrier_request
@@ -166,7 +139,6 @@ let type_name = function
   | Packet_out _ -> "packet_out"
   | Flow_mod _ -> "flow_mod"
   | Port_status _ -> "port_status"
-  | Flow_removed _ -> "flow_removed"
   | Stats_request _ -> "stats_request"
   | Stats_reply _ -> "stats_reply"
   | Barrier_request -> "barrier_request"

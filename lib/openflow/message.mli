@@ -41,17 +41,14 @@ type flow_mod = {
   fm_pattern : Flow.Pattern.t;
   fm_actions : Flow.Action.group;
   idle_timeout : float option;
-  hard_timeout : float option;
+      (** evict after this many seconds without a hit; [None] = permanent *)
   fm_cookie : int;
-  notify_when_removed : bool;
 }
 
 val add_flow :
   ?priority:int ->
   ?idle_timeout:float option ->
-  ?hard_timeout:float option ->
   ?cookie:int ->
-  ?notify_when_removed:bool ->
   pattern:Flow.Pattern.t -> actions:Flow.Action.group -> unit -> flow_mod
 
 val delete_flow :
@@ -61,16 +58,12 @@ val delete_strict_flow :
   ?cookie:int option ->
   priority:int -> pattern:Flow.Pattern.t -> unit -> flow_mod
 
-(** The bit of a table rule's cookie that records [notify_when_removed]:
-    the flag travels inside the installed rule, so an expiry can emit
-    [Flow_removed] with the controller's cookie (the bit cleared). *)
-val notify_bit : int
-
 (** [apply_to_table ~now table fm] is the table half of a flow-mod: the
     one mapping from [fm] to table operations, shared by the switch and
     by every controller-side shadow of its table, so a shadow cannot
-    drift from what the switch installs.  [now] stamps added rules; a
-    cookie of [-1] scopes a delete to every cookie. *)
+    drift from what the switch installs.  An added rule carries
+    [fm_cookie] unchanged and [now] as its last-hit time; a cookie of
+    [-1] scopes a delete to every cookie. *)
 val apply_to_table : now:float -> Flow.Table.t -> flow_mod -> unit
 
 type port_status_reason =
@@ -78,20 +71,6 @@ type port_status_reason =
   | Port_down
 
 type port_status = { ps_port : int; ps_reason : port_status_reason }
-
-type flow_removed_reason =
-  | Idle_timeout_expired
-  | Hard_timeout_expired
-  | Deleted_by_controller
-
-type flow_removed = {
-  fr_pattern : Flow.Pattern.t;
-  fr_priority : int;
-  fr_cookie : int;
-  fr_reason : flow_removed_reason;
-  fr_packets : int;
-  fr_bytes : int;
-}
 
 type features_reply = {
   datapath_id : int;
@@ -149,7 +128,6 @@ type t =
   | Packet_out of packet_out
   | Flow_mod of flow_mod
   | Port_status of port_status
-  | Flow_removed of flow_removed
   | Stats_request of stats_request
   | Stats_reply of stats_reply
   | Barrier_request

@@ -14,7 +14,6 @@ let type_code = function
   | Features_request -> 5
   | Features_reply _ -> 6
   | Packet_in _ -> 10
-  | Flow_removed _ -> 11
   | Port_status _ -> 12
   | Packet_out _ -> 13
   | Flow_mod _ -> 14
@@ -189,24 +188,11 @@ let w_body w = function
     w_u32 w fm.fm_priority;
     w_pattern w fm.fm_pattern;
     w_i32 w fm.fm_cookie;
-    w_u8 w (if fm.notify_when_removed then 1 else 0);
     w_timeout w fm.idle_timeout;
-    w_timeout w fm.hard_timeout;
     w_group w fm.fm_actions
   | Port_status ps ->
     w_u16 w ps.ps_port;
     w_u8 w (match ps.ps_reason with Port_up -> 0 | Port_down -> 1)
-  | Flow_removed fr ->
-    w_pattern w fr.fr_pattern;
-    w_u32 w fr.fr_priority;
-    w_i32 w fr.fr_cookie;
-    w_u8 w
-      (match fr.fr_reason with
-       | Idle_timeout_expired -> 0
-       | Hard_timeout_expired -> 1
-       | Deleted_by_controller -> 2);
-    w_u64 w (Int64.of_int fr.fr_packets);
-    w_u64 w (Int64.of_int fr.fr_bytes)
   | Stats_request (Flow_stats_request p) -> w_u8 w 0; w_pattern w p
   | Stats_request (Port_stats_request port) ->
     w_u8 w 1;
@@ -421,20 +407,6 @@ let rbody code c =
     let in_port = r16 c in
     let reason = match r8 c with 0 -> No_match | _ -> Explicit_send in
     Packet_in { in_port; reason; packet = rpayload c }
-  | 11 ->
-    let fr_pattern = rpattern c in
-    let fr_priority = r32 c in
-    let fr_cookie = ri32 c in
-    let fr_reason =
-      match r8 c with
-      | 0 -> Idle_timeout_expired
-      | 1 -> Hard_timeout_expired
-      | _ -> Deleted_by_controller
-    in
-    let fr_packets = r64i c in
-    let fr_bytes = r64i c in
-    Flow_removed
-      { fr_pattern; fr_priority; fr_cookie; fr_reason; fr_packets; fr_bytes }
   | 12 ->
     let ps_port = r16 c in
     let ps_reason = match r8 c with 0 -> Port_up | _ -> Port_down in
@@ -455,13 +427,11 @@ let rbody code c =
     let fm_priority = r32 c in
     let fm_pattern = rpattern c in
     let fm_cookie = ri32 c in
-    let notify_when_removed = r8 c = 1 in
     let idle_timeout = rtimeout c in
-    let hard_timeout = rtimeout c in
     let fm_actions = rgroup c in
     Flow_mod
       { command; fm_priority; fm_pattern; fm_actions; idle_timeout;
-        hard_timeout; fm_cookie; notify_when_removed }
+        fm_cookie }
   | 16 ->
     (match r8 c with
      | 0 -> Stats_request (Flow_stats_request (rpattern c))

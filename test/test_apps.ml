@@ -1,5 +1,5 @@
-(* Tests for the extended app suite (tunnels, NAT, ARP proxy), waypoint
-   verification, and the leaf-spine / jellyfish generators. *)
+(* Tests for the tunnel app, waypoint verification, and the leaf-spine /
+   jellyfish generators. *)
 
 open Packet
 
@@ -130,135 +130,6 @@ let test_tunnels_compress_core () =
     (spine_rules_tunnel < spine_rules_routing)
 
 (* ------------------------------------------------------------------ *)
-(* NAT *)
-
-let nat_setup () =
-  (* star: s1 hub/gateway; h1 inside (on s2), h2 outside (on s3) *)
-  let topo = Topo.Gen.star ~leaves:2 ~hosts_per_leaf:1 () in
-  let net = Zen.create topo in
-  let public_ip = Ipv4.of_string "10.200.0.1" in
-  let nat =
-    Controller.Nat.create ~gateway:1 ~public_ip ~inside:[ 1 ] ()
-  in
-  let routing = Controller.Routing.create ~use_ip:true () in
-  let _rt =
-    Zen.with_controller net [ Controller.Nat.app nat; Controller.Routing.app routing ]
-  in
-  (net, nat, public_ip)
-
-let test_nat_outbound_translation () =
-  let net, nat, public_ip = nat_setup () in
-  let seen = ref None in
-  (Dataplane.Network.host (Zen.network net) 2).on_receive <-
-    Some (fun pkt -> seen := Some pkt.hdr);
-  Dataplane.Network.send_from (Zen.network net) ~host:1
-    (Dataplane.Network.make_pkt ~tp_src:5555 ~src:1 ~dst:2 ());
-  ignore (Zen.run ~until:(Zen.now net +. 1.0) net);
-  (match !seen with
-   | None -> Alcotest.fail "outside host got nothing"
-   | Some h ->
-     Alcotest.(check int) "source rewritten to public ip" public_ip h.ip4_src;
-     Alcotest.(check bool) "source port allocated" true (h.tp_src >= 30000));
-  Alcotest.(check int) "one translation" 1 (Controller.Nat.translations nat)
-
-let test_nat_reply_translated_back () =
-  let net, _nat, public_ip = nat_setup () in
-  let inside_got = ref None in
-  (Dataplane.Network.host (Zen.network net) 1).on_receive <-
-    Some (fun pkt -> inside_got := Some pkt.hdr);
-  let outside_saw = ref None in
-  (Dataplane.Network.host (Zen.network net) 2).on_receive <-
-    Some (fun pkt -> outside_saw := Some pkt.hdr);
-  (* outbound first *)
-  Dataplane.Network.send_from (Zen.network net) ~host:1
-    (Dataplane.Network.make_pkt ~tp_src:5555 ~tp_dst:80 ~src:1 ~dst:2 ());
-  ignore (Zen.run ~until:(Zen.now net +. 1.0) net);
-  (* craft the reply from what the outside host actually saw *)
-  (match !outside_saw with
-   | None -> Alcotest.fail "no outbound delivery"
-   | Some h ->
-     let reply = Dataplane.Network.make_pkt ~src:2 ~dst:2 () in
-     let reply_hdr =
-       { reply.hdr with
-         ip4_src = h.ip4_dst; ip4_dst = h.ip4_src;
-         eth_src = Mac.of_host_id 2; eth_dst = h.eth_src;
-         tp_src = h.tp_dst; tp_dst = h.tp_src }
-     in
-     Dataplane.Network.send_from (Zen.network net) ~host:2
-       { reply with hdr = reply_hdr });
-  ignore (Zen.run ~until:(Zen.now net +. 1.0) net);
-  match !inside_got with
-  | None -> Alcotest.fail "reply did not come back through the NAT"
-  | Some h ->
-    Alcotest.(check int) "destination restored" (Ipv4.of_host_id 1) h.ip4_dst;
-    Alcotest.(check int) "port restored" 5555 h.tp_dst;
-    Alcotest.(check bool) "reply appears to come from public ip" true
-      (h.ip4_src = public_ip || h.ip4_src = Ipv4.of_host_id 2)
-
-let test_nat_distinct_flows_distinct_ports () =
-  let net, nat, _ = nat_setup () in
-  List.iter
-    (fun tp_src ->
-      Dataplane.Network.send_from (Zen.network net) ~host:1
-        (Dataplane.Network.make_pkt ~tp_src ~src:1 ~dst:2 ()))
-    [ 1001; 1002; 1003 ];
-  ignore (Zen.run ~until:(Zen.now net +. 1.0) net);
-  Alcotest.(check int) "three bindings" 3
-    (List.length (Controller.Nat.bindings nat));
-  let ports =
-    List.map (fun (b : Controller.Nat.binding) -> b.public_port)
-      (Controller.Nat.bindings nat)
-  in
-  Alcotest.(check int) "distinct public ports" 3
-    (List.length (List.sort_uniq compare ports))
-
-(* ------------------------------------------------------------------ *)
-(* ARP proxy *)
-
-let test_arp_proxy_answers () =
-  let topo = Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 () in
-  let net = Zen.create topo in
-  let proxy = Controller.Arp_proxy.create () in
-  let _rt = Zen.with_controller net [ Controller.Arp_proxy.app proxy ] in
-  let reply = ref None in
-  (Dataplane.Network.host (Zen.network net) 1).on_receive <-
-    Some (fun pkt -> reply := Some pkt.hdr);
-  (* ARP request from h1 for h2's IP, as the flat-header projection *)
-  let query = Dataplane.Network.make_pkt ~src:1 ~dst:1 () in
-  let query_hdr =
-    { query.hdr with
-      eth_type = 0x0806; eth_dst = Mac.broadcast; ip_proto = 1;
-      ip4_src = Ipv4.of_host_id 1; ip4_dst = Ipv4.of_host_id 2 }
-  in
-  Dataplane.Network.send_from (Zen.network net) ~host:1
-    { query with hdr = query_hdr };
-  ignore (Zen.run ~until:(Zen.now net +. 1.0) net);
-  Alcotest.(check int) "answered" 1 (Controller.Arp_proxy.answered proxy);
-  match !reply with
-  | None -> Alcotest.fail "no ARP reply delivered"
-  | Some h ->
-    Alcotest.(check int) "reply opcode" 2 h.ip_proto;
-    Alcotest.(check int) "owner mac advertised" (Mac.of_host_id 2) h.eth_src;
-    Alcotest.(check int) "target ip echoed" (Ipv4.of_host_id 2) h.ip4_src
-
-let test_arp_proxy_unknown () =
-  let topo = Topo.Gen.linear ~switches:1 ~hosts_per_switch:1 () in
-  let net = Zen.create topo in
-  let proxy = Controller.Arp_proxy.create () in
-  let _rt = Zen.with_controller net [ Controller.Arp_proxy.app proxy ] in
-  let query = Dataplane.Network.make_pkt ~src:1 ~dst:1 () in
-  let query_hdr =
-    { query.hdr with
-      eth_type = 0x0806; ip_proto = 1;
-      ip4_dst = Ipv4.of_string "10.250.0.9" }
-  in
-  Dataplane.Network.send_from (Zen.network net) ~host:1
-    { query with hdr = query_hdr };
-  ignore (Zen.run ~until:(Zen.now net +. 1.0) net);
-  Alcotest.(check int) "unknown counted" 1 (Controller.Arp_proxy.unknown proxy);
-  Alcotest.(check int) "nothing answered" 0 (Controller.Arp_proxy.answered proxy)
-
-(* ------------------------------------------------------------------ *)
 (* Waypoint verification *)
 
 let test_waypoint () =
@@ -309,16 +180,6 @@ let suites =
         Alcotest.test_case "label popped" `Quick test_tunnels_pop_label;
         Alcotest.test_case "core compression" `Quick
           test_tunnels_compress_core ] );
-    ( "controller.nat",
-      [ Alcotest.test_case "outbound translation" `Quick
-          test_nat_outbound_translation;
-        Alcotest.test_case "reply translated back" `Quick
-          test_nat_reply_translated_back;
-        Alcotest.test_case "distinct ports per flow" `Quick
-          test_nat_distinct_flows_distinct_ports ] );
-    ( "controller.arp",
-      [ Alcotest.test_case "answers known" `Quick test_arp_proxy_answers;
-        Alcotest.test_case "ignores unknown" `Quick test_arp_proxy_unknown ] );
     ( "verify.waypoint",
       [ Alcotest.test_case "chain waypoint" `Quick test_waypoint;
         Alcotest.test_case "ring violation" `Quick

@@ -508,10 +508,10 @@ let replica_realization_digest () =
 
 let test_realization_pinned () =
   Alcotest.(check string) "control channel realization"
-    "c04fd16ad42f76a0f8020000c9a10c74"
+    "33c9601557dbd4eee633b346b18a79ce"
     (realization_digest ());
   Alcotest.(check string) "inter-controller channel realization"
-    "4488fa4a5391793945e4fe44edce76e9"
+    "7982c3a026cd346063f610e151e5d8f6"
     (replica_realization_digest ())
 
 (* ------------------------------------------------------------------ *)

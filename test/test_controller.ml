@@ -291,31 +291,6 @@ let test_routing_repush_on_rehandshake () =
   Alcotest.(check int) "connectivity through the restarted switch" 3 got
 
 (* ------------------------------------------------------------------ *)
-(* Firewall app *)
-
-let test_firewall_blocks () =
-  let topo = Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 () in
-  let net = Network.create topo in
-  let entries =
-    [ { Netkat.Builder.allow = false;
-        src_ip = Some (Packet.Ipv4.of_host_id 1);
-        dst_ip = Some (Packet.Ipv4.of_host_id 2);
-        proto = None; dst_port = Some 22 } ]
-  in
-  let fw = Controller.Firewall.create entries in
-  let _rt =
-    Controller.Runtime.create_and_handshake net [ Controller.Firewall.app fw ]
-  in
-  (* blocked: h1 -> h2 port 22 *)
-  Network.send_from net ~host:1 (Network.make_pkt ~tp_dst:22 ~src:1 ~dst:2 ());
-  (* allowed: h1 -> h2 port 80 *)
-  Network.send_from net ~host:1 (Network.make_pkt ~tp_dst:80 ~src:1 ~dst:2 ());
-  ignore (Network.run ~until:(Network.now net +. 1.0) net ());
-  Alcotest.(check int) "only port 80 arrives" 1 (Network.host net 2).received;
-  Alcotest.(check int) "port 22 dropped by policy" 1
-    (Network.stats net).dropped_policy
-
-(* ------------------------------------------------------------------ *)
 (* Load balancer *)
 
 let test_lb_spreads_and_rewrites () =
@@ -537,8 +512,6 @@ let suites =
           test_routing_same_instant_failures;
         Alcotest.test_case "repush on re-handshake" `Quick
           test_routing_repush_on_rehandshake ] );
-    ( "controller.firewall",
-      [ Alcotest.test_case "blocks matching traffic" `Quick test_firewall_blocks ] );
     ( "controller.lb",
       [ Alcotest.test_case "spreads and rewrites" `Quick
           test_lb_spreads_and_rewrites;

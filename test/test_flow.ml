@@ -124,9 +124,8 @@ let test_drop_group () =
 (* ------------------------------------------------------------------ *)
 (* Table *)
 
-let mk ?(priority = 0) ?(idle = None) ?(hard = None) pattern actions =
-  Table.make_rule ~priority ~idle_timeout:idle ~hard_timeout:hard ~pattern
-    ~actions ()
+let mk ?(priority = 0) ?(idle = None) pattern actions =
+  Table.make_rule ~priority ~idle_timeout:idle ~pattern ~actions ()
 
 let test_priority_order () =
   let t = Table.create () in
@@ -177,8 +176,6 @@ let test_modify_preserves_counters () =
     Alcotest.(check bool) "actions updated" true (r.actions = Action.forward 7);
     Alcotest.(check int) "packets survive modify" 2 r.packets;
     Alcotest.(check int) "bytes survive modify" 250 r.bytes;
-    Alcotest.(check (float 1e-9)) "install time survives modify" 1.0
-      r.installed_at;
     Alcotest.(check (float 1e-9)) "last hit survives modify" 3.0 r.last_hit
   | _ -> Alcotest.fail "one rule expected"
 
@@ -271,14 +268,6 @@ let test_idle_timeout () =
   Alcotest.(check int) "evicted when idle" 1
     (List.length (Table.expire t ~now:1.6));
   Alcotest.(check int) "table empty" 0 (Table.size t)
-
-let test_hard_timeout () =
-  let t = Table.create () in
-  Table.add t (mk ~hard:(Some 2.0) Pattern.any (Action.forward 1));
-  (* traffic does not save it *)
-  ignore (Table.apply t ~now:1.9 ~size:1 hdr);
-  Alcotest.(check int) "evicted at hard deadline" 1
-    (List.length (Table.expire t ~now:2.0))
 
 (* a table's dead entries: its rule list, in lookup order, through the
    ordered-list analysis *)
@@ -442,7 +431,7 @@ let test_shape_table_maintenance () =
   Table.remove_strict t ~priority:4 ~pattern:(dst 24 "10.0.0.0");
   Alcotest.(check int) "empty shape dropped" 3 (Table.shape_count t);
   (* expire-driven eviction unfiles rules too *)
-  Table.add t (mk ~priority:9 ~hard:(Some 1.0) (Pattern.of_field Fields.In_port 7)
+  Table.add t (mk ~priority:9 ~idle:(Some 1.0) (Pattern.of_field Fields.In_port 7)
                  (Action.forward 6));
   Alcotest.(check int) "new shape on add" 4 (Table.shape_count t);
   ignore (Table.expire t ~now:5.0);
@@ -862,7 +851,6 @@ let suites =
         Alcotest.test_case "delete subsumed" `Quick test_remove_subsumed;
         Alcotest.test_case "delete by cookie" `Quick test_remove_by_cookie;
         Alcotest.test_case "idle timeout" `Quick test_idle_timeout;
-        Alcotest.test_case "hard timeout" `Quick test_hard_timeout;
         Alcotest.test_case "shadow detection" `Quick test_shadowed_detection;
         Alcotest.test_case "cache counters" `Quick test_cache_counters;
         Alcotest.test_case "clock eviction bounds cache" `Quick
