@@ -585,9 +585,8 @@ let chaos_cmd =
     let replica =
       if replicas > 1 then
         Some
-          (Zen.with_replicas
-             ~resilience:Controller.Runtime.default_resilience ~replicas
-             ~lease:(lease_ms /. 1000.0) net mk_apps)
+          (Zen.with_replicas ~replicas ~lease:(lease_ms /. 1000.0) net
+             mk_apps)
       else None
     in
     let rt_of_replica () =
@@ -599,10 +598,7 @@ let chaos_cmd =
       match replica with
       | Some _ -> None
       | None ->
-        Some
-          (Zen.with_controller
-             ~resilience:Controller.Runtime.default_resilience net
-             (mk_apps ()))
+        Some (Zen.with_controller net (mk_apps ()))
     in
     (* the whole scenario — flap targets, times, traffic — derives from
        the one chaos seed, so a run is reproducible end to end *)

@@ -84,15 +84,9 @@ let packet_out ctx ~switch_id ~in_port actions payload =
     (Openflow.Message.Packet_out
        { out_in_port = in_port; out_actions = actions; out_packet = payload })
 
-let flood ctx ~switch_id ~in_port payload =
-  packet_out ctx ~switch_id ~in_port [ Flow.Action.Output Flood ] payload
-
 let request_stats ctx ~switch_id req k =
   ctx.await_stats ~switch_id k;
   ctx.send ~switch_id (Openflow.Message.Stats_request req)
-
-let set_flood_ports ctx ~switch_id ports =
-  (Dataplane.Network.switch ctx.net switch_id).flood_ports <- Some ports
 
 type app = {
   name : string;

@@ -13,8 +13,11 @@ type ctx = {
   send : switch_id:int -> Openflow.Message.t -> unit;
       (** low-level: send any message to a switch *)
   send_batch : switch_id:int -> Openflow.Message.t list -> unit;
-      (** low-level: send several messages to a switch as one wire batch
-          (one transmission, applied in order at delivery) *)
+      (** low-level: send several messages to a switch as one wire batch,
+          applied in order at delivery.  A batch that carries a flow-mod
+          joins the switch's reliable stream: barrier-terminated,
+          retransmitted until acked, and sent only once the switch's
+          previous batch is acked (see {!Runtime}) *)
   await_stats :
     switch_id:int -> (Openflow.Message.stats_reply -> unit) -> unit;
       (** enqueue a one-shot continuation for the switch's next stats
@@ -99,11 +102,6 @@ val packet_out :
   switch_id:int ->
   in_port:int -> Flow.Action.seq -> Openflow.Message.payload -> unit
 
-(** [flood ctx ~switch_id ~in_port payload] sends out all (spanning-tree)
-    ports except the ingress. *)
-val flood :
-  ctx -> switch_id:int -> in_port:int -> Openflow.Message.payload -> unit
-
 (** [request_stats ctx ~switch_id req k] polls statistics; [k] receives
     the matching {!Openflow.Message.stats_reply}. *)
 val request_stats :
@@ -111,11 +109,6 @@ val request_stats :
   switch_id:int ->
   Openflow.Message.stats_request ->
   (Openflow.Message.stats_reply -> unit) -> unit
-
-(** [set_flood_ports ctx ~switch_id ports] restricts the switch's [Flood]
-    action to [ports] (plus never the ingress).  This models configuring
-    the spanning-tree port set and takes effect immediately. *)
-val set_flood_ports : ctx -> switch_id:int -> int list -> unit
 
 type app = {
   name : string;

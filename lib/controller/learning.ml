@@ -6,6 +6,8 @@ type t = {
   locations : (int * Mac.t, int) Hashtbl.t;
   mutable installs : int;
   idle_timeout : float option;
+  mutable tree : (int, int list) Hashtbl.t option;
+      (* spanning-tree ports per switch, computed at the first switch_up *)
 }
 
 let lookup t ~switch_id mac = Hashtbl.find_opt t.locations (switch_id, mac)
@@ -13,14 +15,18 @@ let lookup t ~switch_id mac = Hashtbl.find_opt t.locations (switch_id, mac)
 let create ?(idle_timeout = Some 60.0) () =
   let t_ref = ref None in
   let get () = Option.get !t_ref in
-  let switch_up ctx ~switch_id ~ports:_ =
-    (* restrict flooding to spanning-tree ports so cyclic topologies do
-       not melt down *)
-    let tree = Topo.Path.spanning_tree (Api.topology ctx) in
-    match Hashtbl.find_opt tree switch_id with
-    | Some ports -> Api.set_flood_ports ctx ~switch_id ports
-    | None -> ()
+  (* flooding follows spanning-tree ports so cyclic topologies do not
+     melt down *)
+  let tree ctx =
+    let t = get () in
+    match t.tree with
+    | Some tree -> tree
+    | None ->
+      let tree = Topo.Path.spanning_tree (Api.topology ctx) in
+      t.tree <- Some tree;
+      tree
   in
+  let switch_up ctx ~switch_id:_ ~ports:_ = ignore (tree ctx) in
   let packet_in ctx ~switch_id ~port ~reason:_
       (payload : Openflow.Message.payload) =
     let t = get () in
@@ -42,14 +48,22 @@ let create ?(idle_timeout = Some 60.0) () =
         [ Flow.Action.Output (Physical out_port) ]
         payload
     | None ->
-      Api.flood ctx ~switch_id ~in_port:port payload
+      let ports =
+        Option.value (Hashtbl.find_opt (tree ctx) switch_id) ~default:[]
+      in
+      Api.packet_out ctx ~switch_id ~in_port:port
+        (List.filter_map
+           (fun p ->
+             if p = port then None else Some (Flow.Action.Output (Physical p)))
+           ports)
+        payload
   in
   let app =
     { (Api.default_app "learning") with switch_up; packet_in }
   in
   let t =
     { app; locations = Hashtbl.create 64; installs = 0;
-      idle_timeout }
+      idle_timeout; tree = None }
   in
   t_ref := Some t;
   t

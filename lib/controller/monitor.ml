@@ -9,9 +9,9 @@ type t = {
   (* switch -> latest table stats (incl. flow-cache counters) *)
   tables : (int, Openflow.Message.table_stat) Hashtbl.t;
   mutable polls : int;
-  (* liveness observations (populated when the runtime runs with
-     resilience): switches currently believed down, and the recovery
-     durations seen when they came back *)
+  (* liveness observations from the runtime's keepalive loop: switches
+     currently believed down, and the recovery durations seen when they
+     came back *)
   polling : (int, unit) Hashtbl.t;
   down_at : (int, float) Hashtbl.t;
   mutable down_events : int;
@@ -43,15 +43,13 @@ let create ?(period = 0.5) () =
         | Openflow.Message.Port_stats_reply stats ->
           t.polls <- t.polls + 1;
           List.iter (record t ~time:(Api.time ctx) ~switch_id) stats
-        | Openflow.Message.Flow_stats_reply _
         | Openflow.Message.Table_stats_reply _ -> ());
     Api.request_stats ctx ~switch_id Openflow.Message.Table_stats_request
       (fun reply ->
         match reply with
         | Openflow.Message.Table_stats_reply ts ->
           Hashtbl.replace t.tables switch_id ts
-        | Openflow.Message.Port_stats_reply _
-        | Openflow.Message.Flow_stats_reply _ -> ());
+        | Openflow.Message.Port_stats_reply _ -> ());
     Api.schedule ctx ~delay:t.period (fun () -> poll ctx ~switch_id)
   in
   let switch_up ctx ~switch_id ~ports:_ =

@@ -14,7 +14,7 @@ val app : t -> Api.app
 val polls : t -> int
 
 (** Switch-down declarations observed (via the runtime's keepalive
-    loop; always 0 without resilience).
+    loop).
     Test-only. *)
 val down_events : t -> int
 

@@ -95,9 +95,8 @@ val shutdown : t -> unit
 
     [lease] (default 0.15 s) bounds failover detection; heartbeats ride
     every [lease/3].  [repl_fault] attaches chaos to the
-    inter-controller channel; [resilience] defaults to
-    {!Runtime.default_resilience} (replication requires a resilient
-    runtime).
+    inter-controller channel; [resilience] sets every member runtime's
+    timers (default {!Runtime.default_resilience}).
 
     {!Dataplane.Fault.Controller_outage} incidents injected into [net] crash and
     restart members by id.

@@ -109,7 +109,7 @@ let create ?(use_ip = false) ?(cookie = 0x0e) () =
              (Netkat.Delta.Changed { rules; adds = rules; deletes = [] }))
   in
   let switch_down ctx ~switch_id =
-    (* keepalive verdict from the resilient runtime: treat the switch as
+    (* keepalive verdict from the runtime: treat the switch as
        a failed node and reroute the surviving traffic around it *)
     let t = get () in
     if not (Hashtbl.mem t.dead switch_id) then begin

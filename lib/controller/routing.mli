@@ -8,7 +8,7 @@
     minimal delta ({!Api.push_delta}), counting the rule churn (E5
     measures convergence from these numbers).
 
-    A [switch_down] report (the resilient runtime's keepalive verdict)
+    A [switch_down] report (the runtime's keepalive verdict)
     is treated as a topology event too: the dead switch's links are
     excluded from the next compile, so traffic reroutes around the
     crash instead of blackholing until an unrelated link flap forces a

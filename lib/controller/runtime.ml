@@ -62,7 +62,7 @@ type t = {
   mutable next_xid : int;
   stats_waiters : (int, (Openflow.Message.stats_reply -> unit) Queue.t) Hashtbl.t;
   mutable handshakes : int;  (* switches that completed features exchange *)
-  resilience : resilience option;
+  resilience : resilience;
   states : (int, sw_state) Hashtbl.t;
   rstats : resilience_stats;
   mutable stopped : bool;  (* shuts periodic loops down (see shutdown) *)
@@ -93,10 +93,8 @@ let state t switch_id =
       { st_id = switch_id; shadow = Flow.Table.create ();
         pending = Queue.create (); inflight = None;
         rto =
-          (* unused without resilience *)
-          (let r = Option.value t.resilience ~default:default_resilience in
-           Util.Rto.create ~initial:r.retx_timeout ~backoff:r.retx_backoff
-             ~cap:r.retx_cap);
+          Util.Rto.create ~initial:t.resilience.retx_timeout
+            ~backoff:t.resilience.retx_backoff ~cap:t.resilience.retx_cap;
         status = Handshaking; echo_outstanding = 0; down_since = 0.0;
         handshaked = false }
     in
@@ -119,7 +117,7 @@ let timed (r : Flow.Table.rule) = Option.is_some r.idle_timeout
 
 let shadow_flow_mod table (fm : Openflow.Message.flow_mod) =
   match fm.command with
-  | (Add_flow | Modify_flow) when Option.is_some fm.idle_timeout ->
+  | Add_flow when Option.is_some fm.idle_timeout ->
     Flow.Table.remove_strict table ~priority:fm.fm_priority
       ~pattern:fm.fm_pattern
   | _ -> Openflow.Message.apply_to_table ~now:0.0 table fm
@@ -157,7 +155,7 @@ let settle t =
   go ()
 
 (* ------------------------------------------------------------------ *)
-(* Reliable batches (resilience only) *)
+(* Reliable batches *)
 
 let sim_of t = Dataplane.Network.sim t.ctx.Api.net
 
@@ -231,9 +229,8 @@ let contains_flow_mod msgs =
 (* the one controller send path ([ctx.send] is a batch of one, which
    {!Openflow.Wire.encode_batch} frames byte-identically to [encode]):
    shadow and replicate every flow-mod, then either join the reliable
-   stream (resilience on and the batch carries a flow-mod, so the
-   switch-side xid dedup sees one ordered sequence) or go out at once
-   as one transmission *)
+   stream (the batch carries a flow-mod, so the switch-side xid dedup
+   sees one ordered sequence) or go out at once as one transmission *)
 let send_batch t ~switch_id msgs =
   if msgs <> [] && not t.halted then begin
     let st = state t switch_id in
@@ -245,9 +242,8 @@ let send_batch t ~switch_id msgs =
           (match t.on_shadow with Some f -> f ~switch_id msg | None -> ())
         | _ -> ())
       msgs;
-    match t.resilience with
-    | Some _ when contains_flow_mod msgs -> enqueue_reliable t st msgs
-    | _ ->
+    if contains_flow_mod msgs then enqueue_reliable t st msgs
+    else begin
       let framed =
         List.map
           (fun msg ->
@@ -257,10 +253,11 @@ let send_batch t ~switch_id msgs =
       in
       Dataplane.Network.controller_send t.ctx.Api.net ~switch_id
         (Openflow.Wire.encode_batch framed)
+    end
   end
 
 (* ------------------------------------------------------------------ *)
-(* Liveness (resilience only) *)
+(* Liveness *)
 
 let mark_down t st =
   if st.status = Sw_up then begin
@@ -288,7 +285,8 @@ let send_handshake t ~switch_id =
 
 (* per-switch keepalive / probe loop: echo while up, re-handshake probes
    while down or never handshaked *)
-let rec keepalive_tick t st r =
+let rec keepalive_tick t st =
+  let r = t.resilience in
   if not t.stopped then begin
     (match st.status with
      | Sw_up ->
@@ -301,7 +299,7 @@ let rec keepalive_tick t st r =
            (Openflow.Message.Echo_request "keepalive")
        end
      | Handshaking | Sw_down -> send_handshake t ~switch_id:st.st_id);
-    Api.schedule t.ctx ~delay:r.echo_period (fun () -> keepalive_tick t st r)
+    Api.schedule t.ctx ~delay:r.echo_period (fun () -> keepalive_tick t st)
   end
 
 (* a flow-mod add reconstructing one intended (shadow) rule — permanent
@@ -331,9 +329,10 @@ let halt t =
   t.stopped <- true;
   t.halted <- true
 
-let create ?(latency = 1e-3) ?resilience ?(attach = true)
-    ?(fence = 0) ?(xid_base = 0) ?(shadows = []) ?on_shadow net apps =
-  Option.iter (check_resilience "Runtime.create") resilience;
+let create ?(latency = 1e-3) ?(resilience = default_resilience)
+    ?(attach = true) ?(fence = 0) ?(xid_base = 0) ?(shadows = []) ?on_shadow
+    net apps =
+  check_resilience "Runtime.create" resilience;
   let t_ref = ref None in
   let rec handler ~switch_id data =
     match !t_ref with
@@ -354,71 +353,54 @@ let create ?(latency = 1e-3) ?resilience ?(attach = true)
          handshake (the probe loop would get there anyway, this
          shortens the outage).  During the initial handshake it is
          ignored — a features exchange is already in flight. *)
-      (match t.resilience with
-       | Some _ ->
-         let st = state t switch_id in
-         (match st.status with
-          | Sw_up ->
-            mark_down t st;
-            send_handshake t ~switch_id
-          | Sw_down -> send_handshake t ~switch_id
-          | Handshaking -> ())
-       | None -> ())
+      let st = state t switch_id in
+      (match st.status with
+       | Sw_up ->
+         mark_down t st;
+         send_handshake t ~switch_id
+       | Sw_down -> send_handshake t ~switch_id
+       | Handshaking -> ())
     | Echo_reply _ ->
-      (match t.resilience with
-       | Some _ ->
-         let st = state t switch_id in
-         if st.status = Sw_up then st.echo_outstanding <- 0
-       | None -> ())
+      let st = state t switch_id in
+      if st.status = Sw_up then st.echo_outstanding <- 0
     | Barrier_reply ->
-      (match t.resilience with
-       | Some _ ->
-         let st = state t switch_id in
-         (match st.inflight with
-          | Some b when b.barrier_xid = xid ->
-            st.inflight <- None;
-            (* Karn's rule: a retransmitted batch's reply may answer
-               any of its copies, so only a first send is timed *)
-            Util.Rto.ack st.rto
-              ?rtt:
-                (if b.attempts = 1 then Some (Api.time t.ctx -. b.sent_at)
-                 else None);
-            t.rstats.acked_batches <- t.rstats.acked_batches + 1;
-            pump t st
-          | _ -> ())  (* stale or duplicate ack *)
-       | None -> ())
+      let st = state t switch_id in
+      (match st.inflight with
+       | Some b when b.barrier_xid = xid ->
+         st.inflight <- None;
+         (* Karn's rule: a retransmitted batch's reply may answer any of
+            its copies, so only a first send is timed *)
+         Util.Rto.ack st.rto
+           ?rtt:
+             (if b.attempts = 1 then Some (Api.time t.ctx -. b.sent_at)
+              else None);
+         t.rstats.acked_batches <- t.rstats.acked_batches + 1;
+         pump t st
+       | _ -> ())  (* stale or duplicate ack *)
     | Features_reply f ->
-      let fire_up () =
-        List.iter
-          (fun (app : Api.app) ->
-            app.switch_up t.ctx ~switch_id:f.datapath_id ~ports:f.port_list)
-          t.apps
-      in
-      (match t.resilience with
-       | None ->
+      let st = state t f.datapath_id in
+      (match st.status with
+       | Sw_up -> ()  (* duplicate features reply: already up *)
+       | prev ->
+         st.status <- Sw_up;
+         st.echo_outstanding <- 0;
+         (* the switch answers again: drop any backoff, keep the RTT
+            estimate *)
+         Util.Rto.ack st.rto;
          t.handshakes <- t.handshakes + 1;
-         fire_up ()
-       | Some _ ->
-         let st = state t f.datapath_id in
-         (match st.status with
-          | Sw_up -> ()  (* duplicate features reply: already up *)
-          | prev ->
-            st.status <- Sw_up;
-            st.echo_outstanding <- 0;
-            (* the switch answers again: drop any backoff, keep the
-               RTT estimate *)
-            Util.Rto.ack st.rto;
-            t.handshakes <- t.handshakes + 1;
-            if prev = Sw_down then
-              t.rstats.recovery_samples <-
-                (Api.time t.ctx -. st.down_since) :: t.rstats.recovery_samples;
-            let resync = st.handshaked in
-            st.handshaked <- true;
-            (* re-handshake after a crash: restore intended state before
-               apps react, then let their switch_up pushes layer on top *)
-            if resync then full_resync t st;
-            fire_up ();
-            pump t st))
+         if prev = Sw_down then
+           t.rstats.recovery_samples <-
+             (Api.time t.ctx -. st.down_since) :: t.rstats.recovery_samples;
+         let resync = st.handshaked in
+         st.handshaked <- true;
+         (* re-handshake after a crash: restore intended state before
+            apps react, then let their switch_up pushes layer on top *)
+         if resync then full_resync t st;
+         List.iter
+           (fun (app : Api.app) ->
+             app.switch_up t.ctx ~switch_id:f.datapath_id ~ports:f.port_list)
+           t.apps;
+         pump t st)
     | Packet_in pi ->
       List.iter
         (fun (app : Api.app) ->
@@ -435,12 +417,11 @@ let create ?(latency = 1e-3) ?resilience ?(attach = true)
       (match Hashtbl.find_opt t.stats_waiters switch_id with
        | Some q when not (Queue.is_empty q) -> (Queue.pop q) reply
        | Some _ | None -> ())
-    | Echo_request s ->
-      Dataplane.Network.controller_send t.ctx.net ~switch_id
-        (Openflow.Wire.encode ~xid:0 (Openflow.Message.Echo_reply s))
-    | Features_request | Packet_out _ | Flow_mod _ | Stats_request _
-    | Barrier_request | Fence _ ->
-      ()  (* switch-bound message types never arrive at the controller *)
+    | Echo_request _ | Features_request | Packet_out _ | Flow_mod _
+    | Stats_request _ | Barrier_request | Fence _ ->
+      ()
+      (* switch-bound message types never arrive at the controller, and
+         no switch originates an echo request *)
   in
   (* tie the knot: the ctx closes over the runtime record *)
   let rec t =
@@ -485,13 +466,9 @@ let create ?(latency = 1e-3) ?resilience ?(attach = true)
     (fun (sw : Dataplane.Network.switch) ->
       let switch_id = sw.sw_id in
       ignore (state t switch_id);
-      t.ctx.send_batch ~switch_id
-        [ Openflow.Message.Hello; Openflow.Message.Features_request ];
-      match t.resilience with
-      | Some r ->
-        Api.schedule t.ctx ~delay:r.echo_period (fun () ->
-          keepalive_tick t (state t switch_id) r)
-      | None -> ())
+      send_handshake t ~switch_id;
+      Api.schedule t.ctx ~delay:resilience.echo_period (fun () ->
+        keepalive_tick t (state t switch_id)))
     (Dataplane.Network.switch_list net);
   t
 
@@ -504,10 +481,7 @@ let next_xid t = t.next_xid
 
 let ready_switches t = t.handshakes
 
-let switch_up t ~switch_id =
-  match t.resilience with
-  | None -> true
-  | Some _ -> (state t switch_id).status = Sw_up
+let switch_up t ~switch_id = (state t switch_id).status = Sw_up
 
 let create_and_handshake ?(latency = 1e-3) ?resilience net apps =
   let t = create ~latency ?resilience net apps in

@@ -14,8 +14,8 @@
     state: the switch expires them on its own, so the shadow never
     records them.
 
-    With [?resilience] the runtime additionally survives a lossy control
-    channel and switch crashes (see {!Dataplane.Fault}):
+    The runtime survives a lossy control channel and switch crashes
+    (see {!Dataplane.Fault}), on the timers of its [resilience] record:
 
     - a per-switch Echo keepalive loop declares the switch down after a
       configurable number of consecutive misses and fires the apps'
@@ -38,11 +38,9 @@
       from the switch, so it is the same whether the table survived or
       was wiped.
 
-    Resilience is off by default: without it the runtime's observable
-    behavior (message sequence, timing, counters) is exactly the
-    classic lossless-channel behavior, and simulations that drain the
-    event queue terminate (the keepalive loop schedules forever — run
-    resilient simulations with [~until], or call {!shutdown}). *)
+    The keepalive loop schedules forever, so a simulation with a
+    controller attached never drains its event queue: run it with
+    [~until], or call {!shutdown} first. *)
 
 (** Knobs for the keepalive / retransmission machinery. *)
 type resilience = {
@@ -69,7 +67,7 @@ val default_resilience : resilience
 val check_resilience : string -> resilience -> unit
 
 
-(** Resilience counters (all zero when resilience is off). *)
+(** Resilience counters. *)
 type resilience_stats = {
   mutable retransmits : int;      (** batch retransmissions *)
   mutable echo_misses : int;      (** keepalive ticks with an unanswered echo *)
@@ -110,7 +108,7 @@ val diverged : t -> int list
     reach, not a property of one sample time. *)
 val settle : t -> int list
 
-(** Resilience counters (zeros when resilience is off). *)
+(** Resilience counters. *)
 val resilience_stats : t -> resilience_stats
 
 (** Down → re-handshake durations observed so far, in seconds (newest
@@ -118,7 +116,7 @@ val resilience_stats : t -> resilience_stats
 val recovery_times : t -> float list
 
 (** Stops the keepalive loops and disarms retransmission timers, so a
-    resilient simulation can drain its event queue. *)
+    simulation can drain its event queue. *)
 val shutdown : t -> unit
 
 (** Crashes the runtime: {!shutdown}, plus incoming frames are ignored
@@ -130,7 +128,9 @@ val halt : t -> unit
 
 (** [create ?latency ?resilience net apps] attaches a controller
     speaking the wire protocol to [net] and registers [apps]
-    (dispatched in list order).  The handshake (hello + features
+    (dispatched in list order).  [resilience] (default
+    {!default_resilience}) sets the keepalive and retransmission
+    timers.  The handshake (hello + features
     request) with every switch is scheduled immediately; apps receive
     [switch_up] once the features reply returns.  [net] is a
     single-domain network: the runtime handshakes with every switch it
@@ -169,19 +169,23 @@ val handler : t -> switch_id:int -> bytes -> unit
     successor can continue the sequence. *)
 val next_xid : t -> int
 
-(** Switches that have completed the feature handshake (with resilience,
-    re-handshakes after a crash count again).
+(** Switches that have completed the feature handshake (re-handshakes
+    after a crash count again).
     Test-only. *)
 val ready_switches : t -> int
 
-(** Whether [switch_id] is currently believed up (always true without
-    resilience, where liveness is not tracked). *)
+(** Whether [switch_id] is currently believed up: it has answered a
+    features request and not missed [echo_miss_limit] keepalives since. *)
 val switch_up : t -> switch_id:int -> bool
 
-(** Convenience: create the runtime and run the simulation just long
-    enough (10 control RTTs) for the handshake and any proactive rule
-    pushes to land.  Apps with periodic loops (e.g. {!Monitor}) schedule
-    beyond this horizon and are unaffected. *)
+(** Convenience: create the runtime and run the simulation for 10
+    control RTTs: long enough for the handshake and about nine batches
+    per switch, since a switch's batches go stop-and-wait, one round
+    trip apart.  An app that pushes more batches than that at
+    [switch_up] sees the rest land after this returns; an app sends one
+    batch per switch ({!Api.send_flow_mods}) to fit.  Apps with periodic
+    loops (e.g. {!Monitor}) schedule beyond this horizon and are
+    unaffected. *)
 val create_and_handshake :
   ?latency:float ->
   ?resilience:resilience ->

@@ -12,21 +12,28 @@ type t = {
   mutable lsps : lsp list;
 }
 
-let install ctx ~switch_id pattern actions =
-  Api.install ctx ~switch_id ~priority:50 ~cookie:0x70 pattern actions
+(* provisioning collects each switch's adds, newest first, and sends
+   them as one batch per switch: the runtime delivers a switch's batches
+   stop-and-wait, one round trip apart *)
+let install plan ~switch_id pattern actions =
+  let fm =
+    Openflow.Message.add_flow ~priority:50 ~cookie:0x70 ~pattern ~actions ()
+  in
+  Hashtbl.replace plan switch_id
+    (fm :: Option.value (Hashtbl.find_opt plan switch_id) ~default:[])
 
 (* local delivery: each edge switch forwards its own hosts' traffic *)
-let install_local_delivery ctx topo sw =
+let install_local_delivery plan topo sw =
   List.iter
     (fun (h, port) ->
-      install ctx ~switch_id:sw
+      install plan ~switch_id:sw
         { Flow.Pattern.any with
           vlan = Some Fields.vlan_none;
           eth_dst = Some (Mac.of_host_id h) }
         (Flow.Action.forward port))
     (Topo.Topology.hosts_of_switch topo sw)
 
-let install_lsp ctx topo (l : lsp) =
+let install_lsp plan topo (l : lsp) =
   let dst_hosts = Topo.Topology.hosts_of_switch topo l.dst_sw in
   match l.path with
   | [] -> ()
@@ -34,7 +41,7 @@ let install_lsp ctx topo (l : lsp) =
     (* ingress: classify per destination host, push the tunnel label *)
     List.iter
       (fun (h, _) ->
-        install ctx ~switch_id:l.src_sw
+        install plan ~switch_id:l.src_sw
           { Flow.Pattern.any with
             vlan = Some Fields.vlan_none;
             eth_dst = Some (Mac.of_host_id h) }
@@ -45,7 +52,7 @@ let install_lsp ctx topo (l : lsp) =
     List.iteri
       (fun i (h : Topo.Path.hop) ->
         if i > 0 then
-          install ctx
+          install plan
             ~switch_id:(Topo.Topology.Node.id h.node)
             { Flow.Pattern.any with vlan = Some l.label }
             (Flow.Action.forward h.out_port))
@@ -53,7 +60,7 @@ let install_lsp ctx topo (l : lsp) =
     (* egress: pop and deliver per host *)
     List.iter
       (fun (h, port) ->
-        install ctx ~switch_id:l.dst_sw
+        install plan ~switch_id:l.dst_sw
           { Flow.Pattern.any with
             vlan = Some l.label;
             eth_dst = Some (Mac.of_host_id h) }
@@ -68,7 +75,8 @@ let provision t ctx =
     |> List.filter (fun sw -> Topo.Topology.hosts_of_switch topo sw <> [])
   in
   let next_label = ref 100 in
-  List.iter (install_local_delivery ctx topo) edges;
+  let plan = Hashtbl.create 16 in
+  List.iter (install_local_delivery plan topo) edges;
   t.lsps <-
     List.concat_map
       (fun src_sw ->
@@ -89,7 +97,13 @@ let provision t ctx =
             end)
           edges)
       edges;
-  List.iter (install_lsp ctx topo) t.lsps
+  List.iter (install_lsp plan topo) t.lsps;
+  List.iter
+    (fun switch_id ->
+      match Hashtbl.find_opt plan switch_id with
+      | Some fms -> Api.send_flow_mods ctx ~switch_id (List.rev fms)
+      | None -> ())
+    (Topo.Topology.switch_ids topo)
 
 let create () =
   let t_ref = ref None in

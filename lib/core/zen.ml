@@ -34,10 +34,7 @@ let install_policy_string t s =
   install_policy t (Netkat.Parser.pol_of_string s)
 
 let with_controller ?latency ?resilience t apps =
-  let rt =
-    Controller.Runtime.create_and_handshake ?latency ?resilience t.network apps
-  in
-  rt
+  Controller.Runtime.create_and_handshake ?latency ?resilience t.network apps
 
 let with_replicas ?(latency = 1e-3) ?resilience ?replicas ?lease
     ?repl_latency ?repl_fault t mk_apps =

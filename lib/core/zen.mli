@@ -62,9 +62,12 @@ val install_policy : net -> Netkat.Syntax.pol -> int
 val install_policy_string : net -> string -> int
 
 (** [with_controller t apps] attaches a controller running [apps] and
-    completes the handshake (the "controller-driven" mode).
-    [resilience] turns on keepalives, reliable flow-mod delivery and
-    crash resync (see {!Controller.Runtime}). *)
+    completes the handshake (the "controller-driven" mode).  The
+    controller runs keepalives, reliable flow-mod delivery and crash
+    resync on the timers of [resilience] (default
+    {!Controller.Runtime.default_resilience}); its keepalives schedule
+    forever, so run the network with [~until] afterwards (see
+    {!Controller.Runtime}). *)
 val with_controller :
   ?latency:float ->
   ?resilience:Controller.Runtime.resilience ->

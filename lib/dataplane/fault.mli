@@ -35,7 +35,7 @@ type incident =
       duration : float;
       (** seconds of control-channel partition: the switch stays alive
           and keeps its (warm) table, but every control frame in either
-          direction is dropped — the resilient runtime declares it down
+          direction is dropped — the controller runtime declares it down
           and must reconcile the surviving state on re-handshake. *)
     }
   | Controller_outage of {

@@ -10,7 +10,6 @@ type pkt = {
 type switch = {
   sw_id : int;
   table : Flow.Table.t;
-  mutable flood_ports : int list option;
   port_stats : (int, Openflow.Message.port_stat) Hashtbl.t;
   mutable packet_ins : int;
   mutable has_timeouts : bool;  (* whether an expiry sweep is scheduled *)
@@ -158,7 +157,7 @@ let create ?(queue_depth = default_queue_depth) ?(expiry_period = 1.0)
         | Node.Switch id ->
           Hashtbl.replace t.switches id
             { sw_id = id; table = Flow.Table.create ();
-              flood_ports = None; port_stats = Hashtbl.create 8;
+              port_stats = Hashtbl.create 8;
               packet_ins = 0; has_timeouts = false; out_ports = [||];
               alive = true; ctl = Ctl_channel.create id }
         | Node.Host id ->
@@ -482,13 +481,8 @@ and output t sw ~in_port pkt (port : Flow.Action.port) =
   | Controller ->
     packet_in t sw ~in_port ~reason:Openflow.Message.Explicit_send pkt
   | Flood ->
-    let candidates =
-      match sw.flood_ports with
-      | Some ports -> ports
-      | None -> Topo.Topology.ports t.topo (Node.Switch sw.sw_id)
-    in
     List.iter (fun p -> if p <> in_port then transmit_switch t sw p pkt)
-      candidates
+      (Topo.Topology.ports t.topo (Node.Switch sw.sw_id))
 
 (* ------------------------------------------------------------------ *)
 (* Control channel *)
@@ -565,20 +559,10 @@ let rec schedule_expiry t sw =
 let apply_flow_mod t sw (fm : Openflow.Message.flow_mod) =
   Openflow.Message.apply_to_table ~now:(now t) sw.table fm;
   match fm.command with
-  | (Add_flow | Modify_flow)
-    when fm.idle_timeout <> None && not sw.has_timeouts ->
+  | Add_flow when fm.idle_timeout <> None && not sw.has_timeouts ->
     sw.has_timeouts <- true;
     schedule_expiry t sw
-  | Add_flow | Modify_flow | Delete_flow | Delete_strict_flow -> ()
-
-let flow_stats_of_table table pattern =
-  Flow.Table.rules table
-  |> List.filter (fun (r : Flow.Table.rule) ->
-    Flow.Pattern.subsumes ~general:pattern r.pattern)
-  |> List.map (fun (r : Flow.Table.rule) ->
-    { Openflow.Message.fs_pattern = r.pattern; fs_priority = r.priority;
-      fs_cookie = r.cookie; fs_actions = r.actions;
-      fs_packets = r.packets; fs_bytes = r.bytes })
+  | Add_flow | Delete_flow | Delete_strict_flow -> ()
 
 let handle_at_switch t sw ~xid (msg : Openflow.Message.t) =
   match msg with
@@ -608,10 +592,6 @@ let handle_at_switch t sw ~xid (msg : Openflow.Message.t) =
     (* the reply echoes the request xid so the controller can match the
        ack to the batch it terminates (retransmit tracking) *)
     control_send t ~xid sw Openflow.Message.Barrier_reply
-  | Stats_request (Flow_stats_request pattern) ->
-    control_send t sw
-      (Openflow.Message.Stats_reply
-         (Flow_stats_reply (flow_stats_of_table sw.table pattern)))
   | Stats_request (Port_stats_request which) ->
     let ports =
       match which with
@@ -709,7 +689,6 @@ let crash_switch t id =
   if sw.alive then begin
     sw.alive <- false;
     Flow.Table.clear sw.table;
-    sw.flood_ports <- None;
     sw.has_timeouts <- false;  (* stops the expiry sweep from rescheduling *)
     Ctl_channel.reconnect sw.ctl;
     trace t "s%d crash" id;

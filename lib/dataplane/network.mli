@@ -36,8 +36,6 @@ type pkt = {
 type switch = {
   sw_id : int;
   table : Flow.Table.t;
-  mutable flood_ports : int list option;
-      (** spanning-tree restriction for [Flood]; [None] = all ports *)
   port_stats : (int, Openflow.Message.port_stat) Hashtbl.t;
   mutable packet_ins : int;
   mutable has_timeouts : bool;  (* whether an expiry sweep is scheduled *)
@@ -195,8 +193,8 @@ val crash_switch : t -> int -> unit
 
 (** [restart_switch t id] brings a crashed switch back with an empty
     table and announces it to the controller with a [Hello] — the
-    runtime answers with a fresh feature handshake (and, with resilience
-    enabled, resyncs the intended rules).
+    runtime answers with a fresh feature handshake and resyncs the
+    intended rules.
     Test-only. *)
 val restart_switch : t -> int -> unit
 

@@ -22,7 +22,6 @@ type packet_out = {
 
 type flow_mod_command =
   | Add_flow
-  | Modify_flow
   | Delete_flow
   | Delete_strict_flow
 
@@ -53,7 +52,7 @@ let delete_strict_flow ?(cookie = None) ~priority ~pattern () =
 let apply_to_table ~now table fm =
   let scope = if fm.fm_cookie = -1 then None else Some fm.fm_cookie in
   match fm.command with
-  | Add_flow | Modify_flow ->
+  | Add_flow ->
     Flow.Table.add table
       (Flow.Table.make_rule ~priority:fm.fm_priority ~pattern:fm.fm_pattern
          ~actions:fm.fm_actions ~idle_timeout:fm.idle_timeout
@@ -75,18 +74,8 @@ type features_reply = {
 }
 
 type stats_request =
-  | Flow_stats_request of Flow.Pattern.t
   | Port_stats_request of int option
   | Table_stats_request
-
-type flow_stat = {
-  fs_pattern : Flow.Pattern.t;
-  fs_priority : int;
-  fs_cookie : int;
-  fs_actions : Flow.Action.group;
-  fs_packets : int;
-  fs_bytes : int;
-}
 
 type port_stat = {
   pstat_port : int;
@@ -109,7 +98,6 @@ type table_stat = {
 }
 
 type stats_reply =
-  | Flow_stats_reply of flow_stat list
   | Port_stats_reply of port_stat list
   | Table_stats_reply of table_stat
 

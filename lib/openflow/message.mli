@@ -31,7 +31,6 @@ type packet_out = {
 
 type flow_mod_command =
   | Add_flow
-  | Modify_flow        (** replace actions of matching rules, add if absent *)
   | Delete_flow        (** remove rules subsumed by the pattern *)
   | Delete_strict_flow (** remove exactly the (priority, pattern) rule *)
 
@@ -78,20 +77,8 @@ type features_reply = {
 }
 
 type stats_request =
-  | Flow_stats_request of Flow.Pattern.t   (** stats of rules subsumed by the pattern *)
   | Port_stats_request of int option       (** one port, or all when [None] *)
   | Table_stats_request
-
-type flow_stat = {
-  fs_pattern : Flow.Pattern.t;
-  fs_priority : int;
-  fs_cookie : int;
-  fs_actions : Flow.Action.group;
-      (** the rule's installed actions — a stats snapshot must let the
-          controller detect action drift, not just missing/extra rules *)
-  fs_packets : int;
-  fs_bytes : int;
-}
 
 type port_stat = {
   pstat_port : int;
@@ -114,7 +101,6 @@ type table_stat = {
 }
 
 type stats_reply =
-  | Flow_stats_reply of flow_stat list
   | Port_stats_reply of port_stat list
   | Table_stats_reply of table_stat
 

@@ -183,8 +183,7 @@ let w_body w = function
   | Flow_mod fm ->
     w_u8 w
       (match fm.command with
-       | Add_flow -> 0 | Modify_flow -> 1 | Delete_flow -> 2
-       | Delete_strict_flow -> 3);
+       | Add_flow -> 0 | Delete_flow -> 2 | Delete_strict_flow -> 3);
     w_u32 w fm.fm_priority;
     w_pattern w fm.fm_pattern;
     w_i32 w fm.fm_cookie;
@@ -193,25 +192,12 @@ let w_body w = function
   | Port_status ps ->
     w_u16 w ps.ps_port;
     w_u8 w (match ps.ps_reason with Port_up -> 0 | Port_down -> 1)
-  | Stats_request (Flow_stats_request p) -> w_u8 w 0; w_pattern w p
   | Stats_request (Port_stats_request port) ->
     w_u8 w 1;
     (match port with
      | None -> w_u8 w 0
      | Some p -> w_u8 w 1; w_u16 w p)
   | Stats_request Table_stats_request -> w_u8 w 2
-  | Stats_reply (Flow_stats_reply stats) ->
-    w_u8 w 0;
-    w_u16 w (List.length stats);
-    List.iter
-      (fun fs ->
-        w_pattern w fs.fs_pattern;
-        w_u32 w fs.fs_priority;
-        w_i32 w fs.fs_cookie;
-        w_group w fs.fs_actions;
-        w_u64 w (Int64.of_int fs.fs_packets);
-        w_u64 w (Int64.of_int fs.fs_bytes))
-      stats
   | Stats_reply (Port_stats_reply stats) ->
     w_u8 w 1;
     w_u16 w (List.length stats);
@@ -419,7 +405,6 @@ let rbody code c =
     let command =
       match r8 c with
       | 0 -> Add_flow
-      | 1 -> Modify_flow
       | 2 -> Delete_flow
       | 3 -> Delete_strict_flow
       | n -> fail "unknown flow_mod command %d" n
@@ -434,7 +419,6 @@ let rbody code c =
         fm_cookie }
   | 16 ->
     (match r8 c with
-     | 0 -> Stats_request (Flow_stats_request (rpattern c))
      | 1 ->
        let has = r8 c in
        Stats_request
@@ -443,20 +427,6 @@ let rbody code c =
      | n -> fail "unknown stats_request subtype %d" n)
   | 17 ->
     (match r8 c with
-     | 0 ->
-       let n = r16 c in
-       let stats =
-         List.init n (fun _ ->
-           let fs_pattern = rpattern c in
-           let fs_priority = r32 c in
-           let fs_cookie = ri32 c in
-           let fs_actions = rgroup c in
-           let fs_packets = r64i c in
-           let fs_bytes = r64i c in
-           { fs_pattern; fs_priority; fs_cookie; fs_actions; fs_packets;
-             fs_bytes })
-       in
-       Stats_reply (Flow_stats_reply stats)
      | 1 ->
        let n = r16 c in
        let stats =

@@ -40,7 +40,7 @@ let test_packet_in_dispatch () =
   in
   let _rt = Controller.Runtime.create_and_handshake net [ app ] in
   Network.send_from net ~host:1 (Network.make_pkt ~tp_dst:8080 ~src:1 ~dst:2 ());
-  ignore (Network.run net ());
+  ignore (Network.run ~until:(Network.now net +. 0.1) net ());
   Alcotest.(check (list (triple int int int))) "packet-in" [ (1, 1, 8080) ] !seen
 
 let test_install_via_wire () =
@@ -57,7 +57,7 @@ let test_install_via_wire () =
   Alcotest.(check int) "rule landed" 1
     (Flow.Table.size (Network.switch net 1).table);
   Network.send_from net ~host:1 (Network.make_pkt ~src:1 ~dst:2 ());
-  ignore (Network.run net ());
+  ignore (Network.run ~until:(Network.now net +. 0.1) net ());
   Alcotest.(check int) "forwards" 1 (Network.host net 2).received
 
 let test_packet_out_and_stats () =
@@ -79,7 +79,7 @@ let test_packet_out_and_stats () =
   in
   let _rt = Controller.Runtime.create_and_handshake net [ app ] in
   Network.send_from net ~host:1 (Network.make_pkt ~src:1 ~dst:2 ());
-  ignore (Network.run net ());
+  ignore (Network.run ~until:(Network.now net +. 0.1) net ());
   Alcotest.(check int) "packet-out delivered" 1 (Network.host net 2).received;
   match !table_stats with
   | Some ts ->
@@ -96,6 +96,25 @@ let test_control_channel_counted () =
     ((Network.stats net).control_msgs >= 6);
   Alcotest.(check bool) "control bytes counted" true
     ((Network.stats net).control_bytes > 0)
+
+(* A controller attached with no resilience record of its own still
+   runs keepalives and resyncs: a crashed and restarted switch gets its
+   intended table back. *)
+let test_default_runtime_resyncs () =
+  let net = Zen.create (Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 ()) in
+  let routing = Controller.Routing.create () in
+  let rt = Zen.with_controller net [ Controller.Routing.app routing ] in
+  let network = Zen.network net in
+  let size () = Flow.Table.size (Network.switch network 2).table in
+  let before = size () in
+  Alcotest.(check bool) "rules installed" true (before > 0);
+  Network.crash_switch network 2;
+  ignore (Zen.run ~until:(Zen.now net +. 0.1) net);
+  Network.restart_switch network 2;
+  ignore (Zen.run ~until:(Zen.now net +. 1.0) net);
+  Alcotest.(check (list int)) "no divergence" []
+    (Controller.Runtime.diverged rt);
+  Alcotest.(check int) "s2 rules restored" before (size ())
 
 (* ------------------------------------------------------------------ *)
 (* Learning switch *)
@@ -488,6 +507,8 @@ let suites =
           test_packet_out_and_stats;
         Alcotest.test_case "control channel counted" `Quick
           test_control_channel_counted;
+        Alcotest.test_case "default runtime resyncs a restart" `Quick
+          test_default_runtime_resyncs;
         Alcotest.test_case "clean channel never retransmits" `Quick
           test_clean_channel_never_retransmits;
         Alcotest.test_case "retransmits bounded under loss" `Quick

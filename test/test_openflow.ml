@@ -68,23 +68,12 @@ let test_port_status () =
     (Message.Port_status { ps_port = 4; ps_reason = Port_up })
 
 let test_stats () =
-  roundtrip "flow stats request"
-    (Message.Stats_request (Flow_stats_request pattern));
   roundtrip "port stats request all"
     (Message.Stats_request (Port_stats_request None));
   roundtrip "port stats request one"
     (Message.Stats_request (Port_stats_request (Some 3)));
   roundtrip "table stats request"
     (Message.Stats_request Table_stats_request);
-  roundtrip "flow stats reply"
-    (Message.Stats_reply
-       (Flow_stats_reply
-          [ { fs_pattern = pattern; fs_priority = 10; fs_cookie = 1;
-              fs_actions = Flow.Action.forward 2; fs_packets = 5;
-              fs_bytes = 5000 };
-            { fs_pattern = Flow.Pattern.any; fs_priority = 0; fs_cookie = 0;
-              fs_actions = Flow.Action.drop; fs_packets = 0;
-              fs_bytes = 0 } ]));
   roundtrip "port stats reply"
     (Message.Stats_reply
        (Port_stats_reply
@@ -144,12 +133,14 @@ let test_rejects_garbage () =
    codec once wrote for it (pattern, priority, cookie, reason, packet and
    byte counts) must be rejected, not read as some other message *)
 let test_rejects_retired_type () =
-  let req =
-    Wire.encode ~xid:9 (Message.Stats_request (Flow_stats_request pattern))
+  (* a delete's body: command (1), priority (4), pattern, cookie (4),
+     idle timeout (4), empty action group (2) *)
+  let del =
+    Wire.encode ~xid:9 (Message.Flow_mod (Message.delete_flow ~pattern ()))
   in
   let frame =
     Bytes.concat Bytes.empty
-      [ Bytes.sub req 0 8; Bytes.sub req 9 (Bytes.length req - 9);
+      [ Bytes.sub del 0 8; Bytes.sub del 13 (Bytes.length del - 23);
         Bytes.make 25 '\000' ]
   in
   Util.Bits.set_u8 frame 1 11;
@@ -157,6 +148,26 @@ let test_rejects_retired_type () =
   Alcotest.check_raises "type 11"
     (Wire.Wire_error "unknown message type 11")
     (fun () -> ignore (Wire.decode frame))
+
+(* flow-mod command 1 (modify) and stats subtype 0 (flow stats, request
+   and reply) are retired: a frame carrying one is rejected, not read as
+   another command or subtype *)
+let test_rejects_retired_subtypes () =
+  let retag name msg code expect =
+    let b = Wire.encode ~xid:3 msg in
+    Util.Bits.set_u8 b 8 code;
+    Alcotest.check_raises name (Wire.Wire_error expect) (fun () ->
+      ignore (Wire.decode b))
+  in
+  retag "flow-mod command 1"
+    (Message.Flow_mod (Message.add_flow ~pattern ~actions:group ()))
+    1 "unknown flow_mod command 1";
+  retag "stats request subtype 0"
+    (Message.Stats_request (Port_stats_request None))
+    0 "unknown stats_request subtype 0";
+  retag "stats reply subtype 0"
+    (Message.Stats_reply (Port_stats_reply []))
+    0 "unknown stats_reply subtype 0"
 
 let test_length_field () =
   let b = Wire.encode ~xid:5 (Message.Echo_request "abc") in
@@ -297,6 +308,8 @@ let suites =
           test_rejects_retired_type;
         Alcotest.test_case "rejects oversize values" `Quick
           test_encode_rejects_oversize;
+        Alcotest.test_case "rejects retired subtypes" `Quick
+          test_rejects_retired_subtypes;
         Alcotest.test_case "length field" `Quick test_length_field;
         Alcotest.test_case "timeout precision" `Quick
           test_timeout_encoding_precision;
