@@ -918,9 +918,11 @@ let e14 () =
         [ 1; 4; 16; 64 ])
     [ 8; 64 ];
   pf "@.with 20%% per-link loss (seed 77), queue 64, window 32 and the@.";
-  pf "initial RTO set below the loaded RTT: the legacy fixed timer keeps@.";
-  pf "re-offering whole windows while ACKs are still in flight; capped@.";
-  pf "exponential backoff grows past the real RTT and retransmits far less.@.@.";
+  pf "initial RTO set below the loaded RTT: every timed packet is resent@.";
+  pf "before its ACK, so Karn's rule takes no RTT sample and the timer@.";
+  pf "cannot adapt.  Without backoff it keeps re-offering whole windows@.";
+  pf "while ACKs are in flight; capped exponential backoff grows past the@.";
+  pf "real RTT and retransmits far less.@.@.";
   pf "%-12s | %12s %10s %10s@." "rto-policy" "goodput(Mb/s)" "retx"
     "chaos-drops";
   pf "%s@." (String.make 52 '-');

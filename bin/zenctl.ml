@@ -650,6 +650,14 @@ let chaos_cmd =
         ~rate_pps:rate ~pkt_size:500 ~stop:duration
     in
     ignore (Zen.run ~until:(duration +. 2.0) net);
+    (* convergence is a state the run must reach, not a property of one
+       sample time: under control loss a false switch-down can be
+       resyncing at any instant, so give the live runtime settle's
+       horizon before judging *)
+    let live_rt =
+      match rt with Some _ -> rt | None -> rt_of_replica ()
+    in
+    Option.iter (fun rt -> ignore (Controller.Runtime.settle rt)) live_rt;
     let sent = List.fold_left (fun acc s -> acc + !s) 0 senders in
     let delivered = (Dataplane.Network.stats network).delivered in
     Format.printf "sent %d, delivered %d (%.1f%% delivery) over %d flows@."
@@ -658,9 +666,6 @@ let chaos_cmd =
        else 100.0 *. float_of_int delivered /. float_of_int sent)
       flows;
     Format.printf "%a@." Dataplane.Fault.pp_stats fault;
-    let live_rt =
-      match rt with Some _ -> rt | None -> rt_of_replica ()
-    in
     (match live_rt with
      | None -> Format.printf "control plane: no live controller@."
      | Some rt ->

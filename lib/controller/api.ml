@@ -48,8 +48,7 @@ let send_flow_mods ctx ~switch_id = function
   | [] -> ()
   | fms ->
     ctx.send_batch ~switch_id
-      (List.map (fun fm -> Openflow.Message.Flow_mod fm) fms
-       @ [ Openflow.Message.Barrier_request ])
+      (List.map (fun fm -> Openflow.Message.Flow_mod fm) fms)
 
 let push_delta ctx ?(cookie = 0) ~previous (result : Netkat.Delta.result) =
   List.fold_left

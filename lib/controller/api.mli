@@ -15,9 +15,10 @@ type ctx = {
   send_batch : switch_id:int -> Openflow.Message.t list -> unit;
       (** low-level: send several messages to a switch as one wire batch,
           applied in order at delivery.  A batch that carries a flow-mod
-          joins the switch's reliable stream: barrier-terminated,
-          retransmitted until acked, and sent only once the switch's
-          previous batch is acked (see {!Runtime}) *)
+          or a barrier joins the switch's reliable stream: the runtime
+          ends it with a barrier unless it already does, resends it until
+          acked, and the switch applies the stream's batches in order
+          (see {!Runtime}) *)
   await_stats :
     switch_id:int -> (Openflow.Message.stats_reply -> unit) -> unit;
       (** enqueue a one-shot continuation for the switch's next stats
@@ -65,9 +66,9 @@ val change_flow_mods :
     argument of {!change_flow_mods}). *)
 val known_switch : Netkat.Delta.snapshot option -> int -> bool
 
-(** [send_flow_mods ctx ~switch_id fms] sends [fms] as one batched
-    transmission terminated by a barrier; nothing at all when [fms] is
-    empty. *)
+(** [send_flow_mods ctx ~switch_id fms] sends [fms] as one reliable
+    batch, which the runtime terminates with a barrier; nothing at all
+    when [fms] is empty. *)
 val send_flow_mods :
   ctx -> switch_id:int -> Openflow.Message.flow_mod list -> unit
 

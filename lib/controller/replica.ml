@@ -14,11 +14,10 @@ type config = {
 (* one inter-controller message; deltas carry the decoded message (the
    channel is in-process) but are accounted at wire size *)
 type repl_msg =
-  | Hb of { h_epoch : int; h_xid : int; h_states : (string * string) list }
-  | Delta of { d_epoch : int; d_xid : int; d_sw : int;
-               d_msg : Openflow.Message.t }
+  | Hb of { h_epoch : int; h_states : (string * string) list }
+  | Delta of { d_epoch : int; d_sw : int; d_msg : Openflow.Message.t }
   | Sync_req of { sr_from : int }
-  | Sync_full of { sf_epoch : int; sf_xid : int;
+  | Sync_full of { sf_epoch : int;
                    sf_tables : (int * Flow.Table.rule list) list;
                    sf_states : (string * string) list }
 
@@ -31,7 +30,6 @@ type member = {
       (* standby: replicated copy of the leader's intended state *)
   mutable m_states : (string * string) list;  (* replicated app blobs *)
   mutable m_epoch : int;   (* highest lease epoch known *)
-  mutable m_xid : int;     (* leader's replicated xid high-water mark *)
   mutable last_hb : float;
   mutable synced : bool;   (* false while a rejoined standby awaits Sync_full *)
   mutable partitioned : bool;  (* inter-controller channel cut (split brain) *)
@@ -92,13 +90,13 @@ let expiry t m = t.cfg.lease +. (float_of_int m.m_id *. t.cfg.hb_period)
 let repl_size (msg : repl_msg) =
   match msg with
   | Hb { h_states; _ } ->
-    16 + List.fold_left (fun a (n, s) -> a + String.length n + String.length s)
+    12 + List.fold_left (fun a (n, s) -> a + String.length n + String.length s)
            0 h_states
   | Delta { d_msg; _ } ->
-    8 + Bytes.length (Openflow.Wire.encode ~xid:0 d_msg)
+    4 + Bytes.length (Openflow.Wire.encode ~xid:0 d_msg)
   | Sync_req _ -> 8
   | Sync_full { sf_tables; sf_states; _ } ->
-    16
+    12
     + List.fold_left (fun a (_, rules) -> a + (40 * List.length rules)) 0
         sf_tables
     + List.fold_left (fun a (n, s) -> a + String.length n + String.length s)
@@ -162,7 +160,7 @@ and load_tables m tables =
 and recv_repl t m msg =
   if (not t.stopped) && m.role <> Down && not m.partitioned then
     match msg with
-    | Hb { h_epoch; h_xid; h_states } ->
+    | Hb { h_epoch; h_states } ->
       if h_epoch >= m.m_epoch then begin
         (match m.role with
          | Leader when h_epoch > m.m_epoch ->
@@ -173,15 +171,13 @@ and recv_repl t m msg =
         if m.role = Standby then begin
           m.last_hb <- now t;
           m.m_epoch <- h_epoch;
-          if h_xid > m.m_xid then m.m_xid <- h_xid;
           m.m_states <- h_states
         end
       end
-    | Delta { d_epoch; d_xid; d_sw; d_msg } ->
+    | Delta { d_epoch; d_sw; d_msg } ->
       if m.role = Standby && d_epoch >= m.m_epoch then begin
         m.last_hb <- now t;
         m.m_epoch <- d_epoch;
-        if d_xid > m.m_xid then m.m_xid <- d_xid;
         match d_msg with
         | Openflow.Message.Flow_mod fm ->
           Runtime.shadow_flow_mod (shadow_of m d_sw) fm
@@ -198,15 +194,14 @@ and recv_repl t m msg =
          in
          send_repl t ~src:m.m_id ~dst:sr_from
            (Sync_full
-              { sf_epoch = m.m_epoch; sf_xid = Runtime.next_xid rt;
-                sf_tables = tables; sf_states = export_states t m })
+              { sf_epoch = m.m_epoch; sf_tables = tables;
+                sf_states = export_states t m })
        | _ -> ())
-    | Sync_full { sf_epoch; sf_xid; sf_tables; sf_states } ->
+    | Sync_full { sf_epoch; sf_tables; sf_states } ->
       if m.role = Standby && (not m.synced) && sf_epoch >= m.m_epoch then begin
         load_tables m sf_tables;
         m.m_states <- sf_states;
         m.m_epoch <- sf_epoch;
-        if sf_xid > m.m_xid then m.m_xid <- sf_xid;
         m.synced <- true;
         m.last_hb <- now t;
         note t "sync c%d epoch=%d" m.m_id sf_epoch
@@ -229,12 +224,10 @@ and export_states _t m =
 and hb_loop t m term =
   if (not t.stopped) && m.term = term && m.role = Leader then begin
     (match m.runtime with
-     | Some rt ->
+     | Some _ ->
        t.rstats.hb_sent <- t.rstats.hb_sent + 1;
        broadcast t ~src:m.m_id
-         (Hb
-            { h_epoch = m.m_epoch; h_xid = Runtime.next_xid rt;
-              h_states = export_states t m })
+         (Hb { h_epoch = m.m_epoch; h_states = export_states t m })
      | None -> ());
     Sim.schedule (sim t) ~delay:t.cfg.hb_period (fun () -> hb_loop t m term)
   end
@@ -242,28 +235,19 @@ and hb_loop t m term =
 and mk_on_shadow t m ~switch_id msg =
   if m.role = Leader then begin
     t.rstats.deltas_sent <- t.rstats.deltas_sent + 1;
-    let xid =
-      match m.runtime with Some rt -> Runtime.next_xid rt | None -> m.m_xid
-    in
     broadcast t ~src:m.m_id
-      (Delta { d_epoch = m.m_epoch; d_xid = xid; d_sw = switch_id;
-               d_msg = msg })
+      (Delta { d_epoch = m.m_epoch; d_sw = switch_id; d_msg = msg })
   end
 
 (* hand every switch session to [rt] — in-flight frames re-home at
-   delivery, dedup state and FIFO clamps stay in the session.  The new
-   epoch is asserted on each switch immediately: fencing tokens normally
-   ride only on flow-mod batches, and the resync batch (with the fence
-   it carries) lands only one features round trip after adoption —
-   until then the switch would still hold the old epoch, and a deposed
-   leader's equal-fenced writes would land *)
-and adopt_all t rt ~epoch =
+   delivery, the stream gate and FIFO clamps stay in the session.  The
+   new epoch reaches each switch with the runtime's first handshake,
+   which it opens with its fence: from then on nothing the deposed
+   leader sends is applied or answered *)
+and adopt_all t rt =
   let h = Runtime.handler rt in
   List.iter
-    (fun sid ->
-      Ctl_channel.adopt (Network.ctl_channel t.net sid) h;
-      Network.controller_send t.net ~switch_id:sid
-        (Openflow.Wire.encode_batch [ (0, Openflow.Message.Fence epoch) ]))
+    (fun sid -> Ctl_channel.adopt (Network.ctl_channel t.net sid) h)
     t.switch_ids
 
 and start_leader t m ~shadows =
@@ -272,12 +256,12 @@ and start_leader t m ~shadows =
   let apps = t.mk_apps () in
   let rt =
     Runtime.create ~latency:t.latency ~resilience:t.resilience ~attach:false
-      ~fence:m.m_epoch ~xid_base:(m.m_xid + 1) ~shadows
+      ~fence:m.m_epoch ~shadows
       ~on_shadow:(mk_on_shadow t m) t.net apps
   in
   m.runtime <- Some rt;
   m.apps <- apps;
-  adopt_all t rt ~epoch:m.m_epoch;
+  adopt_all t rt;
   (* replicated app state enters before any switch_up event fires (the
      features replies are still in flight) *)
   List.iter
@@ -450,7 +434,7 @@ let create ?(latency = 1e-3) ?(resilience = Runtime.default_resilience)
     Array.init replicas (fun id ->
       { m_id = id; role = (if id = 0 then Leader else Standby); runtime = None;
         apps = []; m_shadows = Hashtbl.create 16; m_states = [];
-        m_epoch = 1; m_xid = 0; last_hb = Network.now net; synced = true;
+        m_epoch = 1; last_hb = Network.now net; synced = true;
         partitioned = false; term = 0 })
   in
   let t =

@@ -5,10 +5,10 @@
     (adopted via {!Dataplane.Ctl_channel.adopt}); it is the only writer.
     The leader streams its intended state to the standbys over a
     seeded-chaos-capable inter-controller channel: heartbeats every
-    [lease/3] carry the lease epoch, the xid high-water mark and the
-    apps' exported state blobs, and every flow-mod it shadows is
-    forwarded as a delta, so each standby maintains a replica of
-    {!Runtime.intended_rules} for every switch.
+    [lease/3] carry the lease epoch and the apps' exported state blobs,
+    and every flow-mod it shadows is forwarded as a delta, so each
+    standby maintains a replica of {!Runtime.intended_rules} for every
+    switch.
 
     {b Failover.}  A standby that misses heartbeats for a full lease
     (staggered per member so two standbys never take over in the same
@@ -24,15 +24,14 @@
     {b Split brain.}  The lease alone is only a failure detector: a
     deposed leader that is merely partitioned from its peers still
     believes it holds the lease and keeps (re)transmitting.  Safety
-    comes from fencing: every reliable batch opens with a
-    {!Openflow.Message.Fence} carrying the sender's epoch, switches
-    remember the highest epoch seen and reject flow-mods fenced with a
-    lower one ([fenced_writes] counts them).  A strictly higher fence
-    also resets the switch's flow-mod xid dedup, so the new leader's
-    (replicated, possibly lagging) xid sequence is never wrongly deduped
-    against the old leader's, while each leader's own retransmits still
-    dedup within its epoch.  On heal, the deposed leader sees a
-    higher-epoch heartbeat and steps down to standby.
+    comes from fencing: every transmission of a leader opens with a
+    {!Openflow.Message.Fence} carrying its epoch, switches remember the
+    highest epoch seen and drop whatever is fenced with a lower one,
+    barriers included ([fenced_writes] counts the flow-mods).  A
+    strictly higher fence also closes the switch's reliable stream until
+    the new leader's handshake opens its own, so no frame or ack of the
+    old leader's stream can touch the new one.  On heal, the deposed
+    leader sees a higher-epoch heartbeat and steps down to standby.
 
     A single controller is a plain {!Runtime}, not a one-member replica
     set: {!create} rejects [replicas < 2]. *)

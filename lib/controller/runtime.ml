@@ -16,7 +16,7 @@ let check_resilience who r =
     bad "echo_period";
   if r.echo_miss_limit < 1 then bad "echo_miss_limit";
   match
-    Util.Rto.bad_arg ~initial:r.retx_timeout ~backoff:r.retx_backoff
+    Util.Gbn.bad_arg ~initial:r.retx_timeout ~backoff:r.retx_backoff
       ~cap:r.retx_cap
   with
   | Some Initial -> bad "retx_timeout"
@@ -24,22 +24,18 @@ let check_resilience who r =
   | Some Cap -> bad "retx_cap"
   | None -> ()
 
-(* a reliable batch: pre-assigned xids so retransmissions are replays *)
-type batch = {
-  frames : (int * Openflow.Message.t) list;
-  barrier_xid : int;
-  mutable attempts : int;
-  mutable sent_at : float;  (* the latest transmission *)
-}
+(* reliable batches in flight per switch: a burst lands in a round trip
+   or two, not a round trip per batch *)
+let window = 8
 
 type sw_status = Handshaking | Sw_up | Sw_down
 
 type sw_state = {
   st_id : int;
   shadow : Flow.Table.t;  (* the rules this switch is intended to hold *)
-  pending : batch Queue.t;
-  mutable inflight : batch option;
-  rto : Util.Rto.t;
+  stream : Openflow.Message.t list Util.Gbn.t;
+      (* the reliable batches, each ending with its barrier; live only
+         while the switch is up *)
   mutable status : sw_status;
   mutable echo_outstanding : int;  (* keepalives sent and not yet answered *)
   mutable down_since : float;
@@ -59,7 +55,6 @@ type resilience_stats = {
 type t = {
   ctx : Api.ctx;
   apps : Api.app list;
-  mutable next_xid : int;
   stats_waiters : (int, (Openflow.Message.stats_reply -> unit) Queue.t) Hashtbl.t;
   mutable handshakes : int;  (* switches that completed features exchange *)
   resilience : resilience;
@@ -70,9 +65,8 @@ type t = {
       (* crashed (see halt): additionally refuses incoming frames and
          outgoing sends — a dead process neither reads nor writes *)
   fence : int;
-      (* lease epoch stamped on every reliable batch as a leading
-         {!Openflow.Message.Fence} frame; 0 = no fencing (single
-         controller).  See {!Controller.Replica}. *)
+      (* lease epoch opening every transmission (see [transmit]); 0 = no
+         fencing (single controller) *)
   preset : (int, Flow.Table.rule list) Hashtbl.t;
       (* replicated shadow tables to seed per-switch state from (a new
          leader starts from its replica, not from empty); consumed by
@@ -85,16 +79,36 @@ type t = {
          adoption (see {!handler}) *)
 }
 
+(* one transmission to [switch_id], every frame numbered [xid]; a
+   replicated leader opens each one with its lease-epoch Fence, so once a
+   switch has seen a higher epoch nothing a deposed leader sends is
+   applied or answered *)
+let transmit t ~switch_id xid msgs =
+  if not t.halted then begin
+    let msgs =
+      if t.fence > 0 then Openflow.Message.Fence t.fence :: msgs else msgs
+    in
+    Dataplane.Network.controller_send t.ctx.Api.net ~switch_id
+      (Openflow.Wire.encode_batch (List.map (fun msg -> (xid, msg)) msgs))
+  end
+
 let state t switch_id =
   match Hashtbl.find_opt t.states switch_id with
   | Some st -> st
   | None ->
+    let r = t.resilience in
     let st =
       { st_id = switch_id; shadow = Flow.Table.create ();
-        pending = Queue.create (); inflight = None;
-        rto =
-          Util.Rto.create ~initial:t.resilience.retx_timeout
-            ~backoff:t.resilience.retx_backoff ~cap:t.resilience.retx_cap;
+        stream =
+          Util.Gbn.create ~window ~initial:r.retx_timeout
+            ~backoff:r.retx_backoff ~cap:r.retx_cap
+            ~now:(fun () -> Api.time t.ctx)
+            ~schedule:(fun delay f ->
+              Api.schedule t.ctx ~delay (fun () -> if not t.stopped then f ()))
+            ~send:(fun ~retransmit xid msgs ->
+              if retransmit then
+                t.rstats.retransmits <- t.rstats.retransmits + 1;
+              transmit t ~switch_id xid msgs);
         status = Handshaking; echo_outstanding = 0; down_since = 0.0;
         handshaked = false }
     in
@@ -157,80 +171,11 @@ let settle t =
 (* ------------------------------------------------------------------ *)
 (* Reliable batches *)
 
-let sim_of t = Dataplane.Network.sim t.ctx.Api.net
-
-let transmit_batch t st b =
-  b.attempts <- b.attempts + 1;
-  b.sent_at <- Api.time t.ctx;
-  Dataplane.Network.controller_send t.ctx.Api.net ~switch_id:st.st_id
-    (Openflow.Wire.encode_batch b.frames)
-
-(* arm the retransmission timer for the batch currently in flight; the
-   timer is disarmed implicitly when the batch is acked or discarded
-   (physical equality against [inflight]) *)
-let rec arm_retx t st b =
-  Dataplane.Sim.schedule (sim_of t) ~delay:(Util.Rto.current st.rto)
-    (fun () ->
-      if not t.stopped then
-        match st.inflight with
-        | Some cur when cur == b ->
-          t.rstats.retransmits <- t.rstats.retransmits + 1;
-          Util.Rto.expire st.rto;
-          transmit_batch t st b;
-          arm_retx t st b
-        | _ -> ())
-
-(* start the next queued batch if the line is idle and the switch is up *)
-let pump t st =
-  match st.inflight with
-  | Some _ -> ()
-  | None ->
-    if st.status = Sw_up && not (Queue.is_empty st.pending) then begin
-      let b = Queue.pop st.pending in
-      st.inflight <- Some b;
-      transmit_batch t st b;
-      arm_retx t st b
-    end
-
-(* enqueue [msgs] as one reliable batch (trailing barrier appended when
-   missing); xids are assigned now so any retransmission is a replay.
-   A replicated leader opens every batch with its lease-epoch Fence —
-   the switch rejects the whole delivery once a higher epoch has been
-   seen, so a deposed leader's retransmits can never land. *)
-let enqueue_reliable t st msgs =
-  let msgs =
-    if t.fence > 0 then Openflow.Message.Fence t.fence :: msgs else msgs
-  in
-  let msgs =
-    match List.rev msgs with
-    | Openflow.Message.Barrier_request :: _ -> msgs
-    | _ -> msgs @ [ Openflow.Message.Barrier_request ]
-  in
-  let frames =
-    List.map
-      (fun msg ->
-        t.next_xid <- t.next_xid + 1;
-        (t.next_xid, msg))
-      msgs
-  in
-  let barrier_xid =
-    (* the batch ends with the barrier by construction *)
-    match List.rev frames with (xid, _) :: _ -> xid | [] -> assert false
-  in
-  Queue.push { frames; barrier_xid; attempts = 0; sent_at = nan } st.pending;
-  pump t st
-
-let contains_flow_mod msgs =
-  List.exists
-    (fun (m : Openflow.Message.t) ->
-      match m with Flow_mod _ -> true | _ -> false)
-    msgs
-
 (* the one controller send path ([ctx.send] is a batch of one, which
    {!Openflow.Wire.encode_batch} frames byte-identically to [encode]):
    shadow and replicate every flow-mod, then either join the reliable
-   stream (the batch carries a flow-mod, so the switch-side xid dedup
-   sees one ordered sequence) or go out at once as one transmission *)
+   stream (a batch with a flow-mod or a barrier), terminated by the
+   barrier whose reply acks it, or go out at once as one transmission *)
 let send_batch t ~switch_id msgs =
   if msgs <> [] && not t.halted then begin
     let st = state t switch_id in
@@ -242,18 +187,17 @@ let send_batch t ~switch_id msgs =
           (match t.on_shadow with Some f -> f ~switch_id msg | None -> ())
         | _ -> ())
       msgs;
-    if contains_flow_mod msgs then enqueue_reliable t st msgs
-    else begin
-      let framed =
-        List.map
-          (fun msg ->
-            t.next_xid <- t.next_xid + 1;
-            (t.next_xid, msg))
-          msgs
-      in
-      Dataplane.Network.controller_send t.ctx.Api.net ~switch_id
-        (Openflow.Wire.encode_batch framed)
-    end
+    if
+      List.exists
+        (fun (m : Openflow.Message.t) ->
+          match m with Flow_mod _ | Barrier_request -> true | _ -> false)
+        msgs
+    then
+      Util.Gbn.push st.stream
+        (match List.rev msgs with
+         | Openflow.Message.Barrier_request :: _ -> msgs
+         | _ -> msgs @ [ Openflow.Message.Barrier_request ])
+    else transmit t ~switch_id 0 msgs
   end
 
 (* ------------------------------------------------------------------ *)
@@ -267,20 +211,18 @@ let mark_down t st =
     t.rstats.switch_downs <- t.rstats.switch_downs + 1;
     (* discard the reliable stream: the resync at re-handshake
        re-derives everything from the intended-state shadow *)
-    let dropped =
-      Queue.length st.pending
-      + (match st.inflight with Some _ -> 1 | None -> 0)
-    in
-    t.rstats.dropped_batches <- t.rstats.dropped_batches + dropped;
-    st.inflight <- None;
-    Queue.clear st.pending;
+    t.rstats.dropped_batches <-
+      t.rstats.dropped_batches + Util.Gbn.reset st.stream;
     List.iter
       (fun (app : Api.app) -> app.switch_down t.ctx ~switch_id:st.st_id)
       t.apps
   end
 
-let send_handshake t ~switch_id =
-  t.ctx.Api.send_batch ~switch_id
+(* the features request's xid opens the switch's stream at the next
+   batch's number ({!Dataplane.Ctl_channel.admit}); it is sent only while
+   the stream is held, so that number cannot move before the reply *)
+let send_handshake t st =
+  transmit t ~switch_id:st.st_id (Util.Gbn.next_seq st.stream)
     [ Openflow.Message.Hello; Openflow.Message.Features_request ]
 
 (* per-switch keepalive / probe loop: echo while up, re-handshake probes
@@ -298,7 +240,7 @@ let rec keepalive_tick t st =
          t.ctx.Api.send ~switch_id:st.st_id
            (Openflow.Message.Echo_request "keepalive")
        end
-     | Handshaking | Sw_down -> send_handshake t ~switch_id:st.st_id);
+     | Handshaking | Sw_down -> send_handshake t st);
     Api.schedule t.ctx ~delay:r.echo_period (fun () -> keepalive_tick t st)
   end
 
@@ -309,15 +251,20 @@ let add_of_rule (ru : Flow.Table.rule) =
     (Openflow.Message.add_flow ~priority:ru.priority ~cookie:ru.cookie
        ~pattern:ru.pattern ~actions:ru.actions ())
 
-(* full-table re-push after a re-handshake, as a single reliable
-   delete-all-plus-adds batch.  The batch is NOT shadowed: it
-   reconstructs the shadow, it does not extend it. *)
+(* full-table re-push after a re-handshake, as the first batch of the
+   new stream: one delete-all-plus-adds batch.  It supersedes whatever
+   was queued while the switch was down (the shadow already holds it).
+   The batch is NOT shadowed: it reconstructs the shadow, it does not
+   extend it. *)
 let full_resync t st =
   t.rstats.resyncs <- t.rstats.resyncs + 1;
-  enqueue_reliable t st
+  t.rstats.dropped_batches <-
+    t.rstats.dropped_batches + Util.Gbn.reset st.stream;
+  Util.Gbn.push st.stream
     (Openflow.Message.Flow_mod
        (Openflow.Message.delete_flow ~pattern:Flow.Pattern.any ())
-    :: List.map add_of_rule (Flow.Table.rules st.shadow))
+     :: List.map add_of_rule (Flow.Table.rules st.shadow)
+    @ [ Openflow.Message.Barrier_request ])
 
 let resilience_stats t = t.rstats
 
@@ -330,7 +277,7 @@ let halt t =
   t.halted <- true
 
 let create ?(latency = 1e-3) ?(resilience = default_resilience)
-    ?(attach = true) ?(fence = 0) ?(xid_base = 0) ?(shadows = []) ?on_shadow
+    ?(attach = true) ?(fence = 0) ?(shadows = []) ?on_shadow
     net apps =
   check_resilience "Runtime.create" resilience;
   let t_ref = ref None in
@@ -357,26 +304,16 @@ let create ?(latency = 1e-3) ?(resilience = default_resilience)
       (match st.status with
        | Sw_up ->
          mark_down t st;
-         send_handshake t ~switch_id
-       | Sw_down -> send_handshake t ~switch_id
+         send_handshake t st
+       | Sw_down -> send_handshake t st
        | Handshaking -> ())
     | Echo_reply _ ->
       let st = state t switch_id in
       if st.status = Sw_up then st.echo_outstanding <- 0
     | Barrier_reply ->
-      let st = state t switch_id in
-      (match st.inflight with
-       | Some b when b.barrier_xid = xid ->
-         st.inflight <- None;
-         (* Karn's rule: a retransmitted batch's reply may answer any of
-            its copies, so only a first send is timed *)
-         Util.Rto.ack st.rto
-           ?rtt:
-             (if b.attempts = 1 then Some (Api.time t.ctx -. b.sent_at)
-              else None);
-         t.rstats.acked_batches <- t.rstats.acked_batches + 1;
-         pump t st
-       | _ -> ())  (* stale or duplicate ack *)
+      (* a cumulative ack; a stale or duplicate one acks nothing *)
+      t.rstats.acked_batches <-
+        t.rstats.acked_batches + Util.Gbn.ack (state t switch_id).stream xid
     | Features_reply f ->
       let st = state t f.datapath_id in
       (match st.status with
@@ -384,9 +321,6 @@ let create ?(latency = 1e-3) ?(resilience = default_resilience)
        | prev ->
          st.status <- Sw_up;
          st.echo_outstanding <- 0;
-         (* the switch answers again: drop any backoff, keep the RTT
-            estimate *)
-         Util.Rto.ack st.rto;
          t.handshakes <- t.handshakes + 1;
          if prev = Sw_down then
            t.rstats.recovery_samples <-
@@ -400,7 +334,7 @@ let create ?(latency = 1e-3) ?(resilience = default_resilience)
            (fun (app : Api.app) ->
              app.switch_up t.ctx ~switch_id:f.datapath_id ~ports:f.port_list)
            t.apps;
-         pump t st)
+         Util.Gbn.resume st.stream)
     | Packet_in pi ->
       List.iter
         (fun (app : Api.app) ->
@@ -441,7 +375,6 @@ let create ?(latency = 1e-3) ?(resilience = default_resilience)
               in
               Queue.push k q) };
       apps;
-      next_xid = xid_base;
       stats_waiters = Hashtbl.create 16;
       handshakes = 0;
       resilience;
@@ -465,8 +398,7 @@ let create ?(latency = 1e-3) ?(resilience = default_resilience)
   List.iter
     (fun (sw : Dataplane.Network.switch) ->
       let switch_id = sw.sw_id in
-      ignore (state t switch_id);
-      send_handshake t ~switch_id;
+      send_handshake t (state t switch_id);
       Api.schedule t.ctx ~delay:resilience.echo_period (fun () ->
         keepalive_tick t (state t switch_id)))
     (Dataplane.Network.switch_list net);
@@ -476,8 +408,6 @@ let ctx t = t.ctx
 
 let handler t =
   match t.hfn with Some h -> h | None -> assert false (* set in create *)
-
-let next_xid t = t.next_xid
 
 let ready_switches t = t.handshakes
 

@@ -20,23 +20,23 @@
     - a per-switch Echo keepalive loop declares the switch down after a
       configurable number of consecutive misses and fires the apps'
       [switch_down] callback;
-    - flow-mod batches become reliable: each batch is terminated by a
-      [Barrier_request], tracked by the barrier's xid, and retransmitted
-      with capped exponential backoff until the matching [Barrier_reply]
-      arrives.  Batches to one switch go stop-and-wait (at most one
-      unacked batch in flight), which together with the switch-side
-      last-seen-xid dedup makes replays idempotent and order-safe.  The
-      timeout adapts to the control RTT: each switch keeps a
-      {!Util.Rto} estimator, fed by the barrier round trip of every
-      batch acked on its first send (Karn's rule: a retransmitted
-      batch is never timed);
+    - flow-mod batches become reliable: each switch has one go-back-N
+      stream ({!Util.Gbn}) of barrier-terminated batches, numbered
+      contiguously, up to eight in flight.  The switch applies them in
+      number order only and its barrier reply is a cumulative ack
+      ({!Dataplane.Ctl_channel.admit}).  A timeout resends every unacked
+      batch, with capped exponential backoff; the timeout adapts to the
+      control RTT (Karn's rule).  Each features handshake opens the
+      stream at the number of the next batch, so a crash, a re-handshake
+      or a new leader starts a stream no older frame or ack can touch;
     - a switch that re-handshakes (after a crash, a control-channel
       partition, or adoption by a new leader — its restart [Hello], or
       the probe loop, triggers a fresh features exchange) is resynced:
       the runtime re-pushes the full intended table from the shadow as
-      one reliable delete-all-plus-adds batch.  The resync reads nothing
-      from the switch, so it is the same whether the table survived or
-      was wiped.
+      one reliable delete-all-plus-adds batch, the first of the new
+      stream; it supersedes the batches queued while the switch was down.
+      The resync reads nothing from the switch, so it is the same
+      whether the table survived or was wiped.
 
     The keepalive loop schedules forever, so a simulation with a
     controller attached never drains its event queue: run it with
@@ -60,7 +60,7 @@ val default_resilience : resilience
     non-finite period or timeout would schedule keepalives or
     retransmissions at one simulated instant forever.  Requires
     [echo_period] finite and > 0 and [echo_miss_limit] >= 1; the three
-    [retx_] fields go through {!Util.Rto.bad_arg}, the validation
+    [retx_] fields go through {!Util.Gbn.bad_arg}, the validation
     {!Dataplane.Transport.start} shares: [retx_timeout] finite and > 0,
     [retx_backoff] finite and >= 1, [retx_cap] finite and >=
     [retx_timeout]. *)
@@ -69,12 +69,14 @@ val check_resilience : string -> resilience -> unit
 
 (** Resilience counters. *)
 type resilience_stats = {
-  mutable retransmits : int;      (** batch retransmissions *)
+  mutable retransmits : int;      (** batches resent on a timeout *)
   mutable echo_misses : int;      (** keepalive ticks with an unanswered echo *)
   mutable switch_downs : int;     (** switch-down declarations *)
   mutable resyncs : int;          (** full-table re-pushes after re-handshake *)
   mutable acked_batches : int;    (** reliable batches confirmed by barrier *)
-  mutable dropped_batches : int;  (** un-acked batches discarded at switch-down *)
+  mutable dropped_batches : int;
+      (** un-acked batches discarded at switch-down, and batches queued
+          while down that a resync superseded *)
   mutable recovery_samples : float list;
       (** down → re-handshake durations, newest first *)
 }
@@ -141,9 +143,8 @@ val halt : t -> unit
     single-controller behavior byte-identical at their defaults:
     [attach:false] skips {!Dataplane.Network.attach_controller} — the
     caller adopts individual switch sessions instead
-    ({!Dataplane.Ctl_channel.adopt} with {!handler}); [fence] stamps every
-    reliable batch with a lease-epoch {!Openflow.Message.Fence};
-    [xid_base] continues a replicated xid sequence; [shadows] seeds
+    ({!Dataplane.Ctl_channel.adopt} with {!handler}); [fence] opens every
+    transmission with a lease-epoch {!Openflow.Message.Fence}; [shadows] seeds
     per-switch intended-state from a replica (those switches resync on
     their first features reply); [on_shadow] observes every shadowed
     flow-mod — the replication delta stream.
@@ -154,7 +155,6 @@ val create :
   ?resilience:resilience ->
   ?attach:bool ->
   ?fence:int ->
-  ?xid_base:int ->
   ?shadows:(int * Flow.Table.rule list) list ->
   ?on_shadow:(switch_id:int -> Openflow.Message.t -> unit) ->
   Dataplane.Network.t -> Api.app list -> t
@@ -164,10 +164,6 @@ val ctx : t -> Api.ctx
 (** The control-channel receive handler — what
     {!Dataplane.Ctl_channel.adopt} re-homes a switch session to. *)
 val handler : t -> switch_id:int -> bytes -> unit
-
-(** The next xid the runtime would assign (monotone); replicated so a
-    successor can continue the sequence. *)
-val next_xid : t -> int
 
 (** Switches that have completed the feature handshake (re-handshakes
     after a crash count again).
@@ -179,13 +175,11 @@ val ready_switches : t -> int
 val switch_up : t -> switch_id:int -> bool
 
 (** Convenience: create the runtime and run the simulation for 10
-    control RTTs: long enough for the handshake and about nine batches
-    per switch, since a switch's batches go stop-and-wait, one round
-    trip apart.  An app that pushes more batches than that at
-    [switch_up] sees the rest land after this returns; an app sends one
-    batch per switch ({!Api.send_flow_mods}) to fit.  Apps with periodic
-    loops (e.g. {!Monitor}) schedule beyond this horizon and are
-    unaffected. *)
+    control RTTs: the handshake takes one, and a switch's batches then
+    land a window of eight per round trip, so on a clean channel dozens
+    of batches pushed per switch at [switch_up] (40 in a test) are
+    installed when this returns.  Apps with periodic loops (e.g.
+    {!Monitor}) schedule beyond this horizon and are unaffected. *)
 val create_and_handshake :
   ?latency:float ->
   ?resilience:resilience ->

@@ -13,8 +13,8 @@ type t = {
 }
 
 (* provisioning collects each switch's adds, newest first, and sends
-   them as one batch per switch: the runtime delivers a switch's batches
-   stop-and-wait, one round trip apart *)
+   them as one batch per switch: one barrier and one ack per switch,
+   not one per rule *)
 let install plan ~switch_id pattern actions =
   let fm =
     Openflow.Message.add_flow ~priority:50 ~cookie:0x70 ~pattern ~actions ()

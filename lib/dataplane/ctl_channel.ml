@@ -58,18 +58,21 @@ type session = {
   mutable cut : bool;
   mutable owner : (switch_id:int -> bytes -> unit) option;
   mutable fence : int;
-  mutable last_xid : int;
+  mutable next : int;
 }
+
+(* [next] of a session with no open stream *)
+let closed = -1
 
 let create sw_id =
   { sw_id;
     down = lane (Some (Printf.sprintf "ctl->s%d" sw_id));
     up = lane (Some (Printf.sprintf "ctl<-s%d" sw_id));
-    cut = false; owner = None; fence = 0; last_xid = 0 }
+    cut = false; owner = None; fence = 0; next = closed }
 
 let adopt s handler = s.owner <- Some handler
 
-let reconnect s = s.last_xid <- 0
+let reconnect s = s.next <- closed
 
 (* ------------------------------------------------------------------ *)
 (* A network's end of the channel *)
@@ -88,40 +91,63 @@ let deliver_up w s data =
   | Some handler, _ | None, Some handler -> handler ~switch_id:s.sw_id data
   | None, None -> ()  (* owner detached while the frame was in flight *)
 
+type admission =
+  | Admitted
+  | Fenced of int
+  | Unopened
+
 let admit s ~tracer ~fault ~now frames apply =
   let trace fmt =
     match tracer with
     | None -> Printf.ikfprintf ignore () fmt
     | Some f -> Printf.ksprintf (f now) fmt
   in
-  let stale = ref false and fenced = ref 0 in
-  List.iter
-    (fun (xid, (msg : Openflow.Message.t)) ->
-      match msg with
-      | Fence token ->
-        if token > s.fence then begin
-          s.fence <- token;
-          s.last_xid <- 0;
-          stale := false;
-          trace "s%d fence epoch=%d" s.sw_id token
-        end
-        else if token < s.fence then begin
-          stale := true;
-          trace "s%d stale fence %d < %d" s.sw_id token s.fence;
-          match fault with
-          | Some f ->
-            Fault.note f ~time:now "fence-reject s%d epoch=%d" s.sw_id token
-          | None -> ()
-        end
-        else stale := false
-      | Flow_mod _ when !stale ->
-        incr fenced;
-        trace "s%d drop(fenced) xid=%d" s.sw_id xid
-      | Flow_mod _ when xid > 0 && xid <= s.last_xid ->
-        trace "s%d dedup flow-mod xid=%d" s.sw_id xid
-      | Flow_mod _ ->
-        if xid > 0 then s.last_xid <- xid;
-        apply xid msg
-      | _ -> apply xid msg)
-    frames;
-  !fenced
+  (* the delivery's stream batch, judged on its first stream frame *)
+  let judge xid =
+    if s.next = closed then `Unopened
+    else if xid = s.next then (s.next <- xid + 1; `Next)
+    else if xid < s.next then `Replay
+    else `Gap
+  in
+  let rec go verdict = function
+    | [] -> if verdict = Some `Unopened then Unopened else Admitted
+    | (xid, (msg : Openflow.Message.t)) :: rest ->
+      (match msg with
+       | Fence token when token < s.fence ->
+         (* a deposed leader wrote after failover: nothing after its
+            fence reaches the switch, not even a barrier *)
+         trace "s%d stale fence %d < %d" s.sw_id token s.fence;
+         Option.iter
+           (fun f ->
+             Fault.note f ~time:now "fence-reject s%d epoch=%d" s.sw_id token)
+           fault;
+         Fenced
+           (List.fold_left
+              (fun n (_, (m : Openflow.Message.t)) ->
+                match m with Flow_mod _ -> n + 1 | _ -> n)
+              0 rest)
+       | Fence token ->
+         if token > s.fence then begin
+           s.fence <- token;
+           s.next <- closed;
+           trace "s%d fence epoch=%d" s.sw_id token
+         end;
+         go verdict rest
+       | Features_request ->
+         s.next <- xid;
+         apply xid msg;
+         go verdict rest
+       | Flow_mod _ | Barrier_request ->
+         let v = match verdict with Some v -> v | None -> judge xid in
+         (match v, msg with
+          | `Next, _ -> apply xid msg
+          | `Replay, Barrier_request -> apply (s.next - 1) msg
+          | `Replay, _ -> trace "s%d dedup flow-mod xid=%d" s.sw_id xid
+          | `Gap, _ -> trace "s%d drop(gap) xid=%d next=%d" s.sw_id xid s.next
+          | `Unopened, _ -> trace "s%d drop(unopened) xid=%d" s.sw_id xid);
+         go (Some v) rest
+       | _ ->
+         apply xid msg;
+         go verdict rest)
+  in
+  go None frames

@@ -12,10 +12,11 @@
 
     A {!session} is the switch's half of the OpenFlow channel.  It holds
     both lanes, the partition flag, the adopted owner of up-direction
-    frames, the lease-fencing token and the flow-mod xid watermark.
-    {!admit} is the session's gate on a delivered controller→switch
-    transmission: fence frames and replayed or fenced flow-mods stop
-    here, and everything else goes on to the switch.  A network's
+    frames, the lease-fencing token and the go-back-N receiver of the
+    controller's reliable stream.  {!admit} is the session's gate on a
+    delivered controller→switch transmission: fence frames, fenced
+    deliveries and stream batches out of order stop here, and everything
+    else goes on to the switch.  A network's
     {!wiring} says where its sessions' frames go: the attached
     controller.  A controller attaches only to a single-domain network,
     so a session's frames never leave the network that owns the
@@ -60,9 +61,9 @@ type session = {
           durable epoch a real switch learns from its connection
           manager, and forgetting it would re-open the split-brain
           window after every crash. *)
-  mutable last_xid : int;
-      (** highest flow-mod xid applied: a retransmitted batch replays
-          with its original xids and is skipped *)
+  mutable next : int;
+      (** the number of the stream batch the switch applies next, or -1
+          while no stream is open (see {!admit}) *)
 }
 
 val create : int -> session
@@ -72,13 +73,13 @@ val create : int -> session
     controller.  Frames already in flight re-home too, because the owner
     is resolved at delivery ({!deliver_up}).  Adoption is like handing a
     connected socket to a new process: nothing is lost or reordered, and
-    the xid watermark keeps protecting against the previous owner's
-    retransmits.  It is silent (no trace, no fault note), so adoption by
-    the same logical controller is invisible to a chaos-free run. *)
+    the stream stays as it was.  It is silent (no trace, no fault note),
+    so adoption by the same logical controller is invisible to a
+    chaos-free run. *)
 val adopt : session -> (switch_id:int -> bytes -> unit) -> unit
 
-(** A switch reboot is a fresh control connection: the xid watermark
-    resets, the fencing token stays. *)
+(** A switch reboot is a fresh control connection: the stream closes
+    until the next handshake, the fencing token stays. *)
 val reconnect : session -> unit
 
 type wiring = {
@@ -99,24 +100,40 @@ val connected : wiring -> session -> bool
     adopted it. *)
 val deliver_up : wiring -> session -> bytes -> unit
 
+(** What became of one delivery at the gate. *)
+type admission =
+  | Admitted  (** passed, or held replays or batches past a gap *)
+  | Fenced of int  (** a stale fence dropped it, with this many flow-mods *)
+  | Unopened
+      (** it held a stream batch and no stream is open: the switch should
+          announce itself so the controller handshakes again *)
+
 (** [admit s ~tracer ~fault ~now frames apply] gates one delivered
     controller→switch transmission (a batch of decoded [(xid, msg)]
     frames) and calls [apply xid msg] on each frame that passes.
-    Returns the number of flow-mods the fence rejected.
 
-    A [Fence] frame that carries a token below the highest ever seen
-    marks the rest of the delivery stale: a deposed leader wrote after
-    failover, so its flow-mods are rejected.  A strictly higher token
-    opens a new epoch and resets the xid watermark, because the new
-    leader's xid sequence is unrelated to the old one's.  Its own
-    retransmits (same token) still dedup within the epoch.  Frames other
-    than flow-mods pass either way: reads and barriers are harmless, and
-    a barrier reply acks delivery, not rule acceptance.  xid 0
-    (untracked senders) bypasses the dedup. *)
+    Flow-mods and barriers form the controller's reliable stream, and
+    the session is its go-back-N receiver.  Every frame of a stream
+    batch carries the batch's number ({!Util.Gbn}) as its xid.  A
+    [Features_request] opens the stream at its xid, the number of the
+    controller's next batch, much as a SYN carries TCP's initial
+    sequence number; the controller sends one only while nothing of its
+    is in flight, and the lane is FIFO, so no older frame follows it.
+    The next batch in number is applied; a replay is not applied again,
+    but its barrier is answered; a batch past a gap is dropped whole.  A
+    barrier reply's xid is the number of the last batch applied: a
+    cumulative ack.  A reboot ({!reconnect}) and a strictly higher fence
+    close the stream until the next [Features_request], so no frame from
+    before a crash or from another leader is applied or acked.
+
+    A [Fence] frame below the highest token seen drops the rest of the
+    delivery, barrier included: a deposed leader wrote after failover.
+    Frames outside the stream (handshake, echo, stats, packet-out)
+    otherwise pass. *)
 val admit :
   session ->
   tracer:(float -> string -> unit) option ->
   fault:Fault.t option ->
   now:float ->
   (int * Openflow.Message.t) list ->
-  (int -> Openflow.Message.t -> unit) -> int
+  (int -> Openflow.Message.t -> unit) -> admission

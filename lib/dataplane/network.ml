@@ -589,8 +589,8 @@ let handle_at_switch t sw ~xid (msg : Openflow.Message.t) =
       { pkt with hdr = { pkt.hdr with switch = sw.sw_id } }
       [ po.out_actions ]
   | Barrier_request ->
-    (* the reply echoes the request xid so the controller can match the
-       ack to the batch it terminates (retransmit tracking) *)
+    (* [xid] is the number of the last stream batch applied (see
+       {!Ctl_channel.admit}): the reply is a cumulative ack *)
     control_send t ~xid sw Openflow.Message.Barrier_reply
   | Stats_request (Port_stats_request which) ->
     let ports =
@@ -618,17 +618,20 @@ let handle_at_switch t sw ~xid (msg : Openflow.Message.t) =
   | Stats_reply _ | Barrier_reply ->
     ()  (* controller-bound messages are meaningless at a switch *)
 
-(* apply a delivered controller→switch transmission (possibly a batch)
-   to the locally-owned switch record, through the session's fence and
-   xid-dedup gate *)
+(* apply a delivered controller→switch transmission to the switch,
+   through the session's fence and stream gate.  A stream batch with no
+   stream open is answered with the switch's Hello, as after a restart,
+   so the controller re-handshakes instead of resending into the void *)
 let deliver_down t sw data =
   if sw.alive then begin
-    let fenced =
+    match
       Ctl_channel.admit sw.ctl ~tracer:t.tracer ~fault:t.fault ~now:(now t)
         (Openflow.Wire.decode_all data)
         (fun xid msg -> handle_at_switch t sw ~xid msg)
-    in
-    t.stats.fenced_writes <- t.stats.fenced_writes + fenced
+    with
+    | Admitted -> ()
+    | Fenced n -> t.stats.fenced_writes <- t.stats.fenced_writes + n
+    | Unopened -> control_send t sw Openflow.Message.Hello
   end
   else begin
     let n = Openflow.Wire.frame_count data in

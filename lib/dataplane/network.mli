@@ -7,7 +7,7 @@
     {!Openflow} messages with a configurable one-way latency, so the
     protocol codec is on the hot path exactly as in a real deployment.
     Its timing (latency, chaos verdicts, FIFO clamps, partitions) and
-    each switch's control session (owner, fencing, xid dedup) live in
+    each switch's control session (owner, fencing, stream gate) live in
     {!Ctl_channel}; this module encodes, routes and applies what that
     session admits.
 
@@ -185,9 +185,10 @@ val restore_link : t -> Node.t -> int -> unit
 
 (** [crash_switch t id] models a switch reboot's first half: forwarding
     stops, the flow table and its caches are wiped (a restarted switch
-    has an empty table), flood configuration and the control-connection
-    xid memory are reset.  Packets and control frames addressed to the
-    switch are counted in [dropped_down] until {!restart_switch}.
+    has an empty table), flood configuration is reset and the
+    controller's reliable stream closes ({!Ctl_channel.reconnect}).
+    Packets and control frames addressed to the switch are counted in
+    [dropped_down] until {!restart_switch}.
     Test-only. *)
 val crash_switch : t -> int -> unit
 

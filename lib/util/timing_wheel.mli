@@ -42,7 +42,7 @@ type 'a entry = { key : float; seq : int; value : 'a }
 type 'a t
 
 (** 16 µs: the tick {!create} uses by default, and so the clock
-    granularity of the simulator ({!Rto} floors its timeout with it). *)
+    granularity of the simulator ({!Gbn} floors its timeout with it). *)
 val default_tick : float
 
 val create : ?tick:float -> ?slots:int -> unit -> 'a t

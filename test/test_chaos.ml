@@ -509,10 +509,10 @@ let replica_realization_digest () =
 
 let test_realization_pinned () =
   Alcotest.(check string) "control channel realization"
-    "33c9601557dbd4eee633b346b18a79ce"
+    "2f383bbb8e29432bd528731443940066"
     (realization_digest ());
   Alcotest.(check string) "inter-controller channel realization"
-    "7982c3a026cd346063f610e151e5d8f6"
+    "5c85e24108e660049a84af4a1ba1303a"
     (replica_realization_digest ())
 
 (* ------------------------------------------------------------------ *)

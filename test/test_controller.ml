@@ -116,6 +116,42 @@ let test_default_runtime_resyncs () =
     (Controller.Runtime.diverged rt);
   Alcotest.(check int) "s2 rules restored" before (size ())
 
+(* A restart whose Hello never reaches the controller: the switch is
+   back before a keepalive misses, so the runtime still believes it up
+   and its next batch meets a closed stream.  The switch answers that
+   batch with a Hello, and the re-handshake's resync restores it. *)
+let test_missed_restart_announcement () =
+  let net =
+    Network.create (Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 ())
+  in
+  let rt =
+    Controller.Runtime.create_and_handshake net
+      [ Controller.Routing.app (Controller.Routing.create ()) ]
+  in
+  let handler = Controller.Runtime.handler rt in
+  let lost = ref false in
+  Network.adopt (Network.ctl_channel net 2) (fun ~switch_id data ->
+    if
+      (not !lost)
+      && List.exists
+           (fun (_, m) -> m = Openflow.Message.Hello)
+           (Openflow.Wire.decode_all data)
+    then lost := true
+    else handler ~switch_id data);
+  let size () = Flow.Table.size (Network.switch net 2).table in
+  let before = size () in
+  Network.crash_switch net 2;
+  Network.restart_switch net 2;
+  ignore (Network.run ~until:(Network.now net +. 0.01) net ());
+  Alcotest.(check bool) "the restart Hello was lost" true !lost;
+  Controller.Api.install (Controller.Runtime.ctx rt) ~switch_id:2
+    ~priority:7 Flow.Pattern.any [];
+  ignore (Network.run ~until:(Network.now net +. 0.1) net ());
+  Alcotest.(check (list int)) "no divergence" []
+    (Controller.Runtime.diverged rt);
+  Alcotest.(check int) "s2 rules restored, plus the new one" (before + 1)
+    (size ())
+
 (* ------------------------------------------------------------------ *)
 (* Learning switch *)
 
@@ -162,6 +198,36 @@ let test_learning_no_storm_in_ring () =
     (Network.make_pkt ~src:1 ~dst:3 ());
   let events = Network.run ~until:(Network.now net +. 1.0) ~max_events:50_000 net () in
   Alcotest.(check bool) "bounded event count (no storm)" true (events < 10_000)
+
+(* The reactive path rides the reliable stream, and a window of batches
+   in flight costs it nothing over a channel with no acks at all: the
+   rules a switch learns in one burst go out at once, not a round trip
+   apart.  zenctl simulate ring:6 --mode learning, seed 1.  An
+   unacknowledged channel reads 47 installs and 919 packet-ins on this
+   run; one batch in flight per switch read 56 and 928. *)
+let test_learning_installs_once_per_burst () =
+  let topo = Topo.Gen.ring ~switches:6 () in
+  let net = Network.create topo in
+  let learning = Controller.Learning.create () in
+  let _rt =
+    Controller.Runtime.create_and_handshake net
+      [ Controller.Learning.app learning ]
+  in
+  ignore
+    (Traffic.random_pairs net ~prng:(Util.Prng.create 1) ~flows:10
+       ~rate_pps:100.0 ~pkt_size:1000 ~stop:1.0);
+  ignore (Network.run ~until:2.0 net ());
+  let installs = Controller.Learning.installs learning in
+  let packet_ins =
+    List.fold_left
+      (fun acc (sw : Network.switch) -> acc + sw.packet_ins)
+      0 (Network.switch_list net)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d installs <= 47, %d packet-ins <= 919" installs
+       packet_ins)
+    true
+    (installs <= 47 && packet_ins <= 919)
 
 (* ------------------------------------------------------------------ *)
 (* Proactive routing + failover *)
@@ -498,6 +564,34 @@ let test_lossy_retransmits_bounded () =
     true
     (float_of_int retransmits <= 0.2 *. float_of_int acked)
 
+(* A switch's batches go out a window at a time: 40 one-rule batches
+   per switch, sent at switch_up, are installed within the handshake's
+   10 control RTTs.  One batch in flight per switch installed 9. *)
+let test_switch_up_batches_land_in_handshake () =
+  let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
+  let net = Network.create topo in
+  let app =
+    { (Controller.Api.default_app "provision") with
+      switch_up =
+        (fun ctx ~switch_id ~ports:_ ->
+          for i = 1 to 40 do
+            Controller.Api.send_flow_mods ctx ~switch_id
+              [ Openflow.Message.add_flow ~priority:i
+                  ~pattern:{ Flow.Pattern.any with tp_dst = Some i }
+                  ~actions:[] () ]
+          done) }
+  in
+  let rt = Controller.Runtime.create_and_handshake net [ app ] in
+  List.iter
+    (fun (sw : Network.switch) ->
+      Alcotest.(check int)
+        (Printf.sprintf "s%d holds all 40 rules" sw.sw_id)
+        40
+        (Flow.Table.size sw.table))
+    (Network.switch_list net);
+  Alcotest.(check int) "no retransmits" 0
+    (Controller.Runtime.resilience_stats rt).retransmits
+
 let suites =
   [ ( "controller.runtime",
       [ Alcotest.test_case "handshake" `Quick test_handshake;
@@ -509,10 +603,14 @@ let suites =
           test_control_channel_counted;
         Alcotest.test_case "default runtime resyncs a restart" `Quick
           test_default_runtime_resyncs;
+        Alcotest.test_case "a missed restart announcement is recovered" `Quick
+          test_missed_restart_announcement;
         Alcotest.test_case "clean channel never retransmits" `Quick
           test_clean_channel_never_retransmits;
         Alcotest.test_case "retransmits bounded under loss" `Quick
-          test_lossy_retransmits_bounded ]
+          test_lossy_retransmits_bounded;
+        Alcotest.test_case "switch_up batches land in the handshake" `Quick
+          test_switch_up_batches_land_in_handshake ]
       @ List.map
           (fun (field, bad) ->
             Alcotest.test_case ("bad " ^ field ^ " rejected") `Quick
@@ -523,7 +621,9 @@ let suites =
         Alcotest.test_case "warm path uses rules" `Quick
           test_learning_uses_rules_when_warm;
         Alcotest.test_case "no broadcast storm in ring" `Quick
-          test_learning_no_storm_in_ring ] );
+          test_learning_no_storm_in_ring;
+        Alcotest.test_case "windowed stream adds no installs" `Quick
+          test_learning_installs_once_per_burst ] );
     ( "controller.routing",
       [ Alcotest.test_case "proactive, zero packet-ins" `Quick
           test_routing_proactive_no_packet_ins;

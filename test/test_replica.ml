@@ -60,51 +60,212 @@ let test_adoption_invisible () =
   Alcotest.(check int) "pings answered" pings_a pings_b
 
 (* ------------------------------------------------------------------ *)
-(* Fencing and epoch-scoped dedup at the switch *)
+(* The switch's stream gate: fencing and the go-back-N receiver *)
+
+(* switch 1 of linear:2 driven by hand-built deliveries.  [deliver n
+   msgs] puts one transmission on the control channel with every frame
+   numbered [n] (the stream batch's number) and runs until it lands;
+   [take] returns and clears what the switch sent back. *)
+type rig = { net : Network.t; up : (int * Openflow.Message.t) list ref }
+
+let rig () =
+  let topo = Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 () in
+  let net = Network.create topo in
+  let up = ref [] in
+  Network.attach_controller net (fun ~switch_id data ->
+    if switch_id = 1 then up := !up @ Openflow.Wire.decode_all data);
+  { net; up }
+
+let deliver r ?fence n msgs =
+  let msgs =
+    match fence with
+    | Some e -> Openflow.Message.Fence e :: msgs
+    | None -> msgs
+  in
+  Network.controller_send r.net ~switch_id:1
+    (Openflow.Wire.encode_batch (List.map (fun m -> (n, m)) msgs));
+  ignore (Network.run ~until:(Network.now r.net +. 0.01) r.net ())
+
+(* the handshake that opens the stream at [n] *)
+let open_stream r ?fence n =
+  deliver r ?fence n [ Openflow.Message.Features_request ]
+
+(* a one-rule batch: an add at [priority], or its delete *)
+let add p =
+  Openflow.Message.Flow_mod
+    (Openflow.Message.add_flow ~priority:p ~pattern:Flow.Pattern.any
+       ~actions:[] ())
+
+let del p =
+  Openflow.Message.Flow_mod
+    (Openflow.Message.delete_strict_flow ~priority:p
+       ~pattern:Flow.Pattern.any ())
+
+let batch fms = fms @ [ Openflow.Message.Barrier_request ]
+
+let take r =
+  let l = !(r.up) in
+  r.up := [];
+  l
+
+(* the barrier replies among what came back: cumulative acks *)
+let acks r =
+  List.filter_map
+    (fun (xid, (m : Openflow.Message.t)) ->
+      match m with Barrier_reply -> Some xid | _ -> None)
+    (take r)
+
+let installed r =
+  List.sort compare
+    (List.map
+       (fun (ru : Flow.Table.rule) -> ru.priority)
+       (Flow.Table.rules (Network.switch r.net 1).table))
+
+let check_acks msg expected r =
+  Alcotest.(check (list int)) msg expected (acks r)
+
+let check_rules msg expected r =
+  Alcotest.(check (list int)) msg expected (installed r)
 
 let test_fence_rejects_stale_writes () =
-  let topo = Topo.Gen.linear ~switches:1 ~hosts_per_switch:1 () in
-  let net = Network.create topo in
-  let fm priority =
-    Openflow.Message.Flow_mod
-      (Openflow.Message.add_flow ~priority ~pattern:Flow.Pattern.any
-         ~actions:[] ())
-  in
-  let send msgs =
-    Network.controller_send net ~switch_id:1 (Openflow.Wire.encode_batch msgs)
-  in
-  let table = (Network.switch net 1).table in
-  let run () = ignore (Network.run ~until:(Network.now net +. 0.05) net ()) in
-  (* epoch 1 applies *)
-  send [ (0, Openflow.Message.Fence 1); (10, fm 10) ];
-  run ();
-  Alcotest.(check int) "epoch-1 write applied" 1 (Flow.Table.size table);
-  (* a replay of the same batch dedups on the session's xid watermark *)
+  let r = rig () in
+  (* epoch 1 opens its stream at 10 and writes *)
+  open_stream r ~fence:1 10;
+  ignore (take r);
+  deliver r ~fence:1 10 (batch [ add 10 ]);
+  check_rules "epoch-1 write applied" [ 10 ] r;
+  check_acks "acked" [ 10 ] r;
+  (* a replay of the same batch is not applied again, only re-acked *)
+  let table = (Network.switch r.net 1).table in
   let gen = Flow.Table.generation table in
-  send [ (0, Openflow.Message.Fence 1); (10, fm 10) ];
-  run ();
-  Alcotest.(check int) "replay deduped (generation unchanged)" gen
+  deliver r ~fence:1 10 (batch [ add 10 ]);
+  Alcotest.(check int) "replay not applied (generation unchanged)" gen
     (Flow.Table.generation table);
-  (* epoch 2 with a LOWER xid: the higher fence resets the dedup
-     watermark, so the new leader's unrelated xid sequence applies *)
-  send [ (0, Openflow.Message.Fence 2); (3, fm 20) ];
-  run ();
-  Alcotest.(check int) "epoch-2 write applied despite lower xid" 2
-    (Flow.Table.size table);
-  (* the deposed epoch-1 leader keeps writing: rejected, counted *)
-  send [ (0, Openflow.Message.Fence 1); (11, fm 30) ];
-  run ();
-  Alcotest.(check int) "stale write rejected" 2 (Flow.Table.size table);
+  check_acks "replay re-acked" [ 10 ] r;
+  (* epoch 2 opens a stream of its own at a LOWER number: the higher
+     fence closed epoch 1's, so the new leader's numbering applies *)
+  open_stream r ~fence:2 3;
+  ignore (take r);
+  deliver r ~fence:2 3 (batch [ add 20 ]);
+  check_rules "epoch-2 write applied despite lower number" [ 10; 20 ] r;
+  check_acks "acked" [ 3 ] r;
+  (* the deposed epoch-1 leader keeps writing: rejected, counted, and
+     its barrier is not answered *)
+  deliver r ~fence:1 11 (batch [ add 30 ]);
+  check_rules "stale write rejected" [ 10; 20 ] r;
   Alcotest.(check int) "fenced_writes counted" 1
-    (Network.stats net).fenced_writes;
-  (* the fence gates only flow-mods: the stale stream's barrier still
-     acks delivery (its retransmit machinery advances into the void) *)
-  send [ (0, Openflow.Message.Fence 1); (12, fm 40);
-         (13, Openflow.Message.Barrier_request) ];
-  run ();
-  Alcotest.(check int) "still rejected" 2 (Flow.Table.size table);
+    (Network.stats r.net).fenced_writes;
+  check_acks "stale barrier unanswered" [] r;
   Alcotest.(check int) "fence token survives at highest" 2
-    (Network.ctl_channel net 1).fence
+    (Network.ctl_channel r.net 1).fence
+
+(* The frames of a stale-fenced delivery after a fresh one: nothing in
+   it runs, so its barrier (xid 12) never acks anything *)
+let test_stale_fence_barrier_unanswered () =
+  let r = rig () in
+  Network.controller_send r.net ~switch_id:1
+    (Openflow.Wire.encode_batch
+       [ (10, Openflow.Message.Fence 2); (11, add 5);
+         (11, Openflow.Message.Barrier_request) ]);
+  Network.controller_send r.net ~switch_id:1
+    (Openflow.Wire.encode_batch
+       [ (0, Openflow.Message.Fence 1); (11, add 6);
+         (12, Openflow.Message.Barrier_request) ]);
+  ignore (Network.run ~until:0.05 r.net ());
+  Alcotest.(check int) "fenced_writes" 1 (Network.stats r.net).fenced_writes;
+  Alcotest.(check bool) "no barrier reply 12" false
+    (List.mem 12 (acks r))
+
+(* a window 0..3 whose batch 1 is lost: 2 and 3 are past the gap and
+   dropped unanswered; go-back-N resends 1..3, which land in order *)
+let test_lost_middle_batch () =
+  let r = rig () in
+  open_stream r 0;
+  ignore (take r);
+  deliver r 0 (batch [ add 1 ]);
+  deliver r 2 (batch [ del 1; add 3 ]);
+  deliver r 3 (batch [ add 4 ]);
+  check_rules "only the batch before the gap" [ 1 ] r;
+  check_acks "acked up to the gap" [ 0 ] r;
+  deliver r 1 (batch [ add 2 ]);
+  deliver r 2 (batch [ del 1; add 3 ]);
+  deliver r 3 (batch [ add 4 ]);
+  check_rules "resent batches applied in order" [ 2; 3; 4 ] r;
+  check_acks "each acked" [ 1; 2; 3 ] r
+
+(* a duplicated batch applies once: a second copy of batch 0 after
+   batch 1 deleted its rule would bring the rule back *)
+let test_duplicate_batch_applies_once () =
+  let r = rig () in
+  open_stream r 0;
+  ignore (take r);
+  deliver r 0 (batch [ add 1 ]);
+  deliver r 1 (batch [ del 1; add 2 ]);
+  deliver r 0 (batch [ add 1 ]);
+  check_rules "applied once" [ 2 ] r;
+  check_acks "the copy is answered with the cumulative ack" [ 0; 1; 1 ] r
+
+(* a higher fence mid-window closes the old stream: the rest of the old
+   leader's window and its replays are dropped unanswered, so a barrier
+   numbered like the new stream's batch can never ack it *)
+let test_higher_fence_mid_window () =
+  let r = rig () in
+  open_stream r ~fence:1 0;
+  ignore (take r);
+  deliver r ~fence:1 0 (batch [ add 1 ]);
+  deliver r ~fence:1 1 (batch [ add 2 ]);
+  check_acks "epoch 1 acked" [ 0; 1 ] r;
+  (* the new leader's fence lands before its handshake *)
+  deliver r ~fence:2 0 [];
+  deliver r ~fence:1 2 (batch [ add 3 ]);
+  deliver r ~fence:2 2 (batch [ add 4 ]);
+  check_rules "nothing lands on a closed stream" [ 1; 2 ] r;
+  Alcotest.(check (list int)) "no barrier answered" [] (acks r);
+  open_stream r ~fence:2 0;
+  ignore (take r);
+  deliver r ~fence:1 0 (batch [ add 5 ]);
+  check_acks "an old-stream batch with the new stream's number: unanswered"
+    [] r;
+  deliver r ~fence:2 0 (batch [ del 1; del 2; add 6 ]);
+  check_rules "the new stream applies from its first batch" [ 6 ] r;
+  check_acks "acked" [ 0 ] r
+
+(* a switch crash mid-window: frames of the pre-crash stream that land
+   after the reboot are not applied, and are answered with the switch's
+   Hello, asking for a handshake; the handshake opens a new stream whose
+   first batch, the resync's delete-all-plus-adds, lands *)
+let test_crash_mid_window () =
+  let r = rig () in
+  open_stream r 0;
+  ignore (take r);
+  deliver r 0 (batch [ add 1 ]);
+  deliver r 1 (batch [ add 2 ]);
+  Network.crash_switch r.net 1;
+  Network.restart_switch r.net 1;
+  ignore (Network.run ~until:(Network.now r.net +. 0.01) r.net ());
+  ignore (take r);
+  deliver r 2 (batch [ add 3 ]);
+  deliver r 1 (batch [ add 2 ]);
+  check_rules "stale pre-crash frames not applied" [] r;
+  let back = take r in
+  Alcotest.(check int) "each answered with a Hello" 2
+    (List.length
+       (List.filter
+          (fun (_, (m : Openflow.Message.t)) -> m = Hello)
+          back));
+  Alcotest.(check bool) "and no barrier reply" false
+    (List.exists
+       (fun (_, (m : Openflow.Message.t)) -> m = Barrier_reply)
+       back);
+  open_stream r 4;
+  ignore (take r);
+  deliver r 4
+    (batch
+       [ Openflow.Message.Flow_mod
+           (Openflow.Message.delete_flow ~pattern:Flow.Pattern.any ());
+         add 1; add 2; add 3 ]);
+  check_rules "the resync lands" [ 1; 2; 3 ] r;
+  check_acks "acked" [ 4 ] r
 
 let test_fence_token_survives_reboot () =
   let topo = Topo.Gen.linear ~switches:1 ~hosts_per_switch:1 () in
@@ -482,7 +643,17 @@ let suites =
         Alcotest.test_case "fence rejects stale writes" `Quick
           test_fence_rejects_stale_writes;
         Alcotest.test_case "fence token survives reboot" `Quick
-          test_fence_token_survives_reboot ] );
+          test_fence_token_survives_reboot;
+        Alcotest.test_case "stale-fenced barrier unanswered" `Quick
+          test_stale_fence_barrier_unanswered;
+        Alcotest.test_case "lost middle batch resent in order" `Quick
+          test_lost_middle_batch;
+        Alcotest.test_case "duplicate batch applies once" `Quick
+          test_duplicate_batch_applies_once;
+        Alcotest.test_case "higher fence mid-window" `Quick
+          test_higher_fence_mid_window;
+        Alcotest.test_case "switch crash mid-window" `Quick
+          test_crash_mid_window ] );
     ( "replica.failover",
       [ Alcotest.test_case "failover reconverges" `Quick
           test_failover_reconverges;

@@ -1,5 +1,12 @@
 (* Tests for the reliable transport over the lossy dataplane. *)
 
+let is_complete c =
+  not (Float.is_nan (Dataplane.Transport.stats c).completed_at)
+
+let is_aborted c = (Dataplane.Transport.stats c).aborted
+
+let delivered c = (Dataplane.Transport.stats c).delivered
+
 let routed_pair ?(queue_depth = 64) ?fault () =
   let topo = Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 () in
   let net = Dataplane.Network.create ~queue_depth ?fault topo in
@@ -13,9 +20,9 @@ let test_lossless_transfer () =
   let net = routed_pair () in
   let c = Dataplane.Transport.start net ~src:1 ~dst:2 ~total:200 ~window:8 () in
   ignore (Dataplane.Network.run ~until:20.0 net ());
-  Alcotest.(check bool) "complete" true (Dataplane.Transport.is_complete c);
+  Alcotest.(check bool) "complete" true (is_complete c);
   Alcotest.(check int) "all delivered in order" 200
-    (Dataplane.Transport.delivered c);
+    (delivered c);
   Alcotest.(check int) "no retransmissions on a clean path" 0
     (Dataplane.Transport.stats c).retransmissions;
   Alcotest.(check bool) "positive goodput" true
@@ -33,9 +40,9 @@ let test_recovers_from_queue_loss () =
   Alcotest.(check bool) "queue actually dropped" true
     ((Dataplane.Network.stats net).dropped_queue > 0);
   Alcotest.(check bool) "complete despite loss" true
-    (Dataplane.Transport.is_complete c);
+    (is_complete c);
   Alcotest.(check int) "all delivered exactly once, in order" 300
-    (Dataplane.Transport.delivered c);
+    (delivered c);
   Alcotest.(check bool) "retransmissions happened" true
     ((Dataplane.Transport.stats c).retransmissions > 0)
 
@@ -54,9 +61,9 @@ let test_recovers_from_outage () =
       (Topo.Topology.Node.Switch 1, 1));
   ignore (Dataplane.Network.run ~until:60.0 net ());
   Alcotest.(check bool) "complete across the outage" true
-    (Dataplane.Transport.is_complete c);
+    (is_complete c);
   Alcotest.(check int) "nothing lost at the application" 500
-    (Dataplane.Transport.delivered c)
+    (delivered c)
 
 let test_aborts_when_unreachable () =
   let net = routed_pair () in
@@ -67,8 +74,8 @@ let test_aborts_when_unreachable () =
       ~max_retx:5 ()
   in
   ignore (Dataplane.Network.run ~until:10.0 net ());
-  Alcotest.(check bool) "aborted" true (Dataplane.Transport.is_aborted c);
-  Alcotest.(check bool) "not complete" false (Dataplane.Transport.is_complete c)
+  Alcotest.(check bool) "aborted" true (is_aborted c);
+  Alcotest.(check bool) "not complete" false (is_complete c)
 
 (* An RTO far below the path RTT exhausts the retransmission budget
    while the first window's ACKs are still in flight.  The abort stops
@@ -81,10 +88,10 @@ let test_abort_is_final () =
       ~max_retx:2 ()
   in
   ignore (Dataplane.Network.run ~until:20.0 net ());
-  Alcotest.(check bool) "aborted" true (Dataplane.Transport.is_aborted c);
-  Alcotest.(check bool) "not complete" false (Dataplane.Transport.is_complete c);
+  Alcotest.(check bool) "aborted" true (is_aborted c);
+  Alcotest.(check bool) "not complete" false (is_complete c);
   Alcotest.(check bool) "the sender stopped short of the transfer" true
-    (Dataplane.Transport.delivered c < 200)
+    (delivered c < 200)
 
 (* Every timer argument that cannot drive the transfer forward is
    rejected before the first window goes on the wire. *)
@@ -134,8 +141,8 @@ let test_backoff_beats_fixed_rto_under_loss () =
     Alcotest.(check bool) "link chaos bit" true
       ((Dataplane.Network.stats net).dropped_chaos > 0);
     Alcotest.(check bool) "complete despite loss" true
-      (Dataplane.Transport.is_complete c);
-    Alcotest.(check int) "all delivered" 300 (Dataplane.Transport.delivered c);
+      (is_complete c);
+    Alcotest.(check int) "all delivered" 300 (delivered c);
     (Dataplane.Transport.stats c).retransmissions
   in
   let fixed = retx_with 1.0 in
@@ -150,7 +157,7 @@ let test_window_increases_goodput () =
     let net = routed_pair () in
     let c = Dataplane.Transport.start net ~src:1 ~dst:2 ~total:400 ~window () in
     ignore (Dataplane.Network.run ~until:120.0 net ());
-    Alcotest.(check bool) "complete" true (Dataplane.Transport.is_complete c);
+    Alcotest.(check bool) "complete" true (is_complete c);
     Dataplane.Transport.goodput c
   in
   let g1 = goodput_for 1 and g8 = goodput_for 8 in

@@ -511,68 +511,109 @@ let test_series_rate () =
   check "length" 2 (Stats.Series.length s)
 
 (* ------------------------------------------------------------------ *)
-(* Rto *)
+(* Gbn: the go-back-N sender and its retransmission timeout *)
 
-let check_estimate msg expected rto =
+(* a sender on a hand-driven clock.  [rto] is the delay of the timer
+   armed last, [fire] runs that timer, [sent] lists the transmissions
+   (number, resent?) newest first. *)
+type harness = {
+  g : unit Gbn.t;
+  clock : float ref;
+  armed : (float * (unit -> unit)) list ref;
+  sent : (int * bool) list ref;
+}
+
+let harness ?(window = 8) ~initial ~backoff ~cap () =
+  let clock = ref 0.0 and armed = ref [] and sent = ref [] in
+  let g =
+    Gbn.create ~window ~initial ~backoff ~cap
+      ~now:(fun () -> !clock)
+      ~schedule:(fun d f -> armed := (d, f) :: !armed)
+      ~send:(fun ~retransmit n () -> sent := (n, retransmit) :: !sent)
+  in
+  Gbn.resume g;
+  { g; clock; armed; sent }
+
+let rto h = match !(h.armed) with (d, _) :: _ -> d | [] -> nan
+let fire h = match !(h.armed) with (_, f) :: _ -> f () | [] -> ()
+
+(* push one unit, wait [rtt], ack it: one RTT sample *)
+let round_trip h rtt =
+  let n = Gbn.next_seq h.g in
+  Gbn.push h.g ();
+  h.clock := !(h.clock) +. rtt;
+  check "acked" 1 (Gbn.ack h.g n)
+
+(* the timeout a fresh send arms now *)
+let next_rto h =
+  Gbn.push h.g ();
+  rto h
+
+let check_estimate msg expected h =
   Alcotest.(check (option (pair (float 1e-12) (float 1e-12)))) msg expected
-    (Rto.estimate rto)
+    (Gbn.estimate h.g)
 
 (* RFC 6298 2.2/2.3, worked by hand *)
 let test_rto_rfc6298 () =
-  let r = Rto.create ~initial:1.0 ~backoff:2.0 ~cap:60.0 in
-  check_estimate "no sample yet" None r;
-  checkf "initial RTO" 1.0 (Rto.current r);
-  Rto.ack ~rtt:0.1 r;
-  check_estimate "first sample" (Some (0.1, 0.05)) r;
-  checkf "SRTT + 4 RTTVAR" 0.3 (Rto.current r);
-  Rto.ack ~rtt:0.2 r;
-  check_estimate "second sample" (Some (0.1125, 0.0625)) r;
-  checkf "second RTO" 0.3625 (Rto.current r);
-  Rto.ack ~rtt:0.05 r;
-  check_estimate "third sample" (Some (0.1046875, 0.0625)) r;
-  checkf "third RTO" 0.3546875 (Rto.current r)
+  let h = harness ~initial:1.0 ~backoff:2.0 ~cap:60.0 () in
+  check_estimate "no sample yet" None h;
+  round_trip h 0.1;
+  check_estimate "first sample" (Some (0.1, 0.05)) h;
+  checkf "SRTT + 4 RTTVAR" 0.3 (next_rto h);
+  h.clock := !(h.clock) +. 0.2;
+  check "acked" 1 (Gbn.ack h.g 1);
+  check_estimate "second sample" (Some (0.1125, 0.0625)) h;
+  checkf "second RTO" 0.3625 (next_rto h);
+  h.clock := !(h.clock) +. 0.05;
+  check "acked" 1 (Gbn.ack h.g 2);
+  check_estimate "third sample" (Some (0.1046875, 0.0625)) h;
+  checkf "third RTO" 0.3546875 (next_rto h)
 
 let test_rto_backoff_cap () =
-  let r = Rto.create ~initial:0.02 ~backoff:2.0 ~cap:0.1 in
+  let h = harness ~initial:0.02 ~backoff:2.0 ~cap:0.1 () in
+  checkf "initial RTO" 0.02 (next_rto h);
   List.iter
     (fun expected ->
-      Rto.expire r;
-      checkf "backed off" expected (Rto.current r))
+      fire h;
+      checkf "backed off" expected (rto h))
     [ 0.04; 0.08; 0.1; 0.1 ];
-  Rto.ack r;
+  check "acked" 1 (Gbn.ack h.g 0);
+  check_estimate "a resent unit is not timed" None h;
   checkf "an ack before any sample returns to the initial RTO" 0.02
-    (Rto.current r);
-  Rto.ack ~rtt:0.5 r;
-  checkf "the estimate is capped too" 0.1 (Rto.current r)
+    (next_rto h);
+  h.clock := !(h.clock) +. 0.5;
+  check "acked" 1 (Gbn.ack h.g 1);
+  checkf "the estimate is capped too" 0.1 (next_rto h)
 
-(* Karn's rule: the ack of a retransmitted send carries no sample, and
-   only undoes the backoff *)
+(* Karn's rule: the ack of a resent unit carries no sample, and only
+   undoes the backoff *)
 let test_rto_karn () =
-  let r = Rto.create ~initial:0.02 ~backoff:2.0 ~cap:0.5 in
-  Rto.ack ~rtt:0.002 r;
-  let before = Rto.estimate r and rto = Rto.current r in
-  Rto.expire r;
-  Rto.expire r;
-  Alcotest.(check bool) "backed off" true (Rto.current r > rto);
-  Rto.ack r;
-  check_estimate "SRTT/RTTVAR untouched" before r;
-  checkf "back at the estimate" rto (Rto.current r)
+  let h = harness ~initial:0.02 ~backoff:2.0 ~cap:0.5 () in
+  round_trip h 0.002;
+  let before = Gbn.estimate h.g and rto0 = next_rto h in
+  fire h;
+  fire h;
+  Alcotest.(check bool) "backed off" true (rto h > rto0);
+  h.clock := !(h.clock) +. 0.3;
+  check "acked" 1 (Gbn.ack h.g 1);
+  check_estimate "SRTT/RTTVAR untouched" before h;
+  checkf "back at the estimate" rto0 (next_rto h)
 
 (* RTTVAR decays to 0 on a constant RTT; the clock-granularity floor
    keeps the timer from firing with the reply *)
 let test_rto_granularity_floor () =
-  let r = Rto.create ~initial:0.02 ~backoff:2.0 ~cap:0.5 in
+  let h = harness ~initial:0.02 ~backoff:2.0 ~cap:0.5 () in
   for _ = 1 to 500 do
-    Rto.ack ~rtt:0.002 r
+    round_trip h 0.002
   done;
-  Alcotest.(check bool) "strictly above the RTT" true (Rto.current r > 0.002);
-  checkf "by one wheel tick" (0.002 +. Timing_wheel.default_tick)
-    (Rto.current r)
+  let r = next_rto h in
+  Alcotest.(check bool) "strictly above the RTT" true (r > 0.002);
+  checkf "by one wheel tick" (0.002 +. Timing_wheel.default_tick) r
 
 let test_rto_rejects () =
   let arg =
     Alcotest.testable
-      (fun ppf (a : Rto.arg) ->
+      (fun ppf (a : Gbn.arg) ->
         Format.pp_print_string ppf
           (match a with
            | Initial -> "Initial"
@@ -583,8 +624,8 @@ let test_rto_rejects () =
   List.iter
     (fun (expected, initial, backoff, cap) ->
       Alcotest.(check (option arg)) "named" expected
-        (Rto.bad_arg ~initial ~backoff ~cap);
-      match Rto.create ~initial ~backoff ~cap with
+        (Gbn.bad_arg ~initial ~backoff ~cap);
+      match harness ~initial ~backoff ~cap () with
       | _ -> if expected <> None then Alcotest.fail "accepted"
       | exception Invalid_argument _ ->
         if expected = None then Alcotest.fail "rejected")
@@ -599,7 +640,40 @@ let test_rto_rejects () =
       (Some Backoff, 0.02, infinity, 0.5);
       (Some Cap, 0.02, 2.0, 0.01);
       (Some Cap, 0.02, 2.0, nan);
-      (Some Cap, 0.02, 2.0, infinity) ]
+      (Some Cap, 0.02, 2.0, infinity) ];
+  match harness ~window:0 ~initial:0.02 ~backoff:2.0 ~cap:0.5 () with
+  | _ -> Alcotest.fail "window 0 accepted"
+  | exception Invalid_argument _ -> ()
+
+(* the window: at most [window] units unacked, a cumulative ack slides
+   it, an expiry resends every outstanding unit oldest first, and a
+   held sender numbers nothing until it resumes *)
+let test_gbn_window () =
+  let h = harness ~window:3 ~initial:0.02 ~backoff:2.0 ~cap:0.5 () in
+  let sent () =
+    let s = List.rev !(h.sent) in
+    h.sent := [];
+    s
+  in
+  for _ = 1 to 5 do
+    Gbn.push h.g ()
+  done;
+  Alcotest.(check (list (pair int bool))) "a window's worth"
+    [ (0, false); (1, false); (2, false) ] (sent ());
+  check "a stale ack acks nothing" 0 (Gbn.ack h.g (-1));
+  check "an ack past what was sent acks nothing" 0 (Gbn.ack h.g 3);
+  check "cumulative ack" 2 (Gbn.ack h.g 1);
+  Alcotest.(check (list (pair int bool))) "the window slides"
+    [ (3, false); (4, false) ] (sent ());
+  fire h;
+  Alcotest.(check (list (pair int bool))) "go-back-N resend"
+    [ (2, true); (3, true); (4, true) ] (sent ());
+  check "reset abandons the outstanding and the queued" 3 (Gbn.reset h.g);
+  Gbn.push h.g ();
+  Alcotest.(check (list (pair int bool))) "held" [] (sent ());
+  check "numbering continues" 5 (Gbn.next_seq h.g);
+  Gbn.resume h.g;
+  Alcotest.(check (list (pair int bool))) "resumed" [ (5, false) ] (sent ())
 
 (* ------------------------------------------------------------------ *)
 (* Pool *)
@@ -726,7 +800,8 @@ let suites =
         Alcotest.test_case "Karn's rule" `Quick test_rto_karn;
         Alcotest.test_case "granularity floor" `Quick
           test_rto_granularity_floor;
-        Alcotest.test_case "rejects bad timers" `Quick test_rto_rejects ] );
+        Alcotest.test_case "rejects bad timers" `Quick test_rto_rejects;
+        Alcotest.test_case "go-back-N window" `Quick test_gbn_window ] );
     ( "util.pool",
       [ Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
         Alcotest.test_case "size-1 runs inline" `Quick
