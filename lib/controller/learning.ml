@@ -4,6 +4,8 @@ type t = {
   app : Api.app;
   (* (switch, mac) -> port *)
   locations : (int * Mac.t, int) Hashtbl.t;
+  (* (switch, mac) -> port and send time of the last install *)
+  sent : (int * Mac.t, int * float) Hashtbl.t;
   mutable installs : int;
   idle_timeout : float option;
   mutable tree : (int, int list) Hashtbl.t option;
@@ -27,6 +29,24 @@ let create ?(idle_timeout = Some 60.0) () =
       tree
   in
   let switch_up ctx ~switch_id:_ ~ports:_ = ignore (tree ctx) in
+  (* a switch that went down lost its table, or will be resynced to the
+     permanent rules only *)
+  let switch_down _ctx ~switch_id =
+    Hashtbl.filter_map_inplace
+      (fun (sw, _) v -> if sw = switch_id then None else Some v)
+      (get ()).sent
+  in
+  (* the same install was sent less than an idle timeout ago: the switch
+     starts its idle clock when the rule lands, so the rule is in flight
+     or installed, and packet-ins until it lands need no second copy *)
+  let installed ctx t key out_port =
+    match Hashtbl.find_opt t.sent key with
+    | Some (port, at) ->
+      port = out_port
+      && Api.time ctx -. at
+         < Option.value t.idle_timeout ~default:Float.infinity
+    | None -> false
+  in
   let packet_in ctx ~switch_id ~port ~reason:_
       (payload : Openflow.Message.payload) =
     let t = get () in
@@ -40,10 +60,14 @@ let create ?(idle_timeout = Some 60.0) () =
       else Hashtbl.find_opt t.locations (switch_id, h.eth_dst)
     with
     | Some out_port ->
-      t.installs <- t.installs + 1;
-      Api.install ctx ~switch_id ~priority:10 ?idle_timeout:t.idle_timeout
-        { Flow.Pattern.any with eth_dst = Some h.eth_dst }
-        (Flow.Action.forward out_port);
+      let key = (switch_id, h.eth_dst) in
+      if not (installed ctx t key out_port) then begin
+        Hashtbl.replace t.sent key (out_port, Api.time ctx);
+        t.installs <- t.installs + 1;
+        Api.install ctx ~switch_id ~priority:10 ?idle_timeout:t.idle_timeout
+          { Flow.Pattern.any with eth_dst = Some h.eth_dst }
+          (Flow.Action.forward out_port)
+      end;
       Api.packet_out ctx ~switch_id ~in_port:port
         [ Flow.Action.Output (Physical out_port) ]
         payload
@@ -59,11 +83,11 @@ let create ?(idle_timeout = Some 60.0) () =
         payload
   in
   let app =
-    { (Api.default_app "learning") with switch_up; packet_in }
+    { (Api.default_app "learning") with switch_up; switch_down; packet_in }
   in
   let t =
-    { app; locations = Hashtbl.create 64; installs = 0;
-      idle_timeout; tree = None }
+    { app; locations = Hashtbl.create 64; sent = Hashtbl.create 64;
+      installs = 0; idle_timeout; tree = None }
   in
   t_ref := Some t;
   t

@@ -6,9 +6,8 @@ module Ctl_channel = Dataplane.Ctl_channel
 type role = Leader | Standby | Down
 
 type config = {
-  lease : float;         (* lease duration, seconds *)
-  hb_period : float;     (* heartbeat period, [lease / 3] *)
-  repl_latency : float;  (* one-way inter-controller latency *)
+  lease : float;      (* lease duration, seconds *)
+  hb_period : float;  (* heartbeat period, [lease / 3] *)
 }
 
 (* one inter-controller message; deltas carry the decoded message (the
@@ -55,7 +54,6 @@ type stats = {
 type t = {
   net : Network.t;
   cfg : config;
-  latency : float;
   resilience : Runtime.resilience;
   mk_apps : unit -> Api.app list;
       (* app factory: each leader incarnation runs fresh app instances
@@ -109,8 +107,7 @@ let rec send_repl t ~src ~dst msg =
     t.rstats.repl_bytes <- t.rstats.repl_bytes + repl_size msg;
     match
       Ctl_channel.transmit t.repl_fault t.lanes.(src).(dst)
-        ~cut:(ms.partitioned || md.partitioned) ~now:(now t)
-        ~latency:t.cfg.repl_latency (fun time ->
+        ~cut:(ms.partitioned || md.partitioned) ~now:(now t) (fun time ->
           Sim.schedule_at (sim t) ~time (fun () -> recv_repl t md msg))
     with
     | Sent -> ()
@@ -239,29 +236,21 @@ and mk_on_shadow t m ~switch_id msg =
       (Delta { d_epoch = m.m_epoch; d_sw = switch_id; d_msg = msg })
   end
 
-(* hand every switch session to [rt] — in-flight frames re-home at
-   delivery, the stream gate and FIFO clamps stay in the session.  The
-   new epoch reaches each switch with the runtime's first handshake,
-   which it opens with its fence: from then on nothing the deposed
-   leader sends is applied or answered *)
-and adopt_all t rt =
-  let h = Runtime.handler rt in
-  List.iter
-    (fun sid -> Ctl_channel.adopt (Network.ctl_channel t.net sid) h)
-    t.switch_ids
-
+(* the new runtime adopts every switch session — in-flight frames
+   re-home at delivery, the stream gate and FIFO clamps stay in the
+   session.  The new epoch reaches each switch with the runtime's first
+   handshake, which it opens with its fence: from then on nothing the
+   deposed leader sends is applied or answered *)
 and start_leader t m ~shadows =
   m.role <- Leader;
   m.term <- m.term + 1;
   let apps = t.mk_apps () in
   let rt =
-    Runtime.create ~latency:t.latency ~resilience:t.resilience ~attach:false
-      ~fence:m.m_epoch ~shadows
+    Runtime.create ~resilience:t.resilience ~fence:m.m_epoch ~shadows
       ~on_shadow:(mk_on_shadow t m) t.net apps
   in
   m.runtime <- Some rt;
   m.apps <- apps;
-  adopt_all t rt;
   (* replicated app state enters before any switch_up event fires (the
      features replies are still in flight) *)
   List.iter
@@ -420,9 +409,8 @@ let shutdown t =
 (* ------------------------------------------------------------------ *)
 (* Creation *)
 
-let create ?(latency = 1e-3) ?(resilience = Runtime.default_resilience)
-    ?(replicas = 2) ?(lease = 0.15) ?(repl_latency = 1e-3) ?repl_fault
-    net mk_apps =
+let create ?(resilience = Runtime.default_resilience) ?(replicas = 2)
+    ?(lease = 0.15) ?repl_fault net mk_apps =
   if replicas < 2 then
     invalid_arg "Replica.create: replicas < 2 (one controller is a Runtime)";
   if lease <= 0.0 then invalid_arg "Replica.create: lease <= 0";
@@ -438,8 +426,8 @@ let create ?(latency = 1e-3) ?(resilience = Runtime.default_resilience)
         partitioned = false; term = 0 })
   in
   let t =
-    { net; cfg = { lease; hb_period = lease /. 3.0; repl_latency };
-      latency; resilience; mk_apps; switch_ids; members;
+    { net; cfg = { lease; hb_period = lease /. 3.0 };
+      resilience; mk_apps; switch_ids; members;
       repl_fault;
       lanes =
         Array.init replicas (fun _ ->

@@ -2,7 +2,8 @@
     {!Dataplane.Network} under a leader-lease protocol.
 
     One member holds the lease and owns every switch control session
-    (adopted via {!Dataplane.Ctl_channel.adopt}); it is the only writer.
+    (its runtime adopted them, as every {!Runtime.create} does); it is
+    the only writer.
     The leader streams its intended state to the standbys over a
     seeded-chaos-capable inter-controller channel: heartbeats every
     [lease/3] carry the lease epoch and the apps' exported state blobs,
@@ -13,9 +14,9 @@
     {b Failover.}  A standby that misses heartbeats for a full lease
     (staggered per member so two standbys never take over in the same
     instant) declares the lease expired, bumps the epoch, creates a
-    fresh runtime {e seeded from its replica} ([~shadows]), adopts every
-    switch session — frames already in flight re-home with the session —
-    and re-handshakes.  Because the seeded shadow marks every switch as
+    fresh runtime {e seeded from its replica} ([~shadows]), which adopts
+    every switch session — frames already in flight re-home with the
+    session — and re-handshakes.  Because the seeded shadow marks every switch as
     previously handshaked, the first features reply triggers the
     runtime's resync: every switch is re-pushed, in full, the table the
     replica says it should hold.  A warm converged table reloads the
@@ -93,19 +94,18 @@ val shutdown : t -> unit
     replicated state restored through [import_state].
 
     [lease] (default 0.15 s) bounds failover detection; heartbeats ride
-    every [lease/3].  [repl_fault] attaches chaos to the
-    inter-controller channel; [resilience] sets every member runtime's
-    timers (default {!Runtime.default_resilience}).
+    every [lease/3].  The inter-controller channel has the control
+    channel's one-way latency ({!Dataplane.Ctl_channel.latency});
+    [repl_fault] puts chaos on it.  [resilience] sets every member
+    runtime's timers (default {!Runtime.default_resilience}).
 
     {!Dataplane.Fault.Controller_outage} incidents injected into [net] crash and
     restart members by id.
     @raise Invalid_argument when [replicas < 2], [lease <= 0] or
     [resilience] fails {!Runtime.check_resilience}. *)
 val create :
-  ?latency:float ->
   ?resilience:Runtime.resilience ->
   ?replicas:int ->
   ?lease:float ->
-  ?repl_latency:float ->
   ?repl_fault:Dataplane.Fault.t ->
   Dataplane.Network.t -> (unit -> Api.app list) -> t

@@ -5,15 +5,10 @@ type t = {
   mutable reinstalls : int;      (* recomputation rounds *)
   mutable last_churn : int;      (* flow-mods issued by the last round *)
   mutable recompute_pending : bool;  (* a coalesced recompute is scheduled *)
-  mutable repushes : int;            (* single-switch re-pushes on repeat
-                                        switch_up (post-crash re-handshake) *)
   (* what we believe each live switch's table holds: per-switch uid
-     certificates + rule lists from the last compile (for uid-skipping,
-     diffing, and crash re-pushes) *)
+     certificates + rule lists from the last compile (for uid-skipping
+     and diffing) *)
   mutable snap : Netkat.Delta.snapshot option;
-  (* switches that have announced themselves at least once — a second
-     announcement is a re-handshake *)
-  seen : (int, unit) Hashtbl.t;
   (* switches reported down by the runtime's keepalive: compiled around
      (their links are failed on a topology copy) until they re-handshake *)
   dead : (int, unit) Hashtbl.t;
@@ -79,19 +74,14 @@ let create ?(use_ip = false) ?(cookie = 0x0e) () =
     end
   in
   let switch_up ctx ~switch_id ~ports:_ =
-    (* push all tables once, when the first switch comes up; a {e
-       repeat} switch_up for a known switch is a re-handshake after a
-       crash — its table is empty, so re-push that switch's rules as a
-       full replacement *)
+    (* push all tables once, when the first switch comes up.  A repeat
+       switch_up is a re-handshake, which always follows the runtime's
+       switch_down, so the switch is dead here: it rejoins the topology.
+       Routes were computed around it, so recompute everything (the
+       runtime's resync already reconciled its table to the shadow; the
+       recompute's mods ride the same ordered stream after it) *)
     let t = get () in
-    let repeat = Hashtbl.mem t.seen switch_id in
-    Hashtbl.replace t.seen switch_id ();
-    let was_dead = Hashtbl.mem t.dead switch_id in
-    if was_dead then begin
-      (* the switch rejoins the topology: routes were computed around it,
-         so its [installed] entry is stale — recompute everything (the
-         runtime's resync already reconciled its table to the shadow; the
-         recompute's mods ride the same ordered stream after it) *)
+    if Hashtbl.mem t.dead switch_id then begin
       Hashtbl.remove t.dead switch_id;
       schedule_recompute t ctx
     end;
@@ -99,14 +89,6 @@ let create ?(use_ip = false) ?(cookie = 0x0e) () =
       installed := true;
       push_tables t ctx
     end
-    else if repeat && not was_dead then
-      match Option.bind t.snap (fun s -> Netkat.Delta.find s switch_id) with
-      | None -> ()  (* never compiled for it; the next recompute will *)
-      | Some rules ->
-        t.repushes <- t.repushes + 1;
-        Api.send_flow_mods ctx ~switch_id
-          (Api.change_flow_mods ~cookie:t.cookie ~known:false
-             (Netkat.Delta.Changed { rules; adds = rules; deletes = [] }))
   in
   let switch_down ctx ~switch_id =
     (* keepalive verdict from the runtime: treat the switch as
@@ -128,9 +110,8 @@ let create ?(use_ip = false) ?(cookie = 0x0e) () =
   in
   let t =
     { app; cookie; installs = 0; reinstalls = 0; last_churn = 0;
-      recompute_pending = false; repushes = 0;
-      snap = None;
-      seen = Hashtbl.create 16; dead = Hashtbl.create 4; reroutes = 0;
+      recompute_pending = false; snap = None;
+      dead = Hashtbl.create 4; reroutes = 0;
       use_ip }
   in
   t_ref := Some t;
@@ -139,7 +120,6 @@ let create ?(use_ip = false) ?(cookie = 0x0e) () =
 let app t = t.app
 let installs t = t.installs
 let reinstalls t = t.reinstalls
-let repushes t = t.repushes
 let reroutes t = t.reroutes
 let dead_switches t = Hashtbl.fold (fun id () acc -> id :: acc) t.dead []
 let last_churn t = t.last_churn

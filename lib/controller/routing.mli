@@ -25,9 +25,6 @@ val installs : t -> int
 
 val reinstalls : t -> int
 
-(** Test-only. *)
-val repushes : t -> int
-
 val reroutes : t -> int
 
 (** Test-only. *)

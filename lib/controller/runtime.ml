@@ -67,16 +67,9 @@ type t = {
   fence : int;
       (* lease epoch opening every transmission (see [transmit]); 0 = no
          fencing (single controller) *)
-  preset : (int, Flow.Table.rule list) Hashtbl.t;
-      (* replicated shadow tables to seed per-switch state from (a new
-         leader starts from its replica, not from empty); consumed by
-         [state] on first touch *)
   on_shadow : (switch_id:int -> Openflow.Message.t -> unit) option;
       (* replication hook: observes every flow-mod as it is shadowed,
          i.e. exactly the intended-state delta stream *)
-  mutable hfn : (switch_id:int -> bytes -> unit) option;
-      (* the control-channel receive handler, exposed for session
-         adoption (see {!handler}) *)
 }
 
 (* one transmission to [switch_id], every frame numbered [xid]; a
@@ -112,15 +105,6 @@ let state t switch_id =
         status = Handshaking; echo_outstanding = 0; down_since = 0.0;
         handshaked = false }
     in
-    (match Hashtbl.find_opt t.preset switch_id with
-     | None -> ()
-     | Some rules ->
-       (* seed the intended-state shadow from the replicated copy, and
-          mark the switch as previously handshaked so the first features
-          reply re-pushes it *)
-       Flow.Table.add_copies st.shadow rules;
-       st.handshaked <- true;
-       Hashtbl.remove t.preset switch_id);
     Hashtbl.replace t.states switch_id st;
     st
 
@@ -276,87 +260,83 @@ let halt t =
   t.stopped <- true;
   t.halted <- true
 
-let create ?(latency = 1e-3) ?(resilience = default_resilience)
-    ?(attach = true) ?(fence = 0) ?(shadows = []) ?on_shadow
-    net apps =
-  check_resilience "Runtime.create" resilience;
-  let t_ref = ref None in
-  let rec handler ~switch_id data =
-    match !t_ref with
-    | None -> ()
-    | Some t -> if not t.halted then handle t ~switch_id data
-  and handle t ~switch_id data =
-    (* switches send single frames today, but decode as a batch so the
-       channel is symmetric *)
+let dispatch t ~switch_id ~xid (msg : Openflow.Message.t) =
+  match msg with
+  | Hello ->
+    (* The only switch-originated Hello is the spontaneous restart
+       announcement.  From a switch believed up, declare it down and
+       open a fresh handshake; from one already marked down, just
+       handshake (the probe loop would get there anyway, this
+       shortens the outage).  During the initial handshake it is
+       ignored — a features exchange is already in flight. *)
+    let st = state t switch_id in
+    (match st.status with
+     | Sw_up ->
+       mark_down t st;
+       send_handshake t st
+     | Sw_down -> send_handshake t st
+     | Handshaking -> ())
+  | Echo_reply _ ->
+    let st = state t switch_id in
+    if st.status = Sw_up then st.echo_outstanding <- 0
+  | Barrier_reply ->
+    (* a cumulative ack; a stale or duplicate one acks nothing *)
+    t.rstats.acked_batches <-
+      t.rstats.acked_batches + Util.Gbn.ack (state t switch_id).stream xid
+  | Features_reply f ->
+    let st = state t f.datapath_id in
+    (match st.status with
+     | Sw_up -> ()  (* duplicate features reply: already up *)
+     | prev ->
+       st.status <- Sw_up;
+       st.echo_outstanding <- 0;
+       t.handshakes <- t.handshakes + 1;
+       if prev = Sw_down then
+         t.rstats.recovery_samples <-
+           (Api.time t.ctx -. st.down_since) :: t.rstats.recovery_samples;
+       let resync = st.handshaked in
+       st.handshaked <- true;
+       (* re-handshake after a crash: restore intended state before
+          apps react, then let their switch_up pushes layer on top *)
+       if resync then full_resync t st;
+       List.iter
+         (fun (app : Api.app) ->
+           app.switch_up t.ctx ~switch_id:f.datapath_id ~ports:f.port_list)
+         t.apps;
+       Util.Gbn.resume st.stream)
+  | Packet_in pi ->
+    List.iter
+      (fun (app : Api.app) ->
+        app.packet_in t.ctx ~switch_id ~port:pi.in_port ~reason:pi.reason
+          pi.packet)
+      t.apps
+  | Port_status ps ->
+    List.iter
+      (fun (app : Api.app) ->
+        app.port_status t.ctx ~switch_id ~port:ps.ps_port
+          ~up:(ps.ps_reason = Openflow.Message.Port_up))
+      t.apps
+  | Stats_reply reply ->
+    (match Hashtbl.find_opt t.stats_waiters switch_id with
+     | Some q when not (Queue.is_empty q) -> (Queue.pop q) reply
+     | Some _ | None -> ())
+  | Echo_request _ | Features_request | Packet_out _ | Flow_mod _
+  | Stats_request _ | Barrier_request | Fence _ ->
+    ()
+    (* switch-bound message types never arrive at the controller, and
+       no switch originates an echo request *)
+
+let handler t ~switch_id data =
+  (* switches send single frames today, but decode as a batch so the
+     channel is symmetric *)
+  if not t.halted then
     List.iter
       (fun (xid, msg) -> dispatch t ~switch_id ~xid msg)
       (Openflow.Wire.decode_all data)
-  and dispatch t ~switch_id ~xid (msg : Openflow.Message.t) =
-    match msg with
-    | Hello ->
-      (* The only switch-originated Hello is the spontaneous restart
-         announcement.  From a switch believed up, declare it down and
-         open a fresh handshake; from one already marked down, just
-         handshake (the probe loop would get there anyway, this
-         shortens the outage).  During the initial handshake it is
-         ignored — a features exchange is already in flight. *)
-      let st = state t switch_id in
-      (match st.status with
-       | Sw_up ->
-         mark_down t st;
-         send_handshake t st
-       | Sw_down -> send_handshake t st
-       | Handshaking -> ())
-    | Echo_reply _ ->
-      let st = state t switch_id in
-      if st.status = Sw_up then st.echo_outstanding <- 0
-    | Barrier_reply ->
-      (* a cumulative ack; a stale or duplicate one acks nothing *)
-      t.rstats.acked_batches <-
-        t.rstats.acked_batches + Util.Gbn.ack (state t switch_id).stream xid
-    | Features_reply f ->
-      let st = state t f.datapath_id in
-      (match st.status with
-       | Sw_up -> ()  (* duplicate features reply: already up *)
-       | prev ->
-         st.status <- Sw_up;
-         st.echo_outstanding <- 0;
-         t.handshakes <- t.handshakes + 1;
-         if prev = Sw_down then
-           t.rstats.recovery_samples <-
-             (Api.time t.ctx -. st.down_since) :: t.rstats.recovery_samples;
-         let resync = st.handshaked in
-         st.handshaked <- true;
-         (* re-handshake after a crash: restore intended state before
-            apps react, then let their switch_up pushes layer on top *)
-         if resync then full_resync t st;
-         List.iter
-           (fun (app : Api.app) ->
-             app.switch_up t.ctx ~switch_id:f.datapath_id ~ports:f.port_list)
-           t.apps;
-         Util.Gbn.resume st.stream)
-    | Packet_in pi ->
-      List.iter
-        (fun (app : Api.app) ->
-          app.packet_in t.ctx ~switch_id ~port:pi.in_port ~reason:pi.reason
-            pi.packet)
-        t.apps
-    | Port_status ps ->
-      List.iter
-        (fun (app : Api.app) ->
-          app.port_status t.ctx ~switch_id ~port:ps.ps_port
-            ~up:(ps.ps_reason = Openflow.Message.Port_up))
-        t.apps
-    | Stats_reply reply ->
-      (match Hashtbl.find_opt t.stats_waiters switch_id with
-       | Some q when not (Queue.is_empty q) -> (Queue.pop q) reply
-       | Some _ | None -> ())
-    | Echo_request _ | Features_request | Packet_out _ | Flow_mod _
-    | Stats_request _ | Barrier_request | Fence _ ->
-      ()
-      (* switch-bound message types never arrive at the controller, and
-         no switch originates an echo request *)
-  in
+
+let create ?(resilience = default_resilience) ?(fence = 0) ?(shadows = [])
+    ?on_shadow net apps =
+  check_resilience "Runtime.create" resilience;
   (* tie the knot: the ctx closes over the runtime record *)
   let rec t =
     { ctx =
@@ -383,38 +363,37 @@ let create ?(latency = 1e-3) ?(resilience = default_resilience)
         { retransmits = 0; echo_misses = 0; switch_downs = 0; resyncs = 0;
           acked_batches = 0; dropped_batches = 0; recovery_samples = [] };
       stopped = false; halted = false;
-      fence;
-      preset =
-        (let h = Hashtbl.create (List.length shadows) in
-         List.iter (fun (sid, rules) -> Hashtbl.replace h sid rules) shadows;
-         h);
-      on_shadow; hfn = None }
+      fence; on_shadow }
   in
-  t_ref := Some t;
-  t.hfn <- Some handler;
-  if attach then Dataplane.Network.attach_controller net ~latency handler;
-  (* handshake with every switch: hello + features request ride in one
-     batched transmission per switch *)
+  (* take every switch: adopt its session, then handshake (hello +
+     features request in one transmission).  A switch seeded from a
+     replicated shadow counts as handshaked before, so its first
+     features reply re-pushes it *)
   List.iter
     (fun (sw : Dataplane.Network.switch) ->
-      let switch_id = sw.sw_id in
-      send_handshake t (state t switch_id);
+      let st = state t sw.sw_id in
+      (match List.assoc_opt sw.sw_id shadows with
+       | Some rules ->
+         Flow.Table.add_copies st.shadow rules;
+         st.handshaked <- true
+       | None -> ());
+      Dataplane.Network.adopt sw.ctl (handler t);
+      send_handshake t st;
       Api.schedule t.ctx ~delay:resilience.echo_period (fun () ->
-        keepalive_tick t (state t switch_id)))
+        keepalive_tick t st))
     (Dataplane.Network.switch_list net);
   t
 
 let ctx t = t.ctx
 
-let handler t =
-  match t.hfn with Some h -> h | None -> assert false (* set in create *)
-
 let ready_switches t = t.handshakes
 
 let switch_up t ~switch_id = (state t switch_id).status = Sw_up
 
-let create_and_handshake ?(latency = 1e-3) ?resilience net apps =
-  let t = create ~latency ?resilience net apps in
-  let horizon = Dataplane.Network.now net +. (20.0 *. latency) in
+let create_and_handshake ?resilience net apps =
+  let t = create ?resilience net apps in
+  let horizon =
+    Dataplane.Network.now net +. (20.0 *. Dataplane.Ctl_channel.latency)
+  in
   ignore (Dataplane.Network.run ~until:horizon net ());
   t

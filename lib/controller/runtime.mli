@@ -39,7 +39,7 @@
       whether the table survived or was wiped.
 
     The keepalive loop schedules forever, so a simulation with a
-    controller attached never drains its event queue: run it with
+    controller running never drains its event queue: run it with
     [~until], or call {!shutdown} first. *)
 
 (** Knobs for the keepalive / retransmission machinery. *)
@@ -128,32 +128,29 @@ val shutdown : t -> unit
     only the fencing tokens protect the switches). *)
 val halt : t -> unit
 
-(** [create ?latency ?resilience net apps] attaches a controller
-    speaking the wire protocol to [net] and registers [apps]
-    (dispatched in list order).  [resilience] (default
-    {!default_resilience}) sets the keepalive and retransmission
-    timers.  The handshake (hello + features
-    request) with every switch is scheduled immediately; apps receive
-    [switch_up] once the features reply returns.  [net] is a
-    single-domain network: the runtime handshakes with every switch it
-    holds, and a sharded simulation ({!Dataplane.Shard}) takes no
-    controller.
+(** [create ?resilience net apps] starts a controller speaking the wire
+    protocol on [net] and registers [apps] (dispatched in list order).
+    It takes every switch of [net] the one way a controller owns a
+    switch: it adopts the switch's session ({!Dataplane.Network.adopt}
+    with {!handler}) and schedules the handshake (hello + features
+    request) at once; apps receive [switch_up] once the features reply
+    returns.  A later runtime on the same network (a new leader) adopts
+    the sessions in turn.  [resilience] (default {!default_resilience})
+    sets the keepalive and retransmission timers.  [net] is a
+    single-domain network: a sharded simulation ({!Dataplane.Shard})
+    takes no controller.
 
     The remaining knobs exist for {!Controller.Replica} and leave the
     single-controller behavior byte-identical at their defaults:
-    [attach:false] skips {!Dataplane.Network.attach_controller} — the
-    caller adopts individual switch sessions instead
-    ({!Dataplane.Ctl_channel.adopt} with {!handler}); [fence] opens every
-    transmission with a lease-epoch {!Openflow.Message.Fence}; [shadows] seeds
-    per-switch intended-state from a replica (those switches resync on
-    their first features reply); [on_shadow] observes every shadowed
-    flow-mod — the replication delta stream.
+    [fence] opens every transmission with a lease-epoch
+    {!Openflow.Message.Fence}; [shadows] seeds per-switch intended state
+    from a replica (those switches resync on their first features
+    reply); [on_shadow] observes every shadowed flow-mod — the
+    replication delta stream.
     @raise Invalid_argument on a [resilience] record that
     {!check_resilience} rejects. *)
 val create :
-  ?latency:float ->
   ?resilience:resilience ->
-  ?attach:bool ->
   ?fence:int ->
   ?shadows:(int * Flow.Table.rule list) list ->
   ?on_shadow:(switch_id:int -> Openflow.Message.t -> unit) ->
@@ -161,8 +158,8 @@ val create :
 
 val ctx : t -> Api.ctx
 
-(** The control-channel receive handler — what
-    {!Dataplane.Ctl_channel.adopt} re-homes a switch session to. *)
+(** The control-channel receive handler — what {!create} adopts every
+    switch session to ({!Dataplane.Ctl_channel.adopt}). *)
 val handler : t -> switch_id:int -> bytes -> unit
 
 (** Switches that have completed the feature handshake (re-handshakes
@@ -181,6 +178,5 @@ val switch_up : t -> switch_id:int -> bool
     installed when this returns.  Apps with periodic loops (e.g.
     {!Monitor}) schedule beyond this horizon and are unaffected. *)
 val create_and_handshake :
-  ?latency:float ->
   ?resilience:resilience ->
   Dataplane.Network.t -> Api.app list -> t

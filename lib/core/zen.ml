@@ -33,16 +33,14 @@ let install_policy t pol = install_fdd t (Netkat.Fdd.of_policy pol)
 let install_policy_string t s =
   install_policy t (Netkat.Parser.pol_of_string s)
 
-let with_controller ?latency ?resilience t apps =
-  Controller.Runtime.create_and_handshake ?latency ?resilience t.network apps
+let with_controller ?resilience t apps =
+  Controller.Runtime.create_and_handshake ?resilience t.network apps
 
-let with_replicas ?(latency = 1e-3) ?resilience ?replicas ?lease
-    ?repl_latency ?repl_fault t mk_apps =
+let with_replicas ?resilience ?replicas ?lease t mk_apps =
   let r =
-    Controller.Replica.create ~latency ?resilience ?replicas ?lease
-      ?repl_latency ?repl_fault t.network mk_apps
+    Controller.Replica.create ?resilience ?replicas ?lease t.network mk_apps
   in
-  let horizon = now t +. (20.0 *. latency) in
+  let horizon = now t +. (20.0 *. Dataplane.Ctl_channel.latency) in
   ignore (Dataplane.Network.run ~until:horizon t.network ());
   r
 

@@ -4,7 +4,7 @@
     {ol
     {- {b Separated planes}: build a topology ({!Topo.Gen}), instantiate
        a simulated dataplane ({!create}), and either program it directly
-       ({!install_policy}) or attach a controller with apps
+       ({!install_policy}) or start a controller with apps
        ({!with_controller}).}
     {- {b Declarative policy}: express intent in the policy language
        ({!Netkat.Syntax}, {!Netkat.Parser}) and let the FDD compiler
@@ -22,7 +22,7 @@ module Slice = Slice
 (** TE-allocation realization and validation (re-exported). *)
 module Wan = Wan
 
-(** A simulated network, optionally with a controller attached. *)
+(** A simulated network, optionally with a controller running on it. *)
 type net
 
 (** [create topo] instantiates the simulated network (empty tables).
@@ -61,32 +61,28 @@ val install_policy : net -> Netkat.Syntax.pol -> int
     Test-only. *)
 val install_policy_string : net -> string -> int
 
-(** [with_controller t apps] attaches a controller running [apps] and
-    completes the handshake (the "controller-driven" mode).  The
+(** [with_controller t apps] starts a controller running [apps], which
+    adopts every switch's session, and completes the handshake (the
+    "controller-driven" mode).  The
     controller runs keepalives, reliable flow-mod delivery and crash
     resync on the timers of [resilience] (default
     {!Controller.Runtime.default_resilience}); its keepalives schedule
     forever, so run the network with [~until] afterwards (see
     {!Controller.Runtime}). *)
 val with_controller :
-  ?latency:float ->
   ?resilience:Controller.Runtime.resilience ->
   net -> Controller.Api.app list -> Controller.Runtime.t
 
-(** [with_replicas t mk_apps] attaches a replicated controller:
+(** [with_replicas t mk_apps] starts a replicated controller:
     [replicas >= 2] members (default 2) over one network under a leader
     lease of [lease] seconds (default 0.15) — see {!Controller.Replica}.
-    [mk_apps] is called once per leader incarnation.  [repl_fault]
-    attaches chaos to the inter-controller channel.  The leader's
+    [mk_apps] is called once per leader incarnation.  The leader's
     handshake is driven to completion before returning.  One controller
     is {!with_controller}. *)
 val with_replicas :
-  ?latency:float ->
   ?resilience:Controller.Runtime.resilience ->
   ?replicas:int ->
   ?lease:float ->
-  ?repl_latency:float ->
-  ?repl_fault:Dataplane.Fault.t ->
   net -> (unit -> Controller.Api.app list) -> Controller.Replica.t
 
 (** [run t ~until] advances simulated time. *)
@@ -96,7 +92,7 @@ val run : ?until:float -> ?max_events:int -> net -> int
     OCaml domains and runs them under conservative lookahead.  The
     sharded simulator is data-plane only: install tables with
     {!install_policy_sharded} (or directly per shard); a controller
-    attaches only to a single-domain network ({!with_controller},
+    runs only on a single-domain network ({!with_controller},
     {!with_replicas}).  Observable results are pinned equal to
     {!create} + {!run} on the same seed and workload. *)
 val create_sharded :

@@ -7,12 +7,14 @@ type lane = {
 
 let lane label = { arrival = 0.0; label }
 
+let latency = 1e-3
+
 type fate =
   | Sent
   | Cut
   | Dropped
 
-let transmit fault lane ~cut ~now ~latency emit =
+let transmit fault lane ~cut ~now emit =
   if cut then Cut
   else
     match fault with
@@ -73,23 +75,6 @@ let create sw_id =
 let adopt s handler = s.owner <- Some handler
 
 let reconnect s = s.next <- closed
-
-(* ------------------------------------------------------------------ *)
-(* A network's end of the channel *)
-
-type wiring = {
-  mutable controller : (switch_id:int -> bytes -> unit) option;
-  mutable latency : float;
-}
-
-let wiring () = { controller = None; latency = 1e-3 }
-
-let connected w s = s.owner <> None || w.controller <> None
-
-let deliver_up w s data =
-  match s.owner, w.controller with
-  | Some handler, _ | None, Some handler -> handler ~switch_id:s.sw_id data
-  | None, None -> ()  (* owner detached while the frame was in flight *)
 
 type admission =
   | Admitted

@@ -8,19 +8,20 @@
     arrival so that jitter never reorders the lane (the channel models
     TCP) and hands each arrival time to the caller's [emit].  Two
     channels use it: a switch's control session in both directions, and
-    the inter-controller channel of {!Controller.Replica}.
+    the inter-controller channel of {!Controller.Replica}.  Every lane
+    has the same one-way {!latency}.
 
     A {!session} is the switch's half of the OpenFlow channel.  It holds
-    both lanes, the partition flag, the adopted owner of up-direction
-    frames, the lease-fencing token and the go-back-N receiver of the
+    both lanes, the partition flag, the owner of up-direction frames,
+    the lease-fencing token and the go-back-N receiver of the
     controller's reliable stream.  {!admit} is the session's gate on a
     delivered controller→switch transmission: fence frames, fenced
     deliveries and stream batches out of order stop here, and everything
-    else goes on to the switch.  A network's
-    {!wiring} says where its sessions' frames go: the attached
-    controller.  A controller attaches only to a single-domain network,
-    so a session's frames never leave the network that owns the
-    switch.
+    else goes on to the switch.  A controller owns a switch by adopting
+    its session ({!adopt}), as an OpenFlow switch hands its connection
+    to the controller in the master role.  A controller runs only on a
+    single-domain network, so a session's frames never leave the
+    network that owns the switch.
 
     The module keeps no clock and no counters.  Callers pass the current
     time and account for the {!fate} that {!transmit} returns. *)
@@ -29,21 +30,24 @@ type lane
 
 val lane : string option -> lane
 
+(** The one-way latency of every lane: 1 ms. *)
+val latency : float
+
 (** What became of one transmission. *)
 type fate =
   | Sent     (** one or two arrivals were emitted *)
   | Cut      (** lost to a partition; no verdict was drawn *)
   | Dropped  (** lost to a chaos drop verdict *)
 
-(** [transmit fault lane ~cut ~now ~latency emit] sends one transmission
-    on [lane] at time [now].  Without a fault it arrives [latency] later.
+(** [transmit fault lane ~cut ~now emit] sends one transmission on
+    [lane] at time [now].  Without a fault it arrives {!latency} later.
     Under chaos the verdict may drop it, delay it by jitter or duplicate
     it; every copy's arrival is clamped to the lane's latest so far.
     Draws exactly one verdict per transmission that is not [cut], so a
     seed replays the same realization. *)
 val transmit :
   Fault.t option ->
-  lane -> cut:bool -> now:float -> latency:float -> (float -> unit) -> fate
+  lane -> cut:bool -> now:float -> (float -> unit) -> fate
 
 type session = {
   sw_id : int;
@@ -53,8 +57,8 @@ type session = {
       (** control channel partitioned: frames in either direction vanish
           while the switch keeps forwarding *)
   mutable owner : (switch_id:int -> bytes -> unit) option;
-      (** adopted owner of up-direction frames ({!adopt}); [None] means
-          the network-wide controller *)
+      (** the controller that adopted the session ({!adopt}); [None]
+          means no controller, and the switch sends nothing up *)
   mutable fence : int;
       (** highest lease-fencing token seen ({!Openflow.Message.Fence}),
           0 = never fenced.  Survives a switch reboot: it models the
@@ -69,11 +73,10 @@ type session = {
 val create : int -> session
 
 (** [adopt s handler] re-homes the session: from now on the switch's
-    up-direction frames go to [handler] instead of the network-wide
-    controller.  Frames already in flight re-home too, because the owner
-    is resolved at delivery ({!deliver_up}).  Adoption is like handing a
-    connected socket to a new process: nothing is lost or reordered, and
-    the stream stays as it was.  It is silent (no trace, no fault note),
+    up-direction frames go to [handler].  Frames already in flight
+    re-home too, because the owner is read at delivery.  Adoption is
+    like handing a connected socket to a new process: nothing is lost or
+    reordered, and the stream stays as it was.  It is silent (no trace, no fault note),
     so adoption by the same logical controller is invisible to a
     chaos-free run. *)
 val adopt : session -> (switch_id:int -> bytes -> unit) -> unit
@@ -81,24 +84,6 @@ val adopt : session -> (switch_id:int -> bytes -> unit) -> unit
 (** A switch reboot is a fresh control connection: the stream closes
     until the next handshake, the fencing token stays. *)
 val reconnect : session -> unit
-
-type wiring = {
-  mutable controller : (switch_id:int -> bytes -> unit) option;
-      (** the attached controller: receives the up-direction frames of
-          every session nobody adopted *)
-  mutable latency : float;  (** one-way latency, both directions *)
-}
-
-val wiring : unit -> wiring
-
-(** Whether the up-direction frames of [s] have somewhere to go: an
-    adopted owner or the attached controller. *)
-val connected : wiring -> session -> bool
-
-(** [deliver_up w s data] hands an arrived switch→controller frame to
-    the session's owner, or to the attached controller when no owner
-    adopted it. *)
-val deliver_up : wiring -> session -> bytes -> unit
 
 (** What became of one delivery at the gate. *)
 type admission =

@@ -89,9 +89,7 @@ type t = {
   host_tbl : (int, host) Hashtbl.t;
   queue_depth : int;  (** drop-tail queue depth, packets per direction *)
   stats : counters;
-  channel : Ctl_channel.wiring;  (** where control frames go *)
   mutable tracer : (float -> string -> unit) option;
-  expiry_period : float;
   fault : Fault.t option;  (** chaos injection on control channel + links *)
   link_chaos : bool;
       (* cached [Fault.has_link_chaos]: the data transmit path consults
@@ -134,16 +132,17 @@ let default_queue_depth = 64
 (** Default hop budget of injected packets. *)
 let default_ttl = 64
 
-let create ?(queue_depth = default_queue_depth) ?(expiry_period = 1.0)
-    ?fault ?only topo =
+(* seconds between sweeps of a switch's timed-out rules *)
+let expiry_period = 1.0
+
+let create ?(queue_depth = default_queue_depth) ?fault ?only topo =
   let t =
     { sim = Sim.create (); topo;
       switches = Hashtbl.create 16;
       host_tbl = Hashtbl.create 16;
       queue_depth;
       stats = sum_counters [];
-      channel = Ctl_channel.wiring (); tracer = None;
-      expiry_period; fault;
+      tracer = None; fault;
       link_chaos =
         (match fault with Some f -> Fault.has_link_chaos f | None -> false);
       remote = None; ctl_outage = None; remote_reorders = 0;
@@ -292,8 +291,7 @@ let host_egress t h port =
    like a frame that reaches a crashed switch *)
 let ctl_transmit t (s : Ctl_channel.session) lane emit =
   match
-    Ctl_channel.transmit t.fault lane ~cut:s.cut ~now:(now t)
-      ~latency:t.channel.latency emit
+    Ctl_channel.transmit t.fault lane ~cut:s.cut ~now:(now t) emit
   with
   | Cut ->
     t.stats.dropped_down <- t.stats.dropped_down + 1;
@@ -487,19 +485,22 @@ and output t sw ~in_port pkt (port : Flow.Action.port) =
 (* ------------------------------------------------------------------ *)
 (* Control channel *)
 
-(* switch → controller *)
+(* switch → controller: a session no controller adopted sends nothing,
+   and the owner is read at delivery, so a frame in flight re-homes with
+   its session *)
 and control_send t ?(xid = 0) sw msg =
-  let s = sw.ctl and w = t.channel in
-  if Ctl_channel.connected w s then begin
+  let s = sw.ctl in
+  if Option.is_some s.owner then begin
     let data = Openflow.Wire.encode ~xid msg in
     t.stats.control_msgs <- t.stats.control_msgs + 1;
     t.stats.control_bytes <- t.stats.control_bytes + Bytes.length data;
     ctl_transmit t s s.up (fun time ->
-      Sim.schedule_at t.sim ~time (fun () -> Ctl_channel.deliver_up w s data))
+      Sim.schedule_at t.sim ~time (fun () ->
+        Option.iter (fun owner -> owner ~switch_id:s.sw_id data) s.owner))
   end
 
 and packet_in t sw ~in_port ~reason pkt =
-  if not (Ctl_channel.connected t.channel sw.ctl) then begin
+  if Option.is_none sw.ctl.owner then begin
     t.stats.dropped_miss <- t.stats.dropped_miss + 1;
     trace t "s%d drop(miss)" sw.sw_id
   end
@@ -539,10 +540,6 @@ let receive_remote t ~src ~src_port pkt =
     trace t "drop(no-link) %s port %d" (Node.to_string src) src_port
   | Some ls -> arrive t ls pkt
 
-let attach_controller t ?(latency = 1e-3) handler =
-  t.channel.latency <- latency;
-  t.channel.controller <- Some handler
-
 let ctl_channel t switch_id = (switch t switch_id).ctl
 
 let adopt = Ctl_channel.adopt
@@ -552,7 +549,7 @@ let set_ctl_outage_handler t h = t.ctl_outage <- Some h
 (* Periodic sweep evicting timed-out rules; started lazily when the
    first rule with a timeout is installed. *)
 let rec schedule_expiry t sw =
-  Sim.schedule t.sim ~delay:t.expiry_period (fun () ->
+  Sim.schedule t.sim ~delay:expiry_period (fun () ->
     ignore (Flow.Table.expire sw.table ~now:(now t));
     if sw.has_timeouts then schedule_expiry t sw)
 

@@ -4,8 +4,9 @@
     Switches forward with {!Flow.Table} match-action semantics; a table
     miss (or an explicit controller output) produces a packet-in on the
     control channel.  The control channel speaks wire-encoded
-    {!Openflow} messages with a configurable one-way latency, so the
-    protocol codec is on the hot path exactly as in a real deployment.
+    {!Openflow} messages with a one-way latency of
+    {!Ctl_channel.latency}, so the protocol codec is on the hot path
+    exactly as in a real deployment.
     Its timing (latency, chaos verdicts, FIFO clamps, partitions) and
     each switch's control session (owner, fencing, stream gate) live in
     {!Ctl_channel}; this module encodes, routes and applies what that
@@ -101,10 +102,10 @@ val sum_counters : counters list -> counters
 
 (** [create ?only topo] instantiates the network.  [only] restricts which
     topology nodes get switch/host state — a shard populates just the
-    nodes it owns and reaches the rest through its {!remote_iface}. *)
+    nodes it owns and reaches the rest through its {!remote_iface}.  A
+    switch with timed rules sweeps out the expired ones once a second. *)
 val create :
   ?queue_depth:int ->
-  ?expiry_period:float ->
   ?fault:Fault.t -> ?only:(Node.t -> bool) -> Topo.Topology.t -> t
 
 (** Attaches the cross-shard interface (before any traffic flows). *)
@@ -145,17 +146,14 @@ val port_stat : switch -> int -> Openflow.Message.port_stat
     times, so the verdict matches the single-domain run exactly. *)
 val receive_remote : t -> src:Node.t -> src_port:int -> pkt -> unit
 
-(** Registers the controller side of the control channel.  [handler]
-    receives wire-encoded messages from switches; {!controller_send}
-    carries messages the other way.  Both directions incur [latency]. *)
-val attach_controller :
-  t -> ?latency:float -> (switch_id:int -> bytes -> unit) -> unit
-
 (** The control session of [switch_id].  @raise Invalid_argument for
     switches this network does not own. *)
 val ctl_channel : t -> int -> Ctl_channel.session
 
-(** {!Ctl_channel.adopt}: re-homes a session's up-direction frames. *)
+(** {!Ctl_channel.adopt}: the one way a controller takes a switch.  The
+    adopted handler receives the switch's wire-encoded messages;
+    {!controller_send} carries messages the other way.  A switch whose
+    session nobody adopted sends nothing up: a table miss is dropped. *)
 val adopt :
   Ctl_channel.session -> (switch_id:int -> bytes -> unit) -> unit
 
@@ -171,7 +169,7 @@ val apply_flow_mod : t -> switch -> Openflow.Message.flow_mod -> unit
     a whole batch (concatenated frames, see {!Openflow.Wire.encode_batch});
     stats count the logical messages, and a batch is decoded and applied
     in frame order as one delivery event.  The controller and the switch
-    live on this one network: a controller never attaches to a sharded
+    live on this one network: a controller never runs on a sharded
     simulation.
     @raise Invalid_argument for a switch this network does not own.
     @raise Openflow.Wire.Wire_error on undecodable bytes (at delivery). *)

@@ -3,7 +3,7 @@
 
     The sharded simulator is a data-plane-only engine: tables are
     installed offline ([Zen.install_policy_sharded], or directly per
-    shard), and no controller attaches to it.  A controller
+    shard), and no controller runs on it.  A controller
     ({!Controller.Runtime}, {!Controller.Replica}) runs only on a
     single-domain {!Network}, so no control frame ever crosses a shard.
 

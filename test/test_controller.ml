@@ -202,9 +202,12 @@ let test_learning_no_storm_in_ring () =
 (* The reactive path rides the reliable stream, and a window of batches
    in flight costs it nothing over a channel with no acks at all: the
    rules a switch learns in one burst go out at once, not a round trip
-   apart.  zenctl simulate ring:6 --mode learning, seed 1.  An
-   unacknowledged channel reads 47 installs and 919 packet-ins on this
-   run; one batch in flight per switch read 56 and 928. *)
+   apart.  And an install goes out once per (switch, destination): the
+   packet-ins that arrive while it is in flight reuse it.  zenctl
+   simulate ring:6 --mode learning, seed 1, learns 20 such pairs.
+   Re-sending an install per packet-in read 47 installs and 919
+   packet-ins on this run; one batch in flight per switch read 56 and
+   928. *)
 let test_learning_installs_once_per_burst () =
   let topo = Topo.Gen.ring ~switches:6 () in
   let net = Network.create topo in
@@ -223,11 +226,10 @@ let test_learning_installs_once_per_burst () =
       (fun acc (sw : Network.switch) -> acc + sw.packet_ins)
       0 (Network.switch_list net)
   in
+  Alcotest.(check int) "one install per learned pair" 20 installs;
   Alcotest.(check bool)
-    (Printf.sprintf "%d installs <= 47, %d packet-ins <= 919" installs
-       packet_ins)
-    true
-    (installs <= 47 && packet_ins <= 919)
+    (Printf.sprintf "%d packet-ins <= 919" packet_ins)
+    true (packet_ins <= 919)
 
 (* ------------------------------------------------------------------ *)
 (* Proactive routing + failover *)
@@ -283,53 +285,76 @@ let test_routing_churn_counted () =
 
 (* Two distinct links failing at the same simulated instant must yield
    tables computed over the final topology (both links gone), not a
-   stale graph that still contains the second link.  The old debounce
-   compared event time against the last recompute time, which dropped
-   the second failure when it landed after a recompute within the same
-   instant — the nested scheduling below reproduces exactly that
-   interleaving (a zero-latency control channel makes port-status
-   delivery and link mutation share the instant). *)
+   stale graph that still contains the second link.  Routing coalesces
+   an instant's reports into one recompute that runs after the
+   instant's remaining events; recomputing at the instant's first report
+   (the old debounce, which compared event times) computed over the
+   graph as it stood then.  The test wraps switch 1's adopted handler:
+   it delivers s1's port-status for the s1-s2 failure, then fails s3-s4
+   inside that same delivery.  Half a control latency later, before the
+   second failure's own reports land, the rules the runtime has sent
+   must already reflect both failures. *)
 let test_routing_same_instant_failures () =
-  let tables_for fail_scenario =
+  let keys rules =
+    List.sort compare
+      (List.map
+         (fun (r : Flow.Table.rule) -> (r.priority, r.pattern, r.actions))
+         rules)
+  in
+  let start () =
     let topo = Topo.Gen.ring ~switches:5 ~hosts_per_switch:1 () in
     let net = Network.create topo in
     let routing = Controller.Routing.create () in
-    let _rt =
-      Controller.Runtime.create ~latency:0.0 net
-        [ Controller.Routing.app routing ]
+    let rt =
+      Controller.Runtime.create net [ Controller.Routing.app routing ]
     in
     ignore (Network.run ~until:0.2 net ());
-    fail_scenario net;
-    ignore (Network.run ~until:(Network.now net +. 1.0) net ());
-    ( routing,
-      List.map
-        (fun (sw : Network.switch) ->
-          ( sw.sw_id,
-            List.sort compare
-              (List.map
-                 (fun (r : Flow.Table.rule) -> (r.priority, r.pattern, r.actions))
-                 (Flow.Table.rules sw.table)) ))
-        (Network.switch_list net) )
+    (net, routing, rt)
+  in
+  let tables net =
+    List.map
+      (fun (sw : Network.switch) -> (sw.sw_id, keys (Flow.Table.rules sw.table)))
+      (Network.switch_list net)
   in
   (* reference: the same two failures, well separated in time *)
-  let _, reference =
-    tables_for (fun net ->
-      Network.fail_link net (Topo.Topology.Node.Switch 1) 1;
-      ignore (Network.run ~until:(Network.now net +. 0.5) net ());
-      Network.fail_link net (Topo.Topology.Node.Switch 3) 2)
+  let reference =
+    let net, _, _ = start () in
+    Network.fail_link net (Topo.Topology.Node.Switch 1) 1;
+    ignore (Network.run ~until:(Network.now net +. 0.5) net ());
+    Network.fail_link net (Topo.Topology.Node.Switch 3) 2;
+    ignore (Network.run ~until:(Network.now net +. 1.0) net ());
+    tables net
   in
-  (* same-instant: s3-s4 fails between s1-s2's port-status delivery and
-     any recompute scheduled for the instant *)
-  let routing, same_instant =
-    tables_for (fun net ->
-      let sim = Network.sim net in
-      let at = Network.now net +. 0.1 in
-      Sim.schedule_at sim ~time:at (fun () ->
-        Network.fail_link net (Topo.Topology.Node.Switch 1) 1;
-        Sim.schedule sim ~delay:0.0 (fun () ->
-          Sim.schedule sim ~delay:0.0 (fun () ->
-            Network.fail_link net (Topo.Topology.Node.Switch 3) 2))))
+  let net, routing, rt = start () in
+  let handler = Controller.Runtime.handler rt in
+  let second_failed = ref false in
+  Network.adopt (Network.ctl_channel net 1) (fun ~switch_id data ->
+    handler ~switch_id data;
+    let port_status =
+      List.exists
+        (fun (_, (m : Openflow.Message.t)) ->
+          match m with Port_status _ -> true | _ -> false)
+        (Openflow.Wire.decode_all data)
+    in
+    if port_status && not !second_failed then begin
+      second_failed := true;
+      Network.fail_link net (Topo.Topology.Node.Switch 3) 2
+    end);
+  Network.fail_link net (Topo.Topology.Node.Switch 1) 1;
+  ignore
+    (Network.run ~until:(Network.now net +. (1.5 *. Ctl_channel.latency)) net ());
+  Alcotest.(check bool) "s3-s4 failed inside s1's port-status delivery" true
+    !second_failed;
+  let sent =
+    List.map
+      (fun (sw : Network.switch) ->
+        ( sw.sw_id,
+          keys (Controller.Runtime.intended_rules rt ~switch_id:sw.sw_id) ))
+      (Network.switch_list net)
   in
+  Alcotest.(check bool) "the instant's recompute saw both failures" true
+    (sent = reference);
+  ignore (Network.run ~until:(Network.now net +. 1.0) net ());
   Alcotest.(check bool) "recomputed at least once" true
     (Controller.Routing.reinstalls routing >= 2);
   List.iter2
@@ -338,12 +363,11 @@ let test_routing_same_instant_failures () =
       Alcotest.(check bool)
         (Printf.sprintf "s%d tables reflect both failures" sw_a)
         true (rules_a = rules_b))
-    reference same_instant
+    reference (tables net)
 
 (* After a crash, the keepalive verdict marks the switch dead and
    routing recomputes around it; the re-handshake clears the dead mark
-   and a fresh recompute (not a stale single-switch repush) restores the
-   crashed switch's rules. *)
+   and a fresh recompute restores the crashed switch's rules. *)
 let test_routing_repush_on_rehandshake () =
   let resilience =
     { Controller.Runtime.default_resilience with
@@ -368,8 +392,6 @@ let test_routing_repush_on_rehandshake () =
   ignore (Network.run ~until:(Network.now net +. 1.0) net ());
   Alcotest.(check (list int)) "dead mark cleared on re-handshake" []
     (Controller.Routing.dead_switches routing);
-  Alcotest.(check int) "recovery recomputes, not a stale repush" 0
-    (Controller.Routing.repushes routing);
   Alcotest.(check int) "rules restored" before
     (Flow.Table.size (Network.switch net 2).table);
   let got, _ = ping_pair net ~src:1 ~dst:3 in

@@ -15,33 +15,27 @@ let check_replica_converged r =
 (* ------------------------------------------------------------------ *)
 (* Satellite: adoption is invisible to a chaos-free run *)
 
-(* The same runtime handler, either attached classically or adopted
-   per-switch (and re-adopted mid-run), must produce a byte-identical
+(* A runtime adopts every switch session when it starts; adopting them
+   again mid-run with the same handler must produce a byte-identical
    network trace and identical counters: adoption re-homes the session
    without touching FIFO clamps, dedup state, or in-flight frames. *)
-let run_adoption_scenario ~adopt () =
+let run_adoption_scenario ~readopt () =
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
   let net = Network.create topo in
   let lines = ref [] in
   Network.set_tracer net (fun time s ->
     lines := Printf.sprintf "%.6f %s" time s :: !lines);
-  let switch_ids = Topo.Topology.switch_ids topo in
   let rt =
-    Controller.Runtime.create ~resilience:Scenarios.fast_resilience
-      ~attach:(not adopt) net (Scenarios.routing_apps ())
+    Controller.Runtime.create ~resilience:Scenarios.fast_resilience net
+      (Scenarios.routing_apps ())
   in
-  let adopt_all () =
-    List.iter
-      (fun sid ->
-        Network.adopt (Network.ctl_channel net sid)
-          (Controller.Runtime.handler rt))
-      switch_ids
-  in
-  if adopt then begin
-    adopt_all ();
-    (* re-adoption mid-run (same handler): also invisible *)
-    Sim.schedule_at (Network.sim net) ~time:0.7 adopt_all
-  end;
+  if readopt then
+    Sim.schedule_at (Network.sim net) ~time:0.7 (fun () ->
+      List.iter
+        (fun sid ->
+          Network.adopt (Network.ctl_channel net sid)
+            (Controller.Runtime.handler rt))
+        (Topo.Topology.switch_ids topo));
   ignore (Network.run ~until:0.05 net ());
   Traffic.install_responders net;
   let result = Traffic.ping net ~src:1 ~dst:3 ~count:3 ~interval:0.02 in
@@ -52,8 +46,8 @@ let run_adoption_scenario ~adopt () =
     List.length !(result.rtts) )
 
 let test_adoption_invisible () =
-  let trace_a, stats_a, pings_a = run_adoption_scenario ~adopt:false () in
-  let trace_b, stats_b, pings_b = run_adoption_scenario ~adopt:true () in
+  let trace_a, stats_a, pings_a = run_adoption_scenario ~readopt:false () in
+  let trace_b, stats_b, pings_b = run_adoption_scenario ~readopt:true () in
   Alcotest.(check bool) "trace non-trivial" true (List.length trace_a >= 6);
   Alcotest.(check (list string)) "byte-identical trace" trace_a trace_b;
   Alcotest.(check string) "identical counters" stats_a stats_b;
@@ -65,15 +59,16 @@ let test_adoption_invisible () =
 (* switch 1 of linear:2 driven by hand-built deliveries.  [deliver n
    msgs] puts one transmission on the control channel with every frame
    numbered [n] (the stream batch's number) and runs until it lands;
-   [take] returns and clears what the switch sent back. *)
+   the rig adopts switch 1's session, and [take] returns and clears
+   what the switch sent back. *)
 type rig = { net : Network.t; up : (int * Openflow.Message.t) list ref }
 
 let rig () =
   let topo = Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 () in
   let net = Network.create topo in
   let up = ref [] in
-  Network.attach_controller net (fun ~switch_id data ->
-    if switch_id = 1 then up := !up @ Openflow.Wire.decode_all data);
+  Network.adopt (Network.ctl_channel net 1) (fun ~switch_id:_ data ->
+    up := !up @ Openflow.Wire.decode_all data);
   { net; up }
 
 let deliver r ?fence n msgs =
