@@ -454,14 +454,21 @@ and switch_process_live t sw ~in_port ~rx pkt =
   let ps = match rx with Some ps -> ps | None -> port_stat sw in_port in
   ps.rx_packets <- ps.rx_packets + 1;
   ps.rx_bytes <- ps.rx_bytes + pkt.size;
-  match Flow.Table.apply sw.table ~now:(now t) ~size:pkt.size hdr with
-  | None -> packet_in t sw ~in_port ~reason:Openflow.Message.No_match pkt
-  | Some [] ->
-    t.stats.dropped_policy <- t.stats.dropped_policy + 1;
-    trace t "s%d drop(policy)" sw.sw_id
-  | Some group ->
-    t.stats.forwarded <- t.stats.forwarded + 1;
-    execute_group t sw ~in_port pkt group
+  let group = Flow.Table.apply sw.table ~now:(now t) ~size:pkt.size hdr in
+  if group == Flow.Table.miss then
+    packet_in t sw ~in_port ~reason:Openflow.Message.No_match pkt
+  else
+    match group with
+    | [] ->
+      t.stats.dropped_policy <- t.stats.dropped_policy + 1;
+      trace t "s%d drop(policy)" sw.sw_id
+    | [ [ Flow.Action.Output port ] ] ->
+      (* the common unicast rule: no interpreter closure *)
+      t.stats.forwarded <- t.stats.forwarded + 1;
+      output t sw ~in_port pkt port
+    | group ->
+      t.stats.forwarded <- t.stats.forwarded + 1;
+      execute_group t sw ~in_port pkt group
 
 (* interpret [group] on [pkt] in place: a copy whose headers no
    [Set_field] changed goes out as [pkt] itself *)

@@ -1,13 +1,15 @@
 type t = {
   mutable now : float;
+  popped : Float.Array.t;
+      (* one element: the time [pop_due] wrote, read without a tuple *)
   queue : (unit -> unit) Util.Timing_wheel.t;
   mutable executed : int;
   mutable running : bool;
 }
 
 let create () =
-  { now = 0.0; queue = Util.Timing_wheel.create (); executed = 0;
-    running = false }
+  { now = 0.0; popped = Float.Array.make 1 0.0;
+    queue = Util.Timing_wheel.create (); executed = 0; running = false }
 
 let now t = t.now
 
@@ -28,11 +30,6 @@ let schedule_at t ~time f =
 let pending t = Util.Timing_wheel.length t.queue
 let peek t = Util.Timing_wheel.peek t.queue
 
-let exec t (e : (unit -> unit) Util.Timing_wheel.entry) =
-  if e.key > t.now then t.now <- e.key;
-  t.executed <- t.executed + 1;
-  e.value ()
-
 let run ?until ?(strict = false) ?max_events t =
   if t.running then invalid_arg "Sim.run: already running";
   t.running <- true;
@@ -41,9 +38,12 @@ let run ?until ?(strict = false) ?max_events t =
   let stop = match until with Some s -> s | None -> infinity in
   let rec loop n =
     if n < budget then
-      match Util.Timing_wheel.pop_due t.queue ~strict ~stop with
-      | e ->
-        exec t e;
+      match Util.Timing_wheel.pop_due t.queue ~strict ~stop ~key:t.popped with
+      | f ->
+        let time = Float.Array.unsafe_get t.popped 0 in
+        if time > t.now then t.now <- time;
+        t.executed <- t.executed + 1;
+        f ();
         loop (n + 1)
       | exception Not_found ->
         (* nothing due: the clock moves to [until] unless the queue is
@@ -56,20 +56,6 @@ let run ?until ?(strict = false) ?max_events t =
   loop 0;
   t.running <- false;
   t.executed - start
-
-let run_batch t =
-  if t.running then invalid_arg "Sim.run_batch: already running";
-  t.running <- true;
-  let rec drain ~stop n =
-    match Util.Timing_wheel.pop_due t.queue ~strict:false ~stop with
-    | exception Not_found -> n
-    | e ->
-      exec t e;
-      drain ~stop:e.key (n + 1)
-  in
-  let n = drain ~stop:infinity 0 in
-  t.running <- false;
-  n
 
 let rec every t ~every:interval ?stop f =
   schedule t ~delay:interval (fun () ->

@@ -5,17 +5,22 @@
     runs are deterministic.
 
     The queue is a {!Util.Timing_wheel}: O(1) slot filing for the dense
-    near-future events every packet hop schedules, an array-backed near
-    heap for the current tick, and a heap fallback for far timers
+    near-future events every packet hop schedules, a near heap of cell
+    indices for the current tick, and an overflow heap for far timers
     (retransmits, expiry sweeps).  Its execution order is exactly a
     binary heap's on (time, scheduling order) — pinned against
     {!Util.Heap} in [test/util.wheel] and [test/dataplane.sim].
 
-    One executed event allocates its closure, the wheel's entry record
-    (plus a list cell while it waits in a slot) and its boxed time;
-    {!run} pops through {!Util.Timing_wheel.pop_due}, which adds
-    nothing to that.  [test/dataplane.sim] "allocation budget" pins the
-    per-event figure of a forwarding workload. *)
+    One executed event allocates its closure and, when it is later
+    than the event before it, the clock's new boxed time.  The wheel
+    keeps the event in a reused cell of unboxed arrays, and {!run} pops
+    through {!Util.Timing_wheel.pop_due}, which writes the popped time
+    into a one-element float array rather than returning a pair, so
+    queueing and popping allocate nothing once the wheel's arrays have
+    grown.  The clock itself stays boxed: {!now} then hands callers in
+    other modules the existing box instead of boxing a fresh float per
+    call.  [test/dataplane.sim] "allocation budget" pins the per-event
+    figure of a forwarding workload. *)
 
 type t
 
@@ -49,16 +54,6 @@ val peek : t -> (float * (unit -> unit)) option
     [max_events] bounds work as a runaway guard.  Returns the number of
     events executed by this call. *)
 val run : ?until:float -> ?strict:bool -> ?max_events:int -> t -> int
-
-(** [run_batch t] executes the next pending event and then drains every
-    event sharing its timestamp — including ones scheduled by the batch
-    itself at that same instant — without re-peeking the full queue
-    between events (same-tick drains stay inside the wheel's near heap).
-    Returns the number of events executed; [0] means the queue was
-    empty.  Equivalent to popping one event at a time while the head
-    timestamp is unchanged.
-    Test-only. *)
-val run_batch : t -> int
 
 (** Periodic task: runs [f] every [every] seconds starting after [every],
     until [f] returns [false] or the optional [stop] time passes.

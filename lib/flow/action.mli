@@ -43,7 +43,8 @@ val apply_seq : Headers.t -> seq -> Headers.t * port list
     order: each sequence replays from [h], and [h'] is the header state
     at its [Output p].  A copy no [Set_field] touched gets [h] itself
     (physically), so a caller can reuse whatever it built around [h].
-    This is the switch's forwarding interpreter: it builds no list. *)
+    The switch interprets every group but a single [Output] with it;
+    it builds no list. *)
 val iter_group :
   (Headers.t -> port -> unit) -> Headers.t -> group -> unit
 

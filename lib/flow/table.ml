@@ -523,17 +523,20 @@ let lookup t (h : Headers.t) =
     verdict
   end
 
+(* a list of its own, so no rule's actions are physically equal to it *)
+let miss : Action.group = [ [] ]
+
 let apply t ~now ~size (h : Headers.t) =
   match lookup t h with
   | None ->
     t.misses <- t.misses + 1;
-    None
+    miss
   | Some r ->
     t.hits <- t.hits + 1;
     r.packets <- r.packets + 1;
     r.bytes <- r.bytes + size;
     r.last_hit <- now;
-    Some r.actions
+    r.actions
 
 let expire t ~now =
   let expired r =

@@ -153,11 +153,15 @@ val lookup_linear : t -> Headers.t -> rule option
     union of the shapes it probed.  A hit allocates nothing. *)
 val lookup : t -> Headers.t -> rule option
 
+(** The group {!apply} returns on a table miss.  Compare it physically
+    ([==]): no rule's actions are this list, and the empty group a rule
+    may hold (drop) is a different value. *)
+val miss : Action.group
+
 (** [apply t ~now ~size h] performs a dataplane lookup: updates hit/miss
     and per-rule counters and returns the winning rule's action group, or
-    [None] on a table miss. *)
-val apply :
-  t -> now:float -> size:int -> Headers.t -> Action.group option
+    {!miss} on a table miss.  A hit allocates nothing. *)
+val apply : t -> now:float -> size:int -> Headers.t -> Action.group
 
 (** [expire t ~now] evicts rules whose idle timeout has passed,
     returning the evicted rules. *)

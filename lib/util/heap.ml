@@ -44,9 +44,9 @@ let rec sift_down h i =
     sift_down h smallest
   end
 
-let push_seq h key ~seq value =
-  let e = Some { key; seq; value } in
-  if seq >= h.next_seq then h.next_seq <- seq + 1;
+let push h key value =
+  let e = Some { key; seq = h.next_seq; value } in
+  h.next_seq <- h.next_seq + 1;
   let cap = Array.length h.data in
   if h.size = cap then begin
     let ncap = max 16 (2 * cap) in
@@ -58,15 +58,13 @@ let push_seq h key ~seq value =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let push h key value = push_seq h key ~seq:h.next_seq value
-
 let peek h =
   if h.size = 0 then None
   else
     let e = get h 0 in
     Some (e.key, e.value)
 
-let pop_seq h =
+let pop h =
   if h.size = 0 then raise Not_found;
   let top = get h 0 in
   h.size <- h.size - 1;
@@ -76,11 +74,7 @@ let pop_seq h =
     sift_down h 0
   end
   else h.data.(0) <- None;
-  (top.key, top.seq, top.value)
-
-let pop h =
-  let key, _seq, value = pop_seq h in
-  (key, value)
+  (top.key, top.value)
 
 let clear h =
   Array.fill h.data 0 h.size None;

@@ -1,25 +1,45 @@
-type 'a entry = { key : float; seq : int; value : 'a }
+(* An entry lives in a cell: an index into the parallel arrays [keys],
+   [seqs], [values] and [links].  [links] threads the cells of one slot
+   into a list, and the free cells into the free list; [near] and
+   [overflow] are binary heaps of cell indices.  Heap sifts write only
+   unboxed arrays (no write barrier), and a push allocates nothing once
+   the arrays have grown. *)
+
+(* A heap keeps each position's key beside its cell, so a sift compares
+   keys read from one small array instead of through the cell, and
+   reads a cell's [seq] only on a tie. *)
+type heap = {
+  mutable hkeys : Float.Array.t;
+  mutable cells : int array;
+  mutable size : int;
+}
 
 type 'a t = {
   inv_tick : float;
   nslots : int;               (* power of two *)
   mask : int;
-  slots : 'a entry list array;  (* unsorted; one pending tick per slot *)
-  mutable wheel_count : int;  (* entries filed in [slots] *)
+  slots : int array;
+      (* first cell of each slot's list, or [nil]; unsorted, one pending
+         tick per slot *)
+  mutable wheel_count : int;  (* cells filed in [slots] *)
   mutable base : int;         (* tick number of the current slot *)
-  mutable near : 'a entry array;
-      (* binary min-heap on (key, seq) of the entries with tick <= base;
-         slots at and above [near_size] hold [vacant] *)
-  mutable near_size : int;
-  overflow : 'a Heap.t;       (* entries beyond the wheel horizon *)
+  mutable keys : Float.Array.t;
+  mutable seqs : int array;   (* global insertion order, the tie-break *)
+  mutable values : 'a array;  (* a free cell holds [vacant] *)
+  mutable links : int array;  (* next cell in a slot list or the free list *)
+  mutable free : int;         (* first free cell, or [nil] *)
+  near : heap;                (* min-heap on (key, seq), tick <= base *)
+  overflow : heap;            (* min-heap on (key, seq), beyond the horizon *)
   mutable next_seq : int;     (* global tie-break counter *)
 }
 
-(* Filler for [near] slots above [near_size], so a popped entry (and the
-   event closure it carries) is never retained by the array.  Its value
-   is never read: every read of [near] is below [near_size]. *)
-let vacant_unit = { key = infinity; seq = max_int; value = () }
-let vacant () : 'a entry = Obj.magic vacant_unit
+let nil = -1
+
+(* Filler for the value of a free cell, so a popped or cleared value
+   (the event closure) is never retained by the array.  It is never read
+   as an ['a]: every read of [values] is of a live cell.  An immediate
+   keeps [values] a plain array even when ['a] is [float]. *)
+let vacant () : 'a = Obj.magic 0
 
 (* round up to a power of two for mask indexing *)
 let pow2 n =
@@ -28,72 +48,141 @@ let pow2 n =
 
 let default_tick = 16e-6
 
+let new_heap () = { hkeys = Float.Array.create 0; cells = [||]; size = 0 }
+
 let create ?(tick = default_tick) ?(slots = 1024) () =
   if tick <= 0.0 then invalid_arg "Timing_wheel.create: tick must be positive";
   let nslots = pow2 slots in
   { inv_tick = 1.0 /. tick; nslots; mask = nslots - 1;
-    slots = Array.make nslots []; wheel_count = 0; base = 0;
-    near = [||]; near_size = 0; overflow = Heap.create (); next_seq = 0 }
+    slots = Array.make nslots nil; wheel_count = 0; base = 0;
+    keys = Float.Array.create 0; seqs = [||]; values = [||]; links = [||];
+    free = nil; near = new_heap (); overflow = new_heap (); next_seq = 0 }
 
-let length t = t.near_size + t.wheel_count + Heap.length t.overflow
+let length t = t.near.size + t.wheel_count + t.overflow.size
 let is_empty t = length t = 0
 
 (* ------------------------------------------------------------------ *)
-(* The near heap *)
+(* Cells *)
 
-let entry_lt a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+(* put cells [lo, hi) on the free list, [lo] first *)
+let free_range t lo hi =
+  for c = hi - 1 downto lo do
+    t.links.(c) <- t.free;
+    t.free <- c
+  done
 
-(* sift [e] up from the hole at [i] *)
-let rec sift_up a e i =
-  if i = 0 then a.(0) <- e
-  else
-    let p = (i - 1) / 2 in
-    let pe = a.(p) in
-    if entry_lt e pe then begin
-      a.(i) <- pe;
-      sift_up a e p
+(* double the cell arrays; only called with the free list empty *)
+let grow_cells t =
+  let cap = Array.length t.seqs in
+  let ncap = max 64 (2 * cap) in
+  let keys = Float.Array.make ncap 0.0 in
+  Float.Array.blit t.keys 0 keys 0 cap;
+  let seqs = Array.make ncap 0 in
+  Array.blit t.seqs 0 seqs 0 cap;
+  let values = Array.make ncap (vacant ()) in
+  Array.blit t.values 0 values 0 cap;
+  let links = Array.make ncap nil in
+  Array.blit t.links 0 links 0 cap;
+  t.keys <- keys;
+  t.seqs <- seqs;
+  t.values <- values;
+  t.links <- links;
+  free_range t cap ncap
+
+let alloc t key value =
+  if t.free = nil then grow_cells t;
+  let c = t.free in
+  t.free <- t.links.(c);
+  Float.Array.unsafe_set t.keys c key;
+  t.seqs.(c) <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  t.values.(c) <- value;
+  c
+
+let release t c =
+  t.values.(c) <- vacant ();
+  t.links.(c) <- t.free;
+  t.free <- c
+
+(* ------------------------------------------------------------------ *)
+(* Heaps of cells *)
+
+(* Sifts are loops over local floats: a recursive sift would box the
+   moving key at every call. *)
+
+(* sift cell [c] up from the hole at [i] *)
+let sift_up t h c i =
+  let hkeys = h.hkeys and a = h.cells and seqs = t.seqs in
+  let k = Float.Array.unsafe_get t.keys c in
+  let i = ref i and sifting = ref true in
+  while !sifting && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pk = Float.Array.unsafe_get hkeys p and pc = a.(p) in
+    if k < pk || (k = pk && seqs.(c) < seqs.(pc)) then begin
+      Float.Array.unsafe_set hkeys !i pk;
+      a.(!i) <- pc;
+      i := p
     end
-    else a.(i) <- e
+    else sifting := false
+  done;
+  Float.Array.unsafe_set hkeys !i k;
+  a.(!i) <- c
 
-(* sift [e] down from the hole at [i] in a heap of [n] entries *)
-let rec sift_down a n e i =
-  let l = (2 * i) + 1 in
-  if l >= n then a.(i) <- e
-  else
-    let c = if l + 1 < n && entry_lt a.(l + 1) a.(l) then l + 1 else l in
-    let ce = a.(c) in
-    if entry_lt ce e then begin
-      a.(i) <- ce;
-      sift_down a n e c
+(* sift cell [c] down from the hole at [i] in a heap of [n] cells *)
+let sift_down t h n c i =
+  let hkeys = h.hkeys and a = h.cells and seqs = t.seqs in
+  let k = Float.Array.unsafe_get t.keys c in
+  let i = ref i and sifting = ref true in
+  while !sifting && (2 * !i) + 1 < n do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let m =
+      if r >= n then l
+      else
+        let kl = Float.Array.unsafe_get hkeys l
+        and kr = Float.Array.unsafe_get hkeys r in
+        if kr < kl || (kr = kl && seqs.(a.(r)) < seqs.(a.(l))) then r else l
+    in
+    let mk = Float.Array.unsafe_get hkeys m and mc = a.(m) in
+    if mk < k || (mk = k && seqs.(mc) < seqs.(c)) then begin
+      Float.Array.unsafe_set hkeys !i mk;
+      a.(!i) <- mc;
+      i := m
     end
-    else a.(i) <- e
+    else sifting := false
+  done;
+  Float.Array.unsafe_set hkeys !i k;
+  a.(!i) <- c
 
-(* append [e] at the end of [near] without restoring the heap order *)
-let near_append t e =
-  let cap = Array.length t.near in
-  if t.near_size = cap then begin
+(* append [c] without restoring the heap order *)
+let heap_append t h c =
+  let cap = Array.length h.cells in
+  if h.size = cap then begin
     let ncap = max 16 (2 * cap) in
-    let a = Array.make ncap (vacant ()) in
-    Array.blit t.near 0 a 0 t.near_size;
-    t.near <- a
+    let hkeys = Float.Array.make ncap 0.0 in
+    Float.Array.blit h.hkeys 0 hkeys 0 h.size;
+    let a = Array.make ncap nil in
+    Array.blit h.cells 0 a 0 h.size;
+    h.hkeys <- hkeys;
+    h.cells <- a
   end;
-  t.near.(t.near_size) <- e;
-  t.near_size <- t.near_size + 1
+  Float.Array.unsafe_set h.hkeys h.size (Float.Array.unsafe_get t.keys c);
+  h.cells.(h.size) <- c;
+  h.size <- h.size + 1
 
-let near_push t e =
-  near_append t e;
-  sift_up t.near e (t.near_size - 1)
+let heap_push t h c =
+  heap_append t h c;
+  sift_up t h c (h.size - 1)
 
-(* remove and return the minimum; [near] must be nonempty *)
-let near_pop t =
-  let a = t.near in
-  let top = a.(0) in
-  let n = t.near_size - 1 in
-  t.near_size <- n;
-  let last = a.(n) in
-  a.(n) <- vacant ();
-  if n > 0 then sift_down a n last 0;
+(* remove and return the minimum; [h] must be nonempty *)
+let heap_pop t h =
+  let top = h.cells.(0) in
+  let n = h.size - 1 in
+  h.size <- n;
+  if n > 0 then sift_down t h n h.cells.(n) 0;
   top
+
+let heap_min_key h = Float.Array.unsafe_get h.hkeys 0
 
 (* ------------------------------------------------------------------ *)
 (* Filing and migration *)
@@ -113,75 +202,72 @@ let tick_of t key =
   let x = key *. t.inv_tick in
   if x < max_tick_f then int_of_float x else max_tick
 
-(* route an entry to the stage its tick calls for *)
-let file t e =
-  let tk = tick_of t e.key in
-  if tk <= t.base then near_push t e
+(* route cell [c] to the stage its tick calls for *)
+let file t c =
+  let tk = tick_of t (Float.Array.unsafe_get t.keys c) in
+  if tk <= t.base then heap_push t t.near c
   else if tk - t.base < t.nslots then begin
     let i = tk land t.mask in
-    t.slots.(i) <- e :: t.slots.(i);
+    t.links.(c) <- t.slots.(i);
+    t.slots.(i) <- c;
     t.wheel_count <- t.wheel_count + 1
   end
-  else Heap.push_seq t.overflow e.key ~seq:e.seq e.value
+  else heap_push t t.overflow c
 
-let push t key value =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  file t { key; seq; value }
+let push t key value = file t (alloc t key value)
 
-(* Pull every overflow entry that now fits under the horizon.
+(* Pull every overflow cell that now fits under the horizon.
 
-   Boundary audit (PR 6): an entry whose tick is {e exactly} at the
+   Boundary audit: a cell whose tick is {e exactly} at the
    horizon ([tick - base = nslots]) must stay in the overflow heap —
    its slot index aliases the current base slot ([tick land mask =
    base land mask]), so filing it would let the next drain of that slot
-   surface it a full revolution early, ahead of every entry in the
-   intervening slots.  Both guards agree on strict [<]: [file]
-   sends [tick - base >= nslots] to the overflow, and this migration
-   only pulls [tick - base < nslots], so the boundary entry migrates on
-   the next base advance, never before.  Same-instant FIFO order across
-   the migration is preserved because entries carry their global [seq]
-   through [pop_seq]/[push_seq] and the [near] heap orders by
-   [(key, seq)].  Both properties are pinned by the [test/util.wheel]
-   horizon-boundary regression tests. *)
-let migrate_overflow t =
-  let rec go () =
-    match Heap.peek t.overflow with
-    | Some (key, _) when tick_of t key - t.base < t.nslots ->
-      let key, seq, value = Heap.pop_seq t.overflow in
-      file t { key; seq; value };
-      go ()
-    | Some _ | None -> ()
-  in
-  go ()
+   surface it a full revolution early, ahead of every cell in the
+   intervening slots.  Both guards agree on strict [<]: [file] sends
+   [tick - base >= nslots] to the overflow, and this migration only
+   pulls [tick - base < nslots], so the boundary cell migrates on the
+   next base advance, never before.  Same-instant FIFO order across the
+   migration is preserved because a cell keeps its global [seq] and
+   every heap orders by [(key, seq)].  Both properties are pinned by the
+   [test/util.wheel] horizon-boundary regression tests. *)
+let rec migrate_overflow t =
+  if t.overflow.size > 0
+     && tick_of t (heap_min_key t.overflow) - t.base < t.nslots
+  then begin
+    file t (heap_pop t t.overflow);
+    migrate_overflow t
+  end
 
-(* move a slot's entries (all of one tick) into [near]; the heap orders
+(* move a slot's cells (all of one tick) into [near]; the heap orders
    them by (key, seq), so the slot list needs no sort *)
-let rec append_all t n = function
-  | [] -> n
-  | e :: rest ->
-    near_append t e;
-    append_all t (n + 1) rest
+let rec append_all t n c =
+  if c = nil then n
+  else begin
+    let next = t.links.(c) in
+    heap_append t t.near c;
+    append_all t (n + 1) next
+  end
 
 let drain_slot t i =
-  match t.slots.(i) with
-  | [] -> false
-  | l ->
-    t.slots.(i) <- [];
-    t.wheel_count <- t.wheel_count - append_all t 0 l;
+  let first = t.slots.(i) in
+  if first = nil then false
+  else begin
+    t.slots.(i) <- nil;
+    t.wheel_count <- t.wheel_count - append_all t 0 first;
     (* Floyd's heapify: O(n), against O(n log n) for one push each *)
-    let a = t.near and n = t.near_size in
-    for i = (n / 2) - 1 downto 0 do
-      sift_down a n a.(i) i
+    let h = t.near in
+    for i = (h.size / 2) - 1 downto 0 do
+      sift_down t h h.size h.cells.(i) i
     done;
     true
+  end
 
-(* Advance [base] until [near] holds the next pending entries (or the
-   wheel is truly empty).  With entries in the wheel the next nonempty
+(* Advance [base] until [near] holds the next pending cells (or the
+   wheel is truly empty).  With cells in the wheel the next nonempty
    slot is at most [nslots - 1] ticks ahead; with only far timers left
    we jump straight to the overflow's first tick. *)
 let rec ensure_near t =
-  if t.near_size = 0 then begin
+  if t.near.size = 0 then begin
     if t.wheel_count > 0 then begin
       let rec scan () =
         t.base <- t.base + 1;
@@ -191,13 +277,11 @@ let rec ensure_near t =
       in
       scan ()
     end
-    else
-      match Heap.peek t.overflow with
-      | None -> ()
-      | Some (key, _) ->
-        t.base <- max t.base (tick_of t key);
-        migrate_overflow t;
-        ensure_near t
+    else if t.overflow.size > 0 then begin
+      t.base <- max t.base (tick_of t (heap_min_key t.overflow));
+      migrate_overflow t;
+      ensure_near t
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -205,21 +289,27 @@ let rec ensure_near t =
 
 let peek t =
   ensure_near t;
-  if t.near_size = 0 then None
+  if t.near.size = 0 then None
   else
-    let e = t.near.(0) in
-    Some (e.key, e.value)
+    let c = t.near.cells.(0) in
+    Some (Float.Array.unsafe_get t.keys c, t.values.(c))
 
-let pop_due t ~strict ~stop =
+let pop_due t ~strict ~stop ~key =
   ensure_near t;
-  if t.near_size = 0 then raise_notrace Not_found;
-  let key = t.near.(0).key in
-  if (if strict then key >= stop else key > stop) then raise_notrace Not_found;
-  near_pop t
+  if t.near.size = 0 then raise_notrace Not_found;
+  let k = heap_min_key t.near in
+  if (if strict then k >= stop else k > stop) then raise_notrace Not_found;
+  let c = heap_pop t t.near in
+  Float.Array.set key 0 k;
+  let v = t.values.(c) in
+  release t c;
+  v
 
 let clear t =
-  Array.fill t.near 0 t.near_size (vacant ());
-  t.near_size <- 0;
-  Heap.clear t.overflow;
-  if t.wheel_count > 0 then Array.fill t.slots 0 t.nslots [];
+  Array.fill t.values 0 (Array.length t.values) (vacant ());
+  t.free <- nil;
+  free_range t 0 (Array.length t.seqs);
+  t.near.size <- 0;
+  t.overflow.size <- 0;
+  if t.wheel_count > 0 then Array.fill t.slots 0 t.nslots nil;
   t.wheel_count <- 0

@@ -1,31 +1,39 @@
 (** Hierarchical timing wheel: the priority queue behind the
-    discrete-event simulator's hot path.
+    discrete-event simulator's hot path (the hashed wheel of Varghese
+    and Lauck, "Hashed and Hierarchical Timing Wheels", SOSP 1987).
 
     A binary heap pays O(log n) float-compare sifts on every push and
     pop; a simulator scheduling one closure per packet hop does both per
     event.  Most of those events are {e near-future} — link serialization
     and propagation, queue drains, control-channel latency — so this
     structure buckets them into fixed-width time slots ([tick] seconds,
-    [slots] of them) and only pays heap costs within one slot:
+    [slots] of them) and only pays heap costs within one slot.
 
-    - events landing in the {e current} tick go to a small [near] heap
-      (usually a handful of entries), which preserves the exact
-      (key, insertion-order) execution order of the reference heap.
-      It is a wheel-private array of the entry records {!push}
-      allocated, not a {!Heap}: filing, draining and popping an event
-      allocate nothing further;
-    - events within the wheel horizon ([slots * tick] seconds ahead) are
-      consed onto their slot's list in O(1);
+    Each entry lives in a {e cell}: an index into parallel arrays of
+    keys (a [Float.Array], so unboxed), insertion sequence numbers,
+    values and links.  The link array threads both the slot lists and
+    the list of free cells, so a push reuses a popped entry's cell and
+    allocates nothing once the arrays have grown.  The three stages hold
+    cells:
+
+    - entries landing in the {e current} tick go to a small [near] heap
+      of cell indices (a few dozen on a busy fabric), which preserves
+      the exact (key, insertion-order) execution order of the reference
+      heap.  The heap keeps each position's key beside its cell, so a
+      sift compares unboxed keys from one small array and writes no
+      pointer;
+    - entries within the wheel horizon ([slots * tick] seconds ahead)
+      are linked onto their slot's list in O(1);
     - far timers (retransmission timeouts, expiry sweeps, periodic
-      polls) overflow to a fallback {!Heap} and migrate into the wheel
-      as its base advances.
+      polls) wait in an [overflow] heap of cell indices, ordered like
+      [near], and migrate into the wheel as its base advances.
 
     Execution order is {e identical} to {!Heap}'s: slot assignment is a
-    monotone function of the key, entries carry their global insertion
+    monotone function of the key, a cell keeps its global insertion
     sequence through every migration, and each slot is drained through
     the [near] heap, which orders by (key, seq).  The [test/util.wheel]
-    suite pins this equivalence property, including ties, and
-    [test/dataplane.sim] pins it through {!Dataplane.Sim}.
+    suite pins this equivalence property, including ties and cell reuse,
+    and [test/dataplane.sim] pins it through {!Dataplane.Sim}.
 
     A key too large for its tick to fit in an [int] (including
     [infinity]) saturates to a maximum tick: it waits in the overflow until
@@ -36,8 +44,6 @@
     schedule stays O(1): the defaults (16 µs ticks, 1024 slots ≈ 16 ms
     horizon) cover link and control-channel delays of the simulated
     networks; the [create] arguments override them in tests. *)
-
-type 'a entry = { key : float; seq : int; value : 'a }
 
 type 'a t
 
@@ -60,15 +66,17 @@ val push : 'a t -> float -> 'a -> unit
     cursors; the logical contents are unchanged.) *)
 val peek : 'a t -> (float * 'a) option
 
-(** [pop_due t ~strict ~stop] is the simulator's fused peek-and-pop: it
-    removes and returns the earliest entry when its key is <= [stop]
-    (< [stop] with [~strict:true] — the sharded simulator's conservative
-    windows are half-open intervals).  The entry is the record {!push}
-    allocated, so a pop allocates nothing.  Same-tick drains stay inside
-    the [near] heap — no wheel advance, no global re-peek per event.
+(** [pop_due t ~strict ~stop ~key] is the simulator's fused
+    peek-and-pop: when the earliest entry's key is <= [stop] (< [stop]
+    with [~strict:true] — the sharded simulator's conservative windows
+    are half-open intervals), it removes the entry, writes its key into
+    [key.(0)] and returns its value.  The key goes into the caller's
+    unboxed cell rather than into a pair, so a pop allocates nothing;
+    the freed cell drops its value.  Same-tick drains stay inside the
+    [near] heap — no wheel advance, no global re-peek per event.
     @raise Not_found when no entry is due ({!is_empty} tells an empty
     wheel from one whose earliest entry is past [stop]). *)
-val pop_due : 'a t -> strict:bool -> stop:float -> 'a entry
+val pop_due : 'a t -> strict:bool -> stop:float -> key:Float.Array.t -> 'a
 
 (** Test-only. *)
 val clear : 'a t -> unit

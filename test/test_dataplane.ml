@@ -148,23 +148,6 @@ let test_sim_matches_heap_replay () =
   Alcotest.(check bool) "identical execution traces" true
     (sim_trace = heap_trace)
 
-let test_sim_run_batch () =
-  let s = Sim.create () in
-  let log = ref [] in
-  Sim.schedule s ~delay:1.0 (fun () ->
-    log := "a" :: !log;
-    (* same-instant event scheduled from inside the batch joins it *)
-    Sim.schedule s ~delay:0.0 (fun () -> log := "a2" :: !log));
-  Sim.schedule s ~delay:1.0 (fun () -> log := "b" :: !log);
-  Sim.schedule s ~delay:2.0 (fun () -> log := "c" :: !log);
-  Alcotest.(check int) "first batch drains t=1" 3 (Sim.run_batch s);
-  Alcotest.(check (float 1e-9)) "clock at batch time" 1.0 (Sim.now s);
-  Alcotest.(check (list string)) "ties in schedule order, nested last"
-    [ "a"; "b"; "a2" ] (List.rev !log);
-  Alcotest.(check int) "later event stays queued" 1 (Sim.pending s);
-  Alcotest.(check int) "second batch" 1 (Sim.run_batch s);
-  Alcotest.(check int) "empty queue" 0 (Sim.run_batch s)
-
 (* the event loop end to end: routed ring:16 under 32 long-lived flows
    must reproduce across runs and match the signature pinned when the
    timing wheel was last checked against the heap engine *)
@@ -188,14 +171,16 @@ let test_ring16_signature () =
 (* What one executed event allocates, on fat-tree k=4 with compiled
    routing and 100 fixed-port CBR flows over 50 ms (~33K events, every
    lookup after the first per destination and switch a flow-cache hit).
-   A forwarding hop still allocates its arrival closure, the wheel entry
-   (with its boxed time) and the list cell filing it in a slot, the
-   located header copy and the ttl-decremented packet, plus the flow
-   table's [Some] results and the link's boxed [busy_until]; a host send
-   adds the packet and its CBR successor event.  The timing wheel's pop,
-   slot drain and forwarding interpreter add nothing.  Measured: 47.1
-   words per event; the bound leaves 17% headroom. *)
-let words_per_event_bound = 55.0
+   A forwarding hop still allocates its arrival closure, the located
+   header copy and the ttl-decremented packet, the link's boxed
+   [busy_until], the boxed arrival time handed to [Sim.schedule_at],
+   and the clock's new box when the event is later than the one before
+   it (the rule's [last_hit] shares that box); a host send adds the
+   packet and its CBR successor event.  The timing wheel's push, pop
+   and slot drain, the flow table's result and the single-output
+   forwarding path add nothing.  Measured: 31.3 words per event (47.1
+   with boxed wheel entries); the bound leaves 15% headroom. *)
+let words_per_event_bound = 36.0
 
 let test_alloc_budget () =
   let net = Scenarios.routed_flows ~flows:100 ~rate_pps:1000.0 ~stop:0.05
@@ -455,8 +440,6 @@ let suites =
         Alcotest.test_case "max events" `Quick test_sim_max_events;
         Alcotest.test_case "wheel == heap traces" `Quick
           test_sim_matches_heap_replay;
-        Alcotest.test_case "run_batch drains one instant" `Quick
-          test_sim_run_batch;
         Alcotest.test_case "ring:16 pinned signature" `Quick
           test_ring16_signature;
         Alcotest.test_case "allocation budget" `Quick test_alloc_budget ] );

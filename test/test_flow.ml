@@ -224,8 +224,14 @@ let test_counters () =
 let test_miss_counted () =
   let t = Table.create () in
   Table.add t (mk (Pattern.of_field Fields.Tp_dst 443) (Action.forward 1));
-  Alcotest.(check bool) "miss" true (Table.apply t ~now:0.0 ~size:1 hdr = None);
-  Alcotest.(check int) "miss count" 1 (Table.misses t)
+  Alcotest.(check bool) "miss" true
+    (Table.apply t ~now:0.0 ~size:1 hdr == Table.miss);
+  Alcotest.(check int) "miss count" 1 (Table.misses t);
+  (* a matched drop rule is an empty group, never the miss sentinel *)
+  Table.add t (mk ~priority:0 Pattern.any Action.drop);
+  let g = Table.apply t ~now:0.0 ~size:1 hdr in
+  Alcotest.(check bool) "drop is not a miss" true (g = [] && g != Table.miss);
+  Alcotest.(check int) "still one miss" 1 (Table.misses t)
 
 let test_capacity () =
   let t = Table.create ~capacity:2 () in

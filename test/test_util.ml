@@ -142,12 +142,14 @@ let prop_heap_sorts =
 (* The wheel pops only through [pop_due], the simulator's fused
    peek-and-pop; these views of it keep the tests readable. *)
 let wheel_pop w =
-  let e = Timing_wheel.pop_due w ~strict:false ~stop:infinity in
-  (e.key, e.value)
+  let key = Float.Array.make 1 nan in
+  let v = Timing_wheel.pop_due w ~strict:false ~stop:infinity ~key in
+  (Float.Array.get key 0, v)
 
 let wheel_pop_until ?(strict = false) w ~stop =
-  match Timing_wheel.pop_due w ~strict ~stop with
-  | e -> `Event (e.key, e.value)
+  let key = Float.Array.make 1 nan in
+  match Timing_wheel.pop_due w ~strict ~stop ~key with
+  | v -> `Event (Float.Array.get key 0, v)
   | exception Not_found -> if Timing_wheel.is_empty w then `Empty else `Beyond
 
 let wheel_drain w =
@@ -404,6 +406,59 @@ let prop_wheel_heap_pop_until =
             rw = rh)
         ops
       && wheel_drain w = Heap.to_sorted_list h)
+
+(* Cell reuse: every push takes a cell off the free list, so the
+   equivalence must survive cells coming back while others are live.
+   Each round opens with a burst filed in one slot 5 ticks ahead (more
+   than the 64 cells of the wheel's first growth, so the cell arrays
+   grow again, and draining that slot grows the near heap's arrays),
+   then alternates one push with one pop, keeping the burst's count in
+   flight while popped cells are reused.  Delays put the pushes in all
+   three stages: the current tick (near), the horizon (a slot) and
+   beyond it (overflow).  The first round ends with a [clear] of a
+   wheel holding cells in every stage; the second, twice as large,
+   runs on the cleared cells and grows the arrays again, then drains.
+   Pops follow [Heap] order throughout. *)
+let prop_wheel_reuses_cells =
+  let stage_delay =
+    QCheck.Gen.(
+      oneof
+        [ return 0.0;
+          map (fun k -> float_of_int k *. 1e-3) (1 -- 15);
+          map (fun k -> float_of_int k *. 1e-3) (16 -- 200) ])
+  in
+  QCheck.Test.make ~name:"timing wheel reuses cells, before and after clear"
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (1 -- 200) stage_delay))
+    (fun delays ->
+      let w = Timing_wheel.create ~tick:1e-3 ~slots:16 () in
+      let now = ref 0.0 and id = ref 0 in
+      let round burst =
+        let h = Heap.create () in
+        let push d =
+          incr id;
+          Timing_wheel.push w (!now +. d) !id;
+          Heap.push h (!now +. d) !id
+        in
+        for _ = 1 to burst do
+          push 0.005
+        done;
+        let in_order =
+          List.for_all
+            (fun d ->
+              push d;
+              let ((k, _) as e) = wheel_pop w in
+              now := k;
+              e = Heap.pop h && Timing_wheel.length w = burst)
+            delays
+        in
+        (in_order, h)
+      in
+      let first, _ = round 80 in
+      Timing_wheel.clear w;
+      let emptied = Timing_wheel.is_empty w in
+      let second, h = round 160 in
+      first && emptied && second && wheel_drain w = Heap.to_sorted_list h)
 
 (* ------------------------------------------------------------------ *)
 (* Prng *)
@@ -771,7 +826,8 @@ let suites =
         Alcotest.test_case "releases popped closures" `Quick
           test_wheel_releases_popped;
         QCheck_alcotest.to_alcotest prop_wheel_heap_equivalent;
-        QCheck_alcotest.to_alcotest prop_wheel_heap_pop_until ] );
+        QCheck_alcotest.to_alcotest prop_wheel_heap_pop_until;
+        QCheck_alcotest.to_alcotest prop_wheel_reuses_cells ] );
     ( "util.prng",
       [ Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
         Alcotest.test_case "int bounds" `Quick test_prng_bounds;
