@@ -58,7 +58,8 @@ type remote_iface = {
   ri_self : int;
   ri_shard_of : Node.t -> int;
   ri_post :
-    rem_shard:int -> time:float -> src:Node.t -> src_port:int -> pkt -> unit;
+    rem_shard:int -> time:float -> src:Node.t -> src_port:int -> ttl:int ->
+    pkt -> unit;
 }
 
 type counters = {
@@ -301,8 +302,14 @@ let ctl_transmit t (s : Ctl_channel.session) lane emit =
 (* ------------------------------------------------------------------ *)
 (* Forwarding *)
 
+(* A hop carries the packet's location beside it, not inside it: [pkt]
+   is immutable from the host's send on (only a [Set_field] copies it),
+   its hop budget travels as the argument [ttl], and the arrival port
+   is the link's.  So a hop allocates its event and nothing else, and a
+   flood or a multi-output group hands every branch the same [pkt]. *)
+
 (* schedule [pkt] onto a resolved, up egress link (queue check done) *)
-let rec enqueue t ls pkt =
+let rec enqueue t ls pkt ttl =
   let nowt = now t in
   let l = ls.ls_link in
   let ser = float_of_int (pkt.size * 8) /. l.capacity in
@@ -367,7 +374,7 @@ let rec enqueue t ls pkt =
       (match t.remote with
        | Some ri ->
          ri.ri_post ~rem_shard ~time:(arrival +. v.lv_extra) ~src:rem_src
-           ~src_port:rem_src_port pkt
+           ~src_port:rem_src_port ~ttl pkt
        | None -> assert false (* To_remote only resolved with an iface *))
     | To_switch _ | To_host _ ->
       if v.lv_extra > 0.0 then begin
@@ -375,14 +382,14 @@ let rec enqueue t ls pkt =
         Sim.schedule_at t.sim ~time:arrival (fun () ->
           ls.queued <- ls.queued - 1);
         Sim.schedule_at t.sim ~time:(arrival +. v.lv_extra) (fun () ->
-          arrive t ls pkt)
+          arrive t ls pkt ttl)
       end
       else
         Sim.schedule_at t.sim ~time:arrival (fun () ->
           ls.queued <- ls.queued - 1;
-          arrive t ls pkt)
+          arrive t ls pkt ttl)
 
-and transmit_switch t sw port pkt =
+and transmit_switch t sw port pkt ttl =
   match switch_egress t sw port with
   | None ->
     t.stats.dropped_link <- t.stats.dropped_link + 1;
@@ -397,7 +404,7 @@ and transmit_switch t sw port pkt =
       ls.tx_drops <- ls.tx_drops + 1;
       trace t "drop(queue) s%d port %d" sw.sw_id port
     end
-    else enqueue t ls pkt
+    else enqueue t ls pkt ttl
 
 and transmit_host t h port pkt =
   match host_egress t h port with
@@ -413,17 +420,17 @@ and transmit_host t h port pkt =
       ls.tx_drops <- ls.tx_drops + 1;
       trace t "drop(queue) h%d port %d" h.host_id port
     end
-    else enqueue t ls pkt
+    else enqueue t ls pkt pkt.ttl
 
 (* the link may have failed while the packet was in flight *)
-and arrive t ls pkt =
-  if ls.ls_link.up then deliver_ls t ls pkt
+and arrive t ls pkt ttl =
+  if ls.ls_link.up then deliver_ls t ls pkt ttl
   else begin
     t.stats.dropped_link <- t.stats.dropped_link + 1;
     trace t "drop(in-flight, link-down) -> %s" (Node.to_string ls.ls_link.dst)
   end
 
-and deliver_ls t ls pkt =
+and deliver_ls t ls pkt ttl =
   match ls.ls_dst with
   | To_host h ->
     h.received <- h.received + 1;
@@ -434,27 +441,28 @@ and deliver_ls t ls pkt =
     if Option.is_some t.tracer then trace t "h%d rx tag=%d" h.host_id pkt.tag;
     (match h.on_receive with Some f -> f pkt | None -> ())
   | To_switch sw ->
-    switch_process t sw ~in_port:ls.ls_dst_port ~rx:ls.ls_rx pkt
+    switch_process t sw ~in_port:ls.ls_dst_port ~rx:ls.ls_rx pkt ttl
   | To_remote _ -> assert false (* remote hops never reach deliver_ls *)
 
-and switch_process t sw ~in_port ~rx pkt =
+and switch_process t sw ~in_port ~rx pkt ttl =
   if not sw.alive then begin
     t.stats.dropped_down <- t.stats.dropped_down + 1;
     trace t "s%d drop(switch-down)" sw.sw_id
   end
-  else if pkt.ttl <= 0 then begin
+  else if ttl <= 0 then begin
     t.stats.dropped_ttl <- t.stats.dropped_ttl + 1;
     trace t "s%d drop(ttl)" sw.sw_id
   end
-  else switch_process_live t sw ~in_port ~rx pkt
+  else switch_process_live t sw ~in_port ~rx pkt (ttl - 1)
 
-and switch_process_live t sw ~in_port ~rx pkt =
-  let hdr = { pkt.hdr with switch = sw.sw_id; in_port } in
-  let pkt = { pkt with hdr; ttl = pkt.ttl - 1 } in
+and switch_process_live t sw ~in_port ~rx pkt ttl =
   let ps = match rx with Some ps -> ps | None -> port_stat sw in_port in
   ps.rx_packets <- ps.rx_packets + 1;
   ps.rx_bytes <- ps.rx_bytes + pkt.size;
-  let group = Flow.Table.apply sw.table ~now:(now t) ~size:pkt.size hdr in
+  let group =
+    Flow.Table.apply_at sw.table ~now:(now t) ~size:pkt.size
+      ~switch:sw.sw_id ~in_port pkt.hdr
+  in
   if group == Flow.Table.miss then
     packet_in t sw ~in_port ~reason:Openflow.Message.No_match pkt
   else
@@ -465,28 +473,30 @@ and switch_process_live t sw ~in_port ~rx pkt =
     | [ [ Flow.Action.Output port ] ] ->
       (* the common unicast rule: no interpreter closure *)
       t.stats.forwarded <- t.stats.forwarded + 1;
-      output t sw ~in_port pkt port
+      output t sw ~in_port ~ttl pkt port
     | group ->
       t.stats.forwarded <- t.stats.forwarded + 1;
-      execute_group t sw ~in_port pkt group
+      execute_group t sw ~in_port ~ttl pkt group
 
-(* interpret [group] on [pkt] in place: a copy whose headers no
-   [Set_field] changed goes out as [pkt] itself *)
-and execute_group t sw ~in_port pkt group =
+(* interpret [group] on [pkt]: a branch whose headers no [Set_field]
+   changed goes out as [pkt] itself, and every branch spends [ttl] on
+   its own *)
+and execute_group t sw ~in_port ~ttl pkt group =
   Flow.Action.iter_group
     (fun hdr port ->
-      output t sw ~in_port (if hdr == pkt.hdr then pkt else { pkt with hdr })
+      output t sw ~in_port ~ttl
+        (if hdr == pkt.hdr then pkt else { pkt with hdr })
         port)
     pkt.hdr group
 
-and output t sw ~in_port pkt (port : Flow.Action.port) =
+and output t sw ~in_port ~ttl pkt (port : Flow.Action.port) =
   match port with
-  | Physical p -> transmit_switch t sw p pkt
-  | In_port_out -> transmit_switch t sw in_port pkt
+  | Physical p -> transmit_switch t sw p pkt ttl
+  | In_port_out -> transmit_switch t sw in_port pkt ttl
   | Controller ->
     packet_in t sw ~in_port ~reason:Openflow.Message.Explicit_send pkt
   | Flood ->
-    List.iter (fun p -> if p <> in_port then transmit_switch t sw p pkt)
+    List.iter (fun p -> if p <> in_port then transmit_switch t sw p pkt ttl)
       (Topo.Topology.ports t.topo (Node.Switch sw.sw_id))
 
 (* ------------------------------------------------------------------ *)
@@ -514,10 +524,12 @@ and packet_in t sw ~in_port ~reason pkt =
   else begin
     sw.packet_ins <- sw.packet_ins + 1;
     trace t "s%d packet-in port=%d" sw.sw_id in_port;
+    (* the controller sees the packet where it is *)
+    let headers = { pkt.hdr with switch = sw.sw_id; in_port } in
     control_send t sw
       (Openflow.Message.Packet_in
          { in_port; reason;
-           packet = { headers = pkt.hdr; size = pkt.size; tag = pkt.tag } })
+           packet = { headers; size = pkt.size; tag = pkt.tag } })
   end
 
 (* Resolved ingress state for a link arriving from another shard: same
@@ -540,12 +552,12 @@ let remote_ingress t src src_port =
        Hashtbl.replace t.ingress_tbl (src, src_port) ls;
        Some ls)
 
-let receive_remote t ~src ~src_port pkt =
+let receive_remote t ~src ~src_port ~ttl pkt =
   match remote_ingress t src src_port with
   | None ->
     t.stats.dropped_link <- t.stats.dropped_link + 1;
     trace t "drop(no-link) %s port %d" (Node.to_string src) src_port
-  | Some ls -> arrive t ls pkt
+  | Some ls -> arrive t ls pkt ttl
 
 let ctl_channel t switch_id = (switch t switch_id).ctl
 
@@ -585,12 +597,9 @@ let handle_at_switch t sw ~xid (msg : Openflow.Message.t) =
            port_list = Topo.Topology.ports t.topo (Node.Switch sw.sw_id) })
   | Flow_mod fm -> apply_flow_mod t sw fm  (* admitted by the session *)
   | Packet_out po ->
-    let pkt =
+    execute_group t sw ~in_port:po.out_in_port ~ttl:default_ttl
       { hdr = po.out_packet.headers; size = po.out_packet.size;
         tag = po.out_packet.tag; ttl = default_ttl }
-    in
-    execute_group t sw ~in_port:po.out_in_port
-      { pkt with hdr = { pkt.hdr with switch = sw.sw_id } }
       [ po.out_actions ]
   | Barrier_request ->
     (* [xid] is the number of the last stream batch applied (see

@@ -16,22 +16,34 @@
     drop-tail queue of configurable depth per direction.  A packet in
     flight is a flat header record plus size and an opaque tag.
 
-    Per-hop forwarding is allocation- and lookup-light: the per-direction
-    {!link_state} caches the resolved topology link, the egress port's
-    tx counters and the {e destination} object (switch or host record),
-    so a hop touches no hashtable — switch egress states live in a
-    per-switch array indexed by port, hosts cache their access link.
+    Per-hop forwarding is allocation- and lookup-light: a hop carries the
+    packet's location and remaining hop budget beside it (see {!pkt}),
+    so it allocates its arrival event and nothing else, and the
+    per-direction {!link_state} caches the resolved topology link, the
+    egress port's tx counters and the {e destination} object (switch or
+    host record), so a hop touches no hashtable — switch egress states
+    live in a per-switch array indexed by port, hosts cache their access
+    link.
     The topology's [up] flag is mutated in place by the failure API, so
     the cached link record always reflects live link status. *)
 
 module Node := Topo.Topology.Node
 
+(** A packet as its sender built it.  Forwarding never writes it: a hop
+    carries the packet's location (switch, arrival port) and remaining
+    hop budget beside it, and copies it only where a [Set_field]
+    rewrites its headers.  So a host's [on_receive] sees the sender's
+    [ttl] and [hdr.switch]/[hdr.in_port], not the values in flight, and
+    the controller sees a packet-in's headers located at the switch
+    that sent it. *)
 type pkt = {
-  hdr : Packet.Headers.t;  (** [switch]/[in_port] = current location *)
+  hdr : Packet.Headers.t;  (** addressing; [switch]/[in_port] are the
+                               sender's, not the packet's location *)
   size : int;              (** bytes *)
   tag : int;               (** correlation tag for host applications *)
-  ttl : int;               (** hop budget; decremented per switch, packets
-                               expire at zero (bounds transient loops) *)
+  ttl : int;               (** hop budget at the send: each switch spends
+                               one of it, and a packet arriving with none
+                               left is dropped (bounds transient loops) *)
 }
 
 type switch = {
@@ -69,7 +81,9 @@ type remote_iface = {
   ri_self : int;  (** this network's shard index *)
   ri_shard_of : Node.t -> int;
   ri_post :
-    rem_shard:int -> time:float -> src:Node.t -> src_port:int -> pkt -> unit;
+    rem_shard:int -> time:float -> src:Node.t -> src_port:int -> ttl:int ->
+    pkt -> unit;
+      (** [ttl] is the packet's remaining hop budget *)
 }
 
 type counters = {
@@ -138,13 +152,14 @@ val set_tracer : t -> (float -> string -> unit) -> unit
 (** Test-only. *)
 val port_stat : switch -> int -> Openflow.Message.port_stat
 
-(** [receive_remote t ~src ~src_port pkt] completes a cross-shard hop:
-    the packet left the remote shard through link [(src, src_port)] and
-    arrives here (simulated time must already be the arrival time).  The
+(** [receive_remote t ~src ~src_port ~ttl pkt] completes a cross-shard
+    hop: the packet left the remote shard through link [(src, src_port)]
+    with [ttl] hops of budget left and arrives here (simulated time must already be the arrival time).  The
     in-flight link-down check runs against {e this} shard's topology
     clone — incidents are broadcast to every shard's clone at identical
     times, so the verdict matches the single-domain run exactly. *)
-val receive_remote : t -> src:Node.t -> src_port:int -> pkt -> unit
+val receive_remote :
+  t -> src:Node.t -> src_port:int -> ttl:int -> pkt -> unit
 
 (** The control session of [switch_id].  @raise Invalid_argument for
     switches this network does not own. *)
@@ -206,8 +221,9 @@ val restart_switch : t -> int -> unit
 val inject : t -> Fault.incident list -> unit
 
 (** [send_from t ~host pkt] puts [pkt] on the host's access link at the
-    current simulated time (headers should carry the intended addressing;
-    location fields are set by the receiving switch). *)
+    current simulated time with [pkt.ttl] hops of budget (headers should
+    carry the intended addressing; their location fields are ignored,
+    since each switch looks the packet up where it arrived). *)
 val send_from : t -> host:int -> pkt -> unit
 
 (** Builds a TCP-shaped packet from one synthesized host to another. *)

@@ -1,8 +1,13 @@
 module Node = Topo.Topology.Node
 
 (* a cross-shard envelope payload: a data packet identified by the link
-   (sending endpoint) it left through *)
-type load = { ld_src : Node.t; ld_src_port : int; ld_pkt : Network.pkt }
+   (sending endpoint) it left through, with the hop budget it carries *)
+type load = {
+  ld_src : Node.t;
+  ld_src_port : int;
+  ld_ttl : int;
+  ld_pkt : Network.pkt;
+}
 
 type shard = {
   sh_index : int;
@@ -182,10 +187,11 @@ let create ?queue_depth ?fault_config
       Network.set_remote sh.sh_net
         { ri_self = sh.sh_index; ri_shard_of = shard_of;
           ri_post =
-            (fun ~rem_shard ~time ~src ~src_port pkt ->
+            (fun ~rem_shard ~time ~src ~src_port ~ttl pkt ->
               Util.Shard_sync.post t.sync ~src:sh.sh_index ~dst:rem_shard
                 ~time
-                { ld_src = src; ld_src_port = src_port; ld_pkt = pkt }) })
+                { ld_src = src; ld_src_port = src_port; ld_ttl = ttl;
+                  ld_pkt = pkt }) })
     t.shards;
   t
 
@@ -245,10 +251,10 @@ let run ?until ?pool t =
     let sim = Network.sim sh.sh_net in
     List.iter
       (fun (e : load Util.Shard_sync.envelope) ->
-        let { ld_src; ld_src_port; ld_pkt } = e.env_load in
+        let { ld_src; ld_src_port; ld_ttl; ld_pkt } = e.env_load in
         Sim.schedule_at sim ~time:e.env_time (fun () ->
           Network.receive_remote sh.sh_net ~src:ld_src ~src_port:ld_src_port
-            ld_pkt))
+            ~ttl:ld_ttl ld_pkt))
       (Util.Shard_sync.drain t.sync i);
     sh.sh_executed <-
       sh.sh_executed + Network.run ~until:stop ~strict sh.sh_net ()

@@ -363,8 +363,13 @@ let all_ones : Headers.t =
 
 let[@inline] mix acc v = (acc * 31) + v
 
-(* the hash of [h] masked by [m], computed in place *)
-let masked_hash m (h : Headers.t) =
+(* The hit path reads a packet's location from its arguments, not from
+   [h]: a table belongs to one switch, so no key holds [switch], and
+   [in_port] is the port the packet arrived on, whatever [h] says. *)
+
+(* the hash of [h] arriving on [in_port], masked by [m], computed in
+   place *)
+let masked_hash m ~in_port (h : Headers.t) =
   let b = m.bits in
   mix
     (mix
@@ -374,7 +379,7 @@ let masked_hash m (h : Headers.t) =
                 (mix
                    (mix
                       (mix
-                         (mix (mix m.shape (h.in_port land b.in_port))
+                         (mix (mix m.shape (in_port land b.in_port))
                             (h.eth_src land b.eth_src))
                          (h.eth_dst land b.eth_dst))
                       (h.eth_type land b.eth_type))
@@ -386,13 +391,14 @@ let masked_hash m (h : Headers.t) =
     (h.tp_dst land b.tp_dst)
   land max_int
 
-(* [key] is [h] masked by [bits] ([switch] is never keyed); the fields
+(* [key] is [h] arriving on [in_port], masked by [bits]; the fields
    that most often tell flows apart are compared first *)
-let masked_equal (bits : Headers.t) (key : Headers.t) (h : Headers.t) =
+let masked_equal (bits : Headers.t) (key : Headers.t) ~in_port
+    (h : Headers.t) =
   key.ip4_dst = h.ip4_dst land bits.ip4_dst
   && key.tp_src = h.tp_src land bits.tp_src
   && key.eth_dst = h.eth_dst land bits.eth_dst
-  && key.in_port = h.in_port land bits.in_port
+  && key.in_port = in_port land bits.in_port
   && key.ip4_src = h.ip4_src land bits.ip4_src
   && key.tp_dst = h.tp_dst land bits.tp_dst
   && key.eth_src = h.eth_src land bits.eth_src
@@ -404,23 +410,26 @@ let bucket t hash = hash land (Array.length t.heads - 1)
 
 (* the slot holding [h] masked by [m] in the chain from [s], live or
    stale, or -1 *)
-let rec chain_find slots m hash h s =
+let rec chain_find slots m hash ~in_port h s =
   if s < 0 then -1
   else
     let e = Array.unsafe_get slots s in
-    if e.hash = hash && e.mask = m.shape && masked_equal m.bits e.key h then s
-    else chain_find slots m hash h e.next
+    if e.hash = hash && e.mask = m.shape && masked_equal m.bits e.key ~in_port h
+    then s
+    else chain_find slots m hash ~in_port h e.next
 
-let find_slot t m hash h =
-  chain_find t.slots m hash h (Array.unsafe_get t.heads (bucket t hash))
+let find_slot t m hash ~in_port h =
+  chain_find t.slots m hash ~in_port h
+    (Array.unsafe_get t.heads (bucket t hash))
 
-(* the live slot of the first mask under which [h] is cached, or -1 *)
-let rec find_live t h = function
+(* the live slot of the first mask under which [h] arriving on
+   [in_port] is cached, or -1 *)
+let rec find_live t ~in_port h = function
   | [] -> -1
   | m :: rest ->
-    let s = find_slot t m (masked_hash m h) h in
+    let s = find_slot t m (masked_hash m ~in_port h) ~in_port h in
     if s >= 0 && (Array.unsafe_get t.slots s).gen = t.generation then s
-    else find_live t h rest
+    else find_live t ~in_port h rest
 
 let link t s =
   let e = t.slots.(s) in
@@ -488,10 +497,12 @@ let mask_of t shape =
     t.masks <- t.masks @ [ m ];
     m
 
-let cache_insert t shape h verdict =
+(* [h] is located: its [in_port] is the arrival port *)
+let cache_insert t shape (h : Headers.t) verdict =
   let m = mask_of t shape in
-  let hash = masked_hash m h in
-  let s = find_slot t m hash h in
+  let in_port = h.in_port in
+  let hash = masked_hash m ~in_port h in
+  let s = find_slot t m hash ~in_port h in
   let e =
     if s >= 0 then t.slots.(s)  (* a stale entry with this key *)
     else begin
@@ -508,8 +519,10 @@ let cache_insert t shape h verdict =
   e.verdict <- verdict;
   e.referenced <- true
 
-let lookup t (h : Headers.t) =
-  let s = find_live t h t.masks in
+(* the verdict for [h] located at [switch]/[in_port]; only a miss
+   builds the located header, for the classifier and the new entry *)
+let lookup_at t ~switch ~in_port (h : Headers.t) =
+  let s = find_live t ~in_port h t.masks in
   if s >= 0 then begin
     let e = Array.unsafe_get t.slots s in
     e.referenced <- true;
@@ -518,16 +531,20 @@ let lookup t (h : Headers.t) =
   end
   else begin
     t.cache_misses <- t.cache_misses + 1;
+    let h = { h with switch; in_port } in
     let verdict, shape = classify t h in
     cache_insert t shape h verdict;
     verdict
   end
 
+let lookup t (h : Headers.t) =
+  lookup_at t ~switch:h.switch ~in_port:h.in_port h
+
 (* a list of its own, so no rule's actions are physically equal to it *)
 let miss : Action.group = [ [] ]
 
-let apply t ~now ~size (h : Headers.t) =
-  match lookup t h with
+let apply_at t ~now ~size ~switch ~in_port (h : Headers.t) =
+  match lookup_at t ~switch ~in_port h with
   | None ->
     t.misses <- t.misses + 1;
     miss
@@ -537,6 +554,9 @@ let apply t ~now ~size (h : Headers.t) =
     r.bytes <- r.bytes + size;
     r.last_hit <- now;
     r.actions
+
+let apply t ~now ~size (h : Headers.t) =
+  apply_at t ~now ~size ~switch:h.switch ~in_port:h.in_port h
 
 let expire t ~now =
   let expired r =

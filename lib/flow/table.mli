@@ -158,9 +158,19 @@ val lookup : t -> Headers.t -> rule option
     may hold (drop) is a different value. *)
 val miss : Action.group
 
-(** [apply t ~now ~size h] performs a dataplane lookup: updates hit/miss
-    and per-rule counters and returns the winning rule's action group, or
-    {!miss} on a table miss.  A hit allocates nothing. *)
+(** [apply_at t ~now ~size ~switch ~in_port h] performs a dataplane
+    lookup of [h] located at [switch], arriving on [in_port] (whatever
+    [h.switch] and [h.in_port] hold): updates hit/miss and per-rule
+    counters and returns the winning rule's action group, or {!miss} on
+    a table miss.  A hit reads the location from the arguments and
+    allocates nothing; a miss builds the located header once, for the
+    classifier and the cache entry.  The switch's forwarding hop calls
+    it, so a packet in flight never carries its location. *)
+val apply_at :
+  t -> now:float -> size:int -> switch:int -> in_port:int -> Headers.t ->
+  Action.group
+
+(** [apply t ~now ~size h] is [apply_at] at [h]'s own location. *)
 val apply : t -> now:float -> size:int -> Headers.t -> Action.group
 
 (** [expire t ~now] evicts rules whose idle timeout has passed,

@@ -34,11 +34,14 @@ let create ~window ~initial ~backoff ~cap ~now ~schedule ~send =
     live = false; timer = 0; timed = None; srtt = nan; rttvar = nan;
     rto = initial }
 
+(* RFC 6298's clock granularity G: the floor on the variance term, so
+   the timeout stays strictly above a constant RTT *)
+let granularity = 16e-6
+
 let estimate_rto t =
   if Float.is_nan t.srtt then t.initial
   else
-    Float.min t.cap
-      (t.srtt +. Float.max Timing_wheel.default_tick (4.0 *. t.rttvar))
+    Float.min t.cap (t.srtt +. Float.max granularity (4.0 *. t.rttvar))
 
 let sample t r =
   if Float.is_nan t.srtt then (t.srtt <- r; t.rttvar <- r /. 2.0)

@@ -11,10 +11,12 @@
     first RTT sample [R] sets [SRTT = R] and [RTTVAR = R / 2]; each later
     one folds in as [RTTVAR <- 3/4 RTTVAR + 1/4 |SRTT - R|], then
     [SRTT <- 7/8 SRTT + 1/8 R].  The estimate is
-    [min cap (SRTT + max G (4 RTTVAR))], where [G] is the simulator's
-    clock granularity ({!Timing_wheel.default_tick}), so the timeout
-    stays strictly above a constant RTT.  Before the first sample it is
-    [initial].  Each expiry multiplies it by [backoff], up to [cap]; an
+    [min cap (SRTT + max G (4 RTTVAR))], where the clock granularity [G]
+    is a constant 16 µs, so the timeout stays strictly above a constant
+    RTT.  [G] is the sender's own: the simulator's clock has no
+    granularity (events run at their exact times, whatever the timing
+    wheel's tick), so retransmit timing does not move with the tick.
+    Before the first sample the timeout is [initial].  Each expiry multiplies it by [backoff], up to [cap]; an
     ack that advances the window returns it to the estimate.  Karn's
     rule: one unit per window is timed, from its first transmission to
     the ack that covers it, and an expiry cancels the timing, since the

@@ -46,7 +46,9 @@ let pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 2
 
-let default_tick = 16e-6
+(* 1 µs: a dense fabric's schedule keeps a few entries per slot, where
+   16 µs kept about 80 (DESIGN "Event loop") *)
+let default_tick = 1e-6
 
 let new_heap () = { hkeys = Float.Array.create 0; cells = [||]; size = 0 }
 
@@ -262,21 +264,20 @@ let drain_slot t i =
     true
   end
 
+(* step [base] to the next nonempty slot and drain it; top-level, so a
+   scan allocates no closure (at a 1 µs tick one runs every few events) *)
+let rec scan t =
+  t.base <- t.base + 1;
+  migrate_overflow t;
+  if not (drain_slot t (t.base land t.mask)) && t.wheel_count > 0 then scan t
+
 (* Advance [base] until [near] holds the next pending cells (or the
    wheel is truly empty).  With cells in the wheel the next nonempty
    slot is at most [nslots - 1] ticks ahead; with only far timers left
    we jump straight to the overflow's first tick. *)
 let rec ensure_near t =
   if t.near.size = 0 then begin
-    if t.wheel_count > 0 then begin
-      let rec scan () =
-        t.base <- t.base + 1;
-        migrate_overflow t;
-        if not (drain_slot t (t.base land t.mask)) && t.wheel_count > 0 then
-          scan ()
-      in
-      scan ()
-    end
+    if t.wheel_count > 0 then scan t
     else if t.overflow.size > 0 then begin
       t.base <- max t.base (tick_of t (heap_min_key t.overflow));
       migrate_overflow t;

@@ -40,17 +40,22 @@
     everything finite-ticked ahead of it has run, then the [near] heap
     orders it by key like any other.
 
-    Tick width and slot count trade memory against how much of the
-    schedule stays O(1): the defaults (16 µs ticks, 1024 slots ≈ 16 ms
-    horizon) cover link and control-channel delays of the simulated
-    networks; the [create] arguments override them in tests. *)
+    The tick trades the near heap's size against empty slots: every
+    entry of one tick passes through the [near] heap, and every empty
+    slot between two events costs a scan step.  The defaults (1 µs
+    ticks, 1024 slots ≈ 1 ms horizon) fit a dense fabric: a fat-tree
+    k=6 under 1000 flows drains about 7 entries per slot, against about
+    80 at 16 µs.  A sparse schedule pays for it in empty-slot scans: the
+    routed ring:4 of bench E3 runs about 6% fewer events per second than
+    at 16 µs.  The 1 ms control-channel latency sits at the horizon, and
+    timers beyond it wait in the overflow.  The tick is not a clock
+    granularity: events run at their exact keys whatever it is.  The
+    [create] arguments override the defaults in tests. *)
 
 type 'a t
 
-(** 16 µs: the tick {!create} uses by default, and so the clock
-    granularity of the simulator ({!Gbn} floors its timeout with it). *)
-val default_tick : float
-
+(** [create ?tick ?slots ()]: [tick] seconds per slot (default 1 µs),
+    [slots] rounded up to a power of two (default 1024). *)
 val create : ?tick:float -> ?slots:int -> unit -> 'a t
 
 val length : 'a t -> int

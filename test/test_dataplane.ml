@@ -171,16 +171,18 @@ let test_ring16_signature () =
 (* What one executed event allocates, on fat-tree k=4 with compiled
    routing and 100 fixed-port CBR flows over 50 ms (~33K events, every
    lookup after the first per destination and switch a flow-cache hit).
-   A forwarding hop still allocates its arrival closure, the located
-   header copy and the ttl-decremented packet, the link's boxed
-   [busy_until], the boxed arrival time handed to [Sim.schedule_at],
-   and the clock's new box when the event is later than the one before
-   it (the rule's [last_hit] shares that box); a host send adds the
-   packet and its CBR successor event.  The timing wheel's push, pop
-   and slot drain, the flow table's result and the single-output
-   forwarding path add nothing.  Measured: 31.3 words per event (47.1
-   with boxed wheel entries); the bound leaves 15% headroom. *)
-let words_per_event_bound = 36.0
+   A forwarding hop allocates only what schedules its arrival: the
+   arrival closure (which carries the hop's ttl beside the packet), the
+   link's boxed [busy_until], the boxed arrival time handed to
+   [Sim.schedule_at], and the clock's new box when the event is later
+   than the one before it (the rule's [last_hit] shares that box); a
+   host send adds the packet and its CBR successor event.  The packet
+   and its headers are never copied on the way, and the timing wheel's
+   push, pop, slot scan and drain, the flow table's located lookup and
+   the single-output forwarding path add nothing.  Measured: 20.3 words
+   per event (31.3 with the location written into a copied packet, 47.1
+   with boxed wheel entries); the bound leaves 18% headroom. *)
+let words_per_event_bound = 24.0
 
 let test_alloc_budget () =
   let net = Scenarios.routed_flows ~flows:100 ~rate_pps:1000.0 ~stop:0.05
@@ -367,6 +369,62 @@ let test_port_counters () =
   Alcotest.(check int) "rx bytes" 1500 rx.rx_bytes;
   Alcotest.(check int) "tx pkts" 3 tx.tx_packets
 
+(* A packet that fans out spends its hop budget once per branch.  On a
+   ring:4, every switch floods (every port but the ingress) and also
+   bounces a copy back out of the ingress, so each arrival with budget
+   left sends three copies with one hop less: two to switches, one to a
+   host.  From one packet sent with ttl 5, switch arrivals double per
+   hop: 1 + 2 + 4 + 8 + 16 = 31 arrivals forward and deliver one copy
+   each, and the 32 that arrive with no budget left are dropped.  A
+   budget shared between branches (or spent per output) reads
+   otherwise. *)
+let test_fanout_spends_ttl_per_branch () =
+  let topo = Topo.Gen.ring ~switches:4 () in
+  let net = Network.create ~queue_depth:1000 topo in
+  List.iter
+    (fun sw ->
+      Flow.Table.add (Network.switch net sw).table
+        (Flow.Table.make_rule ~pattern:Flow.Pattern.any
+           ~actions:[ [ Output Flood ]; [ Output In_port_out ] ] ()))
+    [ 1; 2; 3; 4 ];
+  Network.send_from net ~host:1 (Network.make_pkt ~ttl:5 ~src:1 ~dst:3 ());
+  ignore (Network.run net ());
+  let s = Network.stats net in
+  Alcotest.(check int) "forwarded" 31 s.forwarded;
+  Alcotest.(check int) "delivered" 31 s.delivered;
+  Alcotest.(check int) "dropped_ttl" 32 s.dropped_ttl;
+  Alcotest.(check int) "no queue drops" 0 s.dropped_queue
+
+(* a table miss reaches the controller located where it happened: the
+   packet-in's headers name the switch and the port it arrived on, not
+   the sender's location nor the previous hop's *)
+let test_packet_in_located () =
+  (* s1: port 1 -> s2, port 2 -> h1; s2: port 1 -> s1, port 2 -> h2 *)
+  let topo = Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 () in
+  let net = Network.create topo in
+  wildcard_forward net 1 1;
+  let seen = ref [] in
+  Network.adopt (Network.ctl_channel net 2) (fun ~switch_id data ->
+    List.iter
+      (fun (_, (msg : Openflow.Message.t)) ->
+        match msg with
+        | Packet_in pi -> seen := (switch_id, pi) :: !seen
+        | _ -> ())
+      (Openflow.Wire.decode_all data));
+  let pkt = Network.make_pkt ~tp_src:4321 ~src:1 ~dst:2 () in
+  Network.send_from net ~host:1 pkt;
+  ignore (Network.run net ());
+  match !seen with
+  | [ (switch_id, pi) ] ->
+    let h = pi.packet.headers in
+    Alcotest.(check int) "from s2" 2 switch_id;
+    Alcotest.(check int) "packet-in port" 1 pi.in_port;
+    Alcotest.(check int) "headers.switch" 2 h.switch;
+    Alcotest.(check int) "headers.in_port" 1 h.in_port;
+    Alcotest.(check bool) "addressing as sent" true
+      (Packet.Headers.equal h { pkt.hdr with switch = 2; in_port = 1 })
+  | l -> Alcotest.failf "expected one packet-in, got %d" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* Traffic *)
 
@@ -458,7 +516,11 @@ let suites =
         Alcotest.test_case "flood excludes ingress" `Quick
           test_flood_respects_ingress;
         Alcotest.test_case "header rewrite" `Quick test_header_rewrite_applied;
-        Alcotest.test_case "port counters" `Quick test_port_counters ] );
+        Alcotest.test_case "port counters" `Quick test_port_counters;
+        Alcotest.test_case "fan-out spends ttl per branch" `Quick
+          test_fanout_spends_ttl_per_branch;
+        Alcotest.test_case "packet-in is located" `Quick
+          test_packet_in_located ] );
     ( "dataplane.traffic",
       [ Alcotest.test_case "cbr count" `Quick test_cbr_packet_count;
         Alcotest.test_case "poisson reproducible" `Quick

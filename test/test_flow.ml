@@ -826,6 +826,98 @@ let prop_megaflow_consistent ?cache_entries name =
           && Table.mask_count t <= max 1 (Table.shape_count t))
         ops)
 
+(* property: the located lookup [apply_at ~switch ~in_port h] is
+   [apply { h with switch; in_port }] — same verdict, same hit/miss and
+   cache counters, same per-rule packet counts — on random multi-shape
+   tables whose rules constrain [in_port], under churn, with every
+   probe looked up twice so the second pass hits a warm cache.  The
+   located side's headers carry a stale location (the sender's), so a
+   hit path that read [h.in_port] instead of its argument would answer
+   another port's verdict. *)
+let prop_located_lookup =
+  let open QCheck.Gen in
+  let gen_pat =
+    map
+      (fun ((in_port, tp_dst), ip4_dst) ->
+        { Pattern.any with
+          in_port; tp_dst;
+          ip4_dst =
+            Option.map
+              (fun (h, len) -> Ipv4.Prefix.make (Ipv4.of_host_id h) len)
+              ip4_dst })
+      (pair
+         (pair (opt (int_bound 3)) (opt (oneofl [ 80; 443 ])))
+         (opt (pair (1 -- 3) (oneofl [ 16; 32 ]))))
+  in
+  (* a probe: headers with a stale location, and where the packet is *)
+  let gen_probe =
+    map
+      (fun ((stale_sw, stale_port), (sw, port), (dst, tp_dst, tp_src)) ->
+        ( { hdr with
+            switch = stale_sw; in_port = stale_port;
+            ip4_dst = Ipv4.of_host_id dst; tp_dst; tp_src },
+          sw, port ))
+      (triple
+         (pair (int_bound 3) (int_bound 3))
+         (pair (int_bound 3) (int_bound 3))
+         (triple (1 -- 3) (oneofl [ 80; 443 ]) (int_bound 1000)))
+  in
+  let gen_op =
+    frequency
+      [ (3, map2 (fun prio p -> `Add (prio, p)) (int_bound 3) gen_pat);
+        (1, map (fun p -> `Remove p) gen_pat);
+        (4, map (fun ps -> `Lookup ps) (list_size (1 -- 10) gen_probe)) ]
+  in
+  QCheck.Test.make ~name:"located lookup == apply on the located header"
+    ~count:400
+    (QCheck.make (list_size (5 -- 40) gen_op))
+    (fun ops ->
+      let located = Table.create () and reference = Table.create () in
+      let cookie = ref 0 and now = ref 0.0 in
+      let counters t =
+        ( (Table.hits t, Table.misses t),
+          (Table.cache_hits t, Table.cache_misses t),
+          List.map (fun (r : Table.rule) -> (r.cookie, r.packets))
+            (Table.rules t) )
+      in
+      let same_verdict a b =
+        if a == Table.miss || b == Table.miss then
+          a == Table.miss && b == Table.miss
+        else a = b
+      in
+      List.for_all
+        (fun op ->
+          now := !now +. 1.0;
+          (match op with
+           | `Add (priority, pattern) ->
+             incr cookie;
+             List.iter
+               (fun t ->
+                 Table.add t
+                   (Table.make_rule ~priority ~cookie:!cookie ~pattern
+                      ~actions:(Action.forward !cookie) ()))
+               [ located; reference ];
+             true
+           | `Remove pattern ->
+             Table.remove located ~pattern;
+             Table.remove reference ~pattern;
+             true
+           | `Lookup probes ->
+             let pass () =
+               List.for_all
+                 (fun ((h : Headers.t), switch, in_port) ->
+                   same_verdict
+                     (Table.apply_at located ~now:!now ~size:100 ~switch
+                        ~in_port h)
+                     (Table.apply reference ~now:!now ~size:100
+                        { h with switch; in_port }))
+                 probes
+             in
+             (* the first pass fills the caches, the second hits them *)
+             pass () && pass ())
+          && counters located = counters reference)
+        ops)
+
 let suites =
   [ ( "flow.pattern",
       [ Alcotest.test_case "any" `Quick test_any_matches;
@@ -864,7 +956,8 @@ let suites =
         Alcotest.test_case "consistent under eviction" `Quick
           test_clock_consistent_under_eviction;
         QCheck_alcotest.to_alcotest prop_lookup_max_priority;
-        QCheck_alcotest.to_alcotest prop_cache_consistent ] );
+        QCheck_alcotest.to_alcotest prop_cache_consistent;
+        QCheck_alcotest.to_alcotest prop_located_lookup ] );
     ( "flow.classifier",
       [ Alcotest.test_case "shape table maintenance" `Quick
           test_shape_table_maintenance;

@@ -460,6 +460,60 @@ let prop_wheel_reuses_cells =
       let second, h = round 160 in
       first && emptied && second && wheel_drain w = Heap.to_sorted_list h)
 
+(* The simulator's own wheel ([create ()]: 1 µs ticks, 1024 slots, so a
+   horizon of about 1 ms) against the heap, on the schedule a fabric
+   gives it: link events a fraction of a microsecond to tens of
+   microseconds ahead (many in the current tick or sharing one), control
+   frames 1 ms ahead plus a few µs of jitter, which lands right at the
+   horizon, and far timers (retransmits, expiry sweeps) in the overflow.
+   Pushes are relative to the last popped key, as the simulator's are,
+   and pops are bounded like its runs. *)
+let prop_default_wheel_heap =
+  let open QCheck.Gen in
+  let us n = float_of_int n *. 1e-6 in
+  let delay =
+    frequency
+      [ (6, map (fun q -> float_of_int q *. 0.25e-6) (int_bound 120));
+        (3, map (fun j -> us (1000 + j)) (int_range (-2) 40));
+        (1, map (fun ms -> float_of_int ms *. 1e-3) (2 -- 1500)) ]
+  in
+  let gen_op =
+    frequency
+      [ (3, map (fun d -> `Push d) delay);
+        (2, map2 (fun strict d -> `Pop_until (strict, d)) bool delay) ]
+  in
+  QCheck.Test.make ~name:"default wheel == heap on a fabric's schedule"
+    ~count:300
+    (QCheck.make (list_size (1 -- 300) gen_op))
+    (fun ops ->
+      let w = Timing_wheel.create () in
+      let h = Heap.create () in
+      let now = ref 0.0 and id = ref 0 in
+      let heap_pop_until ~strict ~stop =
+        match Heap.peek h with
+        | None -> `Empty
+        | Some (k, _) when (if strict then k >= stop else k > stop) -> `Beyond
+        | Some _ ->
+          let k, v = Heap.pop h in
+          `Event (k, v)
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Push d ->
+            incr id;
+            Timing_wheel.push w (!now +. d) !id;
+            Heap.push h (!now +. d) !id;
+            true
+          | `Pop_until (strict, d) ->
+            let stop = !now +. d in
+            let rw = wheel_pop_until ~strict w ~stop in
+            let rh = heap_pop_until ~strict ~stop in
+            (match rh with `Event (k, _) -> now := k | `Beyond | `Empty -> ());
+            rw = rh)
+        ops
+      && wheel_drain w = Heap.to_sorted_list h)
+
 (* ------------------------------------------------------------------ *)
 (* Prng *)
 
@@ -655,7 +709,7 @@ let test_rto_karn () =
   checkf "back at the estimate" rto0 (next_rto h)
 
 (* RTTVAR decays to 0 on a constant RTT; the clock-granularity floor
-   keeps the timer from firing with the reply *)
+   (G = 16 µs) keeps the timer from firing with the reply *)
 let test_rto_granularity_floor () =
   let h = harness ~initial:0.02 ~backoff:2.0 ~cap:0.5 () in
   for _ = 1 to 500 do
@@ -663,7 +717,7 @@ let test_rto_granularity_floor () =
   done;
   let r = next_rto h in
   Alcotest.(check bool) "strictly above the RTT" true (r > 0.002);
-  checkf "by one wheel tick" (0.002 +. Timing_wheel.default_tick) r
+  checkf "by G" (0.002 +. 16e-6) r
 
 let test_rto_rejects () =
   let arg =
@@ -827,7 +881,8 @@ let suites =
           test_wheel_releases_popped;
         QCheck_alcotest.to_alcotest prop_wheel_heap_equivalent;
         QCheck_alcotest.to_alcotest prop_wheel_heap_pop_until;
-        QCheck_alcotest.to_alcotest prop_wheel_reuses_cells ] );
+        QCheck_alcotest.to_alcotest prop_wheel_reuses_cells;
+        QCheck_alcotest.to_alcotest prop_default_wheel_heap ] );
     ( "util.prng",
       [ Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
         Alcotest.test_case "int bounds" `Quick test_prng_bounds;
