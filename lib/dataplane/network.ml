@@ -7,6 +7,10 @@ type pkt = {
   ttl : int;
 }
 
+(* when a link's transmitter next falls idle: a float-only record keeps
+   the float unboxed, so a hop's write allocates nothing *)
+type busy = { mutable until : float }
+
 type switch = {
   sw_id : int;
   table : Flow.Table.t;
@@ -45,8 +49,17 @@ and link_state = {
   ls_rx : Openflow.Message.port_stat option;  (* switch-side rx counters *)
   ls_dst : dest;
   ls_dst_port : int;
-  mutable busy_until : float;
-  mutable queued : int;     (* packets scheduled but not yet on the wire *)
+  ls_busy : busy;
+  mutable queued : int;
+      (* packets on the wire: the length of the in-flight ring, whose
+         entries start at [ring_head] in [ring_pkts]/[ring_ttls] (a
+         power-of-two capacity) in the order they land *)
+  mutable ring_head : int;
+  mutable ring_pkts : pkt array;
+  mutable ring_ttls : int array;
+  mutable ls_land : (unit -> unit) option;
+      (* the one landing event of every packet on this link, built on
+         first use *)
   mutable tx_drops : int;
   mutable ls_chaos : Util.Prng.t option;
       (* this link's chaos verdict stream, created on first use; keyed
@@ -177,15 +190,19 @@ let now t = Sim.now t.sim
 let fault t = t.fault
 let remote_reorders t = t.remote_reorders
 
+(* [find], not [find_opt]: a host send looks its host up, and an
+   option would allocate on every send *)
 let switch t id =
-  match Hashtbl.find_opt t.switches id with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Network.switch: no switch %d" id)
+  match Hashtbl.find t.switches id with
+  | s -> s
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Network.switch: no switch %d" id)
 
 let host t id =
-  match Hashtbl.find_opt t.host_tbl id with
-  | Some h -> h
-  | None -> invalid_arg (Printf.sprintf "Network.host: no host %d" id)
+  match Hashtbl.find t.host_tbl id with
+  | h -> h
+  | exception Not_found ->
+    invalid_arg (Printf.sprintf "Network.host: no host %d" id)
 
 let switch_list t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.switches []
@@ -218,6 +235,12 @@ let port_stat sw port =
 (* ------------------------------------------------------------------ *)
 (* Egress resolution *)
 
+let link_state (l : Topo.Topology.link) ~tx ~rx dst =
+  { ls_link = l; ls_tx = tx; ls_rx = rx; ls_dst = dst;
+    ls_dst_port = l.dst_port; ls_busy = { until = 0.0 }; queued = 0;
+    ring_head = 0; ring_pkts = [||]; ring_ttls = [||]; ls_land = None;
+    tx_drops = 0; ls_chaos = None }
+
 (* the far end of link [l] on this network, with its rx counters *)
 let local_dest t (l : Topo.Topology.link) =
   match l.dst with
@@ -249,9 +272,7 @@ let resolve_egress t node port =
       | Node.Switch id -> Some (port_stat (switch t id) port)
       | Node.Host _ -> None
     in
-    Some
-      { ls_link = l; ls_tx; ls_rx; ls_dst; ls_dst_port = l.dst_port;
-        busy_until = 0.0; queued = 0; tx_drops = 0; ls_chaos = None }
+    Some (link_state l ~tx:ls_tx ~rx:ls_rx ls_dst)
 
 let switch_egress_slow t sw port =
   match resolve_egress t (Node.Switch sw.sw_id) port with
@@ -305,17 +326,54 @@ let ctl_transmit t (s : Ctl_channel.session) lane emit =
 (* A hop carries the packet's location beside it, not inside it: [pkt]
    is immutable from the host's send on (only a [Set_field] copies it),
    its hop budget travels as the argument [ttl], and the arrival port
-   is the link's.  So a hop allocates its event and nothing else, and a
-   flood or a multi-output group hands every branch the same [pkt]. *)
+   is the link's.  A flood or a multi-output group hands every branch
+   the same [pkt].
+
+   A packet on the wire is an entry of its link's in-flight ring, and
+   its landing event is the link's one landing closure, pushed once per
+   packet at the packet's arrival time.  A link's arrivals never go
+   backwards in time (its [busy_until] only grows and its delay is
+   fixed) and the wheel breaks ties by push order, so the k-th landing
+   on a link pops the k-th packet enqueued on it: the events run at the
+   same (time, seq) as one closure per packet would.  So a hop
+   allocates only the boxed arrival time it hands to
+   {!Sim.schedule_at} (and the clock's box when time advances). *)
+
+(* Stands in the ring for a packet that will not land here: one lost to
+   chaos, handed to another shard, or delivered late by its own event.
+   Its landing only frees the queue slot.  Also the filler of an empty
+   entry, so the ring keeps no landed packet alive. *)
+let released = { hdr = Packet.Headers.default; size = 0; tag = 0; ttl = 0 }
+
+(* double the ring, laying its entries out from index 0 *)
+let ring_grow ls =
+  let cap = Array.length ls.ring_pkts in
+  let ncap = max 8 (2 * cap) in
+  let pkts = Array.make ncap released and ttls = Array.make ncap 0 in
+  for k = 0 to ls.queued - 1 do
+    let j = (ls.ring_head + k) land (cap - 1) in
+    pkts.(k) <- ls.ring_pkts.(j);
+    ttls.(k) <- ls.ring_ttls.(j)
+  done;
+  ls.ring_pkts <- pkts;
+  ls.ring_ttls <- ttls;
+  ls.ring_head <- 0
+
+let ring_push ls pkt ttl =
+  if ls.queued = Array.length ls.ring_pkts then ring_grow ls;
+  let i = (ls.ring_head + ls.queued) land (Array.length ls.ring_pkts - 1) in
+  ls.ring_pkts.(i) <- pkt;
+  ls.ring_ttls.(i) <- ttl;
+  ls.queued <- ls.queued + 1
 
 (* schedule [pkt] onto a resolved, up egress link (queue check done) *)
 let rec enqueue t ls pkt ttl =
   let nowt = now t in
   let l = ls.ls_link in
   let ser = float_of_int (pkt.size * 8) /. l.capacity in
-  let start = if nowt > ls.busy_until then nowt else ls.busy_until in
-  ls.busy_until <- start +. ser;
-  ls.queued <- ls.queued + 1;
+  let busy = ls.ls_busy.until in
+  let start = if nowt > busy then nowt else busy in
+  ls.ls_busy.until <- start +. ser;
   (match ls.ls_tx with
    | Some ps ->
      ps.tx_packets <- ps.tx_packets + 1;
@@ -357,37 +415,50 @@ let rec enqueue t ls pkt ttl =
       v
     end
   in
-  if v.lv_drop || v.lv_corrupt then
-    (* lost on the wire (or discarded by the receiver's CRC): the slot
-       is released when the transmission would have arrived *)
-    Sim.schedule_at t.sim ~time:arrival (fun () -> ls.queued <- ls.queued - 1)
-  else
+  (* a packet lost on the wire (or discarded by the receiver's CRC), one
+     crossing to another shard and one delivered late all free their
+     queue slot on time, at [arrival] *)
+  let lost = v.lv_drop || v.lv_corrupt and late = v.lv_extra > 0.0 in
+  let remote =
+    match ls.ls_dst with To_remote _ -> true | To_switch _ | To_host _ -> false
+  in
+  ring_push ls (if lost || late || remote then released else pkt) ttl;
+  Sim.schedule_at t.sim ~time:arrival (landing t ls);
+  if not lost then
     match ls.ls_dst with
     | To_remote { rem_src; rem_src_port; rem_shard } ->
       (* cross-shard handoff, posted at {e enqueue} time so the envelope's
-         timestamp is >= now + link delay >= now + lookahead — the local
-         half only releases the queue slot at arrival; the destination
-         shard checks its own clone's [up] flag (see [receive_remote]) *)
-      Sim.schedule_at t.sim ~time:arrival (fun () ->
-        ls.queued <- ls.queued - 1);
-      if v.lv_extra > 0.0 then t.remote_reorders <- t.remote_reorders + 1;
+         timestamp is >= now + link delay >= now + lookahead; the
+         destination shard checks its own clone's [up] flag (see
+         [receive_remote]) *)
+      if late then t.remote_reorders <- t.remote_reorders + 1;
       (match t.remote with
        | Some ri ->
          ri.ri_post ~rem_shard ~time:(arrival +. v.lv_extra) ~src:rem_src
            ~src_port:rem_src_port ~ttl pkt
        | None -> assert false (* To_remote only resolved with an iface *))
     | To_switch _ | To_host _ ->
-      if v.lv_extra > 0.0 then begin
-        (* reordered: the slot frees on time, delivery lands late *)
-        Sim.schedule_at t.sim ~time:arrival (fun () ->
-          ls.queued <- ls.queued - 1);
+      if late then
+        (* reordered: delivery lands late, by its own event *)
         Sim.schedule_at t.sim ~time:(arrival +. v.lv_extra) (fun () ->
           arrive t ls pkt ttl)
-      end
-      else
-        Sim.schedule_at t.sim ~time:arrival (fun () ->
-          ls.queued <- ls.queued - 1;
-          arrive t ls pkt ttl)
+
+and landing t ls =
+  match ls.ls_land with
+  | Some f -> f
+  | None ->
+    let f () = land_head t ls in
+    ls.ls_land <- Some f;
+    f
+
+(* the ring's oldest packet reaches the far end of its link *)
+and land_head t ls =
+  let i = ls.ring_head in
+  let pkt = ls.ring_pkts.(i) and ttl = ls.ring_ttls.(i) in
+  ls.ring_pkts.(i) <- released;
+  ls.ring_head <- (i + 1) land (Array.length ls.ring_pkts - 1);
+  ls.queued <- ls.queued - 1;
+  if pkt != released then arrive t ls pkt ttl
 
 and transmit_switch t sw port pkt ttl =
   match switch_egress t sw port with
@@ -544,11 +615,7 @@ let remote_ingress t src src_port =
      | None -> None
      | Some l ->
        let ls_dst, ls_rx = local_dest t l in
-       let ls =
-         { ls_link = l; ls_tx = None; ls_rx; ls_dst;
-           ls_dst_port = l.dst_port; busy_until = 0.0; queued = 0;
-           tx_drops = 0; ls_chaos = None }
-       in
+       let ls = link_state l ~tx:None ~rx:ls_rx ls_dst in
        Hashtbl.replace t.ingress_tbl (src, src_port) ls;
        Some ls)
 

@@ -18,12 +18,13 @@
 
     Per-hop forwarding is allocation- and lookup-light: a hop carries the
     packet's location and remaining hop budget beside it (see {!pkt}),
-    so it allocates its arrival event and nothing else, and the
-    per-direction {!link_state} caches the resolved topology link, the
-    egress port's tx counters and the {e destination} object (switch or
-    host record), so a hop touches no hashtable — switch egress states
-    live in a per-switch array indexed by port, hosts cache their access
-    link.
+    and a link lands its packets, in the order it sent them, with one
+    reused event, so a hop allocates only the boxed arrival time it
+    schedules.  The per-direction {!link_state} caches the resolved
+    topology link, the egress port's tx counters and the {e destination}
+    object (switch or host record), so a hop touches no hashtable —
+    switch egress states live in a per-switch array indexed by port,
+    hosts cache their access link.
     The topology's [up] flag is mutated in place by the failure API, so
     the cached link record always reflects live link status. *)
 

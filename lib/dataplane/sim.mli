@@ -11,9 +11,11 @@
     binary heap's on (time, scheduling order) — pinned against
     {!Util.Heap} in [test/util.wheel] and [test/dataplane.sim].
 
-    One executed event allocates its closure and, when it is later
-    than the event before it, the clock's new boxed time.  The wheel
-    keeps the event in a reused cell of unboxed arrays, and {!run} pops
+    Running an event allocates only the clock's new boxed time, when
+    the event is later than the one before it.  The closure and the
+    boxed time an event is scheduled with are its scheduler's (a
+    traffic source and a link reuse their closures).  The wheel keeps
+    the event in a reused cell of unboxed arrays, and {!run} pops
     through {!Util.Timing_wheel.pop_due}, which writes the popped time
     into a one-element float array rather than returning a pair, so
     queueing and popping allocate nothing once the wheel's arrays have

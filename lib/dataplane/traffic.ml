@@ -13,50 +13,47 @@ let default_flow ~src ~dst =
   { src; dst; rate_pps = 100.0; pkt_size = 1000; start = 0.0; stop = 1.0;
     tp_dst = 80; tp_src = None }
 
-let cbr net (spec : flow_spec) =
+(* A flow's next send time: a float-only record keeps it unboxed, so
+   moving it on allocates nothing *)
+type next_send = { mutable at : float }
+
+(* Schedule a flow's packet train: one event closure, built here, sends
+   and then reschedules itself [gap ()] after its own time.  A
+   fixed-port flow sends one immutable packet every time (forwarding
+   never writes it); a fresh-port flow builds a packet per send. *)
+let flow net (spec : flow_spec) ~gap =
   let sent = ref 0 in
-  let interval = 1.0 /. spec.rate_pps in
   let sim = Network.sim net in
-  let rec send_at time =
-    if time <= spec.stop then
-      Sim.schedule_at sim ~time (fun () ->
-        let tp_src =
-          match spec.tp_src with
-          | Some p -> p
-          | None -> 10000 + (!sent mod 50000)
-        in
-        let pkt =
-          Network.make_pkt ~size:spec.pkt_size ~tp_dst:spec.tp_dst ~tp_src
-            ~src:spec.src ~dst:spec.dst ()
-        in
-        incr sent;
-        Network.send_from net ~host:spec.src pkt;
-        send_at (time +. interval))
+  let make tp_src =
+    Network.make_pkt ~size:spec.pkt_size ~tp_dst:spec.tp_dst ~tp_src
+      ~src:spec.src ~dst:spec.dst ()
   in
-  send_at spec.start;
+  let fixed = Option.map make spec.tp_src in
+  let next = { at = spec.start } in
+  let rec send () =
+    let pkt =
+      match fixed with
+      | Some pkt -> pkt
+      | None -> make (10000 + (!sent mod 50000))
+    in
+    incr sent;
+    Network.send_from net ~host:spec.src pkt;
+    let time = next.at +. gap () in
+    if time <= spec.stop then begin
+      next.at <- time;
+      Sim.schedule_at sim ~time send
+    end
+  in
+  if next.at <= spec.stop then Sim.schedule_at sim ~time:next.at send;
   sent
 
+let cbr net (spec : flow_spec) =
+  let interval = 1.0 /. spec.rate_pps in
+  flow net spec ~gap:(fun () -> interval)
+
 let poisson net ~prng (spec : flow_spec) =
-  let sent = ref 0 in
-  let sim = Network.sim net in
-  let rec send_at time =
-    if time <= spec.stop then
-      Sim.schedule_at sim ~time (fun () ->
-        let tp_src =
-          match spec.tp_src with
-          | Some p -> p
-          | None -> 10000 + (!sent mod 50000)
-        in
-        let pkt =
-          Network.make_pkt ~size:spec.pkt_size ~tp_dst:spec.tp_dst ~tp_src
-            ~src:spec.src ~dst:spec.dst ()
-        in
-        incr sent;
-        Network.send_from net ~host:spec.src pkt;
-        send_at (time +. Util.Prng.exponential prng ~mean:(1.0 /. spec.rate_pps)))
-  in
-  send_at spec.start;
-  sent
+  flow net spec ~gap:(fun () ->
+    Util.Prng.exponential prng ~mean:(1.0 /. spec.rate_pps))
 
 (** Ping application: echo requests carry a tag; the destination host
     answers with the tag mirrored; RTTs are recorded at the source.

@@ -16,7 +16,11 @@ type flow_spec = {
 val default_flow : src:int -> dst:int -> flow_spec
 
 (** [cbr net spec] schedules a constant-bit-rate packet train.  Returns a
-    counter cell incremented per packet sent. *)
+    counter cell incremented per packet sent.  A flow with a fixed
+    [tp_src] builds one immutable packet and sends it every time, so
+    its receiver sees the same physical packet on every delivery; with
+    [tp_src = None] each send builds its own.  One event, built here,
+    reschedules itself for every send. *)
 val cbr : Network.t -> flow_spec -> int ref
 
 (** [poisson net ~prng spec] — as {!cbr} with exponential inter-arrivals

@@ -220,18 +220,25 @@ let push t key value = file t (alloc t key value)
 
 (* Pull every overflow cell that now fits under the horizon.
 
-   Boundary audit: a cell whose tick is {e exactly} at the
-   horizon ([tick - base = nslots]) must stay in the overflow heap —
-   its slot index aliases the current base slot ([tick land mask =
-   base land mask]), so filing it would let the next drain of that slot
-   surface it a full revolution early, ahead of every cell in the
-   intervening slots.  Both guards agree on strict [<]: [file] sends
-   [tick - base >= nslots] to the overflow, and this migration only
-   pulls [tick - base < nslots], so the boundary cell migrates on the
-   next base advance, never before.  Same-instant FIFO order across the
-   migration is preserved because a cell keeps its global [seq] and
-   every heap orders by [(key, seq)].  Both properties are pinned by the
-   [test/util.wheel] horizon-boundary regression tests. *)
+   Boundary audit.  A cell whose tick is exactly [base + nslots]
+   aliases the base slot ([tick land mask = base land mask]).  The
+   invariant that holds the order is: this migration may pull only
+   cells that [file] will not send back to the overflow, and none into
+   the base slot.  [scan] migrates right after stepping [base] and
+   before draining the new base slot, so a cell pulled at [base +
+   nslots] would be drained at once, a revolution early; with [file]'s
+   strict [<] it would instead go straight back to the overflow, and
+   [pop_due] would loop forever.  So the strict [<] here is essential.
+
+   [file]'s own strict [<] is dead but harmless: a cell pushed from
+   outside finds the base slot already drained ([scan] drains it, and a
+   jump in [ensure_near] finds every slot empty), and that slot is next
+   drained when [base] reaches [base + nslots], the cell's own tick.  A
+   copy that files it there with [<=] passes every test, the
+   [test/util.wheel] "cells filed at the horizon" case included; the
+   guard stays as a margin.  Same-instant FIFO order across the
+   migration holds because a cell keeps its global [seq] and every heap
+   orders by [(key, seq)]. *)
 let rec migrate_overflow t =
   if t.overflow.size > 0
      && tick_of t (heap_min_key t.overflow) - t.base < t.nslots
@@ -274,7 +281,11 @@ let rec scan t =
 (* Advance [base] until [near] holds the next pending cells (or the
    wheel is truly empty).  With cells in the wheel the next nonempty
    slot is at most [nslots - 1] ticks ahead; with only far timers left
-   we jump straight to the overflow's first tick. *)
+   we jump straight to the overflow's first tick.  The jump's target is
+   a cost choice, not an ordering one: every slot is empty, so a base a
+   tick short of it or past it files the same cells in (key, seq)
+   order ([test/util.wheel] "overflow-only jump == heap" passes either
+   way); the first tick puts exactly that tick's cells near. *)
 let rec ensure_near t =
   if t.near.size = 0 then begin
     if t.wheel_count > 0 then scan t

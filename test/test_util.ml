@@ -205,13 +205,11 @@ let test_wheel_pop_until () =
   | `Empty -> ()
   | _ -> Alcotest.fail "expected `Empty after drain"
 
-(* ISSUE 6 boundary audit regressions.  An entry whose tick is exactly
-   at the horizon ([tick - base = nslots]) aliases the current base slot
-   under the power-of-two mask; filing it into the wheel would let the
-   next drain of that slot surface it a full revolution early.  [file]
-   and [migrate_overflow] agree on strict [<], so it must stay in the
-   overflow until the base advances — these tests pin that, and the
-   same-instant FIFO order across the overflow->slot migration. *)
+(* Horizon boundary.  A cell whose tick is exactly [base + nslots]
+   aliases the current base slot under the power-of-two mask.  [file]
+   keeps it in the overflow until the base advances; these tests pin
+   its order against the other stages, and same-instant FIFO order
+   across the overflow -> slot migration. *)
 
 let test_wheel_horizon_boundary () =
   (* whole-second ticks make tick_of exact: no float-quantization noise *)
@@ -243,6 +241,50 @@ let test_wheel_horizon_boundary_fifo () =
   Alcotest.(check (list string)) "FIFO preserved across migration"
     [ "a"; "b"; "c"; "d" ]
     (List.map snd (wheel_drain w))
+
+(* Run [ops] ([`Push key] or [`Pop]) on a whole-second wheel of 16
+   slots and on a {!Heap}, then drain both: the two traces must agree.
+   Whole-second ticks make [tick_of] exact, so a key names its tick. *)
+let check_against_heap msg ops =
+  let w = Timing_wheel.create ~tick:1.0 ~slots:16 () in
+  let h = Heap.create () in
+  let id = ref 0 and trace_w = ref [] and trace_h = ref [] in
+  List.iter
+    (function
+      | `Push k ->
+        incr id;
+        Timing_wheel.push w k !id;
+        Heap.push h k !id
+      | `Pop ->
+        trace_w := wheel_pop w :: !trace_w;
+        trace_h := Heap.pop h :: !trace_h)
+    ops;
+  Alcotest.(check (list (pair (float 0.0) int))) msg
+    (List.rev !trace_h @ Heap.to_sorted_list h)
+    (List.rev !trace_w @ wheel_drain w)
+
+(* cells filed at exactly [base + nslots] once the base has moved off
+   0 (and one tick either side of it), with ties, pushed while the
+   near heap still holds the current tick *)
+let test_wheel_filed_at_horizon () =
+  check_against_heap "== heap"
+    [ `Push 3.0; `Push 4.0; `Pop;  (* base 3 *)
+      `Push 19.0; `Push 20.0; `Push 18.0; `Push 4.0; `Push 19.0;
+      `Pop;  (* base 4; the second 4.0 still near *)
+      `Push 20.0; `Push 21.0; `Push 36.0; `Pop; `Pop;
+      `Push 34.0; `Push 35.0; `Push 20.0 ]
+
+(* a wheel holding only overflow cells jumps its base to the first
+   one's tick, then pulls what fits under the new horizon: the first
+   tick's cells go near, the rest to slots, and a cell exactly
+   [nslots] past the jump stays in the overflow *)
+let test_wheel_overflow_jump () =
+  check_against_heap "== heap"
+    [ `Push 100.0; `Push 100.5; `Push 115.0; `Push 116.0; `Push 117.0;
+      `Push 100.0; `Push 300.0;
+      `Pop;  (* base jumps to 100 *)
+      `Push 116.0; `Push 100.2; `Push 132.0; `Pop; `Pop; `Pop; `Pop;
+      `Push 131.0; `Push 132.0 ]
 
 let test_wheel_pop_until_strict () =
   let w = Timing_wheel.create ~tick:1e-3 ~slots:16 () in
@@ -873,6 +915,10 @@ let suites =
           test_wheel_horizon_boundary;
         Alcotest.test_case "FIFO across overflow migration" `Quick
           test_wheel_horizon_boundary_fifo;
+        Alcotest.test_case "cells filed at the horizon == heap" `Quick
+          test_wheel_filed_at_horizon;
+        Alcotest.test_case "overflow-only jump == heap" `Quick
+          test_wheel_overflow_jump;
         Alcotest.test_case "pop_until strict bound" `Quick
           test_wheel_pop_until_strict;
         Alcotest.test_case "huge and infinite keys wait their turn" `Quick
