@@ -675,6 +675,28 @@ let path_policy topo ~src ~dst =
                   Netkat.Syntax.forward h.out_port ]))
        path)
 
+(* E9's inconsistent baseline: every switch's table is replaced
+   independently by a fresh cookie-0 compile, each after a random delay
+   in [0, max_jitter], emulating the asynchronous rollout of real
+   deployments, so in-flight packets can see mixed old/new forwarding.
+   Returns the number of rules it adds. *)
+let naive_rollout ctx ~prng ~max_jitter pol =
+  let result =
+    Netkat.Delta.compile
+      ~switches:(Topo.Topology.switch_ids (Controller.Api.topology ctx))
+      None (Netkat.Fdd.of_policy pol)
+  in
+  List.fold_left
+    (fun adds (switch_id, change) ->
+      let delay = Util.Prng.float prng max_jitter in
+      Controller.Api.schedule ctx ~delay (fun () ->
+        Controller.Api.send_flow_mods ctx ~switch_id
+          (Controller.Api.change_flow_mods ~known:false change));
+      match change with
+      | Netkat.Delta.Changed { rules; _ } -> adds + List.length rules
+      | Netkat.Delta.Unchanged -> adds)
+    0 result.changes
+
 let e9 () =
   header "E9 — consistent updates: naive switch-by-switch vs two-phase";
   pf "expected shape: rerouting a live flow by rewriting tables one switch@.";
@@ -696,14 +718,17 @@ let e9 () =
   pf "%-12s | %8s %8s %8s | %10s %10s@." "strategy" "sent" "lost"
     "ttl-drop" "peak-rules" "flowmods";
   pf "%s@." (String.make 66 '-');
-  let run name go =
+  (* [initial] installs the old policy through the updater; [update]
+     moves to the new one and returns the flow-mods it issued outside
+     the updater's count *)
+  let run name ~initial ~update =
     let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
     let old_pol, new_pol = make_policies topo in
     let net = Zen.create topo in
     let rt = Zen.with_controller net [] in
     let ctx = Controller.Runtime.ctx rt in
     let updater = Controller.Update.create ~drain:0.3 () in
-    go ctx updater old_pol new_pol;
+    initial updater ctx old_pol;
     ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
     let sent =
       Dataplane.Traffic.cbr (Zen.network net)
@@ -711,29 +736,28 @@ let e9 () =
           rate_pps = 2000.0; pkt_size = 500; start = Zen.now net;
           stop = Zen.now net +. 2.0 }
     in
-    let update_at = Zen.now net +. 1.0 in
+    let extra_mods = ref 0 in
     Dataplane.Sim.schedule
       (Dataplane.Network.sim (Zen.network net))
       ~delay:1.0
-      (fun () ->
-        match name with
-        | "naive" ->
-          Controller.Update.naive updater ctx
-            ~prng:(Util.Prng.create 99) ~max_jitter:0.05 new_pol
-        | _ -> Controller.Update.two_phase updater ctx new_pol);
-    ignore update_at;
+      (fun () -> extra_mods := update updater ctx new_pol);
     ignore (Zen.run ~until:(Zen.now net +. 3.5) net);
     let stats = Dataplane.Network.stats (Zen.network net) in
     let received = (Dataplane.Network.host (Zen.network net) 3).received in
     pf "%-12s | %8d %8d %8d | %10d %10d@." name !sent (!sent - received)
       stats.dropped_ttl
       (Controller.Update.peak_rules updater)
-      (Controller.Update.installs updater)
+      (Controller.Update.installs updater + !extra_mods)
   in
-  run "naive" (fun ctx updater old_pol _new ->
-    Controller.Update.install_plain updater ctx old_pol);
-  run "two-phase" (fun ctx updater old_pol _new ->
-    Controller.Update.install updater ctx old_pol)
+  let two_phase updater ctx pol =
+    Controller.Update.transition updater ctx (Local pol)
+  in
+  run "naive" ~initial:Controller.Update.install_plain
+    ~update:(fun _ ctx pol ->
+      naive_rollout ctx ~prng:(Util.Prng.create 99) ~max_jitter:0.05 pol);
+  run "two-phase" ~initial:two_phase ~update:(fun updater ctx pol ->
+    two_phase updater ctx pol;
+    0)
 
 (* ------------------------------------------------------------------ *)
 (* E10 — incremental (delta) routing updates *)

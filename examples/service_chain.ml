@@ -76,8 +76,8 @@ let () =
   let rt = Zen.with_controller net2 [] in
   let ctx = Controller.Runtime.ctx rt in
   let updater = Controller.Update.create ~drain:0.3 () in
-  Controller.Update.global_install updater ctx
-    (Netkat.Global.compile ~base_tag:3000 (chain_via topo2 4));
+  Controller.Update.transition updater ctx
+    (Global (Netkat.Global.compile ~base_tag:3000 (chain_via topo2 4)));
   ignore (Zen.run ~until:(Zen.now net2 +. 0.2) net2);
   let sent =
     Dataplane.Traffic.cbr (Zen.network net2)
@@ -88,8 +88,8 @@ let () =
     (Dataplane.Network.sim (Zen.network net2))
     ~delay:1.0
     (fun () ->
-      Controller.Update.global_two_phase updater ctx
-        (Netkat.Global.compile ~base_tag:4000 (chain_via topo2 2)));
+      Controller.Update.transition updater ctx
+        (Global (Netkat.Global.compile ~base_tag:4000 (chain_via topo2 2))));
   ignore (Zen.run ~until:(Zen.now net2 +. 3.0) net2);
   let received = (Dataplane.Network.host (Zen.network net2) 3).received in
   pf "sent %d, delivered %d, lost %d during the consistent re-chain@." !sent

@@ -1,53 +1,56 @@
-(** Consistent network updates (Reitblatt et al.'s per-packet consistency,
-    the mechanism behind congestion-free/loss-free update systems like
-    zUpdate).
+(** Programming the network with a policy, two ways.
 
-    The problem: replacing the rules of many switches is not atomic, so a
-    packet in flight can be forwarded by a {e mix} of the old and new
-    policy — transient loops, black holes or security violations that
-    neither policy alone would produce.
+    - {!install_plain} is a {e delta push}: it compiles the policy
+      through {!Netkat.Delta} against the previous plain install and
+      writes only the changed rules of the changed switches, under cookie
+      0.  It is fast, but it is {e not} per-packet consistent: the
+      switches apply an edit one by one, so a packet in flight can be
+      forwarded by a mix of the old and the new policy (transient loops,
+      black holes or security violations that neither policy alone would
+      produce).
+    - {!transition} is {e per-packet consistent} (Reitblatt et al.'s
+      two-phase update with version stamping, the mechanism behind
+      congestion-free/loss-free update systems like zUpdate).  The VLAN
+      id carries a configuration version: packets are stamped at their
+      ingress switch, internal rules match only their own version, and
+      the stamp is popped at the egress (host-facing) port.
+      {b phase 1} installs the new version's {e internal} rules
+      everywhere (they match only the new tag, so live traffic is
+      untouched); {b phase 2}, after those have landed, flips the
+      {e ingress} rules to stamp the new version, so each packet is
+      handled entirely by one version; {b phase 3}, after a drain
+      interval, deletes the old version's rules.  The price is a full
+      copy of the policy in a new version band on every transition, and
+      the transient double table occupancy that {!peak_rules} reports.
 
-    The classic fix implemented here is {e two-phase update with version
-    stamping}: the VLAN id carries a configuration version.  Packets are
-    stamped with the current version at their ingress switch, internal
-    rules match only their own version, and the stamp is popped at the
-    egress (host-facing) port.
+    One updater drives one path.  Plain rules (cookie 0, priority band
+    [(0, span)], [span] being {!Netkat.Delta.span}) sit below every
+    version band, so a later transition shadows them but does not delete
+    them.
 
-    - {b phase 1}: install the new version's {e internal} rules everywhere
-      (they match only the new tag, so live traffic is untouched);
-    - {b phase 2}: after the installs have landed, flip the {e ingress}
-      rules to stamp the new version — each packet is handled entirely by
-      one version;
-    - {b phase 3}: after a drain interval, delete the old version's rules.
-
-    The cost is transient double table occupancy; {!peak_rules} reports it.
-    {!naive} performs the inconsistent switch-by-switch replacement for
-    comparison (experiment E9).
-
-    Every installer here is a {!Delta} stream: it compiles against the
-    stream's previous snapshot and writes only what
-    {!Api.change_flow_mods} maps the result to.  A version owns two
-    streams, [internal:v] and [ingress:v], under cookie [v] — for
-    {!install}/{!two_phase} and for the globally-compiled
-    {!global_install}/{!global_two_phase} alike; {!install_plain} and
-    {!naive} write cookie 0.
-
-    Restriction: the managed policy must not itself use the [Vlan] field
-    (it carries the version); {!Policy_uses_vlan} is raised otherwise. *)
+    A version's rules are two {!Netkat.Delta} compiles from scratch,
+    internal and ingress, pushed under cookie [v]. *)
 
 exception Policy_uses_vlan
 
+(** The policy a {!transition} moves to.
+    - [Local pol]: a per-switch policy that must not itself use the
+      [Vlan] field (it carries the version); {!transition} raises
+      {!Policy_uses_vlan} otherwise.
+    - [Global pol]: a {!Netkat.Global.compile}d program, or any policy
+      obeying its vlan discipline: every forwarding rule matches either
+      untagged traffic or one of the program's own tags.  Successive
+      programs must use disjoint tag spaces (e.g. [Global.compile
+      ~base_tag:3000] then [4000]). *)
+type program = Local of Netkat.Syntax.pol | Global of Netkat.Syntax.pol
+
 type t
 
-(** [create ?drain ()] — an updater.  Every install path compiles
-    through {!Delta} against the previous snapshot of its stream, so
-    repeated {!install}, {!global_install} and {!install_plain} calls
-    push only the changed switches/rules, and an in-place install after
-    a transition edits the transition's rules; see each function for
-    the consistency caveat. *)
+(** [create ?drain ()] — an updater whose transitions remove the old
+    version [drain] seconds (default 0.5) after flipping ingress. *)
 val create : ?drain:float -> unit -> t
 
-(** The current configuration version (0 before the first install).
+(** The current configuration version (0 before the first transition).
     Test-only. *)
 val version : t -> int
 
@@ -56,7 +59,7 @@ val version : t -> int
 val installs : t -> int
 
 (** Max total rules observed installed: the transient double occupancy
-    of a two-phase update. *)
+    of a transition. *)
 val peak_rules : t -> int
 
 (** Replication of the updater's durable state (see {!Api.app}'s
@@ -75,70 +78,36 @@ val export_state : t -> string
     Test-only. *)
 val import_state : t -> string -> unit
 
-(** Completed two-phase transitions.  Test-only. *)
+(** Transitions that replaced a version and drained it.  Test-only. *)
 val updates_done : t -> int
 
 (** Switches proven unchanged and never touched, over the lifetime. *)
 val skipped_switches : t -> int
 
-(** Flow-mods (adds + strict deletes) issued on delta pushes.
-    Test-only. *)
+(** Flow-mods (adds + strict deletes) issued on {!install_plain}'s
+    delta pushes.  Test-only. *)
 val delta_mods : t -> int
 
-(** Cookie-scoped deletes issued by {!delete_version}.  Test-only. *)
-val delete_msgs : t -> int
-
-(** Test-only. *)
-val delete_version : t -> Api.ctx -> cookie:int -> unit
-
-(** [install t ctx pol] — installation of a versioned policy.  The first
-    call installs version 1.  Later calls keep the version (and its
-    vlan tag, priority base and cookie) {e stable} and delta-push only
-    the changed switches/rules — the fast path for small edits.  This
-    in-place edit is {e not} per-packet consistent (a packet in flight
-    can mix pre- and post-edit rules); use {!two_phase} when the edit
-    needs the consistency guarantee.
-    @raise Policy_uses_vlan *)
-val install : t -> Api.ctx -> Netkat.Syntax.pol -> unit
-
-(** [two_phase t ctx pol] — per-packet-consistent transition to [pol].
-    Phases are driven by simulated time; the transition completes (old
-    rules gone) after roughly [2 * control latency + drain] seconds.
+(** [transition t ctx program] — per-packet-consistent move to
+    [program] in a fresh version.  The first transition (from version
+    0) is the initial install: it installs version 1 and deletes
+    nothing.  Phases are driven by simulated time; a later transition
+    completes (old version gone, switches that never received its rules
+    left untouched) after roughly [2 * control latency + drain] seconds.
     Version [v]'s internal rules take the priority band
     [2 v span + (0, span)] and its ingress rules the band one span
-    higher ([span] is {!Netkat.Delta.span}), so the new version's
-    ingress rules shadow every rule of the old one.
-    @raise Policy_uses_vlan
+    higher, so the new version's ingress rules shadow every rule of the
+    old one.  Every transition compiles and installs the whole program
+    anew, even when it differs from the installed one by one rule.
+    @raise Policy_uses_vlan for a [Local] policy that uses [Vlan]
     @raise Invalid_argument if the new version's bands would pass the
     u32 wire priority (version 8192 and up), leaving the version as it
     was. *)
-val two_phase : t -> Api.ctx -> Netkat.Syntax.pol -> unit
+val transition : t -> Api.ctx -> program -> unit
 
-(** [naive t ctx ~prng ~max_jitter pol] — the inconsistent baseline:
-    every switch's cookie-0 table is replaced independently (unversioned
-    rules), each after a random delay in [0, max_jitter], emulating the
-    asynchronous rollout of real deployments.  In-flight packets can see
-    mixed old/new forwarding. *)
-val naive :
-  t ->
-  Api.ctx ->
-  prng:Util.Prng.t -> max_jitter:float -> Netkat.Syntax.pol -> unit
-
-(** [global_install t ctx pol] — installation of a
-    {!Netkat.Global.compile}d program (or any policy obeying the vlan
-    discipline above).  Later calls with the same tag space keep the
-    version stable and delta-push (not per-packet consistent; see
-    {!global_two_phase} for the consistency path). *)
-val global_install : t -> Api.ctx -> Netkat.Syntax.pol -> unit
-
-(** [global_two_phase t ctx pol] — per-packet-consistent transition to a
-    new globally-compiled program whose tag space is disjoint from the
-    currently installed one, in the version bands of {!two_phase}.
-    @raise Invalid_argument as {!two_phase}. *)
-val global_two_phase : t -> Api.ctx -> Netkat.Syntax.pol -> unit
-
-(** Plain (unversioned) install, for the naive baseline runs.  The
-    first call full-replaces each switch's cookie-0 rules; later calls
-    delta-push only the changed switches/rules (unchanged switches get
-    no message at all). *)
+(** [install_plain t ctx pol] — a delta push of [pol] under cookie 0.
+    The first call full-replaces each switch's cookie-0 rules; later
+    calls push only the changed switches/rules (unchanged switches get
+    no message at all, so their flow caches stay warm).  Not per-packet
+    consistent; see {!transition}. *)
 val install_plain : t -> Api.ctx -> Netkat.Syntax.pol -> unit

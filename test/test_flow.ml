@@ -1,4 +1,5 @@
-(* Tests for match patterns, actions and the priority flow table. *)
+(* Tests for match patterns, actions, the priority flow table (strict
+   deletes included) and the rule-list optimizer. *)
 
 open Packet
 open Flow
@@ -918,6 +919,107 @@ let prop_located_lookup =
           && counters located = counters reference)
         ops)
 
+(* ------------------------------------------------------------------ *)
+(* Strict delete (the wire roundtrip is in test_openflow.ml) *)
+
+let test_strict_delete_table () =
+  let t = Flow.Table.create () in
+  let gen = Flow.Pattern.of_field Fields.Tp_dst 80 in
+  let spec =
+    Option.get (Flow.Pattern.conj gen (Flow.Pattern.of_field Fields.In_port 2))
+  in
+  Flow.Table.add t
+    (Flow.Table.make_rule ~priority:5 ~pattern:gen ~actions:(Flow.Action.forward 1) ());
+  Flow.Table.add t
+    (Flow.Table.make_rule ~priority:3 ~pattern:spec ~actions:(Flow.Action.forward 2) ());
+  (* non-strict delete by the general pattern would remove both *)
+  Flow.Table.remove_strict t ~priority:5 ~pattern:gen;
+  Alcotest.(check int) "only the exact rule gone" 1 (Flow.Table.size t);
+  (* wrong priority: no-op *)
+  Flow.Table.remove_strict t ~priority:99 ~pattern:spec;
+  Alcotest.(check int) "priority must match" 1 (Flow.Table.size t)
+
+(* ------------------------------------------------------------------ *)
+(* Optimizer *)
+
+(* rule lists are ordered: the first matching rule decides *)
+
+let test_optimize_removes_shadowed () =
+  let rules =
+    [ (Flow.Pattern.any, Flow.Action.forward 1);
+      (Flow.Pattern.of_field Fields.Tp_dst 80, Flow.Action.forward 2) ]
+  in
+  let out = Flow.Optimize.minimize rules in
+  Alcotest.(check int) "shadowed removed" 1 (List.length out);
+  Alcotest.(check bool) "the any rule survives" true
+    (fst (List.hd out) = Flow.Pattern.any)
+
+let test_optimize_removes_redundant () =
+  (* specific rule with same action as the catch-all below it *)
+  let rules =
+    [ (Flow.Pattern.of_field Fields.Tp_dst 80, Flow.Action.forward 1);
+      (Flow.Pattern.any, Flow.Action.forward 1) ]
+  in
+  Alcotest.(check int) "redundant removed" 1
+    (List.length (Flow.Optimize.minimize rules))
+
+let test_optimize_keeps_blocked_redundancy () =
+  (* same-action pair separated by a conflicting overlapping rule: the
+     top rule is NOT redundant (removing it would expose tp80+port1
+     packets to the drop rule) *)
+  let rules =
+    [ (Flow.Pattern.of_field Fields.Tp_dst 80, Flow.Action.forward 1);
+      (Flow.Pattern.of_field Fields.In_port 1, Flow.Action.drop);
+      (Flow.Pattern.any, Flow.Action.forward 1) ]
+  in
+  Alcotest.(check int) "nothing removed" 3
+    (List.length (Flow.Optimize.minimize rules))
+
+let probe_headers =
+  List.concat_map
+    (fun port ->
+      List.map
+        (fun tp ->
+          { Headers.default with in_port = port; tp_dst = tp; eth_type = 1 })
+        [ 0; 1; 2; 3; 80 ])
+    [ 0; 1; 2; 3 ]
+
+let prop_optimize_preserves_semantics =
+  QCheck.Test.make ~name:"minimize preserves lookup semantics" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (0 -- 25)
+           (pair
+              (oneof
+                 [ return Flow.Pattern.any;
+                   map (Flow.Pattern.of_field Fields.Tp_dst) (int_bound 3);
+                   map (Flow.Pattern.of_field Fields.In_port) (int_bound 3);
+                   map2
+                     (fun a b ->
+                       match
+                         Flow.Pattern.conj
+                           (Flow.Pattern.of_field Fields.Tp_dst a)
+                           (Flow.Pattern.of_field Fields.In_port b)
+                       with
+                       | Some p -> p
+                       | None -> Flow.Pattern.any)
+                     (int_bound 3) (int_bound 3) ])
+              (int_bound 2))))
+    (fun specs ->
+      let rules =
+        List.map
+          (fun (pattern, act) ->
+            ( pattern,
+              if act = 0 then Flow.Action.drop else Flow.Action.forward act ))
+          specs
+      in
+      let out = Flow.Optimize.minimize rules in
+      List.length out <= List.length rules
+      && List.for_all
+           (fun h ->
+             Flow.Optimize.lookup rules h = Flow.Optimize.lookup out h)
+           probe_headers)
+
 let suites =
   [ ( "flow.pattern",
       [ Alcotest.test_case "any" `Quick test_any_matches;
@@ -977,4 +1079,16 @@ let suites =
           (prop_megaflow_consistent ~cache_entries:2
              "megaflow == linear, 2-entry cache");
         QCheck_alcotest.to_alcotest
-          (prop_megaflow_consistent "megaflow == linear, default cache") ] ) ]
+          (prop_megaflow_consistent "megaflow == linear, default cache") ] );
+    ( "flow.strict_delete",
+      [ Alcotest.test_case "table semantics" `Quick test_strict_delete_table;
+        Alcotest.test_case "wire roundtrip" `Quick
+          Test_openflow.test_strict_delete_wire ] );
+    ( "flow.optimize",
+      [ Alcotest.test_case "removes shadowed" `Quick
+          test_optimize_removes_shadowed;
+        Alcotest.test_case "removes redundant" `Quick
+          test_optimize_removes_redundant;
+        Alcotest.test_case "keeps blocked redundancy" `Quick
+          test_optimize_keeps_blocked_redundancy;
+        QCheck_alcotest.to_alcotest prop_optimize_preserves_semantics ] ) ]

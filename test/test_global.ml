@@ -162,7 +162,7 @@ let test_service_chain_stage_applied () =
 
 let test_global_two_phase_no_loss () =
   (* re-chain a live flow between the two sides of a ring with the
-     global-program two-phase installer: zero loss, waypoint flips *)
+     transitions of a global program: zero loss, waypoint flips *)
   let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
   let chain via =
     Global.path_program topo ~vias:[ 1; via; 3 ] ~stage:match_h3
@@ -172,8 +172,8 @@ let test_global_two_phase_no_loss () =
   let rt = Zen.with_controller net [] in
   let ctx = Controller.Runtime.ctx rt in
   let updater = Controller.Update.create ~drain:0.2 () in
-  Controller.Update.global_install updater ctx
-    (Global.compile ~base_tag:3000 (chain 4));
+  Controller.Update.transition updater ctx
+    (Global (Global.compile ~base_tag:3000 (chain 4)));
   ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
   let sent =
     Dataplane.Traffic.cbr (Zen.network net)
@@ -182,63 +182,14 @@ let test_global_two_phase_no_loss () =
   in
   Dataplane.Sim.schedule (Dataplane.Network.sim (Zen.network net)) ~delay:0.7
     (fun () ->
-      Controller.Update.global_two_phase updater ctx
-        (Global.compile ~base_tag:4000 (chain 2)));
+      Controller.Update.transition updater ctx
+        (Global (Global.compile ~base_tag:4000 (chain 2))));
   ignore (Zen.run ~until:(Zen.now net +. 3.0) net);
   Alcotest.(check int) "zero loss" !sent
     (Dataplane.Network.host (Zen.network net) 3).received;
   match Verify.Reach.waypoint (Zen.snapshot net) ~src:1 ~dst:3 ~waypoint:2 with
   | `Enforced -> ()
   | `No_traffic | `Violated _ -> Alcotest.fail "chain did not flip to s2"
-
-(* a global_install after a global_two_phase must edit the tables the
-   transition left, not add to them: same tables as a global_two_phase
-   straight to the final program *)
-let test_global_install_after_two_phase () =
-  let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
-  let chain ~base_tag via =
-    Global.compile ~base_tag
-      (Global.path_program topo ~vias:[ 1; via; 3 ] ~stage:match_h3
-         ~final:(Syntax.forward 3))
-  in
-  let run steps =
-    let net = Zen.create topo in
-    let ctx = Controller.Runtime.ctx (Zen.with_controller net []) in
-    let updater = Controller.Update.create ~drain:0.2 () in
-    List.iter
-      (fun step ->
-        step updater ctx;
-        ignore (Zen.run ~until:(Zen.now net +. 1.0) net))
-      steps;
-    List.map
-      (fun sw ->
-        let sw = Dataplane.Network.switch (Zen.network net) sw in
-        List.map
-          (fun (r : Flow.Table.rule) ->
-            (r.priority, r.pattern, r.actions, r.cookie))
-          (Flow.Table.rules sw.table))
-      (Topo.Topology.switch_ids topo)
-  in
-  let install via ~base_tag u ctx =
-    Controller.Update.global_install u ctx (chain ~base_tag via)
-  and two_phase via ~base_tag u ctx =
-    Controller.Update.global_two_phase u ctx (chain ~base_tag via)
-  in
-  let edited =
-    run
-      [ install 4 ~base_tag:3000; two_phase 2 ~base_tag:4000;
-        install 4 ~base_tag:4000 ]
-  in
-  let direct = run [ install 4 ~base_tag:3000; two_phase 4 ~base_tag:4000 ] in
-  List.iteri
-    (fun i (got, want) ->
-      Alcotest.(check int)
-        (Printf.sprintf "s%d rule count" (i + 1))
-        (List.length want) (List.length got);
-      Alcotest.(check bool)
-        (Printf.sprintf "s%d table" (i + 1))
-        true (got = want))
-    (List.combine edited direct)
 
 let test_desugar_agrees_on_teleport_semantics () =
   (* the desugared policy, interpreted denotationally, produces the same
@@ -270,7 +221,5 @@ let suites =
           test_service_chain_stage_applied;
         Alcotest.test_case "global two-phase: zero loss" `Quick
           test_global_two_phase_no_loss;
-        Alcotest.test_case "global_install after global_two_phase" `Quick
-          test_global_install_after_two_phase;
         Alcotest.test_case "desugared teleport semantics" `Quick
           test_desugar_agrees_on_teleport_semantics ] ) ]

@@ -295,6 +295,17 @@ let prop_batch_roundtrip =
       let b = Wire.encode_batch framed in
       Wire.frame_count b = List.length msgs && Wire.decode_all b = framed)
 
+(* strict delete's wire form; registered with its table semantics in
+   test_flow.ml's "flow.strict_delete" suite *)
+let test_strict_delete_wire () =
+  let pattern = Flow.Pattern.of_field Packet.Fields.Tp_dst 80 in
+  let m =
+    Openflow.Message.Flow_mod
+      (Openflow.Message.delete_strict_flow ~priority:7 ~pattern ())
+  in
+  Alcotest.(check bool) "roundtrips" true
+    (snd (Openflow.Wire.decode (Openflow.Wire.encode ~xid:3 m)) = m)
+
 let suites =
   [ ( "openflow.wire",
       [ Alcotest.test_case "simple messages" `Quick test_simple_messages;

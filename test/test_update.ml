@@ -1,36 +1,8 @@
-(* Tests for consistent updates (two-phase versioning), incremental
-   routing deltas, strict deletes and the flow-table optimizer. *)
+(* Tests for Controller.Update's two entry points — consistent
+   transitions (two-phase versioning) and plain delta pushes — and for
+   incremental routing deltas. *)
 
 open Packet
-
-(* ------------------------------------------------------------------ *)
-(* Strict delete (table + wire) *)
-
-let test_strict_delete_table () =
-  let t = Flow.Table.create () in
-  let gen = Flow.Pattern.of_field Fields.Tp_dst 80 in
-  let spec =
-    Option.get (Flow.Pattern.conj gen (Flow.Pattern.of_field Fields.In_port 2))
-  in
-  Flow.Table.add t
-    (Flow.Table.make_rule ~priority:5 ~pattern:gen ~actions:(Flow.Action.forward 1) ());
-  Flow.Table.add t
-    (Flow.Table.make_rule ~priority:3 ~pattern:spec ~actions:(Flow.Action.forward 2) ());
-  (* non-strict delete by the general pattern would remove both *)
-  Flow.Table.remove_strict t ~priority:5 ~pattern:gen;
-  Alcotest.(check int) "only the exact rule gone" 1 (Flow.Table.size t);
-  (* wrong priority: no-op *)
-  Flow.Table.remove_strict t ~priority:99 ~pattern:spec;
-  Alcotest.(check int) "priority must match" 1 (Flow.Table.size t)
-
-let test_strict_delete_wire () =
-  let pattern = Flow.Pattern.of_field Fields.Tp_dst 80 in
-  let m =
-    Openflow.Message.Flow_mod
-      (Openflow.Message.delete_strict_flow ~priority:7 ~pattern ())
-  in
-  Alcotest.(check bool) "roundtrips" true
-    (snd (Openflow.Wire.decode (Openflow.Wire.encode ~xid:3 m)) = m)
 
 (* ------------------------------------------------------------------ *)
 (* Versioned policies *)
@@ -80,7 +52,8 @@ let test_versioned_install_forwards () =
   let net = Zen.create topo in
   let rt = Zen.with_controller net [] in
   let updater = Controller.Update.create () in
-  Controller.Update.install updater (Controller.Runtime.ctx rt) old_pol;
+  Controller.Update.transition updater (Controller.Runtime.ctx rt)
+    (Local old_pol);
   ignore (Zen.run ~until:(Zen.now net +. 0.1) net);
   Dataplane.Network.send_from (Zen.network net) ~host:1
     (Dataplane.Network.make_pkt ~src:1 ~dst:3 ());
@@ -94,7 +67,8 @@ let test_versioned_pops_tag () =
   let net = Zen.create topo in
   let rt = Zen.with_controller net [] in
   let updater = Controller.Update.create () in
-  Controller.Update.install updater (Controller.Runtime.ctx rt) old_pol;
+  Controller.Update.transition updater (Controller.Runtime.ctx rt)
+    (Local old_pol);
   ignore (Zen.run ~until:(Zen.now net +. 0.1) net);
   let seen_vlan = ref (-1) in
   (Dataplane.Network.host (Zen.network net) 3).on_receive <-
@@ -104,20 +78,15 @@ let test_versioned_pops_tag () =
   ignore (Zen.run ~until:(Zen.now net +. 0.5) net);
   Alcotest.(check int) "untagged at delivery" Fields.vlan_none !seen_vlan
 
-let count_received_during net ~host f =
-  let before = (Dataplane.Network.host net host).received in
-  f ();
-  (Dataplane.Network.host net host).received - before
-
-let run_update_scenario ?(naive_seed = 123) ~strategy () =
+(* a first transition installs [old_pol]; a second one, 0.7 s into
+   1 kpps of CBR traffic, moves to [new_pol] *)
+let run_update_scenario () =
   let topo, old_pol, new_pol = ring_with_policies () in
   let net = Zen.create topo in
   let rt = Zen.with_controller net [] in
   let ctx = Controller.Runtime.ctx rt in
   let updater = Controller.Update.create ~drain:0.2 () in
-  (match strategy with
-   | `Two_phase -> Controller.Update.install updater ctx old_pol
-   | `Naive -> Controller.Update.install_plain updater ctx old_pol);
+  Controller.Update.transition updater ctx (Local old_pol);
   ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
   let sent =
     Dataplane.Traffic.cbr (Zen.network net)
@@ -125,43 +94,20 @@ let run_update_scenario ?(naive_seed = 123) ~strategy () =
         rate_pps = 1000.0; start = Zen.now net; stop = Zen.now net +. 1.5 }
   in
   Dataplane.Sim.schedule (Dataplane.Network.sim (Zen.network net)) ~delay:0.7
-    (fun () ->
-      match strategy with
-      | `Two_phase -> Controller.Update.two_phase updater ctx new_pol
-      | `Naive ->
-        Controller.Update.naive updater ctx ~prng:(Util.Prng.create naive_seed)
-          ~max_jitter:0.05 new_pol);
+    (fun () -> Controller.Update.transition updater ctx (Local new_pol));
   ignore (Zen.run ~until:(Zen.now net +. 3.0) net);
   let received = (Dataplane.Network.host (Zen.network net) 3).received in
   (!sent, received, updater, net)
 
 let test_two_phase_no_loss () =
-  let sent, received, updater, _ = run_update_scenario ~strategy:`Two_phase () in
+  let sent, received, updater, _ = run_update_scenario () in
   Alcotest.(check int) "zero loss" sent received;
   Alcotest.(check int) "one update completed" 1
     (Controller.Update.updates_done updater);
   Alcotest.(check int) "now at version 2" 2 (Controller.Update.version updater)
 
-let test_naive_loses_packets () =
-  (* whether a given jitter draw loses packets depends on the order the
-     switches happen to apply the update; over several seeds the
-     inconsistency must show (two-phase loses zero for EVERY seed — see
-     test_two_phase_no_loss) *)
-  let total_lost =
-    List.fold_left
-      (fun acc seed ->
-        let sent, received, _, _ =
-          run_update_scenario ~naive_seed:seed ~strategy:`Naive ()
-        in
-        acc + (sent - received))
-      0 [ 1; 2; 3; 4; 5 ]
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "transient loss across seeds (%d)" total_lost)
-    true (total_lost > 0)
-
 let test_two_phase_table_occupancy () =
-  let _, _, updater, net = run_update_scenario ~strategy:`Two_phase () in
+  let _, _, updater, net = run_update_scenario () in
   (* during the transition both versions were installed *)
   let final =
     List.fold_left
@@ -198,7 +144,7 @@ let test_two_phase_bands () =
   let rt = Zen.with_controller net [] in
   let ctx = Controller.Runtime.ctx rt in
   let updater = Controller.Update.create ~drain:0.2 () in
-  Controller.Update.install updater ctx base;
+  Controller.Update.transition updater ctx (Local base);
   ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
   let hosts = Topo.Topology.host_ids topo in
   let src = List.hd hosts and dst = List.nth hosts (List.length hosts - 1) in
@@ -227,7 +173,8 @@ let test_two_phase_bands () =
   let sim = Dataplane.Network.sim (Zen.network net) in
   let edit = (List.hd (Topo.Topology.switch_ids topo), Mac.of_host_id dst, 9) in
   Dataplane.Sim.schedule sim ~delay:0.3 (fun () ->
-    Controller.Update.two_phase updater ctx (Scenarios.apply_edit base edit));
+    Controller.Update.transition updater ctx
+      (Local (Scenarios.apply_edit base edit)));
   (* phase 2 flips ingress 10 ms in, the drain ends 200 ms later *)
   Dataplane.Sim.schedule sim ~delay:0.4 (fun () ->
     peak_checked := true;
@@ -268,7 +215,7 @@ let test_two_phase_bands () =
   check_bands ()
 
 (* the last version whose bands fit the u32 wire priority is 8191 at
-   span 2^18; the next two-phase raises before touching the version *)
+   span 2^18; the next transition raises before touching the version *)
 let test_band_overflow_rejected () =
   let topo, old_pol, new_pol = ring_with_policies () in
   let net = Zen.create topo in
@@ -276,11 +223,11 @@ let test_band_overflow_rejected () =
   let updater = Controller.Update.create () in
   let last = (1 lsl 32) / (2 * Netkat.Delta.span) - 1 in
   Controller.Update.import_state updater (string_of_int (last - 1));
-  Controller.Update.two_phase updater ctx old_pol;
+  Controller.Update.transition updater ctx (Local old_pol);
   Alcotest.(check int) "last fitting version" last
     (Controller.Update.version updater);
   Alcotest.(check bool) "next version rejected" true
-    (match Controller.Update.two_phase updater ctx new_pol with
+    (match Controller.Update.transition updater ctx (Local new_pol) with
      | exception Invalid_argument _ -> true
      | () -> false);
   Alcotest.(check int) "version unchanged" last
@@ -293,8 +240,8 @@ let test_vlan_policy_rejected () =
   let updater = Controller.Update.create () in
   Alcotest.(check bool) "vlan-using policy rejected" true
     (match
-       Controller.Update.install updater (Controller.Runtime.ctx rt)
-         (Netkat.Syntax.modify Fields.Vlan 5)
+       Controller.Update.transition updater (Controller.Runtime.ctx rt)
+         (Local (Netkat.Syntax.modify Fields.Vlan 5))
      with
      | exception Controller.Update.Policy_uses_vlan -> true
      | () -> false)
@@ -362,7 +309,7 @@ let test_incremental_noop_on_no_change () =
     (churn_restore <= churn_fail + 2)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental installs (Netkat.Delta through Update) *)
+(* Plain delta pushes (Netkat.Delta through Update.install_plain) *)
 
 let table_marks net =
   List.map
@@ -379,16 +326,14 @@ let test_incremental_reinstall_noop () =
   let rt = Zen.with_controller net [] in
   let ctx = Controller.Runtime.ctx rt in
   let updater = Controller.Update.create () in
-  Controller.Update.install updater ctx old_pol;
+  Controller.Update.install_plain updater ctx old_pol;
   ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
   let before = table_marks (Zen.network net) in
   let mods_before = Controller.Update.delta_mods updater in
-  Controller.Update.install updater ctx old_pol;
+  Controller.Update.install_plain updater ctx old_pol;
   ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
   Alcotest.(check bool) "no table generation/invalidation moved" true
     (table_marks (Zen.network net) = before);
-  Alcotest.(check int) "version stays stable" 1
-    (Controller.Update.version updater);
   Alcotest.(check int) "no delta flow-mods" mods_before
     (Controller.Update.delta_mods updater);
   Alcotest.(check bool) "switches certified unchanged" true
@@ -401,10 +346,10 @@ let test_incremental_edit_targets_one_switch () =
   let rt = Zen.with_controller net [] in
   let ctx = Controller.Runtime.ctx rt in
   let updater = Controller.Update.create () in
-  Controller.Update.install updater ctx old_pol;
+  Controller.Update.install_plain updater ctx old_pol;
   ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
   let before = table_marks (Zen.network net) in
-  Controller.Update.install updater ctx new_pol;
+  Controller.Update.install_plain updater ctx new_pol;
   ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
   let after = table_marks (Zen.network net) in
   let touched =
@@ -425,7 +370,8 @@ let test_incremental_edit_targets_one_switch () =
     let net' = Zen.create (let t, _, _ = ring_with_policies () in t) in
     let rt' = Zen.with_controller net' [] in
     let updater' = Controller.Update.create () in
-    Controller.Update.install updater' (Controller.Runtime.ctx rt') new_pol;
+    Controller.Update.install_plain updater' (Controller.Runtime.ctx rt')
+      new_pol;
     ignore (Zen.run ~until:(Zen.now net' +. 0.2) net');
     Scenarios.live_tables net' switches
   in
@@ -441,16 +387,16 @@ let test_incremental_edit_targets_one_switch () =
     (Scenarios.live_tables net switches)
     fresh
 
-(* delete_version only messages switches that received rules under the
-   cookie: a switch whose compiled table was pure drops (not installed
-   by the global path) must not see the delete — its flow cache stays
-   warm *)
+(* A transition's drain deletes the old version only at the switches
+   that received rules under its cookie: a switch whose compiled table
+   was pure drops (not installed by the global path) gets no delete —
+   its flow cache stays warm and the drain costs one batch, not two *)
 let test_delete_version_skips_untouched () =
   let topo = Topo.Gen.linear ~switches:2 ~hosts_per_switch:1 () in
   let net = Zen.create topo in
   let rt = Zen.with_controller net [] in
   let ctx = Controller.Runtime.ctx rt in
-  let updater = Controller.Update.create () in
+  let updater = Controller.Update.create ~drain:0.2 () in
   (* forwards only at switch 1; switch 2 compiles to fall-through drops,
      which the global path leaves uninstalled *)
   let host_port sw =
@@ -463,113 +409,41 @@ let test_delete_version_skips_untouched () =
           (Netkat.Syntax.test Fields.Eth_dst (Mac.of_host_id 1));
         Netkat.Syntax.forward (host_port 1) ]
   in
-  Controller.Update.global_install updater ctx pol;
-  ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
+  Controller.Update.transition updater ctx (Global pol);
+  ignore (Zen.run ~until:(Zen.now net +. 0.1) net);
+  Controller.Update.transition updater ctx (Global pol);
+  (* both versions landed; the drain fires 0.21 s after the transition *)
+  ignore (Zen.run ~until:(Zen.now net +. 0.1) net);
+  let sw1 = Dataplane.Network.switch (Zen.network net) 1 in
   let sw2 = Dataplane.Network.switch (Zen.network net) 2 in
   Alcotest.(check int) "switch 2 never received rules" 0
     (Flow.Table.size sw2.table);
-  let marks = (Flow.Table.generation sw2.table, Flow.Table.invalidations sw2.table) in
-  Controller.Update.delete_version updater ctx ~cookie:1;
-  ignore (Zen.run ~until:(Zen.now net +. 0.2) net);
-  Alcotest.(check int) "delete messaged only the pushed switch" 1
-    (Controller.Update.delete_msgs updater);
+  let marks () =
+    (Flow.Table.generation sw2.table, Flow.Table.invalidations sw2.table)
+  in
+  let before = marks () in
+  let acked () =
+    (Controller.Runtime.resilience_stats rt).acked_batches
+  in
+  let acked_before = acked () in
+  ignore (Zen.run ~until:(Zen.now net +. 0.3) net);
+  Alcotest.(check int) "transition drained" 1
+    (Controller.Update.updates_done updater);
+  Alcotest.(check bool) "version 1 gone from switch 1" false
+    (List.exists
+       (fun (r : Flow.Table.rule) -> r.cookie = 1)
+       (Flow.Table.rules sw1.table));
+  Alcotest.(check int) "the drain sent one batch" (acked_before + 1) (acked ());
   Alcotest.(check bool) "untouched switch's flow cache stays warm" true
-    ((Flow.Table.generation sw2.table, Flow.Table.invalidations sw2.table)
-     = marks)
-
-(* ------------------------------------------------------------------ *)
-(* Optimizer *)
-
-(* rule lists are ordered: the first matching rule decides *)
-
-let test_optimize_removes_shadowed () =
-  let rules =
-    [ (Flow.Pattern.any, Flow.Action.forward 1);
-      (Flow.Pattern.of_field Fields.Tp_dst 80, Flow.Action.forward 2) ]
-  in
-  let out = Flow.Optimize.minimize rules in
-  Alcotest.(check int) "shadowed removed" 1 (List.length out);
-  Alcotest.(check bool) "the any rule survives" true
-    (fst (List.hd out) = Flow.Pattern.any)
-
-let test_optimize_removes_redundant () =
-  (* specific rule with same action as the catch-all below it *)
-  let rules =
-    [ (Flow.Pattern.of_field Fields.Tp_dst 80, Flow.Action.forward 1);
-      (Flow.Pattern.any, Flow.Action.forward 1) ]
-  in
-  Alcotest.(check int) "redundant removed" 1
-    (List.length (Flow.Optimize.minimize rules))
-
-let test_optimize_keeps_blocked_redundancy () =
-  (* same-action pair separated by a conflicting overlapping rule: the
-     top rule is NOT redundant (removing it would expose tp80+port1
-     packets to the drop rule) *)
-  let rules =
-    [ (Flow.Pattern.of_field Fields.Tp_dst 80, Flow.Action.forward 1);
-      (Flow.Pattern.of_field Fields.In_port 1, Flow.Action.drop);
-      (Flow.Pattern.any, Flow.Action.forward 1) ]
-  in
-  Alcotest.(check int) "nothing removed" 3
-    (List.length (Flow.Optimize.minimize rules))
-
-let probe_headers =
-  List.concat_map
-    (fun port ->
-      List.map
-        (fun tp ->
-          { Headers.default with in_port = port; tp_dst = tp; eth_type = 1 })
-        [ 0; 1; 2; 3; 80 ])
-    [ 0; 1; 2; 3 ]
-
-let prop_optimize_preserves_semantics =
-  QCheck.Test.make ~name:"minimize preserves lookup semantics" ~count:300
-    (QCheck.make
-       QCheck.Gen.(
-         list_size (0 -- 25)
-           (pair
-              (oneof
-                 [ return Flow.Pattern.any;
-                   map (Flow.Pattern.of_field Fields.Tp_dst) (int_bound 3);
-                   map (Flow.Pattern.of_field Fields.In_port) (int_bound 3);
-                   map2
-                     (fun a b ->
-                       match
-                         Flow.Pattern.conj
-                           (Flow.Pattern.of_field Fields.Tp_dst a)
-                           (Flow.Pattern.of_field Fields.In_port b)
-                       with
-                       | Some p -> p
-                       | None -> Flow.Pattern.any)
-                     (int_bound 3) (int_bound 3) ])
-              (int_bound 2))))
-    (fun specs ->
-      let rules =
-        List.map
-          (fun (pattern, act) ->
-            ( pattern,
-              if act = 0 then Flow.Action.drop else Flow.Action.forward act ))
-          specs
-      in
-      let out = Flow.Optimize.minimize rules in
-      List.length out <= List.length rules
-      && List.for_all
-           (fun h ->
-             Flow.Optimize.lookup rules h = Flow.Optimize.lookup out h)
-           probe_headers)
+    (marks () = before)
 
 let suites =
-  [ ( "flow.strict_delete",
-      [ Alcotest.test_case "table semantics" `Quick test_strict_delete_table;
-        Alcotest.test_case "wire roundtrip" `Quick test_strict_delete_wire ] );
-    ( "controller.update",
+  [ ( "controller.update",
       [ Alcotest.test_case "versioned install forwards" `Quick
           test_versioned_install_forwards;
         Alcotest.test_case "version tag popped at egress" `Quick
           test_versioned_pops_tag;
         Alcotest.test_case "two-phase: zero loss" `Quick test_two_phase_no_loss;
-        Alcotest.test_case "naive: transient loss" `Quick
-          test_naive_loses_packets;
         Alcotest.test_case "occupancy peak and GC" `Quick
           test_two_phase_table_occupancy;
         Alcotest.test_case "vlan policies rejected" `Quick
@@ -588,12 +462,4 @@ let suites =
         Alcotest.test_case "edit touches only changed switches" `Quick
           test_incremental_edit_targets_one_switch;
         Alcotest.test_case "delete_version skips unpushed switches" `Quick
-          test_delete_version_skips_untouched ] );
-    ( "flow.optimize",
-      [ Alcotest.test_case "removes shadowed" `Quick
-          test_optimize_removes_shadowed;
-        Alcotest.test_case "removes redundant" `Quick
-          test_optimize_removes_redundant;
-        Alcotest.test_case "keeps blocked redundancy" `Quick
-          test_optimize_keeps_blocked_redundancy;
-        QCheck_alcotest.to_alcotest prop_optimize_preserves_semantics ] ) ]
+          test_delete_version_skips_untouched ] ) ]
