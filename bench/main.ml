@@ -84,22 +84,25 @@ let e1 () =
   header "E1 — policy compilation: FDD compiler vs naive baseline";
   pf "expected shape: naive ties on plain routing, blows up on ACL x routing,@.";
   pf "and cannot compile denylists at all; the FDD stays linear and shadow-free.@.@.";
-  pf "%-12s %-16s | %8s %8s %8s | %10s %10s %9s@." "topology" "policy"
-    "fdd-rul" "fdd-nod" "fdd-ms" "naive-rul" "naive-shad" "naive-ms";
-  pf "%s@." (String.make 94 '-');
+  pf "(fdd-bld: branch nodes the compile built from a cleared cache)@.@.";
+  pf "%-12s %-16s | %8s %8s %8s %8s | %10s %10s %9s@." "topology" "policy"
+    "fdd-rul" "fdd-nod" "fdd-bld" "fdd-ms" "naive-rul" "naive-shad"
+    "naive-ms";
+  pf "%s@." (String.make 103 '-');
   let row topo_name topo pol_name pol =
     let switches = Topo.Topology.switch_ids topo in
     Netkat.Fdd.clear_cache ();
-    let (fdd_rules, fdd_nodes), fdd_t =
+    let (fdd_rules, fdd_nodes, fdd_built), fdd_t =
       wall (fun () ->
         let d = Netkat.Fdd.of_policy pol in
+        let built = Netkat.Fdd.branch_count () in
         let rules =
           List.fold_left
             (fun acc sw ->
               acc + List.length (Netkat.Local.rules_of_fdd ~switch:sw d))
             0 switches
         in
-        (rules, Netkat.Fdd.node_count d))
+        (rules, Netkat.Fdd.node_count d, built))
     in
     let naive_cell =
       match
@@ -121,8 +124,8 @@ let e1 () =
     record ~experiment:"e1"
       ~metric:(Printf.sprintf "%s/%s/fdd-ms" topo_name pol_name)
       (ms fdd_t);
-    pf "%-12s %-16s | %8d %8d %8.1f | %s@." topo_name pol_name fdd_rules
-      fdd_nodes (ms fdd_t) naive_cell
+    pf "%-12s %-16s | %8d %8d %8d %8.1f | %s@." topo_name pol_name fdd_rules
+      fdd_nodes fdd_built (ms fdd_t) naive_cell
   in
   let topos =
     [ ("linear:4", Topo.Gen.linear ~switches:4 ~hosts_per_switch:2 ());
@@ -134,7 +137,15 @@ let e1 () =
       row name topo "routing" (Netkat.Builder.routing_policy topo);
       row name topo "acl8-allowlist" (Scenarios.allowlist_policy topo 8);
       row name topo "fw8-denylist" (denylist_policy topo 8))
-    topos
+    topos;
+  List.iter
+    (fun k ->
+      let topo = fst (Topo.Gen.fat_tree ~k ()) in
+      row (Printf.sprintf "fattree:%d" k) topo "routing"
+        (Netkat.Builder.routing_policy topo))
+    [ 6; 8 ];
+  (* drop the k=8 diagram: later experiments need not carry it *)
+  Netkat.Fdd.clear_cache ()
 
 (* ------------------------------------------------------------------ *)
 (* E2 — flow-table lookup cost vs table size *)

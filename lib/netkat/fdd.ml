@@ -88,6 +88,7 @@ type t = {
   hash : int;
   mask : int;  (* fields written by any action below: bit [Fields.index f] *)
   node : node;
+  fall : t;  (* where a packet that fails the root's leading tests goes *)
 }
 
 and node =
@@ -125,10 +126,22 @@ module Leaf_tbl = Hashtbl.Make (Leaf_key)
 let leaf_tbl : t Leaf_tbl.t = Leaf_tbl.create 256
 let next_uid = ref 0
 
+(* A leaf falls through to itself; a branch on [f] to where its false
+   side's run of tests on [f] ends. *)
 let fresh ~hash ~mask node =
   let uid = !next_uid in
   incr next_uid;
-  { uid; hash; mask; node }
+  match node with
+  | Leaf _ ->
+    let rec t = { uid; hash; mask; node; fall = t } in
+    t
+  | Branch ((f, _), _, fls) ->
+    let fall =
+      match fls.node with
+      | Branch ((g, _), _, _) when Fields.equal g f -> fls.fall
+      | Branch _ | Leaf _ -> fls
+    in
+    { uid; hash; mask; node; fall }
 
 let leaf acts =
   match Leaf_tbl.find_opt leaf_tbl acts with
@@ -140,7 +153,11 @@ let leaf acts =
     t
 
 (* Marks an empty slot and a missing answer; never a diagram node. *)
-let absent = { uid = -1; hash = -1; mask = 0; node = Leaf ActSet.empty }
+let absent =
+  let rec a = { uid = -1; hash = -1; mask = 0; node = Leaf ActSet.empty;
+                fall = a }
+  in
+  a
 
 (* The branch unique table: open addressing with linear probing over
    the nodes themselves, doubled before it is more than half full.  A
@@ -182,11 +199,23 @@ let grow () =
     old;
   unique.slots <- slots
 
-(** [branch test tru fls] hash-conses, collapsing redundant tests. *)
+(* Where a packet goes when [d]'s leading tests on field [fi] all
+   fail: [d] itself unless its root tests [fi]. *)
+let chain_default fi d =
+  match d.node with
+  | Branch ((g, _), _, _) when Fields.index g = fi -> d.fall
+  | Branch _ | Leaf _ -> d
+
+(** [branch test tru fls] hash-conses, collapsing redundant tests: a
+    test is redundant when its true side is where [fls] sends a packet
+    whose field matches none of [fls]'s leading tests on that field
+    ([fls] itself when it does not test the field).  Without that,
+    [f = 1 ? d : (f = 2 ? e : d)] and [f = 2 ? e : d] would be two
+    nodes for one function. *)
 let branch ((f, v) as test) tru fls =
-  if tru == fls then tru
+  let fi = Fields.index f in
+  if tru == chain_default fi fls then fls
   else begin
-    let fi = Fields.index f in
     let h = branch_hash fi v tru fls in
     let slots = unique.slots in
     let m = Array.length slots - 1 in
@@ -244,11 +273,14 @@ let ct_store s k1 k2 r =
 
 let memo_generation = ref 0
 
-(* Syntax nodes keyed by physical identity, for {!of_policy}'s memo. *)
+(* Syntax nodes keyed by structure, for {!of_policy}'s memo: one entry
+   stands for every copy of a subterm.  [compare] returns at once on
+   physically equal operands, so a shared subterm costs one pointer
+   test. *)
 module Pol_tbl = Hashtbl.Make (struct
   type t = Syntax.pol
 
-  let equal = ( == )
+  let equal a b = compare a b = 0
   let hash = Hashtbl.hash
 end)
 
@@ -475,6 +507,19 @@ let rec of_pred (p : Syntax.pred) =
         if ActSet.is_empty acts then ActSet.singleton Act.id else ActSet.empty)
       (of_pred a)
 
+(* The union of a list of diagrams, as a balanced tree of pairwise
+   unions: each diagram is merged once per round, and there are
+   [log2 n] rounds. *)
+let rec union_tree = function
+  | [] -> drop
+  | [ d ] -> d
+  | ds ->
+    let rec pairs = function
+      | a :: b :: rest -> union a b :: pairs rest
+      | l -> l
+    in
+    union_tree (pairs ds)
+
 let of_policy (p : Syntax.pol) =
   let gen = generation () in
   let last =
@@ -483,15 +528,28 @@ let of_policy (p : Syntax.pol) =
     | Some _ | None -> Pol_tbl.create 1
   in
   let seen = Pol_tbl.create 64 in
+  let known p =
+    match Pol_tbl.find_opt seen p with
+    | Some _ as d -> d
+    | None -> Pol_tbl.find_opt last p
+  in
+  (* The terms of a union tree, left to right.  A union the memo
+     answers is kept whole as one term. *)
+  let rec terms acc = function
+    | [] -> acc
+    | (Syntax.Union (a, b) as u) :: rest when Option.is_none (known u) ->
+      terms acc (b :: a :: rest)
+    | t :: rest -> terms (t :: acc) rest
+  in
   let rec go (p : Syntax.pol) =
     let d =
-      match Pol_tbl.find_opt last p with
+      match known p with
       | Some d -> d
       | None ->
         (match p with
          | Filter pred -> of_pred pred
          | Mod (f, v) -> leaf (ActSet.singleton (Act.single f v))
-         | Union (a, b) -> union (go a) (go b)
+         | Union (a, b) -> union_tree (List.map go (terms [] [ b; a ]))
          | Seq (a, b) -> seq (go a) (go b)
          | Star a -> star (go a))
     in

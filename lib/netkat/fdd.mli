@@ -9,9 +9,17 @@
     Diagrams are ordered — along any root-to-leaf path, tests appear in
     nondecreasing field order, a field is never tested again after a
     true-branch, and equal fields appear with increasing values along
-    false-branches — and hash-consed, so semantic construction is
-    maximally shared and physical equality [==] coincides with diagram
-    equality.  All construction goes through the hash-consing constructors.
+    false-branches — reduced, and hash-consed.  Reduced means no test
+    is redundant: a test's true side is never where its false side
+    sends a packet that fails the false side's leading tests on the
+    same field, so [f = 1 ? d : (f = 2 ? e : d)] is built as
+    [f = 2 ? e : d].  Two diagrams that send every packet to the same
+    action set are therefore one node: physical equality [==] coincides
+    with diagram equality, and {!union} is associative and commutative
+    on nodes.  (Two action sets that differ only in an update that
+    rewrites a field to the value a test already fixed are different
+    leaves.)  All construction goes through the hash-consing
+    constructors.
 
     {b Fast path.}  Actions are {e interned}: structurally equal updates
     share one record carrying a unique id, so action equality and
@@ -38,9 +46,24 @@
     field.  {!seq} sequences the true side of a test [f = v] with
     [restrict (f, v) b] whenever that side writes no [f]: a guard in
     front of a large base reaches only the base's case for the guarded
-    values.  {!of_policy} remembers the diagrams of the previous
-    top-level call's syntax nodes (by physical identity), so
-    [Seq (guard, base)] after [base] does not re-walk [base].
+    values.  {!of_policy} remembers the diagram of every distinct
+    subterm of the previous top-level call, keyed by structure: a
+    physically shared subterm costs one pointer test, an equal copy
+    one structural comparison, and all copies of a subterm share one
+    entry.  So [Seq (guard, base)] after [base] does not re-walk
+    [base].
+
+    {b Unions.}  {!of_policy} compiles a tree of [Union]s of any
+    association ({!Syntax.big_union}'s right fold, a left fold, a
+    balanced tree) as one n-ary union.  It collects the terms, keeping
+    whole any union the memo answers, compiles each, and merges the
+    term diagrams pairwise in a balanced tree.  A term's diagram is
+    then merged in [ceil (log2 n)] rounds, not once for every term
+    after it in the spine, and no intermediate suffix of the spine is
+    built: the cold compile of fat-tree k=6's 2 475-term routing
+    policy builds 15 195 branch nodes, against 58 578 when each term
+    was merged into the diagram of the rest of the spine.  Only the
+    union's root is remembered, not its inner spine nodes.
 
     The intern, unique and computed tables are global mutable state
     without locks, so FDD state must be used by one domain at a time:
@@ -92,6 +115,9 @@ type t = private {
   hash : int;
   mask : int;
   node : node;
+  fall : t;
+      (** where a packet that fails every test of the root's leading
+          run of tests on one field goes; a leaf's is itself *)
 }
 
 and node =
@@ -111,9 +137,10 @@ val ident : t
     Test-only. *)
 val branch_count : unit -> int
 
-(** Syntax nodes the last top-level {!of_policy} call
-    visited (and so remembers): a call that reuses a shared subterm
-    visits that subterm's root only.
+(** Distinct subterms the last top-level {!of_policy} call
+    remembers: a call that reuses a remembered subterm visits that
+    subterm's root only, and a union tree counts its root and its
+    terms, not its inner spine nodes.
     Test-only. *)
 val last_policy_size : unit -> int
 
@@ -171,10 +198,11 @@ val act_seq : Act.t -> t -> t
     Test-only. *)
 val seq : t -> t -> t
 
-(** The diagram of a policy.  A syntax node the previous top-level call
-    visited (the same physical value, with no {!clear_cache} since) is
-    answered from that call without re-walking it;
-    the answer is the node recomputation would build. *)
+(** The diagram of a policy.  A subterm equal to one the previous
+    top-level call remembered (with no {!clear_cache} since) is
+    answered from that call without re-walking it; the answer is the
+    node recomputation would build.  A union tree is compiled as one
+    n-ary union (see {b Unions} above). *)
 val of_policy : Syntax.pol -> t
 
 (** [eval d h] runs the diagram on headers [h], returning the output

@@ -32,17 +32,19 @@ type t = {
   (* (node, port) -> outgoing half-link *)
   port_tbl : (Node.t * int, link) Hashtbl.t;
   (* node -> ports in use, ascending *)
+  port_idx : (Node.t, int list) Hashtbl.t;
   mutable node_order : Node.t list;  (* reverse insertion order *)
 }
 
 let create () =
   { node_tbl = Hashtbl.create 64; port_tbl = Hashtbl.create 64;
-    node_order = [] }
+    port_idx = Hashtbl.create 64; node_order = [] }
 
 let copy t =
   let c =
     { node_tbl = Hashtbl.copy t.node_tbl;
       port_tbl = Hashtbl.create (Hashtbl.length t.port_tbl);
+      port_idx = Hashtbl.copy t.port_idx;
       node_order = t.node_order }
   in
   (* clone each bidirectional link once so the two half-link records of
@@ -73,6 +75,16 @@ let host_ids t = List.map Node.id (hosts t)
 
 exception Port_in_use of Node.t * int
 
+let ports t node = Option.value (Hashtbl.find_opt t.port_idx node) ~default:[]
+
+let add_port t node port =
+  let rec insert = function
+    | p :: rest when p < port -> p :: insert rest
+    | p :: _ as l when p = port -> l  (* a link from a port to itself *)
+    | l -> port :: l
+  in
+  Hashtbl.replace t.port_idx node (insert (ports t node))
+
 let add_link t (a, pa) (b, pb) ~capacity ~delay =
   if not (capacity > 0.0) then
     invalid_arg "Topology.add_link: capacity must be positive";
@@ -87,7 +99,9 @@ let add_link t (a, pa) (b, pb) ~capacity ~delay =
       up = true };
   Hashtbl.replace t.port_tbl (b, pb)
     { src = b; src_port = pb; dst = a; dst_port = pa; capacity; delay;
-      up = true }
+      up = true };
+  add_port t a pa;
+  add_port t b pb
 
 let link_via t node port = Hashtbl.find_opt t.port_tbl (node, port)
 
@@ -95,12 +109,6 @@ let peer t node port =
   match link_via t node port with
   | Some l when l.up -> Some (l.dst, l.dst_port)
   | Some _ | None -> None
-
-let ports t node =
-  Hashtbl.fold
-    (fun (n, p) _ acc -> if Node.equal n node then p :: acc else acc)
-    t.port_tbl []
-  |> List.sort compare
 
 let out_links t node =
   ports t node

@@ -79,6 +79,52 @@ let test_attachment () =
   Alcotest.(check (list int)) "hosts of s1" [ 1 ]
     (List.map fst (Topology.hosts_of_switch t 1))
 
+(* [ports] is an index that [add_link] keeps and [copy] carries: on
+   random graphs, with a rejected link and a link added to the copy
+   only, it equals a scan of [link_via] over every port *)
+let prop_ports_index =
+  let max_port = 6 in
+  let scan t node =
+    List.filter (fun p -> Topology.link_via t node p <> None)
+      (List.init max_port (fun i -> i + 1))
+  in
+  let agrees t =
+    List.for_all (fun n -> Topology.ports t n = scan t n) (Topology.nodes t)
+  in
+  QCheck.Test.make ~name:"ports = a scan of link_via, after copy" ~count:100
+    QCheck.(int_range 1 10000)
+    (fun seed ->
+      let prng = Util.Prng.create seed in
+      let t = Topology.create () in
+      let endpoint () =
+        (sw (1 + Util.Prng.int prng 5), 1 + Util.Prng.int prng (max_port - 1))
+      in
+      let rejected = ref 0 in
+      for _ = 1 to 12 do
+        match
+          Topology.add_link t (endpoint ()) (endpoint ()) ~capacity:1.0
+            ~delay:0.0
+        with
+        | () -> ()
+        | exception Topology.Port_in_use _ -> incr rejected
+      done;
+      (* one more link onto a port already in use *)
+      let used = List.hd (Topology.links t) in
+      (match
+         Topology.add_link t (used.src, used.src_port) (sw 9, 1)
+           ~capacity:1.0 ~delay:0.0
+       with
+       | () -> ()
+       | exception Topology.Port_in_use _ -> incr rejected);
+      let c = Topology.copy t in
+      let before = List.map (fun n -> (n, Topology.ports t n)) (Topology.nodes t) in
+      Topology.add_link c (sw 1, max_port) (sw 9, max_port) ~capacity:1.0
+        ~delay:0.0;
+      !rejected > 0 && agrees t && agrees c
+      && List.for_all (fun (n, ps) -> Topology.ports t n = ps) before
+      && Topology.ports t (sw 9) = []
+      && Topology.ports c (sw 9) = [ max_port ])
+
 (* ------------------------------------------------------------------ *)
 (* Generators *)
 
@@ -338,7 +384,8 @@ let suites =
           test_bad_link_attributes;
         Alcotest.test_case "link failure" `Quick test_link_failure;
         Alcotest.test_case "node failure" `Quick test_fail_node;
-        Alcotest.test_case "host attachment" `Quick test_attachment ] );
+        Alcotest.test_case "host attachment" `Quick test_attachment;
+        QCheck_alcotest.to_alcotest prop_ports_index ] );
     ( "topo.gen",
       [ Alcotest.test_case "linear" `Quick test_gen_linear;
         Alcotest.test_case "ring" `Quick test_gen_ring;
