@@ -1087,21 +1087,19 @@ let e15_run_sharded spec ~shards ~flows ~rate_pps ~stop =
     (fun (s : Dataplane.Traffic.flow_spec) ->
       ignore (Dataplane.Traffic.cbr (Dataplane.Shard.net_of_host t s.src) s))
     (e15_specs topo ~flows ~rate_pps ~stop);
-  let pool = Util.Pool.create ~domains:shards () in
   let events, wall_t =
-    wall (fun () -> Dataplane.Shard.run ~until:(e15_until stop) ~pool t)
+    wall (fun () -> Dataplane.Shard.run ~until:(e15_until stop) t)
   in
-  Util.Pool.shutdown pool;
   ((Dataplane.Shard.signature t, events, t), wall_t)
 
 let e15 () =
-  header "E15 — sharded parallel simulation: events/s vs shard count";
+  header "E15 — sharded simulation: events/s vs shard count";
   pf "expected shape: observable results (delivery counters, tables, port@.";
-  pf "stats) byte-equal at every shard count; events/s scales with shards on@.";
-  pf "a multicore host.  Cross-shard handoffs add bookkeeping events, so the@.";
-  pf "sharded event count exceeds the single-domain count by exactly the@.";
-  pf "handoff overhead.  On a single-CPU host the shards time-share one core@.";
-  pf "and events/s stays roughly flat — scaling rows need >= `shards` cores.@.@.";
+  pf "stats) byte-equal at every shard count.  Every shard's window runs on@.";
+  pf "the calling domain, so the sharded rows measure the conservative@.";
+  pf "loop's overhead (rounds, mailbox handoffs) against one domain.@.";
+  pf "Cross-shard handoffs add bookkeeping events, so the sharded event@.";
+  pf "count exceeds the single-domain count by exactly the handoffs.@.@.";
   let rows =
     [ ("fattree:4", 200, 500.0, 0.2, [ 1; 2; 4 ]);
       ("fattree:8", 1000, 200.0, 0.2, [ 1; 2; 4 ]) ]
@@ -1265,7 +1263,6 @@ type e18_obs = {
   e_events : int;
   e_rounds : int;
   e_stalls : int;
-  e_steals : int;
   e_wall : float;
 }
 
@@ -1288,8 +1285,7 @@ let e18_run ~sites ~dense ~light ~stop ~until ?chaos how =
         (match Dataplane.Network.fault net with
          | Some f -> List.sort compare (Dataplane.Fault.events f)
          | None -> []);
-      e_events = events; e_rounds = 0; e_stalls = 0; e_steals = 0;
-      e_wall = t }
+      e_events = events; e_rounds = 0; e_stalls = 0; e_wall = t }
   | `Sharded shards ->
     let t = Dataplane.Shard.create ?fault_config:chaos ~shards topo in
     e15_install_routes topo (fun sw ->
@@ -1304,11 +1300,10 @@ let e18_run ~sites ~dense ~light ~stop ~until ?chaos how =
       e_events = events;
       e_rounds = Dataplane.Shard.rounds t;
       e_stalls = Dataplane.Shard.stalls t;
-      e_steals = Dataplane.Shard.steals t;
       e_wall = wall_t }
 
 let e18 () =
-  header "E18 — adaptive windows + stealing on a heterogeneous-delay fabric";
+  header "E18 — adaptive windows on a heterogeneous-delay fabric";
   let sites = 4 and stop = 0.05 in
   let until = 0.06 in
   let e18_run ~sites ~stop ~until ?chaos how =

@@ -340,7 +340,6 @@ let simulate_cmd =
              ("rounds", string_of_int (Dataplane.Shard.rounds t));
              ("handoffs", string_of_int (Dataplane.Shard.handoffs t));
              ("stalls", string_of_int (Dataplane.Shard.stalls t));
-             ("steals", string_of_int (Dataplane.Shard.steals t));
              ("backpressure",
               string_of_int ss.backpressure);
              ("high_water", string_of_int ss.high_water);
@@ -357,8 +356,6 @@ let simulate_cmd =
                         string_of_int ss.handoffs.(i));
                        ("stalls",
                         string_of_int ss.stalls.(i));
-                       ("steals",
-                        string_of_int ss.steals.(i));
                        ("windows",
                         string_of_int ss.windows.(i));
                        ("avg_window_us",
@@ -371,22 +368,21 @@ let simulate_cmd =
       print_cache_counts cc;
       Format.printf
         "events executed: %d (%.0f events/s wall) in %d rounds, %d \
-         cross-shard handoffs, %d steals, %d backpressure waits (mailbox \
-         high-water %d)@."
+         cross-shard handoffs, %d backpressure waits (mailbox high-water \
+         %d)@."
         executed
         (if wall > 0.0 then float_of_int executed /. wall else 0.0)
         (Dataplane.Shard.rounds t)
         (Dataplane.Shard.handoffs t)
-        (Dataplane.Shard.steals t)
         ss.backpressure ss.high_water;
       for i = 0 to Dataplane.Shard.shards t - 1 do
         let ev = Dataplane.Shard.executed_of t i in
         Format.printf
           "  shard %d: %d events (%.0f events/s wall), %d handoffs in, %d \
-           horizon stalls, %d steals, %d windows (avg %.1f us)@."
+           horizon stalls, %d windows (avg %.1f us)@."
           i ev
           (if wall > 0.0 then float_of_int ev /. wall else 0.0)
-          ss.handoffs.(i) ss.stalls.(i) ss.steals.(i) ss.windows.(i)
+          ss.handoffs.(i) ss.stalls.(i) ss.windows.(i)
           (ss.avg_window.(i) *. 1e6)
       done
     end

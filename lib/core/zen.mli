@@ -89,7 +89,8 @@ val with_replicas :
 val run : ?until:float -> ?max_events:int -> net -> int
 
 (** [create_sharded ~shards topo] partitions the network over [shards]
-    OCaml domains and runs them under conservative lookahead.  The
+    simulators and runs them under conservative lookahead, one window
+    after another on the calling domain.  The
     sharded simulator is data-plane only: install tables with
     {!install_policy_sharded} (or directly per shard); a controller
     runs only on a single-domain network ({!with_controller},

@@ -237,15 +237,13 @@ let inject t incidents =
 (* ------------------------------------------------------------------ *)
 (* Running *)
 
-let run ?until ?pool t =
-  let pool = match pool with Some p -> p | None -> Util.Pool.get_default () in
+let run ?until t =
   let before = Array.fold_left (fun a sh -> a + sh.sh_executed) 0 t.shards in
   let next_time i =
     match Sim.peek (Network.sim t.shards.(i).sh_net) with
     | Some (time, _) -> time
     | None -> infinity
   in
-  let load_hint i = Sim.pending (Network.sim t.shards.(i).sh_net) in
   let run_window i ~stop ~strict =
     let sh = t.shards.(i) in
     let sim = Network.sim sh.sh_net in
@@ -259,8 +257,8 @@ let run ?until ?pool t =
     sh.sh_executed <-
       sh.sh_executed + Network.run ~until:stop ~strict sh.sh_net ()
   in
-  Util.Shard_sync.drive t.sync ~pool ~lookahead:t.lookahead ?until
-    ~dist:t.dist ~load_hint ~next_time ~run_window ();
+  Util.Shard_sync.drive t.sync ~lookahead:t.lookahead ?until ~dist:t.dist
+    ~next_time ~run_window ();
   Array.fold_left (fun a sh -> a + sh.sh_executed) 0 t.shards - before
 
 (* ------------------------------------------------------------------ *)
@@ -272,7 +270,7 @@ let rounds t = (sync_stats t).rounds
 let total a = Array.fold_left ( + ) 0 a
 let handoffs t = total (sync_stats t).handoffs
 let stalls t = total (sync_stats t).stalls
-let steals t = total (sync_stats t).steals
+let steals (_ : t) = 0
 
 let stats t =
   Network.sum_counters (List.map Network.stats (Array.to_list (nets t)))

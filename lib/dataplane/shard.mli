@@ -10,7 +10,7 @@
     The topology is partitioned by a pluggable function mapping every
     node to a shard.  Each shard owns the switch/host state of its
     nodes, a {e clone} of the topology (so the mutable link [up] flags
-    are never shared across domains), its own {!Sim} clock + timing
+    are never shared across shards), its own {!Sim} clock + timing
     wheel, and — when chaos is configured — its own {!Fault} layer.
     Packets crossing a shard boundary become timestamped envelopes
     posted through {!Util.Shard_sync}; the minimum delay over
@@ -18,8 +18,8 @@
     conservative window non-trivial.
 
     Determinism: a sharded run is a pure function of its inputs and its
-    shard count; the {!Util.Pool} size never changes results (envelopes
-    carry a (time, source shard, sequence) total order).  Against the
+    shard count (envelopes carry a (time, source shard, sequence) total
+    order).  Against the
     {e single-domain} engine the equivalence is exact whenever no two
     causally-independent events share a timestamp: the sequential engine
     breaks such ties by global scheduling order, which no partitioned
@@ -94,13 +94,12 @@ val net_of_host : t -> int -> Network.t
     Test-only. *)
 val inject : t -> Fault.incident list -> unit
 
-(** [run ?until ?pool t] advances every shard under the conservative
-    window loop, fanning windows over [pool] (default: the process-wide
-    {!Util.Pool}).  Returns the total number of events executed.  Safe
-    to call repeatedly; like {!Sim.run}, [until] is inclusive.  Windows
-    are sized adaptively and stolen by idle workers (see
-    {!Util.Shard_sync.drive}); neither changes observable results. *)
-val run : ?until:float -> ?pool:Util.Pool.t -> t -> int
+(** [run ?until t] advances every shard under the conservative window
+    loop, running each round's windows in shard order on the calling
+    domain.  Returns the total number of events executed.  Safe to call
+    repeatedly; like {!Sim.run}, [until] is inclusive.  Windows are sized
+    adaptively (see {!Util.Shard_sync.drive}). *)
+val run : ?until:float -> t -> int
 
 val executed_of : t -> int -> int
 
@@ -116,7 +115,8 @@ val handoffs : t -> int
 (** Windows a shard had nothing to run in, over all shards. *)
 val stalls : t -> int
 
-(** Windows run by a non-home worker, over all shards. *)
+(** Always 0: windows run on the calling domain, so none is stolen.
+    Kept only for the benchmark's [shard.steals] metric. *)
 val steals : t -> int
 
 (** Merged counters, summed across shards (see {!Network.sum_counters}). *)

@@ -67,8 +67,8 @@
 
     The intern, unique and computed tables are global mutable state
     without locks, so FDD state must be used by one domain at a time:
-    compiles run on the caller's domain, and a sharded simulation hosts
-    no controller. *)
+    compiles run on the caller's domain, and nothing in the library
+    spawns another. *)
 
 open Packet
 

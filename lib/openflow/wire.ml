@@ -31,11 +31,11 @@ type writer = {
   mutable pos : int;
 }
 
-(* one writer per domain: encode is not reentrant, so the scratch can
-   persist across calls and steady-state encoding never allocates
-   beyond the final exact-size copy *)
-let writer_key =
-  Domain.DLS.new_key (fun () -> { buf = Bytes.create 256; pos = 0 })
+(* one writer for the process: nothing in the library encodes from a
+   second domain, and encode is not reentrant, so the scratch can persist
+   across calls and steady-state encoding never allocates beyond the
+   final exact-size copy *)
+let writer = { buf = Bytes.create 256; pos = 0 }
 
 (* grow to the next power of two that is at least double the old size
    and fits [pos + n], keeping the written prefix *)
@@ -241,16 +241,14 @@ let write_frame w ~xid msg =
   Bytes.unsafe_set b (start + 7) (Char.unsafe_chr (xid land 0xff))
 
 let encode ~xid msg =
-  let w = Domain.DLS.get writer_key in
-  w.pos <- 0;
-  write_frame w ~xid msg;
-  Bytes.sub w.buf 0 w.pos
+  writer.pos <- 0;
+  write_frame writer ~xid msg;
+  Bytes.sub writer.buf 0 writer.pos
 
 let encode_batch msgs =
-  let w = Domain.DLS.get writer_key in
-  w.pos <- 0;
-  List.iter (fun (xid, msg) -> write_frame w ~xid msg) msgs;
-  Bytes.sub w.buf 0 w.pos
+  writer.pos <- 0;
+  List.iter (fun (xid, msg) -> write_frame writer ~xid msg) msgs;
+  Bytes.sub writer.buf 0 writer.pos
 
 let frame_count data =
   let n = Bytes.length data in

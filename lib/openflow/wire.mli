@@ -6,8 +6,8 @@
     every control message through this codec so that the protocol layer is
     genuinely exercised, not just modeled.
 
-    Encoding writes single-pass into a growable scratch buffer (one
-    writer per domain): the 8-byte header is reserved, the body
+    Encoding writes single-pass into one growable scratch buffer,
+    shared by every call and so not reentrant: the 8-byte header is reserved, the body
     written, the header patched with the measured length, and
     the exact frame copied out — no intermediate [Buffer], no per-field
     allocation.  {!encode_batch} extends this to several messages in one

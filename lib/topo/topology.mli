@@ -35,7 +35,7 @@ val create : unit -> t
     attributes, but with {e fresh} link records so [set_link_up] on the
     copy never touches the original (and vice versa).  The sharded
     simulator gives each shard its own clone so the mutable [up] flags
-    are never shared across domains. *)
+    are never shared across shards. *)
 val copy : t -> t
 
 val add_node : t -> Node.t -> unit

@@ -6,7 +6,6 @@ type 'a envelope = {
 }
 
 type 'a mailbox = {
-  mb_mutex : Mutex.t;
   mutable mb_buf : 'a envelope list;  (* newest first *)
   mutable mb_count : int;
   mutable mb_min : float;             (* infinity when empty *)
@@ -17,7 +16,6 @@ type stats = {
   rounds : int;
   handoffs : int array;
   stalls : int array;
-  steals : int array;
   windows : int array;
   avg_window : float array;
   backpressure : int;
@@ -31,7 +29,6 @@ type 'a t = {
   seqs : int array;       (* next per-source sequence; owner-written only *)
   handoffs : int array;   (* envelopes posted by shard i *)
   stalls : int array;     (* windows where shard i had nothing to run *)
-  steals : int array;     (* windows of shard i run by a non-home worker *)
   windows : int array;    (* windows shard i actually executed *)
   win_sum : float array;  (* total width of those windows *)
   mutable rounds : int;
@@ -45,12 +42,10 @@ let create ?(capacity = default_capacity) ~shards () =
   { nshards = shards; capacity;
     boxes =
       Array.init shards (fun _ ->
-        { mb_mutex = Mutex.create (); mb_buf = []; mb_count = 0;
-          mb_min = infinity; mb_high_water = 0 });
+        { mb_buf = []; mb_count = 0; mb_min = infinity; mb_high_water = 0 });
     seqs = Array.make shards 0;
     handoffs = Array.make shards 0;
     stalls = Array.make shards 0;
-    steals = Array.make shards 0;
     windows = Array.make shards 0;
     win_sum = Array.make shards 0.0;
     rounds = 0; backpressure = 0 }
@@ -61,13 +56,11 @@ let post t ~src ~dst ~time load =
   t.handoffs.(src) <- t.handoffs.(src) + 1;
   let e = { env_time = time; env_src = src; env_seq = seq; env_load = load } in
   let box = t.boxes.(dst) in
-  Mutex.lock box.mb_mutex;
   box.mb_buf <- e :: box.mb_buf;
   box.mb_count <- box.mb_count + 1;
   if time < box.mb_min then box.mb_min <- time;
   if box.mb_count > box.mb_high_water then box.mb_high_water <- box.mb_count;
-  if box.mb_count > t.capacity then t.backpressure <- t.backpressure + 1;
-  Mutex.unlock box.mb_mutex
+  if box.mb_count > t.capacity then t.backpressure <- t.backpressure + 1
 
 let envelope_cmp a b =
   match Float.compare a.env_time b.env_time with
@@ -79,20 +72,13 @@ let envelope_cmp a b =
 
 let drain t shard =
   let box = t.boxes.(shard) in
-  Mutex.lock box.mb_mutex;
   let buf = box.mb_buf in
   box.mb_buf <- [];
   box.mb_count <- 0;
   box.mb_min <- infinity;
-  Mutex.unlock box.mb_mutex;
   List.sort envelope_cmp buf
 
-let mailbox_min t shard =
-  let box = t.boxes.(shard) in
-  Mutex.lock box.mb_mutex;
-  let m = box.mb_min in
-  Mutex.unlock box.mb_mutex;
-  m
+let mailbox_min t shard = t.boxes.(shard).mb_min
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -101,7 +87,6 @@ let stats (t : _ t) : stats =
   { rounds = t.rounds;
     handoffs = Array.copy t.handoffs;
     stalls = Array.copy t.stalls;
-    steals = Array.copy t.steals;
     windows = Array.copy t.windows;
     avg_window =
       Array.mapi
@@ -112,92 +97,11 @@ let stats (t : _ t) : stats =
       Array.fold_left (fun acc b -> max acc b.mb_high_water) 0 t.boxes }
 
 (* ------------------------------------------------------------------ *)
-(* Per-round window execution, with stealing *)
-
-(* Run this round's windows — [(shard, stop, strict)] tasks — over the
-   pool.  On a one-worker pool each task is one pool job (FIFO order).
-   Otherwise tasks are dealt to their home workers ([shard mod size]),
-   each deal sorted heaviest-first by [load_hint]; a worker drains its
-   own deal from the front, then steals the lightest task (the tail)
-   from the first loaded neighbor.  Every task is popped exactly once
-   under the queue mutex, so a shard's window still runs on exactly one
-   domain and [steals] has one writer per cell per round. *)
-let exec_round t ~pool ~load_hint ~run_window tasks =
-  let run (i, stop, strict) = run_window i ~stop ~strict in
-  match tasks with
-  | [] -> ()
-  | [ task ] -> run task
-  | _ ->
-    let w = Pool.size pool in
-    if w <= 1 then
-      ignore (Pool.map pool tasks ~f:run)
-    else begin
-      let deals = Array.make w [] in
-      List.iter
-        (fun ((i, _, _) as task) ->
-          let home = i mod w in
-          deals.(home) <- task :: deals.(home))
-        tasks;
-      Array.iteri
-        (fun h deal ->
-          deals.(h) <-
-            List.stable_sort
-              (fun (i, _, _) (j, _, _) ->
-                match compare (load_hint j) (load_hint i) with
-                | 0 -> compare i j
-                | c -> c)
-              deal)
-        deals;
-      let qm = Mutex.create () in
-      (* pop the last element: thieves take the victim's lightest task *)
-      let rec split_last acc = function
-        | [] -> assert false
-        | [ x ] -> (List.rev acc, x)
-        | x :: rest -> split_last (x :: acc) rest
-      in
-      let take worker =
-        Mutex.lock qm;
-        let r =
-          match deals.(worker) with
-          | task :: rest ->
-            deals.(worker) <- rest;
-            Some (task, false)
-          | [] ->
-            let rec rob k =
-              if k = w then None
-              else
-                let victim = (worker + k) mod w in
-                match deals.(victim) with
-                | [] -> rob (k + 1)
-                | deal ->
-                  let kept, task = split_last [] deal in
-                  deals.(victim) <- kept;
-                  Some (task, true)
-            in
-            rob 1
-        in
-        Mutex.unlock qm;
-        r
-      in
-      let rec worker_loop worker =
-        match take worker with
-        | None -> ()
-        | Some (((i, _, _) as task), stolen) ->
-          if stolen then t.steals.(i) <- t.steals.(i) + 1;
-          run task;
-          worker_loop worker
-      in
-      ignore (Pool.map pool (List.init w Fun.id) ~f:worker_loop)
-    end
-
-(* ------------------------------------------------------------------ *)
 (* The windowed barrier loop *)
 
-let drive t ~pool ~lookahead ?until ?dist
-    ?(load_hint = fun (_ : int) -> 0) ~next_time ~run_window () =
+let drive t ~lookahead ?until ?dist ~next_time ~run_window () =
   if lookahead <= 0.0 then
     invalid_arg "Shard_sync.drive: lookahead must be positive";
-  let idx = List.init t.nshards Fun.id in
   let dist =
     match dist with
     | Some d -> d
@@ -232,8 +136,10 @@ let drive t ~pool ~lookahead ?until ?dist
         done;
         Float.min !b cap
       in
-      let tasks = ref [] in
-      for i = t.nshards - 1 downto 0 do
+      (* every shard's bound comes from the round's [pend] snapshot, so
+         running the windows one after another in shard order is the
+         barrier: no window's stop depends on another's posts *)
+      for i = 0 to t.nshards - 1 do
         (* cap the last window at [until] and make it inclusive, as the
            single-domain run is *)
         let stop, strict =
@@ -252,10 +158,9 @@ let drive t ~pool ~lookahead ?until ?dist
         else begin
           t.windows.(i) <- t.windows.(i) + 1;
           t.win_sum.(i) <- t.win_sum.(i) +. (stop -. m);
-          tasks := (i, stop, strict) :: !tasks
+          run_window i ~stop ~strict
         end
       done;
-      exec_round t ~pool ~load_hint ~run_window !tasks;
       t.rounds <- t.rounds + 1;
       if t.backpressure > !last_bp then
         growth := Float.max 1.0 (!growth /. 2.0)
@@ -269,5 +174,5 @@ let drive t ~pool ~lookahead ?until ?dist
      still advance their clocks to it, exactly as Sim.run does *)
   match until with
   | Some u ->
-    ignore (Pool.map pool idx ~f:(fun i -> run_window i ~stop:u ~strict:false))
+    for i = 0 to t.nshards - 1 do run_window i ~stop:u ~strict:false done
   | None -> ()

@@ -15,18 +15,19 @@
 
     This module owns the machinery around that invariant:
 
-    - one {e mailbox} per shard: a mutex-protected buffer of timestamped
-      envelopes posted by other shards while a window executes.  Posting
-      is the {e horizon exchange}: because every envelope produced in a
+    - one {e mailbox} per shard: a buffer of timestamped envelopes
+      posted by other shards while a window executes.  Posting is the
+      {e horizon exchange}: because every envelope produced in a
       window lands at or beyond the next window boundary, draining the
       mailbox at a barrier is equivalent to a null-message protocol with
       one message per shard pair per window — without the deadlock risk
       of per-link channel blocking (no shard ever waits on a channel; the
       barrier is the only wait).
     - {!drive}: the windowed barrier loop.  Each round computes the
-      global minimum pending timestamp, fans [run_window] out over a
-      {!Pool}, and barriers (the [Pool.map] return).  Rounds where a
-      shard has nothing below the window bound are counted as
+      global minimum pending timestamp and every shard's window bound,
+      then runs the windows one after another in shard order on the
+      calling domain; the end of the round is the barrier.  Rounds
+      where a shard has nothing below the window bound are counted as
       {e horizon stalls} — the per-shard idleness a too-small lookahead
       or an unbalanced partition produces — and such shards are
       {e skipped} outright (their window would only advance a clock, an
@@ -55,21 +56,15 @@
       doubles each round the mailboxes stay inside capacity and halves
       when backpressure grew, so sustained cross-shard pressure shrinks
       the window back toward the uniform [L] bound.
-    - {b work stealing}: the per-round windows are dealt to the pool's
-      workers by shard index (shard [i]'s {e home} is worker
-      [i mod size]), each worker's deal
-      sorted heaviest-first by a load hint; a worker whose own deal
-      drains steals the {e lightest} window from a loaded neighbor's
-      tail.  Stealing moves whole windows — each shard's window is still
-      executed by exactly one domain between two barriers — so it
-      changes which core runs a window, never the events' order, and
-      results stay byte-equal at any pool size.
     - determinism: envelopes carry [(time, source shard, per-source
       sequence)] and are filed in that order at every drain, so the
-      result of a sharded run is a function of the inputs only, not of
-      domain scheduling or pool size.  (The [steals] counters are the
-      one scheduling-dependent output: they describe where windows ran,
-      not what they computed.)
+      result of a sharded run is a function of the inputs only.
+
+    The loop runs on one domain: every shard's window bound comes from
+    the round's snapshot of pending times, so no window's bound depends
+    on another's posts, and the mailboxes need no locks.  Running the
+    windows on several domains would need them back: an unlocked
+    mailbox posted to from two domains races.
 
     Capacity is a soft bound: mailboxes grow past it (a hard bound would
     deadlock the barrier), but posts beyond capacity are counted in
@@ -88,8 +83,8 @@ type 'a t
 val create : ?capacity:int -> shards:int -> unit -> 'a t
 
 (** [post t ~src ~dst ~time load] hands [load] to shard [dst] as an
-    event at absolute [time].  Must be called from the domain currently
-    running shard [src]'s window; the conservative invariant requires
+    event at absolute [time].  Must be called from shard [src]'s
+    window; the conservative invariant requires
     [time >= now_of_src + lookahead]. *)
 val post : 'a t -> src:int -> dst:int -> time:float -> 'a -> unit
 
@@ -103,7 +98,6 @@ type stats = {
   rounds : int;            (** barrier rounds run *)
   handoffs : int array;    (** envelopes each shard posted *)
   stalls : int array;      (** windows where the shard had nothing to run *)
-  steals : int array;      (** windows of the shard run by a non-home worker *)
   windows : int array;     (** windows the shard actually executed *)
   avg_window : float array;
       (** mean executed-window width in simulated seconds (0 when the
@@ -115,7 +109,7 @@ type stats = {
 
 val stats : 'a t -> stats
 
-(** [drive t ~pool ~lookahead ?until ~next_time ~run_window ()] runs the
+(** [drive t ~lookahead ?until ~next_time ~run_window ()] runs the
     conservative window loop to completion (or to [until], inclusive —
     matching the single-domain [Sim.run ?until] contract).
 
@@ -123,13 +117,8 @@ val stats : 'a t -> stats
     time ([infinity] when idle); [run_window i ~stop ~strict] must drain
     [i]'s mailbox and execute its events up to [stop] ([strict] = stop
     is exclusive, the interior-window case; inclusive only for the final
-    [until] window).  Both callbacks run between barriers, so they may
-    touch shard state without locks; [run_window] is fanned over [pool]
-    and must only touch shard [i].
-
-    Idle pool workers steal queued windows, guided by [load_hint i]
-    (any monotone proxy for shard [i]'s queued work; default constant);
-    stealing never changes observable simulation results.
+    [until] window).  Each round runs the windows in shard order, and
+    [run_window i] must only touch shard [i].
 
     [dist] is the shard-quotient distance matrix for the adaptive bounds:
     [dist.(j).(i)] lower-bounds the boundary-delay any causal chain
@@ -141,10 +130,8 @@ val stats : 'a t -> stats
     diagonal — no echo possible when there is a single shard). *)
 val drive :
   'a t ->
-  pool:Pool.t ->
   lookahead:float ->
   ?until:float ->
   ?dist:float array array ->
-  ?load_hint:(int -> int) ->
   next_time:(int -> float) ->
   run_window:(int -> stop:float -> strict:bool -> unit) -> unit -> unit

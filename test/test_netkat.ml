@@ -767,8 +767,8 @@ let prop_union_grouping =
         [ left ps; balanced ps; right shuffled; left (List.rev ps) ])
 
 (* FDD state is used by one domain at a time, not owned by one: an edit
-   compiled on another domain (a pool worker) still answers the shared
-   base from the last call's memo *)
+   compiled on another domain still answers the shared base from the
+   last call's memo *)
 let test_of_policy_memo_across_domains () =
   let topo = Topo.Gen.linear ~switches:4 ~hosts_per_switch:2 () in
   let base = Builder.routing_policy topo in

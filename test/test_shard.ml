@@ -91,6 +91,20 @@ let specs_for topo ~seed ~flows =
 
 let until = 0.02
 
+(* advance a sharded run to [until] in [step]-wide [Shard.run ~until]
+   calls, the way the forwarding benchmark steps it; [None] is one call *)
+let run_stepped ?step ~until t =
+  match step with
+  | None -> Shard.run ~until t
+  | Some step ->
+    let n = int_of_float (Float.ceil (until /. step)) in
+    let executed = ref 0 in
+    for j = 1 to n do
+      let u = Float.min until (float_of_int j *. step) in
+      executed := !executed + Shard.run ~until:u t
+    done;
+    !executed
+
 let run_single ~topo_id ~seed ~flows ~chaos ~with_incidents =
   let topo = mk_topo topo_id in
   let fault = if chaos then Some (Fault.of_config (chaos_cfg seed)) else None in
@@ -113,7 +127,8 @@ let run_single ~topo_id ~seed ~flows ~chaos ~with_incidents =
     o_delivered = (Network.stats net).delivered;
     o_logical = executed }
 
-let run_sharded ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards =
+let run_sharded ?step ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards
+    () =
   let topo = mk_topo topo_id in
   let fault_config = if chaos then Some (chaos_cfg seed) else None in
   let t = Shard.create ?fault_config ~shards topo in
@@ -131,7 +146,7 @@ let run_sharded ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards =
     (specs_for topo ~seed ~flows);
   let incidents = if with_incidents then incidents_for topo else [] in
   if with_incidents then Shard.inject t incidents;
-  let executed = Shard.run ~until t in
+  let executed = run_stepped ?step ~until t in
   (* sharding overhead events: one queue-release per cross-shard handoff,
      plus the silent clone link flips on every non-owning shard.  A
      reordered cross-shard packet is the exception: its late delivery is
@@ -161,7 +176,9 @@ let run_sharded ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards =
 
 let check_equiv ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards =
   let s = run_single ~topo_id ~seed ~flows ~chaos ~with_incidents in
-  let p = run_sharded ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards in
+  let p =
+    run_sharded ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards ()
+  in
   let label what =
     Printf.sprintf "%s (topo=%d seed=%d flows=%d chaos=%b inc=%b shards=%d)"
       what topo_id seed flows chaos with_incidents shards
@@ -186,6 +203,31 @@ let test_two_shard_fattree () =
       in
       Alcotest.(check bool) "traffic actually flowed" true (delivered > 0))
     [ 1; 2 ]
+
+(* the same specs advanced in 1 ms [Shard.run ~until] steps: every call
+   starts a fresh window loop (the growth cap restarts at one
+   lookahead), and the run must still match one call and the
+   single-domain engine *)
+let test_two_shard_fattree_stepped () =
+  let obs step =
+    run_sharded ?step ~topo_id:1 ~seed:42 ~flows:30 ~chaos:false
+      ~with_incidents:false ~shards:2 ()
+  in
+  let single =
+    run_single ~topo_id:1 ~seed:42 ~flows:30 ~chaos:false
+      ~with_incidents:false
+  in
+  let whole = obs None and stepped = obs (Some 1e-3) in
+  Alcotest.(check string) "stepped == one call" whole.o_signature
+    stepped.o_signature;
+  Alcotest.(check string) "stepped == single" single.o_signature
+    stepped.o_signature;
+  Alcotest.(check (list string)) "stepped trace == single" single.o_trace
+    stepped.o_trace;
+  Alcotest.(check int) "stepped logical events == single" single.o_logical
+    stepped.o_logical;
+  Alcotest.(check bool) "traffic actually flowed" true
+    (stepped.o_delivered > 0)
 
 let test_four_shard_fattree_chaos () =
   ignore
@@ -277,14 +319,14 @@ let run_sites ~sites ~specs ~until how =
     List.iter (fun s -> ignore (Traffic.cbr net s)) specs;
     ignore (Network.run ~until net ());
     (Shard.net_signature topo [ net ], 0, 0)
-  | `Sharded pool ->
+  | `Sharded step ->
     let t = Shard.create ~shards:sites topo in
     load_routing topo (Shard.net_of_switch t);
     List.iter
       (fun (s : Traffic.flow_spec) ->
         ignore (Traffic.cbr (Shard.net_of_host t s.src) s))
       specs;
-    ignore (Shard.run ~until ?pool t);
+    ignore (run_stepped ?step ~until t);
     (Shard.signature t, Shard.rounds t, Shard.stalls t)
 
 (* dense traffic in site 0, a trickle in site 1: a uniform 20 us window
@@ -310,12 +352,10 @@ let test_two_site_window_bounds () =
   Alcotest.(check bool)
     (Printf.sprintf "adaptive stalls %d < 1479" stalls)
     true (stalls < 1479);
-  (* work stealing with a real multi-worker pool moves windows between
-     domains without changing a byte *)
-  let pool = Util.Pool.create ~domains:2 () in
-  let sig_steal, _, _ = run (`Sharded (Some pool)) in
-  Util.Pool.shutdown pool;
-  Alcotest.(check string) "stealing pool == single" sig_single sig_steal
+  (* 1 ms steps restart the growth cap every call without changing a
+     byte *)
+  let sig_stepped, _, _ = run (`Sharded (Some 1e-3)) in
+  Alcotest.(check string) "1 ms steps == single" sig_single sig_stepped
 
 (* a sparse-event fabric fast-forwards: the window loop must jump from
    event cluster to event cluster instead of barrier-stepping every
@@ -448,6 +488,8 @@ let suites =
   [ ( "shard",
       [ Alcotest.test_case "2-shard fat-tree == single" `Quick
           test_two_shard_fattree;
+        Alcotest.test_case "2-shard fat-tree in 1 ms steps == single" `Quick
+          test_two_shard_fattree_stepped;
         Alcotest.test_case "4-shard fat-tree + chaos == single" `Quick
           test_four_shard_fattree_chaos;
         Alcotest.test_case "1-shard linear + chaos == single" `Quick

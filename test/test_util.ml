@@ -826,50 +826,6 @@ let test_gbn_window () =
   Gbn.resume h.g;
   Alcotest.(check (list (pair int bool))) "resumed" [ (5, false) ] (sent ())
 
-(* ------------------------------------------------------------------ *)
-(* Pool *)
-
-let test_pool_map_order () =
-  let p = Pool.create ~domains:4 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  check "size" 4 (Pool.size p);
-  let xs = List.init 100 Fun.id in
-  Alcotest.(check (list int)) "order preserved"
-    (List.map (fun x -> x * x) xs)
-    (Pool.map p xs ~f:(fun x -> x * x));
-  Alcotest.(check (list int)) "empty" [] (Pool.map p [] ~f:(fun x -> x));
-  Alcotest.(check (list int)) "singleton" [ 8 ] (Pool.map p [ 7 ] ~f:succ)
-
-let test_pool_single_domain_inline () =
-  (* a size-1 pool spawns no workers and runs f on the caller *)
-  let p = Pool.create ~domains:1 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  let caller = Domain.self () in
-  let seen = Pool.map p [ 1; 2; 3 ] ~f:(fun _ -> Domain.self ()) in
-  Alcotest.(check bool) "inline on caller" true
-    (List.for_all (fun d -> d = caller) seen)
-
-let test_pool_exception () =
-  let p = Pool.create ~domains:2 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  Alcotest.check_raises "propagates" (Failure "boom") (fun () ->
-      ignore (Pool.map p [ 1; 2; 3 ] ~f:(fun x ->
-          if x = 2 then failwith "boom" else x)));
-  (* the pool survives a failed batch *)
-  Alcotest.(check (list int)) "usable after failure" [ 2; 4 ]
-    (Pool.map p [ 1; 2 ] ~f:(fun x -> x * 2))
-
-let test_pool_reuse () =
-  let p = Pool.create ~domains:3 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  for round = 1 to 5 do
-    let xs = List.init (10 * round) Fun.id in
-    check
-      (Printf.sprintf "round %d" round)
-      (List.fold_left ( + ) 0 (List.map succ xs))
-      (List.fold_left ( + ) 0 (Pool.map p xs ~f:succ))
-  done
-
 let prop_jain_bounds =
   QCheck.Test.make ~name:"jain fairness lies in [1/n, 1]" ~count:200
     QCheck.(list_of_size Gen.(1 -- 20) (float_bound_exclusive 100.0))
@@ -958,11 +914,4 @@ let suites =
         Alcotest.test_case "granularity floor" `Quick
           test_rto_granularity_floor;
         Alcotest.test_case "rejects bad timers" `Quick test_rto_rejects;
-        Alcotest.test_case "go-back-N window" `Quick test_gbn_window ] );
-    ( "util.pool",
-      [ Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
-        Alcotest.test_case "size-1 runs inline" `Quick
-          test_pool_single_domain_inline;
-        Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-        Alcotest.test_case "pool reuse across batches" `Quick
-          test_pool_reuse ] ) ]
+        Alcotest.test_case "go-back-N window" `Quick test_gbn_window ] ) ]
