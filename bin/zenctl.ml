@@ -352,7 +352,7 @@ let simulate_cmd =
                      [ ("shard", string_of_int i);
                        ("events",
                         string_of_int (Dataplane.Shard.executed_of t i));
-                       ("handoffs_in",
+                       ("handoffs_out",
                         string_of_int ss.handoffs.(i));
                        ("stalls",
                         string_of_int ss.stalls.(i));
@@ -378,7 +378,7 @@ let simulate_cmd =
       for i = 0 to Dataplane.Shard.shards t - 1 do
         let ev = Dataplane.Shard.executed_of t i in
         Format.printf
-          "  shard %d: %d events (%.0f events/s wall), %d handoffs in, %d \
+          "  shard %d: %d events (%.0f events/s wall), %d handoffs out, %d \
            horizon stalls, %d windows (avg %.1f us)@."
           i ev
           (if wall > 0.0 then float_of_int ev /. wall else 0.0)

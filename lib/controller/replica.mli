@@ -16,11 +16,14 @@
     instant) declares the lease expired, bumps the epoch, creates a
     fresh runtime {e seeded from its replica} ([~shadows]), which adopts
     every switch session — frames already in flight re-home with the
-    session — and re-handshakes.  Because the seeded shadow marks every switch as
-    previously handshaked, the first features reply triggers the
-    runtime's resync: every switch is re-pushed, in full, the table the
-    replica says it should hold.  A warm converged table reloads the
-    same rules, so its installed keys do not change.
+    session — and re-handshakes, retrying a lost handshake after one
+    RTO ({!Runtime}), so a takeover over a lossy channel completes in
+    about one RTO more than over a clean one, not one keepalive period.
+    Because the seeded shadow marks every switch as previously
+    handshaked, the first features reply triggers the runtime's resync:
+    every switch is re-pushed, in full, the table the replica says it
+    should hold.  A warm converged table reloads the same rules, so its
+    installed keys do not change.
 
     {b Split brain.}  The lease alone is only a failure detector: a
     deposed leader that is merely partitioned from its peers still

@@ -40,6 +40,7 @@ type sw_state = {
   mutable echo_outstanding : int;  (* keepalives sent and not yet answered *)
   mutable down_since : float;
   mutable handshaked : bool;  (* completed at least one features exchange *)
+  mutable probe : int;  (* number of the live handshake retry chain *)
 }
 
 type resilience_stats = {
@@ -103,7 +104,7 @@ let state t switch_id =
                 t.rstats.retransmits <- t.rstats.retransmits + 1;
               transmit t ~switch_id xid msgs);
         status = Handshaking; echo_outstanding = 0; down_since = 0.0;
-        handshaked = false }
+        handshaked = false; probe = 0 }
     in
     Hashtbl.replace t.states switch_id st;
     st
@@ -187,6 +188,35 @@ let send_batch t ~switch_id msgs =
 (* ------------------------------------------------------------------ *)
 (* Liveness *)
 
+(* the features request's xid opens the switch's stream at the next
+   batch's number ({!Dataplane.Ctl_channel.admit}); it is sent only while
+   the stream is held, so that number cannot move before the reply *)
+let send_handshake t st =
+  transmit t ~switch_id:st.st_id (Util.Gbn.next_seq st.stream)
+    [ Openflow.Message.Hello; Openflow.Message.Features_request ]
+
+(* the one probe of a switch that is not up: send the handshake now,
+   then again after [retx_timeout], backing off by [retx_backoff] up to
+   [min retx_cap echo_period], until the features reply puts the switch
+   up.  A lost frame costs one RTO, and a dead switch is probed no more
+   often than once per keepalive period.  Every copy goes out while the
+   stream is held, so all carry the same xid; a newer start supersedes
+   the older chain *)
+let start_handshake t st =
+  let r = t.resilience in
+  let cap = Float.min r.retx_cap r.echo_period in
+  st.probe <- st.probe + 1;
+  let chain = st.probe in
+  let rec retry delay =
+    Api.schedule t.ctx ~delay (fun () ->
+      if not t.stopped && st.probe = chain && st.status <> Sw_up then begin
+        send_handshake t st;
+        retry (Float.min cap (delay *. r.retx_backoff))
+      end)
+  in
+  send_handshake t st;
+  retry (Float.min cap r.retx_timeout)
+
 let mark_down t st =
   if st.status = Sw_up then begin
     st.status <- Sw_down;
@@ -199,32 +229,25 @@ let mark_down t st =
       t.rstats.dropped_batches + Util.Gbn.reset st.stream;
     List.iter
       (fun (app : Api.app) -> app.switch_down t.ctx ~switch_id:st.st_id)
-      t.apps
+      t.apps;
+    start_handshake t st
   end
 
-(* the features request's xid opens the switch's stream at the next
-   batch's number ({!Dataplane.Ctl_channel.admit}); it is sent only while
-   the stream is held, so that number cannot move before the reply *)
-let send_handshake t st =
-  transmit t ~switch_id:st.st_id (Util.Gbn.next_seq st.stream)
-    [ Openflow.Message.Hello; Openflow.Message.Features_request ]
-
-(* per-switch keepalive / probe loop: echo while up, re-handshake probes
-   while down or never handshaked *)
+(* per-switch keepalive loop: echo a switch that is up; one that is not
+   is probed by its handshake retries (see start_handshake) *)
 let rec keepalive_tick t st =
   let r = t.resilience in
   if not t.stopped then begin
-    (match st.status with
-     | Sw_up ->
-       if st.echo_outstanding > 0 then
-         t.rstats.echo_misses <- t.rstats.echo_misses + 1;
-       if st.echo_outstanding >= r.echo_miss_limit then mark_down t st
-       else begin
-         st.echo_outstanding <- st.echo_outstanding + 1;
-         t.ctx.Api.send ~switch_id:st.st_id
-           (Openflow.Message.Echo_request "keepalive")
-       end
-     | Handshaking | Sw_down -> send_handshake t st);
+    if st.status = Sw_up then begin
+      if st.echo_outstanding > 0 then
+        t.rstats.echo_misses <- t.rstats.echo_misses + 1;
+      if st.echo_outstanding >= r.echo_miss_limit then mark_down t st
+      else begin
+        st.echo_outstanding <- st.echo_outstanding + 1;
+        t.ctx.Api.send ~switch_id:st.st_id
+          (Openflow.Message.Echo_request "keepalive")
+      end
+    end;
     Api.schedule t.ctx ~delay:r.echo_period (fun () -> keepalive_tick t st)
   end
 
@@ -264,17 +287,15 @@ let dispatch t ~switch_id ~xid (msg : Openflow.Message.t) =
   match msg with
   | Hello ->
     (* The only switch-originated Hello is the spontaneous restart
-       announcement.  From a switch believed up, declare it down and
-       open a fresh handshake; from one already marked down, just
-       handshake (the probe loop would get there anyway, this
-       shortens the outage).  During the initial handshake it is
-       ignored — a features exchange is already in flight. *)
+       announcement.  From a switch believed up, declare it down, which
+       opens a fresh handshake; from one already marked down, restart
+       the handshake and its backoff, since the switch is back.  During
+       the initial handshake it is ignored: that handshake is already
+       being retried. *)
     let st = state t switch_id in
     (match st.status with
-     | Sw_up ->
-       mark_down t st;
-       send_handshake t st
-     | Sw_down -> send_handshake t st
+     | Sw_up -> mark_down t st
+     | Sw_down -> start_handshake t st
      | Handshaking -> ())
   | Echo_reply _ ->
     let st = state t switch_id in
@@ -378,7 +399,7 @@ let create ?(resilience = default_resilience) ?(fence = 0) ?(shadows = [])
          st.handshaked <- true
        | None -> ());
       Dataplane.Network.adopt sw.ctl (handler t);
-      send_handshake t st;
+      start_handshake t st;
       Api.schedule t.ctx ~delay:resilience.echo_period (fun () ->
         keepalive_tick t st))
     (Dataplane.Network.switch_list net);

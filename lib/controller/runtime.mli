@@ -17,9 +17,19 @@
     The runtime survives a lossy control channel and switch crashes
     (see {!Dataplane.Fault}), on the timers of its [resilience] record:
 
-    - a per-switch Echo keepalive loop declares the switch down after a
-      configurable number of consecutive misses and fires the apps'
-      [switch_down] callback;
+    - a per-switch Echo keepalive loop echoes a switch that is up,
+      declares it down after a configurable number of consecutive
+      misses and fires the apps' [switch_down] callback;
+    - a switch that is not up (at start, after a switch-down or a
+      restart [Hello], and for every switch a new leader adopts) is
+      probed by its handshake alone: sent at once, then re-sent after
+      [retx_timeout], each wait [retx_backoff] times the last, up to
+      [min retx_cap echo_period], until the features reply arrives.  A
+      lost handshake frame costs one RTO, and a dead switch is probed
+      no more often than once per keepalive period.  Every copy goes
+      out while the switch's stream is held, so all carry the same
+      opening number, and the lane is FIFO, so all reach the switch
+      before the first batch of the stream the reply opens;
     - flow-mod batches become reliable: each switch has one go-back-N
       stream ({!Util.Gbn}) of barrier-terminated batches, numbered
       contiguously, up to eight in flight.  The switch applies them in
@@ -30,8 +40,9 @@
       stream at the number of the next batch, so a crash, a re-handshake
       or a new leader starts a stream no older frame or ack can touch;
     - a switch that re-handshakes (after a crash, a control-channel
-      partition, or adoption by a new leader — its restart [Hello], or
-      the probe loop, triggers a fresh features exchange) is resynced:
+      partition, or adoption by a new leader — its restart [Hello], a
+      switch-down or the adoption starts a fresh features exchange) is
+      resynced:
       the runtime re-pushes the full intended table from the shadow as
       one reliable delete-all-plus-adds batch, the first of the new
       stream; it supersedes the batches queued while the switch was down.
@@ -44,13 +55,18 @@
 
 (** Knobs for the keepalive / retransmission machinery. *)
 type resilience = {
-  echo_period : float;     (** seconds between keepalive ticks per switch *)
+  echo_period : float;
+      (** seconds between keepalive ticks per switch; also the ceiling
+          on the handshake retry interval *)
   echo_miss_limit : int;   (** consecutive unanswered echos ⇒ switch down *)
   retx_timeout : float;
-      (** retransmission timeout (RTO) before the first RTT sample *)
-  retx_backoff : float;    (** RTO multiplier per retransmission *)
+      (** retransmission timeout (RTO) before the first RTT sample, and
+          the wait before the first handshake retry *)
+  retx_backoff : float;
+      (** RTO multiplier per retransmission, batch or handshake *)
   retx_cap : float;
-      (** ceiling on both the RTT estimate and the backed-off RTO *)
+      (** ceiling on the RTT estimate and the backed-off RTO, and (with
+          [echo_period]) on the handshake retry interval *)
 }
 
 val default_resilience : resilience
@@ -117,8 +133,8 @@ val resilience_stats : t -> resilience_stats
     first); feeds the recovery-time percentiles in E9. *)
 val recovery_times : t -> float list
 
-(** Stops the keepalive loops and disarms retransmission timers, so a
-    simulation can drain its event queue. *)
+(** Stops the keepalive loops and disarms retransmission and handshake
+    retry timers, so a simulation can drain its event queue. *)
 val shutdown : t -> unit
 
 (** Crashes the runtime: {!shutdown}, plus incoming frames are ignored
@@ -132,9 +148,9 @@ val halt : t -> unit
     protocol on [net] and registers [apps] (dispatched in list order).
     It takes every switch of [net] the one way a controller owns a
     switch: it adopts the switch's session ({!Dataplane.Network.adopt}
-    with {!handler}) and schedules the handshake (hello + features
-    request) at once; apps receive [switch_up] once the features reply
-    returns.  A later runtime on the same network (a new leader) adopts
+    with {!handler}) and sends the handshake (hello + features request)
+    at once, retrying it until the features reply returns; apps then
+    receive [switch_up].  A later runtime on the same network (a new leader) adopts
     the sessions in turn.  [resilience] (default {!default_resilience})
     sets the keepalive and retransmission timers.  [net] is a
     single-domain network: a sharded simulation ({!Dataplane.Shard})
