@@ -561,7 +561,7 @@ let e7 () =
         List.fold_left
           (fun acc src ->
             acc
-            + (Verify.Reach.walk snap ~src ~cube:Verify.Hsa.top ()).explored)
+            + (Verify.Reach.walk snap ~src ~cube:Verify.Hsa.top).explored)
           0 (Topo.Topology.host_ids topo)
       in
       pf "%-12s %7d %7d %7d | %12.1f %12.1f %10d@." spec

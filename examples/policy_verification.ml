@@ -89,7 +89,7 @@ let () =
     | None -> assert false
   in
   let reaches cube =
-    let r = Verify.Reach.walk fw_snap ~src:1 ~cube () in
+    let r = Verify.Reach.walk fw_snap ~src:1 ~cube in
     List.exists (fun (d : Verify.Reach.delivery) -> d.host = 3) r.deliveries
   in
   pf "@.firewall verification:@.";

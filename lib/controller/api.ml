@@ -88,7 +88,6 @@ let request_stats ctx ~switch_id req k =
   ctx.send ~switch_id (Openflow.Message.Stats_request req)
 
 type app = {
-  name : string;
   switch_up : ctx -> switch_id:int -> ports:int list -> unit;
   switch_down : ctx -> switch_id:int -> unit;
   packet_in :
@@ -96,15 +95,10 @@ type app = {
     reason:Openflow.Message.packet_in_reason ->
     Openflow.Message.payload -> unit;
   port_status : ctx -> switch_id:int -> port:int -> up:bool -> unit;
-  export_state : ctx -> string option;
-  import_state : ctx -> string -> unit;
 }
 
-let default_app name =
-  { name;
-    switch_up = (fun _ ~switch_id:_ ~ports:_ -> ());
+let default_app =
+  { switch_up = (fun _ ~switch_id:_ ~ports:_ -> ());
     switch_down = (fun _ ~switch_id:_ -> ());
     packet_in = (fun _ ~switch_id:_ ~port:_ ~reason:_ _ -> ());
-    port_status = (fun _ ~switch_id:_ ~port:_ ~up:_ -> ());
-    export_state = (fun _ -> None);
-    import_state = (fun _ _ -> ()) }
+    port_status = (fun _ ~switch_id:_ ~port:_ ~up:_ -> ()) }

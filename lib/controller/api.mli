@@ -111,8 +111,10 @@ val request_stats :
   Openflow.Message.stats_request ->
   (Openflow.Message.stats_reply -> unit) -> unit
 
+(** An app holds no replicated state: under {!Controller.Replica} each
+    promoted leader runs fresh instances, which rebuild their tables and
+    topology reactions from the [switch_up] events of its handshakes. *)
 type app = {
-  name : string;
   switch_up : ctx -> switch_id:int -> ports:int list -> unit;
   switch_down : ctx -> switch_id:int -> unit;
       (** fired by the runtime's keepalive loop when a switch misses the
@@ -123,19 +125,7 @@ type app = {
     reason:Openflow.Message.packet_in_reason ->
     Openflow.Message.payload -> unit;
   port_status : ctx -> switch_id:int -> port:int -> up:bool -> unit;
-  export_state : ctx -> string option;
-      (** replication hook (see {!Controller.Replica}): an opaque blob of
-          the app's durable state, shipped to standby controllers with
-          each heartbeat.  [None] (the default) = stateless — tables and
-          topology reactions are rebuilt from events, nothing to carry.
-          Export only what a fresh instance cannot re-derive (e.g. a
-          version counter whose values are still live in the dataplane,
-          see {!Update.export_state}). *)
-  import_state : ctx -> string -> unit;
-      (** replication hook: a newly-promoted leader's fresh app instance
-          receives the latest blob the old leader exported (called once,
-          before any [switch_up] events).  Default: ignore. *)
 }
 
 (** An app with every callback a no-op; override the fields you need. *)
-val default_app : string -> app
+val default_app : app

@@ -3,7 +3,6 @@ open Packet
 type t = {
   app : Api.app;
   vip : Ipv4.t;
-  vip_mac : Mac.t;
   backends : int array;  (** host ids *)
   mutable flows : int;   (** distinct flows load-balanced *)
   picks : (int, int) Hashtbl.t;  (** backend host id -> flows assigned *)
@@ -15,13 +14,15 @@ type t = {
    version bands, which start at 2 * Delta.span * v for v >= 1 *)
 let priority = Netkat.Delta.span + 10000
 
+(* the source MAC of the VIP's rewritten replies *)
+let vip_mac = Mac.of_string "02:de:ad:be:ef:01"
+
 let pick_backend t (h : Headers.t) =
   (* deterministic hash of the client flow identity *)
   let key = Hashtbl.hash (h.ip4_src, h.tp_src, h.ip4_dst, h.tp_dst) in
   t.backends.(key mod Array.length t.backends)
 
-let create ~vip ?(vip_mac = Mac.of_string "02:de:ad:be:ef:01")
-    ?(idle_timeout = 60.0) ~backends () =
+let create ~vip ?(idle_timeout = 60.0) ~backends () =
   if backends = [] then invalid_arg "Lb.create: no backends";
   let t_ref = ref None in
   let get () = Option.get !t_ref in
@@ -95,7 +96,7 @@ let create ~vip ?(vip_mac = Mac.of_string "02:de:ad:be:ef:01")
          | Some client_port ->
            let rev_actions : Flow.Action.group =
              [ [ Set_field (Fields.Ip4_src, t.vip);
-                 Set_field (Fields.Eth_src, t.vip_mac);
+                 Set_field (Fields.Eth_src, vip_mac);
                  Output (Physical client_port) ] ]
            in
            Api.install ctx ~switch_id ~priority:(priority + 100)
@@ -109,9 +110,9 @@ let create ~vip ?(vip_mac = Mac.of_string "02:de:ad:be:ef:01")
           payload
     end
   in
-  let app = { (Api.default_app "load-balancer") with switch_up; packet_in } in
+  let app = { Api.default_app with switch_up; packet_in } in
   let t =
-    { app; vip; vip_mac; backends = Array.of_list backends; flows = 0;
+    { app; vip; backends = Array.of_list backends; flows = 0;
       picks = Hashtbl.create 8; idle_timeout }
   in
   t_ref := Some t;

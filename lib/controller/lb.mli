@@ -13,10 +13,12 @@
 
 type t
 
+(** [create ~vip ?idle_timeout ~backends ()] balances flows to [vip]
+    over the host ids [backends]; its rules expire after [idle_timeout]
+    seconds (default 60) without a hit, and the VIP's rewritten replies
+    carry the source MAC [02:de:ad:be:ef:01]. *)
 val create :
-  vip:Packet.Ipv4.t ->
-  ?vip_mac:Packet.Mac.t ->
-  ?idle_timeout:float -> backends:int list -> unit -> t
+  vip:Packet.Ipv4.t -> ?idle_timeout:float -> backends:int list -> unit -> t
 
 val app : t -> Api.app
 

@@ -83,7 +83,7 @@ let create ?(idle_timeout = Some 60.0) () =
         payload
   in
   let app =
-    { (Api.default_app "learning") with switch_up; switch_down; packet_in }
+    { Api.default_app with switch_up; switch_down; packet_in }
   in
   let t =
     { app; locations = Hashtbl.create 64; sent = Hashtbl.create 64;

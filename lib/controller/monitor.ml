@@ -72,7 +72,7 @@ let create ?(period = 0.5) () =
     if not (Hashtbl.mem t.down_at switch_id) then
       Hashtbl.replace t.down_at switch_id (Api.time ctx)
   in
-  let app = { (Api.default_app "monitor") with switch_up; switch_down } in
+  let app = { Api.default_app with switch_up; switch_down } in
   let t =
     { app; period; tx_series = Hashtbl.create 64; drops = Hashtbl.create 64;
       tables = Hashtbl.create 16; polls = 0;

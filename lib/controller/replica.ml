@@ -10,24 +10,21 @@ type config = {
   hb_period : float;  (* heartbeat period, [lease / 3] *)
 }
 
-(* one inter-controller message; deltas carry the decoded message (the
+(* one inter-controller message; deltas carry the decoded flow-mod (the
    channel is in-process) but are accounted at wire size *)
 type repl_msg =
-  | Hb of { h_epoch : int; h_states : (string * string) list }
-  | Delta of { d_epoch : int; d_sw : int; d_msg : Openflow.Message.t }
+  | Hb of { h_epoch : int }
+  | Delta of { d_epoch : int; d_sw : int; d_fm : Openflow.Message.flow_mod }
   | Sync_req of { sr_from : int }
   | Sync_full of { sf_epoch : int;
-                   sf_tables : (int * Flow.Table.rule list) list;
-                   sf_states : (string * string) list }
+                   sf_tables : (int * Flow.Table.rule list) list }
 
 type member = {
   m_id : int;
   mutable role : role;
   mutable runtime : Runtime.t option;
-  mutable apps : Api.app list;
   m_shadows : (int, Flow.Table.t) Hashtbl.t;
       (* standby: replicated copy of the leader's intended state *)
-  mutable m_states : (string * string) list;  (* replicated app blobs *)
   mutable m_epoch : int;   (* highest lease epoch known *)
   mutable last_hb : float;
   mutable synced : bool;   (* false while a rejoined standby awaits Sync_full *)
@@ -56,8 +53,8 @@ type t = {
   cfg : config;
   resilience : Runtime.resilience;
   mk_apps : unit -> Api.app list;
-      (* app factory: each leader incarnation runs fresh app instances
-         (replicated state re-enters through [import_state]) *)
+      (* app factory: each leader incarnation runs fresh app instances,
+         which rebuild their state from its handshakes' [switch_up]s *)
   switch_ids : int list;
   members : member array;
   repl_fault : Fault.t option;  (* chaos on the inter-controller channel *)
@@ -87,18 +84,16 @@ let expiry t m = t.cfg.lease +. (float_of_int m.m_id *. t.cfg.hb_period)
 
 let repl_size (msg : repl_msg) =
   match msg with
-  | Hb { h_states; _ } ->
-    12 + List.fold_left (fun a (n, s) -> a + String.length n + String.length s)
-           0 h_states
-  | Delta { d_msg; _ } ->
-    4 + Bytes.length (Openflow.Wire.encode ~xid:0 d_msg)
+  | Hb _ -> 12
+  | Delta { d_fm; _ } ->
+    4
+    + Bytes.length
+        (Openflow.Wire.encode ~xid:0 (Openflow.Message.Flow_mod d_fm))
   | Sync_req _ -> 8
-  | Sync_full { sf_tables; sf_states; _ } ->
+  | Sync_full { sf_tables; _ } ->
     12
     + List.fold_left (fun a (_, rules) -> a + (40 * List.length rules)) 0
         sf_tables
-    + List.fold_left (fun a (n, s) -> a + String.length n + String.length s)
-        0 sf_states
 
 let rec send_repl t ~src ~dst msg =
   if not t.stopped then begin
@@ -157,7 +152,7 @@ and load_tables m tables =
 and recv_repl t m msg =
   if (not t.stopped) && m.role <> Down && not m.partitioned then
     match msg with
-    | Hb { h_epoch; h_states } ->
+    | Hb { h_epoch } ->
       if h_epoch >= m.m_epoch then begin
         (match m.role with
          | Leader when h_epoch > m.m_epoch ->
@@ -167,18 +162,14 @@ and recv_repl t m msg =
          | _ -> ());
         if m.role = Standby then begin
           m.last_hb <- now t;
-          m.m_epoch <- h_epoch;
-          m.m_states <- h_states
+          m.m_epoch <- h_epoch
         end
       end
-    | Delta { d_epoch; d_sw; d_msg } ->
+    | Delta { d_epoch; d_sw; d_fm } ->
       if m.role = Standby && d_epoch >= m.m_epoch then begin
         m.last_hb <- now t;
         m.m_epoch <- d_epoch;
-        match d_msg with
-        | Openflow.Message.Flow_mod fm ->
-          Runtime.shadow_flow_mod (shadow_of m d_sw) fm
-        | _ -> ()
+        Runtime.shadow_flow_mod (shadow_of m d_sw) d_fm
       end
     | Sync_req { sr_from } ->
       (match (m.role, m.runtime) with
@@ -190,14 +181,11 @@ and recv_repl t m msg =
              t.switch_ids
          in
          send_repl t ~src:m.m_id ~dst:sr_from
-           (Sync_full
-              { sf_epoch = m.m_epoch; sf_tables = tables;
-                sf_states = export_states t m })
+           (Sync_full { sf_epoch = m.m_epoch; sf_tables = tables })
        | _ -> ())
-    | Sync_full { sf_epoch; sf_tables; sf_states } ->
+    | Sync_full { sf_epoch; sf_tables } ->
       if m.role = Standby && (not m.synced) && sf_epoch >= m.m_epoch then begin
         load_tables m sf_tables;
-        m.m_states <- sf_states;
         m.m_epoch <- sf_epoch;
         m.synced <- true;
         m.last_hb <- now t;
@@ -207,33 +195,22 @@ and recv_repl t m msg =
 (* ------------------------------------------------------------------ *)
 (* Leader side *)
 
-and export_states _t m =
-  match m.runtime with
-  | None -> []
-  | Some rt ->
-    List.filter_map
-      (fun (app : Api.app) ->
-        match app.export_state (Runtime.ctx rt) with
-        | Some blob -> Some (app.name, blob)
-        | None -> None)
-      m.apps
-
 and hb_loop t m term =
   if (not t.stopped) && m.term = term && m.role = Leader then begin
     (match m.runtime with
      | Some _ ->
        t.rstats.hb_sent <- t.rstats.hb_sent + 1;
        broadcast t ~src:m.m_id
-         (Hb { h_epoch = m.m_epoch; h_states = export_states t m })
+         (Hb { h_epoch = m.m_epoch })
      | None -> ());
     Sim.schedule (sim t) ~delay:t.cfg.hb_period (fun () -> hb_loop t m term)
   end
 
-and mk_on_shadow t m ~switch_id msg =
+and mk_on_shadow t m ~switch_id fm =
   if m.role = Leader then begin
     t.rstats.deltas_sent <- t.rstats.deltas_sent + 1;
     broadcast t ~src:m.m_id
-      (Delta { d_epoch = m.m_epoch; d_sw = switch_id; d_msg = msg })
+      (Delta { d_epoch = m.m_epoch; d_sw = switch_id; d_fm = fm })
   end
 
 (* the new runtime adopts every switch session — in-flight frames
@@ -244,21 +221,11 @@ and mk_on_shadow t m ~switch_id msg =
 and start_leader t m ~shadows =
   m.role <- Leader;
   m.term <- m.term + 1;
-  let apps = t.mk_apps () in
   let rt =
     Runtime.create ~resilience:t.resilience ~fence:m.m_epoch ~shadows
-      ~on_shadow:(mk_on_shadow t m) t.net apps
+      ~on_shadow:(mk_on_shadow t m) t.net (t.mk_apps ())
   in
   m.runtime <- Some rt;
-  m.apps <- apps;
-  (* replicated app state enters before any switch_up event fires (the
-     features replies are still in flight) *)
-  List.iter
-    (fun (app : Api.app) ->
-      match List.assoc_opt app.name m.m_states with
-      | Some blob -> app.import_state (Runtime.ctx rt) blob
-      | None -> ())
-    apps;
   hb_loop t m m.term;
   rt
 
@@ -267,13 +234,11 @@ and step_down t m new_epoch =
   note t "step-down c%d epoch=%d" m.m_id new_epoch;
   (match m.runtime with Some rt -> Runtime.shutdown rt | None -> ());
   m.runtime <- None;
-  m.apps <- [];
   m.role <- Standby;
   m.term <- m.term + 1;
   m.m_epoch <- new_epoch;
   m.synced <- false;
   Hashtbl.reset m.m_shadows;
-  m.m_states <- [];
   m.last_hb <- now t;
   monitor_loop t m m.term
 
@@ -335,7 +300,6 @@ let crash t ~controller_id =
     if m.role <> Down then begin
       (match m.runtime with Some rt -> Runtime.halt rt | None -> ());
       m.runtime <- None;
-      m.apps <- [];
       m.role <- Down;
       m.term <- m.term + 1
     end
@@ -349,7 +313,6 @@ let restart t ~controller_id =
       m.term <- m.term + 1;
       m.synced <- false;
       Hashtbl.reset m.m_shadows;
-      m.m_states <- [];
       m.last_hb <- now t;
       monitor_loop t m m.term
     end
@@ -421,7 +384,7 @@ let create ?(resilience = Runtime.default_resilience) ?(replicas = 2)
   let members =
     Array.init replicas (fun id ->
       { m_id = id; role = (if id = 0 then Leader else Standby); runtime = None;
-        apps = []; m_shadows = Hashtbl.create 16; m_states = [];
+        m_shadows = Hashtbl.create 16;
         m_epoch = 1; last_hb = Network.now net; synced = true;
         partitioned = false; term = 0 })
   in

@@ -6,10 +6,10 @@
     the only writer.
     The leader streams its intended state to the standbys over a
     seeded-chaos-capable inter-controller channel: heartbeats every
-    [lease/3] carry the lease epoch and the apps' exported state blobs,
-    and every flow-mod it shadows is forwarded as a delta, so each
-    standby maintains a replica of {!Runtime.intended_rules} for every
-    switch.
+    [lease/3] carry the lease epoch, and every flow-mod it shadows is
+    forwarded as a delta, so each standby maintains a replica of
+    {!Runtime.intended_rules} for every switch.  Nothing else is
+    replicated: apps keep no state across a failover.
 
     {b Failover.}  A standby that misses heartbeats for a full lease
     (staggered per member so two standbys never take over in the same
@@ -92,9 +92,10 @@ val shutdown : t -> unit
 
 (** [create net mk_apps] starts [replicas] controller members over [net]
     (default 2): member 0 as leader at epoch 1, the rest as synced
-    standbys.  [mk_apps] is called once per
-    leader incarnation — every promotion runs fresh app instances, with
-    replicated state restored through [import_state].
+    standbys.  [mk_apps] is called once per leader incarnation: every
+    promotion runs fresh app instances, which see [switch_up] for every
+    switch as the new leader's handshakes complete and rebuild their
+    state from those events.
 
     [lease] (default 0.15 s) bounds failover detection; heartbeats ride
     every [lease/3].  The inter-controller channel has the control

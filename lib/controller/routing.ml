@@ -106,7 +106,7 @@ let create ?(use_ip = false) ?(cookie = 0x0e) () =
     schedule_recompute t ctx
   in
   let app =
-    { (Api.default_app "routing") with switch_up; switch_down; port_status }
+    { Api.default_app with switch_up; switch_down; port_status }
   in
   let t =
     { app; cookie; installs = 0; reinstalls = 0; last_churn = 0;

@@ -68,7 +68,7 @@ type t = {
   fence : int;
       (* lease epoch opening every transmission (see [transmit]); 0 = no
          fencing (single controller) *)
-  on_shadow : (switch_id:int -> Openflow.Message.t -> unit) option;
+  on_shadow : (switch_id:int -> Openflow.Message.flow_mod -> unit) option;
       (* replication hook: observes every flow-mod as it is shadowed,
          i.e. exactly the intended-state delta stream *)
 }
@@ -169,7 +169,7 @@ let send_batch t ~switch_id msgs =
         match msg with
         | Flow_mod fm ->
           shadow_flow_mod st.shadow fm;
-          (match t.on_shadow with Some f -> f ~switch_id msg | None -> ())
+          (match t.on_shadow with Some f -> f ~switch_id fm | None -> ())
         | _ -> ())
       msgs;
     if

@@ -169,7 +169,7 @@ val create :
   ?resilience:resilience ->
   ?fence:int ->
   ?shadows:(int * Flow.Table.rule list) list ->
-  ?on_shadow:(switch_id:int -> Openflow.Message.t -> unit) ->
+  ?on_shadow:(switch_id:int -> Openflow.Message.flow_mod -> unit) ->
   Dataplane.Network.t -> Api.app list -> t
 
 val ctx : t -> Api.ctx

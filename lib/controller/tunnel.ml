@@ -114,7 +114,7 @@ let create () =
       provision (Option.get !t_ref) ctx
     end
   in
-  let app = { (Api.default_app "tunnels") with switch_up } in
+  let app = { Api.default_app with switch_up } in
   let t = { app; lsps = [] } in
   t_ref := Some t;
   t

@@ -81,12 +81,7 @@ let version t = t.version
 let installs t = t.installs
 let peak_rules t = t.peak_rules
 
-let export_state t = string_of_int t.version
-
-let import_state t blob =
-  match int_of_string_opt (String.trim blob) with
-  | Some v when v > t.version -> t.version <- v
-  | Some _ | None -> ()
+let set_version t v = t.version <- v
 let updates_done t = t.updates_done
 let skipped_switches t = t.skipped_switches
 let delta_mods t = t.delta_mods

@@ -29,7 +29,14 @@
     them.
 
     A version's rules are two {!Netkat.Delta} compiles from scratch,
-    internal and ingress, pushed under cookie [v]. *)
+    internal and ingress, pushed under cookie [v].
+
+    {b Limitation: versions are per-process.}  The version counter lives
+    in [t] and nothing replicates it.  {!transition} runs on one
+    {!Runtime} (bench E9, [examples/service_chain.ml]); under a
+    {!Controller.Replica}, an updater created afresh by a new leader
+    would restart versions at 0 and reuse the cookies and VLAN tags the
+    old leader's rules still carry.  {!install_plain} uses no version. *)
 
 exception Policy_uses_vlan
 
@@ -62,21 +69,10 @@ val installs : t -> int
     of a transition. *)
 val peak_rules : t -> int
 
-(** Replication of the updater's durable state (see {!Api.app}'s
-    [export_state]/[import_state] and {!Controller.Replica}).  Only the
-    version counter is carried: version numbers become VLAN tags on
-    in-flight packets and cookies on installed rules, so a new leader
-    restarting from 0 could collide with tags the old leader's rules
-    still match on.  Everything else in [t] (snapshots, pushed sets,
-    lifetime counters) is per-process bookkeeping a successor safely
-    rebuilds.
+(** [set_version t v] makes [v] the current version, so the next
+    {!transition} installs version [v + 1].
     Test-only. *)
-val export_state : t -> string
-
-(** Adopts a replicated version counter, never moving backwards (a late
-    or duplicated blob must not rewind the sequence).
-    Test-only. *)
-val import_state : t -> string -> unit
+val set_version : t -> int -> unit
 
 (** Transitions that replaced a version and drained it.  Test-only. *)
 val updates_done : t -> int

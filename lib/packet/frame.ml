@@ -108,15 +108,15 @@ let size t =
   in
   14 + (match t.vlan with None -> 0 | Some _ -> 4) + payload_size
 
-let tcp_packet ?(vlan = None) ?(ttl = 64) ?(flags = 0x02 (* SYN *))
-    ?(payload = Bytes.empty) ~eth_src ~eth_dst ~ip_src ~ip_dst ~tp_src ~tp_dst
-    () =
+let tcp_packet ?(vlan = None) ?(ttl = 64) ?(payload = Bytes.empty) ~eth_src
+    ~eth_dst ~ip_src ~ip_dst ~tp_src ~tp_dst () =
   { eth_src; eth_dst; vlan;
     eth_payload =
       Ip { ip_src; ip_dst; ttl; ident = 0; dscp = 0;
            ip_payload =
              Tcp { tcp_src = tp_src; tcp_dst = tp_dst; seq = 0; ack = 0;
-                   flags; window = 65535; tcp_payload = payload } } }
+                   flags = 0x02 (* SYN *); window = 65535;
+                   tcp_payload = payload } } }
 
 let udp_packet ?(vlan = None) ?(ttl = 64) ?(payload = Bytes.empty)
     ~eth_src ~eth_dst ~ip_src ~ip_dst ~tp_src ~tp_dst () =

@@ -82,10 +82,10 @@ val size : t -> int
 
 (** {2 Convenience constructors used throughout tests and examples} *)
 
+(** A TCP SYN segment in an IPv4 frame. *)
 val tcp_packet :
   ?vlan:int option ->
   ?ttl:int ->
-  ?flags:int ->
   ?payload:bytes ->
   eth_src:Mac.t ->
   eth_dst:Mac.t ->

@@ -52,10 +52,12 @@ let fairness t =
   | [] -> 1.0
   | es -> Util.Stats.jain_fairness (List.map satisfaction es)
 
-let starved ?(threshold = 0.999) t =
-  List.filter (fun e -> satisfaction e < threshold) t.entries
+let starved t = List.filter (fun e -> satisfaction e < 0.999) t.entries
 
-let feasible ?(tolerance = 1e-6) t =
+(* relative capacity slack that [feasible] forgives float rounding *)
+let tolerance = 1e-6
+
+let feasible t =
   let loads = link_loads t in
   Hashtbl.fold
     (fun (node, port) load ok ->

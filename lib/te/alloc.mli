@@ -28,12 +28,12 @@ val utilization : t -> float * float
 (** Jain fairness of demand-satisfaction ratios. *)
 val fairness : t -> float
 
-(** Demands receiving less than [threshold] of what they asked. *)
-val starved : ?threshold:float -> t -> entry list
+(** Demands receiving less than 99.9% of what they asked. *)
+val starved : t -> entry list
 
 (** True when no directed link carries more than its capacity (within a
-    relative tolerance).
+    relative tolerance of 1e-6).
     Test-only. *)
-val feasible : ?tolerance:float -> t -> bool
+val feasible : t -> bool
 
 val summary : t -> string

@@ -1,6 +1,9 @@
 module Node = Topo.Topology.Node
 
-let solve ?(k = 4) ?(quantum_divisor = 50.0) topo demands : Alloc.t =
+(* a group's quantum is its largest demand rate over this *)
+let quantum_divisor = 50.0
+
+let solve ?(k = 4) topo demands : Alloc.t =
   let weight (l : Topo.Topology.link) = l.delay in
   (* precompute k shortest paths per demand *)
   let flows =

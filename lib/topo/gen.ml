@@ -202,8 +202,8 @@ let jellyfish ?(hosts_per_switch = 1) ~switches ~degree ~prng () =
     (List.init switches (fun i -> i + 1));
   topo
 
-let waxman ?(hosts_per_switch = 1) ?(alpha = 0.4) ?(beta = 0.4) ~switches ~prng
-    () =
+let waxman ?(hosts_per_switch = 1) ~switches ~prng () =
+  let alpha = 0.4 and beta = 0.4 in
   if switches < 1 then invalid_arg "Gen.waxman";
   let topo = Topology.create () in
   let xs = Array.init switches (fun _ -> Util.Prng.float prng 1.0) in

@@ -71,13 +71,12 @@ val jellyfish :
   switches:int -> degree:int -> prng:Util.Prng.t -> unit -> Topology.t
 
 (** Waxman random graph over [n] switches placed uniformly in the unit
-    square; edge probability [alpha * exp (-d / (beta * L))].  The result
+    square; edge probability [alpha * exp (-d / (beta * L))], with
+    [alpha = beta = 0.4] and [L] the square's diagonal.  The result
     is forced connected by chaining any leftover components.  Link delays
     are proportional to Euclidean distance (1 ms per unit). *)
 val waxman :
-  ?hosts_per_switch:int ->
-  ?alpha:float ->
-  ?beta:float -> switches:int -> prng:Util.Prng.t -> unit -> Topology.t
+  ?hosts_per_switch:int -> switches:int -> prng:Util.Prng.t -> unit -> Topology.t
 
 (** The classic 11-node Abilene research backbone (delays approximate
     great-circle latency in ms). *)

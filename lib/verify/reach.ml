@@ -82,7 +82,10 @@ type walk_result = {
   explored : int;
 }
 
-let walk snapshot ~src ~cube ?(max_hops = 64) () =
+(* a slice still travelling after this many hops is reported as a loop *)
+let max_hops = 64
+
+let walk snapshot ~src ~cube =
   let deliveries = ref [] in
   let loops = ref [] in
   let black_holes = ref [] in
@@ -148,7 +151,7 @@ let flow_cube ~src ~dst =
                 (Hsa.In (Hsa.IntSet.singleton 0x0800))
 
 let reachable snapshot ~src ~dst =
-  let r = walk snapshot ~src ~cube:(flow_cube ~src ~dst) () in
+  let r = walk snapshot ~src ~cube:(flow_cube ~src ~dst) in
   List.exists (fun d -> d.host = dst) r.deliveries
 
 let reachability_matrix snapshot =
@@ -166,7 +169,7 @@ let loop_free snapshot =
   let hosts = Topo.Topology.host_ids snapshot.topo in
   List.concat_map
     (fun src ->
-      let r = walk snapshot ~src ~cube:Hsa.top () in
+      let r = walk snapshot ~src ~cube:Hsa.top in
       List.map (fun l -> (src, l)) r.loops)
     hosts
 
@@ -182,10 +185,10 @@ let isolated snapshot ~group_a ~group_b =
   leaks (group_a, group_b) @ leaks (group_b, group_a)
 
 let black_holes snapshot ~src =
-  (walk snapshot ~src ~cube:Hsa.top ()).black_holes
+  (walk snapshot ~src ~cube:Hsa.top).black_holes
 
 let waypoint snapshot ~src ~dst ~waypoint =
-  let r = walk snapshot ~src ~cube:(flow_cube ~src ~dst) () in
+  let r = walk snapshot ~src ~cube:(flow_cube ~src ~dst) in
   let delivered = List.filter (fun d -> d.host = dst) r.deliveries in
   match delivered with
   | [] -> `No_traffic

@@ -29,14 +29,12 @@ type walk_result = {
   explored : int;              (** symbolic states expanded *)
 }
 
-(** [walk snapshot ~src ~cube ?max_hops ()] pushes the symbolic packet
-    set [cube], injected on the access link of host [src], through the
-    network.  A slice arriving at a (switch, port) it has already
-    visited along its own path — with a cube subsumed by the earlier
-    one — is reported as a loop and cut. *)
-val walk :
-  snapshot ->
-  src:int -> cube:Hsa.cube -> ?max_hops:int -> unit -> walk_result
+(** [walk snapshot ~src ~cube] pushes the symbolic packet set [cube],
+    injected on the access link of host [src], through the network.  A
+    slice arriving at a (switch, port) it has already visited along its
+    own path — with a cube subsumed by the earlier one — is reported as a
+    loop and cut, as is a slice still travelling after 64 hops. *)
+val walk : snapshot -> src:int -> cube:Hsa.cube -> walk_result
 
 (** The cube of packets addressed from host [src] to host [dst]. *)
 val flow_cube : src:int -> dst:int -> Hsa.cube

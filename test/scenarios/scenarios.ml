@@ -180,7 +180,7 @@ let split_brain () =
     incr incarnation;
     let cookie = if !incarnation = 1 then 0xdead else 0xbeef in
     let marker =
-      { (Controller.Api.default_app "marker") with
+      { Controller.Api.default_app with
         switch_up =
           (fun ctx ~switch_id ~ports:_ ->
             if switch_id = 1 then

@@ -251,7 +251,7 @@ let test_crash_detection_and_resync () =
   let net = Network.create topo in
   let downs = ref [] and ups = ref [] in
   let probe =
-    { (Controller.Api.default_app "probe") with
+    { Controller.Api.default_app with
       switch_down = (fun _ ~switch_id -> downs := switch_id :: !downs);
       switch_up = (fun _ ~switch_id ~ports:_ -> ups := switch_id :: !ups) }
   in
@@ -362,7 +362,7 @@ let test_lost_handshake_retried () =
   ignore (Network.run ~until:0.0 net ());
   let down_at = ref Float.nan in
   let watch =
-    { (Controller.Api.default_app "watch") with
+    { Controller.Api.default_app with
       switch_down = (fun ctx ~switch_id:_ -> down_at := Controller.Api.time ctx) }
   in
   let rt = Controller.Runtime.create net [ watch ] in

@@ -18,7 +18,7 @@ let test_handshake () =
   let net = Network.create topo in
   let ups = ref [] in
   let app =
-    { (Controller.Api.default_app "probe") with
+    { Controller.Api.default_app with
       switch_up =
         (fun _ ~switch_id ~ports -> ups := (switch_id, List.length ports) :: !ups) }
   in
@@ -33,7 +33,7 @@ let test_packet_in_dispatch () =
   let net = Network.create topo in
   let seen = ref [] in
   let app =
-    { (Controller.Api.default_app "probe") with
+    { Controller.Api.default_app with
       packet_in =
         (fun _ ~switch_id ~port ~reason:_ payload ->
           seen := (switch_id, port, payload.headers.tp_dst) :: !seen) }
@@ -47,7 +47,7 @@ let test_install_via_wire () =
   let topo = Topo.Gen.linear ~switches:1 ~hosts_per_switch:2 () in
   let net = Network.create topo in
   let app =
-    { (Controller.Api.default_app "installer") with
+    { Controller.Api.default_app with
       switch_up =
         (fun ctx ~switch_id ~ports:_ ->
           Controller.Api.install ctx ~switch_id ~priority:5 Flow.Pattern.any
@@ -65,7 +65,7 @@ let test_packet_out_and_stats () =
   let net = Network.create topo in
   let table_stats = ref None in
   let app =
-    { (Controller.Api.default_app "stats") with
+    { Controller.Api.default_app with
       packet_in =
         (fun ctx ~switch_id ~port ~reason:_ payload ->
           (* bounce the packet out port 2 and poll table stats *)
@@ -593,7 +593,7 @@ let test_switch_up_batches_land_in_handshake () =
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
   let net = Network.create topo in
   let app =
-    { (Controller.Api.default_app "provision") with
+    { Controller.Api.default_app with
       switch_up =
         (fun ctx ~switch_id ~ports:_ ->
           for i = 1 to 40 do

@@ -546,20 +546,65 @@ let test_bad_resilience_rejected () =
       (Dataplane.Network.stats (Zen.network net)).control_msgs
 
 (* ------------------------------------------------------------------ *)
-(* App-state replication: the Update app's version counter *)
+(* Apps are not replicated: every leader incarnation runs fresh ones *)
 
-let test_update_version_replicates () =
-  let u = Controller.Update.create () in
-  Alcotest.(check string) "fresh export" "0" (Controller.Update.export_state u);
-  Controller.Update.import_state u "7";
-  Alcotest.(check int) "import adopts a newer version" 7
-    (Controller.Update.version u);
-  Controller.Update.import_state u "3";
-  Alcotest.(check int) "stale import ignored (never rewinds)" 7
-    (Controller.Update.version u);
-  Controller.Update.import_state u "bogus";
-  Alcotest.(check int) "garbage import ignored" 7
-    (Controller.Update.version u)
+(* Replication carries the shadow tables and the lease epoch only.  An
+   app's state is rebuilt, not shipped: [mk_apps] runs once per leader
+   incarnation, and each incarnation's fresh apps see [switch_up] for
+   every switch as its handshakes complete.  Three incarnations: the
+   initial start, member 1's takeover from a crashed member 0, and the
+   restarted member 0's promotion when member 1 crashes in turn. *)
+let test_fresh_apps_per_incarnation () =
+  let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
+  let net = Zen.create topo in
+  let calls = ref 0 and seen = ref [] in
+  let mk_apps () =
+    incr calls;
+    let incarnation = !calls in
+    let probe =
+      { Controller.Api.default_app with
+        switch_up =
+          (fun _ ~switch_id ~ports:_ ->
+            seen := (incarnation, switch_id) :: !seen) }
+    in
+    probe :: Scenarios.routing_apps ()
+  in
+  let r =
+    Zen.with_replicas ~resilience:Scenarios.fast_resilience ~replicas:2
+      ~lease:0.12 net mk_apps
+  in
+  let ups incarnation =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (i, sw) -> if i = incarnation then Some sw else None)
+         !seen)
+  in
+  let check_incarnation ~leader incarnation =
+    Alcotest.(check (option int))
+      (Printf.sprintf "member %d leads incarnation %d" leader incarnation)
+      (Some leader) (Replica.leader r);
+    Alcotest.(check int)
+      (Printf.sprintf "mk_apps calls by incarnation %d" incarnation)
+      incarnation !calls;
+    Alcotest.(check (list int))
+      (Printf.sprintf "incarnation %d saw every switch up" incarnation)
+      [ 1; 2; 3 ] (ups incarnation);
+    check_replica_converged r
+  in
+  ignore (Zen.run ~until:0.3 net);
+  check_incarnation ~leader:0 1;
+  Network.inject (Zen.network net)
+    [ Fault.Controller_outage { controller_id = 0; at = 0.4; duration = 1.0 } ];
+  ignore (Zen.run ~until:2.0 net);
+  Alcotest.(check bool) "member 0 back as standby" true
+    (Replica.role_of r ~controller_id:0 = Replica.Standby);
+  check_incarnation ~leader:1 2;
+  Network.inject (Zen.network net)
+    [ Fault.Controller_outage { controller_id = 1; at = 2.1; duration = 60.0 } ];
+  ignore (Zen.run ~until:3.0 net);
+  check_incarnation ~leader:0 3;
+  Alcotest.(check int) "two failovers" 2 (Replica.stats r).failovers;
+  Replica.shutdown r
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: replication under churn (policy edits + crashes + failovers) *)
@@ -666,7 +711,7 @@ let suites =
           test_replicas_one_rejected;
         Alcotest.test_case "bad resilience rejected" `Quick
           test_bad_resilience_rejected;
-        Alcotest.test_case "update version replicates" `Quick
-          test_update_version_replicates ] );
+        Alcotest.test_case "fresh apps per leader incarnation" `Quick
+          test_fresh_apps_per_incarnation ] );
     ( "replica.churn",
       [ QCheck_alcotest.to_alcotest prop_replica_churn ] ) ]

@@ -222,7 +222,7 @@ let test_band_overflow_rejected () =
   let ctx = Controller.Runtime.ctx (Zen.with_controller net []) in
   let updater = Controller.Update.create () in
   let last = (1 lsl 32) / (2 * Netkat.Delta.span) - 1 in
-  Controller.Update.import_state updater (string_of_int (last - 1));
+  Controller.Update.set_version updater (last - 1);
   Controller.Update.transition updater ctx (Local old_pol);
   Alcotest.(check int) "last fitting version" last
     (Controller.Update.version updater);

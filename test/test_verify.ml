@@ -293,7 +293,7 @@ let test_transfer_rewrites () =
   in
   let snap = snapshot_of topo pol in
   let r =
-    Reach.walk snap ~src:1 ~cube:(Reach.flow_cube ~src:1 ~dst:2) ()
+    Reach.walk snap ~src:1 ~cube:(Reach.flow_cube ~src:1 ~dst:2)
   in
   match r.deliveries with
   | [ d ] ->
