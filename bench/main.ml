@@ -1259,7 +1259,7 @@ let e18_specs ~dense ~light ~stop =
 
 type e18_obs = {
   e_sig : string;
-  e_chaos : string list;
+  e_log : string list;  (* a chaos run's event log, sorted by time *)
   e_events : int;
   e_rounds : int;
   e_stalls : int;
@@ -1273,21 +1273,27 @@ let e18_chaos seed =
 let e18_run ~sites ~dense ~light ~stop ~until ?chaos how =
   let topo = Scenarios.multi_site_topo ~sites () in
   let specs = e18_specs ~dense ~light ~stop in
+  (* a chaos run keeps every network's event log; a sharded run's shard
+     logs merge by time *)
+  let logs = ref [] in
+  let log net =
+    if chaos <> None then logs := Scenarios.event_log net :: !logs
+  in
+  let merged () = List.sort compare (List.concat_map (fun l -> l ()) !logs) in
   match how with
   | `Single ->
     let fault = Option.map Dataplane.Fault.of_config chaos in
     let net = Dataplane.Network.create ?fault topo in
+    log net;
     e15_install_routes topo (fun sw -> (Dataplane.Network.switch net sw).table);
     List.iter (fun s -> ignore (Dataplane.Traffic.cbr net s)) specs;
     let events, t = wall (fun () -> Dataplane.Network.run ~until net ()) in
     { e_sig = Dataplane.Shard.net_signature topo [ net ];
-      e_chaos =
-        (match Dataplane.Network.fault net with
-         | Some f -> List.sort compare (Dataplane.Fault.events f)
-         | None -> []);
+      e_log = merged ();
       e_events = events; e_rounds = 0; e_stalls = 0; e_wall = t }
   | `Sharded shards ->
     let t = Dataplane.Shard.create ?fault_config:chaos ~shards topo in
+    Array.iter log (Dataplane.Shard.nets t);
     e15_install_routes topo (fun sw ->
       (Dataplane.Network.switch (Dataplane.Shard.net_of_switch t sw) sw).table);
     List.iter
@@ -1296,7 +1302,7 @@ let e18_run ~sites ~dense ~light ~stop ~until ?chaos how =
       specs;
     let events, wall_t = wall (fun () -> Dataplane.Shard.run ~until t) in
     { e_sig = Dataplane.Shard.signature t;
-      e_chaos = List.sort compare (Dataplane.Shard.chaos_events t);
+      e_log = merged ();
       e_events = events;
       e_rounds = Dataplane.Shard.rounds t;
       e_stalls = Dataplane.Shard.stalls t;
@@ -1337,7 +1343,7 @@ let e18 () =
   List.iter
     (fun shards ->
       let r = e18_run ~sites ~stop ~until ~chaos (`Sharded shards) in
-      if r.e_sig <> csingle.e_sig || r.e_chaos <> csingle.e_chaos then begin
+      if r.e_sig <> csingle.e_sig || r.e_log <> csingle.e_log then begin
         pf "FAILURE: chaos run diverged at %d shards@." shards;
         exit 1
       end)

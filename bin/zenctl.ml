@@ -522,7 +522,7 @@ let chaos_cmd =
          & info [ "duration" ] ~docv:"SECS" ~doc:"Traffic duration.")
   in
   let trace_arg =
-    Arg.(value & flag & info [ "trace" ] ~doc:"Print the chaos event trace.")
+    Arg.(value & flag & info [ "trace" ] ~doc:"Print the event trace.")
   in
   let replicas_arg =
     Arg.(value & opt int 1
@@ -577,6 +577,9 @@ let chaos_cmd =
     in
     let net = Zen.create ~fault topo in
     let network = Zen.network net in
+    if trace then
+      Dataplane.Network.set_tracer network (fun time line ->
+        Printf.printf "%.9f %s\n" time line);
     let mk_apps () = [ Controller.Routing.app (Controller.Routing.create ()) ] in
     let replica =
       if replicas > 1 then
@@ -714,8 +717,6 @@ let chaos_cmd =
      | sws ->
        Format.printf "convergence: DIVERGED on switches %s@."
          (String.concat ", " (List.map string_of_int sws)));
-    if trace then
-      List.iter print_endline (Dataplane.Fault.events fault);
     if diverged <> [] then exit 4
   in
   Cmd.v

@@ -1,6 +1,5 @@
 type ctx = {
   net : Dataplane.Network.t;
-  send : switch_id:int -> Openflow.Message.t -> unit;
   send_batch : switch_id:int -> Openflow.Message.t list -> unit;
   await_stats :
     switch_id:int -> (Openflow.Message.stats_reply -> unit) -> unit;
@@ -15,10 +14,10 @@ let schedule ctx ~delay f =
 
 let install ctx ~switch_id ?(priority = 0) ?idle_timeout ?(cookie = 0)
     pattern actions =
-  ctx.send ~switch_id
-    (Openflow.Message.Flow_mod
-       (Openflow.Message.add_flow ~priority ~idle_timeout ~cookie ~pattern
-          ~actions ()))
+  ctx.send_batch ~switch_id
+    [ Openflow.Message.Flow_mod
+        (Openflow.Message.add_flow ~priority ~idle_timeout ~cookie ~pattern
+           ~actions ()) ]
 
 let change_flow_mods ?(cookie = 0) ~known (change : Netkat.Delta.change) =
   let add (r : Netkat.Delta.rule) =
@@ -75,17 +74,19 @@ let load_delta ~previous ~table_of (result : Netkat.Delta.result) =
     result.changes
 
 let uninstall ctx ~switch_id ?cookie pattern =
-  ctx.send ~switch_id
-    (Openflow.Message.Flow_mod (Openflow.Message.delete_flow ~cookie ~pattern ()))
+  ctx.send_batch ~switch_id
+    [ Openflow.Message.Flow_mod
+        (Openflow.Message.delete_flow ~cookie ~pattern ()) ]
 
 let packet_out ctx ~switch_id ~in_port actions payload =
-  ctx.send ~switch_id
-    (Openflow.Message.Packet_out
-       { out_in_port = in_port; out_actions = actions; out_packet = payload })
+  ctx.send_batch ~switch_id
+    [ Openflow.Message.Packet_out
+        { out_in_port = in_port; out_actions = actions;
+          out_packet = payload } ]
 
 let request_stats ctx ~switch_id req k =
   ctx.await_stats ~switch_id k;
-  ctx.send ~switch_id (Openflow.Message.Stats_request req)
+  ctx.send_batch ~switch_id [ Openflow.Message.Stats_request req ]
 
 type app = {
   switch_up : ctx -> switch_id:int -> ports:int list -> unit;

@@ -10,15 +10,13 @@
 
 type ctx = {
   net : Dataplane.Network.t;
-  send : switch_id:int -> Openflow.Message.t -> unit;
-      (** low-level: send any message to a switch *)
   send_batch : switch_id:int -> Openflow.Message.t list -> unit;
-      (** low-level: send several messages to a switch as one wire batch,
-          applied in order at delivery.  A batch that carries a flow-mod
-          or a barrier joins the switch's reliable stream: the runtime
-          ends it with a barrier unless it already does, resends it until
-          acked, and the switch applies the stream's batches in order
-          (see {!Runtime}) *)
+      (** low-level: the one send path.  Sends one or more messages to a
+          switch as one wire batch, applied in order at delivery.  A
+          batch that carries a flow-mod or a barrier joins the switch's
+          reliable stream: the runtime ends it with a barrier unless it
+          already does, resends it until acked, and the switch applies
+          the stream's batches in order (see {!Runtime}) *)
   await_stats :
     switch_id:int -> (Openflow.Message.stats_reply -> unit) -> unit;
       (** enqueue a one-shot continuation for the switch's next stats

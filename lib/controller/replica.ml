@@ -67,14 +67,6 @@ type t = {
 let now t = Network.now t.net
 let sim t = Network.sim t.net
 
-let note t fmt =
-  Printf.ksprintf
-    (fun s ->
-      match Network.fault t.net with
-      | Some f -> Fault.note f ~time:(now t) "%s" s
-      | None -> ())
-    fmt
-
 (* a member's lease-expiry threshold, staggered by id so two standbys
    never declare expiry in the same tick *)
 let expiry t m = t.cfg.lease +. (float_of_int m.m_id *. t.cfg.hb_period)
@@ -101,7 +93,7 @@ let rec send_repl t ~src ~dst msg =
     t.rstats.repl_msgs <- t.rstats.repl_msgs + 1;
     t.rstats.repl_bytes <- t.rstats.repl_bytes + repl_size msg;
     match
-      Ctl_channel.transmit t.repl_fault t.lanes.(src).(dst)
+      Ctl_channel.transmit ~tracer:None t.repl_fault t.lanes.(src).(dst)
         ~cut:(ms.partitioned || md.partitioned) ~now:(now t) (fun time ->
           Sim.schedule_at (sim t) ~time (fun () -> recv_repl t md msg))
     with
@@ -109,9 +101,7 @@ let rec send_repl t ~src ~dst msg =
     | Cut -> t.rstats.repl_drops <- t.rstats.repl_drops + 1
     | Dropped ->
       t.rstats.repl_drops <- t.rstats.repl_drops + 1;
-      Option.iter
-        (fun f -> Fault.note f ~time:(now t) "repl-drop c%d->c%d" src dst)
-        t.repl_fault
+      Network.trace t.net "repl-drop c%d->c%d" src dst
   end
 
 and broadcast t ~src msg =
@@ -189,7 +179,7 @@ and recv_repl t m msg =
         m.m_epoch <- sf_epoch;
         m.synced <- true;
         m.last_hb <- now t;
-        note t "sync c%d epoch=%d" m.m_id sf_epoch
+        Network.trace t.net "sync c%d epoch=%d" m.m_id sf_epoch
       end
 
 (* ------------------------------------------------------------------ *)
@@ -231,7 +221,7 @@ and start_leader t m ~shadows =
 
 and step_down t m new_epoch =
   t.rstats.step_downs <- t.rstats.step_downs + 1;
-  note t "step-down c%d epoch=%d" m.m_id new_epoch;
+  Network.trace t.net "step-down c%d epoch=%d" m.m_id new_epoch;
   (match m.runtime with Some rt -> Runtime.shutdown rt | None -> ());
   m.runtime <- None;
   m.role <- Standby;
@@ -249,7 +239,7 @@ and takeover t m =
   t.rstats.failovers <- t.rstats.failovers + 1;
   let detect = now t in
   m.m_epoch <- m.m_epoch + 1;
-  note t "takeover c%d epoch=%d" m.m_id m.m_epoch;
+  Network.trace t.net "takeover c%d epoch=%d" m.m_id m.m_epoch;
   let shadows = replicated_rules t m in
   let rt = start_leader t m ~shadows in
   let term = m.term in
@@ -265,7 +255,7 @@ and takeover t m =
         let d = now t -. detect in
         t.rstats.takeovers_completed <- t.rstats.takeovers_completed + 1;
         t.rstats.failover_samples <- d :: t.rstats.failover_samples;
-        note t "failover-complete c%d %.6f" m.m_id d
+        Network.trace t.net "failover-complete c%d %.6f" m.m_id d
       end
       else
         Sim.schedule (sim t) ~delay:t.cfg.hb_period poll
@@ -283,7 +273,7 @@ and monitor_loop t m term =
         monitor_loop t m term)
     end
     else if now t -. m.last_hb > expiry t m then begin
-      note t "lease-expired c%d" m.m_id;
+      Network.trace t.net "lease-expired c%d" m.m_id;
       takeover t m
     end
     else
@@ -322,14 +312,14 @@ let partition t ~controller_id =
   let m = t.members.(controller_id) in
   if not m.partitioned then begin
     m.partitioned <- true;
-    note t "repl-partition c%d" controller_id
+    Network.trace t.net "repl-partition c%d" controller_id
   end
 
 let heal t ~controller_id =
   let m = t.members.(controller_id) in
   if m.partitioned then begin
     m.partitioned <- false;
-    note t "repl-heal c%d" controller_id
+    Network.trace t.net "repl-heal c%d" controller_id
   end
 
 (* ------------------------------------------------------------------ *)

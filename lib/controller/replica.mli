@@ -37,6 +37,14 @@
     old leader's stream can touch the new one.  On heal, the deposed
     leader sees a higher-epoch heartbeat and steps down to standby.
 
+    {b Event log.}  Every lifecycle step is a line in the network's
+    event log ({!Dataplane.Network.set_tracer}), with or without a fault
+    layer: ["lease-expired c1"], ["takeover c1 epoch=2"],
+    ["failover-complete c1 <seconds>"], ["step-down c0 epoch=2"],
+    ["sync c2 epoch=2"], ["repl-partition c0"], ["repl-heal c0"] and
+    ["repl-drop c0->c1"] for a replication message lost to
+    [repl_fault]'s chaos.
+
     A single controller is a plain {!Runtime}, not a one-member replica
     set: {!create} rejects [replicas < 2]. *)
 

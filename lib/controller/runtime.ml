@@ -156,11 +156,11 @@ let settle t =
 (* ------------------------------------------------------------------ *)
 (* Reliable batches *)
 
-(* the one controller send path ([ctx.send] is a batch of one, which
-   {!Openflow.Wire.encode_batch} frames byte-identically to [encode]):
-   shadow and replicate every flow-mod, then either join the reliable
-   stream (a batch with a flow-mod or a barrier), terminated by the
-   barrier whose reply acks it, or go out at once as one transmission *)
+(* the one controller send path (a batch of one is framed by
+   {!Openflow.Wire.encode_batch} byte-identically to [encode]): shadow
+   and replicate every flow-mod, then either join the reliable stream (a
+   batch with a flow-mod or a barrier), terminated by the barrier whose
+   reply acks it, or go out at once as one transmission *)
 let send_batch t ~switch_id msgs =
   if msgs <> [] && not t.halted then begin
     let st = state t switch_id in
@@ -244,8 +244,8 @@ let rec keepalive_tick t st =
       if st.echo_outstanding >= r.echo_miss_limit then mark_down t st
       else begin
         st.echo_outstanding <- st.echo_outstanding + 1;
-        t.ctx.Api.send ~switch_id:st.st_id
-          (Openflow.Message.Echo_request "keepalive")
+        send_batch t ~switch_id:st.st_id
+          [ Openflow.Message.Echo_request "keepalive" ]
       end
     end;
     Api.schedule t.ctx ~delay:r.echo_period (fun () -> keepalive_tick t st)
@@ -362,7 +362,6 @@ let create ?(resilience = default_resilience) ?(fence = 0) ?(shadows = [])
   let rec t =
     { ctx =
         { net;
-          send = (fun ~switch_id msg -> send_batch t ~switch_id [ msg ]);
           send_batch = (fun ~switch_id msgs -> send_batch t ~switch_id msgs);
           await_stats =
             (fun ~switch_id k ->

@@ -1,7 +1,7 @@
 type lane = {
   mutable arrival : float;  (* latest arrival handed out: the FIFO clamp *)
   label : string option;
-      (* the lane's name in the fault trace ("ctl->s3"); with [None]
+      (* the lane's name in the event log ("ctl->s3"); with [None]
          nothing is recorded and the caller reports its own losses *)
 }
 
@@ -9,12 +9,18 @@ let lane label = { arrival = 0.0; label }
 
 let latency = 1e-3
 
+(* one event-log line at [now]; formats nothing without a tracer *)
+let trace tracer now fmt =
+  match tracer with
+  | None -> Printf.ikfprintf ignore () fmt
+  | Some f -> Printf.ksprintf (f now) fmt
+
 type fate =
   | Sent
   | Cut
   | Dropped
 
-let transmit fault lane ~cut ~now emit =
+let transmit ~tracer fault lane ~cut ~now emit =
   if cut then Cut
   else
     match fault with
@@ -23,10 +29,13 @@ let transmit fault lane ~cut ~now emit =
       Sent
     | Some f ->
       let v = Fault.decide f in
+      let note fmt =
+        match lane.label with
+        | Some l -> trace tracer now fmt l
+        | None -> Printf.ikfprintf ignore () fmt ""
+      in
       if v.v_drop then begin
-        (match lane.label with
-         | Some l -> Fault.note f ~time:now "drop %s" l
-         | None -> ());
+        note "drop %s";
         Dropped
       end
       else begin
@@ -36,15 +45,10 @@ let transmit fault lane ~cut ~now emit =
           lane.arrival <- arr;
           emit arr
         in
-        (match lane.label with
-         | Some l when v.v_delay > 0.0 ->
-           Fault.note f ~time:now "jitter %s +%.6f" l v.v_delay
-         | Some _ | None -> ());
+        if v.v_delay > 0.0 then note "jitter %s +%.6f" v.v_delay;
         send v.v_delay;
         if v.v_dup then begin
-          (match lane.label with
-           | Some l -> Fault.note f ~time:now "dup %s" l
-           | None -> ());
+          note "dup %s";
           send v.v_dup_delay
         end;
         Sent
@@ -81,12 +85,8 @@ type admission =
   | Fenced of int
   | Unopened
 
-let admit s ~tracer ~fault ~now frames apply =
-  let trace fmt =
-    match tracer with
-    | None -> Printf.ikfprintf ignore () fmt
-    | Some f -> Printf.ksprintf (f now) fmt
-  in
+let admit s ~tracer ~now frames apply =
+  let trace fmt = trace tracer now fmt in
   (* the delivery's stream batch, judged on its first stream frame *)
   let judge xid =
     if s.next = closed then `Unopened
@@ -102,10 +102,6 @@ let admit s ~tracer ~fault ~now frames apply =
          (* a deposed leader wrote after failover: nothing after its
             fence reaches the switch, not even a barrier *)
          trace "s%d stale fence %d < %d" s.sw_id token s.fence;
-         Option.iter
-           (fun f ->
-             Fault.note f ~time:now "fence-reject s%d epoch=%d" s.sw_id token)
-           fault;
          Fenced
            (List.fold_left
               (fun n (_, (m : Openflow.Message.t)) ->

@@ -23,8 +23,9 @@
     single-domain network, so a session's frames never leave the
     network that owns the switch.
 
-    The module keeps no clock and no counters.  Callers pass the current
-    time and account for the {!fate} that {!transmit} returns. *)
+    The module keeps no clock, no counters and no log.  Callers pass the
+    current time and the network's event log ({!Network.set_tracer}),
+    and account for the {!fate} that {!transmit} returns. *)
 
 type lane
 
@@ -39,13 +40,17 @@ type fate =
   | Cut      (** lost to a partition; no verdict was drawn *)
   | Dropped  (** lost to a chaos drop verdict *)
 
-(** [transmit fault lane ~cut ~now emit] sends one transmission on
-    [lane] at time [now].  Without a fault it arrives {!latency} later.
-    Under chaos the verdict may drop it, delay it by jitter or duplicate
-    it; every copy's arrival is clamped to the lane's latest so far.
-    Draws exactly one verdict per transmission that is not [cut], so a
-    seed replays the same realization. *)
+(** [transmit ~tracer fault lane ~cut ~now emit] sends one transmission
+    on [lane] at time [now].  Without a fault it arrives {!latency}
+    later.  Under chaos the verdict may drop it, delay it by jitter or
+    duplicate it; every copy's arrival is clamped to the lane's latest
+    so far.  Draws exactly one verdict per transmission that is not
+    [cut], so a seed replays the same realization.  A labelled lane
+    reports its verdicts to [tracer], the network's event log
+    ({!Network.set_tracer}): ["drop ctl->s3"], ["jitter ctl->s3
+    +0.000412"], ["dup ctl->s3"]; an unlabelled one reports nothing. *)
 val transmit :
+  tracer:(float -> string -> unit) option ->
   Fault.t option ->
   lane -> cut:bool -> now:float -> (float -> unit) -> fate
 
@@ -76,9 +81,9 @@ val create : int -> session
     up-direction frames go to [handler].  Frames already in flight
     re-home too, because the owner is read at delivery.  Adoption is
     like handing a connected socket to a new process: nothing is lost or
-    reordered, and the stream stays as it was.  It is silent (no trace, no fault note),
-    so adoption by the same logical controller is invisible to a
-    chaos-free run. *)
+    reordered, and the stream stays as it was.  It is silent (it writes
+    nothing to the event log), so adoption by the same logical
+    controller is invisible to a chaos-free run. *)
 val adopt : session -> (switch_id:int -> bytes -> unit) -> unit
 
 (** A switch reboot is a fresh control connection: the stream closes
@@ -93,7 +98,7 @@ type admission =
       (** it held a stream batch and no stream is open: the switch should
           announce itself so the controller handshakes again *)
 
-(** [admit s ~tracer ~fault ~now frames apply] gates one delivered
+(** [admit s ~tracer ~now frames apply] gates one delivered
     controller→switch transmission (a batch of decoded [(xid, msg)]
     frames) and calls [apply xid msg] on each frame that passes.
 
@@ -114,11 +119,12 @@ type admission =
     A [Fence] frame below the highest token seen drops the rest of the
     delivery, barrier included: a deposed leader wrote after failover.
     Frames outside the stream (handshake, echo, stats, packet-out)
-    otherwise pass. *)
+    otherwise pass.  What it stops is reported to [tracer], the
+    network's event log: ["s3 stale fence 1 < 2"], ["s3 dedup flow-mod
+    xid=7"], ["s3 drop(gap) ..."], ["s3 drop(unopened) ..."]. *)
 val admit :
   session ->
   tracer:(float -> string -> unit) option ->
-  fault:Fault.t option ->
   now:float ->
   (int * Openflow.Message.t) list ->
   (int -> Openflow.Message.t -> unit) -> admission

@@ -47,11 +47,7 @@ type t = {
   mutable link_corrupts : int;
   mutable link_reorders : int;
   mutable link_decisions : int; (* data-packet transmissions consulted *)
-  mutable trace_rev : string list;
-  mutable trace_len : int;
 }
-
-let trace_cap = 50_000
 
 let default_seed = 0xC4A05
 
@@ -74,8 +70,7 @@ let make_config ?(seed = default_seed) ?(drop = 0.0) ?(dup = 0.0)
 let of_config config =
   { config; prng = Util.Prng.create config.seed;
     drops = 0; dups = 0; jitters = 0; decisions = 0;
-    link_drops = 0; link_corrupts = 0; link_reorders = 0; link_decisions = 0;
-    trace_rev = []; trace_len = 0 }
+    link_drops = 0; link_corrupts = 0; link_reorders = 0; link_decisions = 0 }
 
 let create ?seed ?drop ?dup ?jitter ?link_drop ?link_corrupt ?link_reorder
     () =
@@ -84,20 +79,6 @@ let create ?seed ?drop ?dup ?jitter ?link_drop ?link_corrupt ?link_reorder
        ?link_reorder ())
 
 let derive_prng t = Util.Prng.split t.prng
-
-(* ------------------------------------------------------------------ *)
-(* Event trace *)
-
-let note t ~time fmt =
-  Printf.ksprintf
-    (fun s ->
-      if t.trace_len < trace_cap then begin
-        t.trace_rev <- Printf.sprintf "%.9f %s" time s :: t.trace_rev;
-        t.trace_len <- t.trace_len + 1
-      end)
-    fmt
-
-let events t = List.rev t.trace_rev
 
 (* ------------------------------------------------------------------ *)
 (* Per-transmission verdicts *)

@@ -7,12 +7,14 @@
     crash/restart switches through the failure API of {!Network}.  All
     randomness flows from one {!Util.Prng} stream drawn in simulation
     order, so a given seed + configuration reproduces the exact same
-    event trace — chaos runs are experiments, not flakes.
+    run — chaos runs are experiments, not flakes.
 
-    The module itself is pure bookkeeping.  {!Ctl_channel.transmit} draws
-    the per-transmission verdicts; {!Network} owns the other hooks
-    (see [Network.create ?fault], [Network.crash_switch],
-    [Network.inject]). *)
+    The module is pure verdicts plus counters: it keeps no log.
+    {!Ctl_channel.transmit} draws the per-transmission verdicts;
+    {!Network} owns the other hooks (see [Network.create ?fault],
+    [Network.crash_switch], [Network.inject]).  What the verdicts and
+    incidents did is written to the network's one event log
+    ({!Network.set_tracer}), and only while a tracer is attached. *)
 
 type config
 
@@ -75,13 +77,6 @@ val create :
     whole run stays a function of one seed. *)
 val derive_prng : t -> Util.Prng.t
 
-val note : t -> time:float -> ('a, unit, string, unit) format4 -> 'a
-
-(** The chaos event trace, oldest first ("<time> <event>" lines; capped
-    at an internal bound).  Byte-equal across runs with the same seed,
-    configuration and workload — the determinism tests diff this. *)
-val events : t -> string list
-
 type verdict = {
   v_drop : bool;
   v_dup : bool;
@@ -92,7 +87,7 @@ type verdict = {
 (** One verdict per control-channel transmission, drawn by
     {!Ctl_channel.transmit}.  Draws a fixed number of samples per call
     (given the configuration), so the random stream — and therefore the
-    trace — is a deterministic function of the sequence of
+    event log — is a deterministic function of the sequence of
     transmissions. *)
 val decide : t -> verdict
 

@@ -103,7 +103,7 @@ type t = {
   host_tbl : (int, host) Hashtbl.t;
   queue_depth : int;  (** drop-tail queue depth, packets per direction *)
   stats : counters;
-  mutable tracer : (float -> string -> unit) option;
+  mutable tracer : (float -> string -> unit) option;  (* the event log *)
   fault : Fault.t option;  (** chaos injection on control channel + links *)
   link_chaos : bool;
       (* cached [Fault.has_link_chaos]: the data transmit path consults
@@ -313,7 +313,8 @@ let host_egress t h port =
    like a frame that reaches a crashed switch *)
 let ctl_transmit t (s : Ctl_channel.session) lane emit =
   match
-    Ctl_channel.transmit t.fault lane ~cut:s.cut ~now:(now t) emit
+    Ctl_channel.transmit ~tracer:t.tracer t.fault lane ~cut:s.cut
+      ~now:(now t) emit
   with
   | Cut ->
     t.stats.dropped_down <- t.stats.dropped_down + 1;
@@ -399,18 +400,16 @@ let rec enqueue t ls pkt ttl =
       let v = Fault.decide_link f prng ~delay:l.delay in
       if v.lv_drop then begin
         t.stats.dropped_chaos <- t.stats.dropped_chaos + 1;
-        Fault.note f ~time:nowt "link-drop %s[%d]" (Node.to_string l.src)
-          l.src_port
+        trace t "link-drop %s[%d]" (Node.to_string l.src) l.src_port
       end
       else if v.lv_corrupt then begin
         t.stats.corrupted <- t.stats.corrupted + 1;
-        Fault.note f ~time:nowt "link-corrupt %s[%d]" (Node.to_string l.src)
-          l.src_port
+        trace t "link-corrupt %s[%d]" (Node.to_string l.src) l.src_port
       end
       else if v.lv_extra > 0.0 then begin
         t.stats.reordered <- t.stats.reordered + 1;
-        Fault.note f ~time:nowt "link-reorder %s[%d] +%.9f"
-          (Node.to_string l.src) l.src_port v.lv_extra
+        trace t "link-reorder %s[%d] +%.9f" (Node.to_string l.src)
+          l.src_port v.lv_extra
       end;
       v
     end
@@ -705,7 +704,7 @@ let handle_at_switch t sw ~xid (msg : Openflow.Message.t) =
 let deliver_down t sw data =
   if sw.alive then begin
     match
-      Ctl_channel.admit sw.ctl ~tracer:t.tracer ~fault:t.fault ~now:(now t)
+      Ctl_channel.admit sw.ctl ~tracer:t.tracer ~now:(now t)
         (Openflow.Wire.decode_all data)
         (fun xid msg -> handle_at_switch t sw ~xid msg)
     with
@@ -739,11 +738,6 @@ let set_link t node port ~up =
     let state = if up then "up" else "down" in
     Topo.Topology.set_link_up t.topo (node, port) up;
     trace t "link %s[%d] %s" (Node.to_string node) port state;
-    (match t.fault with
-     | Some f ->
-       Fault.note f ~time:(now t) "link-%s %s[%d]" state (Node.to_string node)
-         port
-     | None -> ());
     (* a far endpoint on another shard has no switch record here; its
        own clone flips at the same time (see {!Shard.inject}) *)
     let notify n p =
@@ -774,10 +768,7 @@ let crash_switch t id =
     Flow.Table.clear sw.table;
     sw.has_timeouts <- false;  (* stops the expiry sweep from rescheduling *)
     Ctl_channel.reconnect sw.ctl;
-    trace t "s%d crash" id;
-    match t.fault with
-    | Some f -> Fault.note f ~time:(now t) "crash s%d" id
-    | None -> ()
+    trace t "s%d crash" id
   end
 
 let restart_switch t id =
@@ -785,9 +776,6 @@ let restart_switch t id =
   if not sw.alive then begin
     sw.alive <- true;
     trace t "s%d restart" id;
-    (match t.fault with
-     | Some f -> Fault.note f ~time:(now t) "restart s%d" id
-     | None -> ());
     control_send t sw Openflow.Message.Hello
   end
 
@@ -800,10 +788,7 @@ let cut_control t id =
   let sw = switch t id in
   if not sw.ctl.cut then begin
     sw.ctl.cut <- true;
-    trace t "s%d ctl-cut" id;
-    match t.fault with
-    | Some f -> Fault.note f ~time:(now t) "ctl-cut s%d" id
-    | None -> ()
+    trace t "s%d ctl-cut" id
   end
 
 (** [heal_control t id] ends a control partition.  The switch reconnects
@@ -814,9 +799,6 @@ let heal_control t id =
   if sw.ctl.cut then begin
     sw.ctl.cut <- false;
     trace t "s%d ctl-heal" id;
-    (match t.fault with
-     | Some f -> Fault.note f ~time:(now t) "ctl-heal s%d" id
-     | None -> ());
     control_send t sw Openflow.Message.Hello
   end
 
@@ -839,9 +821,6 @@ let inject t incidents =
       | Fault.Controller_outage { controller_id; at; duration } ->
         let fire up label =
           trace t "c%d %s" controller_id label;
-          (match t.fault with
-           | Some f -> Fault.note f ~time:(now t) "%s c%d" label controller_id
-           | None -> ());
           match t.ctl_outage with
           | Some h -> h ~controller_id ~up
           | None -> ()

@@ -147,8 +147,24 @@ val switch_list : t -> switch list
 
 val host_list : t -> host list
 
-(** Test-only. *)
+(** [set_tracer t f] attaches the network's event log: from now on [f
+    time line] receives every event of the run, in execution order, as
+    one line of text stamped with its sim time.  It is the run's only
+    log: forwarding and drops (["h4 rx tag=7"], ["s2 drop(miss)"]),
+    control verdicts ({!Ctl_channel.transmit}: ["drop ctl->s3"]),
+    link-chaos verdicts (["link-drop s1[2]"]), the session gate
+    ({!Ctl_channel.admit}: ["s3 stale fence 1 < 2"]), incidents, each
+    once (["link s1[2] down"], ["s2 crash"], ["s2 restart"], ["s2
+    ctl-cut"], ["s2 ctl-heal"], ["c0 ctl-crash"], ["c0 ctl-restart"])
+    and the replicated controller's lifecycle ({!Controller.Replica}:
+    ["takeover c1 epoch=2"]).  A seed, configuration and workload
+    replay it byte for byte, so determinism checks diff it.  Without a
+    tracer nothing is formatted. *)
 val set_tracer : t -> (float -> string -> unit) -> unit
+
+(** [trace t fmt ...] writes one line to the event log at the current
+    sim time; without a tracer it formats nothing. *)
+val trace : t -> ('a, unit, string, unit) format4 -> 'a
 
 (** Test-only. *)
 val port_stat : switch -> int -> Openflow.Message.port_stat
@@ -217,7 +233,7 @@ val restart_switch : t -> int -> unit
     failure and recovery ride the simulator at their configured absolute
     times, through {!fail_link}/{!restore_link}/{!crash_switch}/
     {!restart_switch} — so port-status notifications, controller
-    reaction and the fault trace all happen exactly as for a manual
+    reaction and the event log all happen exactly as for a manual
     failure. *)
 val inject : t -> Fault.incident list -> unit
 

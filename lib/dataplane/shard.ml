@@ -275,20 +275,6 @@ let steals (_ : t) = 0
 let stats t =
   Network.sum_counters (List.map Network.stats (Array.to_list (nets t)))
 
-let chaos_events t =
-  let key line =
-    match String.index_opt line ' ' with
-    | Some i ->
-      (Option.value ~default:0.0
-         (float_of_string_opt (String.sub line 0 i)),
-       line)
-    | None -> (0.0, line)
-  in
-  Array.to_list t.shards
-  |> List.concat_map (fun sh ->
-    match Network.fault sh.sh_net with Some f -> Fault.events f | None -> [])
-  |> List.map key |> List.sort compare |> List.map snd
-
 (* ------------------------------------------------------------------ *)
 (* Observable signature *)
 

@@ -27,12 +27,14 @@
     simultaneous packets contending for one queue may serialize in a
     different — still deterministic — order.  Tie-free workloads (e.g.
     {!Traffic.random_pair_specs} with [~stagger]) give byte-equal
-    delivery traces, tables, counters, port stats and chaos traces for
-    any shard count: link verdicts come from per-link streams keyed on
-    [Fault.config.seed], and every incident runs on the shard that
-    owns its node ({!inject}).  Raw executed-event counts always differ:
-    a cross-shard hop costs one extra local event (the source-side queue
-    release), so [logical events = executed - handoffs]. *)
+    tables, counters and port stats for any shard count, and the shards'
+    event logs ({!Network.set_tracer}, attached to each of {!nets}),
+    merged by time, equal the single-domain log: link verdicts come from
+    per-link streams keyed on [Fault.config.seed], and every incident
+    runs, and is logged, on the shard that owns its node ({!inject}).
+    Raw executed-event counts always differ: a cross-shard hop costs one
+    extra local event (the source-side queue release), so [logical
+    events = executed - handoffs]. *)
 
 module Node := Topo.Topology.Node
 
@@ -74,7 +76,7 @@ val lookahead : t -> float
 (** Test-only. *)
 val shard_of : t -> Node.t -> int
 
-(** The shard-local networks, indexed by shard.  Test-only. *)
+(** The shard-local networks, indexed by shard. *)
 val nets : t -> Network.t array
 
 (** Test-only. *)
@@ -86,11 +88,11 @@ val net_of_host : t -> int -> Network.t
 
 (** [inject t incidents] broadcasts a chaos scenario to every shard: the
     shard owning the incident's node runs it through {!Network.inject}
-    (trace, fault note), and on a link flap every {e other} shard
-    silently flips its own topology clone at the same instants, so the
-    in-flight link-down verdicts every shard makes match the
+    (and writes it to its event log), and on a link flap every {e other}
+    shard silently flips its own topology clone at the same instants, so
+    the in-flight link-down verdicts every shard makes match the
     single-domain run exactly.  A [Controller_outage] goes to shard 0,
-    which notes it; no controller runs sharded to act on it.
+    which logs it; no controller runs sharded to act on it.
     Test-only. *)
 val inject : t -> Fault.incident list -> unit
 
@@ -121,9 +123,6 @@ val steals : t -> int
 
 (** Merged counters, summed across shards (see {!Network.sum_counters}). *)
 val stats : t -> Network.counters
-
-(** Merged chaos event traces of all shards, sorted by (time, text). *)
-val chaos_events : t -> string list
 
 val net_signature : Topo.Topology.t -> Network.t list -> string
 

@@ -56,10 +56,3 @@ let run ?until ?(strict = false) ?max_events t =
   loop 0;
   t.running <- false;
   t.executed - start
-
-let rec every t ~every:interval ?stop f =
-  schedule t ~delay:interval (fun () ->
-    let continue_ =
-      match stop with Some s when t.now > s -> false | Some _ | None -> f ()
-    in
-    if continue_ then every t ~every:interval ?stop f)

@@ -56,8 +56,3 @@ val peek : t -> (float * (unit -> unit)) option
     [max_events] bounds work as a runaway guard.  Returns the number of
     events executed by this call. *)
 val run : ?until:float -> ?strict:bool -> ?max_events:int -> t -> int
-
-(** Periodic task: runs [f] every [every] seconds starting after [every],
-    until [f] returns [false] or the optional [stop] time passes.
-    Test-only. *)
-val every : t -> every:float -> ?stop:float -> (unit -> bool) -> unit

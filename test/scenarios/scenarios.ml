@@ -3,6 +3,17 @@
    and the two cannot drift apart. *)
 
 (* ------------------------------------------------------------------ *)
+(* The event log *)
+
+(* attaches a tracer to [net] and returns a reader of its event log: one
+   "<time> <event>" line per event, oldest first *)
+let event_log net =
+  let lines = ref [] in
+  Dataplane.Network.set_tracer net (fun time s ->
+    lines := Printf.sprintf "%.9f %s" time s :: !lines);
+  fun () -> List.rev !lines
+
+(* ------------------------------------------------------------------ *)
 (* Policies *)
 
 (* allowlist ACL (naive-compatible: no negation) over the first [k]
@@ -62,6 +73,7 @@ type ring_result = {
 let chaos_ring ~flaps fault =
   let topo = Topo.Gen.ring ~switches:6 ~hosts_per_switch:1 () in
   let net = Dataplane.Network.create ~fault topo in
+  let log = event_log net in
   let routing = Controller.Routing.create () in
   let rt =
     Controller.Runtime.create ~resilience:fast_resilience net
@@ -91,7 +103,7 @@ let chaos_ring ~flaps fault =
   let diverged = Controller.Runtime.settle rt in
   let s = Dataplane.Network.stats net in
   let rs = Controller.Runtime.resilience_stats rt in
-  { c_trace = Dataplane.Fault.events fault;
+  { c_trace = log ();
     c_diverged = diverged;
     c_sent = List.fold_left (fun acc se -> acc + !se) 0 senders;
     c_delivered = s.delivered;
@@ -134,6 +146,7 @@ let failover_ring ~seed ~drop ~dup ~jitter () =
   let topo = Topo.Gen.ring ~switches:6 ~hosts_per_switch:1 () in
   let fault = Dataplane.Fault.create ~seed ~drop ~dup ~jitter () in
   let net = Dataplane.Network.create ~fault topo in
+  let log = event_log net in
   let r =
     Controller.Replica.create ~resilience:failover_resilience ~replicas:2
       ~lease:0.15 net routing_apps
@@ -154,7 +167,7 @@ let failover_ring ~seed ~drop ~dup ~jitter () =
   let s = Dataplane.Network.stats net in
   let rs = Controller.Replica.stats r in
   let result =
-    { f_trace = Dataplane.Fault.events fault;
+    { f_trace = log ();
       f_samples = Controller.Replica.failover_samples r;
       f_diverged = Controller.Replica.diverged r;
       f_counters = (s.control_msgs, s.control_bytes, s.delivered);

@@ -79,13 +79,14 @@ let test_make_config_rejects () =
     [ Float.nan; Float.infinity; -1.0 ]
 
 (* a Controller_outage against a replicated control plane is part of the
-   seeded fault stream: same seed, byte-identical chaos trace (crash,
-   lease expiry, takeover, restart notes included) and counters *)
+   seeded fault stream: same seed, byte-identical event log (crash,
+   lease expiry, takeover, restart lines included) and counters *)
 let test_ctl_outage_deterministic () =
   let run seed =
     let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
     let fault = Fault.create ~seed ~drop:0.1 ~jitter:1e-3 () in
     let net = Network.create ~fault topo in
+    let log = Scenarios.event_log net in
     let r =
       Controller.Replica.create
         ~resilience:{ Scenarios.fast_resilience with echo_miss_limit = 8 }
@@ -98,17 +99,17 @@ let test_ctl_outage_deterministic () =
     let s = Network.stats net in
     let rs = Controller.Replica.stats r in
     Controller.Replica.shutdown r;
-    ( Fault.events fault,
+    ( log (),
       (s.control_msgs, s.control_bytes, s.delivered),
       (rs.failovers, rs.hb_sent, rs.repl_msgs) )
   in
   let trace_a, counts_a, repl_a = run 77 in
   let trace_b, counts_b, repl_b = run 77 in
-  Alcotest.(check (list string)) "identical chaos traces" trace_a trace_b;
-  Alcotest.(check bool) "trace includes crash, takeover, restart" true
-    (List.exists (has_sub "ctl-crash c0") trace_a
+  Alcotest.(check (list string)) "identical event logs" trace_a trace_b;
+  Alcotest.(check bool) "log includes crash, takeover, restart" true
+    (List.exists (has_sub "c0 ctl-crash") trace_a
     && List.exists (has_sub "takeover c1") trace_a
-    && List.exists (has_sub "ctl-restart c0") trace_a);
+    && List.exists (has_sub "c0 ctl-restart") trace_a);
   Alcotest.(check (triple int int int)) "identical counters" counts_a counts_b;
   Alcotest.(check (triple int int int)) "identical replication stats" repl_a
     repl_b;
@@ -128,6 +129,7 @@ let link_chaos_run ?(link_drop = 0.0) ?(link_corrupt = 0.0)
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
   let fault = Fault.create ~seed ~link_drop ~link_corrupt ~link_reorder () in
   let net = Network.create ~fault topo in
+  let log = Scenarios.event_log net in
   let routing = Controller.Routing.create () in
   let _rt =
     Controller.Runtime.create_and_handshake net
@@ -142,7 +144,7 @@ let link_chaos_run ?(link_drop = 0.0) ?(link_corrupt = 0.0)
     [ (1, 3); (3, 1) ];
   ignore (Network.run ~until:2.0 net ());
   let s = Network.stats net in
-  ( Fault.events fault,
+  ( log (),
     (s.delivered, s.dropped_chaos, s.corrupted, s.reordered),
     Fault.link_decisions fault )
 
@@ -153,7 +155,7 @@ let test_link_chaos_deterministic () =
   in
   let trace_a, counts_a, decisions_a = run () in
   let trace_b, counts_b, _ = run () in
-  Alcotest.(check (list string)) "identical link-chaos traces" trace_a trace_b;
+  Alcotest.(check (list string)) "identical event logs" trace_a trace_b;
   Alcotest.(check bool) "trace non-trivial" true (List.length trace_a > 10);
   let delivered, drops, corrupts, reorders = counts_a in
   Alcotest.(check bool) "every verdict kind fired" true
@@ -195,11 +197,11 @@ let test_resync_after_ctl_partition () =
   (* bulk up switch 2's table so the re-push is a large batch *)
   let ctx = Controller.Runtime.ctx rt in
   for i = 0 to 199 do
-    ctx.Controller.Api.send ~switch_id:2
-      (Openflow.Message.Flow_mod
-         (Openflow.Message.add_flow ~priority:(10 + i)
-            ~pattern:(Flow.Pattern.of_field Packet.Fields.Tp_dst (1000 + i))
-            ~actions:(Flow.Action.forward 1) ()))
+    ctx.Controller.Api.send_batch ~switch_id:2
+      [ Openflow.Message.Flow_mod
+          (Openflow.Message.add_flow ~priority:(10 + i)
+             ~pattern:(Flow.Pattern.of_field Packet.Fields.Tp_dst (1000 + i))
+             ~actions:(Flow.Action.forward 1) ()) ]
   done;
   ignore (Network.run ~until:(Network.now net +. 0.5) net ());
   check_converged rt;
@@ -473,8 +475,7 @@ let test_acceptance_reconverges () =
 let test_acceptance_deterministic () =
   let a = run_acceptance_scenario 1005 in
   let b = run_acceptance_scenario 1005 in
-  Alcotest.(check (list string)) "identical chaos event traces" a.c_trace
-    b.c_trace;
+  Alcotest.(check (list string)) "identical event logs" a.c_trace b.c_trace;
   Alcotest.(check bool) "trace non-trivial" true (List.length a.c_trace > 10);
   Alcotest.(check (pair int int)) "identical delivery counts"
     (a.c_sent, a.c_delivered) (b.c_sent, b.c_delivered);
@@ -498,8 +499,7 @@ let test_link_chaos_crash_reconverges () =
   in
   let a = run () in
   let b = run () in
-  Alcotest.(check (list string)) "identical chaos event traces" a.c_trace
-    b.c_trace;
+  Alcotest.(check (list string)) "identical event logs" a.c_trace b.c_trace;
   Alcotest.(check (pair int int)) "identical delivery counts"
     (a.c_sent, a.c_delivered) (b.c_sent, b.c_delivered);
   Alcotest.(check (triple int int int)) "identical link-chaos counters"
@@ -542,6 +542,67 @@ let test_zero_chaos_transparent () =
      ((a, b), (c, d)))
 
 (* ------------------------------------------------------------------ *)
+(* The one event log *)
+
+(* control chaos, a switch crash and a control partition on one ring:
+   the network's event log holds the control verdicts interleaved in
+   time order with forwarding, and each incident exactly once *)
+let test_one_event_log () =
+  let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
+  let fault = Fault.create ~seed:5 ~drop:0.1 ~dup:0.05 ~jitter:1e-3 () in
+  let net = Network.create ~fault topo in
+  let log = Scenarios.event_log net in
+  let rt =
+    Controller.Runtime.create_and_handshake
+      ~resilience:Scenarios.fast_resilience net
+      [ Controller.Routing.app (Controller.Routing.create ()) ]
+  in
+  List.iter
+    (fun (src, dst) ->
+      ignore
+        (Traffic.cbr net
+           { (Traffic.default_flow ~src ~dst) with
+             rate_pps = 200.0; pkt_size = 200; start = 0.05; stop = 1.0 }))
+    [ (1, 3); (4, 2) ];
+  Network.inject net
+    [ Fault.Switch_outage { switch_id = 2; at = 0.3; duration = 0.2 };
+      Fault.Ctl_outage { switch_id = 4; at = 0.4; duration = 0.2 } ];
+  ignore (Network.run ~until:1.5 net ());
+  Controller.Runtime.shutdown rt;
+  let lines =
+    List.map (fun l -> Scanf.sscanf l "%f %[^\n]" (fun t e -> (t, e))) (log ())
+  in
+  let times = List.map fst lines and events = List.map snd lines in
+  Alcotest.(check bool) "in time order" true
+    (List.sort Float.compare times = times);
+  let indices p =
+    List.filter_map Fun.id
+      (List.mapi (fun i e -> if p e then Some i else None) events)
+  in
+  let verdicts =
+    indices (fun e ->
+      List.exists
+        (fun k -> String.starts_with ~prefix:(k ^ " ctl") e)
+        [ "drop"; "dup"; "jitter" ])
+  and forwarding = indices (has_sub " rx tag=") in
+  Alcotest.(check bool) "control verdicts and forwarding logged" true
+    (verdicts <> [] && forwarding <> []);
+  Alcotest.(check bool) "forwarding between verdicts" true
+    (List.exists
+       (fun i -> i > List.hd verdicts && i < List.hd (List.rev verdicts))
+       forwarding);
+  List.iter
+    (fun e ->
+      Alcotest.(check int) (e ^ " logged once") 1
+        (List.length (List.filter (String.equal e) events)))
+    [ "s2 crash"; "s2 restart"; "s4 ctl-cut"; "s4 ctl-heal" ];
+  Alcotest.(check (list string)) "no second copy of an incident" []
+    (List.filter
+       (fun e ->
+         List.mem e [ "crash s2"; "restart s2"; "ctl-cut s4"; "ctl-heal s4" ])
+       events)
+
+(* ------------------------------------------------------------------ *)
 (* Pinned chaos realization *)
 
 (* The control channel's chaos realization is part of what a benchmark
@@ -551,7 +612,7 @@ let test_zero_chaos_transparent () =
    over seeds 1, 4, 7 and 10); it now reads about 16.6 MB.  A change
    that redraws, reorders or re-keys verdicts must still come with new
    constants here and a new benchmark baseline.  The digests cover the
-   chaos trace, every tracer line and the counters. *)
+   network's event log and the counters. *)
 
 let digest parts = Digest.to_hex (Digest.string (String.concat "\n" parts))
 
@@ -559,9 +620,7 @@ let realization_digest () =
   let topo = fst (Topo.Gen.fat_tree ~k:4 ()) in
   let fault = Fault.create ~seed:1 ~drop:0.05 ~dup:0.05 ~jitter:1e-3 () in
   let net = Network.create ~fault topo in
-  let lines = ref [] in
-  Network.set_tracer net (fun time s ->
-    lines := Printf.sprintf "%.9f %s" time s :: !lines);
+  let log = Scenarios.event_log net in
   let rt =
     Controller.Runtime.create_and_handshake
       ~resilience:Scenarios.fast_resilience net
@@ -574,8 +633,7 @@ let realization_digest () =
   ignore (Network.run ~until:0.5 net ());
   let rs = Controller.Runtime.resilience_stats rt in
   digest
-    (Fault.events fault
-     @ List.rev !lines
+    (log ()
      @ [ Format.asprintf "%a" Network.pp_stats (Network.stats net);
          Format.asprintf "%a" Fault.pp_stats fault;
          Printf.sprintf "retx=%d misses=%d downs=%d resyncs=%d acked=%d \
@@ -592,6 +650,7 @@ let replica_realization_digest () =
     Fault.create ~seed:4 ~drop:0.1 ~dup:0.1 ~jitter:2e-3 ()
   in
   let net = Network.create ~fault topo in
+  let log = Scenarios.event_log net in
   let r =
     Controller.Replica.create ~resilience:Scenarios.failover_resilience
       ~replicas:3 ~lease:0.15 ~repl_fault net Scenarios.routing_apps
@@ -609,7 +668,7 @@ let replica_realization_digest () =
   let rs = Controller.Replica.stats r in
   Controller.Replica.shutdown r;
   digest
-    (Fault.events fault @ Fault.events repl_fault
+    (log ()
      @ [ Format.asprintf "%a" Network.pp_stats (Network.stats net);
          Printf.sprintf "failovers=%d done=%d hb=%d deltas=%d msgs=%d \
                          bytes=%d drops=%d syncs=%d"
@@ -619,10 +678,10 @@ let replica_realization_digest () =
 
 let test_realization_pinned () =
   Alcotest.(check string) "control channel realization"
-    "0bee2dd55b0268fb75401cc6a0eb45f0"
+    "5be2a72b007a6f03c59e21e5dc4ebcfe"
     (realization_digest ());
   Alcotest.(check string) "inter-controller channel realization"
-    "5c85e24108e660049a84af4a1ba1303a"
+    "a32e08586c41fc50bda0222b001a9d57"
     (replica_realization_digest ())
 
 (* ------------------------------------------------------------------ *)
@@ -734,4 +793,6 @@ let suites =
         Alcotest.test_case "link chaos + crash reconverges" `Quick
           test_link_chaos_crash_reconverges;
         Alcotest.test_case "chaos realization pinned" `Quick
-          test_realization_pinned ] ) ]
+          test_realization_pinned;
+        Alcotest.test_case "one event log, each incident once" `Quick
+          test_one_event_log ] ) ]

@@ -83,15 +83,6 @@ let test_sim_huge_time_waits () =
   Alcotest.(check int) "and runs last" 1 (Sim.run s);
   Alcotest.(check (float 0.0)) "clock at the far event" 1e300 (Sim.now s)
 
-let test_sim_every () =
-  let s = Sim.create () in
-  let n = ref 0 in
-  Sim.every s ~every:1.0 (fun () ->
-    incr n;
-    !n < 5);
-  ignore (Sim.run s);
-  Alcotest.(check int) "five ticks" 5 !n
-
 let test_sim_max_events () =
   let s = Sim.create () in
   let rec forever () = Sim.schedule s ~delay:1.0 forever in
@@ -595,7 +586,6 @@ let suites =
           test_sim_nonfinite_rejected;
         Alcotest.test_case "huge time waits its turn" `Quick
           test_sim_huge_time_waits;
-        Alcotest.test_case "periodic" `Quick test_sim_every;
         Alcotest.test_case "max events" `Quick test_sim_max_events;
         Alcotest.test_case "wheel == heap traces" `Quick
           test_sim_matches_heap_replay;

@@ -335,6 +335,36 @@ let test_failover_reconverges () =
   Alcotest.(check int) "pings answered after failover" 3 (List.length rtts);
   Replica.shutdown r
 
+(* the replicated controller writes its lifecycle to the network's event
+   log whether or not a fault layer is attached: a chaos-free failover
+   logs the crash, the lease expiry and the takeover, once each and in
+   that order *)
+let test_failover_logged_without_fault () =
+  let topo = Topo.Gen.ring ~switches:4 ~hosts_per_switch:1 () in
+  let net = Network.create topo in
+  let log = Scenarios.event_log net in
+  let r =
+    Replica.create ~resilience:Scenarios.fast_resilience ~replicas:2
+      ~lease:0.15 net Scenarios.routing_apps
+  in
+  Network.inject net
+    [ Fault.Controller_outage
+        { controller_id = 0; at = 0.5; duration = 60.0 } ];
+  ignore (Network.run ~until:2.0 net ());
+  Replica.shutdown r;
+  let events =
+    List.map (fun l -> Scanf.sscanf l "%f %[^\n]" (fun _ e -> e)) (log ())
+  in
+  let lifecycle =
+    [ "c0 ctl-crash"; "lease-expired c1"; "takeover c1 epoch=2" ]
+  in
+  Alcotest.(check (list string)) "crash, lease expiry, takeover" lifecycle
+    (List.filter (fun e -> List.mem e lifecycle) events);
+  Alcotest.(check int) "one completed takeover logged" 1
+    (List.length
+       (List.filter (String.starts_with ~prefix:"failover-complete c1 ")
+          events))
+
 let test_crashed_leader_rejoins_as_standby () =
   let topo = Topo.Gen.linear ~switches:3 ~hosts_per_switch:1 () in
   let net = Zen.create topo in
@@ -494,7 +524,7 @@ let test_chaos_failover_deterministic () =
   in
   let a = run () in
   let b = run () in
-  Alcotest.(check (list string)) "identical chaos traces" a.f_trace b.f_trace;
+  Alcotest.(check (list string)) "identical event logs" a.f_trace b.f_trace;
   Alcotest.(check (triple int int int)) "identical counters" a.f_counters
     b.f_counters;
   Alcotest.(check (list (float 0.0))) "identical failover samples"
@@ -697,6 +727,8 @@ let suites =
     ( "replica.failover",
       [ Alcotest.test_case "failover reconverges" `Quick
           test_failover_reconverges;
+        Alcotest.test_case "failover logged without a fault layer" `Quick
+          test_failover_logged_without_fault;
         Alcotest.test_case "crashed leader rejoins as standby" `Quick
           test_crashed_leader_rejoins_as_standby;
         Alcotest.test_case "mid-retransmit failover: no duplicates" `Quick

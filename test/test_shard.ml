@@ -1,7 +1,7 @@
 (* The sharded simulator (ISSUE 6): conservative-lookahead parallel
    runs must be observably indistinguishable from the single-domain
-   engine — same delivery counters, flow tables, port stats, event
-   traces and chaos traces on a fixed seed, for 1, 2 and 4 shards,
+   engine — same delivery counters, flow tables, port stats and event
+   log (chaos verdicts included) on a fixed seed, for 1, 2 and 4 shards,
    with and without injected incidents. *)
 
 open Dataplane
@@ -29,8 +29,7 @@ let load_routing topo net_of_switch =
 
 type obs = {
   o_signature : string;
-  o_trace : string list;    (* sorted dataplane trace *)
-  o_chaos : string list;    (* sorted chaos notes *)
+  o_trace : string list;    (* the event log, sorted by time *)
   o_delivered : int;
   o_logical : int;          (* executed events minus sharding overhead *)
 }
@@ -109,9 +108,7 @@ let run_single ~topo_id ~seed ~flows ~chaos ~with_incidents =
   let topo = mk_topo topo_id in
   let fault = if chaos then Some (Fault.of_config (chaos_cfg seed)) else None in
   let net = Network.create ?fault topo in
-  let lines = ref [] in
-  Network.set_tracer net (fun time s ->
-    lines := Printf.sprintf "%.9f %s" time s :: !lines);
+  let log = Scenarios.event_log net in
   load_routing topo (fun _ -> net);
   List.iter
     (fun (s : Traffic.flow_spec) -> ignore (Traffic.cbr net s))
@@ -119,11 +116,7 @@ let run_single ~topo_id ~seed ~flows ~chaos ~with_incidents =
   if with_incidents then Network.inject net (incidents_for topo);
   let executed = Network.run ~until net () in
   { o_signature = Shard.net_signature topo [ net ];
-    o_trace = sort_trace !lines;
-    o_chaos =
-      (match Network.fault net with
-       | Some f -> sort_trace (Fault.events f)
-       | None -> []);
+    o_trace = sort_trace (log ());
     o_delivered = (Network.stats net).delivered;
     o_logical = executed }
 
@@ -132,13 +125,7 @@ let run_sharded ?step ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards
   let topo = mk_topo topo_id in
   let fault_config = if chaos then Some (chaos_cfg seed) else None in
   let t = Shard.create ?fault_config ~shards topo in
-  let per_shard = Array.map (fun _ -> ref []) (Shard.nets t) in
-  Array.iteri
-    (fun i net ->
-      let r = per_shard.(i) in
-      Network.set_tracer net (fun time s ->
-        r := Printf.sprintf "%.9f %s" time s :: !r))
-    (Shard.nets t);
+  let logs = Array.map Scenarios.event_log (Shard.nets t) in
   load_routing topo (Shard.net_of_switch t);
   List.iter
     (fun (s : Traffic.flow_spec) ->
@@ -168,9 +155,7 @@ let run_sharded ?step ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards
   in
   { o_signature = Shard.signature t;
     o_trace =
-      sort_trace
-        (Array.to_list per_shard |> List.concat_map (fun r -> !r));
-    o_chaos = sort_trace (Shard.chaos_events t);
+      sort_trace (List.concat_map (fun log -> log ()) (Array.to_list logs));
     o_delivered = (Shard.stats t).delivered;
     o_logical = executed - overhead }
 
@@ -185,7 +170,6 @@ let check_equiv ~topo_id ~seed ~flows ~chaos ~with_incidents ~shards =
   in
   Alcotest.(check string) (label "signature") s.o_signature p.o_signature;
   Alcotest.(check (list string)) (label "trace") s.o_trace p.o_trace;
-  Alcotest.(check (list string)) (label "chaos trace") s.o_chaos p.o_chaos;
   Alcotest.(check int) (label "logical events") s.o_logical p.o_logical;
   s.o_delivered
 
