@@ -36,9 +36,10 @@ type shape_entry = {
          ceiling. *)
 }
 
-(* A megaflow mask: a union of probed shapes, with [bits] its projection
-   of an all-ones header, so masking a field is one [land]. *)
-type mask = { shape : Pattern.shape; bits : Headers.t }
+(* A megaflow mask: a union of probed shapes.  [kept] lists the fields
+   it keeps (field codes, see [field]) and [kept_bits] the bits it keeps
+   of each, so a hit reads, masks and mixes only those fields. *)
+type mask = { shape : Pattern.shape; kept : int array; kept_bits : int array }
 
 (* One megaflow cache entry: the verdict of every header whose
    projection under [mask] is [key]. *)
@@ -367,44 +368,47 @@ let[@inline] mix acc v = (acc * 31) + v
    [h]: a table belongs to one switch, so no key holds [switch], and
    [in_port] is the port the packet arrived on, whatever [h] says. *)
 
-(* the hash of [h] arriving on [in_port], masked by [m], computed in
-   place *)
-let masked_hash m ~in_port (h : Headers.t) =
-  let b = m.bits in
-  mix
-    (mix
-       (mix
-          (mix
-             (mix
-                (mix
-                   (mix
-                      (mix
-                         (mix (mix m.shape (in_port land b.in_port))
-                            (h.eth_src land b.eth_src))
-                         (h.eth_dst land b.eth_dst))
-                      (h.eth_type land b.eth_type))
-                   (h.vlan land b.vlan))
-                (h.ip_proto land b.ip_proto))
-             (h.ip4_src land b.ip4_src))
-          (h.ip4_dst land b.ip4_dst))
-       (h.tp_src land b.tp_src))
-    (h.tp_dst land b.tp_dst)
-  land max_int
+(* field [code] (0 .. [n_fields - 1]) of [h] arriving on [in_port] *)
+let n_fields = 10
 
-(* [key] is [h] arriving on [in_port], masked by [bits]; the fields
-   that most often tell flows apart are compared first *)
-let masked_equal (bits : Headers.t) (key : Headers.t) ~in_port
-    (h : Headers.t) =
-  key.ip4_dst = h.ip4_dst land bits.ip4_dst
-  && key.tp_src = h.tp_src land bits.tp_src
-  && key.eth_dst = h.eth_dst land bits.eth_dst
-  && key.in_port = in_port land bits.in_port
-  && key.ip4_src = h.ip4_src land bits.ip4_src
-  && key.tp_dst = h.tp_dst land bits.tp_dst
-  && key.eth_src = h.eth_src land bits.eth_src
-  && key.eth_type = h.eth_type land bits.eth_type
-  && key.vlan = h.vlan land bits.vlan
-  && key.ip_proto = h.ip_proto land bits.ip_proto
+let[@inline] field code ~in_port (h : Headers.t) =
+  match code with
+  | 0 -> in_port
+  | 1 -> h.eth_src
+  | 2 -> h.eth_dst
+  | 3 -> h.eth_type
+  | 4 -> h.vlan
+  | 5 -> h.ip_proto
+  | 6 -> h.ip4_src
+  | 7 -> h.ip4_dst
+  | 8 -> h.tp_src
+  | _ -> h.tp_dst
+
+(* the hash of [h] arriving on [in_port], masked by [m], computed in
+   place over the fields [m] keeps only: insert and lookup both hash
+   with this, so an entry is found under the hash it was filed with *)
+let masked_hash m ~in_port (h : Headers.t) =
+  let acc = ref m.shape in
+  for i = 0 to Array.length m.kept - 1 do
+    acc :=
+      mix !acc
+        (field (Array.unsafe_get m.kept i) ~in_port h
+         land Array.unsafe_get m.kept_bits i)
+  done;
+  !acc land max_int
+
+(* [key] (a header masked by [m]) equals [h] arriving on [in_port],
+   masked by [m], on kept fields [i] down to 0; every other field of
+   [key] is 0 by construction, so the kept ones are all to compare *)
+let rec kept_equal m (key : Headers.t) ~in_port (h : Headers.t) i =
+  i < 0
+  || (let code = Array.unsafe_get m.kept i in
+      field code ~in_port:key.in_port key
+      = field code ~in_port h land Array.unsafe_get m.kept_bits i
+      && kept_equal m key ~in_port h (i - 1))
+
+let masked_equal m key ~in_port h =
+  kept_equal m key ~in_port h (Array.length m.kept - 1)
 
 let bucket t hash = hash land (Array.length t.heads - 1)
 
@@ -414,7 +418,7 @@ let rec chain_find slots m hash ~in_port h s =
   if s < 0 then -1
   else
     let e = Array.unsafe_get slots s in
-    if e.hash = hash && e.mask = m.shape && masked_equal m.bits e.key ~in_port h
+    if e.hash = hash && e.mask = m.shape && masked_equal m e.key ~in_port h
     then s
     else chain_find slots m hash ~in_port h e.next
 
@@ -493,7 +497,22 @@ let mask_of t shape =
   match List.find_opt (fun m -> m.shape = shape) t.masks with
   | Some m -> m
   | None ->
-    let m = { shape; bits = Pattern.shape_project shape all_ones } in
+    (* a field is kept when the shape keeps any of its bits *)
+    let ones = Pattern.shape_project shape all_ones in
+    let n = ref 0 in
+    for code = 0 to n_fields - 1 do
+      if field code ~in_port:ones.in_port ones <> 0 then incr n
+    done;
+    let m = { shape; kept = Array.make !n 0; kept_bits = Array.make !n 0 } in
+    n := 0;
+    for code = 0 to n_fields - 1 do
+      let bits = field code ~in_port:ones.in_port ones in
+      if bits <> 0 then begin
+        m.kept.(!n) <- code;
+        m.kept_bits.(!n) <- bits;
+        incr n
+      end
+    done;
     t.masks <- t.masks @ [ m ];
     m
 

@@ -20,8 +20,9 @@
     the probe order, so there are at most {!shape_count} masks (one for
     an empty table).  The key holds no [switch] (a table belongs to one
     switch) and holds [in_port] only when a probed shape constrains it.
-    A hit hashes and compares the masked fields in place and allocates
-    nothing.
+    A hit hashes and compares the masked fields in place, only the
+    fields its mask keeps (recorded when the mask is filed), and
+    allocates nothing.
 
     Mutations that actually change the rule list — {!add}, a deleting
     {!remove} / {!remove_strict} / {!clear}, and any eviction by
