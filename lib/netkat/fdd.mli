@@ -41,9 +41,12 @@
 
     An edit's cost follows the part of the diagram it touches, not the
     diagram's size.  {!union} and [gate] stop recursing as soon as one
-    operand is [drop], [ident] (gate) or both operands are one node, so
-    {!cond} on an untouched subtree costs the spine above the tested
-    field.  {!seq} sequences the true side of a test [f = v] with
+    operand is [drop], [ident] (gate) or both operands are one node.
+    {!cond} is built directly, not as a union of two gated sides: it
+    expands its two sides only on the fields they test before the
+    tested one and then splices the test into the false side's chain on
+    that field, so on an untouched subtree it costs the spine above the
+    tested field.  {!seq} sequences the true side of a test [f = v] with
     [restrict (f, v) b] whenever that side writes no [f]: a guard in
     front of a large base reaches only the base's case for the guarded
     values.  {!of_policy} remembers the diagram of every distinct
@@ -178,7 +181,12 @@ val min_root : t -> t -> test
 val union : t -> t -> t
 
 (** [cond test t e]: if [test] then [t] else [e], restoring diagram order
-    regardless of the orders of [t] and [e].
+    regardless of the orders of [t] and [e].  Where [t] or [e] tests a
+    field ordered before [test]'s, it Shannon-expands both on it
+    (memoized per call); below that, it splices [pos test t] into [e]'s
+    chain of tests on the field through [branch], so the result is
+    reduced and canonical: the node the union of the two sides gated by
+    [test] and its negation gives, built with fewer nodes.
     Test-only. *)
 val cond : test -> t -> t -> t
 

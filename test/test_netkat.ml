@@ -550,6 +550,29 @@ let prop_seq_matches_reference =
           = List.sort_uniq Headers.compare (Fdd.eval slow h))
         hs)
 
+(* [cond test t e] is the node the long way to "if [test] then [t] else
+   [e]" gives: the union of the two sides gated by filters on [test]
+   and its negation.  Hash-consing makes a function's diagram unique, so
+   the two are one node, whichever fields [t] and [e] test before or
+   after the tested one. *)
+let prop_cond_matches_gated_union =
+  QCheck.Test.make ~name:"Fdd.cond is the gated union of its sides"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ((f, v), (p, q)) ->
+         Printf.sprintf "%s = %d ? %s : %s" (Fields.to_string f) v
+           (Syntax.pol_to_string p) (Syntax.pol_to_string q))
+       QCheck.Gen.(
+         pair
+           (pair (oneofa fields_for_gen) (int_bound 3))
+           (pair gen_pol gen_pol)))
+    (fun (((f, v) as test), (p, q)) ->
+      let t = Fdd.of_policy p and e = Fdd.of_policy q in
+      let filter pred = Fdd.of_policy (Syntax.Filter pred) in
+      let pass = filter (Syntax.Test (f, v))
+      and fail = filter (Syntax.Not (Syntax.Test (f, v))) in
+      Fdd.cond test t e == Fdd.union (Fdd.seq pass t) (Fdd.seq fail e))
+
 (* edit [i] on fat-tree k=4: deny (edge of dst, Eth_dst = dst,
    Tp_dst = 1024 + i) *)
 let edit_guard topo i =
@@ -873,6 +896,7 @@ let suites =
         Alcotest.test_case "action composition" `Quick test_act_compose;
         QCheck_alcotest.to_alcotest prop_fdd_equals_semantics;
         QCheck_alcotest.to_alcotest prop_seq_matches_reference;
+        QCheck_alcotest.to_alcotest prop_cond_matches_gated_union;
         Alcotest.test_case "edit compile growth (fat-tree k=4)" `Quick
           test_edit_compile_growth;
         Alcotest.test_case "of_policy memo" `Quick test_of_policy_memo;
