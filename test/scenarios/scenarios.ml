@@ -13,6 +13,11 @@ let event_log net =
     lines := Printf.sprintf "%.9f %s" time s :: !lines);
   fun () -> List.rev !lines
 
+(* [event_log net] when the caller reads the log; otherwise no tracer is
+   attached, nothing is formatted, and the reader returns [] *)
+let maybe_log ~trace net =
+  if trace then event_log net else fun () -> []
+
 (* ------------------------------------------------------------------ *)
 (* Policies *)
 
@@ -56,7 +61,7 @@ let fast_resilience =
     retx_timeout = 0.01; retx_backoff = 2.0; retx_cap = 0.1 }
 
 type ring_result = {
-  c_trace : string list;
+  c_trace : string list;  (* the event log; [] unless run with [~trace] *)
   c_diverged : int list;  (* still off intended state after settling *)
   c_sent : int;
   c_delivered : int;
@@ -69,11 +74,12 @@ type ring_result = {
 
 (* a ring of 6 switches, one host each, under [fault]; switch 3 crashes
    at 0.6 s and restarts 0.8 s later, [flaps] adds two link flaps, and
-   three CBR flows cross the ring throughout *)
-let chaos_ring ~flaps fault =
+   three CBR flows cross the ring throughout; [trace] keeps the event
+   log *)
+let chaos_ring ?(trace = false) ~flaps fault =
   let topo = Topo.Gen.ring ~switches:6 ~hosts_per_switch:1 () in
   let net = Dataplane.Network.create ~fault topo in
-  let log = event_log net in
+  let log = maybe_log ~trace net in
   let routing = Controller.Routing.create () in
   let rt =
     Controller.Runtime.create ~resilience:fast_resilience net
@@ -130,7 +136,7 @@ let routing_apps () =
   [ Controller.Routing.app (Controller.Routing.create ()) ]
 
 type failover_result = {
-  f_trace : string list;
+  f_trace : string list;  (* the event log; [] unless run with [~trace] *)
   f_samples : float list;   (* failover detection -> all switches re-upped *)
   f_diverged : int list;
   f_counters : int * int * int;  (* control_msgs, control_bytes, delivered *)
@@ -141,12 +147,12 @@ type failover_result = {
 (* 6-ring under control-channel chaos with CBR crossing it; the leader
    of two replicas (lease 0.15 s) crashes at 0.6 s and stays down, the
    standby's lease expires and it adopts every switch session,
-   resyncing from its replicated shadow *)
-let failover_ring ~seed ~drop ~dup ~jitter () =
+   resyncing from its replicated shadow; [trace] keeps the event log *)
+let failover_ring ?(trace = false) ~seed ~drop ~dup ~jitter () =
   let topo = Topo.Gen.ring ~switches:6 ~hosts_per_switch:1 () in
   let fault = Dataplane.Fault.create ~seed ~drop ~dup ~jitter () in
   let net = Dataplane.Network.create ~fault topo in
-  let log = event_log net in
+  let log = maybe_log ~trace net in
   let r =
     Controller.Replica.create ~resilience:failover_resilience ~replicas:2
       ~lease:0.15 net routing_apps

@@ -457,7 +457,7 @@ let prop_retry_keeps_stream =
    jitter, switch 3 crashes and restarts, two distinct links flap; CBR
    flows cross the ring throughout *)
 let run_acceptance_scenario seed =
-  Scenarios.chaos_ring ~flaps:true
+  Scenarios.chaos_ring ~trace:true ~flaps:true
     (Fault.create ~seed ~drop:0.2 ~dup:0.05 ~jitter:1e-3 ())
 
 let test_acceptance_reconverges () =
@@ -493,7 +493,7 @@ let test_acceptance_deterministic () =
    the 0.5 delivery floor. *)
 let test_link_chaos_crash_reconverges () =
   let run () =
-    Scenarios.chaos_ring ~flaps:false
+    Scenarios.chaos_ring ~trace:true ~flaps:false
       (Fault.create ~seed:4242 ~link_drop:0.05 ~link_corrupt:0.02
          ~link_reorder:0.05 ())
   in

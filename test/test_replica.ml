@@ -520,7 +520,7 @@ let test_split_brain_fenced () =
    equal the surviving leader's intended shadow *)
 let test_chaos_failover_deterministic () =
   let run () =
-    Scenarios.failover_ring ~seed:7007 ~drop:0.2 ~dup:0.05 ~jitter:1e-3 ()
+    Scenarios.failover_ring ~trace:true ~seed:7007 ~drop:0.2 ~dup:0.05 ~jitter:1e-3 ()
   in
   let a = run () in
   let b = run () in
