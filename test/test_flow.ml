@@ -827,6 +827,86 @@ let prop_megaflow_consistent ?cache_entries name =
           && Table.mask_count t <= max 1 (Table.shape_count t))
         ops)
 
+(* property: a cache entry is keyed on exactly the fields and bits its
+   mask keeps.  Rules mix [in_port], [eth_dst], [tp_dst] and [ip4_dst]
+   prefixes of /8, /16, /24 and /32, so a mask keeps several fields and
+   part of an address; probe addresses share their first one, two or
+   three octets, so they agree on some kept prefixes and not on others,
+   and [tp_src], which no rule constrains, varies so entries are shared.
+   Under add/remove/expire/clear churn, every probe, looked up twice
+   (the second time a hit), gets the linear scan's and the classifier's
+   winner. *)
+let prop_kept_field_key =
+  let open QCheck.Gen in
+  let addr =
+    map3 (fun b c d -> Ipv4.of_octets 10 b c d) (int_bound 1) (int_bound 1)
+      (1 -- 2)
+  in
+  let gen_pat =
+    map
+      (fun ((in_port, eth_dst), (tp_dst, ip4_dst)) ->
+        { Pattern.any with
+          in_port; eth_dst; tp_dst;
+          ip4_dst =
+            Option.map (fun (a, len) -> Ipv4.Prefix.make a len) ip4_dst })
+      (pair
+         (pair (opt (int_bound 2)) (opt (map Mac.of_host_id (1 -- 2))))
+         (pair (opt (oneofl [ 80; 443 ]))
+            (opt (pair addr (oneofl [ 8; 16; 24; 32 ])))))
+  in
+  let gen_hdr =
+    map
+      (fun ((in_port, eth_dst), (tp_dst, ip4_dst, tp_src)) ->
+        { hdr with in_port; eth_dst; tp_dst; ip4_dst; tp_src })
+      (pair
+         (pair (int_bound 2) (map Mac.of_host_id (1 -- 2)))
+         (triple (oneofl [ 80; 443 ]) addr (int_bound 1000)))
+  in
+  let gen_op =
+    frequency
+      [ (4,
+         map3
+           (fun prio p idle -> `Add (prio, p, idle))
+           (int_bound 3) gen_pat (opt (1 -- 4)));
+        (1, map (fun p -> `Remove p) gen_pat);
+        (1, return `Expire);
+        (1, return `Clear);
+        (3, map (fun hs -> `Apply hs) (list_size (1 -- 8) gen_hdr)) ]
+  in
+  QCheck.Test.make ~name:"kept-field cache key == tuple == linear under churn"
+    ~count:500
+    (QCheck.make
+       (pair (list_size (5 -- 40) gen_op) (list_size (4 -- 16) gen_hdr)))
+    (fun (ops, probes) ->
+      let t = Table.create () in
+      let cookie = ref 0 and now = ref 0.0 in
+      let key = Option.map (fun (r : Table.rule) -> r.cookie) in
+      let agree h =
+        let reference = key (Table.lookup_linear t h) in
+        key (Table.lookup_tuple t h) = reference
+        && key (Table.lookup t h) = reference
+        && key (Table.lookup t h) = reference
+      in
+      List.for_all
+        (fun op ->
+          now := !now +. 1.0;
+          (match op with
+           | `Add (priority, pattern, idle) ->
+             incr cookie;
+             Table.add t
+               (Table.make_rule ~priority ~cookie:!cookie ~pattern
+                  ~idle_timeout:(Option.map float_of_int idle) ~now:!now
+                  ~actions:(Action.forward 1) ())
+           | `Remove pattern -> Table.remove t ~pattern
+           | `Expire -> ignore (Table.expire t ~now:!now)
+           | `Clear -> Table.clear t
+           | `Apply hs ->
+             List.iter
+               (fun h -> ignore (Table.apply t ~now:!now ~size:100 h))
+               hs);
+          List.for_all agree probes)
+        ops)
+
 (* property: the located lookup [apply_at ~switch ~in_port h] is
    [apply { h with switch; in_port }] — same verdict, same hit/miss and
    cache counters, same per-rule packet counts — on random multi-shape
@@ -1079,7 +1159,8 @@ let suites =
           (prop_megaflow_consistent ~cache_entries:2
              "megaflow == linear, 2-entry cache");
         QCheck_alcotest.to_alcotest
-          (prop_megaflow_consistent "megaflow == linear, default cache") ] );
+          (prop_megaflow_consistent "megaflow == linear, default cache");
+        QCheck_alcotest.to_alcotest prop_kept_field_key ] );
     ( "flow.strict_delete",
       [ Alcotest.test_case "table semantics" `Quick test_strict_delete_table;
         Alcotest.test_case "wire roundtrip" `Quick
